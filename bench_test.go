@@ -321,7 +321,7 @@ func BenchmarkMicroBuildTreeInto(b *testing.B) {
 // --- Tree backends of the choice-routing planners ------------------------------
 //
 // The §II-B tentpole: the Plateaus planner answering the same queries on
-// full Dijkstra trees vs PHAST trees swept out of the contraction
+// full Dijkstra trees vs ch-auto trees swept out of the customizable
 // hierarchy. Run on a uniform grid (the structure where full-tree Dijkstra
 // is most heap-bound) with -benchmem to see the allocation profile.
 
@@ -353,9 +353,9 @@ func benchGrid(rows, cols int) *graph.Graph {
 	return b.Build()
 }
 
-func benchPlateausBackend(b *testing.B, backend core.TreeBackend, hier core.HierarchyKind) {
+func benchPlateausBackend(b *testing.B, backend core.TreeBackend) {
 	g := benchGrid(50, 50)
-	planner := core.NewPlateaus(g, core.Options{TreeBackend: backend, Hierarchy: hier})
+	planner := core.NewPlateaus(g, core.Options{TreeBackend: backend})
 	rng := rand.New(rand.NewSource(4))
 	type q struct{ s, t graph.NodeID }
 	queries := make([]q, 16)
@@ -374,11 +374,7 @@ func benchPlateausBackend(b *testing.B, backend core.TreeBackend, hier core.Hier
 	}
 }
 
-func BenchmarkPlateausDijkstra(b *testing.B) {
-	benchPlateausBackend(b, core.TreeDijkstra, core.HierarchyWitness)
-}
-
-func BenchmarkPlateausCH(b *testing.B) { benchPlateausBackend(b, core.TreeCH, core.HierarchyWitness) }
+func BenchmarkPlateausDijkstra(b *testing.B) { benchPlateausBackend(b, core.TreeDijkstra) }
 
 // TestPlateausTreeSweepZeroAlloc pins the PHAST promise at the planner
 // substrate: building both complete trees (upward search + downward
@@ -530,28 +526,6 @@ func BenchmarkRPHASTMelbourne(b *testing.B) {
 		tb.BuildTreeRestrictedInto(ws, t, sp.Backward, sel)
 	}
 }
-
-// BenchmarkPlateausCHShort / BenchmarkPlateausRPHASTShort compare the
-// full planner pipeline (trees + join + assembly, selection cache hot) on
-// one short grid query across the full-sweep and restricted backends.
-func benchPlateausShort(b *testing.B, backend core.TreeBackend) {
-	g := benchGrid(50, 50)
-	planner := core.NewPlateaus(g, core.Options{TreeBackend: backend})
-	s, t := benchShortGridPair(50)
-	if _, err := planner.Alternatives(s, t); err != nil { // warm the selection cache
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := planner.Alternatives(s, t); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPlateausCHShort(b *testing.B) { benchPlateausShort(b, core.TreeCH) }
-
-func BenchmarkPlateausRPHASTShort(b *testing.B) { benchPlateausShort(b, core.TreeCHRestricted) }
 
 func BenchmarkMicroCHDist(b *testing.B) {
 	g, w := benchCityGraph(b)
@@ -843,12 +817,10 @@ func BenchmarkCCHCustomizeFlowOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkPlateausCCH is the grid planner benchmark on the customizable
-// hierarchy — the query-time cost of the no-witness-pruning arc surplus,
-// to read against BenchmarkPlateausCH and BenchmarkPlateausDijkstra.
-func BenchmarkPlateausCCH(b *testing.B) {
-	benchPlateausBackend(b, core.TreeCH, core.HierarchyCCH)
-}
+// BenchmarkPlateausCCH is the grid planner benchmark on the ch-auto
+// backend over the customizable hierarchy, to read against
+// BenchmarkPlateausDijkstra.
+func BenchmarkPlateausCCH(b *testing.B) { benchPlateausBackend(b, core.TreeCHAuto) }
 
 // BenchmarkServingCachedQuery measures the engine's versioned result
 // cache at full heat: the same query replayed between publishes is
@@ -1020,7 +992,7 @@ func benchGridCity(rows, cols int) *eval.City {
 
 func benchMatrixGrid50(b *testing.B, k int, pairwise bool) {
 	city := benchGridCity(50, 50)
-	m := core.NewMatrixEngine(city.Graph, core.Options{TreeBackend: core.TreeCHRestricted}, core.NewEngine(1))
+	m := core.NewMatrixEngine(city.Graph, core.Options{TreeBackend: core.TreeCHAuto}, core.NewEngine(1))
 	sources := benchClusteredNodes(b, city, k, -800, -600, 1200, 101)
 	targets := benchClusteredNodes(b, city, k, 700, 500, 1200, 102)
 	if pairwise {
@@ -1039,7 +1011,7 @@ func BenchmarkMatrixPairwiseGrid50K16(b *testing.B) { benchMatrixGrid50(b, 16, t
 func benchMatrixMelbourne(b *testing.B, k int, pairwise bool) {
 	study := benchSetup(b)
 	city := study.Cities["Melbourne"]
-	m := core.NewMatrixEngine(city.Graph, core.Options{TreeBackend: core.TreeCHRestricted, Hierarchy: core.HierarchyCCH}, core.NewEngine(1))
+	m := core.NewMatrixEngine(city.Graph, core.Options{TreeBackend: core.TreeCHAuto}, core.NewEngine(1))
 	sources := benchClusteredNodes(b, city, k, -1500, -1000, 2000, 103)
 	targets := benchClusteredNodes(b, city, k, 1200, 900, 2000, 104)
 	if pairwise {
@@ -1067,7 +1039,7 @@ func BenchmarkMatrixPairwiseMelbourne(b *testing.B) { benchMatrixMelbourne(b, 16
 // the selection on every single one of these queries).
 func BenchmarkSelectionCacheAlternatingPairs(b *testing.B) {
 	g := benchGrid(50, 50)
-	planner := core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCHRestricted})
+	planner := core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCHAuto})
 	s1, t1 := benchShortGridPair(50)
 	s2, t2 := graph.NodeID(35*50+8), graph.NodeID(42*50+14)
 	queries := [2][2]graph.NodeID{{s1, t1}, {s2, t2}}

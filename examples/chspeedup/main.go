@@ -73,6 +73,7 @@ func main() {
 	// 3. Pruned-tree plateaus: same choice routes, far less exploration.
 	full := core.NewPlateaus(g, core.Options{})
 	pruned := core.NewPrunedPlateaus(g, core.Options{})
+	scale := sp.MinSecondsPerMeter(g, w)
 	same, checked, reachedSum := 0, 0, 0
 	for i := 0; i < 25; i++ {
 		s := graph.NodeID(rng.Intn(g.NumNodes()))
@@ -86,8 +87,10 @@ func main() {
 			continue
 		}
 		checked++
-		fwdReached, _ := pruned.LastReached()
-		reachedSum += fwdReached
+		// The pruned planner's forward tree: nodes that can lie on a route
+		// within the upper bound of the fastest time a[0].TimeS.
+		fwd := sp.BuildPrunedTree(g, w, s, sp.Forward, t, core.DefaultUpperBound*a[0].TimeS, scale)
+		reachedSum += sp.CountReached(fwd)
 		identical := len(a) == len(b)
 		if identical {
 			for j := range a {

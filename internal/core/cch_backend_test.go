@@ -20,7 +20,7 @@ func TestPlateausCCHMatchesDijkstraBackend(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		g := randomRoadNetwork(seed+500, 150)
 		dij := NewPlateaus(g, Options{})
-		cchP := NewPlateaus(g, Options{TreeBackend: TreeCH, Hierarchy: HierarchyCCH})
+		cchP := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH})
 		comparePlannersExact(t, dij, cchP, g, 12, seed)
 	}
 }
@@ -29,7 +29,7 @@ func TestCommercialCCHMatchesFullTrees(t *testing.T) {
 	g := randomRoadNetwork(301, 150)
 	private := traffic.Apply(g, traffic.DefaultModel(33))
 	full := NewCommercial(g, private, Options{DisablePrunedTrees: true})
-	cchC := NewCommercial(g, private, Options{TreeBackend: TreeCH, Hierarchy: HierarchyCCH})
+	cchC := NewCommercial(g, private, Options{TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH})
 	comparePlannersExact(t, full, cchC, g, 12, 5)
 }
 
@@ -41,7 +41,7 @@ func TestCommercialCCHMatchesFullTrees(t *testing.T) {
 func TestCCHServingExactUnderClosures(t *testing.T) {
 	g := randomRoadNetwork(55, 150)
 	store := weights.NewStore(g.BaseWeights())
-	cchP := NewPlateaus(g, Options{Weights: store, TreeBackend: TreeCH, Hierarchy: HierarchyCCH})
+	cchP := NewPlateaus(g, Options{Weights: store, TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH})
 	dij := NewPlateaus(g, Options{Weights: store})
 	router := NewRouter(NewEngine(2), []Planner{cchP, dij}, store)
 
@@ -66,11 +66,13 @@ func TestCCHServingExactUnderClosures(t *testing.T) {
 }
 
 // TestHierarchyStatusReporting covers the observability seam the server
-// logs per query: flavor names and customization latencies per planner.
+// logs per query: flavor names (of the runtime actually serving — here
+// the witness oracle on one planner) and customization latencies.
 func TestHierarchyStatusReporting(t *testing.T) {
 	g := testCity(t)
-	wit := NewPlateaus(g, Options{TreeBackend: TreeCH})
-	cchP := NewPrunedPlateaus(g, Options{TreeBackend: TreeCH, Hierarchy: HierarchyCCH})
+	wit := NewPlateaus(g, Options{TreeBackend: TreeCHAuto})
+	useWitness(wit.prov)
+	cchP := NewPrunedPlateaus(g, Options{TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH})
 	dij := NewPlateaus(g, Options{})
 
 	if st := wit.HierarchyStatus(); st.Kind != "witness" || st.LastCustomize <= 0 {
@@ -104,12 +106,12 @@ func TestConcurrentPublishWithBatchQueriesCCH(t *testing.T) {
 	seq := traffic.NewSequence(g, traffic.DefaultModel(5), 8)
 	privStore := weights.NewStore(seq.WeightsAt(0))
 
-	cchOpts := Options{Weights: pubStore, TreeBackend: TreeCH, Hierarchy: HierarchyCCH}
+	cchOpts := Options{Weights: pubStore, TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH}
 	planners := []Planner{
 		NewPlateaus(g, cchOpts),
 		NewPrunedPlateaus(g, cchOpts),
 		NewPlateaus(g, Options{Weights: pubStore}),
-		NewCommercial(g, nil, Options{Weights: privStore, TreeBackend: TreeCH, Hierarchy: HierarchyCCH}),
+		NewCommercial(g, nil, Options{Weights: privStore, TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH}),
 	}
 	engine := NewEngine(4)
 	router := NewRouter(engine, planners, pubStore, privStore)
@@ -169,7 +171,7 @@ func TestConcurrentPublishWithBatchQueriesCCH(t *testing.T) {
 func TestCCHRecustomizeChainStaysExact(t *testing.T) {
 	g := randomRoadNetwork(71, 120)
 	store := weights.NewStore(g.BaseWeights())
-	pl := NewPlateaus(g, Options{Weights: store, TreeBackend: TreeCH, Hierarchy: HierarchyCCH})
+	pl := NewPlateaus(g, Options{Weights: store, TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH})
 	rng := rand.New(rand.NewSource(6))
 	var final []float64
 	for step := 0; step < 4; step++ {

@@ -39,10 +39,11 @@ import (
 // Like a real engine it also applies the §II-B tree optimisations: by
 // default its plateau trees are elliptically pruned to the UpperBound
 // reachable region (sp.BuildPrunedTree) — disable with
-// Options.DisablePrunedTrees — and Options.TreeBackend == TreeCH switches
-// to full PHAST trees swept out of a contraction hierarchy over the
-// private weights (re-customized in the background as traffic versions
-// are published).
+// Options.DisablePrunedTrees — and Options.TreeBackend == TreeCHAuto
+// switches to trees swept out of a customizable contraction hierarchy
+// over the private weights, restricted to the query's ellipse while it
+// is small (re-customized in the background as traffic versions are
+// published).
 type Commercial struct {
 	g      *graph.Graph
 	public []float64 // OSM-derived weights used for reported travel times
@@ -77,8 +78,8 @@ func NewCommercial(g *graph.Graph, private []float64, opts Options) *Commercial 
 		diversityBias: 0.45,
 		poolSize:      16,
 	}
-	pruned := !opts.TreeBackend.usesHierarchy() && !opts.DisablePrunedTrees
-	c.prov = newProvider(g, src, true, pruned, nil, opts)
+	pruned := opts.TreeBackend != TreeCHAuto && !opts.DisablePrunedTrees
+	c.prov = newProvider(g, src, true, pruned, opts)
 	return c
 }
 
@@ -96,8 +97,9 @@ func (c *Commercial) servingVersion() weights.Version { return c.prov.servingVer
 
 func (c *Commercial) weightsSource() weights.Source { return c.prov.src }
 
-// HierarchyStatus reports the hierarchy flavor serving this planner and
-// its last customization latency (zero off the TreeCH backend).
+// HierarchyStatus reports the hierarchy flavor serving this planner, its
+// last customization latency and its sweep counters (zero off
+// TreeCHAuto).
 func (c *Commercial) HierarchyStatus() HierarchyStatus { return c.prov.hierarchyStatus() }
 
 // setMetrics sinks the bundle's customization and selection observers

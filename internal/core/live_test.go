@@ -25,7 +25,7 @@ func TestStoreBackedPlannersMatchPinned(t *testing.T) {
 	private := traffic.Apply(g, traffic.DefaultModel(9))
 	privStore := weights.NewStore(private)
 
-	for _, backend := range []TreeBackend{TreeDijkstra, TreeCH} {
+	for _, backend := range []TreeBackend{TreeDijkstra, TreeCHAuto} {
 		pinnedOpts := Options{TreeBackend: backend}
 		storeOpts := Options{TreeBackend: backend, Weights: store}
 		cases := []struct {
@@ -75,7 +75,7 @@ func banFastestRoute(t *testing.T, g *graph.Graph, pl Planner, seed int64) (s, d
 // backend must re-customize it into its hierarchy).
 func TestBanSurvivesSnapshotSwap(t *testing.T) {
 	g := randomRoadNetwork(5, 150)
-	for _, backend := range []TreeBackend{TreeDijkstra, TreeCH} {
+	for _, backend := range []TreeBackend{TreeDijkstra, TreeCHAuto} {
 		store := weights.NewStore(g.BaseWeights())
 		opts := Options{TreeBackend: backend, Weights: store}
 		planners := []Planner{
@@ -228,15 +228,15 @@ func (p plainPlanner) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
 
 // --- Double-buffered CH swap ------------------------------------------------
 
-// TestCHSwapServesOldThenNew publishes a uniformly scaled snapshot (which
-// re-customization handles exactly) and verifies that (a) queries before
+// TestCHSwapServesOldThenNew publishes a uniformly scaled snapshot and
+// verifies that (a) queries before
 // Sync never fail or block on the rebuild, and (b) after Sync the planner
 // serves the new version with route sets identical to a from-scratch
 // planner pinned at the new snapshot.
 func TestCHSwapServesOldThenNew(t *testing.T) {
 	g := randomRoadNetwork(21, 150)
 	store := weights.NewStore(g.BaseWeights())
-	pl := NewPlateaus(g, Options{TreeBackend: TreeCH, Weights: store})
+	pl := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Weights: store})
 	router := NewRouter(NewEngine(2), []Planner{pl}, store)
 
 	s, dst, _ := banFastestRoute(t, g, pl, 13)
@@ -259,7 +259,7 @@ func TestCHSwapServesOldThenNew(t *testing.T) {
 	if v := pl.WeightsVersion(); v != 2 {
 		t.Fatalf("post-sync version = %d, want 2", v)
 	}
-	fresh := NewPlateaus(g, Options{TreeBackend: TreeCH, Weights: weights.Pin(scaled)})
+	fresh := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Weights: weights.Pin(scaled)})
 	comparePlannersExact(t, fresh, pl, g, 8, 29)
 }
 
@@ -278,14 +278,14 @@ func TestConcurrentPublishWithBatchQueries(t *testing.T) {
 	privStore := weights.NewStore(seq.WeightsAt(0))
 
 	opts := Options{Weights: pubStore}
-	chOpts := Options{Weights: pubStore, TreeBackend: TreeCH}
+	chOpts := Options{Weights: pubStore, TreeBackend: TreeCHAuto}
 	planners := []Planner{
 		NewPlateaus(g, opts),
 		NewPlateaus(g, chOpts),
 		NewPrunedPlateaus(g, chOpts),
 		NewDissimilarity(g, opts),
 		NewPenalty(g, opts),
-		NewCommercial(g, nil, Options{Weights: privStore, TreeBackend: TreeCH}),
+		NewCommercial(g, nil, Options{Weights: privStore, TreeBackend: TreeCHAuto}),
 	}
 	engine := NewEngine(4)
 	router := NewRouter(engine, planners, pubStore, privStore)
@@ -435,16 +435,18 @@ func TestRouterResponseVersionConsistency(t *testing.T) {
 // both cases the post-swap routes would diverge from a planner built
 // fresh at the new snapshot.
 func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
+	withAutoFraction(t, 1)
 	g := randomRoadNetwork(17, 150)
 	cases := []struct {
-		name  string
-		hkind HierarchyKind
-		next  func(rng *rand.Rand, banned []graph.EdgeID) []float64
-		ban   bool
+		name    string
+		witness bool
+		next    func(rng *rand.Rand, banned []graph.EdgeID) []float64
+		ban     bool
 	}{
-		// Uniform scaling: witness re-customization is exact for it, and a
-		// stale selection object would hit the builder-mismatch panic.
-		{"witness-uniform", HierarchyWitness, func(_ *rand.Rand, _ []graph.EdgeID) []float64 {
+		// Uniform scaling on the witness oracle: its re-customization is
+		// exact for it, and a stale selection object would hit the
+		// builder-mismatch panic.
+		{"witness-uniform", true, func(_ *rand.Rand, _ []graph.EdgeID) []float64 {
 			next := make([]float64, len(g.BaseWeights()))
 			for i, w := range g.BaseWeights() {
 				next[i] = 1.7 * w
@@ -454,7 +456,7 @@ func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 		// Arbitrary perturbation + closures: CCH customization stays
 		// exact, and the ellipse genuinely moves, so reusing the old
 		// membership would change route sets.
-		{"cch-perturbed-banned", HierarchyCCH, func(rng *rand.Rand, _ []graph.EdgeID) []float64 {
+		{"cch-perturbed-banned", false, func(rng *rand.Rand, _ []graph.EdgeID) []float64 {
 			next := make([]float64, len(g.BaseWeights()))
 			for i, w := range g.BaseWeights() {
 				next[i] = w * (0.5 + rng.Float64())
@@ -465,7 +467,10 @@ func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			store := weights.NewStore(g.BaseWeights())
-			pl := NewPlateaus(g, Options{TreeBackend: TreeCHRestricted, Hierarchy: tc.hkind, Weights: store})
+			pl := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Weights: store})
+			if tc.witness {
+				useWitness(pl.prov)
+			}
 			router := NewRouter(NewEngine(1), []Planner{pl}, store)
 
 			s, dst, firstRoute := banFastestRoute(t, g, pl, 23)
@@ -481,9 +486,15 @@ func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 			store.Publish(tc.next(rng, firstRoute))
 			router.Sync()
 
-			fresh := NewPlateaus(g, Options{TreeBackend: TreeCHRestricted, Hierarchy: tc.hkind, Weights: store.Latest()})
+			fresh := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Weights: store.Latest()})
+			if tc.witness {
+				useWitness(fresh.prov)
+			}
 			truth := NewPlateaus(g, Options{Weights: store.Latest()})
 			got, err1 := pl.Alternatives(s, dst)
+			if err1 == nil && !pl.HierarchyStatus().LastRestricted {
+				t.Fatal("post-publish query ran full sweeps; the selection path went untested")
+			}
 			want, err2 := fresh.Alternatives(s, dst)
 			base, err3 := truth.Alternatives(s, dst)
 			if (err1 == nil) != (err2 == nil) || (err1 == nil) != (err3 == nil) {
@@ -517,16 +528,17 @@ func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 // is exactly what a result cache serving a stale generation would look
 // like. CI runs it under -race.
 func TestLiveTrafficSoakRestrictedSweeps(t *testing.T) {
+	withAutoFraction(t, 1)
 	g := randomRoadNetwork(61, 140)
 	pubStore := weights.NewStore(g.BaseWeights())
 	seq := traffic.NewSequence(g, traffic.DefaultModel(7), 8)
 	privStore := weights.NewStore(seq.WeightsAt(0))
 
 	planners := []Planner{
-		NewPlateaus(g, Options{Weights: pubStore, TreeBackend: TreeCHRestricted, Hierarchy: HierarchyCCH}),
-		NewPrunedPlateaus(g, Options{Weights: pubStore, TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH}),
+		NewPlateaus(g, Options{Weights: pubStore, TreeBackend: TreeCHAuto}),
+		NewPrunedPlateaus(g, Options{Weights: pubStore, TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCHPerfect}),
 		NewDissimilarity(g, Options{Weights: pubStore}),
-		NewCommercial(g, nil, Options{Weights: privStore, TreeBackend: TreeCHRestricted, Hierarchy: HierarchyCCH}),
+		NewCommercial(g, nil, Options{Weights: privStore, TreeBackend: TreeCHAuto}),
 	}
 	storeOf := map[Planner]*weights.Store{
 		planners[0]: pubStore, planners[1]: pubStore, planners[2]: pubStore, planners[3]: privStore,
@@ -625,5 +637,13 @@ func TestLiveTrafficSoakRestrictedSweeps(t *testing.T) {
 	comparePlannersExact(t, fresh, planners[0].(*Plateaus), g, 6, 13)
 	if v := planners[0].(*Plateaus).WeightsVersion(); v != pubStore.Version() {
 		t.Fatalf("post-sync version %d != store version %d", v, pubStore.Version())
+	}
+	// The churn must have run on restricted sweeps, not full ones.
+	for _, pl := range planners {
+		if hr, ok := pl.(hierarchyReporter); ok {
+			if st := hr.HierarchyStatus(); st.SelectionHits+st.SelectionMisses == 0 || !st.LastRestricted {
+				t.Errorf("%s: %d selections resolved, last query restricted=%v; want restricted sweeps", pl.Name(), st.SelectionHits+st.SelectionMisses, st.LastRestricted)
+			}
+		}
 	}
 }

@@ -26,10 +26,10 @@ type Table struct {
 	Seconds []float64
 	Version weights.Version
 	// SelectionTargets is the size of the shared target selection the
-	// sweeps ran on (0 on non-hierarchy backends); SelectionHit reports
-	// whether it came out of the selection cache; Restricted reports
-	// whether the sweeps actually ran restricted (false: full sweeps, via
-	// the auto cutover or a non-restricted backend).
+	// sweeps ran on (0 on TreeDijkstra); SelectionHit reports whether it
+	// came out of the selection cache; Restricted reports whether the
+	// sweeps actually ran restricted (false: full sweeps, via the auto
+	// cutover or TreeDijkstra).
 	SelectionTargets int
 	SelectionHit     bool
 	Restricted       bool
@@ -38,15 +38,15 @@ type Table struct {
 // At returns the travel time from Sources[i] to Targets[j] in seconds.
 func (t *Table) At(i, j int) float64 { return t.Seconds[i*len(t.Targets)+j] }
 
-// MatrixEngine computes many-to-many travel-time tables. On a restricted
-// hierarchy backend it is the RPHAST batch scheme the selection phase
+// MatrixEngine computes many-to-many travel-time tables. On TreeCHAuto it
+// is the RPHAST batch scheme the selection phase
 // exists for: ONE shared selection covering the target set (cached by
 // cell signature, like point-to-point selections), then one restricted
 // forward sweep per source fanned over the serving Engine's worker pool —
 // k sweeps and at most one Select instead of the k×k tree pairs of
 // independent point-to-point queries. Distances are exact (byte-identical
-// to per-pair Dijkstra); on non-hierarchy backends the engine falls back
-// to one full Dijkstra tree per source.
+// to per-pair Dijkstra); on TreeDijkstra the engine falls back to one
+// full Dijkstra tree per source.
 //
 // A MatrixEngine is safe for concurrent use; per-call state lives in
 // pooled scratch, so a warm engine computes tables with zero steady-state
@@ -61,14 +61,14 @@ type MatrixEngine struct {
 
 // NewMatrixEngine builds a standalone matrix engine over g. Options are
 // interpreted as for NewPlateaus (weights source, tree backend, hierarchy
-// flavor, selection-cache budget); eng bounds the sweep fan-out and may
-// be nil for unbounded inline execution.
+// flavor, order, query engine); eng bounds the sweep fan-out and may be
+// nil for unbounded inline execution.
 func NewMatrixEngine(g *graph.Graph, opts Options, eng *Engine) *MatrixEngine {
 	opts = opts.withDefaults()
 	return &MatrixEngine{
 		g:    g,
 		eng:  eng,
-		prov: newProvider(g, opts.Weights, true, false, nil, opts),
+		prov: newProvider(g, opts.Weights, true, false, opts),
 	}
 }
 
@@ -161,8 +161,7 @@ func (m *MatrixEngine) MatrixInto(tab *Table, sources, targets []graph.NodeID) e
 	rb := rowBuilderPool.Get().(*rowBuilder)
 	rb.g, rb.sources, rb.targets, rb.seconds = m.g, tab.Sources, tab.Targets, tab.Seconds
 
-	switch tr := unwrapTrees(v.trees).(type) {
-	case *restrictedTrees:
+	if tr, ok := v.trees.(*restrictedTrees); ok {
 		e, hit := tr.selectTargets(tab.Targets)
 		rb.tb, rb.sel = tr.tb, e.sel
 		if e.sel != nil && !e.sel.Covers(tab.Targets) {
@@ -173,11 +172,7 @@ func (m *MatrixEngine) MatrixInto(tab *Table, sources, targets []graph.NodeID) e
 		tab.SelectionTargets = e.targets
 		tab.SelectionHit = hit
 		tab.Restricted = rb.sel != nil
-	case chTrees:
-		rb.tb = tr.tb
-	case dijkstraTrees:
-		rb.w = tr.weights
-	default:
+	} else {
 		rb.w = v.snap.Weights()
 	}
 
@@ -223,7 +218,7 @@ type elimAscender interface {
 // — the k² baseline the matrix engine amortizes away. Exposed for the
 // eval ablations and benchmarks that quantify the amortization.
 //
-// On a restricted CCH backend with the elimination-tree engine the k
+// On TreeCHAuto with the elimination-tree engine the k
 // fastest-time bounds of each target column are batched through one
 // shared backward ascent (AscentDists) instead of k independent
 // bidirectional searches; the resulting cells are bit-identical either
@@ -233,7 +228,7 @@ func (m *MatrixEngine) MatrixPairwise(tab *Table, sources, targets []graph.NodeI
 	if err != nil {
 		return err
 	}
-	if rt, ok := unwrapTrees(v.trees).(*restrictedTrees); ok {
+	if rt, ok := v.trees.(*restrictedTrees); ok {
 		if asc, ok := rt.hier.(elimAscender); ok {
 			if m.pairwiseBatchedBounds(tab, rt, asc) {
 				return nil
@@ -322,13 +317,4 @@ func (m *MatrixEngine) prepare(tab *Table, sources, targets []graph.NodeID) (*vi
 	tab.Version = v.snap.Version()
 	tab.SelectionTargets, tab.SelectionHit, tab.Restricted = 0, false, false
 	return v, nil
-}
-
-// unwrapTrees strips the counting decoration so the matrix engine can
-// reach the underlying backend-specific source.
-func unwrapTrees(src TreeSource) TreeSource {
-	if ct, ok := src.(*countingTrees); ok {
-		return ct.src
-	}
-	return src
 }

@@ -98,11 +98,17 @@ func requireTableBitEqual(t *testing.T, tab *Table, ref []float64, label string)
 // rows — a shared selection covering the target set loses no distance at
 // any requested target from any root.
 func TestMatrixExactness(t *testing.T) {
+	// As in TestBackendMatrix, the first name segment of a TreeCHAuto row
+	// is the sweep mode its cutover pins (restricted: the fraction that
+	// lets 5 spread targets' cells select) and asserts.
 	type config struct {
-		name    string
-		backend TreeBackend
-		hkind   HierarchyKind
-		query   QueryEngine
+		name       string
+		backend    TreeBackend
+		fraction   float64
+		restricted bool
+		witness    bool
+		hkind      HierarchyKind
+		query      QueryEngine
 	}
 	// The CCH rows run under both point-to-point query engines: elimtree
 	// routes MatrixPairwise through the batched multi-source ascent,
@@ -110,14 +116,14 @@ func TestMatrixExactness(t *testing.T) {
 	// come out byte-identical either way (the bounds only gate selection;
 	// cells come from the sweeps).
 	configs := []config{
-		{"dijkstra", TreeDijkstra, HierarchyWitness, QueryElimTree},
-		{"ch/witness", TreeCH, HierarchyWitness, QueryElimTree},
-		{"ch-restricted/witness", TreeCHRestricted, HierarchyWitness, QueryElimTree},
-		{"ch-restricted/cch", TreeCHRestricted, HierarchyCCH, QueryElimTree},
-		{"ch-restricted/cch/bidij", TreeCHRestricted, HierarchyCCH, QueryBidij},
-		{"ch-restricted/cch-perfect", TreeCHRestricted, HierarchyCCHPerfect, QueryElimTree},
-		{"ch-restricted/cch-perfect/bidij", TreeCHRestricted, HierarchyCCHPerfect, QueryBidij},
-		{"ch-auto/cch", TreeCHAuto, HierarchyCCH, QueryElimTree},
+		{name: "dijkstra", backend: TreeDijkstra},
+		{name: "ch/witness", backend: TreeCHAuto, witness: true},
+		{name: "ch-restricted/witness", backend: TreeCHAuto, fraction: 1, restricted: true, witness: true},
+		{name: "ch-restricted/cch", backend: TreeCHAuto, fraction: 1, restricted: true},
+		{name: "ch-restricted/cch/bidij", backend: TreeCHAuto, fraction: 1, restricted: true, query: QueryBidij},
+		{name: "ch-restricted/cch-perfect", backend: TreeCHAuto, fraction: 1, restricted: true, hkind: HierarchyCCHPerfect},
+		{name: "ch-restricted/cch-perfect/bidij", backend: TreeCHAuto, fraction: 1, restricted: true, hkind: HierarchyCCHPerfect, query: QueryBidij},
+		{name: "ch-auto/cch", backend: TreeCHAuto, fraction: mixedAutoFraction, restricted: true},
 	}
 	for _, netSeed := range []int64{7, 19} {
 		g := randomRoadNetwork(netSeed, 160)
@@ -128,12 +134,16 @@ func TestMatrixExactness(t *testing.T) {
 		tables := map[string][]float64{}
 		for _, cfg := range configs {
 			t.Run(fmt.Sprintf("net%d/%s", netSeed, cfg.name), func(t *testing.T) {
+				withAutoFraction(t, cfg.fraction)
 				m := NewMatrixEngine(g, Options{
 					Weights:     snap,
 					TreeBackend: cfg.backend,
 					Hierarchy:   cfg.hkind,
 					Query:       cfg.query,
 				}, NewEngine(2))
+				if cfg.witness {
+					useWitness(m.prov)
+				}
 				// Two passes: the second runs on a warm selection cache, so
 				// a hit must be just as exact as the miss that built it.
 				var last *Table
@@ -149,6 +159,9 @@ func TestMatrixExactness(t *testing.T) {
 					}
 					if tab.Version != snap.Version() {
 						t.Fatalf("pass %d: table version %d, snapshot %d", pass, tab.Version, snap.Version())
+					}
+					if tab.Restricted != cfg.restricted {
+						t.Fatalf("pass %d: table Restricted=%v, row promises %v", pass, tab.Restricted, cfg.restricted)
 					}
 					last = tab
 				}
@@ -175,10 +188,11 @@ func TestMatrixExactness(t *testing.T) {
 // TestOneToMany checks the single-source convenience and that its table
 // is the corresponding matrix row.
 func TestOneToMany(t *testing.T) {
+	withAutoFraction(t, 1)
 	g := randomRoadNetwork(11, 140)
 	targets := sampleNodes(g, 8, 3)
 	src := sampleNodes(g, 1, 4)[0]
-	m := NewMatrixEngine(g, Options{TreeBackend: TreeCHRestricted}, nil)
+	m := NewMatrixEngine(g, Options{TreeBackend: TreeCHAuto}, nil)
 	tab, err := m.OneToMany(src, targets)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +203,7 @@ func TestOneToMany(t *testing.T) {
 		t.Fatalf("table sources = %v, want [%d]", tab.Sources, src)
 	}
 	if !tab.Restricted || tab.SelectionTargets == 0 {
-		t.Fatalf("restricted backend served Restricted=%v SelectionTargets=%d", tab.Restricted, tab.SelectionTargets)
+		t.Fatalf("one-to-many served Restricted=%v SelectionTargets=%d", tab.Restricted, tab.SelectionTargets)
 	}
 }
 
@@ -199,7 +213,7 @@ func TestOneToMany(t *testing.T) {
 func TestMatrixSharesPlateausProvider(t *testing.T) {
 	g := randomRoadNetwork(13, 140)
 	store := weights.NewStore(g.BaseWeights())
-	p := NewPlateaus(g, Options{Weights: store, TreeBackend: TreeCHRestricted, Hierarchy: HierarchyCCH})
+	p := NewPlateaus(g, Options{Weights: store, TreeBackend: TreeCHAuto})
 	m := NewMatrixEngineFor(p, nil)
 	sources := sampleNodes(g, 4, 5)
 	targets := sampleNodes(g, 4, 6)
@@ -261,8 +275,9 @@ func TestMatrixWarmZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
+	withAutoFraction(t, 1)
 	g := randomRoadNetwork(23, 160)
-	m := NewMatrixEngine(g, Options{TreeBackend: TreeCHRestricted}, NewEngine(1))
+	m := NewMatrixEngine(g, Options{TreeBackend: TreeCHAuto}, NewEngine(1))
 	sources := sampleNodes(g, 4, 7)
 	targets := sampleNodes(g, 4, 8)
 	var tab Table
@@ -305,11 +320,7 @@ func TestMatrixPublishSoak(t *testing.T) {
 		history.Store(s.Version(), append([]float64(nil), s.Weights()...))
 	})
 
-	m := NewMatrixEngine(g, Options{
-		Weights:     store,
-		TreeBackend: TreeCHRestricted,
-		Hierarchy:   HierarchyCCH, // stays exact across all published metrics
-	}, NewEngine(2))
+	m := NewMatrixEngine(g, Options{Weights: store, TreeBackend: TreeCHAuto}, NewEngine(2))
 	sources := sampleNodes(g, 3, 9)
 	targets := sampleNodes(g, 3, 10)
 

@@ -17,7 +17,7 @@ import (
 func TestRouterMetricsWiring(t *testing.T) {
 	g := testCity(t)
 	st := weights.NewStore(g.BaseWeights())
-	opts := Options{Weights: st, TreeBackend: TreeCHRestricted, Hierarchy: HierarchyCCH, Query: QueryElimTree}
+	opts := Options{Weights: st, TreeBackend: TreeCHAuto}
 	pl := NewPlateaus(g, opts)
 	r := NewRouter(nil, []Planner{pl, NewPenalty(g, Options{Weights: st})}, st)
 

@@ -24,11 +24,13 @@ import (
 // The planner resolves its weights per query from Options.Weights (a
 // live-traffic store or a pinned snapshot; nil pins the graph's base
 // weights), and how the two trees are built is pluggable (TreeSource):
-// full Dijkstra searches by default, or PHAST sweeps over a contraction
-// hierarchy with Options.TreeBackend == TreeCH — the §II-B optimisation
-// that makes tree construction near-linear after a one-off preprocessing.
-// Under TreeCH a new weight version re-customizes the hierarchy in the
-// background while the old one keeps serving (see provider).
+// full Dijkstra searches by default, or sweeps over a customizable
+// contraction hierarchy with Options.TreeBackend == TreeCHAuto — the
+// §II-B optimisation that makes tree construction near-linear after a
+// one-off preprocessing, and sublinear while the query's ellipse is
+// small (restricted sweeps). Under TreeCHAuto a new weight version
+// re-customizes the hierarchy in the background while the old one keeps
+// serving (see provider).
 type Plateaus struct {
 	g    *graph.Graph
 	opts Options
@@ -36,22 +38,21 @@ type Plateaus struct {
 }
 
 // NewPlateaus returns a Plateaus planner over g. With Options.TreeBackend
-// == TreeCH the constructor contracts the current snapshot's hierarchy (a
-// few ms per city network) so every query can build its trees with
-// downward sweeps.
+// == TreeCHAuto the constructor contracts and customizes the current
+// snapshot's hierarchy so every query can build its trees with downward
+// sweeps.
 func NewPlateaus(g *graph.Graph, opts Options) *Plateaus {
-	return newPlateaus(g, opts, false, nil)
+	return newPlateaus(g, opts, false)
 }
 
 // newPlateaus is the shared constructor: pruned selects elliptic tree
-// pruning (ignored under TreeCH), wrap decorates each version's tree
-// source (PrunedPlateaus' counting instrumentation).
-func newPlateaus(g *graph.Graph, opts Options, pruned bool, wrap func(TreeSource) TreeSource) *Plateaus {
+// pruning (ignored under TreeCHAuto).
+func newPlateaus(g *graph.Graph, opts Options, pruned bool) *Plateaus {
 	opts = opts.withDefaults()
 	return &Plateaus{
 		g:    g,
 		opts: opts,
-		prov: newProvider(g, opts.Weights, true, pruned, wrap, opts),
+		prov: newProvider(g, opts.Weights, true, pruned, opts),
 	}
 }
 
@@ -68,8 +69,9 @@ func (p *Plateaus) servingVersion() weights.Version { return p.prov.servingVersi
 
 func (p *Plateaus) weightsSource() weights.Source { return p.prov.src }
 
-// HierarchyStatus reports the hierarchy flavor serving this planner and
-// its last customization latency (zero off the TreeCH backend).
+// HierarchyStatus reports the hierarchy flavor serving this planner, its
+// last customization latency and its sweep counters (zero off
+// TreeCHAuto).
 func (p *Plateaus) HierarchyStatus() HierarchyStatus { return p.prov.hierarchyStatus() }
 
 // setMetrics sinks the bundle's customization and selection observers

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"repro/internal/graph"
 	"repro/internal/path"
 	"repro/internal/weights"
@@ -16,26 +14,17 @@ import (
 // they are combined, they still yield the same choice routes" — which the
 // test suite verifies against the full-tree planner.
 //
-// With Options.TreeBackend == TreeCH the planner instead builds full
-// PHAST trees from a contraction hierarchy (pruning is moot there: the
-// downward sweep is already near-linear), keeping the same instrumented
-// interface. The exploration counters are atomics shared by every weight
-// version's tree source, so the planner is safe under core.Engine workers
-// and across live snapshot swaps.
+// With Options.TreeBackend == TreeCHAuto the planner instead sweeps its
+// trees out of the customizable hierarchy, where the same ellipse bounds
+// the restricted sweeps — it is then the Plateaus planner under its own
+// name.
 type PrunedPlateaus struct {
-	inner  *Plateaus
-	counts *treeCounts
+	inner *Plateaus
 }
 
 // NewPrunedPlateaus returns the pruned-tree plateau planner.
 func NewPrunedPlateaus(g *graph.Graph, opts Options) *PrunedPlateaus {
-	counts := &treeCounts{}
-	wrap := func(src TreeSource) TreeSource { return &countingTrees{src: src, counts: counts} }
-	pruned := !opts.withDefaults().TreeBackend.usesHierarchy()
-	return &PrunedPlateaus{
-		inner:  newPlateaus(g, opts, pruned, wrap),
-		counts: counts,
-	}
+	return &PrunedPlateaus{inner: newPlateaus(g, opts, opts.TreeBackend != TreeCHAuto)}
 }
 
 // Name implements Planner.
@@ -51,8 +40,9 @@ func (p *PrunedPlateaus) servingVersion() weights.Version { return p.inner.servi
 
 func (p *PrunedPlateaus) weightsSource() weights.Source { return p.inner.weightsSource() }
 
-// HierarchyStatus reports the hierarchy flavor serving this planner and
-// its last customization latency (zero off the TreeCH backend).
+// HierarchyStatus reports the hierarchy flavor serving this planner, its
+// last customization latency and its sweep counters (zero off
+// TreeCHAuto).
 func (p *PrunedPlateaus) HierarchyStatus() HierarchyStatus { return p.inner.HierarchyStatus() }
 
 // setMetrics sinks the observers under this planner's own name (not the
@@ -69,18 +59,4 @@ func (p *PrunedPlateaus) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
 // AlternativesVersioned implements VersionedPlanner.
 func (p *PrunedPlateaus) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error) {
 	return p.inner.AlternativesVersioned(s, t)
-}
-
-// treeCounts is the concurrency-safe exploration instrumentation shared
-// by all of a planner's per-version tree sources.
-type treeCounts struct {
-	lastFwd, lastBwd atomic.Int64
-}
-
-// LastReached reports how many nodes the most recent query's forward and
-// backward trees explored — instrumentation for tests and the chspeedup
-// example. Under concurrent use the values reflect some recent query
-// (each query's counts are stored atomically; the last writer wins).
-func (p *PrunedPlateaus) LastReached() (fwd, bwd int) {
-	return int(p.counts.lastFwd.Load()), int(p.counts.lastBwd.Load())
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/path"
+	"repro/internal/sp"
 )
 
 // The §II-B claim under test: pruned elliptical trees "still yield the
@@ -44,17 +45,19 @@ func TestPrunedPlateausMatchesFullTreePlanner(t *testing.T) {
 
 func TestPrunedPlateausExploresFewerNodes(t *testing.T) {
 	g := testCity(t)
-	pruned := NewPrunedPlateaus(g, Options{})
+	trees := newPrunedTrees(g, g.BaseWeights(), DefaultUpperBound)
+	ws := sp.GetWorkspace()
+	defer ws.Release()
 	// A short corner-to-adjacent query: the ellipse is small.
-	if _, err := pruned.Alternatives(0, 2); err != nil {
-		t.Fatal(err)
+	fwd, bwd, ok := trees.BuildTrees(ws, 0, 2)
+	if !ok {
+		t.Fatal("pruned trees missed the target")
 	}
-	fwd, bwd := pruned.LastReached()
-	if fwd >= g.NumNodes() {
-		t.Errorf("forward pruned tree reached all %d nodes; pruning ineffective", g.NumNodes())
+	if n := sp.CountReached(fwd); n >= g.NumNodes() {
+		t.Errorf("forward pruned tree reached all %d nodes; pruning ineffective", n)
 	}
-	if bwd >= g.NumNodes() {
-		t.Errorf("backward pruned tree reached all nodes; pruning ineffective")
+	if n := sp.CountReached(bwd); n >= g.NumNodes() {
+		t.Errorf("backward pruned tree reached all %d nodes; pruning ineffective", n)
 	}
 }
 

@@ -42,6 +42,44 @@ func randomRoadNetwork(seed int64, n int) *graph.Graph {
 	return b.Build()
 }
 
+// randomPlanarNetwork is a tie-free street grid: rows×cols intersections
+// jittered off a 250 m lattice, joined to their lattice neighbours at
+// continuous random speeds (a quarter of the streets one-way). Unlike the
+// random chords of randomRoadNetwork, travel times track distance, so a
+// short pair's ellipse covers a corner of the city — where TreeCHAuto
+// restricts its sweeps.
+func randomPlanarNetwork(seed int64, rows, cols int) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(rows*cols, 0)
+	o := geo.Point{Lat: 23.8, Lon: 90.4}
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			b.AddNode(geo.Offset(o, (float64(r)+0.6*rng.Float64())*250, (float64(c)+0.6*rng.Float64())*250))
+		}
+	}
+	street := func(u, v int) {
+		b.AddEdge(graph.EdgeSpec{
+			From:     graph.NodeID(u),
+			To:       graph.NodeID(v),
+			Class:    graph.Residential,
+			SpeedKmh: 30 + rng.Float64()*20,
+			Lanes:    1 + rng.Intn(2),
+			TwoWay:   rng.Intn(4) > 0,
+		})
+	}
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if c+1 < cols {
+				street(r*cols+c, r*cols+c+1)
+			}
+			if r+1 < rows {
+				street(r*cols+c, (r+1)*cols+c)
+			}
+		}
+	}
+	return b.Build()
+}
+
 func TestPlannerContractOnRandomNetworks(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := randomRoadNetwork(seed, 120)

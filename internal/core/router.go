@@ -20,7 +20,7 @@ const DefaultCacheSize = 4096
 //  1. evicts the stale generations of the engine's versioned result
 //     cache (keeping what double-buffered planners still serve), and
 //  2. kicks background re-customization in every planner that derives
-//     per-version state (the CH hierarchies of TreeCH planners),
+//     per-version state (the CCH hierarchies of TreeCHAuto planners),
 //
 // after which each planner's view swings to the new version by an atomic
 // pointer swap — old state keeps serving until its replacement is ready,
@@ -257,7 +257,7 @@ func (r *Router) ServingVersions() []weights.Version {
 }
 
 // hierarchyReporter is implemented by planners backed by a hierarchy
-// provider (the choice-routing planners on TreeCH).
+// provider (the choice-routing planners on TreeCHAuto).
 type hierarchyReporter interface {
 	HierarchyStatus() HierarchyStatus
 }

@@ -6,11 +6,11 @@ import (
 	"repro/internal/ch"
 )
 
-// DefaultSelectionCacheBytes is the total byte budget of one restricted
-// planner's selection cache when Options.SelectionCacheBytes is zero. A
-// city-scale selection retains tens to hundreds of kilobytes, so the
-// default holds on the order of a hundred warm cell unions.
-const DefaultSelectionCacheBytes = 32 << 20
+// selectionCacheBytes is the total byte budget of one restricted source's
+// selection cache. A city-scale selection retains tens to hundreds of
+// kilobytes, so the budget holds on the order of a hundred warm cell
+// unions.
+const selectionCacheBytes = 32 << 20
 
 // selCacheShards is the shard count of the selection cache; must be a
 // power of two (the shard is picked by masking the signature hash).
@@ -54,18 +54,12 @@ type selShard struct {
 // version, preserving the stale-selection guarantees of the single-slot
 // design it replaces.
 type selectionCache struct {
-	perShard int // byte budget per shard; <= 0 degenerates to one entry per shard
+	perShard int // byte budget per shard; 0 degenerates to one entry per shard
 	stats    *selectionStats
 	shards   [selCacheShards]selShard
 }
 
 func newSelectionCache(totalBytes int, stats *selectionStats) *selectionCache {
-	if totalBytes == 0 {
-		totalBytes = DefaultSelectionCacheBytes
-	}
-	if totalBytes < 0 {
-		totalBytes = 0
-	}
 	return &selectionCache{perShard: totalBytes / selCacheShards, stats: stats}
 }
 
@@ -176,9 +170,7 @@ func (c *selectionCache) insert(e *selEntry) *selEntry {
 		}
 		sh.bytes -= victim.bytes
 		sh.entries = append(sh.entries[:sh.hand], sh.entries[sh.hand+1:]...)
-		if c.stats != nil {
-			c.stats.selEvictions.Add(1)
-		}
+		c.stats.selEvictions.Add(1)
 	}
 	return e
 }

@@ -9,7 +9,7 @@ import (
 
 // findConnectedPairs samples distinct connected query pairs on g using a
 // Dijkstra-backed probe planner, so tests exercising the restricted
-// backends can pick their hot pairs without touching the selection stats
+// sweeps can pick their hot pairs without touching the selection stats
 // under test.
 func findConnectedPairs(t *testing.T, g *graph.Graph, want int, seed int64) [][2]graph.NodeID {
 	t.Helper()
@@ -51,9 +51,10 @@ func findConnectedPairs(t *testing.T, g *graph.Graph, want int, seed int64) [][2
 // cell signature and holds both pairs' entries, so after each pair's
 // first miss every later query hits.
 func TestSelectionCacheAlternatingHotPairs(t *testing.T) {
+	withAutoFraction(t, 1)
 	g := randomRoadNetwork(42, 150)
 	pairs := findConnectedPairs(t, g, 2, 1)
-	p := NewPlateaus(g, Options{TreeBackend: TreeCHRestricted})
+	p := NewPlateaus(g, Options{TreeBackend: TreeCHAuto})
 
 	const rounds = 20
 	for i := 0; i < rounds; i++ {
@@ -77,16 +78,22 @@ func TestSelectionCacheAlternatingHotPairs(t *testing.T) {
 	if st.SelectionEvictions != 0 {
 		t.Fatalf("two hot entries must fit the default budget; got %d evictions", st.SelectionEvictions)
 	}
+	if !st.LastRestricted {
+		t.Fatal("hot pairs ran full sweeps; their selections went unused")
+	}
 }
 
 // TestSelectionCacheEviction drives a degenerate one-entry-per-shard
-// budget (SelectionCacheBytes < 0) through many distinct query pairs and
-// checks the clock hand actually evicts: the entry count stays bounded by
-// the shard count while the eviction counter climbs.
+// budget (0 bytes) through many distinct query pairs and checks the clock
+// hand actually evicts: the entry count stays bounded by the shard count
+// while the eviction counter climbs.
 func TestSelectionCacheEviction(t *testing.T) {
+	withAutoFraction(t, 1)
 	g := randomRoadNetwork(43, 200)
 	pairs := findConnectedPairs(t, g, 12, 2)
-	p := NewPlateaus(g, Options{TreeBackend: TreeCHRestricted, SelectionCacheBytes: -1})
+	p := NewPlateaus(g, Options{TreeBackend: TreeCHAuto})
+	tr := p.prov.view().trees.(*restrictedTrees)
+	tr.cache = newSelectionCache(0, tr.stats)
 
 	for _, q := range pairs {
 		if _, err := p.Alternatives(q[0], q[1]); err != nil {
@@ -94,9 +101,8 @@ func TestSelectionCacheEviction(t *testing.T) {
 		}
 	}
 	st := p.HierarchyStatus()
-	tr, ok := unwrapTrees(p.prov.view().trees).(*restrictedTrees)
-	if !ok {
-		t.Fatalf("restricted backend did not yield *restrictedTrees")
+	if !st.LastRestricted {
+		t.Fatal("distinct pairs ran full sweeps; their selections went unused")
 	}
 	if n := tr.cache.entryCount(); n > selCacheShards {
 		t.Fatalf("degenerate budget holds %d entries, want <= %d (one per shard)", n, selCacheShards)
@@ -111,9 +117,10 @@ func TestSelectionCacheEviction(t *testing.T) {
 // whose endpoints lie inside) reuses the covering selection instead of
 // building its own.
 func TestSelectionCacheSupersetHit(t *testing.T) {
+	withAutoFraction(t, 1)
 	g := randomRoadNetwork(44, 150)
 	pairs := findConnectedPairs(t, g, 6, 3)
-	p := NewPlateaus(g, Options{TreeBackend: TreeCHRestricted})
+	p := NewPlateaus(g, Options{TreeBackend: TreeCHAuto})
 
 	// Warm the cache with every pair, then replay: every replayed query's
 	// signature is already resident (exact hit at worst), so the second
@@ -128,5 +135,8 @@ func TestSelectionCacheSupersetHit(t *testing.T) {
 	st := p.HierarchyStatus()
 	if st.SelectionHits < uint64(len(pairs)) {
 		t.Fatalf("replay sweep produced %d hits, want >= %d", st.SelectionHits, len(pairs))
+	}
+	if !st.LastRestricted {
+		t.Fatal("replayed pairs ran full sweeps; their selections went unused")
 	}
 }

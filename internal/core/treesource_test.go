@@ -12,7 +12,7 @@ import (
 
 // The tree-backend claim under test: the choice-routing planners return
 // the same routes whether their trees come from full Dijkstra searches,
-// elliptic pruning, or PHAST sweeps over a contraction hierarchy.
+// elliptic pruning, or sweeps over a customizable contraction hierarchy.
 //
 // Exact route-set equality requires tie-free shortest paths (with ties,
 // equally correct trees may pick different parents and therefore different
@@ -57,7 +57,7 @@ func TestPlateausCHMatchesDijkstraBackend(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		g := randomRoadNetwork(seed+100, 150)
 		dij := NewPlateaus(g, Options{})
-		chp := NewPlateaus(g, Options{TreeBackend: TreeCH})
+		chp := NewPlateaus(g, Options{TreeBackend: TreeCHAuto})
 		comparePlannersExact(t, dij, chp, g, 12, seed)
 	}
 }
@@ -65,12 +65,8 @@ func TestPlateausCHMatchesDijkstraBackend(t *testing.T) {
 func TestPrunedPlateausCHBackend(t *testing.T) {
 	g := randomRoadNetwork(7, 150)
 	dij := NewPrunedPlateaus(g, Options{})
-	chp := NewPrunedPlateaus(g, Options{TreeBackend: TreeCH})
+	chp := NewPrunedPlateaus(g, Options{TreeBackend: TreeCHAuto})
 	comparePlannersExact(t, dij, chp, g, 12, 7)
-	// The CH variant builds full trees; instrumentation must still report.
-	if fwd, bwd := chp.LastReached(); fwd <= 0 || bwd <= 0 {
-		t.Errorf("CH-backend LastReached = (%d, %d), want positive", fwd, bwd)
-	}
 }
 
 func TestCommercialPrunedMatchesFullTrees(t *testing.T) {
@@ -87,21 +83,21 @@ func TestCommercialCHMatchesFullTrees(t *testing.T) {
 	g := randomRoadNetwork(300, 150)
 	private := traffic.Apply(g, traffic.DefaultModel(33))
 	full := NewCommercial(g, private, Options{DisablePrunedTrees: true})
-	chc := NewCommercial(g, private, Options{TreeBackend: TreeCH})
+	chc := NewCommercial(g, private, Options{TreeBackend: TreeCHAuto})
 	comparePlannersExact(t, full, chc, g, 12, 5)
 }
 
 // TestEngineDrivesCHAndPrunedPlanners hammers the CH-backed and pruned
 // planners through the concurrent engine; with -race it verifies the
-// shared TreeBuilder, the pruned tree source and the atomic
-// instrumentation are data-race free.
+// shared TreeBuilder, the selection cache, the pruned tree source and the
+// atomic sweep statistics are data-race free.
 func TestEngineDrivesCHAndPrunedPlanners(t *testing.T) {
 	g := testCity(t)
 	e := NewEngine(4)
 	planners := []Planner{
-		NewPlateaus(g, Options{TreeBackend: TreeCH}),
+		NewPlateaus(g, Options{TreeBackend: TreeCHAuto}),
 		NewPrunedPlateaus(g, Options{}),
-		NewPrunedPlateaus(g, Options{TreeBackend: TreeCH}),
+		NewPrunedPlateaus(g, Options{TreeBackend: TreeCHAuto}),
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -67,51 +67,43 @@ type servingVersioned interface {
 type view struct {
 	snap  *weights.Snapshot
 	trees TreeSource
-	// hier is kept for the TreeCH backend so the next version can be
+	// hier is kept for the TreeCHAuto backend so the next version can be
 	// customized — a weights-only rebuild through the ch.Hierarchy seam
-	// (witness constituent sums or CCH triangle relaxation, whichever
-	// flavor is installed) — instead of contracted from scratch.
+	// (CCH triangle relaxation) — instead of contracted from scratch.
 	hier ch.Hierarchy
-	// pruned is the undecorated elliptic source (when the backend uses
-	// one), kept so the next version can share its minimum-speed scan.
+	// pruned is the elliptic source (when the backend uses one), kept so
+	// the next version can share its minimum-speed scan.
 	pruned *prunedTrees
 }
 
 // provider resolves a weights.Source into views, caching the current one
 // behind an atomic pointer. Cheap backends (Dijkstra, pruned) rebuild
-// synchronously on the first query that sees a new version; the CH
-// backend is double-buffered: the stale view keeps serving while a single
+// synchronously on the first query that sees a new version; TreeCHAuto
+// is double-buffered: the stale view keeps serving while a single
 // background goroutine re-customizes the hierarchy, and the pointer swap
 // is atomic.
 type provider struct {
 	g       *graph.Graph
 	src     weights.Source
 	backend TreeBackend
-	hkind   HierarchyKind // which hierarchy flavor backs the CH backends
-	// order selects the nested-dissection pipeline of a CCH contraction
+	hkind   HierarchyKind // which CCH flavor backs TreeCHAuto
+	// order selects the nested-dissection pipeline of the CCH contraction
 	// (geometric or flow-refined separators). Baked into the shared
-	// preprocessing at first build; ignored by the witness flavor.
+	// preprocessing at first build.
 	order OrderKind
 	// query selects the CCH point-to-point engine (elimination-tree
 	// ascents by default). Carried into the hierarchy's customize hook,
 	// so every later re-customization inherits it.
-	query QueryEngine
-	// customizeWorkers bounds CCH customization's per-level fan-out
-	// (0: GOMAXPROCS). Carried into the hierarchy's customize hook, so
-	// every later re-customization inherits it.
-	customizeWorkers int
-	pruned           bool    // elliptic pruning (ignored on hierarchy backends)
-	upperBound       float64 // pruning budget
-	needTrees        bool    // planners without a tree seam skip tree state
-	// wrap optionally decorates each version's tree source (the counting
-	// instrumentation of PrunedPlateaus).
-	wrap func(TreeSource) TreeSource
-	// selCacheBytes is the per-version selection-cache byte budget of the
-	// restricted backends (0: DefaultSelectionCacheBytes).
-	selCacheBytes int
+	query      QueryEngine
+	pruned     bool    // elliptic pruning (ignored on TreeCHAuto)
+	upperBound float64 // pruning budget
+	needTrees  bool    // planners without a tree seam skip tree state
+	// maxTargets is the auto cutover handed to every version's restricted
+	// source: autoFraction of the graph's nodes, fixed at construction.
+	maxTargets int
 	// grid is the spatial quantization shared by every weight version's
 	// restricted source — geometry only, so it never goes stale. Nil off
-	// the restricted backends.
+	// TreeCHAuto.
 	grid *spatial.Index
 
 	cur      atomic.Pointer[view]
@@ -121,7 +113,7 @@ type provider struct {
 	// build or customization — the per-swap latency the server logs.
 	lastCustomize atomic.Int64
 	// selStats is the restricted-sweep observability shared across weight
-	// versions (nil off the restricted backends).
+	// versions (nil off TreeCHAuto).
 	selStats *selectionStats
 	// custObs, when set, receives the wall-clock seconds of every
 	// hierarchy build/customization (the per-planner histogram installed
@@ -147,30 +139,28 @@ type provider struct {
 }
 
 // newProvider builds the resolver and synchronously installs the view of
-// the source's current snapshot, so construction keeps its pre-refactor
-// meaning: a TreeCH planner leaves its constructor with a ready hierarchy.
-// The backend/hierarchy/order/worker/bound/cache knobs come from opts; a
-// nil src pins the graph's own base weights (note the Commercial planner
-// passes its private metric here, not opts.Weights).
-func newProvider(g *graph.Graph, src weights.Source, needTrees, pruned bool, wrap func(TreeSource) TreeSource, opts Options) *provider {
+// the source's current snapshot, so a TreeCHAuto planner leaves its
+// constructor with a ready hierarchy. The backend/hierarchy/order/query/
+// bound knobs come from opts; a nil src pins the graph's own base weights
+// (note the Commercial planner passes its private metric here, not
+// opts.Weights).
+func newProvider(g *graph.Graph, src weights.Source, needTrees, pruned bool, opts Options) *provider {
 	if src == nil {
 		src = weights.Pin(g.BaseWeights())
 	}
 	p := &provider{
-		g:                g,
-		src:              src,
-		backend:          opts.TreeBackend,
-		hkind:            opts.Hierarchy,
-		order:            opts.Order,
-		query:            opts.Query,
-		customizeWorkers: opts.CustomizeWorkers,
-		pruned:           pruned,
-		upperBound:       opts.UpperBound,
-		needTrees:        needTrees,
-		wrap:             wrap,
-		selCacheBytes:    opts.SelectionCacheBytes,
+		g:          g,
+		src:        src,
+		backend:    opts.TreeBackend,
+		hkind:      opts.Hierarchy,
+		order:      opts.Order,
+		query:      opts.Query,
+		pruned:     pruned,
+		upperBound: opts.UpperBound,
+		needTrees:  needTrees,
 	}
-	if needTrees && (opts.TreeBackend == TreeCHRestricted || opts.TreeBackend == TreeCHAuto) {
+	if needTrees && opts.TreeBackend == TreeCHAuto {
+		p.maxTargets = int(autoFraction * float64(g.NumNodes()))
 		p.selStats = &selectionStats{}
 		p.grid = spatial.NewIndex(g, 0)
 	}
@@ -180,7 +170,7 @@ func newProvider(g *graph.Graph, src weights.Source, needTrees, pruned bool, wra
 
 // view resolves the view a query should run on. When the source has moved
 // past the installed view, Dijkstra-style backends rebuild inline (their
-// per-version state is a few cheap scans); the CH backend kicks a
+// per-version state is a few cheap scans); TreeCHAuto kicks a
 // background customization and keeps serving the installed view — the
 // double-buffer half of the live-swap design.
 func (p *provider) view() *view {
@@ -189,7 +179,7 @@ func (p *provider) view() *view {
 	if cur != nil && cur.snap.Version() >= snap.Version() {
 		return cur
 	}
-	if cur == nil || !p.backend.usesHierarchy() || !p.needTrees {
+	if cur == nil || p.backend != TreeCHAuto || !p.needTrees {
 		return p.rebuildTo(snap)
 	}
 	p.refreshAsync()
@@ -216,7 +206,7 @@ func (p *provider) servingVersion() weights.Version {
 // the most recent (re)customization; zero when the backend runs no
 // hierarchy.
 func (p *provider) hierarchyStatus() HierarchyStatus {
-	if !p.backend.usesHierarchy() || !p.needTrees {
+	if p.backend != TreeCHAuto || !p.needTrees {
 		return HierarchyStatus{}
 	}
 	st := HierarchyStatus{LastCustomize: time.Duration(p.lastCustomize.Load())}
@@ -250,30 +240,26 @@ func (p *provider) hierarchyStatus() HierarchyStatus {
 	}
 	if v != nil && v.hier != nil {
 		st.Kind = v.hier.Kind()
-		if p.hkind == HierarchyCCH || p.hkind == HierarchyCCHPerfect {
-			st.Order = p.order.String()
-		}
+		st.Order = p.order.String()
 	}
 	st.LastQueryEngine = qs.Engine
 	st.ElimQueries = accQ + qs.Queries
 	st.ElimTruncated = accT + qs.Truncated
 	st.ElimAscentNodes = accA + qs.AscentNodes
 	st.LastAscent = qs.LastAscent
-	if p.selStats != nil {
-		st.LastSelection = int(p.selStats.lastSelection.Load())
-		st.LastRestricted = p.selStats.lastRestricted.Load()
-		st.LastSweep = time.Duration(p.selStats.lastSweepNS.Load())
-		st.SelectionHits = p.selStats.selHits.Load()
-		st.SelectionMisses = p.selStats.selMisses.Load()
-		st.SelectionEvictions = p.selStats.selEvictions.Load()
-		st.LastUnionCells = int(p.selStats.lastUnion.Load())
-		st.LastHit = p.selStats.lastHit.Load()
-	}
+	st.LastSelection = int(p.selStats.lastSelection.Load())
+	st.LastRestricted = p.selStats.lastRestricted.Load()
+	st.LastSweep = time.Duration(p.selStats.lastSweepNS.Load())
+	st.SelectionHits = p.selStats.selHits.Load()
+	st.SelectionMisses = p.selStats.selMisses.Load()
+	st.SelectionEvictions = p.selStats.selEvictions.Load()
+	st.LastUnionCells = int(p.selStats.lastUnion.Load())
+	st.LastHit = p.selStats.lastHit.Load()
 	return st
 }
 
 // setMetrics sinks the provider-relevant observers of a bundle: the
-// planner's customization histogram and, on restricted backends, the
+// planner's customization histogram and, on TreeCHAuto, the
 // selection-size histogram. A nil bundle clears both.
 func (p *provider) setMetrics(cust, sel *metrics.Histogram) {
 	p.custObs.Store(cust)
@@ -339,10 +325,9 @@ func (p *provider) refreshSync() {
 	p.rebuildTo(p.src.Snapshot())
 }
 
-// buildView constructs the per-version state. For TreeCH, prev's
+// buildView constructs the per-version state. For TreeCHAuto, prev's
 // hierarchy (when available) is customized through the ch.Hierarchy seam
-// — a weights-only pass on the frozen contraction, constituent sums for
-// the witness flavor, the always-exact triangle relaxation for CCH —
+// — the always-exact triangle relaxation on the frozen contraction —
 // instead of contracting from scratch. For the elliptic backend, prev's
 // minimum-speed scan is shared when the snapshot's delta proves it still
 // valid.
@@ -353,33 +338,24 @@ func (p *provider) buildView(snap *weights.Snapshot, prev *view) *view {
 	}
 	w := snap.Weights()
 	switch {
-	case p.backend.usesHierarchy():
+	case p.backend == TreeCHAuto:
 		start := time.Now()
-		switch {
-		case prev != nil && prev.hier != nil:
+		if prev != nil && prev.hier != nil {
 			// The customize hook closes over the original Config, so the
-			// perfect/worker choices survive every re-customization.
+			// perfect/query choices survive every re-customization.
 			v.hier = prev.hier.Customize(w)
-		case p.hkind == HierarchyCCH || p.hkind == HierarchyCCHPerfect:
+		} else {
 			v.hier = cch.BuildWith(p.g, w, cch.Config{
 				Order:      cch.OrderConfig{Kind: p.order},
-				Workers:    p.customizeWorkers,
 				Perfect:    p.hkind == HierarchyCCHPerfect,
 				BidirQuery: p.query == QueryBidij,
 			})
-		default:
-			v.hier = ch.Build(p.g, w)
 		}
-		tb := v.hier.NewTreeBuilder()
-		if p.backend == TreeCH {
-			v.trees = chTrees{tb: tb}
-		} else {
-			// A fresh restricted source per version: its selection cache
-			// must never survive a weight swap (the selections index the
-			// old tree builder's arcs). The spatial grid is geometry-only
-			// and shared across versions.
-			v.trees = newRestrictedTrees(p.g, v.hier, tb, w, p.upperBound, p.backend == TreeCHAuto, p.selStats, p.grid, p.selCacheBytes)
-		}
+		// A fresh restricted source per version: its selection cache must
+		// never survive a weight swap (the selections index the old tree
+		// builder's arcs). The spatial grid is geometry-only and shared
+		// across versions.
+		v.trees = newRestrictedTrees(p.g, v.hier, w, p.upperBound, p.maxTargets, p.selStats, p.grid)
 		elapsed := time.Since(start)
 		p.lastCustomize.Store(int64(elapsed))
 		if h := p.custObs.Load(); h != nil {
@@ -395,9 +371,6 @@ func (p *provider) buildView(snap *weights.Snapshot, prev *view) *view {
 		v.trees = v.pruned
 	default:
 		v.trees = dijkstraTrees{g: p.g, weights: w}
-	}
-	if p.wrap != nil {
-		v.trees = p.wrap(v.trees)
 	}
 	return v
 }

@@ -18,14 +18,10 @@ import (
 // across ≥3 swaps and asserts the reported counters only ever grow and
 // account for every query issued.
 func TestQueryStatsMonotoneAcrossPublishes(t *testing.T) {
+	withAutoFraction(t, 1)
 	g := testCity(t)
 	st := weights.NewStore(g.BaseWeights())
-	pl := NewPlateaus(g, Options{
-		Weights:     st,
-		TreeBackend: TreeCHRestricted,
-		Hierarchy:   HierarchyCCH,
-		Query:       QueryElimTree,
-	})
+	pl := NewPlateaus(g, Options{Weights: st, TreeBackend: TreeCHAuto})
 
 	pairs := [][2]int{{0, 143}, {13, 130}, {5, 138}, {60, 83}, {2, 141}}
 	query := func(n int) {
@@ -45,6 +41,9 @@ func TestQueryStatsMonotoneAcrossPublishes(t *testing.T) {
 	}
 	if prev.ElimQueries == 0 {
 		t.Fatalf("no elim queries counted before first swap")
+	}
+	if !prev.LastRestricted {
+		t.Fatalf("queries ran full sweeps; the restricted path went uncounted")
 	}
 
 	seq := traffic.NewSequence(g, traffic.DefaultModel(11), 0)
@@ -79,14 +78,10 @@ func TestQueryStatsMonotoneAcrossPublishes(t *testing.T) {
 // status reader run together; every status read must observe
 // monotonically non-decreasing counters.
 func TestQueryStatsMonotoneUnderRacingSwaps(t *testing.T) {
+	withAutoFraction(t, 1)
 	g := testCity(t)
 	st := weights.NewStore(g.BaseWeights())
-	pl := NewPlateaus(g, Options{
-		Weights:     st,
-		TreeBackend: TreeCHRestricted,
-		Hierarchy:   HierarchyCCH,
-		Query:       QueryElimTree,
-	})
+	pl := NewPlateaus(g, Options{Weights: st, TreeBackend: TreeCHAuto})
 	if pl.HierarchyStatus().LastQueryEngine == "bidij" {
 		t.Skip("elimination-tree engine not serving")
 	}
@@ -100,6 +95,9 @@ func TestQueryStatsMonotoneUnderRacingSwaps(t *testing.T) {
 	floor := pl.HierarchyStatus()
 	if floor.ElimQueries == 0 {
 		t.Fatalf("seed queries not counted")
+	}
+	if !floor.LastRestricted {
+		t.Fatalf("seed queries ran full sweeps; the restricted path went uncounted")
 	}
 
 	seq := traffic.NewSequence(g, traffic.DefaultModel(13), 0)

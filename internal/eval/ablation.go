@@ -52,30 +52,15 @@ func DefaultAblationConfigs(c *City) []AblationConfig {
 		{"Plateaus UB 1.2", func() core.Planner { return core.NewPlateaus(g, core.Options{UpperBound: 1.2}) }},
 		{"Plateaus + sim cutoff 0.6", func() core.Planner { return core.NewPlateaus(g, core.Options{SimilarityCutoff: 0.6}) }},
 		{"Plateaus pruned trees (§II-B)", func() core.Planner { return core.NewPrunedPlateaus(g, core.Options{}) }},
-		{"Plateaus CH trees (PHAST)", func() core.Planner {
-			return core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCH})
-		}},
-		{"Plateaus CCH trees (customizable)", func() core.Planner {
-			return core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCH, Hierarchy: core.HierarchyCCH})
-		}},
-		{"Plateaus RPHAST trees (§II-B)", func() core.Planner {
-			return core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCHRestricted})
-		}},
-		{"Plateaus RPHAST auto cutover", func() core.Planner {
+		{"Plateaus CCH trees (ch-auto)", func() core.Planner {
 			return core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCHAuto})
 		}},
 		{"GMaps (pruned trees, default)", func() core.Planner { return core.NewCommercial(g, c.Traffic, core.Options{}) }},
 		{"GMaps full trees", func() core.Planner {
 			return core.NewCommercial(g, c.Traffic, core.Options{DisablePrunedTrees: true})
 		}},
-		{"GMaps CH trees (PHAST)", func() core.Planner {
-			return core.NewCommercial(g, c.Traffic, core.Options{TreeBackend: core.TreeCH})
-		}},
-		{"GMaps CCH trees (customizable)", func() core.Planner {
-			return core.NewCommercial(g, c.Traffic, core.Options{TreeBackend: core.TreeCH, Hierarchy: core.HierarchyCCH})
-		}},
-		{"GMaps RPHAST trees (restricted)", func() core.Planner {
-			return core.NewCommercial(g, c.Traffic, core.Options{TreeBackend: core.TreeCHRestricted})
+		{"GMaps CCH trees (ch-auto)", func() core.Planner {
+			return core.NewCommercial(g, c.Traffic, core.Options{TreeBackend: core.TreeCHAuto})
 		}},
 		{"Dissimilarity (paper, θ 0.5)", func() core.Planner { return core.NewDissimilarity(g, core.Options{}) }},
 		{"Dissimilarity θ 0.3", func() core.Planner { return core.NewDissimilarity(g, core.Options{Theta: 0.3}) }},

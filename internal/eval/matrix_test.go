@@ -11,14 +11,14 @@ import (
 	"repro/internal/sp"
 )
 
-// smallRestrictedCity builds one small city on the restricted backend for
+// smallRestrictedCity builds one small city on the ch-auto backend for
 // matrix-engine wiring tests.
 func smallRestrictedCity(t testing.TB) *City {
 	t.Helper()
 	p := citygen.Copenhagen()
 	p.Rows, p.Cols = 16, 16
 	p.Motorway.Present = false
-	c, err := NewCityOpts(p, 5, core.Options{TreeBackend: core.TreeCHRestricted, Hierarchy: core.HierarchyCCH})
+	c, err := NewCityOpts(p, 5, core.Options{TreeBackend: core.TreeCHAuto})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,14 +239,14 @@ func TestRatingsAccessor(t *testing.T) {
 	}
 }
 
-// restrictedTestCities builds the test city on the restricted-sweep
+// restrictedTestCities builds the test city on the ch-auto
 // backend, so the matrix endpoint exercises the shared-selection path.
 func restrictedTestCities(t testing.TB) map[string]*eval.City {
 	t.Helper()
 	p := citygen.Copenhagen()
 	p.Rows, p.Cols = 20, 20
 	p.Motorway.Present = false
-	c, err := eval.NewCityOpts(p, 7, core.Options{TreeBackend: core.TreeCHRestricted, Hierarchy: core.HierarchyCCH})
+	c, err := eval.NewCityOpts(p, 7, core.Options{TreeBackend: core.TreeCHAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestMatrixEndpoint(t *testing.T) {
 		t.Fatal("no reachable cells on a connected test city")
 	}
 	if !out.Restricted || out.Selection == 0 {
-		t.Fatalf("restricted backend served restricted=%v selectionTargets=%d", out.Restricted, out.Selection)
+		t.Fatalf("ch-auto matrix served restricted=%v selectionTargets=%d", out.Restricted, out.Selection)
 	}
 
 	// The same request again must hit the selection cache and return the
