@@ -384,7 +384,7 @@ func TestPlateausTreeSweepZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	g := benchGrid(40, 40)
-	tb := ch.Build(g, g.CopyWeights()).NewTreeBuilder()
+	tb := cch.Build(g, g.CopyWeights()).NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	s, dst := graph.NodeID(0), graph.NodeID(g.NumNodes()-1)
 	build := func() {
@@ -409,7 +409,7 @@ func TestPlateausTreeSweepZeroAlloc(t *testing.T) {
 // rphastTargets replicates the serving layer's elliptic selection: every
 // node whose geometric lower-bound detour fits within UpperBound × the
 // fastest time.
-func rphastTargets(b *testing.B, g *graph.Graph, w []float64, h *ch.Runtime, s, t graph.NodeID) []graph.NodeID {
+func rphastTargets(b *testing.B, g *graph.Graph, w []float64, h ch.Hierarchy, s, t graph.NodeID) []graph.NodeID {
 	b.Helper()
 	fastest := h.Dist(s, t)
 	scale := sp.MinSecondsPerMeter(g, w)
@@ -444,7 +444,7 @@ func benchShortGridPair(cols int) (s, t graph.NodeID) {
 func BenchmarkPHASTFullGrid50(b *testing.B) {
 	g := benchGrid(50, 50)
 	w := g.CopyWeights()
-	tb := ch.Build(g, w).NewTreeBuilder()
+	tb := cch.Build(g, w).NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	s, t := benchShortGridPair(50)
 	b.ResetTimer()
@@ -457,7 +457,7 @@ func BenchmarkPHASTFullGrid50(b *testing.B) {
 func BenchmarkRPHASTGrid50(b *testing.B) {
 	g := benchGrid(50, 50)
 	w := g.CopyWeights()
-	h := ch.Build(g, w)
+	h := cch.Build(g, w)
 	tb := h.NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	s, t := benchShortGridPair(50)
@@ -475,7 +475,7 @@ func BenchmarkRPHASTGrid50(b *testing.B) {
 func BenchmarkRPHASTSelectGrid50(b *testing.B) {
 	g := benchGrid(50, 50)
 	w := g.CopyWeights()
-	h := ch.Build(g, w)
+	h := cch.Build(g, w)
 	tb := h.NewTreeBuilder()
 	s, t := benchShortGridPair(50)
 	targets := rphastTargets(b, g, w, h, s, t)
@@ -502,7 +502,7 @@ func benchMelbourneShortPair(b *testing.B, city *eval.City) (s, t graph.NodeID) 
 func BenchmarkPHASTFullMelbourne(b *testing.B) {
 	study := benchSetup(b)
 	city := study.Cities["Melbourne"]
-	tb := ch.Build(city.Graph, city.Public).NewTreeBuilder()
+	tb := cch.Build(city.Graph, city.Public).NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	s, t := benchMelbourneShortPair(b, city)
 	b.ResetTimer()
@@ -515,7 +515,7 @@ func BenchmarkPHASTFullMelbourne(b *testing.B) {
 func BenchmarkRPHASTMelbourne(b *testing.B) {
 	study := benchSetup(b)
 	city := study.Cities["Melbourne"]
-	h := ch.Build(city.Graph, city.Public)
+	h := cch.Build(city.Graph, city.Public)
 	tb := h.NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	s, t := benchMelbourneShortPair(b, city)
@@ -529,7 +529,7 @@ func BenchmarkRPHASTMelbourne(b *testing.B) {
 
 func BenchmarkMicroCHDist(b *testing.B) {
 	g, w := benchCityGraph(b)
-	h := ch.Build(g, w)
+	h := cch.Build(g, w)
 	dst := graph.NodeID(g.NumNodes() - 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -659,42 +659,7 @@ func BenchmarkElimTreeMatrixBound(b *testing.B) {
 	})
 }
 
-// --- Live traffic: CH re-customization vs full rebuild ------------------------
-
-// BenchmarkCHBuildFull is the cost of following a published weight
-// snapshot the pre-refactor way: contract a fresh hierarchy from scratch
-// and derive its tree builder. Compare with BenchmarkCHRecustomize.
-func BenchmarkCHBuildFull(b *testing.B) {
-	study := benchSetup(b)
-	city := study.Cities["Melbourne"]
-	snap := city.Seq.WeightsAt(1) // the first rush-hour publish
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := ch.Build(city.Graph, snap)
-		if h.NewTreeBuilder() == nil {
-			b.Fatal("no tree builder")
-		}
-	}
-}
-
-// BenchmarkCHRecustomize is the live-traffic path: reuse the contraction
-// order and shortcut topology of the serving hierarchy and rebuild only
-// the arc weights for the published snapshot (plus the tree builder
-// repacking, which every swap needs too). The per-op time here, against
-// BenchmarkCHBuildFull, is the measured price of a weight-version swap.
-func BenchmarkCHRecustomize(b *testing.B) {
-	study := benchSetup(b)
-	city := study.Cities["Melbourne"]
-	base := ch.Build(city.Graph, city.Seq.WeightsAt(0))
-	snap := city.Seq.WeightsAt(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := base.Recustomize(snap)
-		if h.NewTreeBuilder() == nil {
-			b.Fatal("no tree builder")
-		}
-	}
-}
+// --- Live traffic: CCH preprocessing vs per-publish customization -----------
 
 // BenchmarkCCHPreprocess is the one-off metric-independent half of the
 // customizable hierarchy: nested-dissection order, chordal fill-in and
@@ -710,12 +675,10 @@ func BenchmarkCCHPreprocess(b *testing.B) {
 	}
 }
 
-// BenchmarkCCHCustomize is the customizable flavor's per-publish path:
-// one triangle-relaxation sweep plus the tree-builder repack — exact for
-// the snapshot whatever it contains, with no re-contraction. Against
-// BenchmarkCHBuildFull this is the measured price of making an arbitrary
-// snapshot exactly servable; against BenchmarkCHRecustomize it is the
-// premium over the witness flavor's (only conditionally exact) swap.
+// BenchmarkCCHCustomize is the per-publish path: one triangle-relaxation
+// sweep plus the tree-builder repack — exact for the snapshot whatever it
+// contains, with no re-contraction. Against BenchmarkCCHPreprocess it is
+// the measured price of making an arbitrary snapshot exactly servable.
 func BenchmarkCCHCustomize(b *testing.B) {
 	study := benchSetup(b)
 	city := study.Cities["Melbourne"]
@@ -1067,7 +1030,7 @@ func BenchmarkSelectionCacheAlternatingPairs(b *testing.B) {
 func BenchmarkSelectionCacheSelectUnion(b *testing.B) {
 	city := benchGridCity(50, 50)
 	w := city.Graph.CopyWeights()
-	tb := ch.Build(city.Graph, w).NewTreeBuilder()
+	tb := cch.Build(city.Graph, w).NewTreeBuilder()
 	targets := benchClusteredNodes(b, city, 16, 700, 500, 1200, 102)
 	sel := tb.Select(targets, nil)
 	b.ReportAllocs()

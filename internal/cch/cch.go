@@ -1,13 +1,8 @@
 // Package cch implements customizable contraction hierarchies (Dibbelt,
-// Strasser, Wagner: "Customizable Contraction Hierarchies"), the
-// metric-independent flavor behind the ch.Hierarchy seam.
-//
-// The witness flavor (ch.Build) prunes shortcuts against the build-time
-// metric, so its cheap weights-only re-customization is exact only for
-// metrics that preserve the witness structure — heavy road closures or
-// aggressive congestion snapshots can silently degrade its distances to
-// upper bounds. This package removes the metric from preprocessing
-// entirely:
+// Strasser, Wagner: "Customizable Contraction Hierarchies"), the producer
+// behind the ch.Hierarchy seam. Preprocessing never sees a metric, so
+// every weight snapshot — heavy road closures and aggressive congestion
+// included — is customized exactly:
 //
 //   - Preprocess contracts nodes along a nested-dissection order (order.go)
 //     with *no witness pruning*: contracting v connects all of v's
@@ -95,9 +90,8 @@ type Preprocessed struct {
 }
 
 // Build preprocesses g metric-independently and customizes the result for
-// the given weights — the drop-in counterpart of ch.Build. Keep the
-// returned hierarchy's Customize for following weight snapshots; only the
-// first call pays for contraction.
+// the given weights. Keep the returned hierarchy's Customize for following
+// weight snapshots; only the first call pays for contraction.
 //
 // Preprocessing is shared: because a Preprocessed depends only on the
 // graph (never on weights) and is safe for concurrent Customize calls,

@@ -252,14 +252,14 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 	tmpl := p.template
 	p.mu.Unlock()
 	if tmpl == nil {
-		rt := ch.NewRuntime(p.g, Kind, p.rank, p.arcFrom, arcs, nil)
+		rt := ch.NewRuntime(p.g, Kind, p.rank, p.arcFrom, arcs)
 		p.mu.Lock()
 		if p.template == nil {
 			// Cache only the shared adjacency (arcs nilled): the template
 			// exists for WithArcsInert, and pinning one customization's
 			// full arc array would hold megabytes per city for the
 			// process lifetime.
-			p.template = rt.WithArcs(nil)
+			p.template = rt.WithoutArcs()
 		}
 		tmpl = p.template
 		p.mu.Unlock()

@@ -8,7 +8,7 @@ import (
 )
 
 // Dist returns the exact shortest travel time from s to t, or +Inf if t is
-// unreachable. With an elimination tree attached (the CCH flavors) the
+// unreachable. With an elimination tree attached (the default) the
 // query walks the two root paths heap-free (elimquery.go); otherwise it
 // runs the standard bidirectional upward Dijkstra: the forward frontier
 // climbs rank-increasing arcs from s, the backward frontier climbs from
@@ -166,10 +166,9 @@ func (h *Runtime) searchInto(ws *sp.Workspace, s, t graph.NodeID) (float64, grap
 func (h *Runtime) NumArcs() int { return len(h.arcs) }
 
 // NumShortcuts returns the number of arcs not backed by a single original
-// edge. For the witness flavor this equals NumArcs minus the graph's edge
-// count; for the CCH flavor the split is metric-dependent (an arc counts
-// as a shortcut when the current customization resolved it through a
-// lower triangle, or left it impassable).
+// edge. The split is metric-dependent: an arc counts as a shortcut when
+// the current customization resolved it through a lower triangle, or left
+// it impassable.
 func (h *Runtime) NumShortcuts() int {
 	count := 0
 	for i := range h.arcs {

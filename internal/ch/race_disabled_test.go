@@ -1,5 +1,5 @@
 //go:build !race
 
-package ch
+package ch_test
 
 const raceEnabled = false

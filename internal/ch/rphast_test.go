@@ -1,10 +1,11 @@
-package ch
+package ch_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/ch"
 	"repro/internal/graph"
 	"repro/internal/sp"
 )
@@ -16,7 +17,7 @@ import (
 
 // checkRestrictedAgainstFull verifies restricted trees for one target set
 // against full builds from the same builder.
-func checkRestrictedAgainstFull(t *testing.T, g *graph.Graph, tb *TreeBuilder, targets []graph.NodeID, root graph.NodeID) {
+func checkRestrictedAgainstFull(t *testing.T, g *graph.Graph, tb *ch.TreeBuilder, targets []graph.NodeID, root graph.NodeID) {
 	t.Helper()
 	sel := tb.Select(targets, nil)
 	isTarget := make(map[graph.NodeID]bool, len(targets))
@@ -50,54 +51,60 @@ func checkRestrictedAgainstFull(t *testing.T, g *graph.Graph, tb *TreeBuilder, t
 func TestRestrictedTreeMatchesFullOnTargetsGrid(t *testing.T) {
 	g := gridCity(12, 12)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
-	rng := rand.New(rand.NewSource(3))
-	for q := 0; q < 8; q++ {
-		root := graph.NodeID(rng.Intn(g.NumNodes()))
-		targets := []graph.NodeID{root}
-		for len(targets) < 24 {
-			targets = append(targets, graph.NodeID(rng.Intn(g.NumNodes())))
-		}
-		checkRestrictedAgainstFull(t, g, tb, targets, root)
-	}
-}
-
-func TestRestrictedTreeMatchesFullOnTargetsRandomDirected(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		g := randomCity(seed+40, 150)
-		w := g.CopyWeights()
-		tb := Build(g, w).NewTreeBuilder()
-		rng := rand.New(rand.NewSource(seed))
-		for q := 0; q < 5; q++ {
+	forEachEngine(t, func(t *testing.T, build builder) {
+		tb := build(g, w).NewTreeBuilder()
+		rng := rand.New(rand.NewSource(3))
+		for q := 0; q < 8; q++ {
 			root := graph.NodeID(rng.Intn(g.NumNodes()))
 			targets := []graph.NodeID{root}
-			for len(targets) < 30 {
+			for len(targets) < 24 {
 				targets = append(targets, graph.NodeID(rng.Intn(g.NumNodes())))
 			}
 			checkRestrictedAgainstFull(t, g, tb, targets, root)
 		}
-	}
+	})
+}
+
+func TestRestrictedTreeMatchesFullOnTargetsRandomDirected(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, build builder) {
+		for seed := int64(0); seed < 4; seed++ {
+			g := randomCity(seed+40, 150)
+			w := g.CopyWeights()
+			tb := build(g, w).NewTreeBuilder()
+			rng := rand.New(rand.NewSource(seed))
+			for q := 0; q < 5; q++ {
+				root := graph.NodeID(rng.Intn(g.NumNodes()))
+				targets := []graph.NodeID{root}
+				for len(targets) < 30 {
+					targets = append(targets, graph.NodeID(rng.Intn(g.NumNodes())))
+				}
+				checkRestrictedAgainstFull(t, g, tb, targets, root)
+			}
+		}
+	})
 }
 
 // TestRestrictedTreeBannedEdges pins the +Inf semantics: banned arcs are
 // dropped from the restricted subgraph entirely, and target distances
 // still match the full build (unreachable stays unreachable).
 func TestRestrictedTreeBannedEdges(t *testing.T) {
-	g := randomCity(9, 120)
-	w := g.CopyWeights()
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < g.NumEdges()/5; i++ {
-		w[rng.Intn(g.NumEdges())] = math.Inf(1)
-	}
-	tb := Build(g, w).NewTreeBuilder()
-	for q := 0; q < 6; q++ {
-		root := graph.NodeID(rng.Intn(g.NumNodes()))
-		targets := []graph.NodeID{root}
-		for len(targets) < 25 {
-			targets = append(targets, graph.NodeID(rng.Intn(g.NumNodes())))
+	forEachEngine(t, func(t *testing.T, build builder) {
+		g := randomCity(9, 120)
+		w := g.CopyWeights()
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < g.NumEdges()/5; i++ {
+			w[rng.Intn(g.NumEdges())] = math.Inf(1)
 		}
-		checkRestrictedAgainstFull(t, g, tb, targets, root)
-	}
+		tb := build(g, w).NewTreeBuilder()
+		for q := 0; q < 6; q++ {
+			root := graph.NodeID(rng.Intn(g.NumNodes()))
+			targets := []graph.NodeID{root}
+			for len(targets) < 25 {
+				targets = append(targets, graph.NodeID(rng.Intn(g.NumNodes())))
+			}
+			checkRestrictedAgainstFull(t, g, tb, targets, root)
+		}
+	})
 }
 
 // TestSelectionReusedAcrossRoots is the RPHAST amortization: one
@@ -106,23 +113,25 @@ func TestRestrictedTreeBannedEdges(t *testing.T) {
 func TestSelectionReusedAcrossRoots(t *testing.T) {
 	g := gridCity(10, 10)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
-	all := make([]graph.NodeID, g.NumNodes())
-	for v := range all {
-		all[v] = graph.NodeID(v)
-	}
-	sel := tb.Select(all, nil)
-	if f, b := sel.SweptNodes(); f != g.NumNodes() || b != g.NumNodes() {
-		t.Fatalf("full-graph selection sweeps %d/%d nodes, want %d", f, b, g.NumNodes())
-	}
-	ws := sp.NewWorkspace()
-	rng := rand.New(rand.NewSource(1))
-	for q := 0; q < 6; q++ {
-		root := graph.NodeID(rng.Intn(g.NumNodes()))
-		got := tb.BuildTreeRestrictedInto(ws, root, sp.Forward, sel)
-		want := sp.BuildTree(g, w, root, sp.Forward)
-		checkTreeEquivalence(t, g, w, got.Clone(), want)
-	}
+	forEachEngine(t, func(t *testing.T, build builder) {
+		tb := build(g, w).NewTreeBuilder()
+		all := make([]graph.NodeID, g.NumNodes())
+		for v := range all {
+			all[v] = graph.NodeID(v)
+		}
+		sel := tb.Select(all, nil)
+		if f, b := sel.SweptNodes(); f != g.NumNodes() || b != g.NumNodes() {
+			t.Fatalf("full-graph selection sweeps %d/%d nodes, want %d", f, b, g.NumNodes())
+		}
+		ws := sp.NewWorkspace()
+		rng := rand.New(rand.NewSource(1))
+		for q := 0; q < 6; q++ {
+			root := graph.NodeID(rng.Intn(g.NumNodes()))
+			got := tb.BuildTreeRestrictedInto(ws, root, sp.Forward, sel)
+			want := sp.BuildTree(g, w, root, sp.Forward)
+			checkTreeEquivalence(t, g, w, got.Clone(), want)
+		}
+	})
 }
 
 // TestSelectionReuseRebuild verifies Select with a reuse argument reuses
@@ -130,32 +139,36 @@ func TestSelectionReusedAcrossRoots(t *testing.T) {
 func TestSelectionReuseRebuild(t *testing.T) {
 	g := gridCity(8, 8)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
-	sel := tb.Select([]graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7}, nil)
-	sel = tb.Select([]graph.NodeID{10, 20, 30, 0, 63}, sel)
-	if sel.Targets() != 5 {
-		t.Fatalf("reused selection reports %d targets, want 5", sel.Targets())
-	}
-	checkRestrictedAgainstFull(t, g, tb, []graph.NodeID{10, 20, 30, 0, 63}, 0)
+	forEachEngine(t, func(t *testing.T, build builder) {
+		tb := build(g, w).NewTreeBuilder()
+		sel := tb.Select([]graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7}, nil)
+		sel = tb.Select([]graph.NodeID{10, 20, 30, 0, 63}, sel)
+		if sel.Targets() != 5 {
+			t.Fatalf("reused selection reports %d targets, want 5", sel.Targets())
+		}
+		checkRestrictedAgainstFull(t, g, tb, []graph.NodeID{10, 20, 30, 0, 63}, 0)
+	})
 }
 
 // TestStaleSelectionPanics pins the misuse guard: a selection must not
 // survive into a different TreeBuilder (the stale-selection-after-
-// customize bug class this PR's serving layer must never hit).
+// customize bug class the serving layer must never hit).
 func TestStaleSelectionPanics(t *testing.T) {
 	g := gridCity(6, 6)
 	w := g.CopyWeights()
-	h := Build(g, w)
-	tb1 := h.NewTreeBuilder()
-	tb2 := h.Customize(w).NewTreeBuilder()
-	sel := tb1.Select([]graph.NodeID{0, 1, 2}, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("restricted build with a stale selection did not panic")
-		}
-	}()
-	ws := sp.NewWorkspace()
-	tb2.BuildTreeRestrictedInto(ws, 0, sp.Forward, sel)
+	forEachEngine(t, func(t *testing.T, build builder) {
+		h := build(g, w)
+		tb1 := h.NewTreeBuilder()
+		tb2 := h.Customize(w).NewTreeBuilder()
+		sel := tb1.Select([]graph.NodeID{0, 1, 2}, nil)
+		defer func() {
+			if recover() == nil {
+				t.Fatal("restricted build with a stale selection did not panic")
+			}
+		}()
+		ws := sp.NewWorkspace()
+		tb2.BuildTreeRestrictedInto(ws, 0, sp.Forward, sel)
+	})
 }
 
 // TestRestrictedZeroAlloc: with a warm workspace and a prebuilt
@@ -167,28 +180,30 @@ func TestRestrictedZeroAlloc(t *testing.T) {
 	}
 	g := gridCity(20, 20)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
-	ws := sp.NewWorkspace()
-	rng := rand.New(rand.NewSource(2))
-	targets := make([]graph.NodeID, 0, 80)
-	for len(targets) < 80 {
-		targets = append(targets, graph.NodeID(rng.Intn(g.NumNodes())))
-	}
-	sel := tb.Select(targets, nil)
-	root := targets[0]
-	build := func() {
-		tb.BuildTreeRestrictedInto(ws, root, sp.Forward, sel)
-		tb.BuildTreeRestrictedInto(ws, root, sp.Backward, sel)
-	}
-	build()
-	if allocs := testing.AllocsPerRun(20, build); allocs > 0 {
-		t.Errorf("restricted tree pair: %v allocs/op after warm-up, want 0", allocs)
-	}
-	reselect := func() { tb.Select(targets, sel) }
-	reselect()
-	if allocs := testing.AllocsPerRun(20, reselect); allocs > 0 {
-		t.Errorf("warm re-selection: %v allocs/op, want 0", allocs)
-	}
+	forEachEngine(t, func(t *testing.T, build builder) {
+		tb := build(g, w).NewTreeBuilder()
+		ws := sp.NewWorkspace()
+		rng := rand.New(rand.NewSource(2))
+		targets := make([]graph.NodeID, 0, 80)
+		for len(targets) < 80 {
+			targets = append(targets, graph.NodeID(rng.Intn(g.NumNodes())))
+		}
+		sel := tb.Select(targets, nil)
+		root := targets[0]
+		sweep := func() {
+			tb.BuildTreeRestrictedInto(ws, root, sp.Forward, sel)
+			tb.BuildTreeRestrictedInto(ws, root, sp.Backward, sel)
+		}
+		sweep()
+		if allocs := testing.AllocsPerRun(20, sweep); allocs > 0 {
+			t.Errorf("restricted tree pair: %v allocs/op after warm-up, want 0", allocs)
+		}
+		reselect := func() { tb.Select(targets, sel) }
+		reselect()
+		if allocs := testing.AllocsPerRun(20, reselect); allocs > 0 {
+			t.Errorf("warm re-selection: %v allocs/op, want 0", allocs)
+		}
+	})
 }
 
 // TestSelectionCoverage pins the Covers contract: exactly the requested
@@ -197,29 +212,31 @@ func TestRestrictedZeroAlloc(t *testing.T) {
 func TestSelectionCoverage(t *testing.T) {
 	g := gridCity(10, 10)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
-	targets := []graph.NodeID{3, 17, 42, 99}
-	sel := tb.Select(targets, nil)
-	if !sel.Covers(targets) {
-		t.Fatal("selection does not cover its own targets")
-	}
-	if !sel.Covers(targets[1:3]) {
-		t.Fatal("selection does not cover a subset of its targets")
-	}
-	requested := map[graph.NodeID]bool{3: true, 17: true, 42: true, 99: true}
-	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		if !requested[v] && sel.Covers([]graph.NodeID{v}) {
-			t.Fatalf("selection covers node %d that was never requested", v)
+	forEachEngine(t, func(t *testing.T, build builder) {
+		tb := build(g, w).NewTreeBuilder()
+		targets := []graph.NodeID{3, 17, 42, 99}
+		sel := tb.Select(targets, nil)
+		if !sel.Covers(targets) {
+			t.Fatal("selection does not cover its own targets")
 		}
-	}
-	// Coverage resets on reuse: the old targets must not leak through.
-	sel = tb.Select([]graph.NodeID{7}, sel)
-	if sel.Covers([]graph.NodeID{3}) {
-		t.Fatal("reused selection still covers a previous target")
-	}
-	if !sel.Covers([]graph.NodeID{7}) {
-		t.Fatal("reused selection does not cover its new target")
-	}
+		if !sel.Covers(targets[1:3]) {
+			t.Fatal("selection does not cover a subset of its targets")
+		}
+		requested := map[graph.NodeID]bool{3: true, 17: true, 42: true, 99: true}
+		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			if !requested[v] && sel.Covers([]graph.NodeID{v}) {
+				t.Fatalf("selection covers node %d that was never requested", v)
+			}
+		}
+		// Coverage resets on reuse: the old targets must not leak through.
+		sel = tb.Select([]graph.NodeID{7}, sel)
+		if sel.Covers([]graph.NodeID{3}) {
+			t.Fatal("reused selection still covers a previous target")
+		}
+		if !sel.Covers([]graph.NodeID{7}) {
+			t.Fatal("reused selection does not cover its new target")
+		}
+	})
 }
 
 // TestSelectUnionMatchesFlattenedSelect: a union selection is exactly the
@@ -228,38 +245,40 @@ func TestSelectionCoverage(t *testing.T) {
 func TestSelectUnionMatchesFlattenedSelect(t *testing.T) {
 	g := randomCity(77, 150)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
-	groups := [][]graph.NodeID{{1, 2, 3}, {3, 4, 5, 60}, {90, 91, 2}}
-	var flat []graph.NodeID
-	for _, gr := range groups {
-		flat = append(flat, gr...)
-	}
-	flatSel := tb.Select(flat, nil)
-	unionSel := tb.SelectUnion(groups, nil)
-	if flatSel.Targets() != unionSel.Targets() {
-		t.Fatalf("union targets %d, flat targets %d", unionSel.Targets(), flatSel.Targets())
-	}
-	ff, fb := flatSel.SweptNodes()
-	uf, ub := unionSel.SweptNodes()
-	if ff != uf || fb != ub {
-		t.Fatalf("union sweeps (%d,%d), flat sweeps (%d,%d)", uf, ub, ff, fb)
-	}
-	if !unionSel.Covers(flat) {
-		t.Fatal("union selection does not cover the flattened target set")
-	}
-	wsA, wsB := sp.NewWorkspace(), sp.NewWorkspace()
-	for _, root := range []graph.NodeID{0, 60, 120} {
-		for _, dir := range []sp.Direction{sp.Forward, sp.Backward} {
-			a := tb.BuildTreeRestrictedInto(wsA, root, dir, flatSel)
-			b := tb.BuildTreeRestrictedInto(wsB, root, dir, unionSel)
-			for v := 0; v < g.NumNodes(); v++ {
-				if !distEqual(a.Dist[v], b.Dist[v]) || a.Parent[v] != b.Parent[v] {
-					t.Fatalf("root %d dir %d node %d: flat (%v,%d) union (%v,%d)",
-						root, dir, v, a.Dist[v], a.Parent[v], b.Dist[v], b.Parent[v])
+	forEachEngine(t, func(t *testing.T, build builder) {
+		tb := build(g, w).NewTreeBuilder()
+		groups := [][]graph.NodeID{{1, 2, 3}, {3, 4, 5, 60}, {90, 91, 2}}
+		var flat []graph.NodeID
+		for _, gr := range groups {
+			flat = append(flat, gr...)
+		}
+		flatSel := tb.Select(flat, nil)
+		unionSel := tb.SelectUnion(groups, nil)
+		if flatSel.Targets() != unionSel.Targets() {
+			t.Fatalf("union targets %d, flat targets %d", unionSel.Targets(), flatSel.Targets())
+		}
+		ff, fb := flatSel.SweptNodes()
+		uf, ub := unionSel.SweptNodes()
+		if ff != uf || fb != ub {
+			t.Fatalf("union sweeps (%d,%d), flat sweeps (%d,%d)", uf, ub, ff, fb)
+		}
+		if !unionSel.Covers(flat) {
+			t.Fatal("union selection does not cover the flattened target set")
+		}
+		wsA, wsB := sp.NewWorkspace(), sp.NewWorkspace()
+		for _, root := range []graph.NodeID{0, 60, 120} {
+			for _, dir := range []sp.Direction{sp.Forward, sp.Backward} {
+				a := tb.BuildTreeRestrictedInto(wsA, root, dir, flatSel)
+				b := tb.BuildTreeRestrictedInto(wsB, root, dir, unionSel)
+				for v := 0; v < g.NumNodes(); v++ {
+					if !distEqual(a.Dist[v], b.Dist[v]) || a.Parent[v] != b.Parent[v] {
+						t.Fatalf("root %d dir %d node %d: flat (%v,%d) union (%v,%d)",
+							root, dir, v, a.Dist[v], a.Parent[v], b.Dist[v], b.Parent[v])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestSelectionMemoryBytes sanity-checks the cache charging measure: a
@@ -267,20 +286,22 @@ func TestSelectUnionMatchesFlattenedSelect(t *testing.T) {
 func TestSelectionMemoryBytes(t *testing.T) {
 	g := gridCity(12, 12)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
-	small := tb.Select([]graph.NodeID{0, 1}, nil)
-	all := make([]graph.NodeID, g.NumNodes())
-	for v := range all {
-		all[v] = graph.NodeID(v)
-	}
-	big := tb.Select(all, nil)
-	if small.MemoryBytes() <= 0 {
-		t.Fatalf("small selection reports %d bytes", small.MemoryBytes())
-	}
-	if big.MemoryBytes() < small.MemoryBytes() {
-		t.Fatalf("full-graph selection (%d B) smaller than 2-target selection (%d B)",
-			big.MemoryBytes(), small.MemoryBytes())
-	}
+	forEachEngine(t, func(t *testing.T, build builder) {
+		tb := build(g, w).NewTreeBuilder()
+		small := tb.Select([]graph.NodeID{0, 1}, nil)
+		all := make([]graph.NodeID, g.NumNodes())
+		for v := range all {
+			all[v] = graph.NodeID(v)
+		}
+		big := tb.Select(all, nil)
+		if small.MemoryBytes() <= 0 {
+			t.Fatalf("small selection reports %d bytes", small.MemoryBytes())
+		}
+		if big.MemoryBytes() < small.MemoryBytes() {
+			t.Fatalf("full-graph selection (%d B) smaller than 2-target selection (%d B)",
+				big.MemoryBytes(), small.MemoryBytes())
+		}
+	})
 }
 
 // TestRestrictedConcurrent shares one selection across goroutines (as the
@@ -288,31 +309,33 @@ func TestSelectionMemoryBytes(t *testing.T) {
 func TestRestrictedConcurrent(t *testing.T) {
 	g := gridCity(10, 10)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
-	all := make([]graph.NodeID, g.NumNodes())
-	for v := range all {
-		all[v] = graph.NodeID(v)
-	}
-	sel := tb.Select(all, nil)
-	done := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		go func(seed int64) {
-			rng := rand.New(rand.NewSource(seed))
-			ws := sp.NewWorkspace()
-			for q := 0; q < 20; q++ {
-				root := graph.NodeID(rng.Intn(g.NumNodes()))
-				tree := tb.BuildTreeRestrictedInto(ws, root, sp.Forward, sel)
-				if tree.Dist[root] != 0 {
-					done <- errDistRoot
-					return
-				}
-			}
-			done <- nil
-		}(int64(i))
-	}
-	for i := 0; i < 4; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
+	forEachEngine(t, func(t *testing.T, build builder) {
+		tb := build(g, w).NewTreeBuilder()
+		all := make([]graph.NodeID, g.NumNodes())
+		for v := range all {
+			all[v] = graph.NodeID(v)
 		}
-	}
+		sel := tb.Select(all, nil)
+		done := make(chan error, 4)
+		for i := 0; i < 4; i++ {
+			go func(seed int64) {
+				rng := rand.New(rand.NewSource(seed))
+				ws := sp.NewWorkspace()
+				for q := 0; q < 20; q++ {
+					root := graph.NodeID(rng.Intn(g.NumNodes()))
+					tree := tb.BuildTreeRestrictedInto(ws, root, sp.Forward, sel)
+					if tree.Dist[root] != 0 {
+						done <- errDistRoot
+						return
+					}
+				}
+				done <- nil
+			}(int64(i))
+		}
+		for i := 0; i < 4; i++ {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }

@@ -1,37 +1,36 @@
+// Package ch is the query half of a customizable contraction hierarchy
+// (package repro/internal/cch builds and customizes the other half). §II-B
+// of the paper discusses how plateau-based alternative routing must stay
+// compatible with routing-engine optimisations ("many routing engines
+// compute only a subset of the source or destination tree"); this package
+// answers queries on a customized hierarchy: exact point-to-point
+// distances and paths (elimination-tree ascents or a bidirectional upward
+// search) that unpack to original edge sequences, and PHAST/RPHAST
+// one-to-all trees for the plateau join.
 package ch
 
 import "repro/internal/graph"
 
-// Hierarchy is the seam between hierarchy *flavors* and hierarchy
-// *consumers*. Everything downstream of preprocessing — the bidirectional
-// point-to-point query, the PHAST tree builder, core's double-buffered
-// weight-version provider — consumes this interface and never a concrete
-// contraction algorithm, so the serving stack can swap how the hierarchy
-// was built without touching a single consumer:
-//
-//   - ch.Build contracts with bounded witness searches (the classic
-//     Geisberger et al. scheme): smallest arc count, and Customize
-//     (weights-only re-customization) is exact only for metrics that
-//     preserve the build-time witness structure.
-//   - cch.Build (package repro/internal/cch) contracts metric-independently
-//     on a nested-dissection order with no witness pruning (the
-//     customizable-CH scheme of Dibbelt et al.): more arcs, but Customize
-//     runs a triangle relaxation that is exact for *any* weight vector,
-//     including +Inf closures.
+// Hierarchy is the seam between the hierarchy and its *consumers*. The
+// point-to-point query, the PHAST tree builder and core's double-buffered
+// weight-version provider consume this interface, never the contraction
+// that produced it. The one producer is cch: it contracts
+// metric-independently on a nested-dissection order (the customizable-CH
+// scheme of Dibbelt et al.), and Customize runs a triangle relaxation that
+// is exact for *any* weight vector, including +Inf closures.
 //
 // Implementations are immutable after construction and safe for
 // concurrent queries.
 type Hierarchy interface {
 	// Graph returns the road network the hierarchy was built over.
 	Graph() *graph.Graph
-	// Kind names the flavor ("witness" or "cch") for logging and ablation
-	// tables.
+	// Kind names the producer ("cch") for logging.
 	Kind() string
 	// Rank returns the contraction order (higher rank = more important).
 	// The returned slice aliases internal storage and must not be modified.
 	Rank() []int32
-	// Dist returns the exact-under-this-flavor's-contract shortest travel
-	// time from s to t (+Inf if unreachable).
+	// Dist returns the exact shortest travel time from s to t (+Inf if
+	// unreachable).
 	Dist(s, t graph.NodeID) float64
 	// Path returns the shortest s-t path as original graph edges plus its
 	// travel time, unpacking shortcuts.
@@ -39,12 +38,9 @@ type Hierarchy interface {
 	// NewTreeBuilder derives the PHAST one-to-all tree builder.
 	NewTreeBuilder() *TreeBuilder
 	// Customize returns a hierarchy over the same contraction order and
-	// topology with arc weights rebuilt for the given vector — the cheap
-	// live-traffic path (no re-contraction). The witness flavor sums
-	// frozen shortcut constituents (exact only under witness-preserving
-	// metrics, always a ban-respecting upper bound); the CCH flavor runs
-	// the triangle relaxation (exact for any metric). The receiver is not
-	// modified.
+	// topology with arc weights rebuilt for the given vector by the
+	// triangle relaxation — the cheap live-traffic path (no
+	// re-contraction), exact for any metric. The receiver is not modified.
 	Customize(weights []float64) Hierarchy
 	// NumArcs returns the arc count (original edges + shortcuts), a
 	// preprocessing size measure.
@@ -55,9 +51,8 @@ type Hierarchy interface {
 }
 
 // Arc is one directed edge of a hierarchy runtime: either an original road
-// edge or a shortcut replacing two lower arcs. Exported so external
-// preprocessors (package cch) can assemble runtimes; consumers never see
-// it through the Hierarchy seam.
+// edge or a shortcut replacing two lower arcs. Exported so package cch can
+// assemble runtimes; consumers never see it through the Hierarchy seam.
 type Arc struct {
 	To     graph.NodeID
 	Weight float64
@@ -70,12 +65,11 @@ type Arc struct {
 	Skip1, Skip2 int32
 }
 
-// Runtime is the packed representation both hierarchy flavors compile to:
-// the contraction order, the arc array with its unpacking table
+// Runtime is the packed representation a customization compiles to: the
+// contraction order, the arc array with its unpacking table
 // (Orig/Skip1/Skip2), and the upward forward/backward adjacency the
 // queries and the tree builder walk. It is immutable after construction
-// and implements Hierarchy; flavors differ only in who built the arcs and
-// in the customize hook a metric swap dispatches to.
+// and implements Hierarchy.
 type Runtime struct {
 	g    *graph.Graph
 	kind string
@@ -98,7 +92,7 @@ type Runtime struct {
 	// unpacking table through the cache on every relaxation; the packed
 	// views keep the hot loops at 12 bytes per arc. arcTo is
 	// topology-fixed and shared across customizations; arcW follows the
-	// arc array (WithArcs/WithArcsInert re-derive or adopt it).
+	// arc array (WithArcsInert adopts or re-derives it).
 	arcTo []graph.NodeID
 	arcW  []float64
 	// inert, when non-nil, flags arcs a perfect customization proved
@@ -109,35 +103,34 @@ type Runtime struct {
 	// is therefore never strictly dominated itself). Indexed like arcs;
 	// nil means no arc is inert.
 	inert []bool
-	// customize, when non-nil, handles Customize calls (the CCH triangle
-	// relaxation); nil dispatches to the witness-flavor Recustomize.
+	// customize handles Customize calls: the triangle relaxation of the
+	// preprocessing this runtime was customized from, installed by
+	// WithCustomize.
 	customize func([]float64) Hierarchy
 	// elim, when non-nil, switches Dist/Path to the elimination-tree
-	// engine (elimquery.go). Only sound on hierarchies whose upward
-	// neighborhoods are cliques — package cch attaches it, the witness
-	// flavor never does. elimStats is allocated alongside it.
+	// engine (elimquery.go); nil keeps the bidirectional search (query.go).
+	// elimStats is allocated alongside it.
 	elim      *ElimTree
 	elimStats *elimCounters
 }
 
 // NewRuntime assembles a hierarchy runtime from externally built arcs:
-// rank is the contraction order (a permutation), from[i] the tail of
-// arcs[i], and customize the flavor's metric-swap hook (nil selects the
-// witness-style constituent-sum Recustomize). The adjacency split is
-// derived here; the input slices are owned by the runtime afterwards.
-func NewRuntime(g *graph.Graph, kind string, rank []int32, from []graph.NodeID, arcs []Arc, customize func([]float64) Hierarchy) *Runtime {
+// rank is the contraction order (a permutation) and from[i] the tail of
+// arcs[i]. The adjacency split is derived here; the input slices are
+// owned by the runtime afterwards. The result has no customize hook until
+// WithCustomize installs one.
+func NewRuntime(g *graph.Graph, kind string, rank []int32, from []graph.NodeID, arcs []Arc) *Runtime {
 	n := g.NumNodes()
 	h := &Runtime{
-		g:         g,
-		kind:      kind,
-		rank:      rank,
-		arcs:      arcs,
-		upFwdOff:  make([]int32, n+1),
-		upBwdOff:  make([]int32, n+1),
-		arcFrom:   from,
-		arcTo:     make([]graph.NodeID, len(arcs)),
-		arcW:      make([]float64, len(arcs)),
-		customize: customize,
+		g:        g,
+		kind:     kind,
+		rank:     rank,
+		arcs:     arcs,
+		upFwdOff: make([]int32, n+1),
+		upBwdOff: make([]int32, n+1),
+		arcFrom:  from,
+		arcTo:    make([]graph.NodeID, len(arcs)),
+		arcW:     make([]float64, len(arcs)),
 	}
 	for ai := range arcs {
 		h.arcTo[ai] = arcs[ai].To
@@ -187,40 +180,33 @@ func (h *Runtime) upBwdAt(v graph.NodeID) []int32 {
 	return h.upBwdArcs[h.upBwdOff[v]:h.upBwdOff[v+1]]
 }
 
-// WithArcs returns a runtime sharing this runtime's graph, order,
-// adjacency, tails and customize hook, with the arc array replaced — the
-// zero-re-indexing path a customization pass uses to publish new weights
-// on a frozen topology. The new arcs must be index-compatible with the
-// old (same tails and heads).
-func (h *Runtime) WithArcs(arcs []Arc) *Runtime {
+// WithoutArcs returns a runtime sharing this runtime's graph, order,
+// adjacency, tails and hooks with no arc array and no weights — the
+// metric-free template a preprocessing caches so later customizations
+// reuse its adjacency through WithArcsInert instead of re-deriving it.
+func (h *Runtime) WithoutArcs() *Runtime {
 	rt := *h
-	rt.arcs = arcs
-	if arcs == nil {
-		rt.arcW = nil // template form: adjacency only, no metric
-		return &rt
-	}
-	rt.arcW = make([]float64, len(arcs))
-	for ai := range arcs {
-		rt.arcW[ai] = arcs[ai].Weight
-	}
+	rt.arcs, rt.arcW, rt.inert = nil, nil, nil
 	return &rt
 }
 
 // WithCustomize returns a runtime identical to this one except for the
-// customize hook — how package cch tells a basic-customized runtime apart
-// from a perfect-customized one (each re-customizes through the pass that
-// produced it).
+// customize hook Customize calls — how package cch makes every runtime
+// re-customize through the pass (basic or perfect) that produced it.
 func (h *Runtime) WithCustomize(fn func([]float64) Hierarchy) *Runtime {
 	rt := *h
 	rt.customize = fn
 	return &rt
 }
 
-// WithArcsInert is WithArcs plus a packed weight view and an inert-arc
-// mask (both aligned with arcs; nil inert clears the mask) — the handoff
-// from a customization pass. arcW must hold arcs[i].Weight for every i;
-// passing the customization's own buffer keeps the swap allocation-free.
-// A nil arcW is derived here instead.
+// WithArcsInert returns a runtime sharing this runtime's graph, order,
+// adjacency, tails and hooks, with the arc array, its packed weight view
+// and the inert-arc mask replaced (all aligned; nil inert clears the mask)
+// — the zero-re-indexing handoff from a customization pass to a frozen
+// topology. The new arcs must be index-compatible with the old (same
+// tails and heads). arcW must hold arcs[i].Weight for every i; passing
+// the customization's own buffer keeps the swap allocation-free. A nil
+// arcW is derived here instead.
 func (h *Runtime) WithArcsInert(arcs []Arc, arcW []float64, inert []bool) *Runtime {
 	rt := *h
 	rt.arcs = arcs
@@ -239,9 +225,9 @@ func (h *Runtime) WithArcsInert(arcs []Arc, arcW []float64, inert []bool) *Runti
 // elimination-tree engine over et (nil restores the bidirectional
 // search). The caller vouches that et is the elimination tree of this
 // runtime's topology and that upward neighborhoods are cliques — package
-// cch's chordal supergraph satisfies this by construction; a witness
-// hierarchy does not. Counters start fresh: each customized runtime
-// reports its own query telemetry, like a selection cache does.
+// cch's chordal supergraph satisfies this by construction. Counters start
+// fresh: each customized runtime reports its own query telemetry, like a
+// selection cache does.
 func (h *Runtime) WithElimTree(et *ElimTree) *Runtime {
 	rt := *h
 	rt.elim = et
@@ -260,7 +246,7 @@ func (h *Runtime) Arcs() []Arc { return h.arcs }
 
 // InertCount returns how many arcs the runtime's customization marked
 // inert (strictly dominated; skipped by queries and sweeps). Zero for
-// basic customizations and the witness flavor.
+// basic customizations.
 func (h *Runtime) InertCount() int {
 	count := 0
 	for _, in := range h.inert {
@@ -280,11 +266,8 @@ func (h *Runtime) Kind() string { return h.kind }
 // Rank implements Hierarchy.
 func (h *Runtime) Rank() []int32 { return h.rank }
 
-// Customize implements Hierarchy: the CCH flavor dispatches to its
-// triangle relaxation, the witness flavor to Recustomize.
+// Customize implements Hierarchy by calling the hook WithCustomize
+// installed.
 func (h *Runtime) Customize(weights []float64) Hierarchy {
-	if h.customize != nil {
-		return h.customize(weights)
-	}
-	return h.Recustomize(weights)
+	return h.customize(weights)
 }

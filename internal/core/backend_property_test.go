@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/ch"
 	"repro/internal/graph"
 	"repro/internal/path"
 	"repro/internal/weights"
@@ -21,12 +20,6 @@ import (
 // traffic plus +Inf closure snapshots, TreeCHAuto over every hierarchy
 // flavor, order and query engine must return byte-identical route sets to
 // the Dijkstra backend for the study planners.
-//
-// The witness contraction (ch.Build) is not a serving option; it rides
-// along as a second hierarchy behind the same restricted source
-// (useWitness). Contracted fresh at the pinned snapshot it is exact here
-// too — its inexactness arises only when *customizing* across snapshots,
-// which the cch package's regression tests cover.
 
 // withAutoFraction moves the TreeCHAuto cutover for the planners
 // constructed after the call, until the test ends: 0 pins full sweeps on
@@ -44,36 +37,6 @@ func withAutoFraction(t testing.TB, f float64) {
 // under ±50% traffic — so the production cutover restricts almost
 // nothing there.
 const mixedAutoFraction = 0.8
-
-// useWitness re-serves a TreeCHAuto provider's current snapshot on a
-// witness contraction. Later publishes re-customize it through the
-// ch.Hierarchy seam like the CCH it replaced.
-func useWitness(p *provider) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cur := p.cur.Load()
-	w := cur.snap.Weights()
-	hier := ch.Build(p.g, w)
-	p.installView(&view{
-		snap:  cur.snap,
-		hier:  hier,
-		trees: newRestrictedTrees(p.g, hier, w, p.upperBound, p.maxTargets, p.selStats, p.grid),
-	}, cur)
-}
-
-// providerOf returns the tree provider of a choice-routing planner (nil
-// for planners without one).
-func providerOf(pl Planner) *provider {
-	switch p := pl.(type) {
-	case *Plateaus:
-		return p.prov
-	case *PrunedPlateaus:
-		return p.inner.prov
-	case *Commercial:
-		return p.prov
-	}
-	return nil
-}
 
 // sweepTally wraps a planner and counts, per answered query, whether its
 // trees came from restricted or full sweeps (HierarchyStatus read right
@@ -121,20 +84,18 @@ func TestBackendMatrix(t *testing.T) {
 	// Every row runs TreeCHAuto. The first name segment is the sweep mode
 	// its cutover pins — "ch" sweeps every query in full, "ch-restricted"
 	// restricts every query, "ch-auto" sits where the sample runs both —
-	// and the rest names the hierarchy: the witness oracle, or a CCH
-	// flavor × order × query engine.
+	// and the rest names the CCH flavor × order × query engine.
 	sweeps := []struct {
 		name     string
 		fraction float64
 	}{{"ch", 0}, {"ch-restricted", 1}, {"ch-auto", mixedAutoFraction}}
 	type flavor struct {
-		name    string
-		witness bool
-		hkind   HierarchyKind
-		order   OrderKind
-		query   QueryEngine
+		name  string
+		hkind HierarchyKind
+		order OrderKind
+		query QueryEngine
 	}
-	flavors := []flavor{{name: "witness", witness: true}}
+	var flavors []flavor
 	for _, hkind := range []HierarchyKind{HierarchyCCH, HierarchyCCHPerfect} {
 		for _, order := range []OrderKind{OrderGeometric, OrderFlow} {
 			for _, query := range []QueryEngine{QueryElimTree, QueryBidij} {
@@ -191,9 +152,6 @@ func TestBackendMatrix(t *testing.T) {
 				}
 				tl := tallies[row]
 				for i, pl := range other {
-					if prov := providerOf(pl); prov != nil && fl.witness {
-						useWitness(prov)
-					}
 					other[i] = sweepTally{Planner: pl, restricted: &tl.restricted, full: &tl.full}
 				}
 				for i := range baseline {

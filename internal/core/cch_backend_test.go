@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ch"
 	"repro/internal/graph"
 	"repro/internal/traffic"
 	"repro/internal/weights"
@@ -13,8 +14,8 @@ import (
 
 // The CCH half of the tree-backend claim: planners on the customizable
 // hierarchy return byte-identical route sets to the Dijkstra backend on
-// tie-free networks — and, unlike the witness flavor, keep doing so for
-// *any* published snapshot, including heavy closures.
+// tie-free networks — and keep doing so for *any* published snapshot,
+// including heavy closures.
 
 func TestPlateausCCHMatchesDijkstraBackend(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
@@ -66,17 +67,19 @@ func TestCCHServingExactUnderClosures(t *testing.T) {
 }
 
 // TestHierarchyStatusReporting covers the observability seam the server
-// logs per query: flavor names (of the runtime actually serving — here
-// the witness oracle on one planner) and customization latencies.
+// logs per query: the kind of the runtime actually serving and
+// customization latencies, per planner.
 func TestHierarchyStatusReporting(t *testing.T) {
 	g := testCity(t)
-	wit := NewPlateaus(g, Options{TreeBackend: TreeCHAuto})
-	useWitness(wit.prov)
+	perfect := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCHPerfect})
 	cchP := NewPrunedPlateaus(g, Options{TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH})
 	dij := NewPlateaus(g, Options{})
 
-	if st := wit.HierarchyStatus(); st.Kind != "witness" || st.LastCustomize <= 0 {
-		t.Fatalf("witness status = %+v, want kind witness with positive latency", st)
+	if st := perfect.HierarchyStatus(); st.Kind != "cch" || st.LastCustomize <= 0 {
+		t.Fatalf("cch-perfect status = %+v, want kind cch with positive latency", st)
+	}
+	if rt := perfect.prov.cur.Load().hier.(*ch.Runtime); rt.InertCount() == 0 {
+		t.Fatal("cch-perfect planner serves a runtime with no inert arcs")
 	}
 	if st := cchP.HierarchyStatus(); st.Kind != "cch" || st.LastCustomize <= 0 {
 		t.Fatalf("cch status = %+v, want kind cch with positive latency", st)
@@ -85,12 +88,12 @@ func TestHierarchyStatusReporting(t *testing.T) {
 		t.Fatalf("dijkstra-backend status = %+v, want zero", st)
 	}
 
-	router := NewRouter(nil, []Planner{wit, cchP, dij, NewPenalty(g, Options{})})
+	router := NewRouter(nil, []Planner{perfect, cchP, dij, NewPenalty(g, Options{})})
 	sts := router.HierarchyStatuses()
 	if len(sts) != 4 {
 		t.Fatalf("HierarchyStatuses length %d, want 4", len(sts))
 	}
-	if sts[0].Kind != "witness" || sts[1].Kind != "cch" || sts[2].Kind != "" || sts[3].Kind != "" {
+	if sts[0].Kind != "cch" || sts[1].Kind != "cch" || sts[2].Kind != "" || sts[3].Kind != "" {
 		t.Fatalf("statuses = %+v", sts)
 	}
 }

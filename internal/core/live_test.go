@@ -438,15 +438,13 @@ func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 	withAutoFraction(t, 1)
 	g := randomRoadNetwork(17, 150)
 	cases := []struct {
-		name    string
-		witness bool
-		next    func(rng *rand.Rand, banned []graph.EdgeID) []float64
-		ban     bool
+		name string
+		next func(rng *rand.Rand, banned []graph.EdgeID) []float64
+		ban  bool
 	}{
-		// Uniform scaling on the witness oracle: its re-customization is
-		// exact for it, and a stale selection object would hit the
-		// builder-mismatch panic.
-		{"witness-uniform", true, func(_ *rand.Rand, _ []graph.EdgeID) []float64 {
+		// Uniform scaling: the ellipse keeps its membership, so only the
+		// builder-mismatch panic would catch a stale selection object.
+		{"cch-uniform", func(_ *rand.Rand, _ []graph.EdgeID) []float64 {
 			next := make([]float64, len(g.BaseWeights()))
 			for i, w := range g.BaseWeights() {
 				next[i] = 1.7 * w
@@ -456,7 +454,7 @@ func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 		// Arbitrary perturbation + closures: CCH customization stays
 		// exact, and the ellipse genuinely moves, so reusing the old
 		// membership would change route sets.
-		{"cch-perturbed-banned", false, func(rng *rand.Rand, _ []graph.EdgeID) []float64 {
+		{"cch-perturbed-banned", func(rng *rand.Rand, _ []graph.EdgeID) []float64 {
 			next := make([]float64, len(g.BaseWeights()))
 			for i, w := range g.BaseWeights() {
 				next[i] = w * (0.5 + rng.Float64())
@@ -468,9 +466,6 @@ func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			store := weights.NewStore(g.BaseWeights())
 			pl := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Weights: store})
-			if tc.witness {
-				useWitness(pl.prov)
-			}
 			router := NewRouter(NewEngine(1), []Planner{pl}, store)
 
 			s, dst, firstRoute := banFastestRoute(t, g, pl, 23)
@@ -487,9 +482,6 @@ func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 			router.Sync()
 
 			fresh := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Weights: store.Latest()})
-			if tc.witness {
-				useWitness(fresh.prov)
-			}
 			truth := NewPlateaus(g, Options{Weights: store.Latest()})
 			got, err1 := pl.Alternatives(s, dst)
 			if err1 == nil && !pl.HierarchyStatus().LastRestricted {

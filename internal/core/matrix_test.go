@@ -106,7 +106,6 @@ func TestMatrixExactness(t *testing.T) {
 		backend    TreeBackend
 		fraction   float64
 		restricted bool
-		witness    bool
 		hkind      HierarchyKind
 		query      QueryEngine
 	}
@@ -117,8 +116,7 @@ func TestMatrixExactness(t *testing.T) {
 	// cells come from the sweeps).
 	configs := []config{
 		{name: "dijkstra", backend: TreeDijkstra},
-		{name: "ch/witness", backend: TreeCHAuto, witness: true},
-		{name: "ch-restricted/witness", backend: TreeCHAuto, fraction: 1, restricted: true, witness: true},
+		{name: "ch/cch", backend: TreeCHAuto},
 		{name: "ch-restricted/cch", backend: TreeCHAuto, fraction: 1, restricted: true},
 		{name: "ch-restricted/cch/bidij", backend: TreeCHAuto, fraction: 1, restricted: true, query: QueryBidij},
 		{name: "ch-restricted/cch-perfect", backend: TreeCHAuto, fraction: 1, restricted: true, hkind: HierarchyCCHPerfect},
@@ -141,9 +139,6 @@ func TestMatrixExactness(t *testing.T) {
 					Hierarchy:   cfg.hkind,
 					Query:       cfg.query,
 				}, NewEngine(2))
-				if cfg.witness {
-					useWitness(m.prov)
-				}
 				// Two passes: the second runs on a warm selection cache, so
 				// a hit must be just as exact as the miss that built it.
 				var last *Table
