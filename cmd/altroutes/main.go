@@ -25,6 +25,7 @@ import (
 	"repro/internal/path"
 	"repro/internal/spatial"
 	"repro/internal/traffic"
+	"repro/internal/weights"
 )
 
 func main() {
@@ -89,12 +90,8 @@ func run(city, graphPath string, seed int64, sCoord, tCoord string, sNode, tNode
 	if trafficStep != 0 {
 		fmt.Printf("Commercial provider planning on rush-hour step %d of %d\n\n", trafficStep, seq.Period())
 	}
-	planners := []core.Planner{
-		core.NewCommercial(g, private, opts),
-		core.NewPlateaus(g, opts),
-		core.NewDissimilarity(g, opts),
-		core.NewPenalty(g, opts),
-	}
+	study := core.NewStudyPlanners(g, opts, weights.Pin(private))
+	planners := study[:]
 	if withYen {
 		planners = append(planners, core.NewYen(g, opts))
 	}

@@ -81,10 +81,6 @@ type Preprocessed struct {
 	// calls share its adjacency arrays instead of re-deriving them.
 	mu       sync.Mutex
 	template *ch.Runtime
-	// Double-buffered customization output (customize.go): arc buffers
-	// leased to in-flight runtimes, reclaimed by finalizer.
-	bufMu sync.Mutex
-	bufs  []*arcBuf
 	// soa pools the flat weight vectors of the triangle loops.
 	soa sync.Pool
 }

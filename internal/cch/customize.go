@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ch"
 )
@@ -36,30 +35,6 @@ type Config struct {
 	BidirQuery bool
 }
 
-// arcBuf is one generation's output storage: the packed arc array (and,
-// for perfect customizations, the inert mask) a customized runtime hands
-// to queries. Buffers are double-buffered on the Preprocessed — leased to
-// at most one in-flight runtime at a time and reclaimed only after the
-// garbage collector proves that runtime unreachable, so a store swapping
-// snapshots reuses its previous generation's storage without ever
-// racing a query still reading it.
-type arcBuf struct {
-	arcs []ch.Arc
-	// arcW mirrors arcs[i].Weight — the packed view the runtime's relax
-	// loops read (ch.Runtime.WithArcsInert); filled by the same loop that
-	// packs the final weights into the arc records.
-	arcW   []float64
-	inert  []bool
-	leased atomic.Bool
-}
-
-// maxArcBufs bounds how many buffers a Preprocessed retains. Steady
-// state needs current + in-build per weight store sharing the topology
-// (two stores — public and private metric — is the common shape);
-// beyond the bound, extra concurrent customizations fall back to
-// untracked allocations rather than queueing.
-const maxArcBufs = 8
-
 // soaScratch holds the flat structure-of-arrays weight vectors the
 // triangle loops run over: 16 bytes per pair touched in the hot loop
 // instead of two 40-byte ch.Arc records. perfUp/perfDown are allocated
@@ -67,33 +42,6 @@ const maxArcBufs = 8
 type soaScratch struct {
 	upW, downW       []float64
 	perfUp, perfDown []float64
-}
-
-// acquireBuf leases a free buffer, or allocates one (tracked while under
-// the bound). withInert sizes the inert mask lazily: basic
-// customizations never pay for it.
-func (p *Preprocessed) acquireBuf(withInert bool) *arcBuf {
-	P := len(p.lo)
-	p.bufMu.Lock()
-	var buf *arcBuf
-	for _, b := range p.bufs {
-		if b.leased.CompareAndSwap(false, true) {
-			buf = b
-			break
-		}
-	}
-	if buf == nil {
-		buf = &arcBuf{arcs: make([]ch.Arc, 2*P), arcW: make([]float64, 2*P)}
-		buf.leased.Store(true)
-		if len(p.bufs) < maxArcBufs {
-			p.bufs = append(p.bufs, buf)
-		}
-	}
-	p.bufMu.Unlock()
-	if withInert && buf.inert == nil {
-		buf.inert = make([]bool, 2*P)
-	}
-	return buf
 }
 
 // Customize instantiates the preprocessed topology for one weight vector
@@ -112,6 +60,11 @@ func (p *Preprocessed) Customize(weights []float64) ch.Hierarchy {
 // control. All configurations produce bit-identical basic arcs; Perfect
 // additionally marks strictly dominated arcs inert (weights and
 // unpacking untouched, so route sets are unchanged too).
+//
+// Each call allocates the arc array (and packed weights, and inert mask)
+// its runtime owns: a superseded customization is freed with the last
+// reference to its runtime, so nothing has to track which queries still
+// read it.
 func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy {
 	P := len(p.lo)
 	workers := cfg.Workers
@@ -119,8 +72,7 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	buf := p.acquireBuf(cfg.Perfect)
-	arcs := buf.arcs
+	arcs := make([]ch.Arc, 2*P)
 	sc := p.soa.Get().(*soaScratch)
 	upW, downW := sc.upW, sc.downW
 
@@ -233,7 +185,7 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 
 	// Pack the final weights back into the arc records and the packed
 	// weight view the relax loops read.
-	arcW := buf.arcW
+	arcW := make([]float64, 2*P)
 	for i := 0; i < P; i++ {
 		arcs[2*i].Weight = upW[i]
 		arcs[2*i+1].Weight = downW[i]
@@ -243,7 +195,7 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 
 	var inert []bool
 	if cfg.Perfect {
-		inert = p.perfectPass(sc, buf)
+		inert = p.perfectPass(sc)
 	}
 
 	p.soa.Put(sc)
@@ -273,13 +225,6 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 		// on this runtime walk root paths instead of running a heap.
 		rt = rt.WithElimTree(p.elim)
 	}
-	// The runtime owns the buffer for its lifetime; the finalizer returns
-	// it to the free list once no query can possibly read it anymore.
-	// (A deterministic release hook would reclaim earlier, but only the
-	// collector can prove in-flight queries on a swapped-out generation
-	// are gone.)
-	b := buf
-	runtime.SetFinalizer(rt, func(*ch.Runtime) { b.leased.Store(false) })
 	return rt
 }
 
@@ -308,7 +253,7 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 // The write pattern (triangles of different pairs update the same
 // z-incident arcs) is why this pass stays serial rather than
 // level-parallel.
-func (p *Preprocessed) perfectPass(sc *soaScratch, buf *arcBuf) []bool {
+func (p *Preprocessed) perfectPass(sc *soaScratch) []bool {
 	P := len(p.lo)
 	if sc.perfUp == nil {
 		sc.perfUp = make([]float64, P)
@@ -340,7 +285,7 @@ func (p *Preprocessed) perfectPass(sc *soaScratch, buf *arcBuf) []bool {
 	// every downstream sweep. +Inf slots — topology pairs the metric
 	// gives no realizing path — can never win a relaxation either, so
 	// perfect mode retires them from the sweeps too.
-	inert := buf.inert
+	inert := make([]bool, 2*P)
 	upW, downW := sc.upW, sc.downW
 	for i := 0; i < P; i++ {
 		inert[2*i] = perfUp[i] < upW[i] || math.IsInf(upW[i], 1)

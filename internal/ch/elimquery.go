@@ -23,8 +23,9 @@ import (
 // tests pin route sets and tables across engines byte-for-byte.
 
 // elimCounters is the engine's concurrency-safe observability (plain
-// atomics, cumulative per customized runtime — a weight swap installs a
-// fresh runtime and with it fresh counters, like a selection cache).
+// atomics). One set is shared by every runtime of a customize chain:
+// WithElimTree allocates it and Runtime.Customize hands it on, so queries
+// still draining on a superseded runtime count toward the same totals.
 type elimCounters struct {
 	queries     atomic.Uint64
 	truncated   atomic.Uint64
@@ -37,11 +38,12 @@ type elimCounters struct {
 type QueryStats struct {
 	// Engine is "elimtree" or "bidij".
 	Engine string
-	// Queries counts point-to-point queries (Dist/Path) since this
-	// runtime was customized; Truncated counts those whose forward ascent
-	// was abandoned early because no remaining path node could beat the
-	// incumbent; AscentNodes accumulates processed ascent nodes across
-	// queries (AscentNodes/Queries is the mean ascent length).
+	// Queries counts point-to-point queries (Dist/Path) over the whole
+	// customize chain this runtime belongs to, so it never drops across a
+	// Customize; Truncated counts those whose forward ascent was abandoned
+	// early because no remaining path node could beat the incumbent;
+	// AscentNodes accumulates processed ascent nodes across queries
+	// (AscentNodes/Queries is the mean ascent length).
 	Queries     uint64
 	Truncated   uint64
 	AscentNodes uint64

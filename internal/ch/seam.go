@@ -226,8 +226,7 @@ func (h *Runtime) WithArcsInert(arcs []Arc, arcW []float64, inert []bool) *Runti
 // search). The caller vouches that et is the elimination tree of this
 // runtime's topology and that upward neighborhoods are cliques — package
 // cch's chordal supergraph satisfies this by construction. Counters start
-// fresh: each customized runtime reports its own query telemetry, like a
-// selection cache does.
+// fresh here; Customize carries them on to the next runtime of the chain.
 func (h *Runtime) WithElimTree(et *ElimTree) *Runtime {
 	rt := *h
 	rt.elim = et
@@ -267,7 +266,15 @@ func (h *Runtime) Kind() string { return h.kind }
 func (h *Runtime) Rank() []int32 { return h.rank }
 
 // Customize implements Hierarchy by calling the hook WithCustomize
-// installed.
+// installed. The returned runtime inherits this runtime's query counters,
+// so QueryStats are cumulative over a customize chain: a serving layer
+// that swaps in each new customization never sees them drop.
 func (h *Runtime) Customize(weights []float64) Hierarchy {
-	return h.customize(weights)
+	next := h.customize(weights)
+	if rt, ok := next.(*Runtime); ok && rt.elimStats != nil && h.elimStats != nil {
+		cp := *rt
+		cp.elimStats = h.elimStats
+		return &cp
+	}
+	return next
 }

@@ -78,14 +78,6 @@ func (c *resultCache) put(k cacheKey, routes []path.Path) {
 	}
 }
 
-// clear drops every entry (InvalidateCache, the blunt instrument).
-func (c *resultCache) clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.entries)
-	c.next, c.filled = 0, false
-}
-
 // evictStale drops, in one sweep, every entry older than its planner's
 // serving-version floor — the per-generation publish eviction. Entries at
 // the floor itself survive: that is the version a double-buffered

@@ -170,7 +170,7 @@ func TestPrunedScaleSharedAcrossBanPublish(t *testing.T) {
 		banned = 1
 	}
 	store.Ban(banned)
-	com.refreshSync()
+	com.prov.refreshSync()
 
 	cur := com.prov.cur.Load()
 	if cur.pruned == nil {

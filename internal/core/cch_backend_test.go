@@ -149,7 +149,7 @@ func TestConcurrentPublishWithBatchQueriesCCH(t *testing.T) {
 				jobs = append(jobs, Job{Planner: pl, S: s, T: dst})
 			}
 		}
-		for _, r := range router.AlternativesBatch(jobs) {
+		for _, r := range router.Engine().AlternativesBatch(jobs) {
 			if r.Err != nil && r.Err != ErrNoRoute {
 				t.Fatalf("batch under publish churn: %v", r.Err)
 			}
@@ -188,7 +188,7 @@ func TestCCHRecustomizeChainStaysExact(t *testing.T) {
 		store.Publish(next)
 		final = next
 	}
-	pl.refreshSync()
+	pl.prov.refreshSync()
 	fresh := NewPlateaus(g, Options{Weights: weights.Pin(final)})
 	comparePlannersExact(t, fresh, pl, g, 8, 11)
 }

@@ -44,11 +44,14 @@ import (
 // over the private weights, restricted to the query's ellipse while it
 // is small (re-customized in the background as traffic versions are
 // published).
+//
+// Its provider, and so its WeightsVersion, follows the *private* traffic
+// metric — the one that changes under live serving.
 type Commercial struct {
-	g      *graph.Graph
-	public []float64 // OSM-derived weights used for reported travel times
-	opts   Options
-	prov   *provider // private-metric snapshots + per-version trees
+	versioned // private-metric snapshots + per-version trees
+	g         *graph.Graph
+	public    []float64 // OSM-derived weights used for reported travel times
+	opts      Options
 	// ranking criteria weights
 	turnPenalty   float64 // fractional cost increase per significant turn
 	narrowPenalty float64 // fractional cost increase for single-lane average
@@ -86,17 +89,6 @@ func NewCommercial(g *graph.Graph, private []float64, opts Options) *Commercial 
 // Name implements Planner.
 func (c *Commercial) Name() string { return "GMaps" }
 
-// WeightsVersion implements VersionedPlanner: the version of the
-// *private* traffic metric, the one that changes under live serving.
-func (c *Commercial) WeightsVersion() weights.Version { return c.prov.weightsVersion() }
-
-func (c *Commercial) refreshAsync() { c.prov.refreshAsync() }
-func (c *Commercial) refreshSync()  { c.prov.refreshSync() }
-
-func (c *Commercial) servingVersion() weights.Version { return c.prov.servingVersion() }
-
-func (c *Commercial) weightsSource() weights.Source { return c.prov.src }
-
 // HierarchyStatus reports the hierarchy flavor serving this planner, its
 // last customization latency and its sweep counters (zero off
 // TreeCHAuto).
@@ -110,26 +102,28 @@ func (c *Commercial) setMetrics(m *Metrics) {
 
 // Alternatives implements Planner.
 func (c *Commercial) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	routes, _, err := c.AlternativesVersioned(s, t)
+	routes, _, err := answer(c, s, t)
 	return routes, err
 }
 
 // AlternativesVersioned implements VersionedPlanner.
 func (c *Commercial) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error) {
+	return answer(c, s, t)
+}
+
+func (c *Commercial) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error) {
 	if err := validateQuery(c.g, s, t); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	v := c.prov.view()
 	private := v.snap.Weights()
-	ver := v.snap.Version()
 	if s == t {
-		return trivialQuery(c.g, c.public, s), ver, nil
+		return trivialQuery(c.g, c.public, s), nil
 	}
 	ws := sp.GetWorkspace()
 	defer ws.Release()
 	fwd, bwd, ok := v.trees.BuildTrees(ws, s, t)
 	if !ok {
-		return nil, ver, ErrNoRoute
+		return nil, ErrNoRoute
 	}
 	fastestPrivate := fwd.Dist[t]
 
@@ -173,7 +167,7 @@ func (c *Commercial) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weig
 	}
 	ws.KeepPathBuf(buf)
 	if len(pool) == 0 {
-		return nil, ver, ErrNoRoute
+		return nil, ErrNoRoute
 	}
 	// The provider's best route (its fastest) always comes first; the rest
 	// of the pool is re-ranked by the engineered goodness score.
@@ -215,7 +209,7 @@ func (c *Commercial) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weig
 	for i, p := range selected {
 		out[i] = path.MustNew(c.g, c.public, s, p.Edges)
 	}
-	return out, ver, nil
+	return out, nil
 }
 
 // score is the provider's goodness function: private travel time inflated

@@ -165,13 +165,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// resolveSource defaults a nil Options.Weights to a pin of the graph's
-// own base travel-time weights — the paper's static configuration.
-func resolveSource(g *graph.Graph, src weights.Source) weights.Source {
-	if src == nil {
-		return weights.Pin(g.BaseWeights())
+// NewStudyPlanners builds the paper's four approaches in Table I column
+// order: GMaps (Commercial), Plateaus, Dissimilarity, Penalty.
+// Commercial plans on private (its traffic metric; must not be nil); the
+// other three plan on Options.Weights through one shared provider, so
+// every batch the engine answers reports one version for all three.
+// Building them separately would give each its own provider, and a
+// double-buffered Plateaus could then answer one response a version
+// behind Dissimilarity and Penalty.
+func NewStudyPlanners(g *graph.Graph, opts Options, private weights.Source) [4]Planner {
+	copts := opts
+	copts.Weights = private
+	pl := NewPlateaus(g, opts)
+	return [4]Planner{
+		NewCommercial(g, nil, copts),
+		pl,
+		&Dissimilarity{versioned: pl.versioned, g: g, opts: pl.opts},
+		&Penalty{versioned: pl.versioned, g: g, opts: pl.opts},
 	}
-	return src
 }
 
 func validateQuery(g *graph.Graph, s, t graph.NodeID) error {

@@ -20,12 +20,12 @@ import (
 //
 // Both shortest-path trees are built once per query; every via-path is
 // assembled from tree pointers, which keeps the approximation fast enough
-// for interactive use (the exact problem is NP-hard). Each query resolves
-// the current weight snapshot from Options.Weights, so the planner
-// follows live traffic without per-version state.
+// for interactive use (the exact problem is NP-hard). Each query plans on
+// the snapshot of its provider's view, so the planner follows live
+// traffic without per-version state of its own.
 type Dissimilarity struct {
+	versioned
 	g    *graph.Graph
-	src  weights.Source
 	opts Options
 }
 
@@ -33,39 +33,36 @@ type Dissimilarity struct {
 // Options.Weights (nil pins the graph's base travel-time weights).
 func NewDissimilarity(g *graph.Graph, opts Options) *Dissimilarity {
 	o := opts.withDefaults()
-	return &Dissimilarity{g: g, src: resolveSource(g, o.Weights), opts: o}
+	return &Dissimilarity{versioned: versioned{newProvider(g, o.Weights, false, false, o)}, g: g, opts: o}
 }
 
 // Name implements Planner.
 func (d *Dissimilarity) Name() string { return "Dissimilarity" }
 
-// WeightsVersion implements VersionedPlanner.
-func (d *Dissimilarity) WeightsVersion() weights.Version { return d.src.Snapshot().Version() }
-
-func (d *Dissimilarity) weightsSource() weights.Source { return d.src }
-
 // Alternatives implements Planner.
 func (d *Dissimilarity) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	routes, _, err := d.AlternativesVersioned(s, t)
+	routes, _, err := answer(d, s, t)
 	return routes, err
 }
 
 // AlternativesVersioned implements VersionedPlanner.
 func (d *Dissimilarity) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error) {
+	return answer(d, s, t)
+}
+
+func (d *Dissimilarity) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error) {
 	if err := validateQuery(d.g, s, t); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	snap := d.src.Snapshot()
-	base := snap.Weights()
-	ver := snap.Version()
+	base := v.snap.Weights()
 	if s == t {
-		return trivialQuery(d.g, base, s), ver, nil
+		return trivialQuery(d.g, base, s), nil
 	}
 	ws := sp.GetWorkspace()
 	defer ws.Release()
 	fwd := sp.BuildTreeInto(ws, d.g, base, s, sp.Forward)
 	if !fwd.Reached(t) {
-		return nil, ver, ErrNoRoute
+		return nil, ErrNoRoute
 	}
 	bwd := sp.BuildTreeInto(ws, d.g, base, t, sp.Backward)
 	fastest := fwd.Dist[t]
@@ -131,9 +128,9 @@ func (d *Dissimilarity) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, w
 		}
 	}
 	if len(routes) == 0 {
-		return nil, ver, ErrNoRoute
+		return nil, ErrNoRoute
 	}
-	return routes, ver, nil
+	return routes, nil
 }
 
 // viaPath assembles sp(s,u) + sp(u,t) from the two trees. Via-paths that

@@ -28,7 +28,7 @@ import (
 // (planner, weight version, s, t): under live traffic the same hot
 // queries recur between publishes, and a versioned key guarantees a hit
 // can never serve routes from a superseded snapshot. The serving layer
-// (core.Router) invalidates the cache on every publish.
+// (core.Router) evicts superseded generations on every publish.
 type Engine struct {
 	sem   chan struct{}
 	cache atomic.Pointer[resultCache]
@@ -72,15 +72,6 @@ func (e *Engine) SetCache(capacity int) {
 		return
 	}
 	e.cache.Store(newResultCache(capacity))
-}
-
-// InvalidateCache drops every cached answer — the blunt full-reset hook
-// (harmless and a no-op without a cache). The Router's publish path uses
-// the finer EvictCacheStale instead.
-func (e *Engine) InvalidateCache() {
-	if c := e.cache.Load(); c != nil {
-		c.clear()
-	}
 }
 
 // EvictCacheStale drops, in one sweep, the cached answers computed under
@@ -162,14 +153,20 @@ type Result struct {
 // limit) and returns results in job order. It blocks until the whole
 // batch is done; per-job failures are reported in Result.Err, never as a
 // panic across goroutines.
+//
+// The batch pins one view per distinct provider when it starts, and every
+// job, cache lookup and cache store runs on that view: planners sharing a
+// provider answer the whole batch under one snapshot version, however
+// publishes race it.
 func (e *Engine) AlternativesBatch(jobs []Job) []Result {
 	results := make([]Result, len(jobs))
+	views := pinViews(jobs)
 	if len(jobs) == 1 {
 		// A singleton batch runs inline — no goroutine handoff on the
 		// latency-critical single-query path — but still under the
 		// semaphore so the worker bound holds across concurrent callers.
 		e.sem <- struct{}{}
-		e.runJob(&jobs[0], &results[0])
+		e.runJob(&jobs[0], views[0], &results[0])
 		<-e.sem
 		return results
 	}
@@ -182,11 +179,35 @@ func (e *Engine) AlternativesBatch(jobs []Job) []Result {
 				<-e.sem
 				wg.Done()
 			}()
-			e.runJob(&jobs[i], &results[i])
+			e.runJob(&jobs[i], views[i], &results[i])
 		}(i)
 	}
 	wg.Wait()
 	return results
+}
+
+// pinViews resolves the view each job runs on: one per distinct provider,
+// shared by every job on it (nil for planners from outside this package).
+func pinViews(jobs []Job) []*view {
+	views := make([]*view, len(jobs))
+	var pinned map[*provider]*view
+	for i := range jobs {
+		pl, ok := jobs[i].Planner.(pinnedPlanner)
+		if !ok {
+			continue
+		}
+		prov := pl.source()
+		v, ok := pinned[prov]
+		if !ok {
+			if pinned == nil {
+				pinned = make(map[*provider]*view, 2)
+			}
+			v = prov.view()
+			pinned[prov] = v
+		}
+		views[i] = v
+	}
+	return views
 }
 
 // Run executes fn(0) .. fn(n-1) under the engine's worker bound — the
@@ -259,51 +280,58 @@ func (e *Engine) release() { <-e.sem }
 // runJob executes one planner call, recording its latency and outcome
 // when an instrument bundle is installed. Timing wraps doJob from the
 // outside so a recovered panic is still observed with its error counted.
-func (e *Engine) runJob(job *Job, res *Result) {
+func (e *Engine) runJob(job *Job, v *view, res *Result) {
 	m := e.metricsFor(job.Planner)
 	if m == nil {
-		e.doJob(job, res)
+		e.doJob(job, v, res)
 		return
 	}
 	start := time.Now()
-	e.doJob(job, res)
+	e.doJob(job, v, res)
 	m.observeQuery(job.Planner.Name(), time.Since(start), res.Err)
 }
 
-// doJob executes one planner call, converting a panic into the job's
-// error: a worker goroutine must never take the whole process down (the
-// HTTP handler's own recover cannot reach it).
-func (e *Engine) doJob(job *Job, res *Result) {
+// doJob executes one planner call on its pinned view v, converting a
+// panic into the job's error: a worker goroutine must never take the
+// whole process down (the HTTP handler's own recover cannot reach it).
+// The answer is looked up and stored under one key, whose version is the
+// pinned view's; a versioned planner from outside this package is keyed
+// by its WeightsVersion and its answer stored only if computed under it.
+func (e *Engine) doJob(job *Job, v *view, res *Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.Routes = nil
 			res.Err = fmt.Errorf("core: planner %s panicked on %d->%d: %v", job.Planner.Name(), job.S, job.T, r)
 		}
 	}()
-	vp, versioned := job.Planner.(VersionedPlanner)
+	key := cacheKey{planner: job.Planner, s: job.S, t: job.T}
+	if v != nil {
+		key.version = v.snap.Version()
+	} else if vp, ok := job.Planner.(VersionedPlanner); ok {
+		key.version = vp.WeightsVersion()
+	}
 	cache := e.cache.Load()
-	if cache == nil || !versioned {
-		if versioned {
-			res.Routes, res.Version, res.Err = vp.AlternativesVersioned(job.S, job.T)
+	if key.version == 0 {
+		cache = nil // an unversioned answer cannot be keyed
+	}
+	if cache != nil {
+		if routes, ok := cache.get(key); ok {
+			e.metricsFor(job.Planner).observeCache(true)
+			res.Routes, res.Version = routes, key.version
 			return
 		}
+		e.metricsFor(job.Planner).observeCache(false)
+	}
+	switch pl := job.Planner.(type) {
+	case pinnedPlanner:
+		res.Version = v.snap.Version()
+		res.Routes, res.Err = pl.alternativesOn(v, job.S, job.T)
+	case VersionedPlanner:
+		res.Routes, res.Version, res.Err = pl.AlternativesVersioned(job.S, job.T)
+	default:
 		res.Routes, res.Err = job.Planner.Alternatives(job.S, job.T)
-		return
 	}
-	// Look up under the version the planner would serve right now; store
-	// under the version it actually used. A lookup that hits therefore
-	// always returns routes computed under exactly its own version, even
-	// if a publish lands mid-flight.
-	key := cacheKey{planner: job.Planner, version: vp.WeightsVersion(), s: job.S, t: job.T}
-	if routes, ok := cache.get(key); ok {
-		e.metricsFor(job.Planner).observeCache(true)
-		res.Routes, res.Version = routes, key.version
-		return
-	}
-	e.metricsFor(job.Planner).observeCache(false)
-	res.Routes, res.Version, res.Err = vp.AlternativesVersioned(job.S, job.T)
-	if res.Err == nil {
-		key.version = res.Version
+	if cache != nil && res.Err == nil && res.Version == key.version {
 		cache.put(key, res.Routes)
 	}
 }

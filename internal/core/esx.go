@@ -25,8 +25,8 @@ import (
 // exclusion step. It is included as a §II-D related-work baseline and for
 // the ablation benchmarks.
 type ESX struct {
+	versioned
 	g    *graph.Graph
-	src  weights.Source
 	opts Options
 	// maxExclusionsPerRound bounds the Dijkstra re-runs per result path.
 	maxExclusionsPerRound int
@@ -36,33 +36,25 @@ type ESX struct {
 // pins the graph's base travel-time weights).
 func NewESX(g *graph.Graph, opts Options) *ESX {
 	o := opts.withDefaults()
-	return &ESX{g: g, src: resolveSource(g, o.Weights), opts: o, maxExclusionsPerRound: 24}
+	return &ESX{versioned: versioned{newProvider(g, o.Weights, false, false, o)}, g: g, opts: o, maxExclusionsPerRound: 24}
 }
 
 // Name implements Planner.
 func (x *ESX) Name() string { return "ESX" }
 
-// WeightsVersion implements VersionedPlanner.
-func (x *ESX) WeightsVersion() weights.Version { return x.src.Snapshot().Version() }
-
-func (x *ESX) weightsSource() weights.Source { return x.src }
-
-// AlternativesVersioned implements VersionedPlanner: the snapshot is
-// resolved exactly once, so the reported version always matches the
-// weights the routes were computed under, even when a publish races.
+// AlternativesVersioned implements VersionedPlanner.
 func (x *ESX) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error) {
-	snap := x.src.Snapshot()
-	routes, err := x.alternatives(snap.Weights(), s, t)
-	return routes, snap.Version(), err
+	return answer(x, s, t)
 }
 
 // Alternatives implements Planner.
 func (x *ESX) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	routes, _, err := x.AlternativesVersioned(s, t)
+	routes, _, err := answer(x, s, t)
 	return routes, err
 }
 
-func (x *ESX) alternatives(base []float64, s, t graph.NodeID) ([]path.Path, error) {
+func (x *ESX) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error) {
+	base := v.snap.Weights()
 	if err := validateQuery(x.g, s, t); err != nil {
 		return nil, err
 	}

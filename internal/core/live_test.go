@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -137,14 +136,14 @@ func TestEngineCacheVersionedHitsAndInvalidation(t *testing.T) {
 	router := NewRouter(engine, []Planner{pl}, store)
 
 	s, dst, _ := banFastestRoute(t, g, pl, 3)
-	first := router.Alternatives(s, dst)[0]
+	first := askAll(router, s, dst)[0]
 	if first.Err != nil {
 		t.Fatal(first.Err)
 	}
 	if first.Version != 1 {
 		t.Fatalf("first answer at version %d, want 1", first.Version)
 	}
-	again := router.Alternatives(s, dst)[0]
+	again := askAll(router, s, dst)[0]
 	hits, _ := engine.CacheStats()
 	if hits == 0 {
 		t.Fatal("repeat query did not hit the cache")
@@ -161,7 +160,7 @@ func TestEngineCacheVersionedHitsAndInvalidation(t *testing.T) {
 	// A publish invalidates: the same query recomputes under version 2.
 	store.Publish(g.BaseWeights())
 	router.Sync()
-	after := router.Alternatives(s, dst)[0]
+	after := askAll(router, s, dst)[0]
 	if after.Err != nil {
 		t.Fatal(after.Err)
 	}
@@ -204,18 +203,24 @@ func TestRouterHonoursExplicitCacheDisable(t *testing.T) {
 	disabled := NewEngine(1)
 	disabled.SetCache(0)
 	router := NewRouter(disabled, []Planner{pl}, store)
-	router.Alternatives(0, graph.NodeID(g.NumNodes()-1))
-	router.Alternatives(0, graph.NodeID(g.NumNodes()-1))
+	askAll(router, 0, graph.NodeID(g.NumNodes()-1))
+	askAll(router, 0, graph.NodeID(g.NumNodes()-1))
 	if hits, misses := disabled.CacheStats(); hits != 0 || misses != 0 {
 		t.Fatalf("explicitly disabled cache served traffic: %d hits / %d misses", hits, misses)
 	}
 
 	fresh := NewEngine(1)
 	router.SetEngine(fresh) // never configured: gets the default cache
-	router.Alternatives(0, graph.NodeID(g.NumNodes()-1))
+	askAll(router, 0, graph.NodeID(g.NumNodes()-1))
 	if _, misses := fresh.CacheStats(); misses == 0 {
 		t.Fatal("unconfigured engine did not get the router's default cache")
 	}
+}
+
+// askAll answers one query with every planner of the router, the way
+// eval.City.RunPlanners does.
+func askAll(r *Router, s, t graph.NodeID) []Result {
+	return r.Engine().Alternatives(r.Planners(), s, t)
 }
 
 // plainPlanner strips the VersionedPlanner interface off a planner.
@@ -269,8 +274,12 @@ func TestCHSwapServesOldThenNew(t *testing.T) {
 // runs under -race: a rush-hour producer publishes snapshots while the
 // engine answers batches across all planners and both backends. Every
 // answer must be a coherent single-version result (no torn reads, no
-// panics); correctness of the final state is pinned by a post-Sync
-// equality check against a planner built fresh at the final snapshot.
+// panics), and the study planner set on ch-auto must answer every query
+// of every batch with Plateaus, Dissimilarity and Penalty at one public
+// version — by construction, with no barrier or retry (Commercial plans
+// on the traffic store and may differ). Correctness of the final state is
+// pinned by a post-Sync equality check against a planner built fresh at
+// the final snapshot.
 func TestConcurrentPublishWithBatchQueries(t *testing.T) {
 	g := randomRoadNetwork(31, 120)
 	pubStore := weights.NewStore(g.BaseWeights())
@@ -287,6 +296,8 @@ func TestConcurrentPublishWithBatchQueries(t *testing.T) {
 		NewPenalty(g, opts),
 		NewCommercial(g, nil, Options{Weights: privStore, TreeBackend: TreeCHAuto}),
 	}
+	study := NewStudyPlanners(g, chOpts, privStore)
+	planners = append(planners, study[:]...)
 	engine := NewEngine(4)
 	router := NewRouter(engine, planners, pubStore, privStore)
 
@@ -316,9 +327,19 @@ func TestConcurrentPublishWithBatchQueries(t *testing.T) {
 				jobs = append(jobs, Job{Planner: pl, S: s, T: dst})
 			}
 		}
-		for _, r := range router.AlternativesBatch(jobs) {
+		results := router.Engine().AlternativesBatch(jobs)
+		for _, r := range results {
 			if r.Err != nil && r.Err != ErrNoRoute {
 				t.Fatalf("batch under publish churn: %v", r.Err)
+			}
+		}
+		for q := 0; q < 3; q++ {
+			// The study set closes each query's block: GMaps, then the
+			// public-metric trio.
+			pub := results[(q+1)*len(planners)-3 : (q+1)*len(planners)]
+			if pub[0].Version != pub[1].Version || pub[1].Version != pub[2].Version {
+				t.Fatalf("round %d query %d: Plateaus/Dissimilarity/Penalty answered at public versions %d/%d/%d",
+					round, q, pub[0].Version, pub[1].Version, pub[2].Version)
 			}
 		}
 	}
@@ -331,97 +352,6 @@ func TestConcurrentPublishWithBatchQueries(t *testing.T) {
 	comparePlannersExact(t, fresh, planners[0].(*Plateaus), g, 6, 3)
 	if v := planners[0].(*Plateaus).WeightsVersion(); v != pubStore.Version() {
 		t.Fatalf("post-sync version %d != store version %d", v, pubStore.Version())
-	}
-}
-
-// --- Cross-store swap atomicity ----------------------------------------------
-
-// stubVersioned is a minimal versioned planner for provoking the
-// mixed-version interleaving deterministically: a "live" stub swings to
-// the store's latest snapshot on every call, a "laggy" stub keeps serving
-// its installed version until a Sync barrier (refreshSync) lands —
-// exactly the double-buffered CH planner's window, but with a swap that
-// never completes on its own.
-type stubVersioned struct {
-	name    string
-	src     *weights.Store
-	lag     bool
-	serving atomic.Uint64
-	calls   atomic.Int64
-}
-
-func (p *stubVersioned) Name() string { return p.name }
-
-func (p *stubVersioned) version() weights.Version {
-	if !p.lag {
-		return p.src.Version()
-	}
-	return weights.Version(p.serving.Load())
-}
-
-func (p *stubVersioned) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	routes, _, err := p.AlternativesVersioned(s, t)
-	return routes, err
-}
-
-func (p *stubVersioned) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error) {
-	p.calls.Add(1)
-	return []path.Path{{}}, p.version(), nil
-}
-
-func (p *stubVersioned) WeightsVersion() weights.Version { return p.version() }
-func (p *stubVersioned) servingVersion() weights.Version { return p.version() }
-func (p *stubVersioned) weightsSource() weights.Source   { return p.src }
-func (p *stubVersioned) refreshAsync()                   {} // the lag: background refresh never lands by itself
-func (p *stubVersioned) refreshSync() {
-	p.serving.Store(uint64(p.src.Version()))
-}
-
-// TestRouterResponseVersionConsistency is the regression test for the
-// cross-store swap atomicity fix: a publish between two planners' swap
-// points used to let one response carry adjacent versions for approaches
-// on the same store. The router must detect the mix and re-run the batch
-// behind a Sync barrier.
-func TestRouterResponseVersionConsistency(t *testing.T) {
-	store := weights.NewStore([]float64{1, 2, 3, 4})
-	live := &stubVersioned{name: "live", src: store}
-	laggy := &stubVersioned{name: "laggy", src: store, lag: true}
-	laggy.refreshSync() // serving v1
-	router := NewRouter(NewEngine(2), []Planner{live, laggy}, store)
-
-	store.Publish([]float64{2, 3, 4, 5}) // v2; laggy keeps serving v1
-
-	// Provoke the old interleaving at the engine layer (no consistency
-	// pass there): the response mixes v2 and v1.
-	mixed := router.Engine().Alternatives([]Planner{live, laggy}, 0, 1)
-	if mixed[0].Version == mixed[1].Version {
-		t.Fatalf("expected the provoked engine response to mix versions, got %d/%d",
-			mixed[0].Version, mixed[1].Version)
-	}
-
-	// The router repairs it: one Sync + retry, and the response is
-	// whole-set consistent at the latest version.
-	res := router.Alternatives(0, 1)
-	if res[0].Version != res[1].Version {
-		t.Fatalf("router response mixes versions %d vs %d after the fix", res[0].Version, res[1].Version)
-	}
-	if res[0].Version != weights.Version(store.Version()) {
-		t.Fatalf("consistent response at version %d, want store latest %d", res[0].Version, store.Version())
-	}
-
-	// Planners on *different* stores may legitimately differ: no retry
-	// storm, the response returns at first attempt.
-	other := weights.NewStore([]float64{9, 9, 9, 9})
-	foreign := &stubVersioned{name: "foreign", src: other}
-	router2 := NewRouter(NewEngine(2), []Planner{live, foreign}, store, other)
-	store.Publish([]float64{3, 4, 5, 6})
-	before := live.calls.Load()
-	res2 := router2.Alternatives(0, 1)
-	if res2[0].Version == res2[1].Version {
-		t.Fatalf("distinct stores coincidentally at the same version breaks the test setup")
-	}
-	if live.calls.Load() != before+1 {
-		t.Fatalf("cross-store version difference triggered retries: %d calls", live.calls.Load()-before)
 	}
 }
 
@@ -582,7 +512,7 @@ func TestLiveTrafficSoakRestrictedSweeps(t *testing.T) {
 				for _, pl := range planners {
 					jobs = append(jobs, Job{Planner: pl, S: s, T: dst})
 				}
-				for i, r := range router.AlternativesBatch(jobs) {
+				for i, r := range router.Engine().AlternativesBatch(jobs) {
 					pl := planners[i]
 					if r.Err != nil {
 						if r.Err != ErrNoRoute {

@@ -227,7 +227,7 @@ func TestMatrixSharesPlateausProvider(t *testing.T) {
 		w[i] = base * (0.5 + rng.Float64())
 	}
 	snap := store.Publish(w)
-	p.refreshSync()
+	p.prov.refreshSync()
 	tab2, err := m.Matrix(sources, targets)
 	if err != nil {
 		t.Fatal(err)

@@ -28,11 +28,11 @@ func TestRouterMetricsWiring(t *testing.T) {
 	mx.SetMetrics(m)
 
 	for i := 0; i < 3; i++ { // third round hits the result cache
-		r.Alternatives(0, 143)
+		askAll(r, 0, 143)
 	}
 	traffic.NewSequence(g, traffic.DefaultModel(5), 0).Advance(st)
 	r.Sync()
-	r.Alternatives(13, 130)
+	askAll(r, 13, 130)
 	if _, err := mx.Matrix([]graph.NodeID{0, 5}, []graph.NodeID{130, 143}); err != nil {
 		t.Fatalf("matrix: %v", err)
 	}
@@ -101,9 +101,9 @@ func TestSharedEngineAttributesPerCity(t *testing.T) {
 	}
 	a, b := mk("alpha"), mk("beta")
 
-	a.r.Alternatives(0, 143)
-	a.r.Alternatives(13, 130)
-	b.r.Alternatives(0, 143)
+	askAll(a.r, 0, 143)
+	askAll(a.r, 13, 130)
+	askAll(b.r, 0, 143)
 
 	var sb strings.Builder
 	reg.WriteTo(&sb)

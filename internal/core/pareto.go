@@ -22,8 +22,8 @@ import (
 // exponential frontier small). A per-node label cap bounds worst-case
 // memory on adversarial graphs.
 type Pareto struct {
+	versioned
 	g    *graph.Graph
-	src  weights.Source
 	opts Options
 	// maxLabelsPerNode caps each node's frontier; the skyline of real road
 	// networks is narrow, so 32 is generous.
@@ -34,24 +34,15 @@ type Pareto struct {
 // and distance as the two criteria.
 func NewPareto(g *graph.Graph, opts Options) *Pareto {
 	o := opts.withDefaults()
-	return &Pareto{g: g, src: resolveSource(g, o.Weights), opts: o, maxLabelsPerNode: 32}
+	return &Pareto{versioned: versioned{newProvider(g, o.Weights, false, false, o)}, g: g, opts: o, maxLabelsPerNode: 32}
 }
 
 // Name implements Planner.
 func (p *Pareto) Name() string { return "Pareto" }
 
-// WeightsVersion implements VersionedPlanner.
-func (p *Pareto) WeightsVersion() weights.Version { return p.src.Snapshot().Version() }
-
-func (p *Pareto) weightsSource() weights.Source { return p.src }
-
-// AlternativesVersioned implements VersionedPlanner: the snapshot is
-// resolved exactly once, so the reported version always matches the
-// weights the routes were computed under, even when a publish races.
+// AlternativesVersioned implements VersionedPlanner.
 func (p *Pareto) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error) {
-	snap := p.src.Snapshot()
-	routes, err := p.alternatives(snap.Weights(), s, t)
-	return routes, snap.Version(), err
+	return answer(p, s, t)
 }
 
 // label is one partial path in the bicriteria search.
@@ -126,11 +117,12 @@ func (h *labelHeap) pop() int {
 // Alternatives implements Planner: it returns up to K skyline paths in
 // ascending travel-time order (the fastest path is always the first).
 func (p *Pareto) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	routes, _, err := p.AlternativesVersioned(s, t)
+	routes, _, err := answer(p, s, t)
 	return routes, err
 }
 
-func (p *Pareto) alternatives(base []float64, s, t graph.NodeID) ([]path.Path, error) {
+func (p *Pareto) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error) {
+	base := v.snap.Weights()
 	if err := validateQuery(p.g, s, t); err != nil {
 		return nil, err
 	}
@@ -151,7 +143,7 @@ func (p *Pareto) alternatives(base []float64, s, t graph.NodeID) ([]path.Path, e
 // time upper bound, in ascending travel-time (descending distance) order,
 // under the current weight snapshot.
 func (p *Pareto) Skyline(s, t graph.NodeID) []path.Path {
-	return p.skyline(p.src.Snapshot().Weights(), s, t)
+	return p.skyline(p.prov.view().snap.Weights(), s, t)
 }
 
 func (p *Pareto) skyline(base []float64, s, t graph.NodeID) []path.Path {

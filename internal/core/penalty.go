@@ -16,64 +16,56 @@ import (
 //
 // Following the paper's configuration, routes are reported with travel
 // times under the *original* weights and no upper-bound filter is applied
-// unless Options.ApplyUpperBoundToPenalty is set. Each query resolves the
-// current weight snapshot from Options.Weights and penalizes a private
-// working copy of it, so the planner follows live traffic without any
-// per-version state of its own.
+// unless Options.ApplyUpperBoundToPenalty is set. Each query plans on the
+// snapshot of its provider's view and penalizes a private working copy of
+// it, so the planner follows live traffic without any per-version state
+// of its own.
 type Penalty struct {
+	versioned
 	g    *graph.Graph
-	src  weights.Source
 	opts Options
-	// maxIterations bounds the search when penalised reroutes keep
-	// rediscovering known paths; 4·K+4 is generous for road networks.
-	maxIterations int
 }
 
 // NewPenalty returns a Penalty planner over g planning on Options.Weights
 // (nil pins the graph's base travel-time weights).
 func NewPenalty(g *graph.Graph, opts Options) *Penalty {
 	o := opts.withDefaults()
-	return &Penalty{
-		g:             g,
-		src:           resolveSource(g, o.Weights),
-		opts:          o,
-		maxIterations: 4*o.K + 4,
-	}
+	return &Penalty{versioned: versioned{newProvider(g, o.Weights, false, false, o)}, g: g, opts: o}
 }
 
 // Name implements Planner.
 func (p *Penalty) Name() string { return "Penalty" }
 
-// WeightsVersion implements VersionedPlanner.
-func (p *Penalty) WeightsVersion() weights.Version { return p.src.Snapshot().Version() }
-
-func (p *Penalty) weightsSource() weights.Source { return p.src }
-
 // Alternatives implements Planner.
 func (p *Penalty) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	routes, _, err := p.AlternativesVersioned(s, t)
+	routes, _, err := answer(p, s, t)
 	return routes, err
 }
 
 // AlternativesVersioned implements VersionedPlanner.
 func (p *Penalty) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error) {
+	return answer(p, s, t)
+}
+
+func (p *Penalty) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error) {
 	if err := validateQuery(p.g, s, t); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	snap := p.src.Snapshot()
-	base := snap.Weights()
-	ver := snap.Version()
+	base := v.snap.Weights()
 	if s == t {
-		return trivialQuery(p.g, base, s), ver, nil
+		return trivialQuery(p.g, base, s), nil
 	}
 	work := make([]float64, len(base))
 	copy(work, base)
 	ws := sp.GetWorkspace()
 	defer ws.Release()
 
+	// The iteration budget bounds the search when penalised reroutes keep
+	// rediscovering known paths; 4·K+4 is generous for road networks.
+	maxIterations := 4*p.opts.K + 4
 	var routes []path.Path
 	var fastest float64
-	for iter := 0; iter < p.maxIterations && len(routes) < p.opts.K; iter++ {
+	for iter := 0; iter < maxIterations && len(routes) < p.opts.K; iter++ {
 		// The returned edge slice aliases the workspace and stays valid
 		// until the next search; admitted routes copy it below.
 		edges, _ := sp.ShortestPathInto(ws, p.g, work, s, t)
@@ -102,9 +94,9 @@ func (p *Penalty) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights
 		p.penalize(work, edges)
 	}
 	if len(routes) == 0 {
-		return nil, ver, ErrNoRoute
+		return nil, ErrNoRoute
 	}
-	return routes, ver, nil
+	return routes, nil
 }
 
 func (p *Penalty) penalize(work []float64, edges []graph.EdgeID) {

@@ -32,9 +32,9 @@ import (
 // re-customizes the hierarchy in the background while the old one keeps
 // serving (see provider).
 type Plateaus struct {
+	versioned
 	g    *graph.Graph
 	opts Options
-	prov *provider
 }
 
 // NewPlateaus returns a Plateaus planner over g. With Options.TreeBackend
@@ -50,24 +50,14 @@ func NewPlateaus(g *graph.Graph, opts Options) *Plateaus {
 func newPlateaus(g *graph.Graph, opts Options, pruned bool) *Plateaus {
 	opts = opts.withDefaults()
 	return &Plateaus{
-		g:    g,
-		opts: opts,
-		prov: newProvider(g, opts.Weights, true, pruned, opts),
+		versioned: versioned{newProvider(g, opts.Weights, true, pruned, opts)},
+		g:         g,
+		opts:      opts,
 	}
 }
 
 // Name implements Planner.
 func (p *Plateaus) Name() string { return "Plateaus" }
-
-// WeightsVersion implements VersionedPlanner.
-func (p *Plateaus) WeightsVersion() weights.Version { return p.prov.weightsVersion() }
-
-func (p *Plateaus) refreshAsync() { p.prov.refreshAsync() }
-func (p *Plateaus) refreshSync()  { p.prov.refreshSync() }
-
-func (p *Plateaus) servingVersion() weights.Version { return p.prov.servingVersion() }
-
-func (p *Plateaus) weightsSource() weights.Source { return p.prov.src }
 
 // HierarchyStatus reports the hierarchy flavor serving this planner, its
 // last customization latency and its sweep counters (zero off
@@ -118,29 +108,31 @@ func sortPlateaus(plateaus []Plateau) {
 
 // Alternatives implements Planner.
 func (p *Plateaus) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	routes, _, err := p.AlternativesVersioned(s, t)
+	routes, _, err := answer(p, s, t)
 	return routes, err
 }
 
-// AlternativesVersioned implements VersionedPlanner. The whole query —
-// trees, plateau costs, bounds, reported times — runs under the single
-// snapshot its view resolved, so answers stay internally consistent while
-// publishes race.
+// AlternativesVersioned implements VersionedPlanner.
 func (p *Plateaus) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error) {
+	return answer(p, s, t)
+}
+
+// alternativesOn runs the whole query — trees, plateau costs, bounds,
+// reported times — under the single snapshot of v, so answers stay
+// internally consistent while publishes race.
+func (p *Plateaus) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error) {
 	if err := validateQuery(p.g, s, t); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	v := p.prov.view()
 	base := v.snap.Weights()
-	ver := v.snap.Version()
 	if s == t {
-		return trivialQuery(p.g, base, s), ver, nil
+		return trivialQuery(p.g, base, s), nil
 	}
 	ws := sp.GetWorkspace()
 	defer ws.Release()
 	fwd, bwd, ok := v.trees.BuildTrees(ws, s, t)
 	if !ok {
-		return nil, ver, ErrNoRoute
+		return nil, ErrNoRoute
 	}
 	fastest := fwd.Dist[t]
 
@@ -170,9 +162,9 @@ func (p *Plateaus) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weight
 	}
 	ws.KeepPathBuf(buf)
 	if len(routes) == 0 {
-		return nil, ver, ErrNoRoute
+		return nil, ErrNoRoute
 	}
-	return routes, ver, nil
+	return routes, nil
 }
 
 // FindPlateaus joins a forward and a backward shortest-path tree and

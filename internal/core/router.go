@@ -3,7 +3,6 @@ package core
 import (
 	"sync/atomic"
 
-	"repro/internal/graph"
 	"repro/internal/weights"
 )
 
@@ -19,28 +18,18 @@ const DefaultCacheSize = 4096
 //
 //  1. evicts the stale generations of the engine's versioned result
 //     cache (keeping what double-buffered planners still serve), and
-//  2. kicks background re-customization in every planner that derives
-//     per-version state (the CCH hierarchies of TreeCHAuto planners),
+//  2. kicks a background refresh in every planner's provider — the CCH
+//     re-customization of TreeCHAuto planners,
 //
-// after which each planner's view swings to the new version by an atomic
+// after which each provider's view swings to the new version by an atomic
 // pointer swap — old state keeps serving until its replacement is ready,
-// so an *individual planner query* never blocks on a rebuild.
+// so a query never blocks on a rebuild.
 //
-// Swap granularity is per planner, but *responses* are version-
-// consistent: Alternatives and AlternativesBatch check that every planner
-// resolving the same weight store answered under the same snapshot
-// version, and when a publish lands mid-response (a double-buffered
-// planner still serving version N while a direct resolver already swung
-// to N+1), the router syncs the planner set and re-runs the batch — the
-// versioned result cache makes the repeated jobs nearly free. A response
-// therefore never mixes adjacent versions between approaches. The price
-// is deliberate: a fanned-out response arriving inside a publish window
-// waits out the in-flight customization (Sync) instead of returning a
-// mixed set — bounded by versionRetries, after which the final round's
-// answers are returned as-is under adversarial publish churn, each still
-// internally single-version with its version in Result.Version. Sync
-// remains the explicit barrier for callers that additionally need the
-// *latest* version.
+// Responses need no barrier here: planners built together over one store
+// share its provider (NewStudyPlanners), and Engine.AlternativesBatch
+// pins one view per provider for the whole batch, so a response carries
+// one version per store by construction. Sync is the explicit barrier
+// for callers that need the *latest* version.
 type Router struct {
 	engine   atomic.Pointer[Engine]
 	planners []Planner
@@ -49,13 +38,6 @@ type Router struct {
 	// SetEngine swap inherits it like the cache.
 	metrics atomic.Pointer[Metrics]
 }
-
-// versionRetries bounds the response-consistency loop: how many times a
-// mixed-version batch is re-run (after a Sync barrier) before the last
-// round is returned as-is. One retry suffices whenever publishes pause
-// long enough for a Sync to complete — the steady state of any real
-// traffic feed.
-const versionRetries = 3
 
 // NewRouter wires the serving layer together. A nil engine gets a fresh
 // default-sized one; an engine whose owner never called SetCache gets a
@@ -121,63 +103,6 @@ func (r *Router) Planners() []Planner { return r.planners }
 // Stores returns the weight stores the router is subscribed to.
 func (r *Router) Stores() []*weights.Store { return r.stores }
 
-// Alternatives answers one query with every planner concurrently. The
-// response is version-consistent across planners sharing a weight store
-// (see the type comment).
-func (r *Router) Alternatives(s, t graph.NodeID) []Result {
-	jobs := make([]Job, len(r.planners))
-	for i, pl := range r.planners {
-		jobs[i] = Job{Planner: pl, S: s, T: t}
-	}
-	return r.AlternativesBatch(jobs)
-}
-
-// AlternativesBatch fans an arbitrary job batch out over the engine,
-// re-running it behind a Sync barrier while planners on a shared store
-// disagree on the version they answered under (bounded by
-// versionRetries).
-func (r *Router) AlternativesBatch(jobs []Job) []Result {
-	results := r.Engine().AlternativesBatch(jobs)
-	for attempt := 0; attempt < versionRetries && mixedVersions(jobs, results); attempt++ {
-		r.Sync()
-		results = r.Engine().AlternativesBatch(jobs)
-	}
-	return results
-}
-
-// mixedVersions reports whether two answers of one batch were computed
-// under different snapshot versions of the *same* weight source. Planners
-// on distinct sources (the Commercial provider's private traffic metric
-// vs the public metric) legitimately report different versions; answers
-// without a version (unversioned planners, panicked jobs) are exempt.
-func mixedVersions(jobs []Job, results []Result) bool {
-	var seen map[weights.Source]weights.Version
-	for i := range jobs {
-		if results[i].Version == 0 {
-			continue
-		}
-		sp, ok := jobs[i].Planner.(sourced)
-		if !ok {
-			continue
-		}
-		src := sp.weightsSource()
-		if src == nil {
-			continue
-		}
-		if seen == nil {
-			seen = make(map[weights.Source]weights.Version, len(jobs))
-		}
-		if v, dup := seen[src]; dup {
-			if v != results[i].Version {
-				return true
-			}
-		} else {
-			seen[src] = results[i].Version
-		}
-	}
-	return false
-}
-
 // onPublish is the store subscription hook. It must not block the
 // publisher: cache eviction is one O(entries) map sweep, and planner
 // refreshes only CAS a flag and spawn (at most one) rebuild goroutine.
@@ -185,36 +110,36 @@ func mixedVersions(jobs []Job, results []Result) bool {
 // Eviction is per store generation, not a wholesale clear: each planner
 // drops only the cache entries older than the version it is *currently
 // serving* (read passively — never nudging a rebuild from the publish
-// path). A double-buffered CH planner therefore keeps its
-// previous-version entries hot until its background customization swaps;
-// planners that resolve the store directly swing to the new version
-// immediately, so their floor is the fresh latest and their stale
-// generations go at once. Entries of a superseded generation linger at
-// most until the next publish and are bounded by the cache capacity.
+// path). A double-buffered CH provider therefore keeps its
+// previous-version entries hot until its background customization swaps.
+// Entries of a superseded generation linger at most until the next
+// publish and are bounded by the cache capacity.
 func (r *Router) onPublish() {
 	floors := make(map[Planner]weights.Version, len(r.planners))
 	for _, p := range r.planners {
-		if vp, ok := p.(VersionedPlanner); ok {
-			floors[p] = servingVersionOf(vp)
+		if v, ok := servingVersion(p); ok {
+			floors[p] = v
 		}
 	}
 	r.Engine().EvictCacheStale(floors)
 	for _, p := range r.planners {
-		if rf, ok := p.(refresher); ok {
-			rf.refreshAsync()
+		if pp, ok := p.(pinnedPlanner); ok {
+			pp.source().refreshAsync()
 		}
 	}
 }
 
-// servingVersionOf reads the version a planner currently serves without
-// triggering rebuilds: the passive servingVersioned hook when available,
-// else WeightsVersion (which for direct store resolvers is a cheap atomic
-// load of the latest snapshot).
-func servingVersionOf(vp VersionedPlanner) weights.Version {
-	if sv, ok := vp.(servingVersioned); ok {
-		return sv.servingVersion()
+// servingVersion reads the version a planner currently serves without
+// triggering a rebuild: its provider's installed view, or WeightsVersion
+// for versioned planners from outside this package.
+func servingVersion(p Planner) (weights.Version, bool) {
+	switch pl := p.(type) {
+	case pinnedPlanner:
+		return pl.source().servingVersion(), true
+	case VersionedPlanner:
+		return pl.WeightsVersion(), true
 	}
-	return vp.WeightsVersion()
+	return 0, false
 }
 
 // Sync blocks until every planner serves its source's latest snapshot —
@@ -222,36 +147,20 @@ func servingVersionOf(vp VersionedPlanner) weights.Version {
 // must observe a completed swap.
 func (r *Router) Sync() {
 	for _, p := range r.planners {
-		if rf, ok := p.(refresher); ok {
-			rf.refreshSync()
+		if pp, ok := p.(pinnedPlanner); ok {
+			pp.source().refreshSync()
 		}
 	}
-}
-
-// Versions reports, per planner, the weight version currently serving (0
-// for planners without version tracking) — the observability hook the
-// demo server logs per query.
-func (r *Router) Versions() []weights.Version {
-	out := make([]weights.Version, len(r.planners))
-	for i, p := range r.planners {
-		if vp, ok := p.(VersionedPlanner); ok {
-			out[i] = vp.WeightsVersion()
-		}
-	}
-	return out
 }
 
 // ServingVersions reports, per planner, the weight version currently
-// *installed*, read passively — unlike Versions it never nudges a
-// rebuild, so it is safe on scrape paths that must not perturb serving
-// (the /metrics collectors call it on every scrape). Planners without
-// version tracking report 0.
+// *installed*, read passively — it never nudges a rebuild, so it is safe
+// on scrape paths that must not perturb serving (/metrics and
+// /api/traffic). Planners without version tracking report 0.
 func (r *Router) ServingVersions() []weights.Version {
 	out := make([]weights.Version, len(r.planners))
 	for i, p := range r.planners {
-		if vp, ok := p.(VersionedPlanner); ok {
-			out[i] = servingVersionOf(vp)
-		}
+		out[i], _ = servingVersion(p)
 	}
 	return out
 }

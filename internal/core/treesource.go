@@ -219,9 +219,10 @@ type HierarchyStatus struct {
 	LastHit        bool
 	// LastQueryEngine names the point-to-point engine of the serving
 	// hierarchy ("elimtree" or "bidij"; empty off hierarchy backends).
-	// The Elim* counters are cumulative over the planner's lifetime: the
-	// provider folds each superseded customization's counts in at the
-	// swap, so they never drop across publishes. ElimQueries counts
+	// The Elim* counters are cumulative over the planner's lifetime: each
+	// customization inherits its predecessor's counters
+	// (ch.Runtime.Customize), so they never drop across publishes.
+	// ElimQueries counts
 	// point-to-point ascent queries, ElimTruncated those abandoned early
 	// by the incumbent bound, ElimAscentNodes total processed ascent
 	// nodes (mean ascent = nodes/queries). LastAscent is the most recent

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,40 +22,46 @@ import (
 type VersionedPlanner interface {
 	Planner
 	// WeightsVersion returns the version the next query would plan on.
-	// For a CH-backed planner mid-swap this is the version of the
-	// hierarchy currently serving, which may trail the source's latest
-	// until background re-customization completes.
+	// For a planner on a CH-backed provider mid-swap this is the version
+	// of the hierarchy currently serving, which may trail the source's
+	// latest until background re-customization completes.
 	WeightsVersion() weights.Version
 	// AlternativesVersioned is Alternatives plus the snapshot version the
 	// routes were computed under.
 	AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error)
 }
 
-// refresher is implemented by planners that derive per-version state
-// (contraction hierarchies, pruning bounds) from their weight source. The
-// Router uses it to start background re-customization on publish and to
-// block until every planner serves the latest version.
-type refresher interface {
-	refreshAsync()
-	refreshSync()
+// pinnedPlanner is implemented by every planner in this package. Each
+// reads its weights through a provider and can answer on an explicitly
+// pinned view. Engine.AlternativesBatch resolves one view per distinct
+// provider when a batch starts and runs every job of the batch on it, so
+// planners sharing a provider (NewStudyPlanners' Plateaus, Dissimilarity
+// and Penalty on the public store) answer one batch under one snapshot
+// version by construction. The Router reaches the providers through
+// source() to refresh them on publish and to read serving versions.
+type pinnedPlanner interface {
+	VersionedPlanner
+	source() *provider
+	// alternativesOn answers one query entirely under v.
+	alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error)
 }
 
-// sourced exposes the weight source a planner resolves its queries from.
-// The Router's response-consistency pass groups a batch's answers by
-// source: two planners on the same source must answer one fanned-out
-// response under the same snapshot version. Every versioned planner in
-// this package implements it.
-type sourced interface {
-	weightsSource() weights.Source
-}
+// versioned is embedded by every planner in this package: the provider
+// it reads its weights from, plus the methods that need nothing else.
+type versioned struct{ prov *provider }
 
-// servingVersioned is the passive counterpart of WeightsVersion: the
-// version currently *installed*, read without nudging any rebuild. The
-// Router's publish path uses it to decide which cache generations are
-// still live — it must never trigger the synchronous rebuild a
-// WeightsVersion call can imply for cheap backends.
-type servingVersioned interface {
-	servingVersion() weights.Version
+// WeightsVersion implements VersionedPlanner.
+func (v versioned) WeightsVersion() weights.Version { return v.prov.weightsVersion() }
+
+func (v versioned) source() *provider { return v.prov }
+
+// answer runs pl on the view its provider serves now and reports that
+// view's version — the body of every AlternativesVersioned in this
+// package.
+func answer(pl pinnedPlanner, s, t graph.NodeID) ([]path.Path, weights.Version, error) {
+	v := pl.source().view()
+	routes, err := pl.alternativesOn(v, s, t)
+	return routes, v.snap.Version(), err
 }
 
 // view is one fully resolved weight version: the snapshot itself plus
@@ -76,12 +81,15 @@ type view struct {
 	pruned *prunedTrees
 }
 
-// provider resolves a weights.Source into views, caching the current one
-// behind an atomic pointer. Cheap backends (Dijkstra, pruned) rebuild
-// synchronously on the first query that sees a new version; TreeCHAuto
-// is double-buffered: the stale view keeps serving while a single
-// background goroutine re-customizes the hierarchy, and the pointer swap
-// is atomic.
+// provider is the serving generation of one weight store: it resolves a
+// weights.Source into views, caching the current one behind an atomic
+// pointer. Cheap backends (Dijkstra, pruned) rebuild synchronously on the
+// first query that sees a new version; TreeCHAuto is double-buffered: the
+// stale view keeps serving while a single background goroutine
+// re-customizes the hierarchy, and the pointer swap is atomic. Planners
+// built together over one store share its provider (NewStudyPlanners), so
+// they serve the same version; a planner built alone owns one. A
+// superseded view is freed with the last query still holding it.
 type provider struct {
 	g       *graph.Graph
 	src     weights.Source
@@ -119,23 +127,6 @@ type provider struct {
 	// hierarchy build/customization (the per-planner histogram installed
 	// by Router.SetMetrics).
 	custObs atomic.Pointer[metrics.Histogram]
-
-	// Query-engine counters accumulated from superseded hierarchies. Each
-	// customized runtime starts its QueryStats at zero (ch.WithElimTree
-	// allocates fresh counters), so reading them off the current view alone
-	// made ElimQueries/ElimTruncated/ElimAscentNodes drop to zero on every
-	// publish swap. Instead the swap folds the outgoing view's counters
-	// into acc* and status reports acc + current view. accGen is a seqlock
-	// generation (odd while a fold+swap is in flight): hierarchyStatus
-	// retries until it observes a stable generation, so it never pairs a
-	// pre-fold accumulator with a post-swap (zeroed) runtime — the read
-	// that would make the counters go backwards. The fields are atomics
-	// only so the racing reads are well-defined; writers already serialize
-	// under p.mu.
-	accGen         atomic.Uint64
-	accQueries     atomic.Uint64
-	accTruncated   atomic.Uint64
-	accAscentNodes atomic.Uint64
 }
 
 // newProvider builds the resolver and synchronously installs the view of
@@ -176,10 +167,10 @@ func newProvider(g *graph.Graph, src weights.Source, needTrees, pruned bool, opt
 func (p *provider) view() *view {
 	cur := p.cur.Load()
 	snap := p.src.Snapshot()
-	if cur != nil && cur.snap.Version() >= snap.Version() {
+	if cur.snap.Version() >= snap.Version() {
 		return cur
 	}
-	if cur == nil || p.backend != TreeCHAuto || !p.needTrees {
+	if p.backend != TreeCHAuto || !p.needTrees {
 		return p.rebuildTo(snap)
 	}
 	p.refreshAsync()
@@ -193,13 +184,10 @@ func (p *provider) weightsVersion() weights.Version {
 }
 
 // servingVersion reports the installed view's version without touching
-// the source at all — the publish-path read behind per-generation cache
-// eviction.
+// the source at all — the passive read behind per-generation cache
+// eviction and the serving-version gauges.
 func (p *provider) servingVersion() weights.Version {
-	if v := p.cur.Load(); v != nil {
-		return v.snap.Version()
-	}
-	return 0
+	return p.cur.Load().snap.Version()
 }
 
 // hierarchyStatus reports the serving hierarchy flavor and the latency of
@@ -209,52 +197,32 @@ func (p *provider) hierarchyStatus() HierarchyStatus {
 	if p.backend != TreeCHAuto || !p.needTrees {
 		return HierarchyStatus{}
 	}
-	st := HierarchyStatus{LastCustomize: time.Duration(p.lastCustomize.Load())}
-	// Seqlock read of the accumulated + current-runtime query counters:
-	// retry while a swap's fold is in flight or completed underneath us,
-	// so the sum is always taken against one consistent (acc, view) pair
-	// and stays monotone across publishes. Never takes p.mu — a rebuild
-	// can hold it for seconds.
-	var v *view
-	var qs ch.QueryStats
-	var accQ, accT, accA uint64
-	for {
-		g1 := p.accGen.Load()
-		if g1&1 != 0 {
-			runtime.Gosched()
-			continue
-		}
-		accQ, accT, accA = p.accQueries.Load(), p.accTruncated.Load(), p.accAscentNodes.Load()
-		qs = ch.QueryStats{}
-		v = p.cur.Load()
-		if v != nil && v.hier != nil {
-			// Query-engine telemetry is a capability of the runtime, not
-			// part of the Hierarchy seam: flavors without it report nothing.
-			if qr, ok := v.hier.(interface{ QueryStats() ch.QueryStats }); ok {
-				qs = qr.QueryStats()
-			}
-		}
-		if p.accGen.Load() == g1 {
-			break
-		}
+	v := p.cur.Load()
+	st := HierarchyStatus{
+		Kind:               v.hier.Kind(),
+		Order:              p.order.String(),
+		LastCustomize:      time.Duration(p.lastCustomize.Load()),
+		LastSelection:      int(p.selStats.lastSelection.Load()),
+		LastRestricted:     p.selStats.lastRestricted.Load(),
+		LastSweep:          time.Duration(p.selStats.lastSweepNS.Load()),
+		SelectionHits:      p.selStats.selHits.Load(),
+		SelectionMisses:    p.selStats.selMisses.Load(),
+		SelectionEvictions: p.selStats.selEvictions.Load(),
+		LastUnionCells:     int(p.selStats.lastUnion.Load()),
+		LastHit:            p.selStats.lastHit.Load(),
 	}
-	if v != nil && v.hier != nil {
-		st.Kind = v.hier.Kind()
-		st.Order = p.order.String()
+	// Query-engine telemetry is a capability of the runtime, not part of
+	// the Hierarchy seam. Its counters are cumulative over the customize
+	// chain (ch.Runtime.Customize hands them on), so reading them off the
+	// serving view never goes backwards across a swap.
+	if qr, ok := v.hier.(interface{ QueryStats() ch.QueryStats }); ok {
+		qs := qr.QueryStats()
+		st.LastQueryEngine = qs.Engine
+		st.ElimQueries = qs.Queries
+		st.ElimTruncated = qs.Truncated
+		st.ElimAscentNodes = qs.AscentNodes
+		st.LastAscent = qs.LastAscent
 	}
-	st.LastQueryEngine = qs.Engine
-	st.ElimQueries = accQ + qs.Queries
-	st.ElimTruncated = accT + qs.Truncated
-	st.ElimAscentNodes = accA + qs.AscentNodes
-	st.LastAscent = qs.LastAscent
-	st.LastSelection = int(p.selStats.lastSelection.Load())
-	st.LastRestricted = p.selStats.lastRestricted.Load()
-	st.LastSweep = time.Duration(p.selStats.lastSweepNS.Load())
-	st.SelectionHits = p.selStats.selHits.Load()
-	st.SelectionMisses = p.selStats.selMisses.Load()
-	st.SelectionEvictions = p.selStats.selEvictions.Load()
-	st.LastUnionCells = int(p.selStats.lastUnion.Load())
-	st.LastHit = p.selStats.lastHit.Load()
 	return st
 }
 
@@ -279,30 +247,8 @@ func (p *provider) rebuildTo(snap *weights.Snapshot) *view {
 		return cur
 	}
 	v := p.buildView(snap, cur)
-	p.installView(v, cur)
-	return v
-}
-
-// installView swings the view pointer, folding the outgoing runtime's
-// query counters into the provider accumulators first so
-// hierarchyStatus stays monotone across the swap. The odd/even accGen
-// window makes fold+swap atomic for seqlock readers; it spans only this
-// function (buildView runs outside it), so readers spin briefly at
-// worst. Queries still draining on the old view after the fold add to
-// counters nobody reads again — a bounded undercount, never a
-// backwards step. Caller holds p.mu.
-func (p *provider) installView(v, old *view) {
-	p.accGen.Add(1)
-	if old != nil && old.hier != nil {
-		if qr, ok := old.hier.(interface{ QueryStats() ch.QueryStats }); ok {
-			qs := qr.QueryStats()
-			p.accQueries.Add(qs.Queries)
-			p.accTruncated.Add(qs.Truncated)
-			p.accAscentNodes.Add(qs.AscentNodes)
-		}
-	}
 	p.cur.Store(v)
-	p.accGen.Add(1)
+	return v
 }
 
 // refreshAsync starts (at most one) background rebuild toward the

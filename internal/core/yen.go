@@ -18,8 +18,8 @@ import (
 // observation (its route sets score far higher Sim(T) than any of the
 // four studied techniques) and as a correctness oracle in tests.
 type Yen struct {
+	versioned
 	g    *graph.Graph
-	src  weights.Source
 	opts Options
 }
 
@@ -27,24 +27,15 @@ type Yen struct {
 // pins the graph's base travel-time weights).
 func NewYen(g *graph.Graph, opts Options) *Yen {
 	o := opts.withDefaults()
-	return &Yen{g: g, src: resolveSource(g, o.Weights), opts: o}
+	return &Yen{versioned: versioned{newProvider(g, o.Weights, false, false, o)}, g: g, opts: o}
 }
 
 // Name implements Planner.
 func (y *Yen) Name() string { return "Yen" }
 
-// WeightsVersion implements VersionedPlanner.
-func (y *Yen) WeightsVersion() weights.Version { return y.src.Snapshot().Version() }
-
-func (y *Yen) weightsSource() weights.Source { return y.src }
-
-// AlternativesVersioned implements VersionedPlanner: the snapshot is
-// resolved exactly once, so the reported version always matches the
-// weights the routes were computed under, even when a publish races.
+// AlternativesVersioned implements VersionedPlanner.
 func (y *Yen) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error) {
-	snap := y.src.Snapshot()
-	routes, err := y.alternatives(snap.Weights(), s, t)
-	return routes, snap.Version(), err
+	return answer(y, s, t)
 }
 
 // candidateHeap orders candidate paths by travel time.
@@ -65,11 +56,12 @@ func (h *candidateHeap) Pop() any {
 // Alternatives implements Planner. It returns the K shortest loopless
 // paths in ascending travel-time order.
 func (y *Yen) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	routes, _, err := y.AlternativesVersioned(s, t)
+	routes, _, err := answer(y, s, t)
 	return routes, err
 }
 
-func (y *Yen) alternatives(base []float64, s, t graph.NodeID) ([]path.Path, error) {
+func (y *Yen) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error) {
+	base := v.snap.Weights()
 	if err := validateQuery(y.g, s, t); err != nil {
 		return nil, err
 	}

@@ -49,7 +49,9 @@ type City struct {
 	// Seq is the deterministic rush-hour producer feeding TrafficStore.
 	Seq *traffic.Sequence
 	// Planners in Table I column order: GMaps, Plateaus, Dissimilarity,
-	// Penalty.
+	// Penalty. NewCityOpts builds them with core.NewStudyPlanners, so the
+	// three public-metric planners share one weight provider and every
+	// RunPlanners answer reports one public version.
 	Planners [NumApproaches]core.Planner
 	// Router is the serving layer: it owns the engine (with its versioned
 	// result cache), subscribes to both stores, and swaps planner weight
@@ -57,10 +59,10 @@ type City struct {
 	// process-wide engine, so hand-assembled Cities keep working.
 	Router *core.Router
 	// Matrix is the many-to-many engine behind POST /api/matrix and the
-	// matrix ablations. It shares the Plateaus planner's weight provider
-	// (same hierarchy, same versions, same selection cache), so matrix
-	// responses and point-to-point answers can never disagree on the
-	// serving snapshot. Nil on hand-assembled Cities.
+	// matrix ablations. It shares the public-metric planners' weight
+	// provider through Plateaus (same hierarchy, same versions, same
+	// selection cache), so matrix responses and point-to-point answers
+	// serve the same generation. Nil on hand-assembled Cities.
 	Matrix *core.MatrixEngine
 	// Ingest is the telemetry ingest path behind POST /api/observations:
 	// streamed per-edge observations (observed speeds, incident closures)
@@ -125,19 +127,10 @@ func NewCityOpts(profile citygen.Profile, seed int64, opts core.Options) (*City,
 		TrafficStore: weights.NewStore(tw),
 		Seq:          seq,
 	}
-	popts := opts
-	popts.Weights = c.PublicStore
-	topts := opts
-	topts.Weights = c.TrafficStore
-	plateaus := core.NewPlateaus(g, popts)
-	c.Planners = [NumApproaches]core.Planner{
-		core.NewCommercial(g, nil, topts),
-		plateaus,
-		core.NewDissimilarity(g, popts),
-		core.NewPenalty(g, popts),
-	}
+	opts.Weights = c.PublicStore
+	c.Planners = core.NewStudyPlanners(g, opts, c.TrafficStore)
 	c.Router = core.NewRouter(core.NewEngine(0), c.Planners[:], c.PublicStore, c.TrafficStore)
-	c.Matrix = core.NewMatrixEngineFor(plateaus, c.Router.Engine())
+	c.Matrix = core.NewMatrixEngineFor(c.Planners[1].(*core.Plateaus), c.Router.Engine())
 	c.Ingest = telemetry.NewIngestor(c.TrafficStore, tw, telemetry.Config{})
 	return c, nil
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"testing"
 )
 
@@ -47,7 +49,9 @@ func TestTrafficStatusEndpoint(t *testing.T) {
 }
 
 func TestPublishAdvancesTrafficAndBans(t *testing.T) {
-	ts := newTestServer(t, "")
+	cities := testCities(t)
+	ts := httptest.NewServer(New(cities, ""))
+	t.Cleanup(ts.Close)
 
 	var st trafficStatus
 	res := postJSON(t, ts.URL+"/api/publish?city=Copenhagen", &st)
@@ -74,6 +78,17 @@ func TestPublishAdvancesTrafficAndBans(t *testing.T) {
 		t.Fatalf("after ban+step: %+v, want public v2, traffic v4", st)
 	}
 
+	// /api/traffic reads serving versions passively; once the swaps have
+	// landed, every planner serves its store's latest snapshot.
+	cities["Copenhagen"].Router.Sync()
+	if res := getJSON(t, ts.URL+"/api/traffic?city=Copenhagen", &st); res.StatusCode != http.StatusOK {
+		t.Fatalf("traffic status = %d", res.StatusCode)
+	}
+	want := []uint64{st.TrafficVersion, st.PublicVersion, st.PublicVersion, st.PublicVersion}
+	if !slices.Equal(st.Planners, want) {
+		t.Fatalf("planner versions after Sync = %v, want %v (GMaps on traffic, B-D on public)", st.Planners, want)
+	}
+
 	// Routes still answer after the swaps, and report their versions.
 	var rr struct {
 		Approaches []struct {
@@ -81,7 +96,7 @@ func TestPublishAdvancesTrafficAndBans(t *testing.T) {
 			WeightVersion uint64 `json:"weightVersion"`
 		} `json:"approaches"`
 	}
-	bb := testCities(t)["Copenhagen"].Graph.BBox()
+	bb := cities["Copenhagen"].Graph.BBox()
 	res = getJSON(t, ts.URL+fmt.Sprintf("/api/routes?city=Copenhagen&s=%f,%f&t=%f,%f",
 		bb.MinLat, bb.MinLon, bb.MaxLat, bb.MaxLon), &rr)
 	if res.StatusCode != http.StatusOK {

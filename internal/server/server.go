@@ -409,7 +409,9 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	s.writeTrafficStatus(w, q.Get("city"), c)
 }
 
-// handleTraffic reports the live-traffic state of one city.
+// handleTraffic reports the live-traffic state of one city: step, store
+// versions, closures, and the version each planner currently serves —
+// read passively, so a GET never triggers a rebuild.
 func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("city")
 	c, ok := s.cities[name]
@@ -443,7 +445,7 @@ func (s *Server) writeTrafficStatus(w http.ResponseWriter, name string, c *eval.
 	}
 	sort.Ints(out.BannedEdges)
 	if c.Router != nil {
-		for _, v := range c.Router.Versions() {
+		for _, v := range c.Router.ServingVersions() {
 			out.Planners = append(out.Planners, uint64(v))
 		}
 	}
@@ -460,8 +462,8 @@ func (s *Server) writeTrafficStatus(w http.ResponseWriter, name string, c *eval.
 // B=cch(2.3ms)[full sweep 310µs]"; empty when no approach runs a
 // hierarchy. Flavors running the elimination-tree query engine append a
 // "[q=elimtree asc N trunc P%]" block: the last point-to-point ascent's
-// settled-node count and the cumulative share of ascents the incumbent
-// bound truncated early (since the last weight publish).
+// settled-node count and the share of ascents the incumbent bound
+// truncated early, cumulative over the planner's lifetime.
 func formatHierarchies(statuses []core.HierarchyStatus) string {
 	var sb strings.Builder
 	for i, st := range statuses {
