@@ -61,13 +61,6 @@ type TreeBuilder struct {
 	// read only on improvement.
 	fwdEnds []arcEnds
 	bwdEnds []arcEnds
-	// scratch pools the rank-space dist/parent arrays, so concurrent
-	// queries stay allocation-free after warm-up.
-	scratch sync.Pool
-	// selScratch pools the position-space mark arrays of RPHAST target
-	// selections (rphast.go), so concurrent Select calls stay
-	// allocation-free after warm-up too.
-	selScratch sync.Pool
 }
 
 // downArc is one packed CSR record: the position of the arc's
@@ -88,9 +81,21 @@ type sweepScratch struct {
 	parent []graph.EdgeID
 }
 
+// sweepPool pools the rank-space scratch of tree builds, so concurrent
+// queries stay allocation-free after warm-up. It is package-level, shared
+// by every builder (each build sizes its scratch to its graph): a pool
+// registers with the runtime, which would keep a per-builder pool — and
+// with it the builder of a superseded weight version — reachable until
+// two garbage collections have passed.
+var sweepPool = sync.Pool{New: func() any { return new(sweepScratch) }}
+
 // initFor resets the scratch for a build over n positions rooted at
 // position rootPos and returns the working views.
 func (sc *sweepScratch) initFor(n int, rootPos int32) ([]float64, []graph.EdgeID) {
+	if len(sc.dist) < n {
+		sc.dist = make([]float64, n)
+		sc.parent = make([]graph.EdgeID, n)
+	}
 	distR, parentR := sc.dist[:n], sc.parent[:n]
 	inf := math.Inf(1)
 	for i := range distR {
@@ -217,10 +222,6 @@ func (h *Runtime) NewTreeBuilder() *TreeBuilder {
 			k++
 		}
 	}
-	tb.scratch.New = func() any {
-		return &sweepScratch{dist: make([]float64, n), parent: make([]graph.EdgeID, n)}
-	}
-	tb.selScratch.New = func() any { return &selectScratch{mark: make([]bool, n)} }
 	return tb
 }
 
@@ -261,7 +262,7 @@ func (tb *TreeBuilder) BuildTreeInto(ws *sp.Workspace, root graph.NodeID, dir sp
 	}
 	useLast := dir == sp.Forward
 
-	sc := tb.scratch.Get().(*sweepScratch)
+	sc := sweepPool.Get().(*sweepScratch)
 	distR, parentR := sc.initFor(n, tb.pos[root])
 
 	// Phase 1, the upward search.
@@ -301,7 +302,7 @@ func (tb *TreeBuilder) BuildTreeInto(ws *sp.Workspace, root graph.NodeID, dir sp
 		dist[v] = distR[i]
 		parent[v] = parentR[i]
 	}
-	tb.scratch.Put(sc)
+	sweepPool.Put(sc)
 	t.Root, t.Dir = root, dir
 	t.Dist, t.Parent = dist, parent
 	return t

@@ -3,7 +3,9 @@ package ch_test
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/cch"
 	"repro/internal/ch"
@@ -218,5 +220,25 @@ func BenchmarkTreeDijkstraGrid40(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp.BuildTreeInto(ws, g, w, 0, sp.Forward)
+	}
+}
+
+// TestTreeBuilderCollectableAfterOneGC pins that the scratch pools keep no
+// builder alive: serving supersedes a builder on every weight publish, and
+// the first garbage collection after its last use must free it. (A pool
+// owned by the builder would stay registered with the runtime, and the
+// builder reachable, until a second collection.)
+func TestTreeBuilderCollectableAfterOneGC(t *testing.T) {
+	g := gridCity(8, 8)
+	tb := cch.BuildWith(g, g.BaseWeights(), cch.Config{}).NewTreeBuilder()
+	ws := sp.GetWorkspace()
+	tb.BuildTreeInto(ws, 0, sp.Forward)
+	sel := tb.Select([]graph.NodeID{5, 9, 30}, nil)
+	tb.BuildTreeRestrictedInto(ws, 0, sp.Backward, sel)
+	ws.Release()
+	ref := weak.Make(tb)
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Fatal("a builder used for full and restricted sweeps survived a collection after its last use")
 	}
 }

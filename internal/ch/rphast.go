@@ -2,6 +2,7 @@ package ch
 
 import (
 	"math"
+	"sync"
 	"unsafe"
 
 	"repro/internal/graph"
@@ -64,6 +65,10 @@ type restrictedCSR struct {
 
 // selectScratch is the pooled mark array of the selection passes.
 type selectScratch struct{ mark []bool }
+
+// selectPool pools the position-space mark arrays of the selection
+// passes, package-level for the reason given at sweepPool.
+var selectPool = sync.Pool{New: func() any { return new(selectScratch) }}
 
 // Targets returns the number of distinct target nodes the selection was
 // built for.
@@ -131,12 +136,15 @@ func (sel *Selection) resetCovered(n int) {
 // deduplicated.
 func (tb *TreeBuilder) Select(targets []graph.NodeID, reuse *Selection) *Selection {
 	sel := selectionFor(tb, reuse)
-	sc := tb.selScratch.Get().(*selectScratch)
+	sc := selectPool.Get().(*selectScratch)
+	if len(sc.mark) < tb.n {
+		sc.mark = make([]bool, tb.n)
+	}
 	sel.targets = tb.markTargets(targets, sc.mark, sel.covered)
 	sel.fwd.closeAndEmit(tb, tb.fwdOff, tb.fwdArcs, tb.fwdEnds, sc.mark)
 	tb.markTargets(targets, sc.mark, sel.covered)
 	sel.bwd.closeAndEmit(tb, tb.bwdOff, tb.bwdArcs, tb.bwdEnds, sc.mark)
-	tb.selScratch.Put(sc)
+	selectPool.Put(sc)
 	return sel
 }
 
@@ -149,7 +157,10 @@ func (tb *TreeBuilder) Select(targets []graph.NodeID, reuse *Selection) *Selecti
 // like Select's target slice, and reuse semantics are identical.
 func (tb *TreeBuilder) SelectUnion(groups [][]graph.NodeID, reuse *Selection) *Selection {
 	sel := selectionFor(tb, reuse)
-	sc := tb.selScratch.Get().(*selectScratch)
+	sc := selectPool.Get().(*selectScratch)
+	if len(sc.mark) < tb.n {
+		sc.mark = make([]bool, tb.n)
+	}
 	distinct := 0
 	for _, g := range groups {
 		distinct += tb.markTargets(g, sc.mark, sel.covered)
@@ -160,7 +171,7 @@ func (tb *TreeBuilder) SelectUnion(groups [][]graph.NodeID, reuse *Selection) *S
 		tb.markTargets(g, sc.mark, sel.covered)
 	}
 	sel.bwd.closeAndEmit(tb, tb.bwdOff, tb.bwdArcs, tb.bwdEnds, sc.mark)
-	tb.selScratch.Put(sc)
+	selectPool.Put(sc)
 	return sel
 }
 
@@ -258,7 +269,7 @@ func (tb *TreeBuilder) BuildTreeRestrictedInto(ws *sp.Workspace, root graph.Node
 	}
 	useLast := dir == sp.Forward
 
-	sc := tb.scratch.Get().(*sweepScratch)
+	sc := sweepPool.Get().(*sweepScratch)
 	distR, parentR := sc.initFor(n, tb.pos[root])
 
 	// Phase 1, the upward search — identical to the full build.
@@ -309,7 +320,7 @@ func (tb *TreeBuilder) BuildTreeRestrictedInto(ws *sp.Workspace, root graph.Node
 		dist[v] = distR[i]
 		parent[v] = parentR[i]
 	}
-	tb.scratch.Put(sc)
+	sweepPool.Put(sc)
 	// The root's distance is 0 by definition even when the caller's
 	// target set (unusually) excludes it.
 	dist[root] = 0

@@ -39,8 +39,9 @@ func withAutoFraction(t testing.TB, f float64) {
 const mixedAutoFraction = 0.8
 
 // sweepTally wraps a planner and counts, per answered query, whether its
-// trees came from restricted or full sweeps (HierarchyStatus read right
-// after the query, so callers must query serially).
+// trees came from restricted or full sweeps (its provider's status read
+// right after the query, so callers must query serially). Planners whose
+// provider builds no trees (Penalty) are not counted.
 type sweepTally struct {
 	Planner
 	restricted, full *int
@@ -48,8 +49,8 @@ type sweepTally struct {
 
 func (s sweepTally) Alternatives(src, dst graph.NodeID) ([]path.Path, error) {
 	routes, err := s.Planner.Alternatives(src, dst)
-	if hr, ok := s.Planner.(hierarchyReporter); ok && err == nil {
-		if hr.HierarchyStatus().LastRestricted {
+	if pp, ok := s.Planner.(pinnedPlanner); ok && pp.source().needTrees && err == nil {
+		if pp.source().hierarchyStatus().LastRestricted {
 			*s.restricted++
 		} else {
 			*s.full++
@@ -133,6 +134,8 @@ func TestBackendMatrix(t *testing.T) {
 	for seed := int64(500); seed < 503; seed++ {
 		nets = append(nets, randomPlanarNetwork(seed, 12, 12))
 	}
+	// Tallied per row and planner, so every tree-building planner —
+	// Dissimilarity included — must run the sweeps its row names.
 	type tally struct {
 		mode             string
 		restricted, full int
@@ -147,11 +150,15 @@ func TestBackendMatrix(t *testing.T) {
 				row := sw.name + "/" + fl.name
 				withAutoFraction(t, sw.fraction)
 				other := mk(g, snap, Options{TreeBackend: TreeCHAuto, Hierarchy: fl.hkind, Order: fl.order, Query: fl.query})
-				if tallies[row] == nil {
-					tallies[row] = &tally{mode: sw.name}
-				}
-				tl := tallies[row]
 				for i, pl := range other {
+					if plannerNames[i] == "Penalty" {
+						continue
+					}
+					key := row + "/" + plannerNames[i]
+					if tallies[key] == nil {
+						tallies[key] = &tally{mode: sw.name}
+					}
+					tl := tallies[key]
 					other[i] = sweepTally{Planner: pl, restricted: &tl.restricted, full: &tl.full}
 				}
 				for i := range baseline {

@@ -84,13 +84,13 @@ type Options struct {
 	PenaltyFactor float64
 	// Theta is the Dissimilarity admission threshold (default 0.5).
 	Theta float64
-	// TreeBackend selects how the choice-routing planners (Plateaus,
-	// Commercial, PrunedPlateaus) build their shortest-path trees: full
-	// Dijkstra searches (TreeDijkstra, the default, matching the paper's
-	// description) or sweeps over a customizable contraction hierarchy
-	// that restrict to the query's ellipse while it is small (TreeCHAuto,
-	// the §II-B optimisation commercial engines apply). Both backends
-	// produce identical route sets; TreeCHAuto trades a one-off
+	// TreeBackend selects how the tree-source planners (Plateaus,
+	// Commercial, PrunedPlateaus, Dissimilarity) build their shortest-path
+	// trees: full Dijkstra searches (TreeDijkstra, the default, matching
+	// the paper's description) or sweeps over a customizable contraction
+	// hierarchy that restrict to the query's ellipse while it is small
+	// (TreeCHAuto, the §II-B optimisation commercial engines apply). Both
+	// backends produce identical route sets; TreeCHAuto trades a one-off
 	// preprocessing at planner construction for much cheaper queries.
 	TreeBackend TreeBackend
 	// Hierarchy selects the customizable-hierarchy flavor behind

@@ -18,9 +18,9 @@ import (
 	"repro/internal/weights"
 )
 
-// TreeBackend selects how the choice-routing planners (Plateaus,
-// Commercial, PrunedPlateaus) obtain the forward/backward shortest-path
-// trees their plateau join consumes.
+// TreeBackend selects how the tree-source planners (Plateaus, Commercial,
+// PrunedPlateaus and Dissimilarity) obtain the forward/backward
+// shortest-path trees their plateau join or via-node scan consumes.
 type TreeBackend uint8
 
 const (
@@ -323,10 +323,14 @@ type restrictedTrees struct {
 	// geometric bound exists (zero-length edges): every query sweeps the
 	// whole graph, no per-query state.
 	fullAll *selEntry
-	// scratch pools the per-query cell/target buffers (*selBuf), keeping
-	// the warm lookup path allocation-free.
-	scratch sync.Pool
 }
+
+// selBufPool pools the per-query cell/target buffers of the
+// selection-cache path, keeping the warm lookup allocation-free. It is
+// package-level: a pool inside restrictedTrees would, through the
+// runtime's registry of pools, keep a superseded version's source and its
+// cached selections reachable until two garbage collections have passed.
+var selBufPool = sync.Pool{New: func() any { return new(selBuf) }}
 
 // selBuf is the pooled per-query scratch of the selection-cache path.
 type selBuf struct {
@@ -348,7 +352,6 @@ func newRestrictedTrees(g *graph.Graph, hier ch.Hierarchy, weights []float64, up
 		cache:      newSelectionCache(selectionCacheBytes, stats),
 		fullAll:    &selEntry{full: true, targets: g.NumNodes()},
 	}
-	r.scratch.New = func() any { return new(selBuf) }
 	return r
 }
 
@@ -402,7 +405,7 @@ func (r *restrictedTrees) entryForPair(s, t graph.NodeID, fastest float64) *selE
 	}
 	budget := r.upperBound * fastest / r.scale
 	sPt, tPt := r.g.Point(s), r.g.Point(t)
-	sb := r.scratch.Get().(*selBuf)
+	sb := selBufPool.Get().(*selBuf)
 	cells := r.grid.EllipseCells(sPt, tPt, budget, r.lb, sb.cells)
 	// The endpoints' cells satisfy the bound analytically; keep them in
 	// the signature even under adversarial float rounding.
@@ -410,7 +413,7 @@ func (r *restrictedTrees) entryForPair(s, t graph.NodeID, fastest float64) *selE
 	cells = insertCellSorted(cells, int32(r.grid.CellOf(tPt)))
 	sb.cells = cells
 	e, _ := r.entryForCells(sb, s, t)
-	r.scratch.Put(sb)
+	selBufPool.Put(sb)
 	return e
 }
 
@@ -420,14 +423,14 @@ func (r *restrictedTrees) entryForPair(s, t graph.NodeID, fastest float64) *selE
 // batch and every batch hitting the same cells. hit reports whether the
 // entry came out of the cache.
 func (r *restrictedTrees) selectTargets(targets []graph.NodeID) (e *selEntry, hit bool) {
-	sb := r.scratch.Get().(*selBuf)
+	sb := selBufPool.Get().(*selBuf)
 	cells := sb.cells[:0]
 	for _, t := range targets {
 		cells = insertCellSorted(cells, int32(r.grid.CellOf(r.g.Point(t))))
 	}
 	sb.cells = cells
 	e, hit = r.entryForCells(sb, targets...)
-	r.scratch.Put(sb)
+	selBufPool.Put(sb)
 	return e, hit
 }
 

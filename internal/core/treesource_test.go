@@ -2,11 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/graph"
 	"repro/internal/path"
+	"repro/internal/sp"
 	"repro/internal/traffic"
 )
 
@@ -121,4 +124,28 @@ func TestEngineDrivesCHAndPrunedPlanners(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
+}
+
+// TestRestrictedTreesCollectableAfterOneGC pins that a superseded
+// version's restricted source — its builder and cached selections — is
+// freed by the first garbage collection after its last query.
+func TestRestrictedTreesCollectableAfterOneGC(t *testing.T) {
+	withAutoFraction(t, 1)
+	g := randomPlanarNetwork(3, 12, 12)
+	pl := NewPlateaus(g, Options{TreeBackend: TreeCHAuto})
+	v := pl.prov.view()
+	r := newRestrictedTrees(g, v.hier, v.snap.Weights(), pl.opts.UpperBound, g.NumNodes(), &selectionStats{}, pl.prov.grid)
+	ws := sp.GetWorkspace()
+	if _, _, ok := r.BuildTrees(ws, 0, graph.NodeID(g.NumNodes()-1)); !ok {
+		t.Fatal("corner-to-corner query unreachable")
+	}
+	ws.Release()
+	if st := r.stats; st.selMisses.Load() != 1 || !st.lastRestricted.Load() {
+		t.Fatalf("query ran no restricted selection (misses %d)", st.selMisses.Load())
+	}
+	ref := weak.Make(r)
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Fatal("a restricted source survived a collection after its last query")
+	}
 }
