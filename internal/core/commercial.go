@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/path"
@@ -136,6 +137,7 @@ func (c *Commercial) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, er
 	type scored struct {
 		p     path.Path // timed under private weights during selection
 		score float64
+		sim   float64 // largest Jaccard similarity to a selected route
 	}
 	var pool []scored
 	buf := ws.PathBuf()
@@ -179,28 +181,37 @@ func (c *Commercial) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, er
 	// repeatedly the candidate with the best similarity-inflated score —
 	// overlap with already-picked routes makes a candidate less
 	// attractive, and near-duplicates (above the pairwise cutoff) are
-	// excluded outright.
+	// excluded outright. The selected set only grows, so a candidate's
+	// largest similarity to it is kept running and compared only against
+	// the latest pick.
+	seg := segPool.Get().(*segScratch)
+	defer segPool.Put(seg)
 	selected := []path.Path{pool[0].p}
 	remaining := pool[1:]
-	for len(selected) < c.opts.K {
+	for last := pool[0].p; len(selected) < c.opts.K; {
+		seg.setRoute(c.g, last)
 		bestIdx := -1
 		bestEff := math.Inf(1)
 		for i := range remaining {
-			if remaining[i].p.Edges == nil {
+			r := &remaining[i]
+			if r.p.Edges == nil {
 				continue
 			}
-			sim := path.MaxSimilarityTo(c.g, remaining[i].p, selected)
-			if sim > c.maxPairwise {
+			if sim := seg.jaccard(c.g, r.p); sim > r.sim {
+				r.sim = sim
+			}
+			if r.sim > c.maxPairwise {
 				continue
 			}
-			if eff := remaining[i].score * (1 + c.diversityBias*sim); eff < bestEff {
+			if eff := r.score * (1 + c.diversityBias*r.sim); eff < bestEff {
 				bestEff, bestIdx = eff, i
 			}
 		}
 		if bestIdx < 0 {
 			break
 		}
-		selected = append(selected, remaining[bestIdx].p)
+		last = remaining[bestIdx].p
+		selected = append(selected, last)
 		remaining[bestIdx].p.Edges = nil // consumed
 	}
 	// Report with public (OSM) travel times, as the study's query
@@ -210,6 +221,95 @@ func (c *Commercial) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, er
 		out[i] = path.MustNew(c.g, c.public, s, p.Edges)
 	}
 	return out, nil
+}
+
+// segScratch is the reusable state of Commercial's similarity checks:
+// path.Jaccard against one route, with path.Overlap's map of road
+// segments replaced by epoch-stamped edges — a segment is a node pair,
+// either direction, parallel edges included, as dissimScratch.markSegment
+// stamps it. Pooled at package level for the reason given at selBufPool.
+type segScratch struct {
+	// mark[e].epoch == epoch: e's segment lies on the path being compared,
+	// whose first edge on it is mark[e].lenM long.
+	mark  []segMark
+	epoch uint32
+	// routeM is the length of the route compared against; first holds its
+	// first edge on each of its segments, in route order.
+	routeM float64
+	first  []graph.EdgeID
+}
+
+type segMark struct {
+	epoch uint32
+	lenM  float64
+}
+
+var segPool = sync.Pool{New: func() any { return new(segScratch) }}
+
+// nextEpoch opens a fresh epoch over g's edges.
+func (sc *segScratch) nextEpoch(g *graph.Graph) {
+	sc.mark = grow(sc.mark, g.NumEdges())
+	if sc.epoch++; sc.epoch == 0 {
+		clear(sc.mark)
+		sc.epoch = 1
+	}
+}
+
+// stamp marks every edge of e's segment with lenM unless the segment is
+// marked already, and reports whether it was not.
+func (sc *segScratch) stamp(g *graph.Graph, e graph.EdgeID, lenM float64) bool {
+	if sc.mark[e].epoch == sc.epoch {
+		return false
+	}
+	ed := g.Edge(e)
+	sc.markSegment(g, ed.From, ed.To, lenM)
+	sc.markSegment(g, ed.To, ed.From, lenM)
+	return true
+}
+
+// markSegment stamps every edge u→v.
+func (sc *segScratch) markSegment(g *graph.Graph, u, v graph.NodeID, lenM float64) {
+	heads := g.OutHeads(u)
+	for i, e := range g.OutEdges(u) {
+		if heads[i] == v {
+			sc.mark[e] = segMark{sc.epoch, lenM}
+		}
+	}
+}
+
+// setRoute makes b the route later jaccard calls compare against.
+func (sc *segScratch) setRoute(g *graph.Graph, b path.Path) {
+	sc.nextEpoch(g)
+	sc.routeM = b.LengthM
+	sc.first = sc.first[:0]
+	for _, e := range b.Edges {
+		if sc.stamp(g, e, 0) {
+			sc.first = append(sc.first, e)
+		}
+	}
+}
+
+// jaccard returns path.Jaccard(g, a, route) bit for bit: a's segments are
+// stamped with the length of a's first edge on each, the intersection is
+// summed over the route's first edges in route order, as path.Overlap
+// sums it, and the two lengths are the paths' LengthM — path.New's sums in
+// edge order, which are Overlap's.
+func (sc *segScratch) jaccard(g *graph.Graph, a path.Path) float64 {
+	sc.nextEpoch(g)
+	for _, e := range a.Edges {
+		sc.stamp(g, e, g.Edge(e).LengthM)
+	}
+	var inter float64
+	for _, e := range sc.first {
+		if m := sc.mark[e]; m.epoch == sc.epoch {
+			inter += m.lenM
+		}
+	}
+	union := a.LengthM + sc.routeM - inter
+	if union <= 0 {
+		return 0
+	}
+	return inter / union
 }
 
 // score is the provider's goodness function: private travel time inflated

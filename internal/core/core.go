@@ -169,10 +169,12 @@ func (o Options) withDefaults() Options {
 // order: GMaps (Commercial), Plateaus, Dissimilarity, Penalty.
 // Commercial plans on private (its traffic metric; must not be nil); the
 // other three plan on Options.Weights through one shared provider, so
-// every batch the engine answers reports one version for all three.
-// Building them separately would give each its own provider, and a
-// double-buffered Plateaus could then answer one response a version
-// behind Dissimilarity and Penalty.
+// every batch the engine answers reports one version for all three, and
+// within a batch Plateaus and Dissimilarity build one tree pair per query
+// between them (see Engine.AlternativesBatch). Building them separately
+// would give each its own provider: a double-buffered Plateaus could then
+// answer one response a version behind Dissimilarity and Penalty, and the
+// two tree users would each build their own pair.
 func NewStudyPlanners(g *graph.Graph, opts Options, private weights.Source) [4]Planner {
 	copts := opts
 	copts.Weights = private

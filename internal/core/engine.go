@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/path"
+	"repro/internal/sp"
 	"repro/internal/weights"
 )
 
@@ -23,6 +24,12 @@ import (
 // used through an Engine must be safe for concurrent use — every planner
 // in this package is (PrunedPlateaus records its per-query instrumentation
 // through atomics).
+//
+// The only state that spans jobs is request-scoped: within one batch, the
+// jobs that run on the same pinned view for the same (s, t) — the study
+// set's Plateaus and Dissimilarity on the public provider — share one
+// forward/backward tree pair, built once by whichever needs it first and
+// released when the last of them finishes (see AlternativesBatch).
 //
 // With SetCache the engine additionally memoizes answers keyed by
 // (planner, weight version, s, t): under live traffic the same hot
@@ -158,17 +165,35 @@ type Result struct {
 // job, cache lookup and cache store runs on that view: planners sharing a
 // provider answer the whole batch under one snapshot version, however
 // publishes race it.
+//
+// Jobs on one pinned view with the same (s, t) — in the study set
+// Plateaus, Dissimilarity and Penalty — also share one tree pair. The
+// first of them to miss the result cache installs a batch-local copy of
+// the view whose TreeSource builds the pair once, into a workspace of its
+// own; a job asking for the trees while they are being built waits for
+// them. Both tree consumers only read the trees, and they are the output
+// of one deterministic call on the same inputs, so every route is what
+// the job would have computed alone, ties included. A build that panics
+// fails only its own job; the others then build their own trees. The
+// last job of the group to finish releases the pair, so a batch of many
+// queries holds a pair only while some job of its query runs, and a group
+// whose jobs all hit the cache never builds one.
 func (e *Engine) AlternativesBatch(jobs []Job) []Result {
 	results := make([]Result, len(jobs))
-	views := pinViews(jobs)
+	e.runBatch(jobs, pinSlots(jobs), results)
+	return results
+}
+
+// runBatch answers jobs[i] into results[i] on slots[i].
+func (e *Engine) runBatch(jobs []Job, slots []batchSlot, results []Result) {
 	if len(jobs) == 1 {
 		// A singleton batch runs inline — no goroutine handoff on the
 		// latency-critical single-query path — but still under the
 		// semaphore so the worker bound holds across concurrent callers.
 		e.sem <- struct{}{}
-		e.runJob(&jobs[0], views[0], &results[0])
+		e.runJob(&jobs[0], &slots[0], &results[0])
 		<-e.sem
-		return results
+		return
 	}
 	var wg sync.WaitGroup
 	for i := range jobs {
@@ -176,21 +201,48 @@ func (e *Engine) AlternativesBatch(jobs []Job) []Result {
 		wg.Add(1)
 		go func(i int) {
 			defer func() {
+				slots[i].finish()
 				<-e.sem
 				wg.Done()
 			}()
-			e.runJob(&jobs[i], views[i], &results[i])
+			e.runJob(&jobs[i], &slots[i], &results[i])
 		}(i)
 	}
 	wg.Wait()
-	return results
 }
 
-// pinViews resolves the view each job runs on: one per distinct provider,
-// shared by every job on it (nil for planners from outside this package).
-func pinViews(jobs []Job) []*view {
-	views := make([]*view, len(jobs))
-	var pinned map[*provider]*view
+// batchSlot is one job's place in a batch: the view it is pinned to and,
+// when other jobs of the batch share that view and its (s, t), the group
+// whose tree pair they share.
+type batchSlot struct {
+	v *view
+	// group points at the state held in the slot of the group's first job
+	// (own); nil when no other job shares the view and the pair.
+	group *pairGroup
+	own   pairGroup
+}
+
+// pairGroup is the request-scoped tree pair of the jobs sharing one
+// (view, s, t).
+type pairGroup struct {
+	pending atomic.Int32 // jobs of the group still running
+	trees   atomic.Pointer[sharedTrees]
+}
+
+// pairKey identifies a group: a pinned view and a query.
+type pairKey struct {
+	v    *view
+	s, t graph.NodeID
+}
+
+// pinSlots resolves the view each job runs on — one per distinct provider,
+// shared by every job on it (nil for planners from outside this package)
+// — and groups the jobs that share a view with trees and an (s, t). Both
+// maps stay on the stack for a request-sized batch.
+func pinSlots(jobs []Job) []batchSlot {
+	slots := make([]batchSlot, len(jobs))
+	pinned := make(map[*provider]*view, 2)
+	leads := make(map[pairKey]int, 8)
 	for i := range jobs {
 		pl, ok := jobs[i].Planner.(pinnedPlanner)
 		if !ok {
@@ -199,15 +251,107 @@ func pinViews(jobs []Job) []*view {
 		prov := pl.source()
 		v, ok := pinned[prov]
 		if !ok {
-			if pinned == nil {
-				pinned = make(map[*provider]*view, 2)
-			}
 			v = prov.view()
 			pinned[prov] = v
 		}
-		views[i] = v
+		slots[i].v = v
+		if v.trees == nil {
+			continue
+		}
+		key := pairKey{v, jobs[i].S, jobs[i].T}
+		lead, ok := leads[key]
+		if !ok {
+			leads[key] = i
+			continue
+		}
+		g := &slots[lead].own
+		if slots[lead].group == nil {
+			slots[lead].group = g
+			g.pending.Store(1)
+		}
+		g.pending.Add(1)
+		slots[i].group = g
 	}
-	return views
+	return slots
+}
+
+// planView returns the view the slot's job plans on: the pinned view, or
+// in a group the group's copy whose trees build once, installed by the
+// first job of the group to get here.
+func (sl *batchSlot) planView(s, t graph.NodeID) *view {
+	g := sl.group
+	if g == nil {
+		return sl.v
+	}
+	st := g.trees.Load()
+	if st == nil {
+		st = newSharedTrees(sl.v, s, t)
+		if !g.trees.CompareAndSwap(nil, st) {
+			st = g.trees.Load()
+		}
+	}
+	return &st.view
+}
+
+// finish records that the slot's job is done; the group's last job
+// releases the shared pair.
+func (sl *batchSlot) finish() {
+	if g := sl.group; g != nil && g.pending.Add(-1) == 0 {
+		if st := g.trees.Load(); st != nil {
+			st.release()
+		}
+	}
+}
+
+// sharedTrees is the build-once TreeSource of one group: the first
+// BuildTrees call for the group's pair builds it with the wrapped source
+// into a workspace the handle owns, and every call returns those trees,
+// waiting for the build if it is still running. view is the group's copy
+// of the pinned view, whose trees is the handle itself.
+type sharedTrees struct {
+	view view
+	src  TreeSource
+	s, t graph.NodeID
+	once sync.Once
+	// Written by the build; read once once.Do has returned.
+	ws       *sp.Workspace
+	fwd, bwd *sp.Tree
+	ok       bool
+	built    bool
+}
+
+func newSharedTrees(v *view, s, t graph.NodeID) *sharedTrees {
+	st := &sharedTrees{view: *v, src: v.trees, s: s, t: t}
+	st.view.trees = st
+	return st
+}
+
+// BuildTrees implements TreeSource. After a build that panicked — or for
+// any other pair — the caller builds into its own workspace, as it would
+// without the handle: the unbuilt pair must not read as unreachable.
+func (st *sharedTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd *sp.Tree, ok bool) {
+	if s == st.s && t == st.t {
+		st.once.Do(st.build)
+		if st.built {
+			return st.fwd, st.bwd, st.ok
+		}
+	}
+	return st.src.BuildTrees(ws, s, t)
+}
+
+func (st *sharedTrees) build() {
+	st.ws = sp.GetWorkspace()
+	st.fwd, st.bwd, st.ok = st.src.BuildTrees(st.ws, st.s, st.t)
+	st.built = true
+}
+
+// release returns the pair's workspace to the pool once no job can read
+// the trees any more.
+func (st *sharedTrees) release() {
+	if st.ws != nil {
+		st.ws.Release()
+		st.ws = nil
+	}
 }
 
 // Run executes fn(0) .. fn(n-1) under the engine's worker bound — the
@@ -280,30 +424,31 @@ func (e *Engine) release() { <-e.sem }
 // runJob executes one planner call, recording its latency and outcome
 // when an instrument bundle is installed. Timing wraps doJob from the
 // outside so a recovered panic is still observed with its error counted.
-func (e *Engine) runJob(job *Job, v *view, res *Result) {
+func (e *Engine) runJob(job *Job, slot *batchSlot, res *Result) {
 	m := e.metricsFor(job.Planner)
 	if m == nil {
-		e.doJob(job, v, res)
+		e.doJob(job, slot, res)
 		return
 	}
 	start := time.Now()
-	e.doJob(job, v, res)
+	e.doJob(job, slot, res)
 	m.observeQuery(job.Planner.Name(), time.Since(start), res.Err)
 }
 
-// doJob executes one planner call on its pinned view v, converting a
+// doJob executes one planner call on its slot's pinned view, converting a
 // panic into the job's error: a worker goroutine must never take the
 // whole process down (the HTTP handler's own recover cannot reach it).
 // The answer is looked up and stored under one key, whose version is the
 // pinned view's; a versioned planner from outside this package is keyed
 // by its WeightsVersion and its answer stored only if computed under it.
-func (e *Engine) doJob(job *Job, v *view, res *Result) {
+func (e *Engine) doJob(job *Job, slot *batchSlot, res *Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.Routes = nil
 			res.Err = fmt.Errorf("core: planner %s panicked on %d->%d: %v", job.Planner.Name(), job.S, job.T, r)
 		}
 	}()
+	v := slot.v
 	key := cacheKey{planner: job.Planner, s: job.S, t: job.T}
 	if v != nil {
 		key.version = v.snap.Version()
@@ -325,7 +470,7 @@ func (e *Engine) doJob(job *Job, v *view, res *Result) {
 	switch pl := job.Planner.(type) {
 	case pinnedPlanner:
 		res.Version = v.snap.Version()
-		res.Routes, res.Err = pl.alternativesOn(v, job.S, job.T)
+		res.Routes, res.Err = pl.alternativesOn(slot.planView(job.S, job.T), job.S, job.T)
 	case VersionedPlanner:
 		res.Routes, res.Version, res.Err = pl.AlternativesVersioned(job.S, job.T)
 	default:

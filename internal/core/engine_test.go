@@ -1,12 +1,19 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/citygen"
 	"repro/internal/graph"
 	"repro/internal/path"
+	"repro/internal/sp"
+	"repro/internal/traffic"
+	"repro/internal/weights"
 )
 
 func routesEqual(t *testing.T, want, got []path.Path, label string) {
@@ -138,5 +145,213 @@ func TestEngineWorkerBound(t *testing.T) {
 	}
 	if w := NewEngine(0).Workers(); w < 1 {
 		t.Errorf("default Workers() = %d, want >= 1", w)
+	}
+}
+
+// TestEngineSharedTreePairMatchesPlanners pins the engine's answers, in
+// which Plateaus and Dissimilarity share one tree pair per query, to each
+// planner's standalone Alternatives on the three study cities, on both
+// tree backends, under base weights and under traffic plus closures: the
+// same errors, edges and TimeS bits, through Alternatives and through one
+// AlternativesBatch over every query.
+func TestEngineSharedTreePairMatchesPlanners(t *testing.T) {
+	if raceEnabled {
+		t.Skip("slow under the race detector; TestEngineBuildsOneTreePairPerQuery races the sharing")
+	}
+	pairs := 6
+	if testing.Short() {
+		pairs = 2
+	}
+	for _, prof := range citygen.Profiles() {
+		g, err := prof.Generate(2022)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := separatedPairs(g, pairs, 800, 2022)
+		snaps := []struct {
+			name string
+			snap *weights.Snapshot
+		}{{"base", weights.Pin(g.BaseWeights())}, {"closures", closureSnapshot(g, 2022)}}
+		for _, sn := range snaps {
+			for _, backend := range []TreeBackend{TreeDijkstra, TreeCHAuto} {
+				planners := NewStudyPlanners(g, Options{Weights: sn.snap, TreeBackend: backend}, sn.snap)
+				e := NewEngine(2)
+				var jobs []Job
+				for _, q := range qs {
+					for _, pl := range planners {
+						jobs = append(jobs, Job{Planner: pl, S: q[0], T: q[1]})
+					}
+				}
+				batch := e.AlternativesBatch(jobs)
+				for qi, q := range qs {
+					one := e.Alternatives(planners[:], q[0], q[1])
+					for pi, pl := range planners {
+						want, wantErr := pl.Alternatives(q[0], q[1])
+						label := fmt.Sprintf("%s/%s/%s/%s/q%d", prof.Name, sn.name, backend, pl.Name(), qi)
+						sameRoutes(t, label+"/Alternatives", one[pi].Routes, one[pi].Err, want, wantErr)
+						b := batch[qi*len(planners)+pi]
+						sameRoutes(t, label+"/batch", b.Routes, b.Err, want, wantErr)
+					}
+				}
+			}
+		}
+	}
+}
+
+// countingTrees wraps a TreeSource, counting its builds; while panicNext
+// is set, the next build panics instead.
+type countingTrees struct {
+	src       TreeSource
+	builds    atomic.Int64
+	panicNext atomic.Bool
+}
+
+func (c *countingTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (*sp.Tree, *sp.Tree, bool) {
+	c.builds.Add(1)
+	if c.panicNext.CompareAndSwap(true, false) {
+		panic("injected tree build failure")
+	}
+	return c.src.BuildTrees(ws, s, t)
+}
+
+// TestEngineBuildsOneTreePairPerQuery counts the public provider's tree
+// builds through the engine: one per query of a four-planner batch, none
+// when every job hits the result cache, and every shared pair released
+// once its group is done. A panicking shared build fails only its own job;
+// the sibling builds its own pair and answers as it would alone.
+func TestEngineBuildsOneTreePairPerQuery(t *testing.T) {
+	g := testCity(t)
+	planners := NewStudyPlanners(g, Options{}, weights.Pin(traffic.Apply(g, traffic.DefaultModel(99))))
+	prov := planners[1].(pinnedPlanner).source()
+	cur := prov.cur.Load()
+	counted := *cur
+	ct := &countingTrees{src: cur.trees}
+	counted.trees = ct
+	prov.cur.Store(&counted)
+
+	qs := [][2]graph.NodeID{{0, 143}, {5, 130}, {12, 100}, {27, 88}}
+	want := make([][4][]path.Path, len(qs))
+	for qi, q := range qs {
+		for pi, pl := range planners {
+			routes, err := pl.Alternatives(q[0], q[1])
+			if err != nil {
+				t.Fatalf("standalone %s on %v: %v", pl.Name(), q, err)
+			}
+			want[qi][pi] = routes
+		}
+	}
+	jobsFor := func(qs ...[2]graph.NodeID) []Job {
+		var jobs []Job
+		for _, q := range qs {
+			for _, pl := range planners {
+				jobs = append(jobs, Job{Planner: pl, S: q[0], T: q[1]})
+			}
+		}
+		return jobs
+	}
+	e := NewEngine(4)
+	run := func(label string, jobs []Job) ([]Result, []batchSlot) {
+		t.Helper()
+		slots := pinSlots(jobs)
+		res := make([]Result, len(jobs))
+		e.runBatch(jobs, slots, res)
+		for i := range slots {
+			grp := slots[i].group
+			if grp == nil {
+				continue
+			}
+			if n := grp.pending.Load(); n != 0 {
+				t.Fatalf("%s: job %d's group has %d jobs pending after the batch", label, i, n)
+			}
+			if st := grp.trees.Load(); st != nil && st.ws != nil {
+				t.Fatalf("%s: job %d's shared pair was not released", label, i)
+			}
+		}
+		return res, slots
+	}
+	check := func(label string, res []Result, qi0 int) {
+		t.Helper()
+		for i, r := range res {
+			qi, pi := qi0+i/len(planners), i%len(planners)
+			if r.Err != nil {
+				t.Fatalf("%s: %s on query %d: %v", label, planners[pi].Name(), qi, r.Err)
+			}
+			routesEqual(t, want[qi][pi], r.Routes, fmt.Sprintf("%s: %s on query %d", label, planners[pi].Name(), qi))
+		}
+	}
+
+	ct.builds.Store(0)
+	res, slots := run("one query", jobsFor(qs[0]))
+	check("one query", res, 0)
+	if n := ct.builds.Load(); n != 1 {
+		t.Fatalf("a four-planner batch built %d public pairs, want 1", n)
+	}
+	if slots[1].group == nil || slots[1].group != slots[2].group || slots[1].group != slots[3].group {
+		t.Fatal("Plateaus, Dissimilarity and Penalty were not grouped on the public view")
+	}
+
+	ct.builds.Store(0)
+	res, _ = run("all queries", jobsFor(qs...))
+	check("all queries", res, 0)
+	if n := ct.builds.Load(); n != int64(len(qs)) {
+		t.Fatalf("a batch over %d queries built %d public pairs, want %d", len(qs), n, len(qs))
+	}
+
+	// A panicking shared build: exactly one of Plateaus and Dissimilarity
+	// fails; the other builds its own pair.
+	ct.builds.Store(0)
+	ct.panicNext.Store(true)
+	res, _ = run("panic", jobsFor(qs[1]))
+	failed := 0
+	for i, r := range res {
+		if r.Err == nil {
+			routesEqual(t, want[1][i], r.Routes, "panic: "+planners[i].Name())
+			continue
+		}
+		failed++
+		if i != 1 && i != 2 || !strings.Contains(r.Err.Error(), "injected tree build failure") {
+			t.Fatalf("panic: %s failed with %v", planners[i].Name(), r.Err)
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("panic: %d jobs failed, want exactly the one that built", failed)
+	}
+	if n := ct.builds.Load(); n != 2 {
+		t.Fatalf("panic: %d public builds, want 2 (the failed shared one, the sibling's own)", n)
+	}
+
+	// Every job hits the cache: no pair is built, no handle installed.
+	e.SetCache(64)
+	run("warm-up", jobsFor(qs[2]))
+	ct.builds.Store(0)
+	res, slots = run("all hits", jobsFor(qs[2]))
+	check("all hits", res, 2)
+	if n := ct.builds.Load(); n != 0 {
+		t.Fatalf("an all-hit batch built %d public pairs, want 0", n)
+	}
+	if slots[1].group.trees.Load() != nil {
+		t.Fatal("an all-hit batch installed a shared pair")
+	}
+}
+
+// TestEngineWarmHitAllocs pins the allocations of a four-planner batch
+// answered wholly from the result cache at their measured count: the
+// shared tree pair is installed only on a cache miss, so a request that
+// plans nothing pays nothing for it.
+func TestEngineWarmHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	g := testCity(t)
+	planners := NewStudyPlanners(g, Options{}, weights.Pin(traffic.Apply(g, traffic.DefaultModel(99))))
+	for _, workers := range []int{1, 2} {
+		e := NewEngine(workers)
+		e.SetCache(64)
+		e.Alternatives(planners[:], 0, 143)
+		allocs := testing.AllocsPerRun(50, func() { e.Alternatives(planners[:], 0, 143) })
+		if allocs > 12 {
+			t.Errorf("%d workers: %v allocs per all-hit batch, want ≤ 12", workers, allocs)
+		}
+		t.Logf("%d workers: %v allocs per all-hit batch", workers, allocs)
 	}
 }

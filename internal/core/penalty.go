@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/graph"
 	"repro/internal/path"
 	"repro/internal/sp"
@@ -17,7 +19,7 @@ import (
 // Following the paper's configuration, routes are reported with travel
 // times under the *original* weights and no upper-bound filter is applied
 // unless Options.ApplyUpperBoundToPenalty is set. Each query plans on the
-// snapshot of its provider's view and penalizes a private working copy of
+// snapshot of its provider's view and penalizes a pooled working copy of
 // it, so the planner follows live traffic without any per-version state
 // of its own.
 type Penalty struct {
@@ -55,7 +57,10 @@ func (p *Penalty) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error
 	if s == t {
 		return trivialQuery(p.g, base, s), nil
 	}
-	work := make([]float64, len(base))
+	wp := penaltyWorkPool.Get().(*[]float64)
+	defer penaltyWorkPool.Put(wp)
+	*wp = grow(*wp, len(base))
+	work := (*wp)[:len(base)]
 	copy(work, base)
 	ws := sp.GetWorkspace()
 	defer ws.Release()
@@ -63,7 +68,7 @@ func (p *Penalty) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error
 	// The iteration budget bounds the search when penalised reroutes keep
 	// rediscovering known paths; 4·K+4 is generous for road networks.
 	maxIterations := 4*p.opts.K + 4
-	var routes []path.Path
+	routes := make([]path.Path, 0, p.opts.K)
 	var fastest float64
 	for iter := 0; iter < maxIterations && len(routes) < p.opts.K; iter++ {
 		// The returned edge slice aliases the workspace and stays valid
@@ -72,7 +77,13 @@ func (p *Penalty) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error
 		if edges == nil {
 			break
 		}
-		// Evaluate and report the route under the original weights.
+		// A rediscovered route is one admit would refuse as a duplicate;
+		// it costs no path. A new one is evaluated and reported under the
+		// original weights.
+		if !admit(p.g, path.Path{Edges: edges}, routes, 0) {
+			p.penalize(work, edges)
+			continue
+		}
 		cand := path.MustNew(p.g, base, s, edges)
 		if iter == 0 {
 			fastest = cand.TimeS
@@ -98,6 +109,11 @@ func (p *Penalty) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error
 	}
 	return routes, nil
 }
+
+// penaltyWorkPool pools the per-query working copy of the weights. It is
+// package-level for the reason given at selBufPool: a pool inside the
+// planner would keep it reachable through the runtime's registry of pools.
+var penaltyWorkPool = sync.Pool{New: func() any { return new([]float64) }}
 
 func (p *Penalty) penalize(work []float64, edges []graph.EdgeID) {
 	for _, e := range edges {

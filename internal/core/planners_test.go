@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/citygen"
 	"repro/internal/geo"
 	"repro/internal/graph"
 	"repro/internal/path"
@@ -404,4 +405,33 @@ func TestYenRoutesAreMoreSimilarThanAlternativeTechniques(t *testing.T) {
 		t.Errorf("Yen Sim(T)=%f should exceed Dissimilarity Sim(T)=%f",
 			path.SimT(g, yen), path.SimT(g, dis))
 	}
+}
+
+// TestPenaltyWarmAllocs pins the warm query to the allocations of the
+// routes it returns: the route slice plus one edge and one node slice per
+// route. The working weight copy comes from a pool, and a rediscovered
+// route is refused before it is built.
+func TestPenaltyWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	g, err := citygen.Melbourne().Generate(2022)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPenalty(g, Options{})
+	q := separatedPairs(g, 1, 800, 7)[0]
+	routes, err := p.Alternatives(q[0], q[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := p.Alternatives(q[0], q[1]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(2*len(routes) + 1); allocs > limit {
+		t.Errorf("%v allocs per warm query (%d routes), want ≤ %v", allocs, len(routes), limit)
+	}
+	t.Logf("%v allocs per warm query, %d routes", allocs, len(routes))
 }
