@@ -623,42 +623,6 @@ func BenchmarkElimTreeDist(b *testing.B) { benchQueryEngine(b, false) }
 
 func BenchmarkCHDist(b *testing.B) { benchQueryEngine(b, true) }
 
-// BenchmarkElimTreeMatrixBound measures the matrix engine's bound
-// computation for one target column of k sources: the batched
-// multi-source ascent (one backward ascent shared across k forward
-// ascents) against the k independent Dist calls it replaced.
-func BenchmarkElimTreeMatrixBound(b *testing.B) {
-	study := benchSetup(b)
-	city := study.Cities["Melbourne"]
-	pre := cch.PreprocessWith(city.Graph, cch.OrderConfig{Kind: cch.OrderFlow})
-	h := pre.CustomizeWith(city.Public, cch.Config{}).(*ch.Runtime)
-	rng := rand.New(rand.NewSource(7))
-	const k = 16
-	sources := make([]graph.NodeID, k)
-	for i := range sources {
-		sources[i] = graph.NodeID(rng.Intn(city.Graph.NumNodes()))
-	}
-	target := graph.NodeID(rng.Intn(city.Graph.NumNodes()))
-	out := make([]float64, k)
-	b.Run("batched", func(b *testing.B) {
-		h.AscentDists(sources, target, out) // warm the workspace pool
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if !h.AscentDists(sources, target, out) {
-				b.Fatal("runtime declined the batched ascent")
-			}
-		}
-	})
-	b.Run("per-pair", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j, s := range sources {
-				out[j] = h.Dist(s, target)
-			}
-		}
-	})
-}
-
 // --- Live traffic: CCH preprocessing vs per-publish customization -----------
 
 // BenchmarkCCHPreprocess is the one-off metric-independent half of the
@@ -995,34 +959,6 @@ func BenchmarkMatrixMelbourneK4(b *testing.B)  { benchMatrixMelbourne(b, 4, fals
 func BenchmarkMatrixMelbourneK64(b *testing.B) { benchMatrixMelbourne(b, 64, false) }
 
 func BenchmarkMatrixPairwiseMelbourne(b *testing.B) { benchMatrixMelbourne(b, 16, true) }
-
-// BenchmarkSelectionCacheAlternatingPairs measures the fixed hot path of
-// the thrash bug: two alternating hot query pairs, both selections
-// resident, every query a cache hit (the old single-slot cache rebuilt
-// the selection on every single one of these queries).
-func BenchmarkSelectionCacheAlternatingPairs(b *testing.B) {
-	g := benchGrid(50, 50)
-	planner := core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCHAuto})
-	s1, t1 := benchShortGridPair(50)
-	s2, t2 := graph.NodeID(35*50+8), graph.NodeID(42*50+14)
-	queries := [2][2]graph.NodeID{{s1, t1}, {s2, t2}}
-	for _, q := range queries { // both selections resident
-		if _, err := planner.Alternatives(q[0], q[1]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%2]
-		if _, err := planner.Alternatives(q[0], q[1]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	st := planner.HierarchyStatus()
-	if total := st.SelectionHits + st.SelectionMisses; total > 0 {
-		b.ReportMetric(float64(st.SelectionHits)/float64(total), "hit-rate")
-	}
-}
 
 // BenchmarkSelectionCacheSelectUnion is the miss-path cost: building the
 // shared selection for a 16-target union from scratch onto warm reuse

@@ -5,58 +5,28 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/path"
 	"repro/internal/weights"
 )
 
 // The cross-backend equivalence harness — the permanent safety net for
-// restricted sweeps and every future tree backend. Restricted sweeps are
-// exactly the kind of optimization that silently drops nodes: a selection
-// one node too small produces plausible-but-wrong route sets that no
-// smoke test notices. So the matrix is pinned property-style: on seeded
-// random tie-free networks — random chords and planar street grids;
-// continuous random speeds make shortest-path ties measure-zero, so route
-// sets are forced — under randomized ±50%
-// traffic plus +Inf closure snapshots, TreeCHAuto over every hierarchy
-// flavor, order and query engine must return byte-identical route sets to
-// the Dijkstra backend for the study planners.
+// the hierarchy sweeps and every future tree backend. A tree source that
+// drops or misprices a node produces plausible-but-wrong route sets that
+// no smoke test notices. So the matrix is pinned property-style: on
+// seeded random tie-free networks — random chords and planar street
+// grids; continuous random speeds make shortest-path ties measure-zero,
+// so route sets are forced — under randomized ±50% traffic plus +Inf
+// closure snapshots, TreeCHAuto over every hierarchy flavor and order
+// must return byte-identical route sets to the Dijkstra backend for the
+// study planners.
 
-// withAutoFraction moves the TreeCHAuto cutover for the planners
-// constructed after the call, until the test ends: 0 pins full sweeps on
-// every query, 1 restricted sweeps on every query.
+// withAutoFraction moves the matrix cutover for the planners and matrix
+// engines constructed after the call, until the test ends: 0 pins full
+// sweeps on every table, 1 restricted sweeps on every table.
 func withAutoFraction(t testing.TB, f float64) {
 	t.Helper()
 	old := autoFraction
 	autoFraction = f
 	t.Cleanup(func() { autoFraction = old })
-}
-
-// mixedAutoFraction is the cutover at which the small test networks run
-// both sweep modes. Their ellipses cover most of the graph — every node
-// of randomRoadNetwork's random chords, most of a 144-node planar grid
-// under ±50% traffic — so the production cutover restricts almost
-// nothing there.
-const mixedAutoFraction = 0.8
-
-// sweepTally wraps a planner and counts, per answered query, whether its
-// trees came from restricted or full sweeps (its provider's status read
-// right after the query, so callers must query serially). Planners whose
-// provider builds no trees (Penalty) are not counted.
-type sweepTally struct {
-	Planner
-	restricted, full *int
-}
-
-func (s sweepTally) Alternatives(src, dst graph.NodeID) ([]path.Path, error) {
-	routes, err := s.Planner.Alternatives(src, dst)
-	if pp, ok := s.Planner.(pinnedPlanner); ok && pp.source().needTrees && err == nil {
-		if pp.source().hierarchyStatus().LastRestricted {
-			*s.restricted++
-		} else {
-			*s.full++
-		}
-	}
-	return routes, err
 }
 
 // closureSnapshot publishes a ±50% perturbation of the base weights plus
@@ -82,14 +52,17 @@ func closureSnapshot(g *graph.Graph, seed int64) *weights.Snapshot {
 }
 
 func TestBackendMatrix(t *testing.T) {
-	// Every row runs TreeCHAuto. The first name segment is the sweep mode
-	// its cutover pins — "ch" sweeps every query in full, "ch-restricted"
-	// restricts every query, "ch-auto" sits where the sample runs both —
-	// and the rest names the CCH flavor × order × query engine.
+	// Every row runs TreeCHAuto. The first name segment is the matrix
+	// cutover set before the row's planners are built — "ch" 0,
+	// "ch-restricted" 1, "ch-auto" the production RestrictedAutoFraction —
+	// and the rest names the CCH flavor × order × query engine. Tree pairs
+	// are full sweeps whatever the cutover, and the query engine only
+	// answers Hierarchy.Dist, which no planner calls: every row must match
+	// Dijkstra and resolve no selection.
 	sweeps := []struct {
 		name     string
 		fraction float64
-	}{{"ch", 0}, {"ch-restricted", 1}, {"ch-auto", mixedAutoFraction}}
+	}{{"ch", 0}, {"ch-restricted", 1}, {"ch-auto", RestrictedAutoFraction}}
 	type flavor struct {
 		name  string
 		hkind HierarchyKind
@@ -120,13 +93,10 @@ func TestBackendMatrix(t *testing.T) {
 			NewDissimilarity(g, o),
 			NewPenalty(g, o),
 			// Commercial's private metric is the closure snapshot itself:
-			// its hierarchy and its elliptic/restricted selections must
-			// respect the same bans as everyone else's.
+			// its hierarchy must respect the same bans as everyone else's.
 			NewCommercial(g, nil, o),
 		}
 	}
-	// Random chords stress the hierarchies; only the planar grids hold
-	// pairs short enough for the ch-auto rows to restrict.
 	var nets []*graph.Graph
 	for seed := int64(500); seed < 503; seed++ {
 		nets = append(nets, randomRoadNetwork(seed, 140))
@@ -134,13 +104,6 @@ func TestBackendMatrix(t *testing.T) {
 	for seed := int64(500); seed < 503; seed++ {
 		nets = append(nets, randomPlanarNetwork(seed, 12, 12))
 	}
-	// Tallied per row and planner, so every tree-building planner —
-	// Dissimilarity included — must run the sweeps its row names.
-	type tally struct {
-		mode             string
-		restricted, full int
-	}
-	tallies := map[string]*tally{}
 	for n, g := range nets {
 		seed := int64(n)
 		snap := closureSnapshot(g, seed+900)
@@ -150,58 +113,17 @@ func TestBackendMatrix(t *testing.T) {
 				row := sw.name + "/" + fl.name
 				withAutoFraction(t, sw.fraction)
 				other := mk(g, snap, Options{TreeBackend: TreeCHAuto, Hierarchy: fl.hkind, Order: fl.order, Query: fl.query})
-				for i, pl := range other {
-					if plannerNames[i] == "Penalty" {
-						continue
-					}
-					key := row + "/" + plannerNames[i]
-					if tallies[key] == nil {
-						tallies[key] = &tally{mode: sw.name}
-					}
-					tl := tallies[key]
-					other[i] = sweepTally{Planner: pl, restricted: &tl.restricted, full: &tl.full}
-				}
 				for i := range baseline {
 					t.Run(row+"/"+plannerNames[i], func(t *testing.T) {
 						comparePlannersExact(t, baseline[i], other[i], g, 6, seed*31+int64(i))
+						if hr, ok := other[i].(hierarchyReporter); ok {
+							if st := hr.HierarchyStatus(); st.SelectionHits+st.SelectionMisses != 0 {
+								t.Fatalf("%d selections resolved answering routes, want 0", st.SelectionHits+st.SelectionMisses)
+							}
+						}
 					})
 				}
 			}
 		}
-	}
-	// The rows must have run the sweeps their names promise.
-	for row, tl := range tallies {
-		t.Logf("%s: %d restricted / %d full sweep queries", row, tl.restricted, tl.full)
-		switch {
-		case tl.mode == "ch" && (tl.restricted != 0 || tl.full == 0):
-			t.Errorf("%s: %d restricted / %d full sweep queries, want full sweeps only", row, tl.restricted, tl.full)
-		case tl.mode == "ch-restricted" && (tl.full != 0 || tl.restricted == 0):
-			t.Errorf("%s: %d restricted / %d full sweep queries, want restricted sweeps only", row, tl.restricted, tl.full)
-		case tl.mode == "ch-auto" && (tl.restricted == 0 || tl.full == 0):
-			t.Errorf("%s: %d restricted / %d full sweep queries, want both", row, tl.restricted, tl.full)
-		}
-	}
-}
-
-// TestBackendMatrixObservability spot-checks the restricted sweeps'
-// serving telemetry: after a query, the planner reports its hierarchy, a
-// selection size and sweep time, and whether it restricted.
-func TestBackendMatrixObservability(t *testing.T) {
-	withAutoFraction(t, 1)
-	g := randomRoadNetwork(7, 140)
-	pl := NewPlateaus(g, Options{TreeBackend: TreeCHAuto})
-	s, dst, _ := banFastestRoute(t, g, pl, 5)
-	if _, err := pl.Alternatives(s, dst); err != nil {
-		t.Fatal(err)
-	}
-	st := pl.HierarchyStatus()
-	if st.Kind != "cch" {
-		t.Fatalf("restricted sweeps report hierarchy %q", st.Kind)
-	}
-	if !st.LastRestricted || st.LastSelection <= 0 || st.LastSelection > g.NumNodes() {
-		t.Fatalf("restricted query telemetry: restricted=%v selection=%d", st.LastRestricted, st.LastSelection)
-	}
-	if st.LastSweep <= 0 {
-		t.Fatalf("restricted query reported no sweep time")
 	}
 }

@@ -42,9 +42,8 @@ import (
 // reachable region (sp.BuildPrunedTree) — disable with
 // Options.DisablePrunedTrees — and Options.TreeBackend == TreeCHAuto
 // switches to trees swept out of a customizable contraction hierarchy
-// over the private weights, restricted to the query's ellipse while it
-// is small (re-customized in the background as traffic versions are
-// published).
+// over the private weights (re-customized in the background as traffic
+// versions are published).
 //
 // Its provider, and so its WeightsVersion, follows the *private* traffic
 // metric — the one that changes under live serving.

@@ -87,11 +87,12 @@ type Options struct {
 	// TreeBackend selects how the tree-source planners (Plateaus,
 	// Commercial, PrunedPlateaus, Dissimilarity) build their shortest-path
 	// trees: full Dijkstra searches (TreeDijkstra, the default, matching
-	// the paper's description) or sweeps over a customizable contraction
-	// hierarchy that restrict to the query's ellipse while it is small
-	// (TreeCHAuto, the §II-B optimisation commercial engines apply). Both
-	// backends produce identical route sets; TreeCHAuto trades a one-off
-	// preprocessing at planner construction for much cheaper queries.
+	// the paper's description) or full PHAST sweeps over a customizable
+	// contraction hierarchy (TreeCHAuto, the §II-B optimisation commercial
+	// engines apply). Both backends produce identical route sets;
+	// TreeCHAuto trades a one-off preprocessing at planner construction
+	// for much cheaper queries. Only the matrix engine restricts its
+	// sweeps (RPHAST).
 	TreeBackend TreeBackend
 	// Hierarchy selects the customizable-hierarchy flavor behind
 	// TreeCHAuto: HierarchyCCH (the default) contracts metric-independently
@@ -109,10 +110,10 @@ type Options struct {
 	// per (graph, order kind). PlannerFlags fixes OrderFlow. Ignored on
 	// TreeDijkstra.
 	Order OrderKind
-	// Query selects the hierarchy's point-to-point distance engine:
-	// QueryElimTree (the default) answers Dist/Path — including the
-	// fastest-time bound seeding every restricted selection — by walking
-	// the elimination-tree root paths heap-free; QueryBidij keeps the
+	// Query selects the engine behind the hierarchy's point-to-point
+	// Hierarchy.Dist/Path, and configures nothing else: no planner or
+	// matrix calls them. QueryElimTree (the default) walks the
+	// elimination-tree root paths heap-free; QueryBidij keeps the
 	// bidirectional upward Dijkstra. Distances are bit-identical either
 	// way. Ignored on TreeDijkstra.
 	Query QueryEngine

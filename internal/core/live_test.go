@@ -355,36 +355,36 @@ func TestConcurrentPublishWithBatchQueries(t *testing.T) {
 	}
 }
 
-// --- Restricted-sweep selection invalidation ---------------------------------
+// --- Matrix selection invalidation -------------------------------------------
 
 // TestRestrictedSelectionInvalidatedOnPublish guards the RPHAST
-// selection-reuse bug class: the per-(s,t) cached target-subgraph
-// selection must not survive a weight publish. A stale selection would
-// either index the superseded tree builder's arcs (loud: the ch guard
-// panics) or silently restrict the sweep to the old metric's ellipse; in
-// both cases the post-swap routes would diverge from a planner built
-// fresh at the new snapshot.
+// selection-reuse bug class: a cached matrix target selection must not
+// survive a weight publish. A stale selection would either index the
+// superseded tree builder's arcs (loud: the ch guard panics) or silently
+// restrict the sweeps to the old metric's upward closure; in both cases
+// the post-swap table would diverge from a matrix engine built fresh at
+// the new snapshot.
 func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 	withAutoFraction(t, 1)
 	g := randomRoadNetwork(17, 150)
 	cases := []struct {
 		name string
-		next func(rng *rand.Rand, banned []graph.EdgeID) []float64
+		next func(rng *rand.Rand) []float64
 		ban  bool
 	}{
-		// Uniform scaling: the ellipse keeps its membership, so only the
-		// builder-mismatch panic would catch a stale selection object.
-		{"cch-uniform", func(_ *rand.Rand, _ []graph.EdgeID) []float64 {
+		// Uniform scaling: the targets keep their cells, so only the
+		// per-version cache keeps the old selection out.
+		{"cch-uniform", func(_ *rand.Rand) []float64 {
 			next := make([]float64, len(g.BaseWeights()))
 			for i, w := range g.BaseWeights() {
 				next[i] = 1.7 * w
 			}
 			return next
 		}, false},
-		// Arbitrary perturbation + closures: CCH customization stays
-		// exact, and the ellipse genuinely moves, so reusing the old
-		// membership would change route sets.
-		{"cch-perturbed-banned", func(rng *rand.Rand, _ []graph.EdgeID) []float64 {
+		// Arbitrary perturbation + a closure on the first pair's fastest
+		// route: CCH customization stays exact, and reusing the old
+		// selection would misprice the closed cells.
+		{"cch-perturbed-banned", func(rng *rand.Rand) []float64 {
 			next := make([]float64, len(g.BaseWeights()))
 			for i, w := range g.BaseWeights() {
 				next[i] = w * (0.5 + rng.Float64())
@@ -395,12 +395,14 @@ func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			store := weights.NewStore(g.BaseWeights())
-			pl := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Weights: store})
-			router := NewRouter(NewEngine(1), []Planner{pl}, store)
+			m := NewMatrixEngine(g, Options{TreeBackend: TreeCHAuto, Weights: store}, nil)
 
-			s, dst, firstRoute := banFastestRoute(t, g, pl, 23)
-			// Prime the (s,t) selection cache under version 1.
-			if _, _, err := pl.AlternativesVersioned(s, dst); err != nil {
+			s, dst, firstRoute := banFastestRoute(t, g, NewPlateaus(g, Options{}), 23)
+			sources := append([]graph.NodeID{s}, sampleNodes(g, 3, 5)...)
+			targets := append([]graph.NodeID{dst}, sampleNodes(g, 3, 6)...)
+			// Prime the target selection under version 1.
+			var tab Table
+			if err := m.MatrixInto(&tab, sources, targets); err != nil {
 				t.Fatal(err)
 			}
 
@@ -408,49 +410,47 @@ func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 			if tc.ban {
 				store.Ban(firstRoute[0])
 			}
-			store.Publish(tc.next(rng, firstRoute))
-			router.Sync()
+			store.Publish(tc.next(rng))
+			m.prov.refreshSync()
 
-			fresh := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Weights: store.Latest()})
-			truth := NewPlateaus(g, Options{Weights: store.Latest()})
-			got, err1 := pl.Alternatives(s, dst)
-			if err1 == nil && !pl.HierarchyStatus().LastRestricted {
-				t.Fatal("post-publish query ran full sweeps; the selection path went untested")
+			if err := m.MatrixInto(&tab, sources, targets); err != nil {
+				t.Fatal(err)
 			}
-			want, err2 := fresh.Alternatives(s, dst)
-			base, err3 := truth.Alternatives(s, dst)
-			if (err1 == nil) != (err2 == nil) || (err1 == nil) != (err3 == nil) {
-				t.Fatalf("error mismatch after publish: %v / %v / %v", err1, err2, err3)
+			if tab.Version != store.Version() {
+				t.Fatalf("post-publish table at version %d, store at %d", tab.Version, store.Version())
 			}
-			if err1 != nil {
-				return
+			if !tab.Restricted {
+				t.Fatal("post-publish table ran full sweeps; the selection path went untested")
 			}
-			if len(got) != len(want) || len(got) != len(base) {
-				t.Fatalf("route count %d after publish, fresh %d, dijkstra %d", len(got), len(want), len(base))
+			if tab.SelectionHit {
+				t.Fatal("post-publish table reused a selection from the superseded version")
 			}
-			for i := range got {
-				if !path.Equal(got[i], want[i]) || !path.Equal(got[i], base[i]) {
-					t.Fatalf("route %d served off a stale selection after the publish", i)
-				}
+			if st := m.HierarchyStatus(); st.SelectionMisses != 2 || st.SelectionHits != 0 {
+				t.Fatalf("selection lookups: %d hits, %d misses; want one miss per version", st.SelectionHits, st.SelectionMisses)
 			}
+			fresh, err := NewMatrixEngine(g, Options{TreeBackend: TreeCHAuto, Weights: store.Latest()}, nil).Matrix(sources, targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireTableBitEqual(t, &tab, fresh.Seconds, "post-publish vs fresh engine")
+			requireTableEqual(t, &tab, dijkstraMatrix(g, store.Latest().Weights(), sources, targets), "post-publish vs dijkstra")
 		})
 	}
 }
 
-// --- Live-traffic soak: restricted sweeps under publish churn ----------------
+// --- Live-traffic soak: hierarchy sweeps under publish churn -----------------
 
-// TestLiveTrafficSoakRestrictedSweeps is the permanent safety net for
-// restricted sweeps (and every future backend) under live traffic: a
-// deterministic rush-hour publish loop races engine batches with RPHAST
-// backends on, and every answer must (a) carry a version the store
+// TestLiveTrafficSoakCHSweeps is the permanent safety net for the
+// hierarchy backends (and every future backend) under live traffic: a
+// deterministic rush-hour publish loop races engine batches with CCH
+// sweeps on, and every answer must (a) carry a version the store
 // actually published, (b) never walk an edge banned in an earlier
 // version — the store re-applies the closure mask on every publish, and
 // the hierarchies must carry it through each customization — and (c)
 // never regress to an older version within one caller's sequence, which
 // is exactly what a result cache serving a stale generation would look
 // like. CI runs it under -race.
-func TestLiveTrafficSoakRestrictedSweeps(t *testing.T) {
-	withAutoFraction(t, 1)
+func TestLiveTrafficSoakCHSweeps(t *testing.T) {
 	g := randomRoadNetwork(61, 140)
 	pubStore := weights.NewStore(g.BaseWeights())
 	seq := traffic.NewSequence(g, traffic.DefaultModel(7), 8)
@@ -553,19 +553,11 @@ func TestLiveTrafficSoakRestrictedSweeps(t *testing.T) {
 	wg.Wait()
 	router.Sync()
 
-	// Steady state: the restricted planner agrees byte-for-byte with a
-	// fresh Dijkstra planner pinned at the final snapshot.
+	// Steady state: the CCH planner agrees byte-for-byte with a fresh
+	// Dijkstra planner pinned at the final snapshot.
 	fresh := NewPlateaus(g, Options{Weights: pubStore.Latest()})
 	comparePlannersExact(t, fresh, planners[0].(*Plateaus), g, 6, 13)
 	if v := planners[0].(*Plateaus).WeightsVersion(); v != pubStore.Version() {
 		t.Fatalf("post-sync version %d != store version %d", v, pubStore.Version())
-	}
-	// The churn must have run on restricted sweeps, not full ones.
-	for _, pl := range planners {
-		if hr, ok := pl.(hierarchyReporter); ok {
-			if st := hr.HierarchyStatus(); st.SelectionHits+st.SelectionMisses == 0 || !st.LastRestricted {
-				t.Errorf("%s: %d selections resolved, last query restricted=%v; want restricted sweeps", pl.Name(), st.SelectionHits+st.SelectionMisses, st.LastRestricted)
-			}
-		}
 	}
 }

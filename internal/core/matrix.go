@@ -28,7 +28,7 @@ type Table struct {
 	// SelectionTargets is the size of the shared target selection the
 	// sweeps ran on (0 on TreeDijkstra); SelectionHit reports whether it
 	// came out of the selection cache; Restricted reports whether the
-	// sweeps actually ran restricted (false: full sweeps, via the auto
+	// sweeps actually ran restricted (false: full sweeps, via the
 	// cutover or TreeDijkstra).
 	SelectionTargets int
 	SelectionHit     bool
@@ -39,11 +39,10 @@ type Table struct {
 func (t *Table) At(i, j int) float64 { return t.Seconds[i*len(t.Targets)+j] }
 
 // MatrixEngine computes many-to-many travel-time tables. On TreeCHAuto it
-// is the RPHAST batch scheme the selection phase
-// exists for: ONE shared selection covering the target set (cached by
-// cell signature, like point-to-point selections), then one restricted
-// forward sweep per source fanned over the serving Engine's worker pool —
-// k sweeps and at most one Select instead of the k×k tree pairs of
+// is the server's only RPHAST batch: ONE shared selection covering the
+// target set (cached by cell signature), then one restricted forward
+// sweep per source fanned over the serving Engine's worker pool — k
+// sweeps and at most one Select instead of the k×k tree pairs of
 // independent point-to-point queries. Distances are exact (byte-identical
 // to per-pair Dijkstra); on TreeDijkstra the engine falls back to one
 // full Dijkstra tree per source.
@@ -161,7 +160,7 @@ func (m *MatrixEngine) MatrixInto(tab *Table, sources, targets []graph.NodeID) e
 	rb := rowBuilderPool.Get().(*rowBuilder)
 	rb.g, rb.sources, rb.targets, rb.seconds = m.g, tab.Sources, tab.Targets, tab.Seconds
 
-	if tr, ok := v.trees.(*restrictedTrees); ok {
+	if tr, ok := v.trees.(*cchTrees); ok {
 		e, hit := tr.selectTargets(tab.Targets)
 		rb.tb, rb.sel = tr.tb, e.sel
 		if e.sel != nil && !e.sel.Covers(tab.Targets) {
@@ -203,37 +202,14 @@ func (m *MatrixEngine) MatrixInto(tab *Table, sources, targets []graph.NodeID) e
 	return err
 }
 
-// elimAscender is the capability a hierarchy exposes when it can batch
-// point-to-point distance bounds: one backward elimination-tree ascent of
-// the target shared across forward ascents of every source. The CCH
-// runtimes implement it (ch.Runtime.AscentDists); it reports false when
-// the elimination-tree engine is disabled, in which case callers fall
-// back to per-pair Dist.
-type elimAscender interface {
-	AscentDists(sources []graph.NodeID, t graph.NodeID, out []float64) bool
-}
-
 // MatrixPairwise fills tab with len(sources) × len(targets) independent
 // point-to-point tree-pair queries through the planner's own tree source
 // — the k² baseline the matrix engine amortizes away. Exposed for the
 // eval ablations and benchmarks that quantify the amortization.
-//
-// On TreeCHAuto with the elimination-tree engine the k
-// fastest-time bounds of each target column are batched through one
-// shared backward ascent (AscentDists) instead of k independent
-// bidirectional searches; the resulting cells are bit-identical either
-// way, since bounds only seed the restricted selections.
 func (m *MatrixEngine) MatrixPairwise(tab *Table, sources, targets []graph.NodeID) error {
 	v, err := m.prepare(tab, sources, targets)
 	if err != nil {
 		return err
-	}
-	if rt, ok := v.trees.(*restrictedTrees); ok {
-		if asc, ok := rt.hier.(elimAscender); ok {
-			if m.pairwiseBatchedBounds(tab, rt, asc) {
-				return nil
-			}
-		}
 	}
 	ws := sp.GetWorkspace()
 	defer ws.Release()
@@ -254,38 +230,6 @@ func (m *MatrixEngine) MatrixPairwise(tab *Table, sources, targets []graph.NodeI
 		}
 	}
 	return nil
-}
-
-// pairwiseBatchedBounds runs the column-batched variant of MatrixPairwise:
-// for each target, one multi-source elimination-tree ascent yields every
-// source's fastest-time bound, and each cell is then filled by the same
-// bounded tree-pair build the per-pair path would have run. Reports false
-// when the ascender declines (it does so before any cell is written: the
-// capability is constant per runtime), so the caller can fall back.
-func (m *MatrixEngine) pairwiseBatchedBounds(tab *Table, rt *restrictedTrees, asc elimAscender) bool {
-	bounds := make([]float64, len(tab.Sources))
-	ws := sp.GetWorkspace()
-	defer ws.Release()
-	inf := math.Inf(1)
-	for j, t := range tab.Targets {
-		if !asc.AscentDists(tab.Sources, t, bounds) {
-			return false
-		}
-		for i, s := range tab.Sources {
-			cell := &tab.Seconds[i*len(tab.Targets)+j]
-			if s == t {
-				*cell = 0
-				continue
-			}
-			fwd, _, ok := rt.buildTreesBounded(ws, s, t, bounds[i])
-			if !ok {
-				*cell = inf
-				continue
-			}
-			*cell = fwd.Dist[t]
-		}
-	}
-	return true
 }
 
 // prepare validates the endpoints, resolves the single weight view of the

@@ -98,9 +98,10 @@ func requireTableBitEqual(t *testing.T, tab *Table, ref []float64, label string)
 // rows — a shared selection covering the target set loses no distance at
 // any requested target from any root.
 func TestMatrixExactness(t *testing.T) {
-	// As in TestBackendMatrix, the first name segment of a TreeCHAuto row
-	// is the sweep mode its cutover pins (restricted: the fraction that
-	// lets 5 spread targets' cells select) and asserts.
+	// The first name segment of a TreeCHAuto row is the sweep mode its
+	// cutover pins and asserts: "ch" full sweeps (fraction 0),
+	// "ch-restricted" restricted (fraction 1), "ch-auto" restricted at a
+	// fraction below 1 that still lets 5 spread targets' cells select.
 	type config struct {
 		name       string
 		backend    TreeBackend
@@ -109,11 +110,9 @@ func TestMatrixExactness(t *testing.T) {
 		hkind      HierarchyKind
 		query      QueryEngine
 	}
-	// The CCH rows run under both point-to-point query engines: elimtree
-	// routes MatrixPairwise through the batched multi-source ascent,
-	// bidij through per-pair bidirectional searches — and the tables must
-	// come out byte-identical either way (the bounds only gate selection;
-	// cells come from the sweeps).
+	// The CCH rows run under both point-to-point query engines. The
+	// engine answers only Hierarchy.Dist, which no table reads, so the
+	// tables must come out byte-identical either way.
 	configs := []config{
 		{name: "dijkstra", backend: TreeDijkstra},
 		{name: "ch/cch", backend: TreeCHAuto},
@@ -121,7 +120,7 @@ func TestMatrixExactness(t *testing.T) {
 		{name: "ch-restricted/cch/bidij", backend: TreeCHAuto, fraction: 1, restricted: true, query: QueryBidij},
 		{name: "ch-restricted/cch-perfect", backend: TreeCHAuto, fraction: 1, restricted: true, hkind: HierarchyCCHPerfect},
 		{name: "ch-restricted/cch-perfect/bidij", backend: TreeCHAuto, fraction: 1, restricted: true, hkind: HierarchyCCHPerfect, query: QueryBidij},
-		{name: "ch-auto/cch", backend: TreeCHAuto, fraction: mixedAutoFraction, restricted: true},
+		{name: "ch-auto/cch", backend: TreeCHAuto, fraction: 0.8, restricted: true},
 	}
 	for _, netSeed := range []int64{7, 19} {
 		g := randomRoadNetwork(netSeed, 160)
@@ -160,9 +159,9 @@ func TestMatrixExactness(t *testing.T) {
 					}
 					last = tab
 				}
-				// The k² point-to-point baseline through the same backend
-				// must agree bit-for-bit: the shared selection loses nothing
-				// versus independent per-pair queries.
+				// The k² point-to-point baseline (full tree pairs through the
+				// same backend) must agree bit-for-bit: the shared selection
+				// loses nothing versus independent per-pair queries.
 				var pw Table
 				if err := m.MatrixPairwise(&pw, sources, targets); err != nil {
 					t.Fatal(err)

@@ -25,7 +25,7 @@ var customizeBuckets = []float64{
 // must be observed at the moment they happen (histograms cannot be
 // reconstructed at scrape time). Counters whose source of truth already
 // lives in serving-layer atomics — versions served, publish counts,
-// elimination-tree query counters, selection-cache hit rates — are
+// selection-cache hit rates — are
 // exported by scrape-time collectors over Router/HierarchyStatus instead
 // (see the server's /metrics wiring), so they are never double-counted.
 type Metrics struct {
@@ -60,7 +60,7 @@ func NewMetrics(reg *metrics.Registry, city string) *Metrics {
 			"Hierarchy build or re-customization latency per publish swap.",
 			customizeBuckets, "city", "planner"),
 		selectionNodes: reg.HistogramVec("routing_selection_nodes",
-			"Size (selected nodes) of each RPHAST selection resolved for a query or matrix batch.",
+			"Size (selected nodes) of each RPHAST selection resolved for a matrix batch.",
 			metrics.SizeBuckets, "city").With(city),
 		matrixSeconds: reg.HistogramVec("routing_matrix_seconds",
 			"Latency of one many-to-many table computation.",

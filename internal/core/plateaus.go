@@ -27,8 +27,7 @@ import (
 // full Dijkstra searches by default, or sweeps over a customizable
 // contraction hierarchy with Options.TreeBackend == TreeCHAuto — the
 // §II-B optimisation that makes tree construction near-linear after a
-// one-off preprocessing, and sublinear while the query's ellipse is
-// small (restricted sweeps). Under TreeCHAuto a new weight version
+// one-off preprocessing. Under TreeCHAuto a new weight version
 // re-customizes the hierarchy in the background while the old one keeps
 // serving (see provider).
 type Plateaus struct {

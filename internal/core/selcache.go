@@ -6,7 +6,7 @@ import (
 	"repro/internal/ch"
 )
 
-// selectionCacheBytes is the total byte budget of one restricted source's
+// selectionCacheBytes is the total byte budget of one CCH source's matrix
 // selection cache. A city-scale selection retains tens to hundreds of
 // kilobytes, so the budget holds on the order of a hundred warm cell
 // unions.
@@ -28,7 +28,7 @@ const selEntryOverhead = 96
 type selEntry struct {
 	sig     []int32 // ascending cell ids, owned by the entry
 	hash    uint64
-	full    bool          // sweep everything: auto cutover or no usable bound
+	full    bool          // sweep everything: the union exceeds the cutover
 	targets int           // distinct requested target nodes
 	sel     *ch.Selection // nil when full
 	bytes   int
@@ -45,14 +45,13 @@ type selShard struct {
 }
 
 // selectionCache is the size-bounded, sharded multi-entry selection cache
-// behind restrictedTrees: entries are keyed by cell signature (so every
-// query pair quantizing to the same cell union shares one Select), found
+// behind cchTrees: entries are keyed by cell signature (so every target
+// set quantizing to the same cell union shares one Select), found
 // by exact signature match or by a covering probe (any entry whose cell
 // union contains the probe's cells serves it exactly — selections built
 // on supersets stay exact on the subset), and evicted clock-wise under a
 // per-shard byte budget. A cache instance lives and dies with one weight
-// version, preserving the stale-selection guarantees of the single-slot
-// design it replaces.
+// version, so no selection outlives the weights it was built on.
 type selectionCache struct {
 	perShard int // byte budget per shard; 0 degenerates to one entry per shard
 	stats    *selectionStats
@@ -108,8 +107,8 @@ func sigSuperset(sup, sub []int32) bool {
 // lookup returns a usable entry for the signature, or nil on a miss: the
 // exact entry in the signature's home shard first, then — across all
 // shards — any non-full entry whose cell union covers the probe's cells.
-// Full entries match only exactly (a long query's everything-marker must
-// not hijack short queries into full sweeps).
+// Full entries match only exactly (a spread table's everything-marker
+// must not hijack clustered tables into full sweeps).
 func (c *selectionCache) lookup(sig []int32, hash uint64) *selEntry {
 	home := &c.shards[hash&(selCacheShards-1)]
 	home.mu.Lock()
@@ -137,7 +136,7 @@ func (c *selectionCache) lookup(sig []int32, hash uint64) *selEntry {
 }
 
 // insert adds e to its home shard and returns the canonical entry: when a
-// racing query inserted the same signature first, the existing entry wins
+// racing table inserted the same signature first, the existing entry wins
 // and e is discarded. The newcomer is never evicted by its own insertion;
 // older entries are clock-evicted until the shard fits its budget (or
 // only the newcomer remains).

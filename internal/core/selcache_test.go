@@ -1,142 +1,108 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
 )
 
-// findConnectedPairs samples distinct connected query pairs on g using a
-// Dijkstra-backed probe planner, so tests exercising the restricted
-// sweeps can pick their hot pairs without touching the selection stats
-// under test.
-func findConnectedPairs(t *testing.T, g *graph.Graph, want int, seed int64) [][2]graph.NodeID {
-	t.Helper()
-	probe := NewPlateaus(g, Options{})
-	rng := rand.New(rand.NewSource(seed))
-	var pairs [][2]graph.NodeID
-	for attempts := 0; len(pairs) < want; attempts++ {
-		if attempts > want*100 {
-			t.Fatalf("could not sample %d connected pairs", want)
-		}
-		s := graph.NodeID(rng.Intn(g.NumNodes()))
-		d := graph.NodeID(rng.Intn(g.NumNodes()))
-		if s == d {
-			continue
-		}
-		dup := false
-		for _, p := range pairs {
-			if p == [2]graph.NodeID{s, d} {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		if _, err := probe.Alternatives(s, d); err != nil {
-			continue
-		}
-		pairs = append(pairs, [2]graph.NodeID{s, d})
-	}
-	return pairs
-}
-
 // TestSelectionCacheAlternatingHotPairs pins the fix for the
-// selection-cache thrash bug: the old single-slot cache keyed by the
-// exact (s,t) pair let two alternating hot pairs evict each other
-// forever, so every query paid a full Select (this test asserted 0 hits
-// in 40 lookups when it pinned the bug). The multi-entry cache keys by
-// cell signature and holds both pairs' entries, so after each pair's
-// first miss every later query hits.
+// selection-cache thrash bug: a single-slot cache let two alternating hot
+// target sets evict each other forever, so every table paid a full
+// Select. The multi-entry cache keys by cell signature and holds both
+// sets' entries, so after each set's first miss every later table hits.
 func TestSelectionCacheAlternatingHotPairs(t *testing.T) {
 	withAutoFraction(t, 1)
 	g := randomRoadNetwork(42, 150)
-	pairs := findConnectedPairs(t, g, 2, 1)
-	p := NewPlateaus(g, Options{TreeBackend: TreeCHAuto})
+	m := NewMatrixEngine(g, Options{TreeBackend: TreeCHAuto}, nil)
+	sources := sampleNodes(g, 2, 1)
+	sets := [][]graph.NodeID{sampleNodes(g, 3, 2), sampleNodes(g, 3, 3)}
 
 	const rounds = 20
+	var tab Table
 	for i := 0; i < rounds; i++ {
-		for _, q := range pairs {
-			if _, err := p.Alternatives(q[0], q[1]); err != nil {
-				t.Fatalf("query %d->%d: %v", q[0], q[1], err)
+		for _, targets := range sets {
+			if err := m.MatrixInto(&tab, sources, targets); err != nil {
+				t.Fatal(err)
+			}
+			if !tab.Restricted {
+				t.Fatal("hot target sets ran full sweeps; their selections went unused")
 			}
 		}
 	}
-	st := p.HierarchyStatus()
-	total := st.SelectionHits + st.SelectionMisses
+	st := m.HierarchyStatus()
+	hits, misses := st.SelectionHits, st.SelectionMisses
+	total := hits + misses
 	if total != 2*rounds {
 		t.Fatalf("selection lookups = %d, want %d", total, 2*rounds)
 	}
-	if st.SelectionMisses > 2 {
-		t.Fatalf("alternating hot pairs: misses = %d, want at most one cold miss per pair (2)", st.SelectionMisses)
+	if misses > 2 {
+		t.Fatalf("alternating hot target sets: misses = %d, want at most one cold miss per set (2)", misses)
 	}
-	if rate := float64(st.SelectionHits) / float64(total); rate < 0.90 {
-		t.Fatalf("alternating hot pairs: hit rate = %.2f (hits=%d misses=%d), want > 0.90", rate, st.SelectionHits, st.SelectionMisses)
+	if rate := float64(hits) / float64(total); rate < 0.90 {
+		t.Fatalf("alternating hot target sets: hit rate = %.2f (hits=%d misses=%d), want >= 0.90", rate, hits, misses)
 	}
 	if st.SelectionEvictions != 0 {
 		t.Fatalf("two hot entries must fit the default budget; got %d evictions", st.SelectionEvictions)
 	}
-	if !st.LastRestricted {
-		t.Fatal("hot pairs ran full sweeps; their selections went unused")
-	}
 }
 
 // TestSelectionCacheEviction drives a degenerate one-entry-per-shard
-// budget (0 bytes) through many distinct query pairs and checks the clock
+// budget (0 bytes) through many distinct target sets and checks the clock
 // hand actually evicts: the entry count stays bounded by the shard count
 // while the eviction counter climbs.
 func TestSelectionCacheEviction(t *testing.T) {
 	withAutoFraction(t, 1)
 	g := randomRoadNetwork(43, 200)
-	pairs := findConnectedPairs(t, g, 12, 2)
-	p := NewPlateaus(g, Options{TreeBackend: TreeCHAuto})
-	tr := p.prov.view().trees.(*restrictedTrees)
+	m := NewMatrixEngine(g, Options{TreeBackend: TreeCHAuto}, nil)
+	tr := m.prov.view().trees.(*cchTrees)
 	tr.cache = newSelectionCache(0, tr.stats)
+	sources := sampleNodes(g, 2, 1)
 
-	for _, q := range pairs {
-		if _, err := p.Alternatives(q[0], q[1]); err != nil {
-			t.Fatalf("query %d->%d: %v", q[0], q[1], err)
+	var tab Table
+	for seed := int64(0); seed < 12; seed++ {
+		if err := m.MatrixInto(&tab, sources, sampleNodes(g, 2, 100+seed)); err != nil {
+			t.Fatal(err)
 		}
-	}
-	st := p.HierarchyStatus()
-	if !st.LastRestricted {
-		t.Fatal("distinct pairs ran full sweeps; their selections went unused")
+		if !tab.Restricted {
+			t.Fatal("distinct target sets ran full sweeps; their selections went unused")
+		}
 	}
 	if n := tr.cache.entryCount(); n > selCacheShards {
 		t.Fatalf("degenerate budget holds %d entries, want <= %d (one per shard)", n, selCacheShards)
 	}
+	st := m.HierarchyStatus()
 	if st.SelectionEvictions == 0 && st.SelectionMisses > selCacheShards {
 		t.Fatalf("%d misses on a one-entry-per-shard cache produced no evictions", st.SelectionMisses)
 	}
 }
 
-// TestSelectionCacheSupersetHit checks the covering probe: once a query's
-// cell union is cached, a second query whose union is a subset of it (and
-// whose endpoints lie inside) reuses the covering selection instead of
-// building its own.
+// TestSelectionCacheSupersetHit checks the covering probe: once a target
+// set's cell union is cached, a table whose targets are a subset of it
+// reuses the covering selection instead of building its own — and stays
+// exact on it.
 func TestSelectionCacheSupersetHit(t *testing.T) {
 	withAutoFraction(t, 1)
 	g := randomRoadNetwork(44, 150)
-	pairs := findConnectedPairs(t, g, 6, 3)
-	p := NewPlateaus(g, Options{TreeBackend: TreeCHAuto})
+	m := NewMatrixEngine(g, Options{TreeBackend: TreeCHAuto}, nil)
+	sources := sampleNodes(g, 3, 1)
+	targets := sampleNodes(g, 6, 2)
 
-	// Warm the cache with every pair, then replay: every replayed query's
-	// signature is already resident (exact hit at worst), so the second
-	// sweep must be all hits.
-	for sweep := 0; sweep < 2; sweep++ {
-		for _, q := range pairs {
-			if _, err := p.Alternatives(q[0], q[1]); err != nil {
-				t.Fatalf("query %d->%d: %v", q[0], q[1], err)
-			}
+	var tab Table
+	if err := m.MatrixInto(&tab, sources, targets); err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k < len(targets); k++ {
+		sub := targets[:k]
+		if err := m.MatrixInto(&tab, sources, sub); err != nil {
+			t.Fatal(err)
 		}
+		if !tab.Restricted || !tab.SelectionHit {
+			t.Fatalf("subset of %d targets: restricted=%v hit=%v, want a covering hit", k, tab.Restricted, tab.SelectionHit)
+		}
+		requireTableEqual(t, &tab, dijkstraMatrix(g, g.BaseWeights(), sources, sub), "covering hit")
 	}
-	st := p.HierarchyStatus()
-	if st.SelectionHits < uint64(len(pairs)) {
-		t.Fatalf("replay sweep produced %d hits, want >= %d", st.SelectionHits, len(pairs))
-	}
-	if !st.LastRestricted {
-		t.Fatal("replayed pairs ran full sweeps; their selections went unused")
+	if st := m.HierarchyStatus(); st.SelectionMisses != 1 || st.SelectionHits != uint64(len(targets)-1) {
+		t.Fatalf("selection lookups: %d hits, %d misses; want %d hits after one miss", st.SelectionHits, st.SelectionMisses, len(targets)-1)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cch"
 	"repro/internal/ch"
-	"repro/internal/geo"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/sp"
@@ -28,26 +27,21 @@ const (
 	// baseline description of Choice Routing.
 	TreeDijkstra TreeBackend = iota
 	// TreeCHAuto builds trees out of a customizable contraction hierarchy
-	// — the §II-B optimisation commercial engines apply. Per query the
-	// elliptic target region (the nodes able to lie on a route within
-	// UpperBound × the fastest time, by the admissible geometric bound) is
-	// quantized to a spatial cell union; while that union holds at most
-	// RestrictedAutoFraction of the graph's nodes, its vertices are
-	// selected once (cached per cell signature, rebuilt — never reused —
-	// across weight versions) and both trees come from RPHAST sweeps
-	// restricted to the selection's upward closure. Larger ellipses (long
-	// queries, where selection overhead eats the sweep savings) run full
-	// PHAST sweeps. Trees are bit-compatible drop-ins for Dijkstra trees on
-	// every node a route can use, so route sets are identical.
+	// — the §II-B optimisation commercial engines apply. Every tree pair
+	// is two full PHAST sweeps, bit-compatible drop-ins for Dijkstra trees,
+	// so route sets are identical. The matrix engine on the same backend
+	// additionally restricts its sweeps to a shared RPHAST selection of the
+	// target set (see RestrictedAutoFraction).
 	TreeCHAuto
 )
 
-// RestrictedAutoFraction is the TreeCHAuto cutover: restricted sweeps are
-// used while the elliptic target set stays at or below this fraction of
-// the graph's nodes.
+// RestrictedAutoFraction is the TreeCHAuto matrix cutover: a table's
+// sweeps are restricted to a shared selection while the cell union
+// covering its targets holds at most this fraction of the graph's nodes,
+// and run in full otherwise.
 const RestrictedAutoFraction = 0.25
 
-// autoFraction is the cutover newProvider hands its restricted sources.
+// autoFraction is the cutover newProvider hands its CCH sources.
 // It is RestrictedAutoFraction everywhere except in tests, which move it
 // to pin one sweep mode.
 var autoFraction = RestrictedAutoFraction
@@ -129,9 +123,9 @@ const (
 func ParseOrderKind(s string) (OrderKind, error) { return cch.ParseOrderKind(s) }
 
 // QueryEngine selects the point-to-point distance engine behind the CCH
-// hierarchy's Dist/Path — the searches that seed every restricted
-// selection's elliptic bound and the matrix baseline. Both engines return
-// bit-identical distances.
+// hierarchy's Dist/Path (ch.Hierarchy). It configures nothing else: tree
+// pairs and matrix rows come from PHAST/RPHAST sweeps, which neither
+// engine touches. Both engines return bit-identical distances.
 type QueryEngine uint8
 
 const (
@@ -170,7 +164,7 @@ func (q QueryEngine) String() string {
 // fs.Parse, builds the Options they select; the contraction order and
 // the query engine are fixed at OrderFlow and QueryElimTree.
 func PlannerFlags(fs *flag.FlagSet, trees TreeBackend) func() (Options, error) {
-	treesFlag := fs.String("trees", trees.String(), "tree backend of the choice-routing planners: dijkstra (full Dijkstra searches, the paper's description) or ch-auto (CCH sweeps, restricted to the query's ellipse while it covers at most a quarter of the graph)")
+	treesFlag := fs.String("trees", trees.String(), "tree backend of the choice-routing planners: dijkstra (full Dijkstra searches, the paper's description) or ch-auto (full CCH sweeps; matrix tables restrict theirs to the targets while those cover at most a quarter of the graph)")
 	hierFlag := fs.String("hierarchy", HierarchyCCH.String(), "hierarchy flavor behind -trees ch-auto: cch (exact for every published snapshot, closures included) or cch-perfect (cch plus dominated-arc pruning on every publish)")
 	return func() (Options, error) {
 		backend, err := ParseTreeBackend(*treesFlag)
@@ -187,51 +181,23 @@ func PlannerFlags(fs *flag.FlagSet, trees TreeBackend) func() (Options, error) {
 
 // HierarchyStatus is the serving-layer observability record of one
 // planner's hierarchy backend: which flavor answers queries right now,
-// how long the most recent (re)customization took, and the most recent
-// query's selection size and tree-pair sweep time. Zero for planners not
-// running on a hierarchy.
+// how long the most recent (re)customization took, and the matrix
+// selection cache's counters. Zero for planners not running on a
+// hierarchy.
 type HierarchyStatus struct {
 	Kind string
 	// Order is the contraction-order pipeline ("geometric" or "flow")
 	// behind the hierarchy.
 	Order         string
 	LastCustomize time.Duration
-	// LastSelection is the elliptic target-set size of the most recent
-	// query; LastRestricted reports whether that query actually ran
-	// restricted sweeps (false: its ellipse exceeded the auto cutover and
-	// it ran full sweeps); LastSweep is the query's tree-pair build time,
-	// selection included when one was built.
-	LastSelection  int
-	LastRestricted bool
-	LastSweep      time.Duration
 	// SelectionHits / SelectionMisses count, cumulatively across weight
-	// versions, how many restricted queries reused a cached selection vs
+	// versions, how many matrix tables reused a cached target selection vs
 	// had to build one (a Select pass); SelectionEvictions counts entries
 	// dropped under the cache's byte budget. The hit rate is the headline
 	// amortization metric of the selection cache.
 	SelectionHits      uint64
 	SelectionMisses    uint64
 	SelectionEvictions uint64
-	// LastUnionCells is the spatial cell-union size (number of grid cells)
-	// of the most recent query's selection signature; LastHit reports
-	// whether that query's selection came out of the cache.
-	LastUnionCells int
-	LastHit        bool
-	// LastQueryEngine names the point-to-point engine of the serving
-	// hierarchy ("elimtree" or "bidij"; empty off hierarchy backends).
-	// The Elim* counters are cumulative over the planner's lifetime: each
-	// customization inherits its predecessor's counters
-	// (ch.Runtime.Customize), so they never drop across publishes.
-	// ElimQueries counts
-	// point-to-point ascent queries, ElimTruncated those abandoned early
-	// by the incumbent bound, ElimAscentNodes total processed ascent
-	// nodes (mean ascent = nodes/queries). LastAscent is the most recent
-	// query's processed node count.
-	LastQueryEngine string
-	ElimQueries     uint64
-	ElimTruncated   uint64
-	ElimAscentNodes uint64
-	LastAscent      int
 }
 
 // TreeSource abstracts the tree factory behind the choice-routing
@@ -263,204 +229,108 @@ func (d dijkstraTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd
 }
 
 // selectionStats is the concurrency-safe observability shared by every
-// weight version of one planner's restricted source (plain atomics; the
-// Last* fields are last writer wins under concurrent queries).
+// weight version of one provider's matrix selections (plain atomics).
 type selectionStats struct {
-	lastSelection  atomic.Int64
-	lastRestricted atomic.Bool
-	lastSweepNS    atomic.Int64
-	lastUnion      atomic.Int64
-	lastHit        atomic.Bool
 	// Cumulative selection-cache counters (never reset on weight swaps, so
 	// serving dashboards see monotone rates).
 	selHits      atomic.Uint64
 	selMisses    atomic.Uint64
 	selEvictions atomic.Uint64
 	// selObs, when set, receives the size of every selection resolved
-	// (hits and misses both — it distributes what queries *ran on*, not
+	// (hits and misses both — it distributes what matrices *ran on*, not
 	// what was built). Installed by Router.SetMetrics.
 	selObs atomic.Pointer[metrics.Histogram]
 }
 
-// restrictedTrees is the TreeCHAuto source: the point-to-point hierarchy
-// query yields the fastest time, the admissible geometric bound
-// (geo.LowerBounder × the metric's minimum seconds-per-meter, the same
-// pair prunedTrees searches with) bounds the elliptic region of nodes
-// able to lie on a route within UpperBound × fastest, and both trees are
-// built with downward sweeps restricted to a selection covering that
-// region (ch.Selection). Distances on the ellipse equal the full sweep's,
-// so the plateau join yields byte-identical route sets; outside it the
-// trees are simply unreached, like an elliptically pruned Dijkstra tree.
-// A region too large for selection to pay (more than maxTargets nodes)
-// is swept in full instead.
+// cchTrees is the TreeCHAuto source. Every tree pair is two full PHAST
+// sweeps of one weight version's hierarchy, bit-compatible with the
+// Dijkstra backend's trees, so route sets are identical.
 //
-// Selections are shared through a spatial quantization: the ellipse is
-// covered by a union of grid cells (spatial.Index.EllipseCells), the
-// union's vertices — a superset of the ellipse, so exactness is
-// preserved — are selected with ch.SelectUnion, and the result is cached
-// in a size-bounded multi-entry cache keyed by the cell signature. Every
-// pair quantizing to the same cell union (alternating hot pairs, nearby
-// endpoints) shares one Select; a covering cache probe additionally
-// reuses any selection whose union contains the query's cells. The
-// source, and with it every cached selection, lives and dies with one
-// weight version: the provider builds a fresh restrictedTrees per
-// customization, and ch.Selection's own builder guard panics if a stale
-// selection ever crossed over.
-type restrictedTrees struct {
-	g          *graph.Graph
-	hier       ch.Hierarchy
-	tb         *ch.TreeBuilder
-	lb         geo.LowerBounder
-	scale      float64 // admissible seconds-per-meter lower bound; 0 disables selection
-	upperBound float64
-	// maxTargets is the auto cutover: a cell union holding more nodes runs
-	// full sweeps instead of building a selection.
+// It also owns that version's matrix selections (RPHAST): selectTargets
+// covers a matrix's target set with the union of the targets' spatial
+// grid cells, selects the union's vertices once with the tree builder
+// (ch.Selection), and caches the result in a size-bounded multi-entry
+// cache keyed by the cell signature, so every table over the same cells
+// shares one Select. A union holding more than maxTargets nodes is
+// swept in full instead. The source, and with it every cached
+// selection, lives and dies with one weight version: the provider builds
+// a fresh cchTrees per customization, and ch.Selection's own builder
+// guard panics if a stale selection ever crossed over.
+type cchTrees struct {
+	g  *graph.Graph
+	tb *ch.TreeBuilder
+	// maxTargets is the matrix cutover: a cell union holding more nodes
+	// runs full sweeps instead of building a selection.
 	maxTargets int
 	stats      *selectionStats
 	grid       *spatial.Index
 	cache      *selectionCache
-	// fullAll is the shared everything-marker used when no admissible
-	// geometric bound exists (zero-length edges): every query sweeps the
-	// whole graph, no per-query state.
-	fullAll *selEntry
 }
 
-// selBufPool pools the per-query cell/target buffers of the
+// selBufPool pools the per-table cell/target buffers of the
 // selection-cache path, keeping the warm lookup allocation-free. It is
-// package-level: a pool inside restrictedTrees would, through the
-// runtime's registry of pools, keep a superseded version's source and its
-// cached selections reachable until two garbage collections have passed.
+// package-level: a pool inside cchTrees would, through the runtime's
+// registry of pools, keep a superseded version's source and its cached
+// selections reachable until two garbage collections have passed.
 var selBufPool = sync.Pool{New: func() any { return new(selBuf) }}
 
-// selBuf is the pooled per-query scratch of the selection-cache path.
+// selBuf is the pooled per-table scratch of the selection-cache path.
 type selBuf struct {
 	cells   []int32
 	targets []graph.NodeID
 }
 
-func newRestrictedTrees(g *graph.Graph, hier ch.Hierarchy, weights []float64, upperBound float64, maxTargets int, stats *selectionStats, grid *spatial.Index) *restrictedTrees {
-	r := &restrictedTrees{
+func newCCHTrees(g *graph.Graph, hier ch.Hierarchy, maxTargets int, stats *selectionStats, grid *spatial.Index) *cchTrees {
+	return &cchTrees{
 		g:          g,
-		hier:       hier,
 		tb:         hier.NewTreeBuilder(),
-		lb:         geo.NewLowerBounder(g.BBox()),
-		scale:      sp.MinSecondsPerMeter(g, weights),
-		upperBound: upperBound,
 		maxTargets: maxTargets,
 		stats:      stats,
 		grid:       grid,
 		cache:      newSelectionCache(selectionCacheBytes, stats),
-		fullAll:    &selEntry{full: true, targets: g.NumNodes()},
 	}
-	return r
 }
 
-func (r *restrictedTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd *sp.Tree, ok bool) {
-	// Under QueryElimTree hier.Dist is the heap-free elimination-tree
-	// ascent, so a selection-cache hit pays no priority-queue search for
-	// its elliptic bound.
-	return r.buildTreesBounded(ws, s, t, r.hier.Dist(s, t))
-}
-
-// buildTreesBounded is BuildTrees with the fastest-time bound already
-// computed — the batched entry point of MatrixPairwise, whose shared
-// multi-source ascent derives one column of bounds at a time.
-func (r *restrictedTrees) buildTreesBounded(ws *sp.Workspace, s, t graph.NodeID, fastest float64) (fwd, bwd *sp.Tree, ok bool) {
-	if math.IsInf(fastest, 1) {
-		return nil, nil, false
+func (r *cchTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd *sp.Tree, ok bool) {
+	fwd = r.tb.BuildTreeInto(ws, s, sp.Forward)
+	if !fwd.Reached(t) {
+		return fwd, nil, false
 	}
-	start := time.Now()
-	cs := r.entryForPair(s, t, fastest)
-	if cs.full {
-		fwd = r.tb.BuildTreeInto(ws, s, sp.Forward)
-		if !fwd.Reached(t) {
-			return fwd, nil, false
-		}
-		bwd = r.tb.BuildTreeInto(ws, t, sp.Backward)
-	} else {
-		fwd = r.tb.BuildTreeRestrictedInto(ws, s, sp.Forward, cs.sel)
-		if !fwd.Reached(t) {
-			return fwd, nil, false
-		}
-		bwd = r.tb.BuildTreeRestrictedInto(ws, t, sp.Backward, cs.sel)
-	}
-	r.stats.lastSelection.Store(int64(cs.targets))
-	r.stats.lastRestricted.Store(!cs.full)
-	r.stats.lastSweepNS.Store(int64(time.Since(start)))
+	bwd = r.tb.BuildTreeInto(ws, t, sp.Backward)
 	return fwd, bwd, true
 }
 
-// entryForPair resolves the selection entry of one query pair: quantize
-// the pair's elliptic region — every node v with LB(s,v) + LB(v,t) within
-// (UpperBound × fastest) / scale; since scale·LB admissibly understates
-// true travel times, any node on any route within the budget, plateau
-// chains and tree paths included, lies inside it (the §II-B covering
-// argument) — to its covering cell union and look that signature up in
-// the cache, building the union's selection on a miss.
-func (r *restrictedTrees) entryForPair(s, t graph.NodeID, fastest float64) *selEntry {
-	if r.scale <= 0 {
-		// No admissible geometric bound (zero-length edges exist): every
-		// node may lie on a feasible route; sweep everything.
-		return r.fullAll
-	}
-	budget := r.upperBound * fastest / r.scale
-	sPt, tPt := r.g.Point(s), r.g.Point(t)
-	sb := selBufPool.Get().(*selBuf)
-	cells := r.grid.EllipseCells(sPt, tPt, budget, r.lb, sb.cells)
-	// The endpoints' cells satisfy the bound analytically; keep them in
-	// the signature even under adversarial float rounding.
-	cells = insertCellSorted(cells, int32(r.grid.CellOf(sPt)))
-	cells = insertCellSorted(cells, int32(r.grid.CellOf(tPt)))
-	sb.cells = cells
-	e, _ := r.entryForCells(sb, s, t)
-	selBufPool.Put(sb)
-	return e
-}
-
 // selectTargets resolves the selection entry covering an explicit target
-// set — the many-to-many entry point: the signature is the union of the
-// targets' cells, so one selection serves every source sweep of a matrix
-// batch and every batch hitting the same cells. hit reports whether the
-// entry came out of the cache.
-func (r *restrictedTrees) selectTargets(targets []graph.NodeID) (e *selEntry, hit bool) {
+// set: the signature is the union of the targets' cells, so one
+// selection serves every source sweep of a matrix batch and every batch
+// hitting the same cells. On a miss it selects the union's vertices (plus
+// the targets, defensively — they are cell members already) and inserts
+// the entry. hit reports whether the entry came out of the cache.
+func (r *cchTrees) selectTargets(targets []graph.NodeID) (e *selEntry, hit bool) {
 	sb := selBufPool.Get().(*selBuf)
+	defer selBufPool.Put(sb)
 	cells := sb.cells[:0]
 	for _, t := range targets {
 		cells = insertCellSorted(cells, int32(r.grid.CellOf(r.g.Point(t))))
 	}
 	sb.cells = cells
-	e, hit = r.entryForCells(sb, targets...)
-	selBufPool.Put(sb)
-	return e, hit
-}
-
-// entryForCells is the shared cache transaction: look up sb.cells'
-// signature, and on a miss select the cell union's vertices (plus the
-// must nodes, defensively — they are cell members already) and insert.
-// Hit/miss/union observability is recorded here.
-func (r *restrictedTrees) entryForCells(sb *selBuf, must ...graph.NodeID) (*selEntry, bool) {
-	cells := sb.cells
 	hash := sigHash(cells)
-	if e := r.cache.lookup(cells, hash); e != nil {
+	if e = r.cache.lookup(cells, hash); e != nil {
 		r.stats.selHits.Add(1)
-		r.stats.lastHit.Store(true)
-		r.stats.lastUnion.Store(int64(len(cells)))
 		if h := r.stats.selObs.Load(); h != nil {
 			h.Observe(float64(e.targets))
 		}
 		return e, true
 	}
 	r.stats.selMisses.Add(1)
-	r.stats.lastHit.Store(false)
-	r.stats.lastUnion.Store(int64(len(cells)))
 	tgts := sb.targets[:0]
 	for _, c := range cells {
 		tgts = append(tgts, r.grid.CellNodes(int(c))...)
 	}
 	distinct := len(tgts)
-	tgts = append(tgts, must...)
+	tgts = append(tgts, targets...)
 	sb.targets = tgts
-	e := &selEntry{sig: append([]int32(nil), cells...), hash: hash}
+	e = &selEntry{sig: append([]int32(nil), cells...), hash: hash}
 	if distinct > r.maxTargets {
 		e.full = true
 		e.targets = distinct

@@ -11,6 +11,7 @@ import (
 	"repro/internal/path"
 	"repro/internal/sp"
 	"repro/internal/traffic"
+	"repro/internal/weights"
 )
 
 // The tree-backend claim under test: the choice-routing planners return
@@ -127,25 +128,73 @@ func TestEngineDrivesCHAndPrunedPlanners(t *testing.T) {
 }
 
 // TestRestrictedTreesCollectableAfterOneGC pins that a superseded
-// version's restricted source — its builder and cached selections — is
-// freed by the first garbage collection after its last query.
+// version's CCH source — its builder and cached matrix selections — is
+// freed by the first garbage collection after its last use.
 func TestRestrictedTreesCollectableAfterOneGC(t *testing.T) {
 	withAutoFraction(t, 1)
 	g := randomPlanarNetwork(3, 12, 12)
 	pl := NewPlateaus(g, Options{TreeBackend: TreeCHAuto})
 	v := pl.prov.view()
-	r := newRestrictedTrees(g, v.hier, v.snap.Weights(), pl.opts.UpperBound, g.NumNodes(), &selectionStats{}, pl.prov.grid)
+	r := newCCHTrees(g, v.hier, g.NumNodes(), &selectionStats{}, pl.prov.grid)
+	targets := []graph.NodeID{graph.NodeID(g.NumNodes() - 1), graph.NodeID(g.NumNodes() / 2)}
+	e, hit := r.selectTargets(targets)
+	if hit || e.sel == nil || r.stats.selMisses.Load() != 1 {
+		t.Fatalf("selection ran no restricted select (hit %v, misses %d)", hit, r.stats.selMisses.Load())
+	}
 	ws := sp.GetWorkspace()
-	if _, _, ok := r.BuildTrees(ws, 0, graph.NodeID(g.NumNodes()-1)); !ok {
-		t.Fatal("corner-to-corner query unreachable")
+	if tree := r.tb.BuildTreeRestrictedInto(ws, 0, sp.Forward, e.sel); !tree.Reached(targets[0]) {
+		t.Fatal("corner-to-corner restricted sweep unreachable")
 	}
 	ws.Release()
-	if st := r.stats; st.selMisses.Load() != 1 || !st.lastRestricted.Load() {
-		t.Fatalf("query ran no restricted selection (misses %d)", st.selMisses.Load())
-	}
 	ref := weak.Make(r)
 	runtime.GC()
 	if ref.Value() != nil {
-		t.Fatal("a restricted source survived a collection after its last query")
+		t.Fatal("a CCH source survived a collection after its last use")
+	}
+}
+
+// TestRoutesNeverSelect pins that route requests build full tree pairs:
+// with the matrix cutover at 1 (which restricts every selection),
+// Plateaus, Dissimilarity and Commercial on ch-auto answer every query
+// through the engine without a single selection-cache lookup, and one
+// matrix table on the shared provider afterwards counts exactly one.
+func TestRoutesNeverSelect(t *testing.T) {
+	withAutoFraction(t, 1)
+	g := randomRoadNetwork(71, 150)
+	pub := weights.NewStore(g.BaseWeights())
+	priv := weights.NewStore(g.BaseWeights())
+	study := NewStudyPlanners(g, Options{TreeBackend: TreeCHAuto, Weights: pub}, priv)
+	commercial, plateaus, dissimilarity := study[0].(*Commercial), study[1].(*Plateaus), study[2]
+	e := NewEngine(2)
+
+	rng := rand.New(rand.NewSource(5))
+	answered := 0
+	for q := 0; q < 20; q++ {
+		s := graph.NodeID(rng.Intn(g.NumNodes()))
+		dst := graph.NodeID(rng.Intn(g.NumNodes()))
+		for _, r := range e.Alternatives([]Planner{plateaus, dissimilarity, commercial}, s, dst) {
+			if r.Err == nil {
+				answered++
+			} else if r.Err != ErrNoRoute {
+				t.Fatalf("query %d->%d: %v", s, dst, r.Err)
+			}
+		}
+	}
+	if answered == 0 {
+		t.Fatal("no query answered")
+	}
+	for _, hr := range []hierarchyReporter{plateaus, commercial} {
+		if st := hr.HierarchyStatus(); st.SelectionHits+st.SelectionMisses != 0 {
+			t.Fatalf("%d route answers resolved %d selections, want 0", answered, st.SelectionHits+st.SelectionMisses)
+		}
+	}
+
+	m := NewMatrixEngineFor(plateaus, nil)
+	var tab Table
+	if err := m.MatrixInto(&tab, sampleNodes(g, 3, 1), sampleNodes(g, 3, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if st := plateaus.HierarchyStatus(); st.SelectionHits+st.SelectionMisses != 1 {
+		t.Fatalf("one matrix table resolved %d selections, want 1", st.SelectionHits+st.SelectionMisses)
 	}
 }

@@ -99,18 +99,18 @@ type provider struct {
 	// (geometric or flow-refined separators). Baked into the shared
 	// preprocessing at first build.
 	order OrderKind
-	// query selects the CCH point-to-point engine (elimination-tree
-	// ascents by default). Carried into the hierarchy's customize hook,
-	// so every later re-customization inherits it.
+	// query selects the CCH point-to-point engine behind Hierarchy.Dist
+	// (elimination-tree ascents by default). Carried into the hierarchy's
+	// customize hook, so every later re-customization inherits it.
 	query      QueryEngine
 	pruned     bool    // elliptic pruning (ignored on TreeCHAuto)
 	upperBound float64 // pruning budget
 	needTrees  bool    // planners without a tree seam skip tree state
-	// maxTargets is the auto cutover handed to every version's restricted
+	// maxTargets is the matrix cutover handed to every version's CCH
 	// source: autoFraction of the graph's nodes, fixed at construction.
 	maxTargets int
 	// grid is the spatial quantization shared by every weight version's
-	// restricted source — geometry only, so it never goes stale. Nil off
+	// CCH source — geometry only, so it never goes stale. Nil off
 	// TreeCHAuto.
 	grid *spatial.Index
 
@@ -120,8 +120,8 @@ type provider struct {
 	// lastCustomize is the wall time (ns) of the most recent hierarchy
 	// build or customization — the per-swap latency the server logs.
 	lastCustomize atomic.Int64
-	// selStats is the restricted-sweep observability shared across weight
-	// versions (nil off TreeCHAuto).
+	// selStats is the matrix selection-cache observability shared across
+	// weight versions (nil off TreeCHAuto).
 	selStats *selectionStats
 	// custObs, when set, receives the wall-clock seconds of every
 	// hierarchy build/customization (the per-planner histogram installed
@@ -198,32 +198,14 @@ func (p *provider) hierarchyStatus() HierarchyStatus {
 		return HierarchyStatus{}
 	}
 	v := p.cur.Load()
-	st := HierarchyStatus{
+	return HierarchyStatus{
 		Kind:               v.hier.Kind(),
 		Order:              p.order.String(),
 		LastCustomize:      time.Duration(p.lastCustomize.Load()),
-		LastSelection:      int(p.selStats.lastSelection.Load()),
-		LastRestricted:     p.selStats.lastRestricted.Load(),
-		LastSweep:          time.Duration(p.selStats.lastSweepNS.Load()),
 		SelectionHits:      p.selStats.selHits.Load(),
 		SelectionMisses:    p.selStats.selMisses.Load(),
 		SelectionEvictions: p.selStats.selEvictions.Load(),
-		LastUnionCells:     int(p.selStats.lastUnion.Load()),
-		LastHit:            p.selStats.lastHit.Load(),
 	}
-	// Query-engine telemetry is a capability of the runtime, not part of
-	// the Hierarchy seam. Its counters are cumulative over the customize
-	// chain (ch.Runtime.Customize hands them on), so reading them off the
-	// serving view never goes backwards across a swap.
-	if qr, ok := v.hier.(interface{ QueryStats() ch.QueryStats }); ok {
-		qs := qr.QueryStats()
-		st.LastQueryEngine = qs.Engine
-		st.ElimQueries = qs.Queries
-		st.ElimTruncated = qs.Truncated
-		st.ElimAscentNodes = qs.AscentNodes
-		st.LastAscent = qs.LastAscent
-	}
-	return st
 }
 
 // setMetrics sinks the provider-relevant observers of a bundle: the
@@ -297,11 +279,11 @@ func (p *provider) buildView(snap *weights.Snapshot, prev *view) *view {
 				BidirQuery: p.query == QueryBidij,
 			})
 		}
-		// A fresh restricted source per version: its selection cache must
+		// A fresh source per version: its matrix selection cache must
 		// never survive a weight swap (the selections index the old tree
 		// builder's arcs). The spatial grid is geometry-only and shared
 		// across versions.
-		v.trees = newRestrictedTrees(p.g, v.hier, w, p.upperBound, p.maxTargets, p.selStats, p.grid)
+		v.trees = newCCHTrees(p.g, v.hier, p.maxTargets, p.selStats, p.grid)
 		elapsed := time.Since(start)
 		p.lastCustomize.Store(int64(elapsed))
 		if h := p.custObs.Load(); h != nil {

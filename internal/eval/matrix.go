@@ -12,8 +12,8 @@ import (
 
 // The matrix ablation quantifies the many-to-many engine against the
 // k × k independent point-to-point baseline it amortizes away: one shared
-// RPHAST selection plus k restricted forward sweeps versus k² tree-pair
-// queries through the same backend. Both sides run through the same
+// RPHAST selection plus k restricted forward sweeps versus k² full
+// tree-pair queries through the same backend. Both sides run through the same
 // MatrixEngine (MatrixInto vs MatrixPairwise), so the measured gap is the
 // batching scheme, not a backend difference.
 
@@ -98,8 +98,10 @@ func sampleDistinctNodes(g *graph.Graph, count int, rng *rand.Rand) []graph.Node
 	return out
 }
 
-// FormatMatrixAblation renders the matrix-vs-pairwise table, with the
-// cumulative selection-cache hit rate of the serving hierarchy appended.
+// FormatMatrixAblation renders the matrix-vs-pairwise table (pairwise:
+// k² full tree pairs, as a route request builds them), with the
+// cumulative matrix selection-cache hit rate of the serving hierarchy
+// appended.
 func FormatMatrixAblation(city string, rows []MatrixAblationRow, st core.HierarchyStatus) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "MATRIX ABLATION (%s): k×k table via shared selection vs k² point-to-point\n", city)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"log"
 	"net/http"
 	"sort"
@@ -31,8 +30,8 @@ func WithVerbose(v bool) Option {
 // engine record per-query latency/cache/customization/selection/matrix
 // histograms, and scrape-time collectors export the serving counters
 // that already live in the stack's atomics (store versions and publish
-// counts, versions served per planner, elimination-tree query counters,
-// selection-cache hit rates, ingest state).
+// counts, versions served per planner, selection-cache hit rates, ingest
+// state).
 func WithMetrics() Option {
 	return func(s *Server) {
 		s.registry = metrics.NewRegistry()
@@ -91,12 +90,6 @@ func (s *Server) collectServing(e *metrics.Emit) {
 				if st.Kind == "" {
 					continue
 				}
-				e.Counter("routing_elim_queries_total", "Elimination-tree point-to-point queries (accumulated across publish swaps).",
-					float64(st.ElimQueries), "city", name, "planner", p.Name())
-				e.Counter("routing_elim_truncated_total", "Elimination-tree ascents truncated by the incumbent bound.",
-					float64(st.ElimTruncated), "city", name, "planner", p.Name())
-				e.Counter("routing_elim_ascent_nodes_total", "Ascent nodes settled by elimination-tree queries.",
-					float64(st.ElimAscentNodes), "city", name, "planner", p.Name())
 				e.Counter("routing_selection_cache_hits_total", "RPHAST selection-cache hits.",
 					float64(st.SelectionHits), "city", name, "planner", p.Name())
 				e.Counter("routing_selection_cache_misses_total", "RPHAST selection-cache misses.",
@@ -164,8 +157,7 @@ type observationsRequest struct {
 // producer serialization guaranteeing gapless versions between the two.
 func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	var req observationsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	c, ok := s.cities[req.City]

@@ -13,6 +13,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"math"
@@ -97,7 +98,7 @@ func New(cities map[string]*eval.City, storePath string, opts ...Option) *Server
 // serving stack measures: per-query latency histograms per planner,
 // cache hit rates, customization latency, selection sizes, matrix table
 // shapes, plus the scrape-time counters (store versions, publish
-// counts, elimination-tree query totals, ingest state).
+// counts, selection-cache totals, ingest state).
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", metrics.ContentType)
 	if _, err := s.registry.WriteTo(w); err != nil {
@@ -268,6 +269,28 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 // city, about the most a synchronous HTTP response should carry.
 const matrixLimit = 128
 
+// maxBodyBytes caps every JSON request body. It sits well above the
+// largest legitimate body, a full-Melbourne observation batch of about
+// 24k edges; a 128×128 matrix body is about 7 KB.
+const maxBodyBytes = 4 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it answers 413 for an oversized body and 400 otherwise, and
+// reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body over 4 MiB")
+	} else {
+		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	}
+	return false
+}
+
 // handleMatrix is the many-to-many endpoint: it snaps every source and
 // target coordinate to the nearest vertex and computes the full
 // travel-time table through the city's matrix engine — one shared RPHAST
@@ -280,8 +303,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		Sources [][2]float64 `json:"sources"` // [lat,lon] each
 		Targets [][2]float64 `json:"targets"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	c, ok := s.cities[req.City]
@@ -454,16 +476,8 @@ func (s *Server) writeTrafficStatus(w http.ResponseWriter, name string, c *eval.
 
 // formatHierarchies renders the hierarchy observability suffix of the
 // per-query log line: flavor and last customization latency per approach
-// running on a hierarchy backend, plus — on restricted-sweep backends —
-// the last query's RPHAST selection size, whether it came out of the
-// selection cache, and the tree-pair sweep time, with the cache's
-// cumulative hit/miss/eviction counters, e.g.
-// " hier A=cch(2.1ms)[sel 214 (hit), sweep 80µs, cache 31/2/0]
-// B=cch(2.3ms)[full sweep 310µs]"; empty when no approach runs a
-// hierarchy. Flavors running the elimination-tree query engine append a
-// "[q=elimtree asc N trunc P%]" block: the last point-to-point ascent's
-// settled-node count and the share of ascents the incumbent bound
-// truncated early, cumulative over the planner's lifetime.
+// running on a hierarchy backend, e.g. " hier A=cch(2.1ms) B=cch(2.3ms)";
+// empty when no approach runs a hierarchy.
 func formatHierarchies(statuses []core.HierarchyStatus) string {
 	var sb strings.Builder
 	for i, st := range statuses {
@@ -474,23 +488,6 @@ func formatHierarchies(statuses []core.HierarchyStatus) string {
 			sb.WriteString(" hier")
 		}
 		fmt.Fprintf(&sb, " %s=%s(%s)", displayLabels[i], st.Kind, st.LastCustomize.Round(100*time.Microsecond))
-		if st.LastSweep > 0 {
-			if st.LastRestricted {
-				fmt.Fprintf(&sb, "[sel %d (%s), sweep %s, cache %d/%d/%d]",
-					st.LastSelection, hitMiss(st.LastHit), st.LastSweep.Round(10*time.Microsecond),
-					st.SelectionHits, st.SelectionMisses, st.SelectionEvictions)
-			} else {
-				fmt.Fprintf(&sb, "[full sweep %s]", st.LastSweep.Round(10*time.Microsecond))
-			}
-		}
-		if st.LastQueryEngine == "elimtree" {
-			fmt.Fprintf(&sb, "[q=%s", st.LastQueryEngine)
-			if st.ElimQueries > 0 {
-				fmt.Fprintf(&sb, " asc %d trunc %.0f%%",
-					st.LastAscent, 100*float64(st.ElimTruncated)/float64(st.ElimQueries))
-			}
-			sb.WriteString("]")
-		}
 	}
 	return sb.String()
 }
@@ -510,8 +507,7 @@ func toRouteJSON(c *eval.City, p path.Path) routeJSON {
 // handleRating accepts the feedback form (Fig. 3).
 func (s *Server) handleRating(w http.ResponseWriter, r *http.Request) {
 	var sub RatingSubmission
-	if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, &sub) {
 		return
 	}
 	if _, ok := s.cities[sub.City]; !ok {
