@@ -8,9 +8,11 @@ import (
 	"repro/internal/ch"
 )
 
-// Config tunes one customization pass. The zero value is the serving
-// default: geometric order, worker count from GOMAXPROCS, basic
-// (non-perfect) output.
+// Config tunes one customization pass. The zero value selects the
+// geometric order, a worker count from GOMAXPROCS, basic (non-perfect)
+// output and elimination-tree queries. It is not the serving
+// configuration: the commands build on OrderFlow (core.PlannerFlags), and
+// Order only matters to BuildWith — CustomizeWith ignores it.
 type Config struct {
 	// Order selects the nested-dissection pipeline of the underlying
 	// preprocessing. Only consulted by BuildWith (which resolves the
@@ -31,7 +33,7 @@ type Config struct {
 	// BidirQuery keeps the bidirectional upward Dijkstra for
 	// point-to-point queries instead of the default elimination-tree
 	// engine. Both return bit-identical distances; the toggle exists for
-	// ablations and the -query flag.
+	// ablations and the engine-equivalence tests.
 	BidirQuery bool
 }
 

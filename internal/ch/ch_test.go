@@ -236,41 +236,6 @@ func TestShortcutAccounting(t *testing.T) {
 	})
 }
 
-// TestQueryStatsCarryOverCustomize pins that the elimination-tree counters
-// follow the customize chain: a runtime returned by Customize starts from
-// its predecessor's totals, and queries on either runtime count toward
-// the same totals afterwards.
-func TestQueryStatsCarryOverCustomize(t *testing.T) {
-	g := gridCity(10, 10)
-	w := g.CopyWeights()
-	h := cch.Build(g, w).(*ch.Runtime)
-	last := graph.NodeID(g.NumNodes() - 1)
-	for q := 0; q < 5; q++ {
-		h.Dist(graph.NodeID(q), last)
-	}
-	before := h.QueryStats()
-	if before.Engine != "elimtree" || before.Queries != 5 {
-		t.Fatalf("seed stats = %+v, want 5 elimtree queries", before)
-	}
-	next := h.Customize(perturb(w, 1.3)).(*ch.Runtime)
-	if got := next.QueryStats(); got.Queries != before.Queries || got.AscentNodes != before.AscentNodes || got.Truncated != before.Truncated {
-		t.Fatalf("customized runtime starts at %+v, want the predecessor's %+v", got, before)
-	}
-	next.Dist(0, last)
-	h.Dist(0, last) // a query still draining on the superseded runtime
-	if got := next.QueryStats().Queries; got != before.Queries+2 {
-		t.Fatalf("chain counted %d queries, want %d", got, before.Queries+2)
-	}
-}
-
-func perturb(w []float64, f float64) []float64 {
-	out := make([]float64, len(w))
-	for i, x := range w {
-		out[i] = x * f
-	}
-	return out
-}
-
 func TestQuerySettlesFewerNodesThanDijkstra(t *testing.T) {
 	// Not a strict guarantee per query, but across a batch the upward
 	// search must touch far less of the graph. We proxy by time budget:

@@ -3,7 +3,6 @@ package ch
 import (
 	"math"
 	mbits "math/bits"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/sp"
@@ -22,48 +21,18 @@ import (
 // float sums, so their distances are bit-identical — the backend-matrix
 // tests pin route sets and tables across engines byte-for-byte.
 
-// elimCounters is the engine's concurrency-safe observability (plain
-// atomics). One set is shared by every runtime of a customize chain:
-// WithElimTree allocates it and Runtime.Customize hands it on, so queries
-// still draining on a superseded runtime count toward the same totals.
-type elimCounters struct {
-	queries     atomic.Uint64
-	truncated   atomic.Uint64
-	ascentNodes atomic.Uint64
-	lastAscent  atomic.Int64
-}
-
-// QueryStats reports which point-to-point engine a runtime answers with
-// and, for the elimination-tree engine, its ascent telemetry.
+// QueryStats reports which point-to-point engine a runtime answers with.
 type QueryStats struct {
 	// Engine is "elimtree" or "bidij".
 	Engine string
-	// Queries counts point-to-point queries (Dist/Path) over the whole
-	// customize chain this runtime belongs to, so it never drops across a
-	// Customize; Truncated counts those whose forward ascent was abandoned
-	// early because no remaining path node could beat the incumbent;
-	// AscentNodes accumulates processed ascent nodes across queries
-	// (AscentNodes/Queries is the mean ascent length).
-	Queries     uint64
-	Truncated   uint64
-	AscentNodes uint64
-	// LastAscent is the most recent query's processed node count (both
-	// ascents), last writer wins.
-	LastAscent int
 }
 
-// QueryStats returns the runtime's engine name and counters.
+// QueryStats returns the runtime's engine name.
 func (h *Runtime) QueryStats() QueryStats {
-	if h.elim == nil || h.elimStats == nil {
+	if h.elim == nil {
 		return QueryStats{Engine: "bidij"}
 	}
-	return QueryStats{
-		Engine:      "elimtree",
-		Queries:     h.elimStats.queries.Load(),
-		Truncated:   h.elimStats.truncated.Load(),
-		AscentNodes: h.elimStats.ascentNodes.Load(),
-		LastAscent:  int(h.elimStats.lastAscent.Load()),
-	}
+	return QueryStats{Engine: "elimtree"}
 }
 
 // elimSearchInto is the elimination-tree counterpart of searchInto: same
@@ -85,7 +54,6 @@ func (h *Runtime) QueryStats() QueryStats {
 // the walk (a meet needs labels from both directions).
 func (h *Runtime) elimSearchInto(ws *sp.Workspace, s, t graph.NodeID) (float64, graph.NodeID) {
 	if s == t {
-		h.recordQuery(0, false)
 		return 0, s
 	}
 	n := h.g.NumNodes()
@@ -109,7 +77,6 @@ func (h *Runtime) elimSearchInto(ws *sp.Workspace, s, t graph.NodeID) (float64, 
 	fbits, fchain := fa.Raw()
 	bbits, bchain := ba.Raw()
 
-	nodes := 0
 	fLive, bLive := 1, 1
 	best := math.Inf(1)
 	meet := graph.InvalidNode
@@ -119,7 +86,6 @@ func (h *Runtime) elimSearchInto(ws *sp.Workspace, s, t graph.NodeID) (float64, 
 		bs := (fbits[w] | bbits[w]) & mask
 		for bs == 0 {
 			if w == 0 {
-				h.recordQuery(nodes, false)
 				return best, meet
 			}
 			w--
@@ -134,7 +100,6 @@ func (h *Runtime) elimSearchInto(ws *sp.Workspace, s, t graph.NodeID) (float64, 
 			fbits[w] &^= bit
 			fx = fchain[d]
 			fLive--
-			nodes++
 			df = f.DistOf(fx)
 		}
 		bok := bbits[w]&bit != 0
@@ -142,7 +107,6 @@ func (h *Runtime) elimSearchInto(ws *sp.Workspace, s, t graph.NodeID) (float64, 
 			bbits[w] &^= bit
 			bx = bchain[d]
 			bLive--
-			nodes++
 			db = b.DistOf(bx)
 		}
 		if fok && bok && fx == bx {
@@ -209,24 +173,12 @@ func (h *Runtime) elimSearchInto(ws *sp.Workspace, s, t graph.NodeID) (float64, 
 		}
 		// Depth 0 is a root: nothing relaxes below it, the walk is complete.
 		if d == 0 {
-			h.recordQuery(nodes, false)
 			return best, meet
 		}
 		// A meet needs labels from BOTH directions, and a drained side can
 		// never label another node — either drain ends the walk.
 		if fLive == 0 || bLive == 0 {
-			h.recordQuery(nodes, true)
 			return best, meet
 		}
-	}
-}
-
-func (h *Runtime) recordQuery(nodes int, truncated bool) {
-	st := h.elimStats
-	st.queries.Add(1)
-	st.ascentNodes.Add(uint64(nodes))
-	st.lastAscent.Store(int64(nodes))
-	if truncated {
-		st.truncated.Add(1)
 	}
 }

@@ -109,9 +109,7 @@ type Runtime struct {
 	customize func([]float64) Hierarchy
 	// elim, when non-nil, switches Dist/Path to the elimination-tree
 	// engine (elimquery.go); nil keeps the bidirectional search (query.go).
-	// elimStats is allocated alongside it.
-	elim      *ElimTree
-	elimStats *elimCounters
+	elim *ElimTree
 }
 
 // NewRuntime assembles a hierarchy runtime from externally built arcs:
@@ -225,16 +223,10 @@ func (h *Runtime) WithArcsInert(arcs []Arc, arcW []float64, inert []bool) *Runti
 // elimination-tree engine over et (nil restores the bidirectional
 // search). The caller vouches that et is the elimination tree of this
 // runtime's topology and that upward neighborhoods are cliques — package
-// cch's chordal supergraph satisfies this by construction. Counters start
-// fresh here; Customize carries them on to the next runtime of the chain.
+// cch's chordal supergraph satisfies this by construction.
 func (h *Runtime) WithElimTree(et *ElimTree) *Runtime {
 	rt := *h
 	rt.elim = et
-	if et != nil {
-		rt.elimStats = &elimCounters{}
-	} else {
-		rt.elimStats = nil
-	}
 	return &rt
 }
 
@@ -266,15 +258,7 @@ func (h *Runtime) Kind() string { return h.kind }
 func (h *Runtime) Rank() []int32 { return h.rank }
 
 // Customize implements Hierarchy by calling the hook WithCustomize
-// installed. The returned runtime inherits this runtime's query counters,
-// so QueryStats are cumulative over a customize chain: a serving layer
-// that swaps in each new customization never sees them drop.
+// installed.
 func (h *Runtime) Customize(weights []float64) Hierarchy {
-	next := h.customize(weights)
-	if rt, ok := next.(*Runtime); ok && rt.elimStats != nil && h.elimStats != nil {
-		cp := *rt
-		cp.elimStats = h.elimStats
-		return &cp
-	}
-	return next
+	return h.customize(weights)
 }

@@ -87,9 +87,10 @@ func TestBackendMatrix(t *testing.T) {
 	plannerNames := []string{"Plateaus", "PrunedPlateaus", "Dissimilarity", "Penalty", "Commercial"}
 	mk := func(g *graph.Graph, snap *weights.Snapshot, o Options) []Planner {
 		o.Weights = snap
+		pl := NewPlateaus(g, o)
 		return []Planner{
-			NewPlateaus(g, o),
-			NewPrunedPlateaus(g, o),
+			pl,
+			pl,
 			NewDissimilarity(g, o),
 			NewPenalty(g, o),
 			// Commercial's private metric is the closure snapshot itself:
@@ -108,6 +109,9 @@ func TestBackendMatrix(t *testing.T) {
 		seed := int64(n)
 		snap := closureSnapshot(g, seed+900)
 		baseline := mk(g, snap, Options{})
+		// The PrunedPlateaus column holds each row's Plateaus to elliptic
+		// trees instead: CCH sweeps must also match the §II-B pruning.
+		baseline[1] = ellipticPlanner{baseline[0].(*Plateaus)}
 		for _, sw := range sweeps {
 			for _, fl := range flavors {
 				row := sw.name + "/" + fl.name

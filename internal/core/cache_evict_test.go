@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
 
@@ -103,84 +102,4 @@ func TestEvictStaleScopesToPlanner(t *testing.T) {
 	if _, ok := c.get(cacheKey{planner: b, version: 1, s: 0, t: 1}); !ok {
 		t.Fatal("b's entry was evicted by a's sweep")
 	}
-}
-
-// --- prunedTrees scan sharing ------------------------------------------------
-
-func minRatioEdge(g *graph.Graph, w []float64) (graph.EdgeID, float64) {
-	best, bestR := graph.EdgeID(-1), math.Inf(1)
-	for e := 0; e < g.NumEdges(); e++ {
-		ed := g.Edge(graph.EdgeID(e))
-		if ed.LengthM <= 0 {
-			continue
-		}
-		if r := w[e] / ed.LengthM; r < bestR {
-			best, bestR = graph.EdgeID(e), r
-		}
-	}
-	return best, bestR
-}
-
-func TestRescaleFromDelta(t *testing.T) {
-	g := testCity(t)
-	base := g.CopyWeights()
-	argmin, scale := minRatioEdge(g, base)
-
-	// Raising a non-minimum edge keeps the old scale.
-	other := graph.EdgeID(0)
-	if other == argmin {
-		other = 1
-	}
-	next := append([]float64(nil), base...)
-	next[other] = math.Inf(1)
-	got, ok := rescaleFromDelta(g, base, next, []graph.EdgeID{other}, scale)
-	if !ok || got != scale {
-		t.Fatalf("ban of non-min edge: got (%g, %v), want (%g, true)", got, ok, scale)
-	}
-
-	// Lowering an edge below the minimum lowers the scale to it.
-	next = append([]float64(nil), base...)
-	next[other] = base[other] / 100
-	lowered := next[other] / g.Edge(other).LengthM
-	got, ok = rescaleFromDelta(g, base, next, []graph.EdgeID{other}, scale)
-	if !ok || math.Abs(got-math.Min(scale, lowered)) > 1e-15 {
-		t.Fatalf("lowering: got (%g, %v), want (%g, true)", got, ok, math.Min(scale, lowered))
-	}
-
-	// Touching the argmin edge forces a rescan.
-	next = append([]float64(nil), base...)
-	next[argmin] = math.Inf(1)
-	if _, ok = rescaleFromDelta(g, base, next, []graph.EdgeID{argmin}, scale); ok {
-		t.Fatal("touching the argmin edge must force a rescan")
-	}
-}
-
-// TestPrunedScaleSharedAcrossBanPublish drives the whole chain: a Ban on
-// the live store carries a delta, the provider's next pruned view derives
-// its scale incrementally, and the result equals (and prunes exactly
-// like) a from-scratch planner at the new snapshot.
-func TestPrunedScaleSharedAcrossBanPublish(t *testing.T) {
-	g := testCity(t)
-	store := weights.NewStore(g.BaseWeights())
-	com := NewCommercial(g, nil, Options{Weights: store})
-
-	argmin, _ := minRatioEdge(g, store.Latest().Weights())
-	banned := graph.EdgeID(0)
-	if banned == argmin {
-		banned = 1
-	}
-	store.Ban(banned)
-	com.prov.refreshSync()
-
-	cur := com.prov.cur.Load()
-	if cur.pruned == nil {
-		t.Fatal("commercial provider lost its pruned source")
-	}
-	fresh := newPrunedTrees(g, store.Latest().Weights(), DefaultUpperBound)
-	if cur.pruned.scale != fresh.scale {
-		t.Fatalf("delta-derived scale %g != full-scan scale %g", cur.pruned.scale, fresh.scale)
-	}
-	// Route sets must be unaffected by the sharing.
-	pinned := NewCommercial(g, store.Latest().Weights(), Options{})
-	comparePlannersExact(t, pinned, com, g, 8, 21)
 }

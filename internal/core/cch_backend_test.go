@@ -29,7 +29,7 @@ func TestPlateausCCHMatchesDijkstraBackend(t *testing.T) {
 func TestCommercialCCHMatchesFullTrees(t *testing.T) {
 	g := randomRoadNetwork(301, 150)
 	private := traffic.Apply(g, traffic.DefaultModel(33))
-	full := NewCommercial(g, private, Options{DisablePrunedTrees: true})
+	full := NewCommercial(g, private, Options{})
 	cchC := NewCommercial(g, private, Options{TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH})
 	comparePlannersExact(t, full, cchC, g, 12, 5)
 }
@@ -72,7 +72,7 @@ func TestCCHServingExactUnderClosures(t *testing.T) {
 func TestHierarchyStatusReporting(t *testing.T) {
 	g := testCity(t)
 	perfect := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCHPerfect})
-	cchP := NewPrunedPlateaus(g, Options{TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH})
+	cchP := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH})
 	dij := NewPlateaus(g, Options{})
 
 	if st := perfect.HierarchyStatus(); st.Kind != "cch" || st.LastCustomize <= 0 {
@@ -112,7 +112,6 @@ func TestConcurrentPublishWithBatchQueriesCCH(t *testing.T) {
 	cchOpts := Options{Weights: pubStore, TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH}
 	planners := []Planner{
 		NewPlateaus(g, cchOpts),
-		NewPrunedPlateaus(g, cchOpts),
 		NewPlateaus(g, Options{Weights: pubStore}),
 		NewCommercial(g, nil, Options{Weights: privStore, TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH}),
 	}

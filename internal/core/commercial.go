@@ -37,13 +37,10 @@ import (
 // weights, exactly as the paper's query processor timed Google's routes
 // with OSM data.
 //
-// Like a real engine it also applies the §II-B tree optimisations: by
-// default its plateau trees are elliptically pruned to the UpperBound
-// reachable region (sp.BuildPrunedTree) — disable with
-// Options.DisablePrunedTrees — and Options.TreeBackend == TreeCHAuto
-// switches to trees swept out of a customizable contraction hierarchy
-// over the private weights (re-customized in the background as traffic
-// versions are published).
+// Like every tree planner, it builds full Dijkstra trees by default, and
+// Options.TreeBackend == TreeCHAuto switches to trees swept out of a
+// customizable contraction hierarchy over the private weights
+// (re-customized in the background as traffic versions are published).
 //
 // Its provider, and so its WeightsVersion, follows the *private* traffic
 // metric — the one that changes under live serving.
@@ -81,8 +78,7 @@ func NewCommercial(g *graph.Graph, private []float64, opts Options) *Commercial 
 		diversityBias: 0.45,
 		poolSize:      16,
 	}
-	pruned := opts.TreeBackend != TreeCHAuto && !opts.DisablePrunedTrees
-	c.prov = newProvider(g, src, true, pruned, opts)
+	c.prov = newProvider(g, src, true, opts)
 	return c
 }
 

@@ -85,7 +85,7 @@ type Options struct {
 	// Theta is the Dissimilarity admission threshold (default 0.5).
 	Theta float64
 	// TreeBackend selects how the tree-source planners (Plateaus,
-	// Commercial, PrunedPlateaus, Dissimilarity) build their shortest-path
+	// Commercial, Dissimilarity) build their shortest-path
 	// trees: full Dijkstra searches (TreeDijkstra, the default, matching
 	// the paper's description) or full PHAST sweeps over a customizable
 	// contraction hierarchy (TreeCHAuto, the §II-B optimisation commercial
@@ -117,12 +117,6 @@ type Options struct {
 	// bidirectional upward Dijkstra. Distances are bit-identical either
 	// way. Ignored on TreeDijkstra.
 	Query QueryEngine
-	// DisablePrunedTrees makes the Commercial planner build full trees
-	// instead of the elliptically pruned trees (sp.BuildPrunedTree) it
-	// uses by default. Pruned and full trees yield the same routes (the
-	// §II-B claim, verified by the test suite); the toggle exists for
-	// ablations. Ignored on TreeCHAuto.
-	DisablePrunedTrees bool
 	// ApplyUpperBoundToPenalty additionally filters Penalty routes by the
 	// upper bound — one of the "easily included" refinements of §IV-C.
 	ApplyUpperBoundToPenalty bool

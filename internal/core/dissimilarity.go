@@ -47,7 +47,7 @@ type Dissimilarity struct {
 // Options.Weights (nil pins the graph's base travel-time weights).
 func NewDissimilarity(g *graph.Graph, opts Options) *Dissimilarity {
 	o := opts.withDefaults()
-	return &Dissimilarity{versioned: versioned{newProvider(g, o.Weights, true, false, o)}, g: g, opts: o}
+	return &Dissimilarity{versioned: versioned{newProvider(g, o.Weights, true, o)}, g: g, opts: o}
 }
 
 // Name implements Planner.

@@ -22,8 +22,7 @@ import (
 // warm sp.Workspace from the shared pool, so a saturated engine runs
 // steady-state query processing without allocating search arrays. Planners
 // used through an Engine must be safe for concurrent use — every planner
-// in this package is (PrunedPlateaus records its per-query instrumentation
-// through atomics).
+// in this package is.
 //
 // The only state that spans jobs is request-scoped: within one batch, the
 // jobs that run on the same pinned view for the same (s, t) — the study

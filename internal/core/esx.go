@@ -36,7 +36,7 @@ type ESX struct {
 // pins the graph's base travel-time weights).
 func NewESX(g *graph.Graph, opts Options) *ESX {
 	o := opts.withDefaults()
-	return &ESX{versioned: versioned{newProvider(g, o.Weights, false, false, o)}, g: g, opts: o, maxExclusionsPerRound: 24}
+	return &ESX{versioned: versioned{newProvider(g, o.Weights, false, o)}, g: g, opts: o, maxExclusionsPerRound: 24}
 }
 
 // Name implements Planner.

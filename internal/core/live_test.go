@@ -32,7 +32,6 @@ func TestStoreBackedPlannersMatchPinned(t *testing.T) {
 			pinned, stored Planner
 		}{
 			{"Plateaus", NewPlateaus(g, pinnedOpts), NewPlateaus(g, storeOpts)},
-			{"PrunedPlateaus", NewPrunedPlateaus(g, pinnedOpts), NewPrunedPlateaus(g, storeOpts)},
 			{"Dissimilarity", NewDissimilarity(g, pinnedOpts), NewDissimilarity(g, storeOpts)},
 			{"Penalty", NewPenalty(g, pinnedOpts), NewPenalty(g, storeOpts)},
 			{"Commercial", NewCommercial(g, private, pinnedOpts),
@@ -79,7 +78,6 @@ func TestBanSurvivesSnapshotSwap(t *testing.T) {
 		opts := Options{TreeBackend: backend, Weights: store}
 		planners := []Planner{
 			NewPlateaus(g, opts),
-			NewPrunedPlateaus(g, opts),
 			NewDissimilarity(g, opts),
 			NewPenalty(g, opts),
 			NewCommercial(g, nil, opts), // plans on the same store as its private metric
@@ -291,7 +289,6 @@ func TestConcurrentPublishWithBatchQueries(t *testing.T) {
 	planners := []Planner{
 		NewPlateaus(g, opts),
 		NewPlateaus(g, chOpts),
-		NewPrunedPlateaus(g, chOpts),
 		NewDissimilarity(g, opts),
 		NewPenalty(g, opts),
 		NewCommercial(g, nil, Options{Weights: privStore, TreeBackend: TreeCHAuto}),
@@ -458,7 +455,7 @@ func TestLiveTrafficSoakCHSweeps(t *testing.T) {
 
 	planners := []Planner{
 		NewPlateaus(g, Options{Weights: pubStore, TreeBackend: TreeCHAuto}),
-		NewPrunedPlateaus(g, Options{Weights: pubStore, TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCHPerfect}),
+		NewPlateaus(g, Options{Weights: pubStore, TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCHPerfect}),
 		NewDissimilarity(g, Options{Weights: pubStore}),
 		NewCommercial(g, nil, Options{Weights: privStore, TreeBackend: TreeCHAuto}),
 	}

@@ -67,7 +67,7 @@ func NewMatrixEngine(g *graph.Graph, opts Options, eng *Engine) *MatrixEngine {
 	return &MatrixEngine{
 		g:    g,
 		eng:  eng,
-		prov: newProvider(g, opts.Weights, true, false, opts),
+		prov: newProvider(g, opts.Weights, true, opts),
 	}
 }
 

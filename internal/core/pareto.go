@@ -34,7 +34,7 @@ type Pareto struct {
 // and distance as the two criteria.
 func NewPareto(g *graph.Graph, opts Options) *Pareto {
 	o := opts.withDefaults()
-	return &Pareto{versioned: versioned{newProvider(g, o.Weights, false, false, o)}, g: g, opts: o, maxLabelsPerNode: 32}
+	return &Pareto{versioned: versioned{newProvider(g, o.Weights, false, o)}, g: g, opts: o, maxLabelsPerNode: 32}
 }
 
 // Name implements Planner.

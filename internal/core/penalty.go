@@ -32,7 +32,7 @@ type Penalty struct {
 // (nil pins the graph's base travel-time weights).
 func NewPenalty(g *graph.Graph, opts Options) *Penalty {
 	o := opts.withDefaults()
-	return &Penalty{versioned: versioned{newProvider(g, o.Weights, false, false, o)}, g: g, opts: o}
+	return &Penalty{versioned: versioned{newProvider(g, o.Weights, false, o)}, g: g, opts: o}
 }
 
 // Name implements Planner.

@@ -41,15 +41,9 @@ type Plateaus struct {
 // snapshot's hierarchy so every query can build its trees with downward
 // sweeps.
 func NewPlateaus(g *graph.Graph, opts Options) *Plateaus {
-	return newPlateaus(g, opts, false)
-}
-
-// newPlateaus is the shared constructor: pruned selects elliptic tree
-// pruning (ignored under TreeCHAuto).
-func newPlateaus(g *graph.Graph, opts Options, pruned bool) *Plateaus {
 	opts = opts.withDefaults()
 	return &Plateaus{
-		versioned: versioned{newProvider(g, opts.Weights, true, pruned, opts)},
+		versioned: versioned{newProvider(g, opts.Weights, true, opts)},
 		g:         g,
 		opts:      opts,
 	}

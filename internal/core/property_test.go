@@ -88,7 +88,6 @@ func TestPlannerContractOnRandomNetworks(t *testing.T) {
 		planners := []Planner{
 			NewPenalty(g, Options{}),
 			NewPlateaus(g, Options{}),
-			NewPrunedPlateaus(g, Options{}),
 			NewDissimilarity(g, Options{}),
 			NewCommercial(g, private, Options{}),
 			NewESX(g, Options{}),

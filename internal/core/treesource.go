@@ -3,7 +3,6 @@ package core
 import (
 	"flag"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,17 +13,17 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sp"
 	"repro/internal/spatial"
-	"repro/internal/weights"
 )
 
-// TreeBackend selects how the tree-source planners (Plateaus, Commercial,
-// PrunedPlateaus and Dissimilarity) obtain the forward/backward
-// shortest-path trees their plateau join or via-node scan consumes.
+// TreeBackend selects how the tree-source planners (Plateaus, Commercial
+// and Dissimilarity) obtain the forward/backward shortest-path trees
+// their plateau join or via-node scan consumes.
 type TreeBackend uint8
 
 const (
-	// TreeDijkstra builds trees with full Dijkstra searches, the paper's
-	// baseline description of Choice Routing.
+	// TreeDijkstra builds trees with two full Dijkstra searches: the
+	// paper's description of Choice Routing, and the oracle every other
+	// backend is tested against.
 	TreeDijkstra TreeBackend = iota
 	// TreeCHAuto builds trees out of a customizable contraction hierarchy
 	// — the §II-B optimisation commercial engines apply. Every tree pair
@@ -365,84 +364,4 @@ func insertCellSorted(cells []int32, c int32) []int32 {
 	copy(cells[lo+1:], cells[lo:])
 	cells[lo] = c
 	return cells
-}
-
-// prunedTrees is the §II-B elliptic source: a bidirectional probe finds
-// the fastest time, then both trees explore only nodes that can lie on a
-// route within upperBound × fastest. Within that budget the trees'
-// distances equal the full trees', so the choice routes are preserved.
-type prunedTrees struct {
-	g          *graph.Graph
-	weights    []float64
-	scale      float64 // admissible seconds-per-meter lower bound
-	upperBound float64
-}
-
-// newPrunedTrees builds the elliptic source, deriving the admissible
-// scale from the same weights the trees will search — the invariant the
-// pruning bound depends on.
-func newPrunedTrees(g *graph.Graph, weights []float64, upperBound float64) *prunedTrees {
-	return &prunedTrees{
-		g:          g,
-		weights:    weights,
-		scale:      sp.MinSecondsPerMeter(g, weights),
-		upperBound: upperBound,
-	}
-}
-
-// newPrunedTreesFrom is newPrunedTrees with cross-version scan sharing:
-// when the snapshot carries a changed-edge delta relative to exactly the
-// previous view's snapshot (closures, spot republishes), the admissible
-// scale is updated from the previous one in O(|delta|) instead of
-// rescanning every edge — the minimum-speed scan survives any publish
-// that leaves the minima untouched. Bulk publishes (full traffic steps)
-// carry no delta and fall back to the full scan.
-func newPrunedTreesFrom(g *graph.Graph, snap *weights.Snapshot, upperBound float64, prev *prunedTrees, prevSnap *weights.Snapshot) *prunedTrees {
-	w := snap.Weights()
-	if prev != nil && prevSnap != nil {
-		if since, changed, ok := snap.Delta(); ok && since == prevSnap.Version() {
-			if scale, ok := rescaleFromDelta(g, prevSnap.Weights(), w, changed, prev.scale); ok {
-				return &prunedTrees{g: g, weights: w, scale: scale, upperBound: upperBound}
-			}
-		}
-	}
-	return newPrunedTrees(g, w, upperBound)
-}
-
-// rescaleFromDelta derives the new minimum seconds-per-meter from the
-// previous one given that only the changed edges differ. It is sound
-// exactly when the previous minimum was achieved on an *unchanged* edge:
-// then the old scale is still attained and only the changed edges can
-// lower it. If any changed edge sat at the old minimum (it may have been
-// the sole argmin, and raising it would raise the true minimum), ok is
-// false and the caller must rescan.
-func rescaleFromDelta(g *graph.Graph, prevW, w []float64, changed []graph.EdgeID, prevScale float64) (float64, bool) {
-	scale := prevScale
-	for _, e := range changed {
-		ed := g.Edge(e)
-		if ed.LengthM <= 0 {
-			continue
-		}
-		if prevW[e]/ed.LengthM <= prevScale {
-			return 0, false
-		}
-		if r := w[e] / ed.LengthM; r < scale {
-			scale = r
-		}
-	}
-	return scale, true
-}
-
-func (p *prunedTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd *sp.Tree, ok bool) {
-	_, fastest := sp.BidirectionalShortestPathInto(ws, p.g, p.weights, s, t)
-	if math.IsInf(fastest, 1) {
-		return nil, nil, false
-	}
-	maxCost := p.upperBound * fastest
-	fwd = sp.BuildPrunedTreeInto(ws, p.g, p.weights, s, sp.Forward, t, maxCost, p.scale)
-	bwd = sp.BuildPrunedTreeInto(ws, p.g, p.weights, t, sp.Backward, s, maxCost, p.scale)
-	if !fwd.Reached(t) {
-		return fwd, bwd, false
-	}
-	return fwd, bwd, true
 }

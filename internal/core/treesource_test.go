@@ -15,8 +15,9 @@ import (
 )
 
 // The tree-backend claim under test: the choice-routing planners return
-// the same routes whether their trees come from full Dijkstra searches,
-// elliptic pruning, or sweeps over a customizable contraction hierarchy.
+// the same routes whether their trees come from full Dijkstra searches or
+// sweeps over a customizable contraction hierarchy (elliptic pruning is
+// pinned in elliptic_test.go).
 //
 // Exact route-set equality requires tie-free shortest paths (with ties,
 // equally correct trees may pick different parents and therefore different
@@ -66,42 +67,26 @@ func TestPlateausCHMatchesDijkstraBackend(t *testing.T) {
 	}
 }
 
-func TestPrunedPlateausCHBackend(t *testing.T) {
-	g := randomRoadNetwork(7, 150)
-	dij := NewPrunedPlateaus(g, Options{})
-	chp := NewPrunedPlateaus(g, Options{TreeBackend: TreeCHAuto})
-	comparePlannersExact(t, dij, chp, g, 12, 7)
-}
-
-func TestCommercialPrunedMatchesFullTrees(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		g := randomRoadNetwork(seed+200, 150)
-		private := traffic.Apply(g, traffic.DefaultModel(uint64(seed)+9))
-		pruned := NewCommercial(g, private, Options{})
-		full := NewCommercial(g, private, Options{DisablePrunedTrees: true})
-		comparePlannersExact(t, full, pruned, g, 12, seed)
-	}
-}
-
 func TestCommercialCHMatchesFullTrees(t *testing.T) {
 	g := randomRoadNetwork(300, 150)
 	private := traffic.Apply(g, traffic.DefaultModel(33))
-	full := NewCommercial(g, private, Options{DisablePrunedTrees: true})
+	full := NewCommercial(g, private, Options{})
 	chc := NewCommercial(g, private, Options{TreeBackend: TreeCHAuto})
 	comparePlannersExact(t, full, chc, g, 12, 5)
 }
 
-// TestEngineDrivesCHAndPrunedPlanners hammers the CH-backed and pruned
-// planners through the concurrent engine; with -race it verifies the
-// shared TreeBuilder, the selection cache, the pruned tree source and the
-// atomic sweep statistics are data-race free.
+// TestEngineDrivesCHAndPrunedPlanners hammers a CH-backed Plateaus, a
+// Dijkstra Commercial and Plateaus on elliptic trees through the
+// concurrent engine; with -race it verifies the shared TreeBuilder, the
+// Dijkstra views and the pooled workspaces the pruned searches share are
+// data-race free.
 func TestEngineDrivesCHAndPrunedPlanners(t *testing.T) {
 	g := testCity(t)
 	e := NewEngine(4)
 	planners := []Planner{
 		NewPlateaus(g, Options{TreeBackend: TreeCHAuto}),
-		NewPrunedPlateaus(g, Options{}),
-		NewPrunedPlateaus(g, Options{TreeBackend: TreeCHAuto}),
+		NewCommercial(g, traffic.Apply(g, traffic.DefaultModel(4)), Options{}),
+		prunedPlateaus(g, Options{}),
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -125,6 +110,41 @@ func TestEngineDrivesCHAndPrunedPlanners(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
+}
+
+// TestDijkstraBackendBuildsFullTrees pins that the Dijkstra backend is
+// the plain oracle: every tree planner on TreeDijkstra, standalone or in
+// the study set, serves two full Dijkstra trees, before and after a
+// closure is published.
+func TestDijkstraBackendBuildsFullTrees(t *testing.T) {
+	g := randomRoadNetwork(41, 120)
+	pub := weights.NewStore(g.BaseWeights())
+	priv := weights.NewStore(g.BaseWeights())
+	study := NewStudyPlanners(g, Options{Weights: pub}, priv)
+	planners := []pinnedPlanner{
+		NewPlateaus(g, Options{Weights: pub}),
+		NewCommercial(g, nil, Options{Weights: priv}),
+		NewDissimilarity(g, Options{Weights: pub}),
+		study[0].(pinnedPlanner),
+		study[1].(pinnedPlanner),
+		study[2].(pinnedPlanner),
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, pl := range planners {
+			v := pl.source().view()
+			if want := pl.source().src.Snapshot().Version(); v.snap.Version() != want {
+				t.Errorf("%s %s: serves v%d, want v%d", when, pl.Name(), v.snap.Version(), want)
+			}
+			if _, ok := v.trees.(dijkstraTrees); !ok {
+				t.Errorf("%s %s: view at v%d holds %T, want dijkstraTrees", when, pl.Name(), v.snap.Version(), v.trees)
+			}
+		}
+	}
+	check("before the ban:")
+	pub.Ban(3)
+	priv.Ban(3)
+	check("after the ban:")
 }
 
 // TestRestrictedTreesCollectableAfterOneGC pins that a superseded

@@ -76,17 +76,14 @@ type view struct {
 	// customized — a weights-only rebuild through the ch.Hierarchy seam
 	// (CCH triangle relaxation) — instead of contracted from scratch.
 	hier ch.Hierarchy
-	// pruned is the elliptic source (when the backend uses one), kept so
-	// the next version can share its minimum-speed scan.
-	pruned *prunedTrees
 }
 
 // provider is the serving generation of one weight store: it resolves a
 // weights.Source into views, caching the current one behind an atomic
-// pointer. Cheap backends (Dijkstra, pruned) rebuild synchronously on the
-// first query that sees a new version; TreeCHAuto is double-buffered: the
-// stale view keeps serving while a single background goroutine
-// re-customizes the hierarchy, and the pointer swap is atomic. Planners
+// pointer. The Dijkstra backend rebuilds synchronously on the first
+// query that sees a new version; TreeCHAuto is double-buffered: the stale
+// view keeps serving while a single background goroutine re-customizes
+// the hierarchy, and the pointer swap is atomic. Planners
 // built together over one store share its provider (NewStudyPlanners), so
 // they serve the same version; a planner built alone owns one. A
 // superseded view is freed with the last query still holding it.
@@ -102,10 +99,8 @@ type provider struct {
 	// query selects the CCH point-to-point engine behind Hierarchy.Dist
 	// (elimination-tree ascents by default). Carried into the hierarchy's
 	// customize hook, so every later re-customization inherits it.
-	query      QueryEngine
-	pruned     bool    // elliptic pruning (ignored on TreeCHAuto)
-	upperBound float64 // pruning budget
-	needTrees  bool    // planners without a tree seam skip tree state
+	query     QueryEngine
+	needTrees bool // planners without a tree seam skip tree state
 	// maxTargets is the matrix cutover handed to every version's CCH
 	// source: autoFraction of the graph's nodes, fixed at construction.
 	maxTargets int
@@ -131,24 +126,22 @@ type provider struct {
 
 // newProvider builds the resolver and synchronously installs the view of
 // the source's current snapshot, so a TreeCHAuto planner leaves its
-// constructor with a ready hierarchy. The backend/hierarchy/order/query/
-// bound knobs come from opts; a nil src pins the graph's own base weights
+// constructor with a ready hierarchy. The backend/hierarchy/order/query
+// knobs come from opts; a nil src pins the graph's own base weights
 // (note the Commercial planner passes its private metric here, not
 // opts.Weights).
-func newProvider(g *graph.Graph, src weights.Source, needTrees, pruned bool, opts Options) *provider {
+func newProvider(g *graph.Graph, src weights.Source, needTrees bool, opts Options) *provider {
 	if src == nil {
 		src = weights.Pin(g.BaseWeights())
 	}
 	p := &provider{
-		g:          g,
-		src:        src,
-		backend:    opts.TreeBackend,
-		hkind:      opts.Hierarchy,
-		order:      opts.Order,
-		query:      opts.Query,
-		pruned:     pruned,
-		upperBound: opts.UpperBound,
-		needTrees:  needTrees,
+		g:         g,
+		src:       src,
+		backend:   opts.TreeBackend,
+		hkind:     opts.Hierarchy,
+		order:     opts.Order,
+		query:     opts.Query,
+		needTrees: needTrees,
 	}
 	if needTrees && opts.TreeBackend == TreeCHAuto {
 		p.maxTargets = int(autoFraction * float64(g.NumNodes()))
@@ -160,8 +153,8 @@ func newProvider(g *graph.Graph, src weights.Source, needTrees, pruned bool, opt
 }
 
 // view resolves the view a query should run on. When the source has moved
-// past the installed view, Dijkstra-style backends rebuild inline (their
-// per-version state is a few cheap scans); TreeCHAuto kicks a
+// past the installed view, the Dijkstra backend rebuilds inline (its
+// per-version state is the snapshot's weight slice); TreeCHAuto kicks a
 // background customization and keeps serving the installed view — the
 // double-buffer half of the live-swap design.
 func (p *provider) view() *view {
@@ -256,49 +249,38 @@ func (p *provider) refreshSync() {
 // buildView constructs the per-version state. For TreeCHAuto, prev's
 // hierarchy (when available) is customized through the ch.Hierarchy seam
 // — the always-exact triangle relaxation on the frozen contraction —
-// instead of contracting from scratch. For the elliptic backend, prev's
-// minimum-speed scan is shared when the snapshot's delta proves it still
-// valid.
+// instead of contracting from scratch.
 func (p *provider) buildView(snap *weights.Snapshot, prev *view) *view {
 	v := &view{snap: snap}
 	if !p.needTrees {
 		return v
 	}
 	w := snap.Weights()
-	switch {
-	case p.backend == TreeCHAuto:
-		start := time.Now()
-		if prev != nil && prev.hier != nil {
-			// The customize hook closes over the original Config, so the
-			// perfect/query choices survive every re-customization.
-			v.hier = prev.hier.Customize(w)
-		} else {
-			v.hier = cch.BuildWith(p.g, w, cch.Config{
-				Order:      cch.OrderConfig{Kind: p.order},
-				Perfect:    p.hkind == HierarchyCCHPerfect,
-				BidirQuery: p.query == QueryBidij,
-			})
-		}
-		// A fresh source per version: its matrix selection cache must
-		// never survive a weight swap (the selections index the old tree
-		// builder's arcs). The spatial grid is geometry-only and shared
-		// across versions.
-		v.trees = newCCHTrees(p.g, v.hier, p.maxTargets, p.selStats, p.grid)
-		elapsed := time.Since(start)
-		p.lastCustomize.Store(int64(elapsed))
-		if h := p.custObs.Load(); h != nil {
-			h.Observe(elapsed.Seconds())
-		}
-	case p.pruned:
-		var prevPruned *prunedTrees
-		var prevSnap *weights.Snapshot
-		if prev != nil {
-			prevPruned, prevSnap = prev.pruned, prev.snap
-		}
-		v.pruned = newPrunedTreesFrom(p.g, snap, p.upperBound, prevPruned, prevSnap)
-		v.trees = v.pruned
-	default:
+	if p.backend != TreeCHAuto {
 		v.trees = dijkstraTrees{g: p.g, weights: w}
+		return v
+	}
+	start := time.Now()
+	if prev != nil && prev.hier != nil {
+		// The customize hook closes over the original Config, so the
+		// perfect/query choices survive every re-customization.
+		v.hier = prev.hier.Customize(w)
+	} else {
+		v.hier = cch.BuildWith(p.g, w, cch.Config{
+			Order:      cch.OrderConfig{Kind: p.order},
+			Perfect:    p.hkind == HierarchyCCHPerfect,
+			BidirQuery: p.query == QueryBidij,
+		})
+	}
+	// A fresh source per version: its matrix selection cache must
+	// never survive a weight swap (the selections index the old tree
+	// builder's arcs). The spatial grid is geometry-only and shared
+	// across versions.
+	v.trees = newCCHTrees(p.g, v.hier, p.maxTargets, p.selStats, p.grid)
+	elapsed := time.Since(start)
+	p.lastCustomize.Store(int64(elapsed))
+	if h := p.custObs.Load(); h != nil {
+		h.Observe(elapsed.Seconds())
 	}
 	return v
 }

@@ -27,7 +27,7 @@ type Yen struct {
 // pins the graph's base travel-time weights).
 func NewYen(g *graph.Graph, opts Options) *Yen {
 	o := opts.withDefaults()
-	return &Yen{versioned: versioned{newProvider(g, o.Weights, false, false, o)}, g: g, opts: o}
+	return &Yen{versioned: versioned{newProvider(g, o.Weights, false, o)}, g: g, opts: o}
 }
 
 // Name implements Planner.

@@ -51,14 +51,10 @@ func DefaultAblationConfigs(c *City) []AblationConfig {
 		{"Plateaus (paper, UB 1.4)", func() core.Planner { return core.NewPlateaus(g, core.Options{}) }},
 		{"Plateaus UB 1.2", func() core.Planner { return core.NewPlateaus(g, core.Options{UpperBound: 1.2}) }},
 		{"Plateaus + sim cutoff 0.6", func() core.Planner { return core.NewPlateaus(g, core.Options{SimilarityCutoff: 0.6}) }},
-		{"Plateaus pruned trees (§II-B)", func() core.Planner { return core.NewPrunedPlateaus(g, core.Options{}) }},
 		{"Plateaus CCH trees (ch-auto)", func() core.Planner {
 			return core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCHAuto})
 		}},
-		{"GMaps (pruned trees, default)", func() core.Planner { return core.NewCommercial(g, c.Traffic, core.Options{}) }},
-		{"GMaps full trees", func() core.Planner {
-			return core.NewCommercial(g, c.Traffic, core.Options{DisablePrunedTrees: true})
-		}},
+		{"GMaps Dijkstra trees (default)", func() core.Planner { return core.NewCommercial(g, c.Traffic, core.Options{}) }},
 		{"GMaps CCH trees (ch-auto)", func() core.Planner {
 			return core.NewCommercial(g, c.Traffic, core.Options{TreeBackend: core.TreeCHAuto})
 		}},

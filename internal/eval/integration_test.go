@@ -42,7 +42,6 @@ func TestEndToEndPipeline(t *testing.T) {
 	planners := []core.Planner{
 		core.NewCommercial(g, tw, core.Options{}),
 		core.NewPlateaus(g, core.Options{}),
-		core.NewPrunedPlateaus(g, core.Options{}),
 		core.NewDissimilarity(g, core.Options{}),
 		core.NewPenalty(g, core.Options{}),
 		core.NewESX(g, core.Options{}),

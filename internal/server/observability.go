@@ -97,11 +97,6 @@ func (s *Server) collectServing(e *metrics.Emit) {
 				e.Counter("routing_selection_cache_evictions_total", "RPHAST selection-cache evictions.",
 					float64(st.SelectionEvictions), "city", name, "planner", p.Name())
 			}
-			hits, misses := c.Router.Engine().CacheStats()
-			e.Counter("routing_result_cache_entries_hits_total", "Result-cache hits as counted by the cache itself.",
-				float64(hits), "city", name)
-			e.Counter("routing_result_cache_entries_misses_total", "Result-cache misses as counted by the cache itself.",
-				float64(misses), "city", name)
 		}
 		if c.Ingest != nil {
 			st := c.Ingest.Stats()

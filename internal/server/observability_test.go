@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/citygen"
+	"repro/internal/core"
 	"repro/internal/eval"
 )
 
@@ -113,6 +115,61 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q", want)
 		}
+	}
+	if t.Failed() {
+		t.Logf("scrape:\n%s", text)
+	}
+}
+
+// TestCacheCountersPerCityOnSharedEngine pins that result-cache counters
+// stay per city when every city serves through one engine, as the
+// demoserver wires them: a city nobody queried reads 0, and no series
+// reports the engine-wide total under a city label.
+func TestCacheCountersPerCityOnSharedEngine(t *testing.T) {
+	cities := map[string]*eval.City{}
+	for name, p := range map[string]citygen.Profile{"Copenhagen": citygen.Copenhagen(), "Dhaka": citygen.Dhaka()} {
+		p.Rows, p.Cols = 12, 12
+		p.Motorway.Present = false
+		c, err := eval.NewCity(p, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cities[name] = c
+	}
+	engine := core.NewEngine(2)
+	engine.SetCache(64)
+	for _, c := range cities {
+		c.SetEngine(engine)
+	}
+	ts := httptest.NewServer(New(cities, "", WithMetrics()))
+	t.Cleanup(ts.Close)
+
+	bb := cities["Copenhagen"].Graph.BBox()
+	routesURL := ts.URL + fmt.Sprintf("/api/routes?city=Copenhagen&s=%f,%f&t=%f,%f",
+		bb.MinLat, bb.MinLon, bb.MaxLat, bb.MaxLon)
+	for i := 0; i < 2; i++ {
+		if res := getJSON(t, routesURL, nil); res.StatusCode != http.StatusOK {
+			t.Fatalf("routes status = %d", res.StatusCode)
+		}
+	}
+	if hits, _ := engine.CacheStats(); hits == 0 {
+		t.Fatal("the repeated Copenhagen query did not hit the shared cache")
+	}
+
+	text := scrape(t, ts)
+	for _, want := range []string{
+		`routing_result_cache_hits_total{city="Dhaka"} 0`,
+		`routing_result_cache_misses_total{city="Dhaka"} 0`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("scrape missing %q", want)
+		}
+	}
+	if strings.Contains(text, `routing_result_cache_hits_total{city="Copenhagen"} 0`+"\n") {
+		t.Error("Copenhagen's cache hit is not attributed to Copenhagen")
+	}
+	if strings.Contains(text, "routing_result_cache_entries_") {
+		t.Error("scrape still exports the engine-wide routing_result_cache_entries_* family under city labels")
 	}
 	if t.Failed() {
 		t.Logf("scrape:\n%s", text)

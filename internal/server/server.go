@@ -249,17 +249,16 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 		out.Approaches = append(out.Approaches, aj)
 	}
 	// Live-swap observability: which snapshot each approach answered
-	// under, which hierarchy flavor served it (and how long its last
-	// customization took), plus the serving cache's cumulative hit rate.
-	// Verbose-only: this Printf (and the status formatting feeding it)
+	// under and which hierarchy flavor served it (and how long its last
+	// customization took). Result-cache hits are per city on GET /metrics;
+	// the engine's own totals span every city sharing it. Verbose-only: this Printf (and the status formatting feeding it)
 	// once ran per query, pushing every concurrent request through the
 	// logger's mutex — under load the serving path serialized on it. The
 	// same numbers are on GET /metrics without touching the hot path.
 	if s.verbose && c.Router != nil {
-		hits, misses := c.Router.Engine().CacheStats()
-		log.Printf("server: %s %d->%d answered at weight versions A=%d B=%d C=%d D=%d%s (cache %d hits / %d misses)",
+		log.Printf("server: %s %d->%d answered at weight versions A=%d B=%d C=%d D=%d%s",
 			q.Get("city"), sv, tv, rs.Versions[0], rs.Versions[1], rs.Versions[2], rs.Versions[3],
-			formatHierarchies(c.Router.HierarchyStatuses()), hits, misses)
+			formatHierarchies(c.Router.HierarchyStatuses()))
 	}
 	writeJSON(w, out)
 }

@@ -43,18 +43,7 @@ const Pinned Version = 1
 type Snapshot struct {
 	version Version
 	w       []float64
-	// Delta vs the previous snapshot of the same store, when small enough
-	// to be useful (see Delta): deltaOK gates it, deltaSince names the
-	// snapshot the changed-edge list is relative to.
-	deltaOK    bool
-	deltaSince Version
-	changed    []graph.EdgeID
 }
-
-// MaxDelta is the largest changed-edge list a publish records. Beyond it a
-// consumer's incremental update would approach the cost of its full scan,
-// so the snapshot simply reports "no delta" and consumers rescan.
-const MaxDelta = 64
 
 // NewSnapshot wraps w as a snapshot with the given version. It takes
 // ownership: the caller must not modify w afterwards.
@@ -79,21 +68,6 @@ func (s *Snapshot) Len() int { return len(s.w) }
 
 // Snapshot implements Source: a snapshot always resolves to itself.
 func (s *Snapshot) Snapshot() *Snapshot { return s }
-
-// Delta reports which edges this snapshot changed relative to the
-// since-numbered snapshot of the same store, when the publish recorded one
-// (at most MaxDelta edges; ok is false for first snapshots, pins, and
-// bulk publishes such as full traffic steps). Consumers deriving
-// per-version state from whole-vector scans — the elliptic pruning bound,
-// per-class minimum speeds — use it to update incrementally across
-// versions whose relevant minima are untouched instead of rescanning on
-// every snapshot. The returned slice is shared and must not be modified.
-func (s *Snapshot) Delta() (since Version, changedEdges []graph.EdgeID, ok bool) {
-	if !s.deltaOK {
-		return 0, nil, false
-	}
-	return s.deltaSince, s.changed, true
-}
 
 // Source resolves the weight snapshot a query should plan on. A *Store
 // resolves to its latest published snapshot; a *Snapshot resolves to
@@ -181,28 +155,6 @@ func (st *Store) publishLocked(w []float64) *Snapshot {
 		cp[e] = inf
 	}
 	snap := NewSnapshot(st.next, cp)
-	// Record the changed-edge delta vs the superseded snapshot when it is
-	// small (closures, spot republishes): one compare pass here saves every
-	// consumer a derived-state rescan. Bulk publishes overflow MaxDelta and
-	// leave the delta unset.
-	if prev := st.latest.Load(); prev != nil {
-		changed := make([]graph.EdgeID, 0, MaxDelta)
-		pw := prev.Weights()
-		for e := range cp {
-			if cp[e] != pw[e] {
-				if len(changed) == MaxDelta {
-					changed = nil
-					break
-				}
-				changed = append(changed, graph.EdgeID(e))
-			}
-		}
-		if changed != nil {
-			snap.deltaOK = true
-			snap.deltaSince = prev.Version()
-			snap.changed = changed
-		}
-	}
 	st.next++
 	st.latest.Store(snap)
 	for _, fn := range st.subs {

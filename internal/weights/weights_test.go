@@ -135,71 +135,6 @@ func TestConcurrentPublishAndRead(t *testing.T) {
 	}
 }
 
-func TestSnapshotDelta(t *testing.T) {
-	st := NewStore([]float64{1, 2, 3, 4})
-	if _, _, ok := st.Latest().Delta(); ok {
-		t.Fatal("first snapshot must carry no delta")
-	}
-
-	// A spot change records exactly the changed edges against v1.
-	s2 := st.Publish([]float64{1, 20, 3, 4})
-	since, changed, ok := s2.Delta()
-	if !ok || since != 1 || len(changed) != 1 || changed[0] != 1 {
-		t.Fatalf("spot delta = (%d, %v, %v), want (1, [1], true)", since, changed, ok)
-	}
-
-	// An identical republish records an empty delta (nothing changed).
-	s3 := st.Publish([]float64{1, 20, 3, 4})
-	if since, changed, ok = s3.Delta(); !ok || since != 2 || len(changed) != 0 {
-		t.Fatalf("no-op delta = (%d, %v, %v), want (2, [], true)", since, changed, ok)
-	}
-
-	// Bans list the newly closed edges.
-	s4 := st.Ban(0, 3)
-	since, changed, ok = s4.Delta()
-	if !ok || since != 3 || len(changed) != 2 {
-		t.Fatalf("ban delta = (%d, %v, %v), want (3, 2 edges, true)", since, changed, ok)
-	}
-	for _, e := range changed {
-		if e != 0 && e != 3 {
-			t.Fatalf("ban delta lists edge %d, want 0 and 3", e)
-		}
-	}
-
-	// A re-ban of already-banned edges changes nothing.
-	s5 := st.Ban(0)
-	if _, changed, ok = s5.Delta(); !ok || len(changed) != 0 {
-		t.Fatalf("re-ban delta = (%v, %v), want ([], true)", changed, ok)
-	}
-}
-
-func TestSnapshotDeltaOverflow(t *testing.T) {
-	base := make([]float64, MaxDelta*4)
-	for i := range base {
-		base[i] = 1
-	}
-	st := NewStore(base)
-	bulk := make([]float64, len(base))
-	for i := range bulk {
-		bulk[i] = 2
-	}
-	if _, _, ok := st.Publish(bulk).Delta(); ok {
-		t.Fatal("bulk publish beyond MaxDelta must carry no delta")
-	}
-	// The next small publish records against the bulk version again.
-	bulk[7] = 3
-	since, changed, ok := st.Publish(bulk).Delta()
-	if !ok || since != 2 || len(changed) != 1 || changed[0] != graph.EdgeID(7) {
-		t.Fatalf("post-bulk delta = (%d, %v, %v), want (2, [7], true)", since, changed, ok)
-	}
-}
-
-func TestPinHasNoDelta(t *testing.T) {
-	if _, _, ok := Pin([]float64{1}).Delta(); ok {
-		t.Fatal("pinned snapshots must carry no delta")
-	}
-}
-
 // TestUpdateAtomicReadModifyWrite pins Update's contract: fn sees the
 // snapshot its publish immediately supersedes, nothing interleaves, a nil
 // return skips the publish, and the ban mask still applies.
