@@ -960,10 +960,10 @@ func BenchmarkMatrixMelbourneK64(b *testing.B) { benchMatrixMelbourne(b, 64, fal
 
 func BenchmarkMatrixPairwiseMelbourne(b *testing.B) { benchMatrixMelbourne(b, 16, true) }
 
-// BenchmarkSelectionCacheSelectUnion is the miss-path cost: building the
-// shared selection for a 16-target union from scratch onto warm reuse
+// BenchmarkSelectionCacheSelect is the miss-path cost: building the
+// shared selection for a 16-target set from scratch onto warm reuse
 // storage — the price amortized across every later hit.
-func BenchmarkSelectionCacheSelectUnion(b *testing.B) {
+func BenchmarkSelectionCacheSelect(b *testing.B) {
 	city := benchGridCity(50, 50)
 	w := city.Graph.CopyWeights()
 	tb := cch.Build(city.Graph, w).NewTreeBuilder()

@@ -90,7 +90,7 @@ func run(city, graphPath string, seed int64, k int, sourcesArg, targetsArg strin
 	if tab.Restricted {
 		fmt.Printf("Shared selection: %d targets (%s)\n", tab.SelectionTargets, hitOrMiss(tab.SelectionHit))
 	} else {
-		fmt.Println("Sweeps: full (Dijkstra trees, or a batch too spread for a restricted selection)")
+		fmt.Println("Sweeps: full (Dijkstra trees, or more targets than the restricted cutover)")
 	}
 
 	warmStart := time.Now()

@@ -148,33 +148,6 @@ func (tb *TreeBuilder) Select(targets []graph.NodeID, reuse *Selection) *Selecti
 	return sel
 }
 
-// SelectUnion is Select over the union of several target groups — the
-// many-to-many entry point: one selection over a *cell union* (each group
-// typically being one spatial cell's vertices) provably serves every
-// query whose elliptic target set lies inside the union, which is what
-// lets a selection cache share one Select across nearby query pairs and
-// whole source batches. Groups may overlap; the union is deduplicated
-// like Select's target slice, and reuse semantics are identical.
-func (tb *TreeBuilder) SelectUnion(groups [][]graph.NodeID, reuse *Selection) *Selection {
-	sel := selectionFor(tb, reuse)
-	sc := selectPool.Get().(*selectScratch)
-	if len(sc.mark) < tb.n {
-		sc.mark = make([]bool, tb.n)
-	}
-	distinct := 0
-	for _, g := range groups {
-		distinct += tb.markTargets(g, sc.mark, sel.covered)
-	}
-	sel.targets = distinct
-	sel.fwd.closeAndEmit(tb, tb.fwdOff, tb.fwdArcs, tb.fwdEnds, sc.mark)
-	for _, g := range groups {
-		tb.markTargets(g, sc.mark, sel.covered)
-	}
-	sel.bwd.closeAndEmit(tb, tb.bwdOff, tb.bwdArcs, tb.bwdEnds, sc.mark)
-	selectPool.Put(sc)
-	return sel
-}
-
 // selectionFor readies a Selection (fresh or reused) for tb.
 func selectionFor(tb *TreeBuilder, reuse *Selection) *Selection {
 	sel := reuse

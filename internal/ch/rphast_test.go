@@ -239,48 +239,6 @@ func TestSelectionCoverage(t *testing.T) {
 	})
 }
 
-// TestSelectUnionMatchesFlattenedSelect: a union selection is exactly the
-// selection of the flattened, deduplicated target set — same target
-// count, same sweep sets, byte-identical restricted trees.
-func TestSelectUnionMatchesFlattenedSelect(t *testing.T) {
-	g := randomCity(77, 150)
-	w := g.CopyWeights()
-	forEachEngine(t, func(t *testing.T, build builder) {
-		tb := build(g, w).NewTreeBuilder()
-		groups := [][]graph.NodeID{{1, 2, 3}, {3, 4, 5, 60}, {90, 91, 2}}
-		var flat []graph.NodeID
-		for _, gr := range groups {
-			flat = append(flat, gr...)
-		}
-		flatSel := tb.Select(flat, nil)
-		unionSel := tb.SelectUnion(groups, nil)
-		if flatSel.Targets() != unionSel.Targets() {
-			t.Fatalf("union targets %d, flat targets %d", unionSel.Targets(), flatSel.Targets())
-		}
-		ff, fb := flatSel.SweptNodes()
-		uf, ub := unionSel.SweptNodes()
-		if ff != uf || fb != ub {
-			t.Fatalf("union sweeps (%d,%d), flat sweeps (%d,%d)", uf, ub, ff, fb)
-		}
-		if !unionSel.Covers(flat) {
-			t.Fatal("union selection does not cover the flattened target set")
-		}
-		wsA, wsB := sp.NewWorkspace(), sp.NewWorkspace()
-		for _, root := range []graph.NodeID{0, 60, 120} {
-			for _, dir := range []sp.Direction{sp.Forward, sp.Backward} {
-				a := tb.BuildTreeRestrictedInto(wsA, root, dir, flatSel)
-				b := tb.BuildTreeRestrictedInto(wsB, root, dir, unionSel)
-				for v := 0; v < g.NumNodes(); v++ {
-					if !distEqual(a.Dist[v], b.Dist[v]) || a.Parent[v] != b.Parent[v] {
-						t.Fatalf("root %d dir %d node %d: flat (%v,%d) union (%v,%d)",
-							root, dir, v, a.Dist[v], a.Parent[v], b.Dist[v], b.Parent[v])
-					}
-				}
-			}
-		}
-	})
-}
-
 // TestSelectionMemoryBytes sanity-checks the cache charging measure: a
 // bigger target set retains at least as many bytes, and nothing is free.
 func TestSelectionMemoryBytes(t *testing.T) {

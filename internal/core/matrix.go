@@ -39,8 +39,8 @@ type Table struct {
 func (t *Table) At(i, j int) float64 { return t.Seconds[i*len(t.Targets)+j] }
 
 // MatrixEngine computes many-to-many travel-time tables. On TreeCHAuto it
-// is the server's only RPHAST batch: ONE shared selection covering the
-// target set (cached by cell signature), then one restricted forward
+// is the server's only RPHAST batch: ONE shared selection of the target
+// set (cached by its sorted target ids), then one restricted forward
 // sweep per source fanned over the serving Engine's worker pool — k
 // sweeps and at most one Select instead of the k×k tree pairs of
 // independent point-to-point queries. Distances are exact (byte-identical
@@ -168,7 +168,7 @@ func (m *MatrixEngine) MatrixInto(tab *Table, sources, targets []graph.NodeID) e
 			// never produce a table; select the targets directly instead.
 			rb.sel = tr.tb.Select(tab.Targets, nil)
 		}
-		tab.SelectionTargets = e.targets
+		tab.SelectionTargets = len(e.sig)
 		tab.SelectionHit = hit
 		tab.Restricted = rb.sel != nil
 	} else {

@@ -60,7 +60,7 @@ func NewMetrics(reg *metrics.Registry, city string) *Metrics {
 			"Hierarchy build or re-customization latency per publish swap.",
 			customizeBuckets, "city", "planner"),
 		selectionNodes: reg.HistogramVec("routing_selection_nodes",
-			"Size (selected nodes) of each RPHAST selection resolved for a matrix batch.",
+			"Distinct targets of each RPHAST selection resolved for a matrix batch.",
 			metrics.SizeBuckets, "city").With(city),
 		matrixSeconds: reg.HistogramVec("routing_matrix_seconds",
 			"Latency of one many-to-many table computation.",

@@ -33,7 +33,6 @@ const DefaultCacheSize = 4096
 type Router struct {
 	engine   atomic.Pointer[Engine]
 	planners []Planner
-	stores   []*weights.Store
 	// metrics is the installed instrument bundle (nil: none); kept so a
 	// SetEngine swap inherits it like the cache.
 	metrics atomic.Pointer[Metrics]
@@ -54,7 +53,6 @@ func NewRouter(engine *Engine, planners []Planner, stores ...*weights.Store) *Ro
 	}
 	r := &Router{
 		planners: append([]Planner(nil), planners...),
-		stores:   stores,
 	}
 	r.engine.Store(engine)
 	for _, st := range stores {
@@ -99,9 +97,6 @@ func (r *Router) SetMetrics(m *Metrics) {
 
 // Planners returns the planner set, in registration order.
 func (r *Router) Planners() []Planner { return r.planners }
-
-// Stores returns the weight stores the router is subscribed to.
-func (r *Router) Stores() []*weights.Store { return r.stores }
 
 // onPublish is the store subscription hook. It must not block the
 // publisher: cache eviction is one O(entries) map sweep, and planner

@@ -1,15 +1,17 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/ch"
+	"repro/internal/graph"
 )
 
 // selectionCacheBytes is the total byte budget of one CCH source's matrix
 // selection cache. A city-scale selection retains tens to hundreds of
-// kilobytes, so the budget holds on the order of a hundred warm cell
-// unions.
+// kilobytes, so the budget holds on the order of a hundred warm target
+// sets.
 const selectionCacheBytes = 32 << 20
 
 // selCacheShards is the shard count of the selection cache; must be a
@@ -20,19 +22,18 @@ const selCacheShards = 8
 // charged against the budget on top of the selection's own arrays.
 const selEntryOverhead = 96
 
-// selEntry is one cached selection keyed by the spatial cell signature it
-// was built from. Entries are immutable after insertion except for the
+// selEntry is one cached selection keyed by the target set it was built
+// for. Entries are immutable after insertion except for the
 // clock reference bit, which is only touched under the owning shard's
 // mutex; the ch.Selection itself is safe for concurrent restricted
 // builds, so readers use entries without any lock.
 type selEntry struct {
-	sig     []int32 // ascending cell ids, owned by the entry
-	hash    uint64
-	full    bool          // sweep everything: the union exceeds the cutover
-	targets int           // distinct requested target nodes
-	sel     *ch.Selection // nil when full
-	bytes   int
-	ref     bool // clock reference bit (shard-mutex guarded)
+	sig   []graph.NodeID // ascending distinct target ids, owned by the entry
+	hash  uint64
+	full  bool          // sweep everything: the targets exceed the cutover
+	sel   *ch.Selection // nil when full
+	bytes int
+	ref   bool // clock reference bit (shard-mutex guarded)
 }
 
 // selShard is one mutex-guarded slice of entries with its own byte
@@ -45,10 +46,9 @@ type selShard struct {
 }
 
 // selectionCache is the size-bounded, sharded multi-entry selection cache
-// behind cchTrees: entries are keyed by cell signature (so every target
-// set quantizing to the same cell union shares one Select), found
-// by exact signature match or by a covering probe (any entry whose cell
-// union contains the probe's cells serves it exactly — selections built
+// behind cchTrees: entries are keyed by their sorted, distinct target
+// ids, found by exact signature match or by a covering probe (any entry
+// whose targets contain the probe's serves it exactly — selections built
 // on supersets stay exact on the subset), and evicted clock-wise under a
 // per-shard byte budget. A cache instance lives and dies with one weight
 // version, so no selection outlives the weights it was built on.
@@ -62,11 +62,11 @@ func newSelectionCache(totalBytes int, stats *selectionStats) *selectionCache {
 	return &selectionCache{perShard: totalBytes / selCacheShards, stats: stats}
 }
 
-// sigHash is FNV-1a over the signature's cell ids.
-func sigHash(cells []int32) uint64 {
+// sigHash is FNV-1a over the signature's target ids.
+func sigHash(sig []graph.NodeID) uint64 {
 	h := uint64(14695981039346656037)
-	for _, c := range cells {
-		v := uint32(c)
+	for _, t := range sig {
+		v := uint32(t)
 		for i := 0; i < 4; i++ {
 			h ^= uint64(v & 0xff)
 			h *= 1099511628211
@@ -76,27 +76,15 @@ func sigHash(cells []int32) uint64 {
 	return h
 }
 
-func sigEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sigSuperset reports whether sup contains every cell of sub; both must
-// be sorted ascending.
-func sigSuperset(sup, sub []int32) bool {
+// sigSuperset reports whether sup contains every target of sub; both
+// must be sorted ascending.
+func sigSuperset(sup, sub []graph.NodeID) bool {
 	i := 0
-	for _, c := range sub {
-		for i < len(sup) && sup[i] < c {
+	for _, t := range sub {
+		for i < len(sup) && sup[i] < t {
 			i++
 		}
-		if i >= len(sup) || sup[i] != c {
+		if i >= len(sup) || sup[i] != t {
 			return false
 		}
 		i++
@@ -106,14 +94,14 @@ func sigSuperset(sup, sub []int32) bool {
 
 // lookup returns a usable entry for the signature, or nil on a miss: the
 // exact entry in the signature's home shard first, then — across all
-// shards — any non-full entry whose cell union covers the probe's cells.
+// shards — any non-full entry whose targets include the probe's.
 // Full entries match only exactly (a spread table's everything-marker
 // must not hijack clustered tables into full sweeps).
-func (c *selectionCache) lookup(sig []int32, hash uint64) *selEntry {
+func (c *selectionCache) lookup(sig []graph.NodeID, hash uint64) *selEntry {
 	home := &c.shards[hash&(selCacheShards-1)]
 	home.mu.Lock()
 	for _, e := range home.entries {
-		if e.hash == hash && sigEqual(e.sig, sig) {
+		if e.hash == hash && slices.Equal(e.sig, sig) {
 			e.ref = true
 			home.mu.Unlock()
 			return e
@@ -145,7 +133,7 @@ func (c *selectionCache) insert(e *selEntry) *selEntry {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for _, old := range sh.entries {
-		if old.hash == e.hash && sigEqual(old.sig, e.sig) {
+		if old.hash == e.hash && slices.Equal(old.sig, e.sig) {
 			old.ref = true
 			return old
 		}

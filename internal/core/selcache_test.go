@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/spatial"
 )
 
 // TestSelectionCacheAlternatingHotPairs pins the fix for the
 // selection-cache thrash bug: a single-slot cache let two alternating hot
 // target sets evict each other forever, so every table paid a full
-// Select. The multi-entry cache keys by cell signature and holds both
-// sets' entries, so after each set's first miss every later table hits.
+// Select. The multi-entry cache keys by target set and holds both sets'
+// entries, so after each set's first miss every later table hits.
 func TestSelectionCacheAlternatingHotPairs(t *testing.T) {
 	withAutoFraction(t, 1)
 	g := randomRoadNetwork(42, 150)
@@ -78,7 +79,7 @@ func TestSelectionCacheEviction(t *testing.T) {
 }
 
 // TestSelectionCacheSupersetHit checks the covering probe: once a target
-// set's cell union is cached, a table whose targets are a subset of it
+// set's selection is cached, a table whose targets are a subset of it
 // reuses the covering selection instead of building its own — and stays
 // exact on it.
 func TestSelectionCacheSupersetHit(t *testing.T) {
@@ -105,4 +106,52 @@ func TestSelectionCacheSupersetHit(t *testing.T) {
 	if st := m.HierarchyStatus(); st.SelectionMisses != 1 || st.SelectionHits != uint64(len(targets)-1) {
 		t.Fatalf("selection lookups: %d hits, %d misses; want %d hits after one miss", st.SelectionHits, st.SelectionMisses, len(targets)-1)
 	}
+}
+
+// TestMatrixSelectionIsItsTargets pins the selection key: a table selects
+// exactly its distinct targets (a duplicate counts once), and a later
+// table over a node that merely shares a spatial grid cell with a cached
+// target misses instead of reusing that selection. Both tables stay
+// exact.
+func TestMatrixSelectionIsItsTargets(t *testing.T) {
+	withAutoFraction(t, 1)
+	g := randomRoadNetwork(45, 150)
+	m := NewMatrixEngine(g, Options{TreeBackend: TreeCHAuto}, nil)
+	grid := spatial.NewIndex(g, 0)
+	var a, b graph.NodeID = -1, -1
+	for c := 0; c < grid.NumCells() && a < 0; c++ {
+		if nodes := grid.CellNodes(c); len(nodes) >= 2 {
+			a, b = nodes[0], nodes[1]
+		}
+	}
+	if a < 0 {
+		t.Fatal("no grid cell holds two nodes")
+	}
+	targets := []graph.NodeID{a}
+	for _, v := range sampleNodes(g, 4, 3) {
+		if v != a && v != b && len(targets) < 3 {
+			targets = append(targets, v)
+		}
+	}
+	targets = append(targets, a)
+	sources := sampleNodes(g, 3, 1)
+
+	var tab Table
+	if err := m.MatrixInto(&tab, sources, targets); err != nil {
+		t.Fatal(err)
+	}
+	if !tab.Restricted || tab.SelectionHit || tab.SelectionTargets != 3 {
+		t.Fatalf("3 targets plus a duplicate: restricted=%v hit=%v selectionTargets=%d, want a restricted miss on 3",
+			tab.Restricted, tab.SelectionHit, tab.SelectionTargets)
+	}
+	requireTableEqual(t, &tab, dijkstraMatrix(g, g.BaseWeights(), sources, targets), "targets with a duplicate")
+
+	cellMate := []graph.NodeID{b}
+	if err := m.MatrixInto(&tab, sources, cellMate); err != nil {
+		t.Fatal(err)
+	}
+	if tab.SelectionHit || tab.SelectionTargets != 1 {
+		t.Fatalf("cell-mate of a cached target: hit=%v selectionTargets=%d, want a miss on 1", tab.SelectionHit, tab.SelectionTargets)
+	}
+	requireTableEqual(t, &tab, dijkstraMatrix(g, g.BaseWeights(), sources, cellMate), "cell-mate")
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/sp"
-	"repro/internal/spatial"
 )
 
 // TreeBackend selects how the tree-source planners (Plateaus, Commercial
@@ -35,9 +35,9 @@ const (
 )
 
 // RestrictedAutoFraction is the TreeCHAuto matrix cutover: a table's
-// sweeps are restricted to a shared selection while the cell union
-// covering its targets holds at most this fraction of the graph's nodes,
-// and run in full otherwise.
+// sweeps are restricted to a shared selection of its targets while they
+// number at most this fraction of the graph's nodes, and run in full
+// otherwise.
 const RestrictedAutoFraction = 0.25
 
 // autoFraction is the cutover newProvider hands its CCH sources.
@@ -246,46 +246,41 @@ type selectionStats struct {
 // Dijkstra backend's trees, so route sets are identical.
 //
 // It also owns that version's matrix selections (RPHAST): selectTargets
-// covers a matrix's target set with the union of the targets' spatial
-// grid cells, selects the union's vertices once with the tree builder
-// (ch.Selection), and caches the result in a size-bounded multi-entry
-// cache keyed by the cell signature, so every table over the same cells
-// shares one Select. A union holding more than maxTargets nodes is
-// swept in full instead. The source, and with it every cached
+// selects a matrix's distinct targets once with the tree builder
+// (ch.Selection) and caches the result in a size-bounded multi-entry
+// cache keyed by those sorted target ids, so every source sweep of the
+// table, and every later table over the same targets or a subset of
+// them, shares one Select. A table with more than maxTargets distinct
+// targets is swept in full instead. The source, and with it every cached
 // selection, lives and dies with one weight version: the provider builds
 // a fresh cchTrees per customization, and ch.Selection's own builder
 // guard panics if a stale selection ever crossed over.
 type cchTrees struct {
 	g  *graph.Graph
 	tb *ch.TreeBuilder
-	// maxTargets is the matrix cutover: a cell union holding more nodes
-	// runs full sweeps instead of building a selection.
+	// maxTargets is the matrix cutover: a table with more distinct
+	// targets runs full sweeps instead of building a selection.
 	maxTargets int
 	stats      *selectionStats
-	grid       *spatial.Index
 	cache      *selectionCache
 }
 
-// selBufPool pools the per-table cell/target buffers of the
-// selection-cache path, keeping the warm lookup allocation-free. It is
-// package-level: a pool inside cchTrees would, through the runtime's
-// registry of pools, keep a superseded version's source and its cached
-// selections reachable until two garbage collections have passed.
+// selBufPool pools the per-table signature buffer of the selection-cache
+// path, keeping the warm lookup allocation-free. It is package-level: a
+// pool inside cchTrees would, through the runtime's registry of pools,
+// keep a superseded version's source and its cached selections reachable
+// until two garbage collections have passed.
 var selBufPool = sync.Pool{New: func() any { return new(selBuf) }}
 
 // selBuf is the pooled per-table scratch of the selection-cache path.
-type selBuf struct {
-	cells   []int32
-	targets []graph.NodeID
-}
+type selBuf struct{ sig []graph.NodeID }
 
-func newCCHTrees(g *graph.Graph, hier ch.Hierarchy, maxTargets int, stats *selectionStats, grid *spatial.Index) *cchTrees {
+func newCCHTrees(g *graph.Graph, hier ch.Hierarchy, maxTargets int, stats *selectionStats) *cchTrees {
 	return &cchTrees{
 		g:          g,
 		tb:         hier.NewTreeBuilder(),
 		maxTargets: maxTargets,
 		stats:      stats,
-		grid:       grid,
 		cache:      newSelectionCache(selectionCacheBytes, stats),
 	}
 }
@@ -300,68 +295,35 @@ func (r *cchTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd *sp
 }
 
 // selectTargets resolves the selection entry covering an explicit target
-// set: the signature is the union of the targets' cells, so one
-// selection serves every source sweep of a matrix batch and every batch
-// hitting the same cells. On a miss it selects the union's vertices (plus
-// the targets, defensively — they are cell members already) and inserts
-// the entry. hit reports whether the entry came out of the cache.
+// set: the signature is the set's sorted, distinct target ids, so one
+// selection serves every source sweep of a matrix batch and every later
+// batch over the same targets or a subset of them. On a miss it selects
+// the targets and inserts the entry. hit reports whether the entry came
+// out of the cache.
 func (r *cchTrees) selectTargets(targets []graph.NodeID) (e *selEntry, hit bool) {
 	sb := selBufPool.Get().(*selBuf)
 	defer selBufPool.Put(sb)
-	cells := sb.cells[:0]
-	for _, t := range targets {
-		cells = insertCellSorted(cells, int32(r.grid.CellOf(r.g.Point(t))))
-	}
-	sb.cells = cells
-	hash := sigHash(cells)
-	if e = r.cache.lookup(cells, hash); e != nil {
+	sig := append(sb.sig[:0], targets...)
+	slices.Sort(sig)
+	sig = slices.Compact(sig)
+	sb.sig = sig
+	hash := sigHash(sig)
+	if e = r.cache.lookup(sig, hash); e != nil {
 		r.stats.selHits.Add(1)
-		if h := r.stats.selObs.Load(); h != nil {
-			h.Observe(float64(e.targets))
-		}
-		return e, true
-	}
-	r.stats.selMisses.Add(1)
-	tgts := sb.targets[:0]
-	for _, c := range cells {
-		tgts = append(tgts, r.grid.CellNodes(int(c))...)
-	}
-	distinct := len(tgts)
-	tgts = append(tgts, targets...)
-	sb.targets = tgts
-	e = &selEntry{sig: append([]int32(nil), cells...), hash: hash}
-	if distinct > r.maxTargets {
-		e.full = true
-		e.targets = distinct
-		e.bytes = 4*len(e.sig) + selEntryOverhead
+		hit = true
 	} else {
-		e.sel = r.tb.Select(tgts, nil)
-		e.targets = e.sel.Targets()
-		e.bytes = e.sel.MemoryBytes() + 4*len(e.sig) + selEntryOverhead
+		r.stats.selMisses.Add(1)
+		e = &selEntry{sig: slices.Clone(sig), hash: hash, bytes: 4*len(sig) + selEntryOverhead}
+		if len(sig) > r.maxTargets {
+			e.full = true
+		} else {
+			e.sel = r.tb.Select(sig, nil)
+			e.bytes += e.sel.MemoryBytes()
+		}
+		e = r.cache.insert(e)
 	}
 	if h := r.stats.selObs.Load(); h != nil {
-		h.Observe(float64(e.targets))
+		h.Observe(float64(len(e.sig)))
 	}
-	return r.cache.insert(e), false
-}
-
-// insertCellSorted inserts c into the ascending slice cells unless
-// already present, in place (cells must have spare capacity or grow).
-func insertCellSorted(cells []int32, c int32) []int32 {
-	lo, hi := 0, len(cells)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cells[mid] < c {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(cells) && cells[lo] == c {
-		return cells
-	}
-	cells = append(cells, 0)
-	copy(cells[lo+1:], cells[lo:])
-	cells[lo] = c
-	return cells
+	return e, hit
 }

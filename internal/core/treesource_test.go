@@ -155,7 +155,7 @@ func TestRestrictedTreesCollectableAfterOneGC(t *testing.T) {
 	g := randomPlanarNetwork(3, 12, 12)
 	pl := NewPlateaus(g, Options{TreeBackend: TreeCHAuto})
 	v := pl.prov.view()
-	r := newCCHTrees(g, v.hier, g.NumNodes(), &selectionStats{}, pl.prov.grid)
+	r := newCCHTrees(g, v.hier, g.NumNodes(), &selectionStats{})
 	targets := []graph.NodeID{graph.NodeID(g.NumNodes() - 1), graph.NodeID(g.NumNodes() / 2)}
 	e, hit := r.selectTargets(targets)
 	if hit || e.sel == nil || r.stats.selMisses.Load() != 1 {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/path"
-	"repro/internal/spatial"
 	"repro/internal/weights"
 )
 
@@ -104,10 +103,6 @@ type provider struct {
 	// maxTargets is the matrix cutover handed to every version's CCH
 	// source: autoFraction of the graph's nodes, fixed at construction.
 	maxTargets int
-	// grid is the spatial quantization shared by every weight version's
-	// CCH source — geometry only, so it never goes stale. Nil off
-	// TreeCHAuto.
-	grid *spatial.Index
 
 	cur      atomic.Pointer[view]
 	mu       sync.Mutex  // serializes rebuilds
@@ -146,7 +141,6 @@ func newProvider(g *graph.Graph, src weights.Source, needTrees bool, opts Option
 	if needTrees && opts.TreeBackend == TreeCHAuto {
 		p.maxTargets = int(autoFraction * float64(g.NumNodes()))
 		p.selStats = &selectionStats{}
-		p.grid = spatial.NewIndex(g, 0)
 	}
 	p.refreshSync()
 	return p
@@ -274,9 +268,8 @@ func (p *provider) buildView(snap *weights.Snapshot, prev *view) *view {
 	}
 	// A fresh source per version: its matrix selection cache must
 	// never survive a weight swap (the selections index the old tree
-	// builder's arcs). The spatial grid is geometry-only and shared
-	// across versions.
-	v.trees = newCCHTrees(p.g, v.hier, p.maxTargets, p.selStats, p.grid)
+	// builder's arcs).
+	v.trees = newCCHTrees(p.g, v.hier, p.maxTargets, p.selStats)
 	elapsed := time.Since(start)
 	p.lastCustomize.Store(int64(elapsed))
 	if h := p.custObs.Load(); h != nil {

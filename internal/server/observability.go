@@ -82,20 +82,19 @@ func (s *Server) collectServing(e *metrics.Emit) {
 		}
 		if c.Router != nil {
 			versions := c.Router.ServingVersions()
-			statuses := c.Router.HierarchyStatuses()
 			for i, p := range c.Router.Planners() {
 				e.Gauge("routing_serving_version", "Weight snapshot version currently installed, per planner.",
 					float64(versions[i]), "city", name, "planner", p.Name())
-				st := statuses[i]
-				if st.Kind == "" {
-					continue
-				}
-				e.Counter("routing_selection_cache_hits_total", "RPHAST selection-cache hits.",
-					float64(st.SelectionHits), "city", name, "planner", p.Name())
-				e.Counter("routing_selection_cache_misses_total", "RPHAST selection-cache misses.",
-					float64(st.SelectionMisses), "city", name, "planner", p.Name())
+			}
+		}
+		if c.Matrix != nil {
+			if st := c.Matrix.HierarchyStatus(); st.Kind != "" {
+				e.Counter("routing_selection_cache_hits_total", "RPHAST selection-cache hits of /api/matrix tables.",
+					float64(st.SelectionHits), "city", name)
+				e.Counter("routing_selection_cache_misses_total", "RPHAST selection-cache misses of /api/matrix tables.",
+					float64(st.SelectionMisses), "city", name)
 				e.Counter("routing_selection_cache_evictions_total", "RPHAST selection-cache evictions.",
-					float64(st.SelectionEvictions), "city", name, "planner", p.Name())
+					float64(st.SelectionEvictions), "city", name)
 			}
 		}
 		if c.Ingest != nil {

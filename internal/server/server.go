@@ -524,15 +524,17 @@ func (s *Server) handleRating(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sub.Time = time.Now().UTC()
+	// The lock covers the file write too: concurrent submissions share
+	// one temporary file, so each write-and-rename must finish before the
+	// next begins.
 	s.mu.Lock()
 	s.ratings = append(s.ratings, sub)
-	all := append([]RatingSubmission(nil), s.ratings...)
-	s.mu.Unlock()
 	if s.storePath != "" {
-		if err := persistRatings(s.storePath, all); err != nil {
+		if err := persistRatings(s.storePath, s.ratings); err != nil {
 			log.Printf("server: persisting ratings: %v", err)
 		}
 	}
+	s.mu.Unlock()
 	writeJSON(w, map[string]string{"status": "ok"})
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/citygen"
@@ -239,6 +240,38 @@ func TestRatingsAccessor(t *testing.T) {
 	}
 }
 
+// TestConcurrentRatingsPersisted pins that concurrent submissions each
+// land in the ratings file: 16 goroutines posting 16 ratings apiece must
+// leave a parseable file holding all 256.
+func TestConcurrentRatingsPersisted(t *testing.T) {
+	store := t.TempDir() + "/ratings.json"
+	s := New(testCities(t), store)
+	const workers, each = 16, 16
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				body := fmt.Sprintf(`{"city":"Copenhagen","ratings":[%d,3,3,3]}`, i%5+1)
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/rating", strings.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("rating status = %d", rec.Code)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	subs, err := LoadRatings(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(subs) != workers*each {
+		t.Fatalf("ratings file holds %d submissions, want %d", len(subs), workers*each)
+	}
+}
+
 // restrictedTestCities builds the test city on the ch-auto
 // backend, so the matrix endpoint exercises the shared-selection path.
 func restrictedTestCities(t testing.TB) map[string]*eval.City {
@@ -347,6 +380,44 @@ func TestMatrixEndpoint(t *testing.T) {
 				t.Fatalf("repeat request changed cell %d,%d", i, j)
 			}
 		}
+	}
+}
+
+// TestSelectionCountersPerCity pins that the selection-cache counters
+// are per city, read from the matrix engine: the same ch-auto matrix
+// body posted twice counts one miss and one hit, and no series carries a
+// planner label (route planners never select).
+func TestSelectionCountersPerCity(t *testing.T) {
+	cities := restrictedTestCities(t)
+	ts := httptest.NewServer(New(cities, "", WithMetrics()))
+	t.Cleanup(ts.Close)
+	bb := cities["Copenhagen"].Graph.BBox()
+	req := matrixRequest{
+		City:    "Copenhagen",
+		Sources: [][2]float64{{bb.MinLat, bb.MinLon}},
+		Targets: [][2]float64{{bb.MaxLat, bb.MaxLon}, {bb.MinLat, bb.MaxLon}},
+	}
+	for i := 0; i < 2; i++ {
+		if res := postBodyJSON(t, ts.URL+"/api/matrix", req, nil); res.StatusCode != http.StatusOK {
+			t.Fatalf("matrix status = %d", res.StatusCode)
+		}
+	}
+	text := scrape(t, ts)
+	for _, want := range []string{
+		`routing_selection_cache_misses_total{city="Copenhagen"} 1`,
+		`routing_selection_cache_hits_total{city="Copenhagen"} 1`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("scrape missing %q", want)
+		}
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "routing_selection_cache_") && strings.Contains(line, "planner=") {
+			t.Errorf("selection counter carries a planner label: %s", line)
+		}
+	}
+	if t.Failed() {
+		t.Logf("scrape:\n%s", text)
 	}
 }
 
