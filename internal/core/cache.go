@@ -31,7 +31,7 @@ type cacheKey struct {
 // Result.Routes as immutable (every consumer in this repository does).
 type resultCache struct {
 	mu      sync.Mutex
-	entries map[cacheKey][]path.Path
+	entries map[cacheKey]*cachedAnswer
 	order   []cacheKey // FIFO eviction ring
 	next    int
 	filled  bool
@@ -39,23 +39,53 @@ type resultCache struct {
 	hits, misses atomic.Uint64
 }
 
+// cachedAnswer is one entry: the routes and the slot their encoded form
+// is kept in, so the encoding is dropped with the routes by the same FIFO
+// eviction and per-generation sweep.
+type cachedAnswer struct {
+	routes []path.Path
+	enc    Encoded
+}
+
+// Encoded holds the encoded form of one cached answer, filled by whoever
+// first needs it (the demo server keeps an approach's routes JSON here).
+// Its bytes are derived from the entry's routes alone, so concurrent
+// fills store identical bytes and either may win. Stored bytes must not
+// be modified.
+type Encoded struct{ b atomic.Pointer[[]byte] }
+
+// Load returns the stored bytes, or nil when none are stored yet or e is
+// nil.
+func (e *Encoded) Load() []byte {
+	if e == nil {
+		return nil
+	}
+	if b := e.b.Load(); b != nil {
+		return *b
+	}
+	return nil
+}
+
+// Store keeps b as the entry's encoded form.
+func (e *Encoded) Store(b []byte) { e.b.Store(&b) }
+
 func newResultCache(capacity int) *resultCache {
 	return &resultCache{
-		entries: make(map[cacheKey][]path.Path, capacity),
+		entries: make(map[cacheKey]*cachedAnswer, capacity),
 		order:   make([]cacheKey, capacity),
 	}
 }
 
-func (c *resultCache) get(k cacheKey) ([]path.Path, bool) {
+func (c *resultCache) get(k cacheKey) (*cachedAnswer, bool) {
 	c.mu.Lock()
-	routes, ok := c.entries[k]
+	a, ok := c.entries[k]
 	c.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
-	return routes, ok
+	return a, ok
 }
 
 func (c *resultCache) put(k cacheKey, routes []path.Path) {
@@ -70,7 +100,7 @@ func (c *resultCache) put(k cacheKey, routes []path.Path) {
 	if c.filled {
 		delete(c.entries, c.order[c.next])
 	}
-	c.entries[k] = routes
+	c.entries[k] = &cachedAnswer{routes: routes}
 	c.order[c.next] = k
 	c.next++
 	if c.next == len(c.order) {

@@ -152,6 +152,10 @@ type Result struct {
 	// planners that are not VersionedPlanner). Treat Routes as immutable:
 	// cached results are shared between callers.
 	Version weights.Version
+	// Encoded is the slot for the encoded form of Routes on the cache
+	// entry that answered the job; nil unless the job hit the cache. It
+	// is evicted with the entry.
+	Encoded *Encoded
 	Err     error
 }
 
@@ -459,9 +463,9 @@ func (e *Engine) doJob(job *Job, slot *batchSlot, res *Result) {
 		cache = nil // an unversioned answer cannot be keyed
 	}
 	if cache != nil {
-		if routes, ok := cache.get(key); ok {
+		if a, ok := cache.get(key); ok {
 			e.metricsFor(job.Planner).observeCache(true)
-			res.Routes, res.Version = routes, key.version
+			res.Routes, res.Version, res.Encoded = a.routes, key.version, &a.enc
 			return
 		}
 		e.metricsFor(job.Planner).observeCache(false)

@@ -4,8 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/ch"
 	"repro/internal/graph"
 	"repro/internal/path"
 	"repro/internal/traffic"
@@ -261,6 +264,85 @@ func TestCHSwapServesOldThenNew(t *testing.T) {
 	router.Sync()
 	if v := pl.WeightsVersion(); v != 2 {
 		t.Fatalf("post-sync version = %d, want 2", v)
+	}
+	fresh := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Weights: weights.Pin(scaled)})
+	comparePlannersExact(t, fresh, pl, g, 8, 29)
+}
+
+// failingHierarchy is a real hierarchy whose next fails Customize calls
+// panic, standing in for a customization that fails.
+type failingHierarchy struct {
+	ch.Hierarchy
+	fails *atomic.Int32
+}
+
+func (h failingHierarchy) Customize(w []float64) ch.Hierarchy {
+	if h.fails.Add(-1) >= 0 {
+		panic("injected customization failure")
+	}
+	return h.Hierarchy.Customize(w)
+}
+
+// TestCustomizeFailureKeepsServing injects two failing customizations
+// into a ch-auto provider. The publish's background customization fails:
+// the process survives, queries keep answering on the old version, and
+// the failure is counted. A later query retries (and fails again); once
+// customization works, the provider serves the new version with the
+// routes of a planner built fresh at it.
+func TestCustomizeFailureKeepsServing(t *testing.T) {
+	g := randomRoadNetwork(21, 150)
+	store := weights.NewStore(g.BaseWeights())
+	pl := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Weights: store})
+	router := NewRouter(NewEngine(2), []Planner{pl}, store)
+	s, dst, _ := banFastestRoute(t, g, pl, 13)
+
+	var fails atomic.Int32
+	fails.Store(2)
+	v := *pl.prov.cur.Load()
+	v.hier = failingHierarchy{v.hier, &fails}
+	pl.prov.cur.Store(&v)
+
+	// waitFailures waits until n rebuilds have failed and none runs.
+	waitFailures := func(n uint64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for pl.HierarchyStatus().CustomizeFailures < n || pl.prov.inflight.Load() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d customization failures after 10s, want %d", pl.HierarchyStatus().CustomizeFailures, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if got := pl.HierarchyStatus().CustomizeFailures; got != n {
+			t.Fatalf("%d customization failures, want %d", got, n)
+		}
+	}
+	ask := func() {
+		t.Helper()
+		res := askAll(router, s, dst)[0]
+		if res.Err != nil || len(res.Routes) == 0 {
+			t.Fatalf("query failed after a failed customization: %v", res.Err)
+		}
+		if res.Version != 1 {
+			t.Fatalf("answered at version %d, want the old version 1", res.Version)
+		}
+	}
+
+	scaled := make([]float64, len(g.BaseWeights()))
+	for i, w := range g.BaseWeights() {
+		scaled[i] = 1.5 * w
+	}
+	store.Publish(scaled)
+	waitFailures(1)
+	ask() // still on version 1, and starts a retry
+	waitFailures(2)
+	ask()
+
+	router.Sync()
+	if v := pl.WeightsVersion(); v != 2 {
+		t.Fatalf("post-sync version = %d, want 2", v)
+	}
+	if got := pl.HierarchyStatus().CustomizeFailures; got != 2 {
+		t.Fatalf("%d customization failures after a working one, want 2", got)
 	}
 	fresh := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Weights: weights.Pin(scaled)})
 	comparePlannersExact(t, fresh, pl, g, 8, 29)

@@ -180,15 +180,18 @@ func PlannerFlags(fs *flag.FlagSet, trees TreeBackend) func() (Options, error) {
 
 // HierarchyStatus is the serving-layer observability record of one
 // planner's hierarchy backend: which flavor answers queries right now,
-// how long the most recent (re)customization took, and the matrix
-// selection cache's counters. Zero for planners not running on a
-// hierarchy.
+// how long the most recent (re)customization took, how many background
+// customizations failed, and the matrix selection cache's counters. Zero
+// for planners not running on a hierarchy.
 type HierarchyStatus struct {
 	Kind string
 	// Order is the contraction-order pipeline ("geometric" or "flow")
 	// behind the hierarchy.
 	Order         string
 	LastCustomize time.Duration
+	// CustomizeFailures counts background customizations that panicked;
+	// each left the previous version serving.
+	CustomizeFailures uint64
 	// SelectionHits / SelectionMisses count, cumulatively across weight
 	// versions, how many matrix tables reused a cached target selection vs
 	// had to build one (a Select pass); SelectionEvictions counts entries

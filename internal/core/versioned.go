@@ -1,6 +1,7 @@
 package core
 
 import (
+	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,6 +111,9 @@ type provider struct {
 	// lastCustomize is the wall time (ns) of the most recent hierarchy
 	// build or customization — the per-swap latency the server logs.
 	lastCustomize atomic.Int64
+	// customizeFailures counts background rebuilds that panicked; each
+	// left the previous view serving.
+	customizeFailures atomic.Uint64
 	// selStats is the matrix selection-cache observability shared across
 	// weight versions (nil off TreeCHAuto).
 	selStats *selectionStats
@@ -189,6 +193,7 @@ func (p *provider) hierarchyStatus() HierarchyStatus {
 		Kind:               v.hier.Kind(),
 		Order:              p.order.String(),
 		LastCustomize:      time.Duration(p.lastCustomize.Load()),
+		CustomizeFailures:  p.customizeFailures.Load(),
 		SelectionHits:      p.selStats.selHits.Load(),
 		SelectionMisses:    p.selStats.selMisses.Load(),
 		SelectionEvictions: p.selStats.selEvictions.Load(),
@@ -224,13 +229,26 @@ func (p *provider) rebuildTo(snap *weights.Snapshot) *view {
 // source's latest snapshot. Queries keep resolving the old view until the
 // atomic swap; a publish arriving mid-rebuild is picked up by the next
 // query's view() call, so the provider converges without a scheduler.
+//
+// A rebuild that panics (a failed customization) is counted and logged,
+// and the previous view keeps serving: nothing reaches the goroutine to
+// report it to, and unrecovered it would take the process down. The next
+// query that sees the newer snapshot starts the retry.
 func (p *provider) refreshAsync() {
 	if !p.inflight.CompareAndSwap(false, true) {
 		return
 	}
 	go func() {
 		defer p.inflight.Store(false)
-		p.rebuildTo(p.src.Snapshot())
+		snap := p.src.Snapshot()
+		defer func() {
+			if r := recover(); r != nil {
+				p.customizeFailures.Add(1)
+				log.Printf("core: rebuild to weights v%d failed, still serving v%d: %v",
+					snap.Version(), p.servingVersion(), r)
+			}
+		}()
+		p.rebuildTo(snap)
 	}()
 }
 

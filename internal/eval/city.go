@@ -206,6 +206,10 @@ type RouteSets struct {
 	Query
 	Sets     [NumApproaches][]path.Path
 	Versions [NumApproaches]weights.Version
+	// Encoded is, per approach, the slot for the encoded form of Sets[i]
+	// on the result-cache entry that answered it; nil for an answer that
+	// did not come from the cache.
+	Encoded [NumApproaches]*core.Encoded
 }
 
 // RunPlanners answers q with all four approaches, fanned out concurrently
@@ -224,7 +228,7 @@ func (c *City) RunPlanners(q Query) (RouteSets, error) {
 		if r.Err != nil {
 			return rs, fmt.Errorf("eval: %s on %d->%d: %w", c.Planners[i].Name(), q.S, q.T, r.Err)
 		}
-		rs.Sets[i] = r.Routes
+		rs.Sets[i], rs.Encoded[i] = r.Routes, r.Encoded
 	}
 	return rs, nil
 }
@@ -252,7 +256,7 @@ func (c *City) RunPlannersBatch(qs []Query) ([]RouteSets, error) {
 			if r.Err != nil {
 				return nil, fmt.Errorf("eval: %s on %d->%d: %w", c.Planners[i].Name(), qs[qi].S, qs[qi].T, r.Err)
 			}
-			out[qi].Sets[i] = r.Routes
+			out[qi].Sets[i], out[qi].Encoded[i] = r.Routes, r.Encoded
 		}
 	}
 	return out, nil

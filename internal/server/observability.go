@@ -82,9 +82,14 @@ func (s *Server) collectServing(e *metrics.Emit) {
 		}
 		if c.Router != nil {
 			versions := c.Router.ServingVersions()
+			statuses := c.Router.HierarchyStatuses()
 			for i, p := range c.Router.Planners() {
 				e.Gauge("routing_serving_version", "Weight snapshot version currently installed, per planner.",
 					float64(versions[i]), "city", name, "planner", p.Name())
+				if statuses[i].Kind != "" {
+					e.Counter("routing_customize_failures_total", "Background customizations that failed, leaving the previous version serving.",
+						float64(statuses[i].CustomizeFailures), "city", name, "planner", p.Name())
+				}
 			}
 		}
 		if c.Matrix != nil {

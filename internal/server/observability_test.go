@@ -121,6 +121,28 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestCustomizeFailuresExported pins the customization-failure counter
+// on a ch-auto city: one series per planner reporting a hierarchy
+// (Commercial on the traffic store, Plateaus on the public one), and
+// none for the planners that share Plateaus' hierarchy.
+func TestCustomizeFailuresExported(t *testing.T) {
+	ts := httptest.NewServer(New(restrictedTestCities(t), "", WithMetrics()))
+	t.Cleanup(ts.Close)
+	text := scrape(t, ts)
+	for _, want := range []string{
+		`routing_customize_failures_total{city="Copenhagen",planner="GMaps"} 0`,
+		`routing_customize_failures_total{city="Copenhagen",planner="Plateaus"} 0`,
+		"# TYPE routing_customize_failures_total counter",
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("scrape missing %q", want)
+		}
+	}
+	if strings.Contains(text, `routing_customize_failures_total{city="Copenhagen",planner="Dissimilarity"}`) {
+		t.Error("planner without a hierarchy of its own reports customization failures")
+	}
+}
+
 // TestCacheCountersPerCityOnSharedEngine pins that result-cache counters
 // stay per city when every city serves through one engine, as the
 // demoserver wires them: a city nobody queried reads 0, and no series

@@ -198,12 +198,13 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown city")
 		return
 	}
-	var sp, tp geo.Point
-	if _, err := fmt.Sscanf(q.Get("s"), "%f,%f", &sp.Lat, &sp.Lon); err != nil {
+	sp, ok := parsePoint(q.Get("s"))
+	if !ok {
 		httpError(w, http.StatusBadRequest, "bad s coordinate (want lat,lon)")
 		return
 	}
-	if _, err := fmt.Sscanf(q.Get("t"), "%f,%f", &tp.Lat, &tp.Lon); err != nil {
+	tp, ok := parsePoint(q.Get("t"))
+	if !ok {
 		httpError(w, http.StatusBadRequest, "bad t coordinate (want lat,lon)")
 		return
 	}
@@ -218,21 +219,6 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "source and target map to the same intersection")
 		return
 	}
-	type approachJSON struct {
-		Label string `json:"label"`
-		// WeightVersion is the weight snapshot this approach's answer was
-		// computed under — the observable half of a live swap.
-		WeightVersion uint64      `json:"weightVersion"`
-		Routes        []routeJSON `json:"routes"`
-	}
-	out := struct {
-		SNode      [2]float64     `json:"sNode"`
-		TNode      [2]float64     `json:"tNode"`
-		Approaches []approachJSON `json:"approaches"`
-	}{
-		SNode: [2]float64{c.Graph.Point(sv).Lat, c.Graph.Point(sv).Lon},
-		TNode: [2]float64{c.Graph.Point(tv).Lat, c.Graph.Point(tv).Lon},
-	}
 	// Alternative-route computation (query processor step 2): all four
 	// approaches fan out concurrently over the city's engine.
 	rs, err := c.RunPlanners(eval.Query{S: sv, T: tv})
@@ -240,13 +226,6 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "route computation failed")
 		log.Printf("server: planners on %s %d->%d: %v", q.Get("city"), sv, tv, err)
 		return
-	}
-	for i := range c.Planners {
-		aj := approachJSON{Label: displayLabels[i], WeightVersion: uint64(rs.Versions[i])}
-		for _, rt := range rs.Sets[i] {
-			aj.Routes = append(aj.Routes, toRouteJSON(c, rt))
-		}
-		out.Approaches = append(out.Approaches, aj)
 	}
 	// Live-swap observability: which snapshot each approach answered
 	// under and which hierarchy flavor served it (and how long its last
@@ -260,7 +239,108 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 			q.Get("city"), sv, tv, rs.Versions[0], rs.Versions[1], rs.Versions[2], rs.Versions[3],
 			formatHierarchies(c.Router.HierarchyStatuses()))
 	}
-	writeJSON(w, out)
+	body, err := routesBody(c, &rs)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encoding routes failed")
+		log.Printf("server: encoding routes on %s %d->%d: %v", q.Get("city"), sv, tv, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := w.Write(body); err != nil {
+		log.Printf("server: writing routes: %v", err)
+	}
+}
+
+// parsePoint parses a "lat,lon" query value. Space around either number
+// is allowed; anything else after the second number is not.
+func parsePoint(v string) (geo.Point, bool) {
+	lat, lon, ok := strings.Cut(v, ",")
+	if !ok {
+		return geo.Point{}, false
+	}
+	la, err1 := strconv.ParseFloat(strings.TrimSpace(lat), 64)
+	lo, err2 := strconv.ParseFloat(strings.TrimSpace(lon), 64)
+	return geo.Point{Lat: la, Lon: lo}, err1 == nil && err2 == nil
+}
+
+// routesBody assembles the /api/routes response:
+//
+//	{"sNode":[lat,lon],"tNode":[lat,lon],"approaches":[{"label":"A","weightVersion":N,"routes":[…]},…]}
+//
+// plus a trailing newline, byte for byte what json.Encoder writes for
+// that shape. Each approach's "routes" value depends only on its route
+// set, which a result-cache entry fixes, so it is encoded once per entry
+// and kept on it (rs.Encoded): a hit's body is then a concatenation. It
+// is stored on the first hit rather than on the miss, so a pair that is
+// never asked again keeps no encoded bytes.
+func routesBody(c *eval.City, rs *eval.RouteSets) ([]byte, error) {
+	var routes [eval.NumApproaches][]byte
+	n := 192 // sNode, tNode and the punctuation around the approaches
+	for i := range routes {
+		routes[i] = rs.Encoded[i].Load()
+		if routes[i] == nil {
+			var err error
+			if routes[i], err = encodeRoutes(c, rs.Sets[i]); err != nil {
+				return nil, err
+			}
+			if rs.Encoded[i] != nil {
+				rs.Encoded[i].Store(routes[i])
+			}
+		}
+		n += len(routes[i]) + 64 // label, weightVersion and keys
+	}
+	sp, tp := c.Graph.Point(rs.S), c.Graph.Point(rs.T)
+	b := make([]byte, 0, n)
+	b = append(b, `{"sNode":[`...)
+	b = appendFloat(b, sp.Lat)
+	b = append(b, ',')
+	b = appendFloat(b, sp.Lon)
+	b = append(b, `],"tNode":[`...)
+	b = appendFloat(b, tp.Lat)
+	b = append(b, ',')
+	b = appendFloat(b, tp.Lon)
+	b = append(b, `],"approaches":[`...)
+	for i, r := range routes {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"label":"`...)
+		b = append(b, displayLabels[i]...)
+		// weightVersion is the weight snapshot this approach's answer was
+		// computed under — the observable half of a live swap.
+		b = append(b, `","weightVersion":`...)
+		b = strconv.AppendUint(b, uint64(rs.Versions[i]), 10)
+		b = append(b, `,"routes":`...)
+		b = append(b, r...)
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...), nil
+}
+
+// encodeRoutes encodes one approach's routes as the JSON array the UI
+// draws ("null" for an empty set).
+func encodeRoutes(c *eval.City, routes []path.Path) ([]byte, error) {
+	var out []routeJSON
+	for _, rt := range routes {
+		out = append(out, toRouteJSON(c, rt))
+	}
+	return json.Marshal(out)
+}
+
+// appendFloat appends f formatted as encoding/json formats a float64:
+// the shortest representation, in exponent form only below 1e-6 or from
+// 1e21 on, with a two-digit negative exponent cut to one digit.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // matrixLimit caps the endpoint set sizes of one /api/matrix request: a

@@ -129,6 +129,12 @@ func TestRoutesEndpoint(t *testing.T) {
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("routes status = %d", res.StatusCode)
 	}
+	// Space around either number is allowed (URL-escaped here).
+	spaced := ts.URL + fmt.Sprintf("/api/routes?city=Copenhagen&s=%f,+%f&t=+%f+,%f",
+		bb.MinLat, bb.MinLon, bb.MaxLat, bb.MaxLon)
+	if res := getJSON(t, spaced, nil); res.StatusCode != http.StatusOK {
+		t.Fatalf("routes with spaced coordinates: status = %d", res.StatusCode)
+	}
 	if len(out.Approaches) != 4 {
 		t.Fatalf("approaches = %d, want 4", len(out.Approaches))
 	}
@@ -156,6 +162,9 @@ func TestRoutesEndpointErrors(t *testing.T) {
 		"/api/routes?city=Copenhagen&s=bogus&t=55.1,12.1",
 		"/api/routes?city=Copenhagen&s=55.67,12.56&t=junk",
 		"/api/routes?city=Copenhagen&s=999,12&t=55.1,12.1",
+		"/api/routes?city=Copenhagen&s=55.67,12.56junk&t=55.70,12.59", // trailing input
+		"/api/routes?city=Copenhagen&s=55.67,12.56,99&t=55.70,12.59",  // a third number
+		"/api/routes?city=Copenhagen&s=55.67,12.56&t=NaN,12.59",       // not a coordinate
 		"/api/routes?city=Copenhagen&s=55.676,12.568&t=55.676,12.568", // same vertex
 	}
 	for _, u := range cases {
