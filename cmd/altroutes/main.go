@@ -138,12 +138,9 @@ func resolveEndpoint(g *graph.Graph, coord string, node int, what string) (graph
 	if coord == "" {
 		return 0, fmt.Errorf("provide the %s as -%c lat,lon or -%cnode ID", what, what[0], what[0])
 	}
-	var p geo.Point
-	if _, err := fmt.Sscanf(coord, "%f,%f", &p.Lat, &p.Lon); err != nil {
-		return 0, fmt.Errorf("parsing %s %q: %w", what, coord, err)
-	}
-	if !p.Valid() {
-		return 0, fmt.Errorf("%s %v out of WGS84 range", what, p)
+	p, err := geo.ParsePoint(coord)
+	if err != nil {
+		return 0, fmt.Errorf("parsing %s: %w", what, err)
 	}
 	idx := spatial.NewIndex(g, 16)
 	v, d := idx.Nearest(p)

@@ -99,7 +99,33 @@ func run(addr string, seed int64, ratingsPath string, workers int, opts core.Opt
 	srv := server.New(study.Cities, ratingsPath, sopts...)
 	log.Printf("demoserver: listening on http://localhost%s (%d planner workers, cache %d, traffic-step %v, metrics %v, ingest %v, verbose %v)",
 		addr, engine.Workers(), cacheSize, trafficStep, metricsOn, ingest, verbose)
-	return http.ListenAndServe(addr, srv)
+	return newHTTPServer(addr, srv).ListenAndServe()
+}
+
+// Connection timeouts. A client that stalls while sending a request, or
+// stops reading its response, holds a connection only this long. Every
+// request the server answers takes milliseconds, so each bound is far
+// above the slowest one; the idle bound keeps a benchmark client's
+// keep-alive connection open across a 24 s measurement window and the
+// pauses between windows.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 5 * time.Minute
+)
+
+// newHTTPServer returns the server that serves h on addr under the
+// connection timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // autoAdvance publishes the next rush-hour snapshot of every city at a

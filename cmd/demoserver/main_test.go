@@ -2,10 +2,12 @@ package main
 
 import (
 	"flag"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -82,5 +84,21 @@ func TestPaperTablesGolden(t *testing.T) {
 				t.Fatalf("paper tables under -trees %s differ from %s:\n%s", trees, golden, got)
 			}
 		})
+	}
+}
+
+// TestServerTimeouts pins the connection timeouts the demoserver serves
+// under: all four set, and each far above what the benchmark needs (a
+// request takes milliseconds; its keep-alive connection spans a 24 s
+// measurement window).
+func TestServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(":0", http.NotFoundHandler())
+	got := [4]time.Duration{srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout}
+	want := [4]time.Duration{10 * time.Second, 30 * time.Second, 60 * time.Second, 5 * time.Minute}
+	if got != want {
+		t.Fatalf("timeouts (read header, read, write, idle) = %v, want %v", got, want)
+	}
+	if srv.IdleTimeout < 2*24*time.Second {
+		t.Errorf("idle timeout %v would close a benchmark's keep-alive connection", srv.IdleTimeout)
 	}
 }

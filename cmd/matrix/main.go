@@ -148,12 +148,9 @@ func resolveEndpoints(g *graph.Graph, arg string, count int, rng *rand.Rand) ([]
 	idx := spatial.NewIndex(g, 16)
 	var out []graph.NodeID
 	for _, f := range strings.Split(arg, ";") {
-		var p geo.Point
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%f,%f", &p.Lat, &p.Lon); err != nil {
-			return nil, fmt.Errorf("bad coordinate %q (want lat,lon)", f)
-		}
-		if !p.Valid() {
-			return nil, fmt.Errorf("coordinate %q out of range", f)
+		p, err := geo.ParsePoint(f)
+		if err != nil {
+			return nil, err
 		}
 		v, _ := idx.Nearest(p)
 		out = append(out, v)

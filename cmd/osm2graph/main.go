@@ -37,9 +37,9 @@ func run(in, out, bboxStr string) error {
 	}
 	var bbox *geo.BBox
 	if bboxStr != "" {
-		var b geo.BBox
-		if _, err := fmt.Sscanf(bboxStr, "%f,%f,%f,%f", &b.MinLat, &b.MinLon, &b.MaxLat, &b.MaxLon); err != nil {
-			return fmt.Errorf("parsing -bbox %q: %w", bboxStr, err)
+		b, err := geo.ParseBBox(bboxStr)
+		if err != nil {
+			return fmt.Errorf("parsing -bbox: %w", err)
 		}
 		if b.MinLat >= b.MaxLat || b.MinLon >= b.MaxLon {
 			return fmt.Errorf("-bbox %q is empty or inverted", bboxStr)

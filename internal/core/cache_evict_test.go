@@ -9,33 +9,34 @@ import (
 	"repro/internal/weights"
 )
 
-// stubVersionedPlanner simulates a double-buffered planner for the cache
-// generation tests: its serving version is set explicitly, standing in
-// for "background customization has (not yet) completed".
-type stubVersionedPlanner struct {
-	serving atomic.Uint64
-	calls   atomic.Int64
+// stubPlanner simulates a double-buffered planner for the cache
+// generation tests. Its provider pins the graph's base weights (version
+// weights.Pinned), so it never moves on its own: a test stands in for
+// "background customization has completed" by installing a newer view by
+// hand (serve).
+type stubPlanner struct {
+	versioned
+	calls atomic.Int64
 }
 
-func (s *stubVersionedPlanner) Name() string { return "stub" }
-
-func (s *stubVersionedPlanner) Alternatives(a, b graph.NodeID) ([]path.Path, error) {
-	routes, _, err := s.AlternativesVersioned(a, b)
-	return routes, err
+func newStubPlanner(g *graph.Graph) *stubPlanner {
+	return &stubPlanner{versioned: versioned{newProvider(g, nil, false, Options{}, "stub")}}
 }
 
-func (s *stubVersionedPlanner) AlternativesVersioned(a, b graph.NodeID) ([]path.Path, weights.Version, error) {
+func (s *stubPlanner) Name() string { return "stub" }
+
+func (s *stubPlanner) Alternatives(a, b graph.NodeID) ([]path.Path, error) {
+	return answer(s, a, b)
+}
+
+func (s *stubPlanner) alternativesOn(*view, graph.NodeID, graph.NodeID) ([]path.Path, error) {
 	s.calls.Add(1)
-	return []path.Path{{}}, weights.Version(s.serving.Load()), nil
+	return []path.Path{{}}, nil
 }
 
-func (s *stubVersionedPlanner) WeightsVersion() weights.Version {
-	return weights.Version(s.serving.Load())
-}
-
-func (s *stubVersionedPlanner) servingVersion() weights.Version {
-	return weights.Version(s.serving.Load())
-}
+// serve installs snap as the provider's serving view, as a completed
+// swap would.
+func (s *stubPlanner) serve(snap *weights.Snapshot) { s.prov.cur.Store(&view{snap: snap}) }
 
 // TestCachePerGenerationEviction pins the publish-time cache policy: a
 // publish evicts only generations older than what each planner still
@@ -44,8 +45,7 @@ func (s *stubVersionedPlanner) servingVersion() weights.Version {
 func TestCachePerGenerationEviction(t *testing.T) {
 	g := testCity(t)
 	store := weights.NewStore(g.BaseWeights())
-	stub := &stubVersionedPlanner{}
-	stub.serving.Store(1)
+	stub := newStubPlanner(g) // serves v1
 
 	engine := NewEngine(1)
 	engine.SetCache(32)
@@ -73,7 +73,7 @@ func TestCachePerGenerationEviction(t *testing.T) {
 
 	// The swap completes (stub now serves v2): the next publish evicts the
 	// v1 generation, and a v2 lookup misses into a fresh planner call.
-	stub.serving.Store(2)
+	stub.serve(store.Latest())
 	store.Publish(g.BaseWeights())
 	query()
 	if calls := stub.calls.Load(); calls != 2 {
@@ -89,9 +89,8 @@ func TestCachePerGenerationEviction(t *testing.T) {
 // TestEvictStaleScopesToPlanner: eviction must not touch planners outside
 // the floors map.
 func TestEvictStaleScopesToPlanner(t *testing.T) {
-	a, b := &stubVersionedPlanner{}, &stubVersionedPlanner{}
-	a.serving.Store(1)
-	b.serving.Store(1)
+	g := testCity(t)
+	a, b := newStubPlanner(g), newStubPlanner(g)
 	c := newResultCache(8)
 	c.put(cacheKey{planner: a, version: 1, s: 0, t: 1}, []path.Path{{}})
 	c.put(cacheKey{planner: b, version: 1, s: 0, t: 1}, []path.Path{{}})

@@ -78,7 +78,7 @@ func NewCommercial(g *graph.Graph, private []float64, opts Options) *Commercial 
 		diversityBias: 0.45,
 		poolSize:      16,
 	}
-	c.prov = newProvider(g, src, true, opts)
+	c.prov = newProvider(g, src, true, opts, c.Name())
 	return c
 }
 
@@ -90,20 +90,8 @@ func (c *Commercial) Name() string { return "GMaps" }
 // TreeCHAuto).
 func (c *Commercial) HierarchyStatus() HierarchyStatus { return c.prov.hierarchyStatus() }
 
-// setMetrics sinks the bundle's customization and selection observers
-// into the private-metric provider (Router.SetMetrics fan-out).
-func (c *Commercial) setMetrics(m *Metrics) {
-	c.prov.setMetrics(m.customizeObserver(c.Name()), m.selectionObserver())
-}
-
 // Alternatives implements Planner.
 func (c *Commercial) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	routes, _, err := answer(c, s, t)
-	return routes, err
-}
-
-// AlternativesVersioned implements VersionedPlanner.
-func (c *Commercial) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error) {
 	return answer(c, s, t)
 }
 

@@ -54,12 +54,25 @@ var ErrNoRoute = errors.New("core: no route between source and target")
 // Planner generates up to K alternative routes between two vertices. The
 // first returned route is always the planner's best route; all returned
 // routes are pairwise distinct edge sequences.
+//
+// The interface is sealed: only this package's planners implement it.
+// Each reads its weights through a provider, and Engine.AlternativesBatch
+// pins one view per distinct provider when a batch starts and runs every
+// job of the batch on it, so planners sharing a provider
+// (NewStudyPlanners' Plateaus, Dissimilarity and Penalty on the public
+// store) answer one batch under one snapshot version by construction. The
+// Router reaches the providers to refresh them on publish, to read their
+// serving versions and to install a city's Metrics.
 type Planner interface {
 	// Name returns the technique's display name.
 	Name() string
 	// Alternatives returns 1..K routes from s to t. It returns ErrNoRoute
 	// if t is unreachable from s. s == t yields a single empty route.
 	Alternatives(s, t graph.NodeID) ([]path.Path, error)
+	// source returns the provider the planner reads its weights from.
+	source() *provider
+	// alternativesOn answers one query entirely under v, a view of source.
+	alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error)
 }
 
 // Options configures a planner. The zero value selects the paper's

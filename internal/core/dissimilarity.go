@@ -6,7 +6,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/path"
 	"repro/internal/sp"
-	"repro/internal/weights"
 )
 
 // Dissimilarity implements the SSVP-D+ technique of Chondrogiannis et al.
@@ -47,7 +46,7 @@ type Dissimilarity struct {
 // Options.Weights (nil pins the graph's base travel-time weights).
 func NewDissimilarity(g *graph.Graph, opts Options) *Dissimilarity {
 	o := opts.withDefaults()
-	return &Dissimilarity{versioned: versioned{newProvider(g, o.Weights, true, o)}, g: g, opts: o}
+	return &Dissimilarity{versioned: versioned{newProvider(g, o.Weights, true, o, "Dissimilarity")}, g: g, opts: o}
 }
 
 // Name implements Planner.
@@ -55,12 +54,6 @@ func (d *Dissimilarity) Name() string { return "Dissimilarity" }
 
 // Alternatives implements Planner.
 func (d *Dissimilarity) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	routes, _, err := answer(d, s, t)
-	return routes, err
-}
-
-// AlternativesVersioned implements VersionedPlanner.
-func (d *Dissimilarity) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error) {
 	return answer(d, s, t)
 }
 

@@ -51,17 +51,22 @@ func (p *ellipticTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bw
 }
 
 // ellipticPlanner answers with pl's own code on elliptic trees of the
-// snapshot pl's provider serves. It is deliberately not a pinnedPlanner,
-// so an Engine calls Alternatives instead of pinning pl's full-tree view.
-// The planners under test run the default upper bound.
-type ellipticPlanner struct{ pl pinnedPlanner }
+// snapshot of the view it is given: the view an Engine batch pinned for
+// pl's provider, or the one that provider serves now. The planners under
+// test run the default upper bound.
+type ellipticPlanner struct{ pl Planner }
 
 func (e ellipticPlanner) Name() string { return e.pl.Name() + "(pruned)" }
 
 func (e ellipticPlanner) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	prov := e.pl.source()
-	snap := prov.view().snap
-	return e.pl.alternativesOn(&view{snap: snap, trees: newEllipticTrees(prov.g, snap, DefaultUpperBound)}, s, t)
+	return answer(e, s, t)
+}
+
+func (e ellipticPlanner) source() *provider { return e.pl.source() }
+
+func (e ellipticPlanner) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error) {
+	elliptic := &view{snap: v.snap, trees: newEllipticTrees(e.source().g, v.snap, DefaultUpperBound)}
+	return e.pl.alternativesOn(elliptic, s, t)
 }
 
 // prunedPlateaus is Plateaus on elliptic trees.
@@ -71,7 +76,7 @@ func prunedPlateaus(g *graph.Graph, opts Options) Planner {
 
 // checkEllipticMatchesFull compares each full-tree planner with its own
 // code on elliptic trees.
-func checkEllipticMatchesFull(t *testing.T, g *graph.Graph, full []pinnedPlanner, queries int, seed int64) {
+func checkEllipticMatchesFull(t *testing.T, g *graph.Graph, full []Planner, queries int, seed int64) {
 	t.Helper()
 	for _, pl := range full {
 		comparePlannersExact(t, pl, ellipticPlanner{pl}, g, queries, seed)
@@ -84,7 +89,7 @@ func checkEllipticMatchesFull(t *testing.T, g *graph.Graph, full []pinnedPlanner
 func TestPrunedPlateausMatchesFullTreePlanner(t *testing.T) {
 	g := testCity(t)
 	private := traffic.Apply(g, traffic.DefaultModel(21))
-	checkEllipticMatchesFull(t, g, []pinnedPlanner{NewPlateaus(g, Options{}), NewCommercial(g, private, Options{})}, 20, 21)
+	checkEllipticMatchesFull(t, g, []Planner{NewPlateaus(g, Options{}), NewCommercial(g, private, Options{})}, 20, 21)
 }
 
 // TestCommercialPrunedMatchesFullTrees pins the same claim on tie-free
@@ -93,7 +98,7 @@ func TestCommercialPrunedMatchesFullTrees(t *testing.T) {
 	for seed := int64(200); seed < 204; seed++ {
 		g := randomRoadNetwork(seed, 150)
 		private := traffic.Apply(g, traffic.DefaultModel(uint64(seed)+9))
-		checkEllipticMatchesFull(t, g, []pinnedPlanner{NewCommercial(g, private, Options{}), NewPlateaus(g, Options{})}, 12, seed)
+		checkEllipticMatchesFull(t, g, []Planner{NewCommercial(g, private, Options{}), NewPlateaus(g, Options{})}, 12, seed)
 	}
 }
 
@@ -105,7 +110,7 @@ func TestEllipticTreesYieldSameChoiceRoutes(t *testing.T) {
 		g := randomRoadNetwork(seed, 150)
 		t.Run(fmt.Sprintf("closure-%d", seed), func(t *testing.T) {
 			o := Options{Weights: closureSnapshot(g, seed+900)}
-			checkEllipticMatchesFull(t, g, []pinnedPlanner{NewPlateaus(g, o), NewCommercial(g, nil, o)}, 12, seed)
+			checkEllipticMatchesFull(t, g, []Planner{NewPlateaus(g, o), NewCommercial(g, nil, o)}, 12, seed)
 		})
 	}
 }

@@ -20,9 +20,8 @@ import (
 //
 // The engine itself holds no per-query state; each in-flight call draws a
 // warm sp.Workspace from the shared pool, so a saturated engine runs
-// steady-state query processing without allocating search arrays. Planners
-// used through an Engine must be safe for concurrent use — every planner
-// in this package is.
+// steady-state query processing without allocating search arrays. Every
+// Planner is safe for concurrent use.
 //
 // The only state that spans jobs is request-scoped: within one batch, the
 // jobs that run on the same pinned view for the same (s, t) — the study
@@ -42,17 +41,6 @@ type Engine struct {
 	// only installs its default cache on engines whose owner never chose
 	// (an explicit SetCache(0) stays disabled).
 	cacheSet atomic.Bool
-	// metrics maps each planner to its instrument bundle (nil map or
-	// missing planner: record nothing). Queries and cache lookups are
-	// recorded here, at the engine, because the engine is the one place
-	// every query passes exactly once — a planner-level hook would double
-	// count when planners call each other. The map is keyed by planner
-	// rather than held as a single bundle because one engine is commonly
-	// shared by several cities (demoserver pools its workers): planners
-	// are per-city, so the planner identity is what carries the city
-	// label. Copy-on-write under metricsMu; lookups are one atomic load.
-	metrics   atomic.Pointer[map[Planner]*Metrics]
-	metricsMu sync.Mutex
 }
 
 // NewEngine returns an engine running at most workers concurrent planner
@@ -68,9 +56,7 @@ func NewEngine(workers int) *Engine {
 func (e *Engine) Workers() int { return cap(e.sem) }
 
 // SetCache equips the engine with a result cache holding up to capacity
-// answers (capacity <= 0 removes the cache). Only planners implementing
-// VersionedPlanner are cached — without a version the key would alias
-// answers across weight swaps.
+// answers (capacity <= 0 removes the cache).
 func (e *Engine) SetCache(capacity int) {
 	e.cacheSet.Store(true)
 	if capacity <= 0 {
@@ -102,43 +88,6 @@ func (e *Engine) CacheStats() (hits, misses uint64) {
 	return 0, 0
 }
 
-// SetMetrics installs the instrument bundle recording per-query latency
-// and result-cache traffic for the given planners (m == nil uninstalls
-// them). Registrations from different cities accumulate, so a shared
-// engine attributes each query to the city owning its planner. Safe to
-// call while serving.
-func (e *Engine) SetMetrics(m *Metrics, planners ...Planner) {
-	e.metricsMu.Lock()
-	defer e.metricsMu.Unlock()
-	next := make(map[Planner]*Metrics)
-	if old := e.metrics.Load(); old != nil {
-		for pl, b := range *old {
-			next[pl] = b
-		}
-	}
-	for _, pl := range planners {
-		if m == nil {
-			delete(next, pl)
-		} else {
-			next[pl] = m
-		}
-	}
-	if len(next) == 0 {
-		e.metrics.Store(nil)
-		return
-	}
-	e.metrics.Store(&next)
-}
-
-// metricsFor returns the bundle observing this planner's queries (nil
-// for unregistered planners — every observer method is nil-safe).
-func (e *Engine) metricsFor(pl Planner) *Metrics {
-	if reg := e.metrics.Load(); reg != nil {
-		return (*reg)[pl]
-	}
-	return nil
-}
-
 // Job is one Alternatives call of a batch.
 type Job struct {
 	Planner Planner
@@ -148,9 +97,10 @@ type Job struct {
 // Result is the outcome of one Job, in batch order.
 type Result struct {
 	Routes []path.Path
-	// Version is the weight snapshot the answer was computed under (0 for
-	// planners that are not VersionedPlanner). Treat Routes as immutable:
-	// cached results are shared between callers.
+	// Version is the weight snapshot the answer was computed under: the
+	// version of the view the batch pinned for the planner's provider.
+	// Treat Routes as immutable: cached results are shared between
+	// callers.
 	Version weights.Version
 	// Encoded is the slot for the encoded form of Routes on the cache
 	// entry that answered the job; nil unless the job hit the cache. It
@@ -214,11 +164,13 @@ func (e *Engine) runBatch(jobs []Job, slots []batchSlot, results []Result) {
 	wg.Wait()
 }
 
-// batchSlot is one job's place in a batch: the view it is pinned to and,
-// when other jobs of the batch share that view and its (s, t), the group
-// whose tree pair they share.
+// batchSlot is one job's place in a batch: the view it is pinned to, the
+// instrument bundle of the view's provider and, when other jobs of the
+// batch share that view and its (s, t), the group whose tree pair they
+// share.
 type batchSlot struct {
-	v *view
+	v       *view
+	metrics *Metrics
 	// group points at the state held in the slot of the group's first job
 	// (own); nil when no other job shares the view and the pair.
 	group *pairGroup
@@ -239,25 +191,22 @@ type pairKey struct {
 }
 
 // pinSlots resolves the view each job runs on — one per distinct provider,
-// shared by every job on it (nil for planners from outside this package)
-// — and groups the jobs that share a view with trees and an (s, t). Both
-// maps stay on the stack for a request-sized batch.
+// shared by every job on it — and groups the jobs that share a view with
+// trees and an (s, t). Both maps stay on the stack for a request-sized
+// batch.
 func pinSlots(jobs []Job) []batchSlot {
 	slots := make([]batchSlot, len(jobs))
 	pinned := make(map[*provider]*view, 2)
 	leads := make(map[pairKey]int, 8)
 	for i := range jobs {
-		pl, ok := jobs[i].Planner.(pinnedPlanner)
-		if !ok {
-			continue
-		}
-		prov := pl.source()
+		prov := jobs[i].Planner.source()
 		v, ok := pinned[prov]
 		if !ok {
 			v = prov.view()
 			pinned[prov] = v
 		}
 		slots[i].v = v
+		slots[i].metrics = prov.metrics.Load()
 		if v.trees == nil {
 			continue
 		}
@@ -425,10 +374,12 @@ func (e *Engine) acquire() { e.sem <- struct{}{} }
 func (e *Engine) release() { <-e.sem }
 
 // runJob executes one planner call, recording its latency and outcome
-// when an instrument bundle is installed. Timing wraps doJob from the
-// outside so a recovered panic is still observed with its error counted.
+// when the slot carries an instrument bundle. Queries are recorded here
+// because the engine is the one place every query passes exactly once.
+// Timing wraps doJob from the outside so a recovered panic is still
+// observed with its error counted.
 func (e *Engine) runJob(job *Job, slot *batchSlot, res *Result) {
-	m := e.metricsFor(job.Planner)
+	m := slot.metrics
 	if m == nil {
 		e.doJob(job, slot, res)
 		return
@@ -442,8 +393,7 @@ func (e *Engine) runJob(job *Job, slot *batchSlot, res *Result) {
 // panic into the job's error: a worker goroutine must never take the
 // whole process down (the HTTP handler's own recover cannot reach it).
 // The answer is looked up and stored under one key, whose version is the
-// pinned view's; a versioned planner from outside this package is keyed
-// by its WeightsVersion and its answer stored only if computed under it.
+// pinned view's.
 func (e *Engine) doJob(job *Job, slot *batchSlot, res *Result) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -451,35 +401,19 @@ func (e *Engine) doJob(job *Job, slot *batchSlot, res *Result) {
 			res.Err = fmt.Errorf("core: planner %s panicked on %d->%d: %v", job.Planner.Name(), job.S, job.T, r)
 		}
 	}()
-	v := slot.v
-	key := cacheKey{planner: job.Planner, s: job.S, t: job.T}
-	if v != nil {
-		key.version = v.snap.Version()
-	} else if vp, ok := job.Planner.(VersionedPlanner); ok {
-		key.version = vp.WeightsVersion()
-	}
+	res.Version = slot.v.snap.Version()
+	key := cacheKey{planner: job.Planner, version: res.Version, s: job.S, t: job.T}
 	cache := e.cache.Load()
-	if key.version == 0 {
-		cache = nil // an unversioned answer cannot be keyed
-	}
 	if cache != nil {
 		if a, ok := cache.get(key); ok {
-			e.metricsFor(job.Planner).observeCache(true)
-			res.Routes, res.Version, res.Encoded = a.routes, key.version, &a.enc
+			slot.metrics.observeCache(true)
+			res.Routes, res.Encoded = a.routes, &a.enc
 			return
 		}
-		e.metricsFor(job.Planner).observeCache(false)
+		slot.metrics.observeCache(false)
 	}
-	switch pl := job.Planner.(type) {
-	case pinnedPlanner:
-		res.Version = v.snap.Version()
-		res.Routes, res.Err = pl.alternativesOn(slot.planView(job.S, job.T), job.S, job.T)
-	case VersionedPlanner:
-		res.Routes, res.Version, res.Err = pl.AlternativesVersioned(job.S, job.T)
-	default:
-		res.Routes, res.Err = job.Planner.Alternatives(job.S, job.T)
-	}
-	if cache != nil && res.Err == nil && res.Version == key.version {
+	res.Routes, res.Err = job.Planner.alternativesOn(slot.planView(job.S, job.T), job.S, job.T)
+	if cache != nil && res.Err == nil {
 		cache.put(key, res.Routes)
 	}
 }

@@ -222,7 +222,7 @@ func (c *countingTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (*sp.Tre
 func TestEngineBuildsOneTreePairPerQuery(t *testing.T) {
 	g := testCity(t)
 	planners := NewStudyPlanners(g, Options{}, weights.Pin(traffic.Apply(g, traffic.DefaultModel(99))))
-	prov := planners[1].(pinnedPlanner).source()
+	prov := planners[1].source()
 	cur := prov.cur.Load()
 	counted := *cur
 	ct := &countingTrees{src: cur.trees}

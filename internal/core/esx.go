@@ -7,7 +7,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/path"
 	"repro/internal/sp"
-	"repro/internal/weights"
 )
 
 // ESX implements the edge-exclusion heuristic for k-shortest paths with
@@ -36,21 +35,15 @@ type ESX struct {
 // pins the graph's base travel-time weights).
 func NewESX(g *graph.Graph, opts Options) *ESX {
 	o := opts.withDefaults()
-	return &ESX{versioned: versioned{newProvider(g, o.Weights, false, o)}, g: g, opts: o, maxExclusionsPerRound: 24}
+	return &ESX{versioned: versioned{newProvider(g, o.Weights, false, o, "ESX")}, g: g, opts: o, maxExclusionsPerRound: 24}
 }
 
 // Name implements Planner.
 func (x *ESX) Name() string { return "ESX" }
 
-// AlternativesVersioned implements VersionedPlanner.
-func (x *ESX) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error) {
-	return answer(x, s, t)
-}
-
 // Alternatives implements Planner.
 func (x *ESX) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	routes, _, err := answer(x, s, t)
-	return routes, err
+	return answer(x, s, t)
 }
 
 func (x *ESX) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error) {

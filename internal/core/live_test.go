@@ -176,23 +176,6 @@ func TestEngineCacheVersionedHitsAndInvalidation(t *testing.T) {
 	}
 }
 
-func TestUnversionedPlannersBypassCache(t *testing.T) {
-	g := testCity(t)
-	engine := NewEngine(1)
-	engine.SetCache(16)
-	// A planner that does not implement VersionedPlanner must run every
-	// time and report version 0.
-	pl := plainPlanner{inner: NewPlateaus(g, Options{})}
-	r1 := engine.Alternatives([]Planner{pl}, 0, graph.NodeID(g.NumNodes()-1))[0]
-	r2 := engine.Alternatives([]Planner{pl}, 0, graph.NodeID(g.NumNodes()-1))[0]
-	if r1.Version != 0 || r2.Version != 0 {
-		t.Fatalf("unversioned planner reported versions %d/%d", r1.Version, r2.Version)
-	}
-	if hits, _ := engine.CacheStats(); hits != 0 {
-		t.Fatal("unversioned planner was served from the cache")
-	}
-}
-
 // TestRouterHonoursExplicitCacheDisable: SetCache(0) is a deliberate
 // choice; the Router's default cache must only land on engines whose
 // owner never called SetCache.
@@ -224,14 +207,6 @@ func askAll(r *Router, s, t graph.NodeID) []Result {
 	return r.Engine().Alternatives(r.Planners(), s, t)
 }
 
-// plainPlanner strips the VersionedPlanner interface off a planner.
-type plainPlanner struct{ inner *Plateaus }
-
-func (p plainPlanner) Name() string { return "plain" }
-func (p plainPlanner) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	return p.inner.Alternatives(s, t)
-}
-
 // --- Double-buffered CH swap ------------------------------------------------
 
 // TestCHSwapServesOldThenNew publishes a uniformly scaled snapshot and
@@ -253,12 +228,12 @@ func TestCHSwapServesOldThenNew(t *testing.T) {
 	}
 	store.Publish(scaled)
 	// Mid-swap: the query must answer immediately under *some* version.
-	routes, ver, err := pl.AlternativesVersioned(s, dst)
-	if err != nil || len(routes) == 0 {
-		t.Fatalf("mid-swap query failed: %v", err)
+	res := askAll(router, s, dst)[0]
+	if res.Err != nil || len(res.Routes) == 0 {
+		t.Fatalf("mid-swap query failed: %v", res.Err)
 	}
-	if ver != 1 && ver != 2 {
-		t.Fatalf("mid-swap version = %d, want 1 or 2", ver)
+	if res.Version != 1 && res.Version != 2 {
+		t.Fatalf("mid-swap version = %d, want 1 or 2", res.Version)
 	}
 
 	router.Sync()

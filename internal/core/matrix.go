@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ch"
@@ -50,12 +49,14 @@ func (t *Table) At(i, j int) float64 { return t.Seconds[i*len(t.Targets)+j] }
 // A MatrixEngine is safe for concurrent use; per-call state lives in
 // pooled scratch, so a warm engine computes tables with zero steady-state
 // allocations through MatrixInto on a single-worker Engine.
+//
+// Tables are recorded in the bundle of the engine's provider (see
+// Router.SetMetrics): a matrix engine sharing the public planners'
+// provider records under their city.
 type MatrixEngine struct {
 	g    *graph.Graph
 	eng  *Engine
 	prov *provider
-	// metrics is the optional instrument bundle (nil: record nothing).
-	metrics atomic.Pointer[Metrics]
 }
 
 // NewMatrixEngine builds a standalone matrix engine over g. Options are
@@ -67,7 +68,7 @@ func NewMatrixEngine(g *graph.Graph, opts Options, eng *Engine) *MatrixEngine {
 	return &MatrixEngine{
 		g:    g,
 		eng:  eng,
-		prov: newProvider(g, opts.Weights, true, opts),
+		prov: newProvider(g, opts.Weights, true, opts, "Matrix"),
 	}
 }
 
@@ -87,13 +88,6 @@ func (m *MatrixEngine) WeightsVersion() weights.Version { return m.prov.weightsV
 // HierarchyStatus reports the backing hierarchy's serving state,
 // selection-cache counters included.
 func (m *MatrixEngine) HierarchyStatus() HierarchyStatus { return m.prov.hierarchyStatus() }
-
-// SetMetrics installs the instrument bundle recording per-table latency
-// and size (nil uninstalls). A matrix engine sharing a Plateaus
-// planner's provider (NewMatrixEngineFor) inherits that planner's
-// customization/selection observers through the shared provider; this
-// call only adds the matrix-side histograms.
-func (m *MatrixEngine) SetMetrics(b *Metrics) { m.metrics.Store(b) }
 
 // rowBuilder carries the immutable inputs of one matrix computation; it
 // is pooled so MatrixInto's fan-out closure captures a single long-lived
@@ -148,7 +142,8 @@ func (m *MatrixEngine) OneToMany(source graph.NodeID, targets []graph.NodeID) (*
 // a warm engine with a selection-cache hit this is the zero-allocation
 // path (single-worker Engine: rows run inline, no fan-out goroutines).
 func (m *MatrixEngine) MatrixInto(tab *Table, sources, targets []graph.NodeID) error {
-	if b := m.metrics.Load(); b != nil {
+	b := m.prov.metrics.Load()
+	if b != nil {
 		start := time.Now()
 		defer func() { b.observeMatrix(time.Since(start), len(sources)*len(targets)) }()
 	}
@@ -168,6 +163,7 @@ func (m *MatrixEngine) MatrixInto(tab *Table, sources, targets []graph.NodeID) e
 			// never produce a table; select the targets directly instead.
 			rb.sel = tr.tb.Select(tab.Targets, nil)
 		}
+		b.observeSelection(len(e.sig))
 		tab.SelectionTargets = len(e.sig)
 		tab.SelectionHit = hit
 		tab.Restricted = rb.sel != nil

@@ -16,10 +16,14 @@ var customizeBuckets = []float64{
 // Metrics is the serving-layer instrument bundle: one per city, all
 // families registered on a shared metrics.Registry (re-registration is
 // idempotent, so every city binds the same families under its own city
-// label). Wire it in with Router.SetMetrics / MatrixEngine.SetMetrics —
-// a nil *Metrics is valid everywhere and records nothing, so the serving
-// path carries no instrumentation cost unless observability is switched
-// on.
+// label). Router.SetMetrics installs it on the weight provider of every
+// planner the router serves, and everything recorded is recorded there:
+// the engine's queries and cache lookups, the provider's customizations
+// and the tables of a matrix engine sharing the provider. An engine
+// shared by several cities therefore attributes each query to its own
+// city. A nil *Metrics is valid everywhere and records nothing, so the
+// serving path carries no instrumentation cost unless observability is
+// switched on.
 //
 // The bundle covers the *event-driven* signals: latencies and sizes that
 // must be observed at the moment they happen (histograms cannot be
@@ -103,26 +107,29 @@ func (m *Metrics) observeMatrix(d time.Duration, cells int) {
 	m.matrixCells.Observe(float64(cells))
 }
 
-// customizeObserver returns the per-planner customization histogram (nil
-// receiver: nil observer).
-func (m *Metrics) customizeObserver(planner string) *metrics.Histogram {
+// observeCustomize records one hierarchy build or customization of the
+// provider labelled planner. Nil-safe.
+func (m *Metrics) observeCustomize(planner string, d time.Duration) {
 	if m == nil {
-		return nil
+		return
 	}
-	return m.customizeSeconds.With(m.city, planner)
+	m.customizeSeconds.With(m.city, planner).Observe(d.Seconds())
 }
 
-// selectionObserver returns the selection-size histogram (nil receiver:
-// nil observer).
-func (m *Metrics) selectionObserver() *metrics.Histogram {
-	if m == nil {
-		return nil
+// bindCustomize creates the customization series of the provider
+// labelled planner, so a scrape lists it before its first publish swap.
+// Nil-safe.
+func (m *Metrics) bindCustomize(planner string) {
+	if m != nil {
+		m.customizeSeconds.With(m.city, planner)
 	}
-	return m.selectionNodes
 }
 
-// metricsSetter is implemented by planners that can sink the bundle's
-// per-planner observers (the provider-backed ones).
-type metricsSetter interface {
-	setMetrics(*Metrics)
+// observeSelection records the size of one matrix table's target
+// selection. Nil-safe.
+func (m *Metrics) observeSelection(targets int) {
+	if m == nil {
+		return
+	}
+	m.selectionNodes.Observe(float64(targets))
 }

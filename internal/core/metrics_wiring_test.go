@@ -25,7 +25,6 @@ func TestRouterMetricsWiring(t *testing.T) {
 	m := NewMetrics(reg, "grid")
 	r.SetMetrics(m)
 	mx := NewMatrixEngineFor(pl, r.Engine())
-	mx.SetMetrics(m)
 
 	for i := 0; i < 3; i++ { // third round hits the result cache
 		askAll(r, 0, 143)
@@ -121,5 +120,47 @@ func TestSharedEngineAttributesPerCity(t *testing.T) {
 	if a.m.cacheMisses.Value() != 2 || b.m.cacheMisses.Value() != 1 {
 		t.Fatalf("cache misses alpha=%v beta=%v, want 2/1",
 			a.m.cacheMisses.Value(), b.m.cacheMisses.Value())
+	}
+}
+
+// TestMetricsBeforeSharedEngineAttributesPerCity is
+// TestSharedEngineAttributesPerCity in the other wiring order: each city
+// installs its bundle first and joins the shared engine afterwards. The
+// bundle lives on the planners' providers, so the engine swap keeps it.
+func TestMetricsBeforeSharedEngineAttributesPerCity(t *testing.T) {
+	g := testCity(t)
+	shared := NewEngine(2)
+	reg := metrics.NewRegistry()
+	mk := func(name string) (*Router, *Metrics) {
+		st := weights.NewStore(g.BaseWeights())
+		r := NewRouter(nil, []Planner{NewPenalty(g, Options{Weights: st})}, st)
+		m := NewMetrics(reg, name)
+		r.SetMetrics(m)
+		r.SetEngine(shared)
+		return r, m
+	}
+	a, am := mk("alpha")
+	b, bm := mk("beta")
+
+	askAll(a, 0, 143)
+	askAll(a, 13, 130)
+	askAll(b, 0, 143)
+	askAll(b, 0, 143) // a hit on the shared cache, counted for beta
+
+	var sb strings.Builder
+	reg.WriteTo(&sb)
+	text := sb.String()
+	for _, want := range []string{
+		`routing_query_seconds_count{city="alpha",planner="Penalty"} 2`,
+		`routing_query_seconds_count{city="beta",planner="Penalty"} 2`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("scrape missing %q (bundle lost or misattributed across SetEngine):\n%s", want, text)
+		}
+	}
+	if am.cacheMisses.Value() != 2 || am.cacheHits.Value() != 0 ||
+		bm.cacheMisses.Value() != 1 || bm.cacheHits.Value() != 1 {
+		t.Fatalf("cache alpha=%v/%v beta=%v/%v (misses/hits), want 2/0 and 1/1",
+			am.cacheMisses.Value(), am.cacheHits.Value(), bm.cacheMisses.Value(), bm.cacheHits.Value())
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/path"
-	"repro/internal/weights"
 )
 
 // Pareto implements the skyline-paths baseline of §II-D (Barth & Funke;
@@ -34,16 +33,11 @@ type Pareto struct {
 // and distance as the two criteria.
 func NewPareto(g *graph.Graph, opts Options) *Pareto {
 	o := opts.withDefaults()
-	return &Pareto{versioned: versioned{newProvider(g, o.Weights, false, o)}, g: g, opts: o, maxLabelsPerNode: 32}
+	return &Pareto{versioned: versioned{newProvider(g, o.Weights, false, o, "Pareto")}, g: g, opts: o, maxLabelsPerNode: 32}
 }
 
 // Name implements Planner.
 func (p *Pareto) Name() string { return "Pareto" }
-
-// AlternativesVersioned implements VersionedPlanner.
-func (p *Pareto) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error) {
-	return answer(p, s, t)
-}
 
 // label is one partial path in the bicriteria search.
 type label struct {
@@ -117,8 +111,7 @@ func (h *labelHeap) pop() int {
 // Alternatives implements Planner: it returns up to K skyline paths in
 // ascending travel-time order (the fastest path is always the first).
 func (p *Pareto) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	routes, _, err := answer(p, s, t)
-	return routes, err
+	return answer(p, s, t)
 }
 
 func (p *Pareto) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error) {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/path"
 	"repro/internal/sp"
-	"repro/internal/weights"
 )
 
 // Penalty implements the penalty-based alternative-route technique
@@ -32,7 +31,7 @@ type Penalty struct {
 // (nil pins the graph's base travel-time weights).
 func NewPenalty(g *graph.Graph, opts Options) *Penalty {
 	o := opts.withDefaults()
-	return &Penalty{versioned: versioned{newProvider(g, o.Weights, false, o)}, g: g, opts: o}
+	return &Penalty{versioned: versioned{newProvider(g, o.Weights, false, o, "Penalty")}, g: g, opts: o}
 }
 
 // Name implements Planner.
@@ -40,12 +39,6 @@ func (p *Penalty) Name() string { return "Penalty" }
 
 // Alternatives implements Planner.
 func (p *Penalty) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	routes, _, err := answer(p, s, t)
-	return routes, err
-}
-
-// AlternativesVersioned implements VersionedPlanner.
-func (p *Penalty) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error) {
 	return answer(p, s, t)
 }
 

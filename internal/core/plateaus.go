@@ -8,7 +8,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/path"
 	"repro/internal/sp"
-	"repro/internal/weights"
 )
 
 // Plateaus implements Cotares' Choice Routing technique (Jones, US patent
@@ -43,7 +42,7 @@ type Plateaus struct {
 func NewPlateaus(g *graph.Graph, opts Options) *Plateaus {
 	opts = opts.withDefaults()
 	return &Plateaus{
-		versioned: versioned{newProvider(g, opts.Weights, true, opts)},
+		versioned: versioned{newProvider(g, opts.Weights, true, opts, "Plateaus")},
 		g:         g,
 		opts:      opts,
 	}
@@ -56,12 +55,6 @@ func (p *Plateaus) Name() string { return "Plateaus" }
 // last customization latency and its sweep counters (zero off
 // TreeCHAuto).
 func (p *Plateaus) HierarchyStatus() HierarchyStatus { return p.prov.hierarchyStatus() }
-
-// setMetrics sinks the bundle's customization and selection observers
-// into the planner's weight provider (Router.SetMetrics fan-out).
-func (p *Plateaus) setMetrics(m *Metrics) {
-	p.prov.setMetrics(m.customizeObserver(p.Name()), m.selectionObserver())
-}
 
 // Plateau is a maximal chain of edges that appears in both the forward and
 // the backward shortest-path tree. Exposed for visualization (Fig. 1 of
@@ -101,12 +94,6 @@ func sortPlateaus(plateaus []Plateau) {
 
 // Alternatives implements Planner.
 func (p *Plateaus) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	routes, _, err := answer(p, s, t)
-	return routes, err
-}
-
-// AlternativesVersioned implements VersionedPlanner.
-func (p *Plateaus) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error) {
 	return answer(p, s, t)
 }
 

@@ -33,9 +33,6 @@ const DefaultCacheSize = 4096
 type Router struct {
 	engine   atomic.Pointer[Engine]
 	planners []Planner
-	// metrics is the installed instrument bundle (nil: none); kept so a
-	// SetEngine swap inherits it like the cache.
-	metrics atomic.Pointer[Metrics]
 }
 
 // NewRouter wires the serving layer together. A nil engine gets a fresh
@@ -72,25 +69,24 @@ func (r *Router) SetEngine(e *Engine) {
 	if !e.cacheSet.Load() {
 		e.SetCache(DefaultCacheSize)
 	}
-	e.SetMetrics(r.metrics.Load(), r.planners...)
 	r.engine.Store(e)
 }
 
-// SetMetrics installs the instrument bundle across the whole serving
-// layer: the engine records query latency and cache traffic, and every
-// provider-backed planner sinks its customization-latency and
-// selection-size observers. Nil uninstalls. Call once at wiring time
-// (typically right after NewRouter); installs race benignly with serving
-// queries — an in-flight query simply records under whichever bundle it
-// loaded first.
+// SetMetrics installs the instrument bundle on the provider of every
+// planner (nil uninstalls): whichever engine answers, it records query
+// latency and cache traffic there, each provider records its
+// customizations, and a matrix engine sharing a provider records its
+// tables and selections. The bundle stays with the providers, so an
+// engine shared by several cities attributes each query to the city
+// whose planner ran it, and a later SetEngine keeps it. Installs race
+// benignly with serving queries — a batch records under the bundle it
+// pinned with its views.
 func (r *Router) SetMetrics(m *Metrics) {
-	r.metrics.Store(m)
-	// Registered per planner: an engine shared by several cities keeps
-	// attributing each query to the city whose planner ran it.
-	r.Engine().SetMetrics(m, r.planners...)
 	for _, p := range r.planners {
-		if ms, ok := p.(metricsSetter); ok {
-			ms.setMetrics(m)
+		prov := p.source()
+		prov.metrics.Store(m)
+		if prov.needTrees {
+			m.bindCustomize(prov.label)
 		}
 	}
 }
@@ -112,29 +108,12 @@ func (r *Router) Planners() []Planner { return r.planners }
 func (r *Router) onPublish() {
 	floors := make(map[Planner]weights.Version, len(r.planners))
 	for _, p := range r.planners {
-		if v, ok := servingVersion(p); ok {
-			floors[p] = v
-		}
+		floors[p] = p.source().servingVersion()
 	}
 	r.Engine().EvictCacheStale(floors)
 	for _, p := range r.planners {
-		if pp, ok := p.(pinnedPlanner); ok {
-			pp.source().refreshAsync()
-		}
+		p.source().refreshAsync()
 	}
-}
-
-// servingVersion reads the version a planner currently serves without
-// triggering a rebuild: its provider's installed view, or WeightsVersion
-// for versioned planners from outside this package.
-func servingVersion(p Planner) (weights.Version, bool) {
-	switch pl := p.(type) {
-	case pinnedPlanner:
-		return pl.source().servingVersion(), true
-	case VersionedPlanner:
-		return pl.WeightsVersion(), true
-	}
-	return 0, false
 }
 
 // Sync blocks until every planner serves its source's latest snapshot —
@@ -142,20 +121,18 @@ func servingVersion(p Planner) (weights.Version, bool) {
 // must observe a completed swap.
 func (r *Router) Sync() {
 	for _, p := range r.planners {
-		if pp, ok := p.(pinnedPlanner); ok {
-			pp.source().refreshSync()
-		}
+		p.source().refreshSync()
 	}
 }
 
 // ServingVersions reports, per planner, the weight version currently
 // *installed*, read passively — it never nudges a rebuild, so it is safe
 // on scrape paths that must not perturb serving (/metrics and
-// /api/traffic). Planners without version tracking report 0.
+// /api/traffic).
 func (r *Router) ServingVersions() []weights.Version {
 	out := make([]weights.Version, len(r.planners))
 	for i, p := range r.planners {
-		out[i], _ = servingVersion(p)
+		out[i] = p.source().servingVersion()
 	}
 	return out
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/cch"
 	"repro/internal/ch"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/sp"
 )
 
@@ -238,10 +237,6 @@ type selectionStats struct {
 	selHits      atomic.Uint64
 	selMisses    atomic.Uint64
 	selEvictions atomic.Uint64
-	// selObs, when set, receives the size of every selection resolved
-	// (hits and misses both — it distributes what matrices *ran on*, not
-	// what was built). Installed by Router.SetMetrics.
-	selObs atomic.Pointer[metrics.Histogram]
 }
 
 // cchTrees is the TreeCHAuto source. Every tree pair is two full PHAST
@@ -324,9 +319,6 @@ func (r *cchTrees) selectTargets(targets []graph.NodeID) (e *selEntry, hit bool)
 			e.bytes += e.sel.MemoryBytes()
 		}
 		e = r.cache.insert(e)
-	}
-	if h := r.stats.selObs.Load(); h != nil {
-		h.Observe(float64(len(e.sig)))
 	}
 	return e, hit
 }

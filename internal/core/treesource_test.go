@@ -121,13 +121,13 @@ func TestDijkstraBackendBuildsFullTrees(t *testing.T) {
 	pub := weights.NewStore(g.BaseWeights())
 	priv := weights.NewStore(g.BaseWeights())
 	study := NewStudyPlanners(g, Options{Weights: pub}, priv)
-	planners := []pinnedPlanner{
+	planners := []Planner{
 		NewPlateaus(g, Options{Weights: pub}),
 		NewCommercial(g, nil, Options{Weights: priv}),
 		NewDissimilarity(g, Options{Weights: pub}),
-		study[0].(pinnedPlanner),
-		study[1].(pinnedPlanner),
-		study[2].(pinnedPlanner),
+		study[0],
+		study[1],
+		study[2],
 	}
 	check := func(when string) {
 		t.Helper()

@@ -9,59 +9,26 @@ import (
 	"repro/internal/cch"
 	"repro/internal/ch"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/path"
 	"repro/internal/weights"
 )
-
-// VersionedPlanner is a Planner that resolves its weights from a
-// weights.Source per query and can report which snapshot version an
-// answer was computed under. Every planner in this package implements it;
-// the engine's result cache requires it (an unversioned planner's answers
-// cannot be keyed, so they are never cached).
-type VersionedPlanner interface {
-	Planner
-	// WeightsVersion returns the version the next query would plan on.
-	// For a planner on a CH-backed provider mid-swap this is the version
-	// of the hierarchy currently serving, which may trail the source's
-	// latest until background re-customization completes.
-	WeightsVersion() weights.Version
-	// AlternativesVersioned is Alternatives plus the snapshot version the
-	// routes were computed under.
-	AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error)
-}
-
-// pinnedPlanner is implemented by every planner in this package. Each
-// reads its weights through a provider and can answer on an explicitly
-// pinned view. Engine.AlternativesBatch resolves one view per distinct
-// provider when a batch starts and runs every job of the batch on it, so
-// planners sharing a provider (NewStudyPlanners' Plateaus, Dissimilarity
-// and Penalty on the public store) answer one batch under one snapshot
-// version by construction. The Router reaches the providers through
-// source() to refresh them on publish and to read serving versions.
-type pinnedPlanner interface {
-	VersionedPlanner
-	source() *provider
-	// alternativesOn answers one query entirely under v.
-	alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error)
-}
 
 // versioned is embedded by every planner in this package: the provider
 // it reads its weights from, plus the methods that need nothing else.
 type versioned struct{ prov *provider }
 
-// WeightsVersion implements VersionedPlanner.
+// WeightsVersion returns the version the next query would plan on. For a
+// planner on a CH-backed provider mid-swap this is the version of the
+// hierarchy currently serving, which may trail the source's latest until
+// background re-customization completes.
 func (v versioned) WeightsVersion() weights.Version { return v.prov.weightsVersion() }
 
 func (v versioned) source() *provider { return v.prov }
 
-// answer runs pl on the view its provider serves now and reports that
-// view's version — the body of every AlternativesVersioned in this
-// package.
-func answer(pl pinnedPlanner, s, t graph.NodeID) ([]path.Path, weights.Version, error) {
-	v := pl.source().view()
-	routes, err := pl.alternativesOn(v, s, t)
-	return routes, v.snap.Version(), err
+// answer runs pl on the view its provider serves now — the body of every
+// Alternatives in this package.
+func answer(pl Planner, s, t graph.NodeID) ([]path.Path, error) {
+	return pl.alternativesOn(pl.source().view(), s, t)
 }
 
 // view is one fully resolved weight version: the snapshot itself plus
@@ -117,19 +84,25 @@ type provider struct {
 	// selStats is the matrix selection-cache observability shared across
 	// weight versions (nil off TreeCHAuto).
 	selStats *selectionStats
-	// custObs, when set, receives the wall-clock seconds of every
-	// hierarchy build/customization (the per-planner histogram installed
-	// by Router.SetMetrics).
-	custObs atomic.Pointer[metrics.Histogram]
+	// label names the planner that built the provider ("Plateaus" for a
+	// study set's public provider, "GMaps" for Commercial's, "Matrix"
+	// for a standalone matrix engine's): its customization latencies are
+	// recorded under that planner label.
+	label string
+	// metrics is the city's instrument bundle (nil: record nothing),
+	// installed by Router.SetMetrics. Every query the engine answers on
+	// one of the provider's planners, every matrix table on it and every
+	// customization of it is recorded here.
+	metrics atomic.Pointer[Metrics]
 }
 
-// newProvider builds the resolver and synchronously installs the view of
-// the source's current snapshot, so a TreeCHAuto planner leaves its
-// constructor with a ready hierarchy. The backend/hierarchy/order/query
-// knobs come from opts; a nil src pins the graph's own base weights
-// (note the Commercial planner passes its private metric here, not
-// opts.Weights).
-func newProvider(g *graph.Graph, src weights.Source, needTrees bool, opts Options) *provider {
+// newProvider builds the resolver for the planner labelled label and
+// synchronously installs the view of the source's current snapshot, so a
+// TreeCHAuto planner leaves its constructor with a ready hierarchy. The
+// backend/hierarchy/order/query knobs come from opts; a nil src pins the
+// graph's own base weights (note the Commercial planner passes its
+// private metric here, not opts.Weights).
+func newProvider(g *graph.Graph, src weights.Source, needTrees bool, opts Options, label string) *provider {
 	if src == nil {
 		src = weights.Pin(g.BaseWeights())
 	}
@@ -141,6 +114,7 @@ func newProvider(g *graph.Graph, src weights.Source, needTrees bool, opts Option
 		order:     opts.Order,
 		query:     opts.Query,
 		needTrees: needTrees,
+		label:     label,
 	}
 	if needTrees && opts.TreeBackend == TreeCHAuto {
 		p.maxTargets = int(autoFraction * float64(g.NumNodes()))
@@ -197,16 +171,6 @@ func (p *provider) hierarchyStatus() HierarchyStatus {
 		SelectionHits:      p.selStats.selHits.Load(),
 		SelectionMisses:    p.selStats.selMisses.Load(),
 		SelectionEvictions: p.selStats.selEvictions.Load(),
-	}
-}
-
-// setMetrics sinks the provider-relevant observers of a bundle: the
-// planner's customization histogram and, on TreeCHAuto, the
-// selection-size histogram. A nil bundle clears both.
-func (p *provider) setMetrics(cust, sel *metrics.Histogram) {
-	p.custObs.Store(cust)
-	if p.selStats != nil {
-		p.selStats.selObs.Store(sel)
 	}
 }
 
@@ -290,8 +254,6 @@ func (p *provider) buildView(snap *weights.Snapshot, prev *view) *view {
 	v.trees = newCCHTrees(p.g, v.hier, p.maxTargets, p.selStats)
 	elapsed := time.Since(start)
 	p.lastCustomize.Store(int64(elapsed))
-	if h := p.custObs.Load(); h != nil {
-		h.Observe(elapsed.Seconds())
-	}
+	p.metrics.Load().observeCustomize(p.label, elapsed)
 	return v
 }

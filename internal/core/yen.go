@@ -7,7 +7,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/path"
 	"repro/internal/sp"
-	"repro/internal/weights"
 )
 
 // Yen implements Yen's classic k-shortest loopless paths algorithm
@@ -27,16 +26,11 @@ type Yen struct {
 // pins the graph's base travel-time weights).
 func NewYen(g *graph.Graph, opts Options) *Yen {
 	o := opts.withDefaults()
-	return &Yen{versioned: versioned{newProvider(g, o.Weights, false, o)}, g: g, opts: o}
+	return &Yen{versioned: versioned{newProvider(g, o.Weights, false, o, "Yen")}, g: g, opts: o}
 }
 
 // Name implements Planner.
 func (y *Yen) Name() string { return "Yen" }
-
-// AlternativesVersioned implements VersionedPlanner.
-func (y *Yen) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights.Version, error) {
-	return answer(y, s, t)
-}
 
 // candidateHeap orders candidate paths by travel time.
 type candidateHeap []path.Path
@@ -56,8 +50,7 @@ func (h *candidateHeap) Pop() any {
 // Alternatives implements Planner. It returns the K shortest loopless
 // paths in ascending travel-time order.
 func (y *Yen) Alternatives(s, t graph.NodeID) ([]path.Path, error) {
-	routes, _, err := answer(y, s, t)
-	return routes, err
+	return answer(y, s, t)
 }
 
 func (y *Yen) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error) {

@@ -53,34 +53,26 @@ type City struct {
 	// three public-metric planners share one weight provider and every
 	// RunPlanners answer reports one public version.
 	Planners [NumApproaches]core.Planner
-	// Router is the serving layer: it owns the engine (with its versioned
-	// result cache), subscribes to both stores, and swaps planner weight
-	// versions atomically on publish. A nil Router falls back to a shared
-	// process-wide engine, so hand-assembled Cities keep working.
+	// Router is the serving layer every query of the City goes through:
+	// it owns the engine (with its versioned result cache), subscribes to
+	// both stores, and swaps planner weight versions atomically on
+	// publish. A City assembled by hand must set it (core.NewRouter over
+	// its Planners).
 	Router *core.Router
 	// Matrix is the many-to-many engine behind POST /api/matrix and the
 	// matrix ablations. It shares the public-metric planners' weight
 	// provider through Plateaus (same hierarchy, same versions, same
-	// selection cache), so matrix responses and point-to-point answers
-	// serve the same generation. Nil on hand-assembled Cities.
+	// selection cache, same metrics bundle), so matrix responses and
+	// point-to-point answers serve the same generation. Optional: the
+	// server answers 409 for a City without one.
 	Matrix *core.MatrixEngine
 	// Ingest is the telemetry ingest path behind POST /api/observations:
 	// streamed per-edge observations (observed speeds, incident closures)
 	// publish into TrafficStore and decay back to the step-0 baseline.
 	// It shares the store with Seq — the store's Update serialization
-	// keeps the two producers' versions gapless. Nil on hand-assembled
-	// Cities.
+	// keeps the two producers' versions gapless. Optional: the server
+	// answers 409 for a City without one.
 	Ingest *telemetry.Ingestor
-}
-
-// defaultEngine serves Cities assembled without NewCity.
-var defaultEngine = core.NewEngine(0)
-
-func (c *City) engine() *core.Engine {
-	if c.Router != nil {
-		return c.Router.Engine()
-	}
-	return defaultEngine
 }
 
 // SetEngine installs a shared engine (a multi-city deployment pools its
@@ -88,13 +80,9 @@ func (c *City) engine() *core.Engine {
 // The matrix engine follows, so its sweep fan-out draws from the same
 // worker pool as the planners.
 func (c *City) SetEngine(e *core.Engine) {
-	if c.Router != nil {
-		c.Router.SetEngine(e)
-	}
+	c.Router.SetEngine(e)
 	if c.Matrix != nil {
-		if pl, ok := c.Planners[1].(*core.Plateaus); ok {
-			c.Matrix = core.NewMatrixEngineFor(pl, e)
-		}
+		c.Matrix = core.NewMatrixEngineFor(c.Planners[1].(*core.Plateaus), e)
 	}
 }
 
@@ -219,7 +207,7 @@ type RouteSets struct {
 // tolerated defensively).
 func (c *City) RunPlanners(q Query) (RouteSets, error) {
 	rs := RouteSets{Query: q}
-	results := c.engine().Alternatives(c.Planners[:], q.S, q.T)
+	results := c.Router.Engine().Alternatives(c.Planners[:], q.S, q.T)
 	for i, r := range results {
 		rs.Versions[i] = r.Version
 		if r.Err == core.ErrNoRoute {
@@ -243,7 +231,7 @@ func (c *City) RunPlannersBatch(qs []Query) ([]RouteSets, error) {
 			jobs = append(jobs, core.Job{Planner: pl, S: q.S, T: q.T})
 		}
 	}
-	results := c.engine().AlternativesBatch(jobs)
+	results := c.Router.Engine().AlternativesBatch(jobs)
 	out := make([]RouteSets, len(qs))
 	for qi := range qs {
 		out[qi].Query = qs[qi]

@@ -92,6 +92,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		core.NewDissimilarity(g, core.Options{}),
 		core.NewPenalty(g, core.Options{}),
 	}
+	city.Router = core.NewRouter(nil, city.Planners[:])
 	recs, err := city.RunCell(simstudy.Cell{City: "Copenhagen", Resident: true, Band: simstudy.Small}, 6,
 		simstudy.DefaultRaterParams(), rng)
 	if err != nil {

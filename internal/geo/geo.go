@@ -9,6 +9,8 @@ package geo
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // EarthRadiusMeters is the mean Earth radius used by the haversine formula.
@@ -29,6 +31,42 @@ func (p Point) String() string {
 func (p Point) Valid() bool {
 	return p.Lat >= -90 && p.Lat <= 90 && p.Lon >= -180 && p.Lon <= 180 &&
 		!math.IsNaN(p.Lat) && !math.IsNaN(p.Lon)
+}
+
+// ParsePoint parses "lat,lon": two finite numbers separated by one comma,
+// each optionally surrounded by spaces, with nothing after the second.
+// The point must be Valid.
+func ParsePoint(s string) (Point, error) {
+	var v [2]float64
+	if !parseFloats(s, v[:]) {
+		return Point{}, fmt.Errorf("geo: bad coordinate %q (want lat,lon)", s)
+	}
+	p := Point{Lat: v[0], Lon: v[1]}
+	if !p.Valid() {
+		return Point{}, fmt.Errorf("geo: coordinate %q out of range", s)
+	}
+	return p, nil
+}
+
+// parseFloats fills out from s: len(out) finite numbers separated by
+// commas, each optionally surrounded by spaces, and nothing after the
+// last. It reports whether s has that form.
+func parseFloats(s string, out []float64) bool {
+	for i := range out {
+		field := s
+		if i < len(out)-1 {
+			var ok bool
+			if field, s, ok = strings.Cut(s, ","); !ok {
+				return false
+			}
+		}
+		v, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+		out[i] = v
+	}
+	return true
 }
 
 // Radians returns the latitude and longitude converted to radians.
@@ -96,6 +134,16 @@ func Offset(p Point, northMeters, eastMeters float64) Point {
 // BBox is an axis-aligned bounding box in WGS84 coordinates.
 type BBox struct {
 	MinLat, MinLon, MaxLat, MaxLon float64
+}
+
+// ParseBBox parses "minLat,minLon,maxLat,maxLon" under ParsePoint's
+// rule: four finite numbers and nothing after the fourth.
+func ParseBBox(s string) (BBox, error) {
+	var v [4]float64
+	if !parseFloats(s, v[:]) {
+		return BBox{}, fmt.Errorf("geo: bad bounding box %q (want minLat,minLon,maxLat,maxLon)", s)
+	}
+	return BBox{MinLat: v[0], MinLon: v[1], MaxLat: v[2], MaxLon: v[3]}, nil
 }
 
 // NewBBox returns the smallest box containing all the given points.

@@ -275,3 +275,54 @@ func TestLowerBounderAdmissibleAndTight(t *testing.T) {
 		}
 	}
 }
+
+// TestParsePoint pins the coordinate grammar shared by /api/routes and
+// the commands: two numbers, nothing after the second, inside WGS84.
+func TestParsePoint(t *testing.T) {
+	tests := []struct {
+		in   string
+		want Point
+		ok   bool
+	}{
+		{"55.67,12.56", Point{55.67, 12.56}, true},
+		{"55.67, 12.56", Point{55.67, 12.56}, true}, // spaced
+		{" -37.9 , 144.85 ", Point{-37.9, 144.85}, true},
+		{"55.67,12.56junk", Point{}, false}, // trailing input
+		{"55.67,12.56,99", Point{}, false},  // a third number
+		{"NaN,12.59", Point{}, false},       // not a coordinate
+		{"55.67,Inf", Point{}, false},
+		{"999,12", Point{}, false}, // out of range
+		{"55.67", Point{}, false},
+		{"55.67,", Point{}, false},
+		{"junk", Point{}, false},
+		{"", Point{}, false},
+	}
+	for _, tc := range tests {
+		got, err := ParsePoint(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParsePoint(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
+// TestParseBBox pins the same grammar with four numbers.
+func TestParseBBox(t *testing.T) {
+	tests := []struct {
+		in   string
+		want BBox
+		ok   bool
+	}{
+		{"55.6,12.5,55.7,12.6", BBox{55.6, 12.5, 55.7, 12.6}, true},
+		{"55.6, 12.5, 55.7, 12.6", BBox{55.6, 12.5, 55.7, 12.6}, true},
+		{"55.6,12.5,55.7,12.6junk", BBox{}, false},
+		{"55.6,12.5,55.7,12.6,1", BBox{}, false},
+		{"55.6,12.5,NaN,12.6", BBox{}, false},
+		{"55.6,12.5,55.7", BBox{}, false},
+	}
+	for _, tc := range tests {
+		got, err := ParseBBox(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseBBox(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}

@@ -26,23 +26,19 @@ func WithVerbose(v bool) Option {
 }
 
 // WithMetrics equips the server with a metrics registry: GET /metrics
-// serves the Prometheus text exposition, every city's router and matrix
-// engine record per-query latency/cache/customization/selection/matrix
-// histograms, and scrape-time collectors export the serving counters
-// that already live in the stack's atomics (store versions and publish
-// counts, versions served per planner, selection-cache hit rates, ingest
-// state).
+// serves the Prometheus text exposition, and scrape-time collectors
+// export the serving counters that already live in the stack's atomics
+// (store versions and publish counts, versions served per planner,
+// selection-cache hit rates, ingest state). Each city gets one bundle
+// through Router.SetMetrics; it lives on the city's weight providers,
+// where the engine records query latency and cache traffic, the
+// providers their customizations and the matrix engine its tables,
+// whichever engine the city is given before or after.
 func WithMetrics() Option {
 	return func(s *Server) {
 		s.registry = metrics.NewRegistry()
 		for name, c := range s.cities {
-			if c.Router != nil {
-				m := core.NewMetrics(s.registry, name)
-				c.Router.SetMetrics(m)
-				if c.Matrix != nil {
-					c.Matrix.SetMetrics(m)
-				}
-			}
+			c.Router.SetMetrics(core.NewMetrics(s.registry, name))
 		}
 		s.registry.Collect(s.collectServing)
 	}
@@ -80,16 +76,14 @@ func (s *Server) collectServing(e *metrics.Emit) {
 			e.Gauge("routing_traffic_step", "Current step of the rush-hour sequence.",
 				float64(c.Seq.Step()), "city", name)
 		}
-		if c.Router != nil {
-			versions := c.Router.ServingVersions()
-			statuses := c.Router.HierarchyStatuses()
-			for i, p := range c.Router.Planners() {
-				e.Gauge("routing_serving_version", "Weight snapshot version currently installed, per planner.",
-					float64(versions[i]), "city", name, "planner", p.Name())
-				if statuses[i].Kind != "" {
-					e.Counter("routing_customize_failures_total", "Background customizations that failed, leaving the previous version serving.",
-						float64(statuses[i].CustomizeFailures), "city", name, "planner", p.Name())
-				}
+		versions := c.Router.ServingVersions()
+		statuses := c.Router.HierarchyStatuses()
+		for i, p := range c.Router.Planners() {
+			e.Gauge("routing_serving_version", "Weight snapshot version currently installed, per planner.",
+				float64(versions[i]), "city", name, "planner", p.Name())
+			if statuses[i].Kind != "" {
+				e.Counter("routing_customize_failures_total", "Background customizations that failed, leaving the previous version serving.",
+					float64(statuses[i].CustomizeFailures), "city", name, "planner", p.Name())
 			}
 		}
 		if c.Matrix != nil {

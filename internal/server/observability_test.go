@@ -198,6 +198,67 @@ func TestCacheCountersPerCityOnSharedEngine(t *testing.T) {
 	}
 }
 
+// TestMetricsBeforeSetEngineAttributesPerCity is the other wiring order
+// of TestCacheCountersPerCityOnSharedEngine: the server installs every
+// city's bundle first, and the cities join one shared engine afterwards,
+// which also replaces each city's matrix engine. Queries, cache traffic
+// and matrix tables still land under their own city.
+func TestMetricsBeforeSetEngineAttributesPerCity(t *testing.T) {
+	cities := map[string]*eval.City{}
+	for name, p := range map[string]citygen.Profile{"Copenhagen": citygen.Copenhagen(), "Dhaka": citygen.Dhaka()} {
+		p.Rows, p.Cols = 12, 12
+		p.Motorway.Present = false
+		c, err := eval.NewCityOpts(p, 7, core.Options{TreeBackend: core.TreeCHAuto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cities[name] = c
+	}
+	srv := New(cities, "", WithMetrics())
+	engine := core.NewEngine(2)
+	for _, c := range cities {
+		c.SetEngine(engine)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	bb := cities["Copenhagen"].Graph.BBox()
+	routesURL := ts.URL + fmt.Sprintf("/api/routes?city=Copenhagen&s=%f,%f&t=%f,%f",
+		bb.MinLat, bb.MinLon, bb.MaxLat, bb.MaxLon)
+	for i := 0; i < 2; i++ {
+		if res := getJSON(t, routesURL, nil); res.StatusCode != http.StatusOK {
+			t.Fatalf("routes status = %d", res.StatusCode)
+		}
+	}
+	req := matrixRequest{
+		City:    "Copenhagen",
+		Sources: [][2]float64{{bb.MinLat, bb.MinLon}},
+		Targets: [][2]float64{{bb.MaxLat, bb.MaxLon}, {bb.MinLat, bb.MaxLon}},
+	}
+	if res := postBodyJSON(t, ts.URL+"/api/matrix", req, nil); res.StatusCode != http.StatusOK {
+		t.Fatalf("matrix status = %d", res.StatusCode)
+	}
+
+	text := scrape(t, ts)
+	for _, want := range []string{
+		`routing_query_seconds_count{city="Copenhagen",planner="Plateaus"} 2`,
+		`routing_query_seconds_count{city="Copenhagen",planner="GMaps"} 2`,
+		`routing_result_cache_misses_total{city="Copenhagen"} 4`,
+		`routing_result_cache_hits_total{city="Copenhagen"} 4`,
+		`routing_result_cache_misses_total{city="Dhaka"} 0`,
+		`routing_matrix_cells_count{city="Copenhagen"} 1`,
+		`routing_matrix_cells_count{city="Dhaka"} 0`,
+		`routing_selection_nodes_count{city="Copenhagen"} 1`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("scrape missing %q", want)
+		}
+	}
+	if t.Failed() {
+		t.Logf("scrape:\n%s", text)
+	}
+}
+
 // TestMetricsScrapeRacesPublishesAndQueries is the tentpole's -race
 // test: scrapes, publish swaps, ingest batches and batch queries all
 // run concurrently against one server. Nothing may race, and the

@@ -198,18 +198,14 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown city")
 		return
 	}
-	sp, ok := parsePoint(q.Get("s"))
-	if !ok {
-		httpError(w, http.StatusBadRequest, "bad s coordinate (want lat,lon)")
+	sp, err := geo.ParsePoint(q.Get("s"))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "s: "+err.Error())
 		return
 	}
-	tp, ok := parsePoint(q.Get("t"))
-	if !ok {
-		httpError(w, http.StatusBadRequest, "bad t coordinate (want lat,lon)")
-		return
-	}
-	if !sp.Valid() || !tp.Valid() {
-		httpError(w, http.StatusBadRequest, "coordinates out of range")
+	tp, err := geo.ParsePoint(q.Get("t"))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "t: "+err.Error())
 		return
 	}
 	// Geo-coordinate matching (query processor step 1).
@@ -234,7 +230,7 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 	// once ran per query, pushing every concurrent request through the
 	// logger's mutex — under load the serving path serialized on it. The
 	// same numbers are on GET /metrics without touching the hot path.
-	if s.verbose && c.Router != nil {
+	if s.verbose {
 		log.Printf("server: %s %d->%d answered at weight versions A=%d B=%d C=%d D=%d%s",
 			q.Get("city"), sv, tv, rs.Versions[0], rs.Versions[1], rs.Versions[2], rs.Versions[3],
 			formatHierarchies(c.Router.HierarchyStatuses()))
@@ -249,18 +245,6 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 	if _, err := w.Write(body); err != nil {
 		log.Printf("server: writing routes: %v", err)
 	}
-}
-
-// parsePoint parses a "lat,lon" query value. Space around either number
-// is allowed; anything else after the second number is not.
-func parsePoint(v string) (geo.Point, bool) {
-	lat, lon, ok := strings.Cut(v, ",")
-	if !ok {
-		return geo.Point{}, false
-	}
-	la, err1 := strconv.ParseFloat(strings.TrimSpace(lat), 64)
-	lo, err2 := strconv.ParseFloat(strings.TrimSpace(lon), 64)
-	return geo.Point{Lat: la, Lon: lo}, err1 == nil && err2 == nil
 }
 
 // routesBody assembles the /api/routes response:
@@ -545,10 +529,8 @@ func (s *Server) writeTrafficStatus(w http.ResponseWriter, name string, c *eval.
 		out.BannedEdges = append(out.BannedEdges, int(e))
 	}
 	sort.Ints(out.BannedEdges)
-	if c.Router != nil {
-		for _, v := range c.Router.ServingVersions() {
-			out.Planners = append(out.Planners, uint64(v))
-		}
+	for _, v := range c.Router.ServingVersions() {
+		out.Planners = append(out.Planners, uint64(v))
 	}
 	writeJSON(w, out)
 }
