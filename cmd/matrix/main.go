@@ -116,8 +116,8 @@ func run(city, graphPath string, seed int64, k int, sourcesArg, targetsArg strin
 
 	st := m.HierarchyStatus()
 	if total := st.SelectionHits + st.SelectionMisses; total > 0 {
-		fmt.Printf("Selection cache: %d hits / %d misses, %d evictions\n",
-			st.SelectionHits, st.SelectionMisses, st.SelectionEvictions)
+		fmt.Printf("Selection cache: %d hits / %d misses, %d bytes\n",
+			st.SelectionHits, st.SelectionMisses, st.SelectionBytes)
 	}
 
 	if printTable {

@@ -34,7 +34,7 @@ import (
 // Selection is the reusable restricted-sweep state for one target set. It
 // is immutable after Select returns and safe for concurrent restricted
 // builds from any root (the RPHAST amortization: one selection serves
-// every query whose relevant nodes lie inside the same target set). It is
+// every source sweep of a batch over the same target set). It is
 // valid only for the TreeBuilder that produced it; using it with another
 // builder — e.g. keeping a selection across a weight customization, whose
 // arcs it no longer matches — is a bug and panics rather than degrading
@@ -43,9 +43,9 @@ type Selection struct {
 	tb      *TreeBuilder
 	targets int // distinct target nodes requested
 	// covered is the position-space bitset of the *requested* targets
-	// (before upward closure) — the coverage query behind selection
-	// sharing: trees built through the selection are guaranteed exact on
-	// exactly these nodes, in both directions, from any root.
+	// (before upward closure), behind Covers: trees built through the
+	// selection are guaranteed exact on exactly these nodes, in both
+	// directions, from any root.
 	covered []uint64
 	fwd     restrictedCSR
 	bwd     restrictedCSR
@@ -82,9 +82,8 @@ func (sel *Selection) SweptNodes() (fwd, bwd int) {
 }
 
 // Covers reports whether every given node was a requested target of this
-// selection: a query or batch sweep whose relevant node set passes Covers
-// can reuse the selection and still read exact distances and parents at
-// those nodes — the invariant selection-sharing caches rely on. It never
+// selection: a batch sweep whose targets pass Covers reads exact
+// distances and parents at those nodes through the selection. It never
 // allocates.
 func (sel *Selection) Covers(targets []graph.NodeID) bool {
 	pos, covered := sel.tb.pos, sel.covered
@@ -98,9 +97,9 @@ func (sel *Selection) Covers(targets []graph.NodeID) bool {
 }
 
 // MemoryBytes reports the approximate retained size of the selection's
-// backing arrays — what a byte-budgeted selection cache charges per
-// entry. Capacities (not lengths) are counted, since a reused Selection
-// keeps its grown backing.
+// backing arrays. Capacities (not lengths) are counted: they equal the
+// lengths on a fresh selection, but a reused Selection keeps its larger
+// backing.
 func (sel *Selection) MemoryBytes() int {
 	const (
 		arcBytes  = int(unsafe.Sizeof(downArc{}))
@@ -116,15 +115,8 @@ func (sel *Selection) MemoryBytes() int {
 // resetCovered sizes and clears the coverage bitset for n positions,
 // reusing the backing on a warm Selection.
 func (sel *Selection) resetCovered(n int) {
-	words := (n + 63) >> 6
-	if cap(sel.covered) >= words {
-		sel.covered = sel.covered[:words]
-		for i := range sel.covered {
-			sel.covered[i] = 0
-		}
-	} else {
-		sel.covered = make([]uint64, words)
-	}
+	sel.covered = sized(sel.covered, (n+63)>>6)
+	clear(sel.covered)
 }
 
 // Select builds the restricted sweep state for the given target set:
@@ -182,41 +174,60 @@ func (tb *TreeBuilder) markTargets(targets []graph.NodeID, mark []bool, covered 
 // fixed point), then emit the marked positions and their pull lists in
 // sweep order. +Inf arcs (bans, inert CCH pairs) can never win a pull,
 // so they are dropped from both the closure and the copy — under heavy
-// closures the restricted subgraph shrinks further. Leaves mark fully
-// cleared.
+// closures the restricted subgraph shrinks further. A position's mark is
+// final when the descending scan reaches it, so the scan also counts the
+// positions and arcs the emit keeps, and the four arrays are sized once,
+// exactly: a fresh selection retains no growth slack and allocates no
+// growth garbage. Leaves mark fully cleared.
 func (r *restrictedCSR) closeAndEmit(tb *TreeBuilder, off []int32, arcs []downArc, ends []arcEnds, mark []bool) {
 	n := tb.n
+	nodes, kept := 0, 0
 	for p := n - 1; p >= 0; p-- {
 		if !mark[p] {
 			continue
 		}
+		nodes++
 		lo, hi := off[p], off[p+1]
 		for k := lo; k < hi; k++ {
 			if a := arcs[k]; !math.IsInf(a.w, 1) {
 				mark[a.up] = true
+				kept++
 			}
 		}
 	}
-	r.nodes = r.nodes[:0]
-	r.off = append(r.off[:0], 0)
-	r.arcs = r.arcs[:0]
-	r.ends = r.ends[:0]
+	r.nodes = sized(r.nodes, nodes)
+	r.off = sized(r.off, nodes+1)
+	r.arcs = sized(r.arcs, kept)
+	r.ends = sized(r.ends, kept)
+	r.off[0] = 0
+	i, j := 0, int32(0)
 	for p := 0; p < n; p++ {
 		if !mark[p] {
 			continue
 		}
 		mark[p] = false
-		r.nodes = append(r.nodes, int32(p))
+		r.nodes[i] = int32(p)
 		lo, hi := off[p], off[p+1]
 		for k := lo; k < hi; k++ {
 			if math.IsInf(arcs[k].w, 1) {
 				continue
 			}
-			r.arcs = append(r.arcs, arcs[k])
-			r.ends = append(r.ends, ends[k])
+			r.arcs[j] = arcs[k]
+			r.ends[j] = ends[k]
+			j++
 		}
-		r.off = append(r.off, int32(len(r.arcs)))
+		i++
+		r.off[i] = j
 	}
+}
+
+// sized returns s resliced to length n when its capacity allows (a
+// reused Selection), else a fresh slice of exactly n elements.
+func sized[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // BuildTreeRestrictedInto is BuildTreeInto with the downward sweep

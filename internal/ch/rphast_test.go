@@ -262,6 +262,42 @@ func TestSelectionMemoryBytes(t *testing.T) {
 	})
 }
 
+// TestSelectExactSize pins the exact-size emit: a fresh selection's
+// restricted CSR arrays carry no growth slack (cap == len), and the
+// number of allocations of a fresh Select does not grow with the target
+// set — every array is sized once from the closure pass's counts.
+func TestSelectExactSize(t *testing.T) {
+	g := gridCity(20, 20)
+	w := g.CopyWeights()
+	forEachEngine(t, func(t *testing.T, build builder) {
+		tb := build(g, w).NewTreeBuilder()
+		rng := rand.New(rand.NewSource(5))
+		pick := func(k int) []graph.NodeID {
+			targets := make([]graph.NodeID, k)
+			for i := range targets {
+				targets[i] = graph.NodeID(rng.Intn(g.NumNodes()))
+			}
+			return targets
+		}
+		small, large := pick(4), pick(64)
+		for _, targets := range [][]graph.NodeID{small, large} {
+			sel := tb.Select(targets, nil)
+			if slack := ch.SlackArrays(sel); len(slack) > 0 {
+				t.Fatalf("fresh %d-target selection keeps growth slack in %v", len(targets), slack)
+			}
+			checkRestrictedAgainstFull(t, g, tb, targets, targets[0])
+		}
+		if raceEnabled {
+			return
+		}
+		a4 := testing.AllocsPerRun(10, func() { tb.Select(small, nil) })
+		a64 := testing.AllocsPerRun(10, func() { tb.Select(large, nil) })
+		if a4 != a64 {
+			t.Fatalf("fresh Select allocates %v times for k=4 but %v for k=64, want equal", a4, a64)
+		}
+	})
+}
+
 // TestRestrictedConcurrent shares one selection across goroutines (as the
 // engine's workers share a cached selection); run under -race.
 func TestRestrictedConcurrent(t *testing.T) {

@@ -25,9 +25,10 @@ type Table struct {
 	Seconds []float64
 	Version weights.Version
 	// SelectionTargets is the size of the shared target selection the
-	// sweeps ran on (0 on TreeDijkstra); SelectionHit reports whether it
-	// came out of the selection cache; Restricted reports whether the
-	// sweeps actually ran restricted (false: full sweeps, via the
+	// sweeps ran on (0 on full sweeps); SelectionHit reports whether the
+	// table's cache entry (a selection, or the cutover's full-sweep
+	// marker) came out of the selection cache; Restricted reports whether
+	// the sweeps actually ran restricted (false: full sweeps, via the
 	// cutover or TreeDijkstra).
 	SelectionTargets int
 	SelectionHit     bool
@@ -163,10 +164,12 @@ func (m *MatrixEngine) MatrixInto(tab *Table, sources, targets []graph.NodeID) e
 			// never produce a table; select the targets directly instead.
 			rb.sel = tr.tb.Select(tab.Targets, nil)
 		}
-		b.observeSelection(len(e.sig))
-		tab.SelectionTargets = len(e.sig)
 		tab.SelectionHit = hit
 		tab.Restricted = rb.sel != nil
+		if tab.Restricted {
+			b.observeSelection(len(e.sig))
+			tab.SelectionTargets = len(e.sig)
+		}
 	} else {
 		rb.w = v.snap.Weights()
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/spatial"
 )
 
@@ -43,68 +45,131 @@ func TestSelectionCacheAlternatingHotPairs(t *testing.T) {
 	if rate := float64(hits) / float64(total); rate < 0.90 {
 		t.Fatalf("alternating hot target sets: hit rate = %.2f (hits=%d misses=%d), want >= 0.90", rate, hits, misses)
 	}
-	if st.SelectionEvictions != 0 {
-		t.Fatalf("two hot entries must fit the default budget; got %d evictions", st.SelectionEvictions)
-	}
 }
 
-// TestSelectionCacheEviction drives a degenerate one-entry-per-shard
-// budget (0 bytes) through many distinct target sets and checks the clock
-// hand actually evicts: the entry count stays bounded by the shard count
-// while the eviction counter climbs.
-func TestSelectionCacheEviction(t *testing.T) {
+// TestSelectionCacheBounded drives many distinct target sets through one
+// engine: the cache never holds more than selRecent entries, and each of
+// the last selRecent sets still hits on repeat. Every table stays exact.
+func TestSelectionCacheBounded(t *testing.T) {
 	withAutoFraction(t, 1)
 	g := randomRoadNetwork(43, 200)
 	m := NewMatrixEngine(g, Options{TreeBackend: TreeCHAuto}, nil)
 	tr := m.prov.view().trees.(*cchTrees)
-	tr.cache = newSelectionCache(0, tr.stats)
 	sources := sampleNodes(g, 2, 1)
 
+	const sets = 20
 	var tab Table
-	for seed := int64(0); seed < 12; seed++ {
-		if err := m.MatrixInto(&tab, sources, sampleNodes(g, 2, 100+seed)); err != nil {
+	run := func(seed int64) {
+		t.Helper()
+		targets := sampleNodes(g, 3, 100+seed)
+		if err := m.MatrixInto(&tab, sources, targets); err != nil {
 			t.Fatal(err)
 		}
 		if !tab.Restricted {
 			t.Fatal("distinct target sets ran full sweeps; their selections went unused")
 		}
+		requireTableEqual(t, &tab, dijkstraMatrix(g, g.BaseWeights(), sources, targets), "bounded cache")
 	}
-	if n := tr.cache.entryCount(); n > selCacheShards {
-		t.Fatalf("degenerate budget holds %d entries, want <= %d (one per shard)", n, selCacheShards)
+	for seed := int64(0); seed < sets; seed++ {
+		run(seed)
 	}
-	st := m.HierarchyStatus()
-	if st.SelectionEvictions == 0 && st.SelectionMisses > selCacheShards {
-		t.Fatalf("%d misses on a one-entry-per-shard cache produced no evictions", st.SelectionMisses)
+	if n := tr.cache.entryCount(); n > selRecent {
+		t.Fatalf("cache holds %d entries after %d target sets, want <= %d", n, sets, selRecent)
+	}
+	for seed := int64(sets - selRecent); seed < sets; seed++ {
+		run(seed)
+		if !tab.SelectionHit {
+			t.Fatalf("target set %d, one of the last %d, missed on repeat", seed, selRecent)
+		}
+	}
+	if st := m.HierarchyStatus(); st.SelectionMisses != sets || st.SelectionHits != selRecent {
+		t.Fatalf("selection lookups: %d hits, %d misses; want %d hits after %d misses",
+			st.SelectionHits, st.SelectionMisses, selRecent, sets)
 	}
 }
 
-// TestSelectionCacheSupersetHit checks the covering probe: once a target
-// set's selection is cached, a table whose targets are a subset of it
-// reuses the covering selection instead of building its own — and stays
-// exact on it.
-func TestSelectionCacheSupersetHit(t *testing.T) {
+// TestSelectionCacheConcurrentTables runs tables from several goroutines
+// on one engine, each mixing repeats of a shared hot set with fresh
+// target sets, so lookups, racing inserts and ring overwrites interleave
+// (run under -race). Every table must equal the Dijkstra oracle.
+func TestSelectionCacheConcurrentTables(t *testing.T) {
 	withAutoFraction(t, 1)
-	g := randomRoadNetwork(44, 150)
-	m := NewMatrixEngine(g, Options{TreeBackend: TreeCHAuto}, nil)
+	g := randomRoadNetwork(46, 200)
+	m := NewMatrixEngine(g, Options{TreeBackend: TreeCHAuto}, NewEngine(2))
 	sources := sampleNodes(g, 3, 1)
-	targets := sampleNodes(g, 6, 2)
+	hot := sampleNodes(g, 4, 2)
+	hotRef := dijkstraMatrix(g, g.BaseWeights(), sources, hot)
 
-	var tab Table
-	if err := m.MatrixInto(&tab, sources, targets); err != nil {
-		t.Fatal(err)
+	const workers, rounds = 4, 12
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			var tab Table
+			for i := 0; i < rounds; i++ {
+				targets, ref := hot, hotRef
+				if i%2 == 1 {
+					targets = sampleNodes(g, 4, int64(1000*w+i))
+					ref = dijkstraMatrix(g, g.BaseWeights(), sources, targets)
+				}
+				if err := m.MatrixInto(&tab, sources, targets); err != nil {
+					errs <- err
+					return
+				}
+				for j := range ref {
+					if !matrixDistEqual(tab.Seconds[j], ref[j]) {
+						errs <- fmt.Errorf("worker %d round %d cell %d: %v, oracle %v", w, i, j, tab.Seconds[j], ref[j])
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(w)
 	}
-	for k := 1; k < len(targets); k++ {
-		sub := targets[:k]
-		if err := m.MatrixInto(&tab, sources, sub); err != nil {
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
-		if !tab.Restricted || !tab.SelectionHit {
-			t.Fatalf("subset of %d targets: restricted=%v hit=%v, want a covering hit", k, tab.Restricted, tab.SelectionHit)
-		}
-		requireTableEqual(t, &tab, dijkstraMatrix(g, g.BaseWeights(), sources, sub), "covering hit")
 	}
-	if st := m.HierarchyStatus(); st.SelectionMisses != 1 || st.SelectionHits != uint64(len(targets)-1) {
-		t.Fatalf("selection lookups: %d hits, %d misses; want %d hits after one miss", st.SelectionHits, st.SelectionMisses, len(targets)-1)
+	tr := m.prov.view().trees.(*cchTrees)
+	if n := tr.cache.entryCount(); n > selRecent {
+		t.Fatalf("cache holds %d entries, want <= %d", n, selRecent)
+	}
+	if st := m.HierarchyStatus(); st.SelectionHits+st.SelectionMisses != workers*rounds {
+		t.Fatalf("selection lookups = %d, want %d", st.SelectionHits+st.SelectionMisses, workers*rounds)
+	}
+}
+
+// TestFullSweepTableReportsNoSelection pins that a table above the
+// cutover, which sweeps in full, reports no selection size and records
+// no selection sample — yet a repeat still hits the full-sweep marker.
+func TestFullSweepTableReportsNoSelection(t *testing.T) {
+	withAutoFraction(t, 0)
+	g := randomRoadNetwork(47, 150)
+	m := NewMatrixEngine(g, Options{TreeBackend: TreeCHAuto}, nil)
+	met := NewMetrics(metrics.NewRegistry(), "grid")
+	m.prov.metrics.Store(met)
+	sources := sampleNodes(g, 2, 1)
+	targets := sampleNodes(g, 3, 2)
+
+	var tab Table
+	for i := 0; i < 2; i++ {
+		if err := m.MatrixInto(&tab, sources, targets); err != nil {
+			t.Fatal(err)
+		}
+		if tab.Restricted || tab.SelectionTargets != 0 {
+			t.Fatalf("table %d above the cutover: restricted=%v selectionTargets=%d, want full sweeps and 0",
+				i, tab.Restricted, tab.SelectionTargets)
+		}
+		if hit := i == 1; tab.SelectionHit != hit {
+			t.Fatalf("table %d above the cutover: hit=%v, want %v", i, tab.SelectionHit, hit)
+		}
+		requireTableEqual(t, &tab, dijkstraMatrix(g, g.BaseWeights(), sources, targets), "full sweeps")
+	}
+	if c := met.selectionNodes.Count(); c != 0 {
+		t.Fatalf("full-sweep tables recorded %d selection samples, want 0", c)
+	}
+	if c := met.matrixCells.Count(); c != 2 {
+		t.Fatalf("matrix tables recorded = %d, want 2", c)
 	}
 }
 
@@ -154,4 +219,17 @@ func TestMatrixSelectionIsItsTargets(t *testing.T) {
 		t.Fatalf("cell-mate of a cached target: hit=%v selectionTargets=%d, want a miss on 1", tab.SelectionHit, tab.SelectionTargets)
 	}
 	requireTableEqual(t, &tab, dijkstraMatrix(g, g.BaseWeights(), sources, cellMate), "cell-mate")
+}
+
+// entryCount reports how many entries the cache currently holds.
+func (c *selectionCache) entryCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, e := range c.ring {
+		if e != nil {
+			n++
+		}
+	}
+	return n
 }

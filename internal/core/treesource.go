@@ -180,7 +180,7 @@ func PlannerFlags(fs *flag.FlagSet, trees TreeBackend) func() (Options, error) {
 // HierarchyStatus is the serving-layer observability record of one
 // planner's hierarchy backend: which flavor answers queries right now,
 // how long the most recent (re)customization took, how many background
-// customizations failed, and the matrix selection cache's counters. Zero
+// customizations failed, and the matrix selection cache's state. Zero
 // for planners not running on a hierarchy.
 type HierarchyStatus struct {
 	Kind string
@@ -193,12 +193,11 @@ type HierarchyStatus struct {
 	CustomizeFailures uint64
 	// SelectionHits / SelectionMisses count, cumulatively across weight
 	// versions, how many matrix tables reused a cached target selection vs
-	// had to build one (a Select pass); SelectionEvictions counts entries
-	// dropped under the cache's byte budget. The hit rate is the headline
-	// amortization metric of the selection cache.
-	SelectionHits      uint64
-	SelectionMisses    uint64
-	SelectionEvictions uint64
+	// had to build one (a Select pass). SelectionBytes is what the serving
+	// version's cached selections retain (ch.Selection.MemoryBytes).
+	SelectionHits   uint64
+	SelectionMisses uint64
+	SelectionBytes  int
 }
 
 // TreeSource abstracts the tree factory behind the choice-routing
@@ -234,9 +233,8 @@ func (d dijkstraTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd
 type selectionStats struct {
 	// Cumulative selection-cache counters (never reset on weight swaps, so
 	// serving dashboards see monotone rates).
-	selHits      atomic.Uint64
-	selMisses    atomic.Uint64
-	selEvictions atomic.Uint64
+	selHits   atomic.Uint64
+	selMisses atomic.Uint64
 }
 
 // cchTrees is the TreeCHAuto source. Every tree pair is two full PHAST
@@ -245,14 +243,14 @@ type selectionStats struct {
 //
 // It also owns that version's matrix selections (RPHAST): selectTargets
 // selects a matrix's distinct targets once with the tree builder
-// (ch.Selection) and caches the result in a size-bounded multi-entry
-// cache keyed by those sorted target ids, so every source sweep of the
-// table, and every later table over the same targets or a subset of
-// them, shares one Select. A table with more than maxTargets distinct
-// targets is swept in full instead. The source, and with it every cached
-// selection, lives and dies with one weight version: the provider builds
-// a fresh cchTrees per customization, and ch.Selection's own builder
-// guard panics if a stale selection ever crossed over.
+// (ch.Selection) and keeps the last selRecent results, keyed by those
+// sorted target ids, so every source sweep of the table, and every later
+// table over the same targets, shares one Select. A table with more than
+// maxTargets distinct targets is swept in full instead. The source, and
+// with it every cached selection, lives and dies with one weight
+// version: the provider builds a fresh cchTrees per customization, and
+// ch.Selection's own builder guard panics if a stale selection ever
+// crossed over.
 type cchTrees struct {
 	g  *graph.Graph
 	tb *ch.TreeBuilder
@@ -260,7 +258,7 @@ type cchTrees struct {
 	// targets runs full sweeps instead of building a selection.
 	maxTargets int
 	stats      *selectionStats
-	cache      *selectionCache
+	cache      selectionCache
 }
 
 // selBufPool pools the per-table signature buffer of the selection-cache
@@ -279,7 +277,6 @@ func newCCHTrees(g *graph.Graph, hier ch.Hierarchy, maxTargets int, stats *selec
 		tb:         hier.NewTreeBuilder(),
 		maxTargets: maxTargets,
 		stats:      stats,
-		cache:      newSelectionCache(selectionCacheBytes, stats),
 	}
 }
 
@@ -292,12 +289,12 @@ func (r *cchTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd *sp
 	return fwd, bwd, true
 }
 
-// selectTargets resolves the selection entry covering an explicit target
-// set: the signature is the set's sorted, distinct target ids, so one
+// selectTargets resolves the selection entry of an explicit target set:
+// the signature is the set's sorted, distinct target ids, so one
 // selection serves every source sweep of a matrix batch and every later
-// batch over the same targets or a subset of them. On a miss it selects
-// the targets and inserts the entry. hit reports whether the entry came
-// out of the cache.
+// batch over the same targets while the entry is among the last
+// selRecent. On a miss it selects the targets and inserts the entry. hit
+// reports whether the entry came out of the cache.
 func (r *cchTrees) selectTargets(targets []graph.NodeID) (e *selEntry, hit bool) {
 	sb := selBufPool.Get().(*selBuf)
 	defer selBufPool.Put(sb)
@@ -305,18 +302,16 @@ func (r *cchTrees) selectTargets(targets []graph.NodeID) (e *selEntry, hit bool)
 	slices.Sort(sig)
 	sig = slices.Compact(sig)
 	sb.sig = sig
-	hash := sigHash(sig)
-	if e = r.cache.lookup(sig, hash); e != nil {
+	if e = r.cache.lookup(sig); e != nil {
 		r.stats.selHits.Add(1)
 		hit = true
 	} else {
 		r.stats.selMisses.Add(1)
-		e = &selEntry{sig: slices.Clone(sig), hash: hash, bytes: 4*len(sig) + selEntryOverhead}
+		e = &selEntry{sig: slices.Clone(sig)}
 		if len(sig) > r.maxTargets {
 			e.full = true
 		} else {
 			e.sel = r.tb.Select(sig, nil)
-			e.bytes += e.sel.MemoryBytes()
 		}
 		e = r.cache.insert(e)
 	}

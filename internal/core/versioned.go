@@ -164,13 +164,13 @@ func (p *provider) hierarchyStatus() HierarchyStatus {
 	}
 	v := p.cur.Load()
 	return HierarchyStatus{
-		Kind:               v.hier.Kind(),
-		Order:              p.order.String(),
-		LastCustomize:      time.Duration(p.lastCustomize.Load()),
-		CustomizeFailures:  p.customizeFailures.Load(),
-		SelectionHits:      p.selStats.selHits.Load(),
-		SelectionMisses:    p.selStats.selMisses.Load(),
-		SelectionEvictions: p.selStats.selEvictions.Load(),
+		Kind:              v.hier.Kind(),
+		Order:             p.order.String(),
+		LastCustomize:     time.Duration(p.lastCustomize.Load()),
+		CustomizeFailures: p.customizeFailures.Load(),
+		SelectionHits:     p.selStats.selHits.Load(),
+		SelectionMisses:   p.selStats.selMisses.Load(),
+		SelectionBytes:    v.trees.(*cchTrees).cache.bytes(),
 	}
 }
 

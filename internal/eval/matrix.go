@@ -117,9 +117,9 @@ func FormatMatrixAblation(city string, rows []MatrixAblationRow, st core.Hierarc
 			r.Speedup, r.SelectionTargets, sweeps)
 	}
 	if total := st.SelectionHits + st.SelectionMisses; total > 0 {
-		fmt.Fprintf(&sb, "selection cache: %d hits / %d misses (%.0f%% hit rate), %d evictions\n",
+		fmt.Fprintf(&sb, "selection cache: %d hits / %d misses (%.0f%% hit rate), %d bytes\n",
 			st.SelectionHits, st.SelectionMisses,
-			100*float64(st.SelectionHits)/float64(total), st.SelectionEvictions)
+			100*float64(st.SelectionHits)/float64(total), st.SelectionBytes)
 	}
 	return sb.String()
 }

@@ -92,8 +92,8 @@ func (s *Server) collectServing(e *metrics.Emit) {
 					float64(st.SelectionHits), "city", name)
 				e.Counter("routing_selection_cache_misses_total", "RPHAST selection-cache misses of /api/matrix tables.",
 					float64(st.SelectionMisses), "city", name)
-				e.Counter("routing_selection_cache_evictions_total", "RPHAST selection-cache evictions.",
-					float64(st.SelectionEvictions), "city", name)
+				e.Gauge("routing_selection_cache_bytes", "Bytes retained by the serving version's cached RPHAST selections (the last 8 target sets).",
+					float64(st.SelectionBytes), "city", name)
 			}
 		}
 		if c.Ingest != nil {

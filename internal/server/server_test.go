@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -394,8 +395,9 @@ func TestMatrixEndpoint(t *testing.T) {
 
 // TestSelectionCountersPerCity pins that the selection-cache counters
 // are per city, read from the matrix engine: the same ch-auto matrix
-// body posted twice counts one miss and one hit, and no series carries a
-// planner label (route planners never select).
+// body posted twice counts one miss and one hit, the bytes gauge reports
+// the cached selection, and no series carries a planner label (route
+// planners never select).
 func TestSelectionCountersPerCity(t *testing.T) {
 	cities := restrictedTestCities(t)
 	ts := httptest.NewServer(New(cities, "", WithMetrics()))
@@ -420,10 +422,20 @@ func TestSelectionCountersPerCity(t *testing.T) {
 			t.Errorf("scrape missing %q", want)
 		}
 	}
+	bytesSeen := false
 	for _, line := range strings.Split(text, "\n") {
 		if strings.HasPrefix(line, "routing_selection_cache_") && strings.Contains(line, "planner=") {
 			t.Errorf("selection counter carries a planner label: %s", line)
 		}
+		if v, ok := strings.CutPrefix(line, `routing_selection_cache_bytes{city="Copenhagen"} `); ok {
+			bytesSeen = true
+			if b, err := strconv.ParseFloat(v, 64); err != nil || b <= 0 {
+				t.Errorf("selection cache bytes = %q after a restricted table, want > 0", v)
+			}
+		}
+	}
+	if !bytesSeen {
+		t.Errorf("scrape missing routing_selection_cache_bytes for Copenhagen")
 	}
 	if t.Failed() {
 		t.Logf("scrape:\n%s", text)
