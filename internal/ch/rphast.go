@@ -42,11 +42,6 @@ import (
 type Selection struct {
 	tb      *TreeBuilder
 	targets int // distinct target nodes requested
-	// covered is the position-space bitset of the *requested* targets
-	// (before upward closure), behind Covers: trees built through the
-	// selection are guaranteed exact on exactly these nodes, in both
-	// directions, from any root.
-	covered []uint64
 	fwd     restrictedCSR
 	bwd     restrictedCSR
 }
@@ -81,21 +76,6 @@ func (sel *Selection) SweptNodes() (fwd, bwd int) {
 	return len(sel.fwd.nodes), len(sel.bwd.nodes)
 }
 
-// Covers reports whether every given node was a requested target of this
-// selection: a batch sweep whose targets pass Covers reads exact
-// distances and parents at those nodes through the selection. It never
-// allocates.
-func (sel *Selection) Covers(targets []graph.NodeID) bool {
-	pos, covered := sel.tb.pos, sel.covered
-	for _, v := range targets {
-		p := uint32(pos[v])
-		if covered[p>>6]&(1<<(p&63)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // MemoryBytes reports the approximate retained size of the selection's
 // backing arrays. Capacities (not lengths) are counted: they equal the
 // lengths on a fresh selection, but a reused Selection keeps its larger
@@ -109,14 +89,7 @@ func (sel *Selection) MemoryBytes() int {
 	csr := func(r *restrictedCSR) int {
 		return int32Size*(cap(r.nodes)+cap(r.off)) + (arcBytes+endBytes)*cap(r.arcs)
 	}
-	return 8*cap(sel.covered) + csr(&sel.fwd) + csr(&sel.bwd)
-}
-
-// resetCovered sizes and clears the coverage bitset for n positions,
-// reusing the backing on a warm Selection.
-func (sel *Selection) resetCovered(n int) {
-	sel.covered = sized(sel.covered, (n+63)>>6)
-	clear(sel.covered)
+	return csr(&sel.fwd) + csr(&sel.bwd)
 }
 
 // Select builds the restricted sweep state for the given target set:
@@ -127,39 +100,30 @@ func (sel *Selection) resetCovered(n int) {
 // on growth. The target slice is not retained; duplicate entries are
 // deduplicated.
 func (tb *TreeBuilder) Select(targets []graph.NodeID, reuse *Selection) *Selection {
-	sel := selectionFor(tb, reuse)
-	sc := selectPool.Get().(*selectScratch)
-	if len(sc.mark) < tb.n {
-		sc.mark = make([]bool, tb.n)
-	}
-	sel.targets = tb.markTargets(targets, sc.mark, sel.covered)
-	sel.fwd.closeAndEmit(tb, tb.fwdOff, tb.fwdArcs, tb.fwdEnds, sc.mark)
-	tb.markTargets(targets, sc.mark, sel.covered)
-	sel.bwd.closeAndEmit(tb, tb.bwdOff, tb.bwdArcs, tb.bwdEnds, sc.mark)
-	selectPool.Put(sc)
-	return sel
-}
-
-// selectionFor readies a Selection (fresh or reused) for tb.
-func selectionFor(tb *TreeBuilder, reuse *Selection) *Selection {
 	sel := reuse
 	if sel == nil {
 		sel = &Selection{}
 	}
 	sel.tb = tb
-	sel.resetCovered(tb.n)
+	sc := selectPool.Get().(*selectScratch)
+	if len(sc.mark) < tb.n {
+		sc.mark = make([]bool, tb.n)
+	}
+	sel.targets = tb.markTargets(targets, sc.mark)
+	sel.fwd.closeAndEmit(tb, tb.fwdOff, tb.fwdArcs, tb.fwdEnds, sc.mark)
+	tb.markTargets(targets, sc.mark)
+	sel.bwd.closeAndEmit(tb, tb.bwdOff, tb.bwdArcs, tb.bwdEnds, sc.mark)
+	selectPool.Put(sc)
 	return sel
 }
 
-// markTargets marks the targets' positions in mark and records them in
-// the covered bitset, returning how many were newly marked. It runs once
-// per direction (the emit pass clears mark), so covered writes are
-// idempotent by design.
-func (tb *TreeBuilder) markTargets(targets []graph.NodeID, mark []bool, covered []uint64) int {
+// markTargets marks the targets' positions in mark, returning how many
+// were newly marked. It runs once per direction (the emit pass clears
+// mark).
+func (tb *TreeBuilder) markTargets(targets []graph.NodeID, mark []bool) int {
 	distinct := 0
 	for _, v := range targets {
-		p := uint32(tb.pos[v])
-		covered[p>>6] |= 1 << (p & 63)
+		p := tb.pos[v]
 		if !mark[p] {
 			mark[p] = true
 			distinct++

@@ -206,39 +206,6 @@ func TestRestrictedZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestSelectionCoverage pins the Covers contract: exactly the requested
-// targets are covered — swept closure nodes are not, since only requested
-// targets carry the both-directions exactness guarantee.
-func TestSelectionCoverage(t *testing.T) {
-	g := gridCity(10, 10)
-	w := g.CopyWeights()
-	forEachEngine(t, func(t *testing.T, build builder) {
-		tb := build(g, w).NewTreeBuilder()
-		targets := []graph.NodeID{3, 17, 42, 99}
-		sel := tb.Select(targets, nil)
-		if !sel.Covers(targets) {
-			t.Fatal("selection does not cover its own targets")
-		}
-		if !sel.Covers(targets[1:3]) {
-			t.Fatal("selection does not cover a subset of its targets")
-		}
-		requested := map[graph.NodeID]bool{3: true, 17: true, 42: true, 99: true}
-		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			if !requested[v] && sel.Covers([]graph.NodeID{v}) {
-				t.Fatalf("selection covers node %d that was never requested", v)
-			}
-		}
-		// Coverage resets on reuse: the old targets must not leak through.
-		sel = tb.Select([]graph.NodeID{7}, sel)
-		if sel.Covers([]graph.NodeID{3}) {
-			t.Fatal("reused selection still covers a previous target")
-		}
-		if !sel.Covers([]graph.NodeID{7}) {
-			t.Fatal("reused selection does not cover its new target")
-		}
-	})
-}
-
 // TestSelectionMemoryBytes sanity-checks the cache charging measure: a
 // bigger target set retains at least as many bytes, and nothing is free.
 func TestSelectionMemoryBytes(t *testing.T) {

@@ -93,12 +93,14 @@ type Options struct {
 	// unless ApplyUpperBoundToPenalty is set.
 	UpperBound float64
 	// PenaltyFactor is the per-iteration weight multiplier of the Penalty
-	// planner (default 1.4).
+	// planner (default 1.4). A factor below 1 selects the default: the
+	// technique only raises weights, which Penalty's goal-directed search
+	// relies on.
 	PenaltyFactor float64
 	// Theta is the Dissimilarity admission threshold (default 0.5).
 	Theta float64
 	// TreeBackend selects how the tree-source planners (Plateaus,
-	// Commercial, Dissimilarity) build their shortest-path
+	// Commercial, Dissimilarity, Penalty) build their shortest-path
 	// trees: full Dijkstra searches (TreeDijkstra, the default, matching
 	// the paper's description) or full PHAST sweeps over a customizable
 	// contraction hierarchy (TreeCHAuto, the §II-B optimisation commercial
@@ -161,7 +163,7 @@ func (o Options) withDefaults() Options {
 	if o.UpperBound <= 0 {
 		o.UpperBound = DefaultUpperBound
 	}
-	if o.PenaltyFactor <= 0 {
+	if o.PenaltyFactor < 1 {
 		o.PenaltyFactor = DefaultPenaltyFactor
 	}
 	if o.Theta <= 0 {
@@ -178,8 +180,9 @@ func (o Options) withDefaults() Options {
 // Commercial plans on private (its traffic metric; must not be nil); the
 // other three plan on Options.Weights through one shared provider, so
 // every batch the engine answers reports one version for all three, and
-// within a batch Plateaus and Dissimilarity build one tree pair per query
-// between them (see Engine.AlternativesBatch). Building them separately
+// within a batch Plateaus, Dissimilarity and Penalty build one tree pair
+// per query between them (see Engine.AlternativesBatch): the first two
+// join it, Penalty searches toward t with its backward tree as potential. Building them separately
 // would give each its own provider: a double-buffered Plateaus could then
 // answer one response a version behind Dissimilarity and Penalty, and the
 // two tree users would each build their own pair.

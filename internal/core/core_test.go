@@ -215,6 +215,14 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.K != 5 || o.UpperBound != 2 || o.PenaltyFactor != 1.1 || o.Theta != 0.3 {
 		t.Errorf("withDefaults clobbered explicit values: %+v", o)
 	}
+	// A penalty factor below 1 would lower weights under Penalty's
+	// potential; it selects the default, and 1 itself is kept.
+	if o := (Options{PenaltyFactor: 0.5}).withDefaults(); o.PenaltyFactor != DefaultPenaltyFactor {
+		t.Errorf("PenaltyFactor 0.5 became %v, want the default", o.PenaltyFactor)
+	}
+	if o := (Options{PenaltyFactor: 1}).withDefaults(); o.PenaltyFactor != 1 {
+		t.Errorf("PenaltyFactor 1 became %v", o.PenaltyFactor)
+	}
 }
 
 func TestRandomQueriesAllPlanners(t *testing.T) {

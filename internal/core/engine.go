@@ -25,9 +25,10 @@ import (
 //
 // The only state that spans jobs is request-scoped: within one batch, the
 // jobs that run on the same pinned view for the same (s, t) — the study
-// set's Plateaus and Dissimilarity on the public provider — share one
-// forward/backward tree pair, built once by whichever needs it first and
-// released when the last of them finishes (see AlternativesBatch).
+// set's Plateaus, Dissimilarity and Penalty on the public provider —
+// share one forward/backward tree pair, built once by whichever needs it
+// first and released when the last of them finishes (see
+// AlternativesBatch).
 //
 // With SetCache the engine additionally memoizes answers keyed by
 // (planner, weight version, s, t): under live traffic the same hot
@@ -124,9 +125,10 @@ type Result struct {
 // first of them to miss the result cache installs a batch-local copy of
 // the view whose TreeSource builds the pair once, into a workspace of its
 // own; a job asking for the trees while they are being built waits for
-// them. Both tree consumers only read the trees, and they are the output
-// of one deterministic call on the same inputs, so every route is what
-// the job would have computed alone, ties included. A build that panics
+// them. Plateaus, Dissimilarity and Penalty only read the trees (Penalty
+// its backward tree, as a search potential), and they are the output of
+// one deterministic call on the same inputs, so every route is what the
+// job would have computed alone, ties included. A build that panics
 // fails only its own job; the others then build their own trees. The
 // last job of the group to finish releases the pair, so a batch of many
 // queries holds a pair only while some job of its query runs, and a group
@@ -278,7 +280,9 @@ func newSharedTrees(v *view, s, t graph.NodeID) *sharedTrees {
 	return st
 }
 
-// BuildTrees implements TreeSource. After a build that panicked — or for
+// BuildTrees implements TreeSource for the group's Plateaus,
+// Dissimilarity and Penalty jobs, which all only read what it returns
+// (Penalty just the backward tree). After a build that panicked — or for
 // any other pair — the caller builds into its own workspace, as it would
 // without the handle: the unbuilt pair must not read as unreachable.
 func (st *sharedTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd *sp.Tree, ok bool) {

@@ -159,11 +159,6 @@ func (m *MatrixEngine) MatrixInto(tab *Table, sources, targets []graph.NodeID) e
 	if tr, ok := v.trees.(*cchTrees); ok {
 		e, hit := tr.selectTargets(tab.Targets)
 		rb.tb, rb.sel = tr.tb, e.sel
-		if e.sel != nil && !e.sel.Covers(tab.Targets) {
-			// Defensive: a selection that does not cover every target must
-			// never produce a table; select the targets directly instead.
-			rb.sel = tr.tb.Select(tab.Targets, nil)
-		}
 		tab.SelectionHit = hit
 		tab.Restricted = rb.sel != nil
 		if tab.Restricted {

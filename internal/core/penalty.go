@@ -21,6 +21,16 @@ import (
 // snapshot of its provider's view and penalizes a pooled working copy of
 // it, so the planner follows live traffic without any per-version state
 // of its own.
+//
+// Every iteration is one goal-directed search
+// (sp.PotentialShortestPathInto). Its potential is the backward tree of
+// the view's tree pair: each node's exact distance to t under the
+// snapshot, which penalized weights never undercut, so it is admissible —
+// the "perfect potential" of Strasser & Zeitz ("A* with Perfect
+// Potentials", 2019), a tighter form of ALT (Goldberg & Harrelson, SODA
+// 2005). Under the engine that pair is the one Plateaus and Dissimilarity
+// already share (a Penalty built alone builds its own), and the reroutes
+// touch a small fraction of the nodes a Dijkstra search would.
 type Penalty struct {
 	versioned
 	g    *graph.Graph
@@ -28,10 +38,12 @@ type Penalty struct {
 }
 
 // NewPenalty returns a Penalty planner over g planning on Options.Weights
-// (nil pins the graph's base travel-time weights).
+// (nil pins the graph's base travel-time weights). Its provider builds
+// tree pairs on Options.TreeBackend: the backward tree is the search
+// potential.
 func NewPenalty(g *graph.Graph, opts Options) *Penalty {
 	o := opts.withDefaults()
-	return &Penalty{versioned: versioned{newProvider(g, o.Weights, false, o, "Penalty")}, g: g, opts: o}
+	return &Penalty{versioned: versioned{newProvider(g, o.Weights, true, o, "Penalty")}, g: g, opts: o}
 }
 
 // Name implements Planner.
@@ -57,6 +69,13 @@ func (p *Penalty) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error
 	copy(work, base)
 	ws := sp.GetWorkspace()
 	defer ws.Release()
+	// The backward tree is the potential of every iteration's search. It
+	// lives in the tree slot the search leaves alone (or in the shared
+	// pair's own workspace) and is only read.
+	_, bwd, ok := v.trees.BuildTrees(ws, s, t)
+	if !ok {
+		return nil, ErrNoRoute
+	}
 
 	// The iteration budget bounds the search when penalised reroutes keep
 	// rediscovering known paths; 4·K+4 is generous for road networks.
@@ -66,7 +85,7 @@ func (p *Penalty) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error
 	for iter := 0; iter < maxIterations && len(routes) < p.opts.K; iter++ {
 		// The returned edge slice aliases the workspace and stays valid
 		// until the next search; admitted routes copy it below.
-		edges, _ := sp.ShortestPathInto(ws, p.g, work, s, t)
+		edges, _ := sp.PotentialShortestPathInto(ws, p.g, work, s, t, bwd.Dist)
 		if edges == nil {
 			break
 		}

@@ -14,9 +14,9 @@ import (
 	"repro/internal/sp"
 )
 
-// TreeBackend selects how the tree-source planners (Plateaus, Commercial
-// and Dissimilarity) obtain the forward/backward shortest-path trees
-// their plateau join or via-node scan consumes.
+// TreeBackend selects how the tree-source planners (Plateaus, Commercial,
+// Dissimilarity and Penalty) obtain the forward/backward shortest-path
+// trees their plateau join, via-node scan or search potential consumes.
 type TreeBackend uint8
 
 const (

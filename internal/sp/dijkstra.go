@@ -1,7 +1,8 @@
 // Package sp implements the shortest-path machinery all alternative-route
 // techniques are built on: Dijkstra's algorithm, full shortest-path trees
 // in both directions (the substrate of the Plateaus and Dissimilarity
-// techniques), bidirectional Dijkstra, and A* with a haversine potential.
+// techniques), bidirectional Dijkstra, and A* with a haversine potential
+// or a caller-supplied one (PotentialShortestPathInto).
 //
 // All searches take an explicit weight slice indexed by EdgeID so that the
 // Penalty technique and the traffic simulation can run on perturbed
@@ -9,14 +10,14 @@
 //
 // # Workspaces and the epoch reset
 //
-// Every search exists in two forms: a convenience form (BuildTree,
-// ShortestPath, ...) that returns independently owned results, and an
-// allocation-free ...Into form taking an explicit *Workspace whose results
-// alias workspace memory. The workspace holds the per-search dist/parent
-// arrays, generation-stamp arrays and 4-ary heaps. Clearing between
-// searches is O(1): instead of re-filling dist with +Inf, Begin bumps a
-// generation counter and stale slots are treated as +Inf on read (see
-// SearchState). Relaxations additionally read packed per-direction head
+// Every search but the potential one exists in two forms: a convenience
+// form (BuildTree, ShortestPath, ...) that returns independently owned
+// results, and an allocation-free ...Into form taking an explicit
+// *Workspace whose results alias workspace memory. The workspace holds
+// the per-search dist/parent arrays, generation-stamp arrays and 4-ary
+// heaps. Clearing between searches is O(1): instead of re-filling dist
+// with +Inf, Begin bumps a generation counter and stale slots are treated
+// as +Inf on read (see SearchState). Relaxations additionally read packed per-direction head
 // arrays from the graph (OutHeads/InTails), so the hot loop touches two
 // sequential int32/float64 arrays instead of loading a 40-byte Edge struct
 // per edge. Under the serving layer (core.Engine) workspaces are pooled
@@ -110,6 +111,25 @@ func reverse(e []graph.EdgeID) {
 	for i, j := 0, len(e)-1; i < j; i, j = i+1, j-1 {
 		e[i], e[j] = e[j], e[i]
 	}
+}
+
+// forwardPath assembles the s→t path held by the F slot's parent
+// pointers in the workspace's path buffer, and returns it with t's
+// distance; (nil, +Inf) when the search did not reach t.
+func (ws *Workspace) forwardPath(g *graph.Graph, s, t graph.NodeID) ([]graph.EdgeID, float64) {
+	st := &ws.F
+	if !st.Touched(t) {
+		return nil, math.Inf(1)
+	}
+	edges := ws.pathBuf()
+	for cur := t; cur != s; {
+		e := st.parent[cur]
+		edges = append(edges, e)
+		cur = g.Edge(e).From
+	}
+	reverse(edges)
+	ws.path = edges
+	return edges, st.dist[t]
 }
 
 // copyEdges returns an independently owned copy of a workspace-backed edge
@@ -223,18 +243,71 @@ func ShortestPathInto(ws *Workspace, g *graph.Graph, weights []float64, s, t gra
 			st.Heap.Push(v, nd)
 		}
 	}
-	if !st.Touched(t) {
+	return ws.forwardPath(g, s, t)
+}
+
+// potentialMargin scales the potential of PotentialShortestPathInto below
+// 1: a potential read from a PHAST tree sums shortcut weights in another
+// order than the search's left fold (about 1e-14 apart, relatively), and
+// the margin keeps it a strict lower bound at the cost of a few extra pops.
+const potentialMargin = 1 - 1e-9
+
+// potentialKey is the heap key of a node reached at distance d whose
+// potential is p. The conversion forbids a fused multiply-add, so the
+// stale check recomputes the pushed key bit for bit.
+func potentialKey(d, p float64) float64 { return d + float64(p*potentialMargin) }
+
+// PotentialShortestPathInto is ShortestPathInto guided toward t by an A*
+// potential: pot[v] must be a lower bound on v's distance to t under
+// weights, for example the Dist of a Backward tree rooted at t and built
+// on a metric that weights never undercut (Penalty's reroutes on the
+// tree's own metric: the "perfect potential" of Strasser & Zeitz, 2019). The heap is keyed by
+// dist + pot·(1 − 1e-9); a node whose potential is +Inf cannot reach t
+// and is never touched. There is no settled stamp: an entry is stale when
+// its key no longer matches its node's label, and a node whose label
+// improves after it was scanned is scanned again, so exactness rests on
+// admissibility alone. It uses the F slot, and the returned edge slice
+// aliases ws until its next use. It returns (nil, +Inf) when t is
+// unreachable from s.
+func PotentialShortestPathInto(ws *Workspace, g *graph.Graph, weights []float64, s, t graph.NodeID, pot []float64) ([]graph.EdgeID, float64) {
+	if s == t {
+		return ws.pathBuf(), 0
+	}
+	if math.IsInf(pot[s], 1) {
 		return nil, math.Inf(1)
 	}
-	edges := ws.pathBuf()
-	for cur := t; cur != s; {
-		e := st.parent[cur]
-		edges = append(edges, e)
-		cur = g.Edge(e).From
+	st := &ws.F
+	st.Begin(g.NumNodes())
+	st.Update(s, 0, -1)
+	st.Heap.Push(s, potentialKey(0, pot[s]))
+	dist, parent, stamp, cur := st.dist, st.parent, st.stamp, st.cur
+	for st.Heap.Len() > 0 {
+		u, key := st.Heap.Pop()
+		du := dist[u]
+		if key != potentialKey(du, pot[u]) {
+			continue // stale: u was relabelled after this entry was pushed
+		}
+		if u == t {
+			break
+		}
+		adj, heads := g.OutEdges(u), g.OutHeads(u)
+		for i, e := range adj {
+			v := heads[i]
+			nd := du + weights[e]
+			if stamp[v] >= cur && nd >= dist[v] {
+				continue
+			}
+			pv := pot[v]
+			if math.IsInf(nd, 1) || math.IsInf(pv, 1) {
+				continue // a ban, or a node that cannot reach t
+			}
+			dist[v] = nd
+			parent[v] = e
+			stamp[v] = cur
+			st.Heap.Push(v, potentialKey(nd, pv))
+		}
 	}
-	reverse(edges)
-	ws.path = edges
-	return edges, st.dist[t]
+	return ws.forwardPath(g, s, t)
 }
 
 // BidirectionalShortestPath computes the shortest s→t path by running
@@ -417,18 +490,7 @@ func AStarShortestPathInto(ws *Workspace, g *graph.Graph, weights []float64, s, 
 			st.Heap.Push(v, nd+h(v))
 		}
 	}
-	if !st.Touched(t) {
-		return nil, math.Inf(1)
-	}
-	edges := ws.pathBuf()
-	for cur := t; cur != s; {
-		e := st.parent[cur]
-		edges = append(edges, e)
-		cur = g.Edge(e).From
-	}
-	reverse(edges)
-	ws.path = edges
-	return edges, st.dist[t]
+	return ws.forwardPath(g, s, t)
 }
 
 // MinSecondsPerMeter returns the smallest weight/length ratio over all

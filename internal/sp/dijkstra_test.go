@@ -1,8 +1,10 @@
 package sp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -257,6 +259,132 @@ func TestAStarMatchesDijkstra(t *testing.T) {
 				checkWalk(t, g, got, s, dst)
 			}
 		}
+	}
+}
+
+// nearTieGraph is a diamond s(0)→a(1)→t(3), s→b(2)→t whose two routes
+// differ by 1e-7 s, far below 1e-12 of a's potential: a search trusting
+// a potential that overestimates by that much reaches t through b first.
+func nearTieGraph() (*graph.Graph, []float64) {
+	b := graph.NewBuilder(4, 4)
+	o := geo.Point{Lat: -37.81, Lon: 144.96}
+	for i := 0; i < 4; i++ {
+		b.AddNode(geo.Offset(o, float64(i)*100, 0))
+	}
+	for _, e := range [][2]graph.NodeID{{0, 1}, {1, 3}, {0, 2}, {2, 3}} {
+		b.AddEdge(graph.EdgeSpec{From: e[0], To: e[1], Class: graph.Residential})
+	}
+	g := b.Build()
+	w := make([]float64, g.NumEdges())
+	for e := range w {
+		switch ed := g.Edge(graph.EdgeID(e)); [2]graph.NodeID{ed.From, ed.To} {
+		case [2]graph.NodeID{0, 1}:
+			w[e] = 1
+		case [2]graph.NodeID{1, 3}, [2]graph.NodeID{0, 2}:
+			w[e] = 1e6
+		case [2]graph.NodeID{2, 3}:
+			w[e] = 1 + 1e-7
+		}
+	}
+	return g, w
+}
+
+// TestPotentialSearchMatchesDijkstra pins PotentialShortestPathInto to
+// ShortestPathInto: the same distance to the bit under a zero potential
+// (then also the same edges), the exact backward-tree potential, and that
+// potential overestimating by a relative 1e-12, which the margin must
+// absorb; with and without +Inf bans. Nodes whose potential is +Inf are
+// never touched, an unreachable t gives (nil, +Inf) and s == t the empty
+// path.
+func TestPotentialSearchMatchesDijkstra(t *testing.T) {
+	type instance struct {
+		name string
+		g    *graph.Graph
+		w    []float64
+	}
+	var insts []instance
+	for seed := int64(0); seed < 4; seed++ {
+		g := randGraph(300+seed, 150)
+		insts = append(insts, instance{fmt.Sprintf("random%d", seed), g, g.CopyWeights()})
+	}
+	grid := gridGraph(12, 12)
+	insts = append(insts, instance{"grid", grid, grid.CopyWeights()})
+	tie, tieW := nearTieGraph()
+	insts = append(insts, instance{"near-tie", tie, tieW})
+	for _, in := range insts {
+		banned := append([]float64(nil), in.w...)
+		rng := rand.New(rand.NewSource(int64(len(in.name))))
+		for e := range banned {
+			if rng.Float64() < 0.1 {
+				banned[e] = math.Inf(1)
+			}
+		}
+		for _, wv := range []struct {
+			name string
+			w    []float64
+		}{{"open", in.w}, {"bans", banned}} {
+			g, w := in.g, wv.w
+			ws, ref := NewWorkspace(), NewWorkspace()
+			n := g.NumNodes()
+			pairs := [][2]graph.NodeID{{0, graph.NodeID(n - 1)}}
+			for q := 0; q < 25; q++ {
+				pairs = append(pairs, [2]graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))})
+			}
+			for qi, q := range pairs {
+				s, dst := q[0], q[1]
+				label := fmt.Sprintf("%s/%s/q%d (%d->%d)", in.name, wv.name, qi, s, dst)
+				wantEdges, want := ShortestPathInto(ref, g, w, s, dst)
+				exact := BuildTree(g, w, dst, Backward).Dist
+				over := make([]float64, n)
+				for v, d := range exact {
+					over[v] = d * (1 + 1e-12)
+				}
+				for _, pc := range []struct {
+					name string
+					pot  []float64
+				}{{"zero", make([]float64, n)}, {"exact", exact}, {"over", over}} {
+					edges, d := PotentialShortestPathInto(ws, g, w, s, dst, pc.pot)
+					if math.Float64bits(d) != math.Float64bits(want) {
+						t.Fatalf("%s/%s: distance %v, Dijkstra %v", label, pc.name, d, want)
+					}
+					if math.IsInf(want, 1) {
+						if edges != nil {
+							t.Fatalf("%s/%s: unreachable target returned edges %v", label, pc.name, edges)
+						}
+						continue
+					}
+					checkWalk(t, g, edges, s, dst)
+					if c := pathCost(w, edges); math.Float64bits(c) != math.Float64bits(d) {
+						t.Fatalf("%s/%s: path costs %v, reported %v", label, pc.name, c, d)
+					}
+					if pc.name == "zero" && !slices.Equal(edges, wantEdges) {
+						t.Fatalf("%s: zero potential took %v, Dijkstra %v", label, edges, wantEdges)
+					}
+					if pc.name == "exact" && s != dst {
+						for v := graph.NodeID(0); int(v) < n; v++ {
+							if math.IsInf(exact[v], 1) && ws.F.Touched(v) {
+								t.Fatalf("%s: node %d cannot reach the target but was touched", label, v)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// s == t is the empty path; a source whose potential is +Inf returns
+	// at once.
+	g := gridGraph(4, 4)
+	w := g.CopyWeights()
+	ws := NewWorkspace()
+	pot := BuildTree(g, w, 5, Backward).Dist
+	if edges, d := PotentialShortestPathInto(ws, g, w, 5, 5, pot); edges == nil || len(edges) != 0 || d != 0 {
+		t.Fatalf("s == t: got (%v, %v), want the empty path at 0", edges, d)
+	}
+	pot = append([]float64(nil), pot...)
+	pot[0] = math.Inf(1)
+	if edges, d := PotentialShortestPathInto(ws, g, w, 0, 5, pot); edges != nil || !math.IsInf(d, 1) {
+		t.Fatalf("source with +Inf potential: got (%v, %v), want (nil, +Inf)", edges, d)
 	}
 }
 

@@ -175,6 +175,8 @@ func TestIntoVariantsZeroAlloc(t *testing.T) {
 	warmAndCheck("ShortestPathInto", func() { ShortestPathInto(ws, g, w, s, d) })
 	warmAndCheck("BidirectionalShortestPathInto", func() { BidirectionalShortestPathInto(ws, g, w, s, d) })
 	warmAndCheck("AStarShortestPathInto", func() { AStarShortestPathInto(ws, g, w, s, d, scale) })
+	pot := BuildTree(g, w, d, Backward).Dist
+	warmAndCheck("PotentialShortestPathInto", func() { PotentialShortestPathInto(ws, g, w, s, d, pot) })
 	warmAndCheck("BuildPrunedTreeInto", func() {
 		BuildPrunedTreeInto(ws, g, w, s, Forward, d, math.Inf(1), scale)
 	})
