@@ -86,8 +86,9 @@ type Preprocessed struct {
 }
 
 // Build preprocesses g metric-independently and customizes the result for
-// the given weights. Keep the returned hierarchy's Customize for following
-// weight snapshots; only the first call pays for contraction.
+// the given weights. Following weight snapshots are customizations of the
+// same preprocessing (PreprocessShared(g).Customize); only the first call
+// pays for contraction.
 //
 // Preprocessing is shared: because a Preprocessed depends only on the
 // graph (never on weights) and is safe for concurrent Customize calls,
@@ -97,15 +98,6 @@ type Preprocessed struct {
 // planner.
 func Build(g *graph.Graph, weights []float64) ch.Hierarchy {
 	return PreprocessShared(g).Customize(weights)
-}
-
-// BuildWith is Build with explicit customization Config — the order
-// pipeline, worker fan-out and the perfect (inert-arc marking)
-// post-pass. Preprocessings are shared per (graph, order kind): two
-// callers asking for different order pipelines on the same network get
-// distinct (and distinctly memoized) contractions.
-func BuildWith(g *graph.Graph, weights []float64, cfg Config) ch.Hierarchy {
-	return PreprocessSharedWith(g, cfg.Order).CustomizeWith(weights, cfg)
 }
 
 // sharedPreCap bounds the process-wide preprocessing memo. Four entries

@@ -8,17 +8,11 @@ import (
 	"repro/internal/ch"
 )
 
-// Config tunes one customization pass. The zero value selects the
-// geometric order, a worker count from GOMAXPROCS, basic (non-perfect)
-// output and elimination-tree queries. It is not the serving
-// configuration: the commands build on OrderFlow (core.PlannerFlags), and
-// Order only matters to BuildWith — CustomizeWith ignores it.
+// Config tunes one customization pass. The zero value selects a worker
+// count from GOMAXPROCS, basic (non-perfect) output and elimination-tree
+// queries. The order pipeline is not part of it: it is baked into the
+// Preprocessed being customized.
 type Config struct {
-	// Order selects the nested-dissection pipeline of the underlying
-	// preprocessing. Only consulted by BuildWith (which resolves the
-	// shared preprocessing); CustomizeWith on an existing Preprocessed
-	// ignores it — the order is baked into the contraction.
-	Order OrderConfig
 	// Workers bounds the per-level fan-out of the triangle relaxation.
 	// 0 (or negative) selects runtime.GOMAXPROCS(0); 1 forces the serial
 	// sweep. Any value produces bit-identical arcs — levels only group
@@ -206,7 +200,7 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 	tmpl := p.template
 	p.mu.Unlock()
 	if tmpl == nil {
-		rt := ch.NewRuntime(p.g, Kind, p.rank, p.arcFrom, arcs)
+		rt := ch.NewRuntime(p.g, p.rank, p.arcFrom, arcs)
 		p.mu.Lock()
 		if p.template == nil {
 			// Cache only the shared adjacency (arcs nilled): the template
@@ -218,9 +212,7 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 		tmpl = p.template
 		p.mu.Unlock()
 	}
-	rt := tmpl.WithArcsInert(arcs, arcW, inert).WithCustomize(func(w []float64) ch.Hierarchy {
-		return p.CustomizeWith(w, cfg)
-	})
+	rt := tmpl.WithArcsInert(arcs, arcW, inert)
 	if !cfg.BidirQuery {
 		// The chordal supergraph's upward neighborhoods are cliques, so the
 		// elimination tree carries the whole upward search space: queries

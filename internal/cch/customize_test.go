@@ -173,22 +173,6 @@ func TestPreprocessSharedBounded(t *testing.T) {
 	}
 }
 
-// TestCustomizeConfigSurvivesRecustomize checks that the Customize hook a
-// runtime carries re-applies its original Config: a perfect hierarchy
-// stays perfect across weight swaps (the serving layer re-customizes
-// through the seam and never re-states the config).
-func TestCustomizeConfigSurvivesRecustomize(t *testing.T) {
-	g := gridCity(10, 10)
-	pre := Preprocess(g)
-	h := pre.CustomizeWith(g.CopyWeights(), Config{Perfect: true})
-	w2 := perturbedWeights(g, 5, 0.10)
-	h2 := h.Customize(w2).(*ch.Runtime)
-	if h2.InertCount() == 0 {
-		t.Fatalf("re-customization dropped the perfect config")
-	}
-	checkDistances(t, g, h2, w2, 30, 77)
-}
-
 // TestLevelsCoverAllPairs sanity-checks the dependency leveling: the
 // level CSR is a partition of all pairs, level 0 is exactly the
 // triangle-free pairs, and every triangle's side pairs sit at strictly

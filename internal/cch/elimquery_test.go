@@ -131,11 +131,12 @@ func TestElimVsBidijBitIdentical(t *testing.T) {
 // flow on the elimination-tree engine: a node whose incident edges are
 // all closed must be unreachable in both directions after the publish
 // swap, stay exactly answerable everywhere else, and come back when the
-// ban lifts — all through the Customize seam on one runtime chain.
+// ban lifts — each state a customization of one shared preprocessing.
 func TestElimQueryClosurePublishSwap(t *testing.T) {
 	g := gridCity(10, 10)
 	base := g.CopyWeights()
-	h := Build(g, base)
+	pre := PreprocessShared(g)
+	h := pre.Customize(base)
 	checkDistances(t, g, h, base, 25, 1)
 
 	victim := graph.NodeID(55)
@@ -146,7 +147,7 @@ func TestElimQueryClosurePublishSwap(t *testing.T) {
 	for _, e := range g.InEdges(victim) {
 		banned[e] = math.Inf(1)
 	}
-	h2 := h.Customize(banned)
+	h2 := pre.Customize(banned)
 	for _, other := range []graph.NodeID{0, 42, 99} {
 		if d := h2.Dist(other, victim); !math.IsInf(d, 1) {
 			t.Fatalf("banned node still reachable: %d->%d = %f", other, victim, d)
@@ -160,7 +161,7 @@ func TestElimQueryClosurePublishSwap(t *testing.T) {
 	}
 	checkDistances(t, g, h2, banned, 25, 2)
 
-	h3 := h2.Customize(base)
+	h3 := pre.Customize(base)
 	if d := h3.Dist(0, victim); math.IsInf(d, 1) {
 		t.Fatalf("lifted ban: %d->%d still unreachable", 0, victim)
 	}
@@ -199,19 +200,20 @@ func TestElimQueryEdgeCases(t *testing.T) {
 }
 
 // TestElimScratchAcrossRecustomize is the stale-scratch guard: runtimes
-// from successive customizations of one chain answer interleaved queries
-// without bleeding labels across each other or across their own earlier
-// queries (workspace epochs, not clearing, are what isolates them), and
-// the chain keeps the elimination-tree engine.
+// from successive customizations of one preprocessing answer interleaved
+// queries without bleeding labels across each other or across their own
+// earlier queries (workspace epochs, not clearing, are what isolates
+// them), and each customization keeps the elimination-tree engine.
 func TestElimScratchAcrossRecustomize(t *testing.T) {
 	g := randomCity(29, 150)
 	w1 := perturbedWeights(g, 1, 0.05)
 	w2 := perturbedWeights(g, 2, 0.15)
-	h1 := Build(g, w1).(*ch.Runtime)
+	pre := PreprocessShared(g)
+	h1 := pre.Customize(w1).(*ch.Runtime)
 	checkDistances(t, g, h1, w1, 10, 21)
-	h2 := h1.Customize(w2).(*ch.Runtime)
+	h2 := pre.Customize(w2).(*ch.Runtime)
 	if got := h2.QueryStats().Engine; got != "elimtree" {
-		t.Fatalf("re-customized runtime answers with %q, want elimtree", got)
+		t.Fatalf("second customization answers with %q, want elimtree", got)
 	}
 	// Interleave: the same workspace pool serves both runtimes.
 	rng := rand.New(rand.NewSource(31))

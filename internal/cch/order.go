@@ -101,47 +101,9 @@ func OrderWith(g *graph.Graph, cfg OrderConfig) []int32 {
 	return orderImpl(g, cfg, nil)
 }
 
-// OrderStats summarizes the splits of one nested-dissection run — the
-// separator-size profile the -orders report prints. Depth is recursion
-// depth: depth 0 is the single top-level split, and the per-depth totals
-// at small depths are the separators that dominate fill-in.
-type OrderStats struct {
-	// Splits counts the recursive splits that produced a separator.
-	Splits int
-	// SepNodes is the total number of nodes ranked as separators.
-	SepNodes int
-	// MaxSep is the largest single separator.
-	MaxSep int
-	// SepByDepth[d] is the total separator size over all splits at
-	// recursion depth d; SplitsByDepth[d] the number of such splits.
-	SepByDepth    []int
-	SplitsByDepth []int
-}
-
-// OrderWithStats is OrderWith plus the split-profile statistics. The
-// instrumented run is serial (stats aggregation must not observe
-// scheduling), so use OrderWith for production builds.
-func OrderWithStats(g *graph.Graph, cfg OrderConfig) ([]int32, OrderStats) {
-	var st OrderStats
-	rank := orderImpl(g, cfg, func(depth int, set, intA, intB, sep []graph.NodeID) {
-		st.Splits++
-		st.SepNodes += len(sep)
-		if len(sep) > st.MaxSep {
-			st.MaxSep = len(sep)
-		}
-		for len(st.SepByDepth) <= depth {
-			st.SepByDepth = append(st.SepByDepth, 0)
-			st.SplitsByDepth = append(st.SplitsByDepth, 0)
-		}
-		st.SepByDepth[depth] += len(sep)
-		st.SplitsByDepth[depth]++
-	})
-	return rank, st
-}
-
-// orderImpl runs the dissection. onSplit, when non-nil (stats and the
-// package tests), receives every non-degenerate split before its
-// interiors recurse and forces serial recursion so observation order is
+// orderImpl runs the dissection. onSplit, when non-nil (the package
+// tests), receives every non-degenerate split before its interiors
+// recurse and forces serial recursion so observation order is
 // deterministic.
 func orderImpl(g *graph.Graph, cfg OrderConfig, onSplit func(depth int, set, intA, intB, sep []graph.NodeID)) []int32 {
 	n := g.NumNodes()

@@ -30,7 +30,7 @@ func forEachEngine(t *testing.T, test func(t *testing.T, build builder)) {
 	}{{"elimtree", cch.Config{}}, {"bidij", cch.Config{BidirQuery: true}}} {
 		t.Run(e.name, func(t *testing.T) {
 			test(t, func(g *graph.Graph, w []float64) ch.Hierarchy {
-				h := cch.BuildWith(g, w, e.cfg)
+				h := cch.PreprocessShared(g).CustomizeWith(w, e.cfg)
 				if got := h.(*ch.Runtime).QueryStats().Engine; got != e.name {
 					t.Fatalf("hierarchy answers with engine %q, want %q", got, e.name)
 				}

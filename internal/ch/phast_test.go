@@ -230,7 +230,7 @@ func BenchmarkTreeDijkstraGrid40(b *testing.B) {
 // builder reachable, until a second collection.)
 func TestTreeBuilderCollectableAfterOneGC(t *testing.T) {
 	g := gridCity(8, 8)
-	tb := cch.BuildWith(g, g.BaseWeights(), cch.Config{}).NewTreeBuilder()
+	tb := cch.PreprocessShared(g).CustomizeWith(g.BaseWeights(), cch.Config{}).NewTreeBuilder()
 	ws := sp.GetWorkspace()
 	tb.BuildTreeInto(ws, 0, sp.Forward)
 	sel := tb.Select([]graph.NodeID{5, 9, 30}, nil)

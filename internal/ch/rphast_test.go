@@ -157,9 +157,8 @@ func TestStaleSelectionPanics(t *testing.T) {
 	g := gridCity(6, 6)
 	w := g.CopyWeights()
 	forEachEngine(t, func(t *testing.T, build builder) {
-		h := build(g, w)
-		tb1 := h.NewTreeBuilder()
-		tb2 := h.Customize(w).NewTreeBuilder()
+		tb1 := build(g, w).NewTreeBuilder()
+		tb2 := build(g, w).NewTreeBuilder()
 		sel := tb1.Select([]graph.NodeID{0, 1, 2}, nil)
 		defer func() {
 			if recover() == nil {

@@ -11,24 +11,18 @@ package ch
 
 import "repro/internal/graph"
 
-// Hierarchy is the seam between the hierarchy and its *consumers*. The
-// point-to-point query, the PHAST tree builder and core's double-buffered
-// weight-version provider consume this interface, never the contraction
-// that produced it. The one producer is cch: it contracts
-// metric-independently on a nested-dissection order (the customizable-CH
-// scheme of Dibbelt et al.), and Customize runs a triangle relaxation that
-// is exact for *any* weight vector, including +Inf closures.
+// Hierarchy is the seam between the hierarchy and its *consumers*: the
+// point-to-point query and the PHAST tree builder consume this interface,
+// never the contraction that produced it. The one producer is cch: it
+// contracts metric-independently on a nested-dissection order (the
+// customizable-CH scheme of Dibbelt et al.), and each customization runs
+// a triangle relaxation that is exact for *any* weight vector, including
+// +Inf closures. A new weight vector is a new customization of the same
+// preprocessing; a hierarchy never re-customizes itself.
 //
 // Implementations are immutable after construction and safe for
 // concurrent queries.
 type Hierarchy interface {
-	// Graph returns the road network the hierarchy was built over.
-	Graph() *graph.Graph
-	// Kind names the producer ("cch") for logging.
-	Kind() string
-	// Rank returns the contraction order (higher rank = more important).
-	// The returned slice aliases internal storage and must not be modified.
-	Rank() []int32
 	// Dist returns the exact shortest travel time from s to t (+Inf if
 	// unreachable).
 	Dist(s, t graph.NodeID) float64
@@ -37,11 +31,6 @@ type Hierarchy interface {
 	Path(s, t graph.NodeID) ([]graph.EdgeID, float64)
 	// NewTreeBuilder derives the PHAST one-to-all tree builder.
 	NewTreeBuilder() *TreeBuilder
-	// Customize returns a hierarchy over the same contraction order and
-	// topology with arc weights rebuilt for the given vector by the
-	// triangle relaxation — the cheap live-traffic path (no
-	// re-contraction), exact for any metric. The receiver is not modified.
-	Customize(weights []float64) Hierarchy
 	// NumArcs returns the arc count (original edges + shortcuts), a
 	// preprocessing size measure.
 	NumArcs() int
@@ -72,7 +61,6 @@ type Arc struct {
 // and implements Hierarchy.
 type Runtime struct {
 	g    *graph.Graph
-	kind string
 	rank []int32 // contraction order; higher rank = more important
 	arcs []Arc
 	// Packed upward adjacency, CSR over nodes:
@@ -103,10 +91,6 @@ type Runtime struct {
 	// is therefore never strictly dominated itself). Indexed like arcs;
 	// nil means no arc is inert.
 	inert []bool
-	// customize handles Customize calls: the triangle relaxation of the
-	// preprocessing this runtime was customized from, installed by
-	// WithCustomize.
-	customize func([]float64) Hierarchy
 	// elim, when non-nil, switches Dist/Path to the elimination-tree
 	// engine (elimquery.go); nil keeps the bidirectional search (query.go).
 	elim *ElimTree
@@ -115,13 +99,11 @@ type Runtime struct {
 // NewRuntime assembles a hierarchy runtime from externally built arcs:
 // rank is the contraction order (a permutation) and from[i] the tail of
 // arcs[i]. The adjacency split is derived here; the input slices are
-// owned by the runtime afterwards. The result has no customize hook until
-// WithCustomize installs one.
-func NewRuntime(g *graph.Graph, kind string, rank []int32, from []graph.NodeID, arcs []Arc) *Runtime {
+// owned by the runtime afterwards.
+func NewRuntime(g *graph.Graph, rank []int32, from []graph.NodeID, arcs []Arc) *Runtime {
 	n := g.NumNodes()
 	h := &Runtime{
 		g:        g,
-		kind:     kind,
 		rank:     rank,
 		arcs:     arcs,
 		upFwdOff: make([]int32, n+1),
@@ -179,32 +161,24 @@ func (h *Runtime) upBwdAt(v graph.NodeID) []int32 {
 }
 
 // WithoutArcs returns a runtime sharing this runtime's graph, order,
-// adjacency, tails and hooks with no arc array and no weights — the
-// metric-free template a preprocessing caches so later customizations
-// reuse its adjacency through WithArcsInert instead of re-deriving it.
+// adjacency, tails and query engine with no arc array and no weights —
+// the metric-free template a preprocessing caches so later
+// customizations reuse its adjacency through WithArcsInert instead of
+// re-deriving it.
 func (h *Runtime) WithoutArcs() *Runtime {
 	rt := *h
 	rt.arcs, rt.arcW, rt.inert = nil, nil, nil
 	return &rt
 }
 
-// WithCustomize returns a runtime identical to this one except for the
-// customize hook Customize calls — how package cch makes every runtime
-// re-customize through the pass (basic or perfect) that produced it.
-func (h *Runtime) WithCustomize(fn func([]float64) Hierarchy) *Runtime {
-	rt := *h
-	rt.customize = fn
-	return &rt
-}
-
 // WithArcsInert returns a runtime sharing this runtime's graph, order,
-// adjacency, tails and hooks, with the arc array, its packed weight view
-// and the inert-arc mask replaced (all aligned; nil inert clears the mask)
-// — the zero-re-indexing handoff from a customization pass to a frozen
-// topology. The new arcs must be index-compatible with the old (same
-// tails and heads). arcW must hold arcs[i].Weight for every i; passing
-// the customization's own buffer keeps the swap allocation-free. A nil
-// arcW is derived here instead.
+// adjacency, tails and query engine, with the arc array, its packed
+// weight view and the inert-arc mask replaced (all aligned; nil inert
+// clears the mask) — the zero-re-indexing handoff from a customization
+// pass to a frozen topology. The new arcs must be index-compatible with
+// the old (same tails and heads). arcW must hold arcs[i].Weight for every
+// i; passing the customization's own buffer keeps the swap
+// allocation-free. A nil arcW is derived here instead.
 func (h *Runtime) WithArcsInert(arcs []Arc, arcW []float64, inert []bool) *Runtime {
 	rt := *h
 	rt.arcs = arcs
@@ -230,9 +204,9 @@ func (h *Runtime) WithElimTree(et *ElimTree) *Runtime {
 	return &rt
 }
 
-// Arcs exposes the runtime's arc array for bit-identity tests and
-// topology reports. The slice aliases internal storage: callers must not
-// modify it, and it is valid only while they hold the runtime.
+// Arcs exposes the runtime's arc array for bit-identity tests. The slice
+// aliases internal storage: callers must not modify it, and it is valid
+// only while they hold the runtime.
 func (h *Runtime) Arcs() []Arc { return h.arcs }
 
 // InertCount returns how many arcs the runtime's customization marked
@@ -246,19 +220,4 @@ func (h *Runtime) InertCount() int {
 		}
 	}
 	return count
-}
-
-// Graph implements Hierarchy.
-func (h *Runtime) Graph() *graph.Graph { return h.g }
-
-// Kind implements Hierarchy.
-func (h *Runtime) Kind() string { return h.kind }
-
-// Rank implements Hierarchy.
-func (h *Runtime) Rank() []int32 { return h.rank }
-
-// Customize implements Hierarchy by calling the hook WithCustomize
-// installed.
-func (h *Runtime) Customize(weights []float64) Hierarchy {
-	return h.customize(weights)
 }

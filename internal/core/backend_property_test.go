@@ -56,9 +56,9 @@ func TestBackendMatrix(t *testing.T) {
 	// cutover set before the row's planners are built — "ch" 0,
 	// "ch-restricted" 1, "ch-auto" the production RestrictedAutoFraction —
 	// and the rest names the CCH flavor × order × query engine. Tree pairs
-	// are full sweeps whatever the cutover, and the query engine only
-	// answers Hierarchy.Dist, which no planner calls: every row must match
-	// Dijkstra and resolve no selection.
+	// are full sweeps whatever the cutover, and the providers ignore
+	// Options.Query, so the bidij rows pin that it reaches no route: every
+	// row must match Dijkstra and resolve no selection.
 	sweeps := []struct {
 		name     string
 		fraction float64

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/ch"
 	"repro/internal/graph"
 	"repro/internal/traffic"
 	"repro/internal/weights"
@@ -67,19 +66,20 @@ func TestCCHServingExactUnderClosures(t *testing.T) {
 }
 
 // TestHierarchyStatusReporting covers the observability seam the server
-// logs per query: the kind of the runtime actually serving and
-// customization latencies, per planner.
+// logs per query: the kind of hierarchy actually serving and
+// customization latencies, per planner. It also pins that the
+// cch-perfect flavor survives every publish: each version of a perfect
+// planner sweeps fewer arcs than the same version of a plain cch planner
+// (perfect customization drops dominated arcs from the sweeps).
 func TestHierarchyStatusReporting(t *testing.T) {
 	g := testCity(t)
-	perfect := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCHPerfect})
-	cchP := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH})
-	dij := NewPlateaus(g, Options{})
+	store := weights.NewStore(g.BaseWeights())
+	perfect := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCHPerfect, Weights: store})
+	cchP := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH, Weights: store})
+	dij := NewPlateaus(g, Options{Weights: store})
 
 	if st := perfect.HierarchyStatus(); st.Kind != "cch" || st.LastCustomize <= 0 {
 		t.Fatalf("cch-perfect status = %+v, want kind cch with positive latency", st)
-	}
-	if rt := perfect.prov.cur.Load().hier.(*ch.Runtime); rt.InertCount() == 0 {
-		t.Fatal("cch-perfect planner serves a runtime with no inert arcs")
 	}
 	if st := cchP.HierarchyStatus(); st.Kind != "cch" || st.LastCustomize <= 0 {
 		t.Fatalf("cch status = %+v, want kind cch with positive latency", st)
@@ -87,8 +87,19 @@ func TestHierarchyStatusReporting(t *testing.T) {
 	if st := dij.HierarchyStatus(); st.Kind != "" || st.LastCustomize != 0 {
 		t.Fatalf("dijkstra-backend status = %+v, want zero", st)
 	}
+	sweepArcs := func(pl *Plateaus) int {
+		fwd, bwd := pl.prov.cur.Load().trees.(*cchTrees).tb.NumSweepArcs()
+		return fwd + bwd
+	}
+	checkPerfect := func(when string) {
+		t.Helper()
+		if p, c := sweepArcs(perfect), sweepArcs(cchP); p >= c {
+			t.Fatalf("%s: cch-perfect planner sweeps %d arcs, cch planner %d; want fewer", when, p, c)
+		}
+	}
+	checkPerfect("at construction")
 
-	router := NewRouter(nil, []Planner{perfect, cchP, dij, NewPenalty(g, Options{})})
+	router := NewRouter(nil, []Planner{perfect, cchP, dij, NewPenalty(g, Options{})}, store)
 	sts := router.HierarchyStatuses()
 	if len(sts) != 4 {
 		t.Fatalf("HierarchyStatuses length %d, want 4", len(sts))
@@ -96,6 +107,20 @@ func TestHierarchyStatusReporting(t *testing.T) {
 	if sts[0].Kind != "cch" || sts[1].Kind != "cch" || sts[2].Kind != "" || sts[3].Kind != "" {
 		t.Fatalf("statuses = %+v", sts)
 	}
+
+	next := make([]float64, len(g.BaseWeights()))
+	rng := rand.New(rand.NewSource(17))
+	for i, w := range g.BaseWeights() {
+		next[i] = w * (1 + 0.3*rng.Float64())
+	}
+	store.Publish(next)
+	router.Sync()
+	for _, pl := range []*Plateaus{perfect, cchP} {
+		if v := pl.WeightsVersion(); v != store.Version() {
+			t.Fatalf("post-sync planner at version %d, store at %d", v, store.Version())
+		}
+	}
+	checkPerfect("after a publish")
 }
 
 // TestConcurrentPublishWithBatchQueriesCCH is the CCH twin of the

@@ -125,12 +125,10 @@ type Options struct {
 	// per (graph, order kind). PlannerFlags fixes OrderFlow. Ignored on
 	// TreeDijkstra.
 	Order OrderKind
-	// Query selects the engine behind the hierarchy's point-to-point
-	// Hierarchy.Dist/Path, and configures nothing else: no planner or
-	// matrix calls them. QueryElimTree (the default) walks the
-	// elimination-tree root paths heap-free; QueryBidij keeps the
-	// bidirectional upward Dijkstra. Distances are bit-identical either
-	// way. Ignored on TreeDijkstra.
+	// Query is ignored: no provider builds a point-to-point query engine,
+	// since no planner or matrix asks one. It is kept only so the
+	// benchmark harness, which still names it, compiles until the
+	// point-to-point query is deleted.
 	Query QueryEngine
 	// ApplyUpperBoundToPenalty additionally filters Penalty routes by the
 	// upper bound — one of the "easily included" refinements of §IV-C.

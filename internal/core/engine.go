@@ -81,7 +81,7 @@ func (e *Engine) EvictCacheStale(floors map[Planner]weights.Version) {
 }
 
 // CacheStats reports cumulative cache hits and misses (zeros without a
-// cache) — the serving metric the demo server logs per query.
+// cache).
 func (e *Engine) CacheStats() (hits, misses uint64) {
 	if c := e.cache.Load(); c != nil {
 		return c.hits.Load(), c.misses.Load()

@@ -244,20 +244,6 @@ func TestCHSwapServesOldThenNew(t *testing.T) {
 	comparePlannersExact(t, fresh, pl, g, 8, 29)
 }
 
-// failingHierarchy is a real hierarchy whose next fails Customize calls
-// panic, standing in for a customization that fails.
-type failingHierarchy struct {
-	ch.Hierarchy
-	fails *atomic.Int32
-}
-
-func (h failingHierarchy) Customize(w []float64) ch.Hierarchy {
-	if h.fails.Add(-1) >= 0 {
-		panic("injected customization failure")
-	}
-	return h.Hierarchy.Customize(w)
-}
-
 // TestCustomizeFailureKeepsServing injects two failing customizations
 // into a ch-auto provider. The publish's background customization fails:
 // the process survives, queries keep answering on the old version, and
@@ -271,11 +257,17 @@ func TestCustomizeFailureKeepsServing(t *testing.T) {
 	router := NewRouter(NewEngine(2), []Planner{pl}, store)
 	s, dst, _ := banFastestRoute(t, g, pl, 13)
 
+	// The next two customizations panic, standing in for a customization
+	// that fails.
 	var fails atomic.Int32
 	fails.Store(2)
-	v := *pl.prov.cur.Load()
-	v.hier = failingHierarchy{v.hier, &fails}
-	pl.prov.cur.Store(&v)
+	customize := pl.prov.customize
+	pl.prov.customize = func(w []float64) *ch.TreeBuilder {
+		if fails.Add(-1) >= 0 {
+			panic("injected customization failure")
+		}
+		return customize(w)
+	}
 
 	// waitFailures waits until n rebuilds have failed and none runs.
 	waitFailures := func(n uint64) {

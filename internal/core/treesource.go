@@ -120,10 +120,10 @@ const (
 // or "flow") onto an OrderKind.
 func ParseOrderKind(s string) (OrderKind, error) { return cch.ParseOrderKind(s) }
 
-// QueryEngine selects the point-to-point distance engine behind the CCH
-// hierarchy's Dist/Path (ch.Hierarchy). It configures nothing else: tree
-// pairs and matrix rows come from PHAST/RPHAST sweeps, which neither
-// engine touches. Both engines return bit-identical distances.
+// QueryEngine names a point-to-point distance engine of the CCH
+// hierarchy's Dist/Path (ch.Hierarchy). It configures nothing: tree pairs
+// and matrix rows come from PHAST/RPHAST sweeps, and the providers ignore
+// Options.Query. Both engines return bit-identical distances.
 type QueryEngine uint8
 
 const (
@@ -178,15 +178,12 @@ func PlannerFlags(fs *flag.FlagSet, trees TreeBackend) func() (Options, error) {
 }
 
 // HierarchyStatus is the serving-layer observability record of one
-// planner's hierarchy backend: which flavor answers queries right now,
-// how long the most recent (re)customization took, how many background
-// customizations failed, and the matrix selection cache's state. Zero
-// for planners not running on a hierarchy.
+// planner's hierarchy backend: that one answers queries (Kind is
+// cch.Kind), how long the most recent (re)customization took, how many
+// background customizations failed, and the matrix selection cache's
+// state. Zero for planners not running on a hierarchy.
 type HierarchyStatus struct {
-	Kind string
-	// Order is the contraction-order pipeline ("geometric" or "flow")
-	// behind the hierarchy.
-	Order         string
+	Kind          string
 	LastCustomize time.Duration
 	// CustomizeFailures counts background customizations that panicked;
 	// each left the previous version serving.
@@ -213,7 +210,7 @@ type TreeSource interface {
 
 // dijkstraTrees is the paper-baseline source: two full Dijkstra trees.
 // (Per-version sources are constructed by provider.buildView, which owns
-// the backend selection and the CCH re-customization chain.)
+// the backend selection and each version's CCH customization.)
 type dijkstraTrees struct {
 	g       *graph.Graph
 	weights []float64
@@ -271,10 +268,10 @@ var selBufPool = sync.Pool{New: func() any { return new(selBuf) }}
 // selBuf is the pooled per-table scratch of the selection-cache path.
 type selBuf struct{ sig []graph.NodeID }
 
-func newCCHTrees(g *graph.Graph, hier ch.Hierarchy, maxTargets int, stats *selectionStats) *cchTrees {
+func newCCHTrees(g *graph.Graph, tb *ch.TreeBuilder, maxTargets int, stats *selectionStats) *cchTrees {
 	return &cchTrees{
 		g:          g,
-		tb:         hier.NewTreeBuilder(),
+		tb:         tb,
 		maxTargets: maxTargets,
 		stats:      stats,
 	}

@@ -32,41 +32,36 @@ func answer(pl Planner, s, t graph.NodeID) ([]path.Path, error) {
 }
 
 // view is one fully resolved weight version: the snapshot itself plus
-// whatever per-version state the planner's tree backend needs. Views are
-// immutable once installed; a query resolves exactly one view and uses it
-// for everything (trees, plateau costs, admission bounds), so its answer
-// is consistent under a single snapshot even while publishes race.
+// whatever per-version state the planner's tree backend needs (for
+// TreeCHAuto, the packed sweep arrays of the version's customization).
+// Views are immutable once installed; a query resolves exactly one view
+// and uses it for everything (trees, plateau costs, admission bounds), so
+// its answer is consistent under a single snapshot even while publishes
+// race.
 type view struct {
 	snap  *weights.Snapshot
 	trees TreeSource
-	// hier is kept for the TreeCHAuto backend so the next version can be
-	// customized — a weights-only rebuild through the ch.Hierarchy seam
-	// (CCH triangle relaxation) — instead of contracted from scratch.
-	hier ch.Hierarchy
 }
 
 // provider is the serving generation of one weight store: it resolves a
 // weights.Source into views, caching the current one behind an atomic
 // pointer. The Dijkstra backend rebuilds synchronously on the first
 // query that sees a new version; TreeCHAuto is double-buffered: the stale
-// view keeps serving while a single background goroutine re-customizes
-// the hierarchy, and the pointer swap is atomic. Planners
-// built together over one store share its provider (NewStudyPlanners), so
-// they serve the same version; a planner built alone owns one. A
-// superseded view is freed with the last query still holding it.
+// view keeps serving while a single background goroutine customizes the
+// city's preprocessing for the new weights, and the pointer swap is
+// atomic. Planners built together over one store share its provider
+// (NewStudyPlanners), so they serve the same version; a planner built
+// alone owns one. A superseded view is freed with the last query still
+// holding it.
 type provider struct {
-	g       *graph.Graph
-	src     weights.Source
-	backend TreeBackend
-	hkind   HierarchyKind // which CCH flavor backs TreeCHAuto
-	// order selects the nested-dissection pipeline of the CCH contraction
-	// (geometric or flow-refined separators). Baked into the shared
-	// preprocessing at first build.
-	order OrderKind
-	// query selects the CCH point-to-point engine behind Hierarchy.Dist
-	// (elimination-tree ascents by default). Carried into the hierarchy's
-	// customize hook, so every later re-customization inherits it.
-	query     QueryEngine
+	g   *graph.Graph
+	src weights.Source
+	// customize, set for a TreeCHAuto provider with trees, customizes the
+	// city's CCH preprocessing (resolved once, at construction) for one
+	// weight vector and packs the result into a PHAST tree builder. The
+	// customized runtime itself is garbage once packed: no request reads
+	// it.
+	customize func([]float64) *ch.TreeBuilder
 	needTrees bool // planners without a tree seam skip tree state
 	// maxTargets is the matrix cutover handed to every version's CCH
 	// source: autoFraction of the graph's nodes, fixed at construction.
@@ -75,8 +70,9 @@ type provider struct {
 	cur      atomic.Pointer[view]
 	mu       sync.Mutex  // serializes rebuilds
 	inflight atomic.Bool // coalesces concurrent async refreshes
-	// lastCustomize is the wall time (ns) of the most recent hierarchy
-	// build or customization — the per-swap latency the server logs.
+	// lastCustomize is the wall time (ns) of the most recent
+	// customization, the shared preprocessing excluded — the per-swap
+	// latency the server logs.
 	lastCustomize atomic.Int64
 	// customizeFailures counts background rebuilds that panicked; each
 	// left the previous view serving.
@@ -99,24 +95,23 @@ type provider struct {
 // newProvider builds the resolver for the planner labelled label and
 // synchronously installs the view of the source's current snapshot, so a
 // TreeCHAuto planner leaves its constructor with a ready hierarchy. The
-// backend/hierarchy/order/query knobs come from opts; a nil src pins the
+// backend, hierarchy and order knobs come from opts; a nil src pins the
 // graph's own base weights (note the Commercial planner passes its
 // private metric here, not opts.Weights).
 func newProvider(g *graph.Graph, src weights.Source, needTrees bool, opts Options, label string) *provider {
 	if src == nil {
 		src = weights.Pin(g.BaseWeights())
 	}
-	p := &provider{
-		g:         g,
-		src:       src,
-		backend:   opts.TreeBackend,
-		hkind:     opts.Hierarchy,
-		order:     opts.Order,
-		query:     opts.Query,
-		needTrees: needTrees,
-		label:     label,
-	}
+	p := &provider{g: g, src: src, needTrees: needTrees, label: label}
 	if needTrees && opts.TreeBackend == TreeCHAuto {
+		// The preprocessing is captured here, once: looking it up in the
+		// shared memo per version could find it evicted and contract the
+		// city again.
+		pre := cch.PreprocessSharedWith(g, cch.OrderConfig{Kind: opts.Order})
+		cfg := cch.Config{Perfect: opts.Hierarchy == HierarchyCCHPerfect}
+		p.customize = func(w []float64) *ch.TreeBuilder {
+			return pre.CustomizeWith(w, cfg).NewTreeBuilder()
+		}
 		p.maxTargets = int(autoFraction * float64(g.NumNodes()))
 		p.selStats = &selectionStats{}
 	}
@@ -135,7 +130,7 @@ func (p *provider) view() *view {
 	if cur.snap.Version() >= snap.Version() {
 		return cur
 	}
-	if p.backend != TreeCHAuto || !p.needTrees {
+	if p.customize == nil {
 		return p.rebuildTo(snap)
 	}
 	p.refreshAsync()
@@ -159,13 +154,12 @@ func (p *provider) servingVersion() weights.Version {
 // the most recent (re)customization; zero when the backend runs no
 // hierarchy.
 func (p *provider) hierarchyStatus() HierarchyStatus {
-	if p.backend != TreeCHAuto || !p.needTrees {
+	if p.customize == nil {
 		return HierarchyStatus{}
 	}
 	v := p.cur.Load()
 	return HierarchyStatus{
-		Kind:              v.hier.Kind(),
-		Order:             p.order.String(),
+		Kind:              cch.Kind,
 		LastCustomize:     time.Duration(p.lastCustomize.Load()),
 		CustomizeFailures: p.customizeFailures.Load(),
 		SelectionHits:     p.selStats.selHits.Load(),
@@ -184,7 +178,7 @@ func (p *provider) rebuildTo(snap *weights.Snapshot) *view {
 	if cur != nil && cur.snap.Version() >= snap.Version() {
 		return cur
 	}
-	v := p.buildView(snap, cur)
+	v := p.buildView(snap)
 	p.cur.Store(v)
 	return v
 }
@@ -222,36 +216,24 @@ func (p *provider) refreshSync() {
 	p.rebuildTo(p.src.Snapshot())
 }
 
-// buildView constructs the per-version state. For TreeCHAuto, prev's
-// hierarchy (when available) is customized through the ch.Hierarchy seam
-// — the always-exact triangle relaxation on the frozen contraction —
-// instead of contracting from scratch.
-func (p *provider) buildView(snap *weights.Snapshot, prev *view) *view {
+// buildView constructs the per-version state. For TreeCHAuto that is one
+// customization of the city's preprocessing — the always-exact triangle
+// relaxation on the frozen contraction, never a re-contraction.
+func (p *provider) buildView(snap *weights.Snapshot) *view {
 	v := &view{snap: snap}
 	if !p.needTrees {
 		return v
 	}
 	w := snap.Weights()
-	if p.backend != TreeCHAuto {
+	if p.customize == nil {
 		v.trees = dijkstraTrees{g: p.g, weights: w}
 		return v
 	}
 	start := time.Now()
-	if prev != nil && prev.hier != nil {
-		// The customize hook closes over the original Config, so the
-		// perfect/query choices survive every re-customization.
-		v.hier = prev.hier.Customize(w)
-	} else {
-		v.hier = cch.BuildWith(p.g, w, cch.Config{
-			Order:      cch.OrderConfig{Kind: p.order},
-			Perfect:    p.hkind == HierarchyCCHPerfect,
-			BidirQuery: p.query == QueryBidij,
-		})
-	}
-	// A fresh source per version: its matrix selection cache must
-	// never survive a weight swap (the selections index the old tree
-	// builder's arcs).
-	v.trees = newCCHTrees(p.g, v.hier, p.maxTargets, p.selStats)
+	// A fresh source per version: its matrix selection cache must never
+	// survive a weight swap (the selections index the old tree builder's
+	// arcs).
+	v.trees = newCCHTrees(p.g, p.customize(w), p.maxTargets, p.selStats)
 	elapsed := time.Since(start)
 	p.lastCustomize.Store(int64(elapsed))
 	p.metrics.Load().observeCustomize(p.label, elapsed)

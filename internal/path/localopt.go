@@ -1,6 +1,8 @@
 package path
 
 import (
+	"math"
+
 	"repro/internal/graph"
 	"repro/internal/sp"
 )
@@ -19,6 +21,20 @@ import (
 // The check runs one pruned Dijkstra per window start, so it is intended
 // for evaluation and tests, not for the hot query path.
 func CheckLocalOptimality(g *graph.Graph, weights []float64, p Path, windowS float64) float64 {
+	return worstWindowRatio(g, weights, p, windowS, math.Inf(1))
+}
+
+// IsLocallyOptimal reports whether every windowed subpath of p is within
+// tolerance of a true shortest path (ratio ≤ 1+tolerance). It stops at
+// the first window over the tolerance.
+func IsLocallyOptimal(g *graph.Graph, weights []float64, p Path, windowS, tolerance float64) bool {
+	return worstWindowRatio(g, weights, p, windowS, 1+tolerance) <= 1+tolerance
+}
+
+// worstWindowRatio is CheckLocalOptimality's window loop. It returns as
+// soon as the worst ratio exceeds stop, so the result is exact whenever
+// it is at most stop and otherwise only known to exceed it.
+func worstWindowRatio(g *graph.Graph, weights []float64, p Path, windowS, stop float64) float64 {
 	if len(p.Edges) < 2 {
 		return 1
 	}
@@ -48,14 +64,11 @@ func CheckLocalOptimality(g *graph.Graph, weights []float64, p Path, windowS flo
 		if optimal > 0 {
 			if r := subCost / optimal; r > worst {
 				worst = r
+				if worst > stop {
+					return worst
+				}
 			}
 		}
 	}
 	return worst
-}
-
-// IsLocallyOptimal reports whether every windowed subpath of p is within
-// tolerance of a true shortest path (ratio ≤ 1+tolerance).
-func IsLocallyOptimal(g *graph.Graph, weights []float64, p Path, windowS, tolerance float64) bool {
-	return CheckLocalOptimality(g, weights, p, windowS) <= 1+tolerance
 }

@@ -353,6 +353,22 @@ func TestUnionShare(t *testing.T) {
 	}
 }
 
+// randomWalk follows up to steps random out-edges of g from start.
+func randomWalk(g *graph.Graph, w []float64, rng *rand.Rand, start graph.NodeID, steps int) Path {
+	edges := []graph.EdgeID{}
+	cur := start
+	for i := 0; i < steps; i++ {
+		out := g.OutEdges(cur)
+		if len(out) == 0 {
+			break
+		}
+		e := out[rng.Intn(len(out))]
+		edges = append(edges, e)
+		cur = g.Edge(e).To
+	}
+	return MustNew(g, w, start, edges)
+}
+
 func TestUnionShareBoundsJaccard(t *testing.T) {
 	// For any candidate p and set P: Jaccard(p, q) ≤ UnionShare(p, P) for
 	// every q in P — the property the Dissimilarity planner relies on.
@@ -360,25 +376,11 @@ func TestUnionShareBoundsJaccard(t *testing.T) {
 	g := ladder(n)
 	w := g.CopyWeights()
 	rng := rand.New(rand.NewSource(11))
-	randomWalk := func(start graph.NodeID, steps int) Path {
-		edges := []graph.EdgeID{}
-		cur := start
-		for i := 0; i < steps; i++ {
-			out := g.OutEdges(cur)
-			if len(out) == 0 {
-				break
-			}
-			e := out[rng.Intn(len(out))]
-			edges = append(edges, e)
-			cur = g.Edge(e).To
-		}
-		return MustNew(g, w, start, edges)
-	}
 	for i := 0; i < 60; i++ {
-		p := randomWalk(graph.NodeID(rng.Intn(2*n)), 1+rng.Intn(12))
+		p := randomWalk(g, w, rng, graph.NodeID(rng.Intn(2*n)), 1+rng.Intn(12))
 		set := []Path{
-			randomWalk(graph.NodeID(rng.Intn(2*n)), 1+rng.Intn(12)),
-			randomWalk(graph.NodeID(rng.Intn(2*n)), 1+rng.Intn(12)),
+			randomWalk(g, w, rng, graph.NodeID(rng.Intn(2*n)), 1+rng.Intn(12)),
+			randomWalk(g, w, rng, graph.NodeID(rng.Intn(2*n)), 1+rng.Intn(12)),
 		}
 		share := UnionShare(g, p, set)
 		for _, q := range set {
@@ -421,6 +423,34 @@ func TestLocalOptimality(t *testing.T) {
 	// Trivial paths are vacuously optimal.
 	if got := CheckLocalOptimality(g, w, MustNew(g, w, 0, nil), 100); got != 1 {
 		t.Errorf("empty path ratio = %f, want 1", got)
+	}
+
+	// IsLocallyOptimal stops at the first window over the tolerance; it
+	// must still agree with the worst ratio over every window. Random
+	// walks on randomly weighted ladders give ratios on both sides of each
+	// tolerance, and some tolerances sit exactly on a path's worst ratio.
+	rng := rand.New(rand.NewSource(23))
+	g = ladder(12)
+	over := 0
+	for i := 0; i < 300; i++ {
+		w := g.CopyWeights()
+		for e := range w {
+			w[e] *= 0.5 + rng.Float64()
+		}
+		p := randomWalk(g, w, rng, graph.NodeID(rng.Intn(g.NumNodes())), 2+rng.Intn(14))
+		window := p.TimeS * (0.2 + rng.Float64())
+		ratio := CheckLocalOptimality(g, w, p, window)
+		for _, tol := range []float64{0, 0.01, 0.2 * rng.Float64(), rng.Float64(), ratio - 1} {
+			if got, want := IsLocallyOptimal(g, w, p, window, tol), ratio <= 1+tol; got != want {
+				t.Fatalf("walk %d, window %.1f s, tolerance %g: IsLocallyOptimal = %v, worst ratio %g", i, window, tol, got, ratio)
+			}
+			if ratio > 1+tol {
+				over++
+			}
+		}
+	}
+	if over == 0 {
+		t.Fatal("no random walk exceeded a tolerance; the rows test nothing")
 	}
 }
 

@@ -151,12 +151,6 @@ func (idx *Index) NearestWithin(p geo.Point, maxMeters float64) (graph.NodeID, f
 	return v, d
 }
 
-// InCell returns the number of vertices stored in the cell containing p.
-// Exposed for testing and diagnostics.
-func (idx *Index) InCell(p geo.Point) int {
-	return len(idx.cells[idx.cellOf(p)])
-}
-
 // NumCells returns the number of grid cells (rows × cols). Cell ids are
 // row-major in [0, NumCells).
 func (idx *Index) NumCells() int { return idx.rows * idx.cols }
