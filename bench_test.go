@@ -11,7 +11,6 @@ package repro
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -384,7 +383,7 @@ func TestPlateausTreeSweepZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	g := benchGrid(40, 40)
-	tb := cch.Build(g, g.CopyWeights()).NewTreeBuilder()
+	tb := cch.PreprocessShared(g).Customize(g.CopyWeights()).NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	s, dst := graph.NodeID(0), graph.NodeID(g.NumNodes()-1)
 	build := func() {
@@ -444,7 +443,7 @@ func benchShortGridPair(cols int) (s, t graph.NodeID) {
 func BenchmarkPHASTFullGrid50(b *testing.B) {
 	g := benchGrid(50, 50)
 	w := g.CopyWeights()
-	tb := cch.Build(g, w).NewTreeBuilder()
+	tb := cch.PreprocessShared(g).Customize(w).NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	s, t := benchShortGridPair(50)
 	b.ResetTimer()
@@ -457,7 +456,7 @@ func BenchmarkPHASTFullGrid50(b *testing.B) {
 func BenchmarkRPHASTGrid50(b *testing.B) {
 	g := benchGrid(50, 50)
 	w := g.CopyWeights()
-	h := cch.Build(g, w)
+	h := cch.PreprocessShared(g).Customize(w)
 	tb := h.NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	s, t := benchShortGridPair(50)
@@ -475,7 +474,7 @@ func BenchmarkRPHASTGrid50(b *testing.B) {
 func BenchmarkRPHASTSelectGrid50(b *testing.B) {
 	g := benchGrid(50, 50)
 	w := g.CopyWeights()
-	h := cch.Build(g, w)
+	h := cch.PreprocessShared(g).Customize(w)
 	tb := h.NewTreeBuilder()
 	s, t := benchShortGridPair(50)
 	targets := rphastTargets(b, g, w, h, s, t)
@@ -502,7 +501,7 @@ func benchMelbourneShortPair(b *testing.B, city *eval.City) (s, t graph.NodeID) 
 func BenchmarkPHASTFullMelbourne(b *testing.B) {
 	study := benchSetup(b)
 	city := study.Cities["Melbourne"]
-	tb := cch.Build(city.Graph, city.Public).NewTreeBuilder()
+	tb := cch.PreprocessShared(city.Graph).Customize(city.Public).NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	s, t := benchMelbourneShortPair(b, city)
 	b.ResetTimer()
@@ -515,7 +514,7 @@ func BenchmarkPHASTFullMelbourne(b *testing.B) {
 func BenchmarkRPHASTMelbourne(b *testing.B) {
 	study := benchSetup(b)
 	city := study.Cities["Melbourne"]
-	h := cch.Build(city.Graph, city.Public)
+	h := cch.PreprocessShared(city.Graph).Customize(city.Public)
 	tb := h.NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	s, t := benchMelbourneShortPair(b, city)
@@ -529,7 +528,7 @@ func BenchmarkRPHASTMelbourne(b *testing.B) {
 
 func BenchmarkMicroCHDist(b *testing.B) {
 	g, w := benchCityGraph(b)
-	h := cch.Build(g, w)
+	h := cch.PreprocessShared(g).Customize(w)
 	dst := graph.NodeID(g.NumNodes() - 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -537,14 +536,12 @@ func BenchmarkMicroCHDist(b *testing.B) {
 	}
 }
 
-// --- Point-to-point query engines (elimination tree vs bidirectional) --------
+// --- Point-to-point query (elimination-tree ascent) -------------------------
 //
-// The CCH flavors answer Dist two ways: the heap-free elimination-tree
-// ascent (the default) and the bidirectional upward Dijkstra it replaced.
-// Both return bit-identical distances; these benchmarks measure the gap
-// on Melbourne short- and long-range pairs under both contraction orders.
-// Run with -benchmem: the elimination-tree path must stay at 0 allocs/op
-// warm.
+// The CCH answers Dist by the heap-free elimination-tree ascent. This
+// benchmark measures it on Melbourne short- and long-range pairs under
+// both contraction orders. Run with -benchmem: it must stay at 0
+// allocs/op warm.
 
 // benchMelbourneLongPair picks two intersections on opposite sides of the
 // network — the long-range query whose ascents walk near-full root paths.
@@ -585,21 +582,19 @@ func benchMelbourneShortPairs(b *testing.B, city *eval.City) []benchPair {
 	return pairs
 }
 
-// benchQueryEngine runs Dist on the chosen engine over both contraction
-// orders and three query ranges: short is the city-center ~1.2km pair
-// every per-query benchmark in this file uses (benchMelbourneShortPair),
-// shortmix rotates through the eight-neighborhood sample so separator
-// geometry is averaged rather than hinging on one lucky cell, and long
-// is a cross-city pair.
-func benchQueryEngine(b *testing.B, bidir bool) {
+// BenchmarkElimTreeDist runs Dist over both contraction orders and three
+// query ranges: short is the city-center ~1.2km pair every per-query
+// benchmark in this file uses (benchMelbourneShortPair), shortmix rotates
+// through the eight-neighborhood sample so separator geometry is averaged
+// rather than hinging on one lucky cell, and long is a cross-city pair.
+func BenchmarkElimTreeDist(b *testing.B) {
 	study := benchSetup(b)
 	city := study.Cities["Melbourne"]
 	for _, ord := range []struct {
 		name string
 		kind cch.OrderKind
 	}{{"geometric", cch.OrderGeometric}, {"flow", cch.OrderFlow}} {
-		pre := cch.PreprocessWith(city.Graph, cch.OrderConfig{Kind: ord.kind})
-		h := pre.CustomizeWith(city.Public, cch.Config{BidirQuery: bidir})
+		h := cch.PreprocessWith(city.Graph, cch.OrderConfig{Kind: ord.kind}).Customize(city.Public)
 		ss, st := benchMelbourneShortPair(b, city)
 		mix := benchMelbourneShortPairs(b, city)
 		ls, lt := benchMelbourneLongPair(b, city)
@@ -618,10 +613,6 @@ func benchQueryEngine(b *testing.B, bidir bool) {
 		}
 	}
 }
-
-func BenchmarkElimTreeDist(b *testing.B) { benchQueryEngine(b, false) }
-
-func BenchmarkCHDist(b *testing.B) { benchQueryEngine(b, true) }
 
 // --- Live traffic: CCH preprocessing vs per-publish customization -----------
 
@@ -650,29 +641,7 @@ func BenchmarkCCHCustomize(b *testing.B) {
 	snap := city.Seq.WeightsAt(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Workers pinned to 1: this benchmark tracks the serial sweep
-		// across history; the default (parallel) publish path is
-		// BenchmarkCCHCustomizeParallel.
-		h := pre.CustomizeWith(snap, cch.Config{Workers: 1})
-		if h.NewTreeBuilder() == nil {
-			b.Fatal("no tree builder")
-		}
-	}
-}
-
-// BenchmarkCCHCustomizeParallel is BenchmarkCCHCustomize with the
-// level-parallel fan-out enabled (GOMAXPROCS workers, the Customize
-// default): the publish latency a serving deployment actually pays. The
-// arcs are bit-identical to the serial sweep, so the delta to
-// BenchmarkCCHCustomize is pure wall-clock.
-func BenchmarkCCHCustomizeParallel(b *testing.B) {
-	study := benchSetup(b)
-	city := study.Cities["Melbourne"]
-	pre := cch.Preprocess(city.Graph)
-	snap := city.Seq.WeightsAt(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := pre.CustomizeWith(snap, cch.Config{Workers: runtime.GOMAXPROCS(0)})
+		h := pre.Customize(snap)
 		if h.NewTreeBuilder() == nil {
 			b.Fatal("no tree builder")
 		}
@@ -726,8 +695,8 @@ func BenchmarkOrderFlow(b *testing.B) {
 	}
 }
 
-// BenchmarkCCHCustomizeFlowOrder is BenchmarkCCHCustomize (serial sweep,
-// Workers 1) on the flow-refined order: fewer separator nodes mean fewer
+// BenchmarkCCHCustomizeFlowOrder is BenchmarkCCHCustomize on the
+// flow-refined order: fewer separator nodes mean fewer
 // pairs and triangles, so the same publish costs measurably less — the
 // per-snapshot payoff of the more expensive preprocessing.
 func BenchmarkCCHCustomizeFlowOrder(b *testing.B) {
@@ -737,7 +706,7 @@ func BenchmarkCCHCustomizeFlowOrder(b *testing.B) {
 	snap := city.Seq.WeightsAt(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h := pre.CustomizeWith(snap, cch.Config{Workers: 1})
+		h := pre.Customize(snap)
 		if h.NewTreeBuilder() == nil {
 			b.Fatal("no tree builder")
 		}
@@ -966,7 +935,7 @@ func BenchmarkMatrixPairwiseMelbourne(b *testing.B) { benchMatrixMelbourne(b, 16
 func BenchmarkSelectionCacheSelect(b *testing.B) {
 	city := benchGridCity(50, 50)
 	w := city.Graph.CopyWeights()
-	tb := cch.Build(city.Graph, w).NewTreeBuilder()
+	tb := cch.PreprocessShared(city.Graph).Customize(w).NewTreeBuilder()
 	targets := benchClusteredNodes(b, city, 16, 700, 500, 1200, 102)
 	sel := tb.Select(targets, nil)
 	b.ReportAllocs()

@@ -14,8 +14,8 @@
 //   - Customize instantiates the topology for one weight vector: slots
 //     start at the cheapest original edge (+Inf when none) and one
 //     bottom-up sweep relaxes every lower triangle
-//     (w(x→y) ≤ w(x→z) + w(z→y)). After the sweep, bidirectional upward
-//     searches — and therefore PHAST sweeps and every planner consuming
+//     (w(x→y) ≤ w(x→z) + w(z→y)). After the sweep, upward searches —
+//     elimination-tree ascents, PHAST sweeps and every planner consuming
 //     trees — are exact for *any* weight vector, including +Inf closures,
 //     because any shortest path rewrites into an equal-weight up-down path
 //     by repeatedly bypassing its lowest interior vertex through the
@@ -40,9 +40,10 @@ const Kind = "cch"
 
 // Preprocessed is the metric-independent half of a customizable
 // hierarchy: the nested-dissection order, the chordal arc topology, the
-// lower-triangle lists and the original-edge mapping. It is immutable
-// after Preprocess and safe for concurrent Customize calls; it holds no
-// weights of its own.
+// lower-triangle lists, the original-edge mapping and the metric-free
+// runtime every customization shares. It is immutable after Preprocess
+// and safe for concurrent Customize calls; it holds no weights of its
+// own.
 type Preprocessed struct {
 	g         *graph.Graph
 	orderKind OrderKind
@@ -63,41 +64,17 @@ type Preprocessed struct {
 	// upEdges are lo→hi road edges, downEdges hi→lo.
 	upOff, downOff     []int32
 	upEdges, downEdges []graph.EdgeID
-	// arcFrom is the runtime tail array (2 arcs per pair: up then down),
-	// shared by every customization.
-	arcFrom []graph.NodeID
-	// Packed dependency-level CSR (levels.go): levelPairs grouped by
-	// ascending level, levelOff bounding each level's group — the wave
-	// structure level-parallel customization runs over.
-	levelOff   []int32
-	levelPairs []int32
 	// elim is the elimination tree of the chordal supergraph (parent =
-	// lowest-ranked upward neighbor), built once here and attached to
-	// every customized runtime — the topology the heap-free query engine
-	// walks. Metric-independent like everything else in a Preprocessed.
+	// lowest-ranked upward neighbor) — the topology the point-to-point
+	// query walks. Metric-independent like everything else in a
+	// Preprocessed.
 	elim *ch.ElimTree
-
-	// template caches the first customized runtime so later Customize
-	// calls share its adjacency arrays instead of re-deriving them.
-	mu       sync.Mutex
-	template *ch.Runtime
+	// rt is the metric-free runtime (order, arc tails and heads, upward
+	// adjacency, elimination tree) every customization attaches its arcs
+	// to, built once here.
+	rt *ch.Runtime
 	// soa pools the flat weight vectors of the triangle loops.
 	soa sync.Pool
-}
-
-// Build preprocesses g metric-independently and customizes the result for
-// the given weights. Following weight snapshots are customizations of the
-// same preprocessing (PreprocessShared(g).Customize); only the first call
-// pays for contraction.
-//
-// Preprocessing is shared: because a Preprocessed depends only on the
-// graph (never on weights) and is safe for concurrent Customize calls,
-// Build memoizes the most recent graph's preprocessing process-wide. The
-// common serving shape — several planners (public and private metric) on
-// one city network — therefore contracts each network once, not once per
-// planner.
-func Build(g *graph.Graph, weights []float64) ch.Hierarchy {
-	return PreprocessShared(g).Customize(weights)
 }
 
 // sharedPreCap bounds the process-wide preprocessing memo. Four entries
@@ -294,10 +271,13 @@ func PreprocessWith(g *graph.Graph, ocfg OrderConfig) *Preprocessed {
 		}
 	}
 
-	p.arcFrom = make([]graph.NodeID, 2*P)
+	// Runtime arcs: pair i's up arc lo→hi is arc 2i, its down arc hi→lo
+	// arc 2i+1.
+	from := make([]graph.NodeID, 2*P)
+	to := make([]graph.NodeID, 2*P)
 	for i := 0; i < P; i++ {
-		p.arcFrom[2*i] = p.lo[i]
-		p.arcFrom[2*i+1] = p.hi[i]
+		from[2*i], to[2*i] = p.lo[i], p.hi[i]
+		from[2*i+1], to[2*i+1] = p.hi[i], p.lo[i]
 	}
 
 	// Elimination tree: a node's parent is its lowest-ranked upward
@@ -320,8 +300,8 @@ func PreprocessWith(g *graph.Graph, ocfg OrderConfig) *Preprocessed {
 		}
 	}
 	p.elim = &ch.ElimTree{Parent: parent, Depth: depth}
+	p.rt = ch.NewRuntime(g, p.rank, from, to, p.elim)
 
-	p.computeLevels()
 	p.soa.New = func() any {
 		return &soaScratch{upW: make([]float64, P), downW: make([]float64, P)}
 	}
@@ -376,6 +356,6 @@ func (p *Preprocessed) NumTriangles() int { return len(p.triLoSide) }
 func (p *Preprocessed) Rank() []int32 { return p.rank }
 
 // ElimTree returns the elimination tree of the chordal supergraph — the
-// root-path topology the heap-free query engine ascends. Shared by every
+// root-path topology the point-to-point query ascends. Shared by every
 // customization; immutable.
 func (p *Preprocessed) ElimTree() *ch.ElimTree { return p.elim }

@@ -97,14 +97,14 @@ func checkDistances(t *testing.T, g *graph.Graph, h ch.Hierarchy, w []float64, q
 func TestDistMatchesDijkstraGrid(t *testing.T) {
 	g := gridCity(12, 12)
 	w := g.CopyWeights()
-	checkDistances(t, g, Build(g, w), w, 60, 1)
+	checkDistances(t, g, PreprocessShared(g).Customize(w), w, 60, 1)
 }
 
 func TestDistMatchesDijkstraRandomDirected(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := randomCity(seed, 150)
 		w := g.CopyWeights()
-		checkDistances(t, g, Build(g, w), w, 40, seed+50)
+		checkDistances(t, g, PreprocessShared(g).Customize(w), w, 40, seed+50)
 	}
 }
 
@@ -215,7 +215,7 @@ func TestTreeBuilderMatchesDijkstra(t *testing.T) {
 		banned[e] = true
 		w[e] = math.Inf(1)
 	}
-	tb := Build(g, w).NewTreeBuilder()
+	tb := PreprocessShared(g).Customize(w).NewTreeBuilder()
 	ws := sp.GetWorkspace()
 	defer ws.Release()
 	for s := graph.NodeID(0); int(s) < g.NumNodes(); s += 7 {

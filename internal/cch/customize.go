@@ -2,21 +2,17 @@ package cch
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/ch"
 )
 
-// Config tunes one customization pass. The zero value selects a worker
-// count from GOMAXPROCS, basic (non-perfect) output and elimination-tree
-// queries. The order pipeline is not part of it: it is baked into the
-// Preprocessed being customized.
+// Config tunes one customization pass. The zero value selects basic
+// (non-perfect) output. The order pipeline is not part of it: it is baked
+// into the Preprocessed being customized.
 type Config struct {
-	// Workers bounds the per-level fan-out of the triangle relaxation.
-	// 0 (or negative) selects runtime.GOMAXPROCS(0); 1 forces the serial
-	// sweep. Any value produces bit-identical arcs — levels only group
-	// independent pairs — so parallelism is purely a latency knob.
+	// Workers is ignored: the triangle relaxation is one serial sweep.
+	// It is kept only so the benchmark harness, which still names it,
+	// compiles.
 	Workers int
 	// Perfect enables the descending perfect-customization post-pass:
 	// arcs whose basic weight is strictly dominated by a path through an
@@ -24,11 +20,6 @@ type Config struct {
 	// PHAST sweeps and RPHAST selections skip them. Roughly doubles
 	// customization cost; shrinks every subsequent sweep.
 	Perfect bool
-	// BidirQuery keeps the bidirectional upward Dijkstra for
-	// point-to-point queries instead of the default elimination-tree
-	// engine. Both return bit-identical distances; the toggle exists for
-	// ablations and the engine-equivalence tests.
-	BidirQuery bool
 }
 
 // soaScratch holds the flat structure-of-arrays weight vectors the
@@ -42,32 +33,26 @@ type soaScratch struct {
 
 // Customize instantiates the preprocessed topology for one weight vector
 // with the default Config: every slot starts at its cheapest original
-// edge (+Inf when none), then the lower-triangle relaxation runs level
-// by level (fanned over GOMAXPROCS workers when levels are wide enough),
-// recording winning decompositions so shortcut arcs unpack to original
-// edge sequences. The result is exact for arbitrary weights — congestion
-// of any magnitude, +Inf closures — and each call is independent, so a
-// serving layer can customize in the background and swap atomically.
+// edge (+Inf when none), then one ascending sweep relaxes every lower
+// triangle, recording winning decompositions so shortcut arcs unpack to
+// original edge sequences. The result is exact for arbitrary weights —
+// congestion of any magnitude, +Inf closures — and each call is
+// independent, so a serving layer can customize in the background and
+// swap atomically.
 func (p *Preprocessed) Customize(weights []float64) ch.Hierarchy {
 	return p.CustomizeWith(weights, Config{})
 }
 
-// CustomizeWith is Customize with explicit worker and perfect-pass
-// control. All configurations produce bit-identical basic arcs; Perfect
-// additionally marks strictly dominated arcs inert (weights and
-// unpacking untouched, so route sets are unchanged too).
+// CustomizeWith is Customize with perfect-pass control. Perfect
+// additionally marks strictly dominated arcs inert (weights and unpacking
+// untouched, so route sets are unchanged too).
 //
 // Each call allocates the arc array (and packed weights, and inert mask)
-// its runtime owns: a superseded customization is freed with the last
-// reference to its runtime, so nothing has to track which queries still
-// read it.
+// its runtime owns and attaches them to the preprocessing's metric-free
+// runtime: a superseded customization is freed with the last reference
+// to its runtime, so nothing has to track which queries still read it.
 func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy {
 	P := len(p.lo)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	arcs := make([]ch.Arc, 2*P)
 	sc := p.soa.Get().(*soaScratch)
 	upW, downW := sc.upW, sc.downW
@@ -97,86 +82,28 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 		arcs[2*i], arcs[2*i+1] = up, down
 	}
 
-	// Triangle relaxation. Skip arcs record the winning decomposition in
-	// path order: up (lo→hi) via z is lo→z then z→hi; down (hi→lo) is
+	// Triangle relaxation in ascending pair order: a pair's lower
+	// triangles reference only pairs with a strictly smaller index, so
+	// each is final when read. Skip arcs record the winning decomposition
+	// in path order: up (lo→hi) via z is lo→z then z→hi; down (hi→lo) is
 	// hi→z then z→lo. The up arc of pair q is arc 2q, the down arc 2q+1.
-	// A pair's relaxation writes only its own two slots and reads only
-	// strictly lower levels, so the level grouping makes any execution
-	// order within a level — serial ascending included — produce
-	// bit-identical arcs.
-	relax := func(pairs []int32) {
-		for _, i := range pairs {
-			up, down := &arcs[2*i], &arcs[2*i+1]
-			wu, wd := upW[i], downW[i]
-			for k := p.triOff[i]; k < p.triOff[i+1]; k++ {
-				za, zb := p.triLoSide[k], p.triHiSide[k]
-				if c := downW[za] + upW[zb]; c < wu {
-					wu = c
-					up.Orig = -1
-					up.Skip1, up.Skip2 = 2*za+1, 2*zb
-				}
-				if c := downW[zb] + upW[za]; c < wd {
-					wd = c
-					down.Orig = -1
-					down.Skip1, down.Skip2 = 2*zb+1, 2*za
-				}
+	for i := int32(0); i < int32(P); i++ {
+		up, down := &arcs[2*i], &arcs[2*i+1]
+		wu, wd := upW[i], downW[i]
+		for k := p.triOff[i]; k < p.triOff[i+1]; k++ {
+			za, zb := p.triLoSide[k], p.triHiSide[k]
+			if c := downW[za] + upW[zb]; c < wu {
+				wu = c
+				up.Orig = -1
+				up.Skip1, up.Skip2 = 2*za+1, 2*zb
 			}
-			upW[i], downW[i] = wu, wd
+			if c := downW[zb] + upW[za]; c < wd {
+				wd = c
+				down.Orig = -1
+				down.Skip1, down.Skip2 = 2*zb+1, 2*za
+			}
 		}
-	}
-	if workers == 1 {
-		// Serial fast path: plain ascending pair order streams the
-		// triangle arrays sequentially instead of hopping through the
-		// level permutation — same arcs, much friendlier cache behavior.
-		for i := int32(0); i < int32(P); i++ {
-			up, down := &arcs[2*i], &arcs[2*i+1]
-			wu, wd := upW[i], downW[i]
-			for k := p.triOff[i]; k < p.triOff[i+1]; k++ {
-				za, zb := p.triLoSide[k], p.triHiSide[k]
-				if c := downW[za] + upW[zb]; c < wu {
-					wu = c
-					up.Orig = -1
-					up.Skip1, up.Skip2 = 2*za+1, 2*zb
-				}
-				if c := downW[zb] + upW[za]; c < wd {
-					wd = c
-					down.Orig = -1
-					down.Skip1, down.Skip2 = 2*zb+1, 2*za
-				}
-			}
-			upW[i], downW[i] = wu, wd
-		}
-	} else {
-		// parallelGrain is the minimum number of pairs per worker that
-		// makes a goroutine handoff worth its latency; narrower levels
-		// run inline.
-		const parallelGrain = 512
-		for L := 1; L < p.NumLevels(); L++ { // level 0 has no triangles
-			pairs := p.levelPairs[p.levelOff[L]:p.levelOff[L+1]]
-			chunks := len(pairs) / parallelGrain
-			if chunks > workers {
-				chunks = workers
-			}
-			if chunks <= 1 {
-				relax(pairs)
-				continue
-			}
-			size := (len(pairs) + chunks - 1) / chunks
-			var wg sync.WaitGroup
-			for c := 0; c < chunks; c++ {
-				lo := c * size
-				hi := lo + size
-				if hi > len(pairs) {
-					hi = len(pairs)
-				}
-				wg.Add(1)
-				go func(ps []int32) {
-					defer wg.Done()
-					relax(ps)
-				}(pairs[lo:hi])
-			}
-			wg.Wait()
-		}
+		upW[i], downW[i] = wu, wd
 	}
 
 	// Pack the final weights back into the arc records and the packed
@@ -195,31 +122,7 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 	}
 
 	p.soa.Put(sc)
-
-	p.mu.Lock()
-	tmpl := p.template
-	p.mu.Unlock()
-	if tmpl == nil {
-		rt := ch.NewRuntime(p.g, p.rank, p.arcFrom, arcs)
-		p.mu.Lock()
-		if p.template == nil {
-			// Cache only the shared adjacency (arcs nilled): the template
-			// exists for WithArcsInert, and pinning one customization's
-			// full arc array would hold megabytes per city for the
-			// process lifetime.
-			p.template = rt.WithoutArcs()
-		}
-		tmpl = p.template
-		p.mu.Unlock()
-	}
-	rt := tmpl.WithArcsInert(arcs, arcW, inert)
-	if !cfg.BidirQuery {
-		// The chordal supergraph's upward neighborhoods are cliques, so the
-		// elimination tree carries the whole upward search space: queries
-		// on this runtime walk root paths instead of running a heap.
-		rt = rt.WithElimTree(p.elim)
-	}
-	return rt
+	return p.rt.WithArcsInert(arcs, arcW, inert)
 }
 
 // perfectPass runs perfect customization: a descending sweep that, per
@@ -243,10 +146,6 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 // arcs whose weight equals their endpoints' distance) and marked inert.
 // Basic weights and unpacking stay untouched: distances, routes and
 // unpackings are byte-identical, only the work to compute them shrinks.
-//
-// The write pattern (triangles of different pairs update the same
-// z-incident arcs) is why this pass stays serial rather than
-// level-parallel.
 func (p *Preprocessed) perfectPass(sc *soaScratch) []bool {
 	P := len(p.lo)
 	if sc.perfUp == nil {

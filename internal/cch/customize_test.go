@@ -28,36 +28,6 @@ func perturbedWeights(g *graph.Graph, seed int64, closureFrac float64) []float64
 	return w
 }
 
-// TestLevelParallelBitIdentical pins the customization's parallelization
-// contract: the level-parallel triangle relaxation must produce arcs
-// bit-identical to the serial sweep — same weights (to the bit), same
-// winning decompositions — on every metric, including heavy closures.
-// Anything weaker would make worker count observable in routes.
-func TestLevelParallelBitIdentical(t *testing.T) {
-	for gi, g := range []*graph.Graph{gridCity(14, 14), randomCity(21, 220)} {
-		pre := Preprocess(g)
-		for round := 0; round < 3; round++ {
-			frac := 0.0
-			if round == 2 {
-				frac = 0.20 // a 20%-closure snapshot shatters the network
-			}
-			w := perturbedWeights(g, int64(gi*10+round), frac)
-			serial := pre.CustomizeWith(w, Config{Workers: 1}).(*ch.Runtime)
-			par := pre.CustomizeWith(w, Config{Workers: 4}).(*ch.Runtime)
-			sa, pa := serial.Arcs(), par.Arcs()
-			if len(sa) != len(pa) {
-				t.Fatalf("graph %d round %d: arc count %d vs %d", gi, round, len(sa), len(pa))
-			}
-			for i := range sa {
-				if sa[i] != pa[i] {
-					t.Fatalf("graph %d round %d: arc %d differs: serial %+v (bits %x) parallel %+v (bits %x)",
-						gi, round, i, sa[i], math.Float64bits(sa[i].Weight), pa[i], math.Float64bits(pa[i].Weight))
-				}
-			}
-		}
-	}
-}
-
 // TestPerfectCustomization checks the perfect post-pass end to end: the
 // basic arcs are untouched (weights, unpacking — so routes cannot move),
 // a nonzero arc fraction is proved inert, the tree builder's sweeps
@@ -115,11 +85,12 @@ func TestPerfectCustomization(t *testing.T) {
 }
 
 // TestConcurrentCustomizeDistinctBuffers is the race smoke for the
-// double-buffered output storage: many goroutines customizing one shared
+// customization output: many goroutines customizing one shared
 // Preprocessed concurrently must each get their own arc buffer (never a
 // buffer another in-flight customization is still writing), and every
 // produced hierarchy must answer exactly for its own metric. Run under
-// -race this also proves the lease protocol publishes safely.
+// -race this also proves the shared metric-free runtime and the pooled
+// scratch are used safely.
 func TestConcurrentCustomizeDistinctBuffers(t *testing.T) {
 	g := randomCity(31, 150)
 	pre := Preprocess(g)
@@ -170,48 +141,5 @@ func TestPreprocessSharedBounded(t *testing.T) {
 	sharedMu.Unlock()
 	if n > sharedPreCap || ord != n {
 		t.Fatalf("memo holds %d entries (order list %d), cap %d", n, ord, sharedPreCap)
-	}
-}
-
-// TestLevelsCoverAllPairs sanity-checks the dependency leveling: the
-// level CSR is a partition of all pairs, level 0 is exactly the
-// triangle-free pairs, and every triangle's side pairs sit at strictly
-// lower levels than the pair they feed.
-func TestLevelsCoverAllPairs(t *testing.T) {
-	g := randomCity(41, 180)
-	pre := Preprocess(g)
-	P := pre.NumPairs()
-	level := make([]int32, P)
-	seen := make([]bool, P)
-	for l := 0; l < pre.NumLevels(); l++ {
-		for _, i := range pre.levelPairs[pre.levelOff[l]:pre.levelOff[l+1]] {
-			if seen[i] {
-				t.Fatalf("pair %d listed twice", i)
-			}
-			seen[i] = true
-			level[i] = int32(l)
-		}
-	}
-	for i := 0; i < P; i++ {
-		if !seen[i] {
-			t.Fatalf("pair %d missing from level CSR", i)
-		}
-		hasTri := pre.triOff[i] < pre.triOff[i+1]
-		if (level[i] == 0) == hasTri {
-			t.Fatalf("pair %d: level %d with hasTriangles=%v", i, level[i], hasTri)
-		}
-		for k := pre.triOff[i]; k < pre.triOff[i+1]; k++ {
-			if level[pre.triLoSide[k]] >= level[i] || level[pre.triHiSide[k]] >= level[i] {
-				t.Fatalf("pair %d at level %d depends on pair at same or higher level", i, level[i])
-			}
-		}
-	}
-	widths := pre.LevelWidths()
-	sum := 0
-	for _, w := range widths {
-		sum += w
-	}
-	if sum != P {
-		t.Fatalf("level widths sum %d != %d pairs", sum, P)
 	}
 }

@@ -89,42 +89,62 @@ func TestElimTreeStructure(t *testing.T) {
 		if h := et.Height(); h <= 0 || h > g.NumNodes() {
 			t.Fatalf("graph %d: height %d out of range", gi, h)
 		}
-		if d := et.AvgLeafDepth(); d < 0 || d >= float64(et.Height()) {
-			t.Fatalf("graph %d: avg leaf depth %f vs height %d", gi, d, et.Height())
-		}
 	}
 }
 
-// TestElimVsBidijBitIdentical is the engine-equivalence contract behind
-// the -query flag: the elimination-tree ascent and the bidirectional
-// upward Dijkstra must return bit-identical distances on every metric —
-// perturbations, heavy closures, perfect customization — so switching
-// engines can never move a route or a matrix cell.
-func TestElimVsBidijBitIdentical(t *testing.T) {
+// TestElimQueryMatchesDijkstra pins the point-to-point query against the
+// Dijkstra oracle on every metric family a publish can produce —
+// perturbations, heavy closures, perfect customization: Dist and Path
+// agree with sp.ShortestPath on reachability and distance, and every
+// path unpacks to a connected edge sequence whose cost is the reported
+// distance.
+func TestElimQueryMatchesDijkstra(t *testing.T) {
 	for gi, g := range []*graph.Graph{gridCity(12, 12), randomCity(23, 200)} {
 		pre := Preprocess(g)
 		for round := 0; round < 3; round++ {
 			w := perturbedWeights(g, int64(gi*10+round), 0.10*float64(round))
-			elim := pre.CustomizeWith(w, Config{Perfect: round == 2}).(*ch.Runtime)
-			bidij := pre.CustomizeWith(w, Config{Perfect: round == 2, BidirQuery: true}).(*ch.Runtime)
-			if got := elim.QueryStats().Engine; got != "elimtree" {
-				t.Fatalf("default engine %q, want elimtree", got)
-			}
-			if got := bidij.QueryStats().Engine; got != "bidij" {
-				t.Fatalf("BidirQuery engine %q, want bidij", got)
-			}
+			h := pre.CustomizeWith(w, Config{Perfect: round == 2})
 			rng := rand.New(rand.NewSource(int64(100*gi + round)))
 			for q := 0; q < 60; q++ {
 				s := graph.NodeID(rng.Intn(g.NumNodes()))
 				dst := graph.NodeID(rng.Intn(g.NumNodes()))
-				de, db := elim.Dist(s, dst), bidij.Dist(s, dst)
-				if math.Float64bits(de) != math.Float64bits(db) {
-					t.Fatalf("graph %d round %d (%d->%d): elimtree %v (bits %x) vs bidij %v (bits %x)",
-						gi, round, s, dst, de, math.Float64bits(de), db, math.Float64bits(db))
+				_, want := sp.ShortestPath(g, w, s, dst)
+				for _, got := range []float64{h.Dist(s, dst), pathCost(t, g, h, w, s, dst)} {
+					if math.IsInf(want, 1) != math.IsInf(got, 1) || (!math.IsInf(want, 1) && math.Abs(got-want) > 1e-6) {
+						t.Fatalf("graph %d round %d (%d->%d): CCH %v, dijkstra %v", gi, round, s, dst, got, want)
+					}
 				}
 			}
 		}
 	}
+}
+
+// pathCost returns h.Path(s, dst)'s reported distance after checking
+// that its edges run from s to dst and sum to it under w (a nil path must
+// come with +Inf).
+func pathCost(t *testing.T, g *graph.Graph, h ch.Hierarchy, w []float64, s, dst graph.NodeID) float64 {
+	t.Helper()
+	edges, d := h.Path(s, dst)
+	if edges == nil {
+		if !math.IsInf(d, 1) {
+			t.Fatalf("Path(%d,%d): no edges at %v", s, dst, d)
+		}
+		return d
+	}
+	cur := s
+	var cost float64
+	for i, e := range edges {
+		ed := g.Edge(e)
+		if ed.From != cur {
+			t.Fatalf("Path(%d,%d): discontinuous at edge %d", s, dst, i)
+		}
+		cur = ed.To
+		cost += w[e]
+	}
+	if cur != dst || math.Abs(cost-d) > 1e-6 {
+		t.Fatalf("Path(%d,%d): ends at %d with cost %v, reported %v", s, dst, cur, cost, d)
+	}
+	return d
 }
 
 // TestElimQueryClosurePublishSwap mirrors the serving layer's live-ban
@@ -203,18 +223,15 @@ func TestElimQueryEdgeCases(t *testing.T) {
 // from successive customizations of one preprocessing answer interleaved
 // queries without bleeding labels across each other or across their own
 // earlier queries (workspace epochs, not clearing, are what isolates
-// them), and each customization keeps the elimination-tree engine.
+// them).
 func TestElimScratchAcrossRecustomize(t *testing.T) {
 	g := randomCity(29, 150)
 	w1 := perturbedWeights(g, 1, 0.05)
 	w2 := perturbedWeights(g, 2, 0.15)
 	pre := PreprocessShared(g)
-	h1 := pre.Customize(w1).(*ch.Runtime)
+	h1 := pre.Customize(w1)
 	checkDistances(t, g, h1, w1, 10, 21)
-	h2 := pre.Customize(w2).(*ch.Runtime)
-	if got := h2.QueryStats().Engine; got != "elimtree" {
-		t.Fatalf("second customization answers with %q, want elimtree", got)
-	}
+	h2 := pre.Customize(w2)
 	// Interleave: the same workspace pool serves both runtimes.
 	rng := rand.New(rand.NewSource(31))
 	for q := 0; q < 30; q++ {
@@ -241,7 +258,7 @@ func TestElimDistWarmZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	g := gridCity(12, 12)
-	h := Build(g, g.CopyWeights())
+	h := PreprocessShared(g).Customize(g.CopyWeights())
 	s, dst := graph.NodeID(5), graph.NodeID(138)
 	h.Dist(s, dst) // warm the pool
 	if allocs := testing.AllocsPerRun(50, func() { h.Dist(s, dst) }); allocs != 0 {

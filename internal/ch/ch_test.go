@@ -16,28 +16,9 @@ import (
 // customized CCHs. Package cch imports ch, so these tests live in an
 // external package.
 
-// builder customizes a CCH of g under weights w.
-type builder func(g *graph.Graph, w []float64) ch.Hierarchy
-
-// forEachEngine runs test once per point-to-point query engine, as a
-// subtest named after it: the default elimination-tree ascents and the
-// bidirectional upward search.
-func forEachEngine(t *testing.T, test func(t *testing.T, build builder)) {
-	t.Helper()
-	for _, e := range []struct {
-		name string
-		cfg  cch.Config
-	}{{"elimtree", cch.Config{}}, {"bidij", cch.Config{BidirQuery: true}}} {
-		t.Run(e.name, func(t *testing.T) {
-			test(t, func(g *graph.Graph, w []float64) ch.Hierarchy {
-				h := cch.PreprocessShared(g).CustomizeWith(w, e.cfg)
-				if got := h.(*ch.Runtime).QueryStats().Engine; got != e.name {
-					t.Fatalf("hierarchy answers with engine %q, want %q", got, e.name)
-				}
-				return h
-			})
-		})
-	}
+// build customizes the shared CCH preprocessing of g under weights w.
+func build(g *graph.Graph, w []float64) ch.Hierarchy {
+	return cch.PreprocessShared(g).Customize(w)
 }
 
 func gridCity(rows, cols int) *graph.Graph {
@@ -93,86 +74,80 @@ func randomCity(seed int64, n int) *graph.Graph {
 func TestDistMatchesDijkstraGrid(t *testing.T) {
 	g := gridCity(12, 12)
 	w := g.CopyWeights()
-	forEachEngine(t, func(t *testing.T, build builder) {
+	h := build(g, w)
+	rng := rand.New(rand.NewSource(1))
+	for q := 0; q < 60; q++ {
+		s := graph.NodeID(rng.Intn(g.NumNodes()))
+		dst := graph.NodeID(rng.Intn(g.NumNodes()))
+		_, want := sp.ShortestPath(g, w, s, dst)
+		got := h.Dist(s, dst)
+		if math.Abs(got-want) > 1e-6 && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
+			t.Fatalf("query %d (%d->%d): CH %f, dijkstra %f", q, s, dst, got, want)
+		}
+	}
+}
+
+func TestDistMatchesDijkstraRandomDirected(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		g := randomCity(seed, 150)
+		w := g.CopyWeights()
 		h := build(g, w)
-		rng := rand.New(rand.NewSource(1))
-		for q := 0; q < 60; q++ {
+		rng := rand.New(rand.NewSource(seed + 50))
+		for q := 0; q < 40; q++ {
 			s := graph.NodeID(rng.Intn(g.NumNodes()))
 			dst := graph.NodeID(rng.Intn(g.NumNodes()))
 			_, want := sp.ShortestPath(g, w, s, dst)
 			got := h.Dist(s, dst)
-			if math.Abs(got-want) > 1e-6 && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
-				t.Fatalf("query %d (%d->%d): CH %f, dijkstra %f", q, s, dst, got, want)
+			if math.IsInf(want, 1) != math.IsInf(got, 1) {
+				t.Fatalf("seed %d query %d (%d->%d): reachability mismatch CH %v dijkstra %v",
+					seed, q, s, dst, got, want)
+			}
+			if !math.IsInf(want, 1) && math.Abs(got-want) > 1e-6 {
+				t.Fatalf("seed %d query %d (%d->%d): CH %f, dijkstra %f", seed, q, s, dst, got, want)
 			}
 		}
-	})
-}
-
-func TestDistMatchesDijkstraRandomDirected(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, build builder) {
-		for seed := int64(0); seed < 5; seed++ {
-			g := randomCity(seed, 150)
-			w := g.CopyWeights()
-			h := build(g, w)
-			rng := rand.New(rand.NewSource(seed + 50))
-			for q := 0; q < 40; q++ {
-				s := graph.NodeID(rng.Intn(g.NumNodes()))
-				dst := graph.NodeID(rng.Intn(g.NumNodes()))
-				_, want := sp.ShortestPath(g, w, s, dst)
-				got := h.Dist(s, dst)
-				if math.IsInf(want, 1) != math.IsInf(got, 1) {
-					t.Fatalf("seed %d query %d (%d->%d): reachability mismatch CH %v dijkstra %v",
-						seed, q, s, dst, got, want)
-				}
-				if !math.IsInf(want, 1) && math.Abs(got-want) > 1e-6 {
-					t.Fatalf("seed %d query %d (%d->%d): CH %f, dijkstra %f", seed, q, s, dst, got, want)
-				}
-			}
-		}
-	})
+	}
 }
 
 func TestPathUnpacksToValidRoute(t *testing.T) {
 	g := gridCity(10, 10)
 	w := g.CopyWeights()
-	forEachEngine(t, func(t *testing.T, build builder) {
-		h := build(g, w)
-		rng := rand.New(rand.NewSource(3))
-		for q := 0; q < 40; q++ {
-			s := graph.NodeID(rng.Intn(g.NumNodes()))
-			dst := graph.NodeID(rng.Intn(g.NumNodes()))
-			edges, d := h.Path(s, dst)
-			if s == dst {
-				if d != 0 || len(edges) != 0 {
-					t.Fatalf("s==t: got %d edges at %f", len(edges), d)
-				}
-				continue
+	h := build(g, w)
+	rng := rand.New(rand.NewSource(3))
+	for q := 0; q < 40; q++ {
+		s := graph.NodeID(rng.Intn(g.NumNodes()))
+		dst := graph.NodeID(rng.Intn(g.NumNodes()))
+		edges, d := h.Path(s, dst)
+		if s == dst {
+			if d != 0 || len(edges) != 0 {
+				t.Fatalf("s==t: got %d edges at %f", len(edges), d)
 			}
-			if edges == nil {
-				t.Fatalf("grid is connected; no path %d->%d", s, dst)
-			}
-			cur := s
-			var cost float64
-			for i, e := range edges {
-				ed := g.Edge(e)
-				if ed.From != cur {
-					t.Fatalf("unpacked path discontinuous at edge %d", i)
-				}
-				cur = ed.To
-				cost += w[e]
-			}
-			if cur != dst {
-				t.Fatalf("unpacked path ends at %d, want %d", cur, dst)
-			}
-			if math.Abs(cost-d) > 1e-6 {
-				t.Fatalf("unpacked cost %f != reported %f", cost, d)
-			}
-			_, want := sp.ShortestPath(g, w, s, dst)
-			if math.Abs(d-want) > 1e-6 {
-				t.Fatalf("CH path cost %f != optimal %f", d, want)
-			}
+			continue
 		}
-	})
+		if edges == nil {
+			t.Fatalf("grid is connected; no path %d->%d", s, dst)
+		}
+		cur := s
+		var cost float64
+		for i, e := range edges {
+			ed := g.Edge(e)
+			if ed.From != cur {
+				t.Fatalf("unpacked path discontinuous at edge %d", i)
+			}
+			cur = ed.To
+			cost += w[e]
+		}
+		if cur != dst {
+			t.Fatalf("unpacked path ends at %d, want %d", cur, dst)
+		}
+		if math.Abs(cost-d) > 1e-6 {
+			t.Fatalf("unpacked cost %f != reported %f", cost, d)
+		}
+		_, want := sp.ShortestPath(g, w, s, dst)
+		if math.Abs(d-want) > 1e-6 {
+			t.Fatalf("CH path cost %f != optimal %f", d, want)
+		}
+	}
 }
 
 func TestUnreachable(t *testing.T) {
@@ -185,15 +160,13 @@ func TestUnreachable(t *testing.T) {
 	b.AddEdge(graph.EdgeSpec{From: n0, To: n1, Class: graph.Residential, TwoWay: true})
 	b.AddEdge(graph.EdgeSpec{From: n2, To: n3, Class: graph.Residential, TwoWay: true})
 	g := b.Build()
-	forEachEngine(t, func(t *testing.T, build builder) {
-		h := build(g, g.CopyWeights())
-		if d := h.Dist(n0, n3); !math.IsInf(d, 1) {
-			t.Errorf("unreachable dist = %f, want +Inf", d)
-		}
-		if p, d := h.Path(n0, n3); p != nil || !math.IsInf(d, 1) {
-			t.Errorf("unreachable path = %v at %f", p, d)
-		}
-	})
+	h := build(g, g.CopyWeights())
+	if d := h.Dist(n0, n3); !math.IsInf(d, 1) {
+		t.Errorf("unreachable dist = %f, want +Inf", d)
+	}
+	if p, d := h.Path(n0, n3); p != nil || !math.IsInf(d, 1) {
+		t.Errorf("unreachable path = %v at %f", p, d)
+	}
 }
 
 func TestOneWayRespected(t *testing.T) {
@@ -209,31 +182,27 @@ func TestOneWayRespected(t *testing.T) {
 	b.AddEdge(graph.EdgeSpec{From: n2, To: n0, Class: graph.Residential})
 	g := b.Build()
 	w := g.CopyWeights()
-	forEachEngine(t, func(t *testing.T, build builder) {
-		h := build(g, w)
-		if d := h.Dist(n0, n1); math.Abs(d-w[0]) > 1e-9 {
-			t.Errorf("forward dist = %f, want %f", d, w[0])
-		}
-		if d := h.Dist(n1, n0); math.Abs(d-(w[1]+w[2])) > 1e-9 {
-			t.Errorf("backward dist = %f, want %f (around the cycle)", d, w[1]+w[2])
-		}
-	})
+	h := build(g, w)
+	if d := h.Dist(n0, n1); math.Abs(d-w[0]) > 1e-9 {
+		t.Errorf("forward dist = %f, want %f", d, w[0])
+	}
+	if d := h.Dist(n1, n0); math.Abs(d-(w[1]+w[2])) > 1e-9 {
+		t.Errorf("backward dist = %f, want %f (around the cycle)", d, w[1]+w[2])
+	}
 }
 
 func TestShortcutAccounting(t *testing.T) {
 	g := gridCity(10, 10)
-	forEachEngine(t, func(t *testing.T, build builder) {
-		h := build(g, g.CopyWeights())
-		if h.NumArcs() < g.NumEdges() {
-			t.Errorf("arcs %d < original edges %d", h.NumArcs(), g.NumEdges())
-		}
-		if h.NumShortcuts() != h.NumArcs()-g.NumEdges() {
-			t.Error("shortcut accounting inconsistent")
-		}
-		if h.NumShortcuts() == 0 {
-			t.Error("contracting a grid should insert some shortcuts")
-		}
-	})
+	h := build(g, g.CopyWeights())
+	if h.NumArcs() < g.NumEdges() {
+		t.Errorf("arcs %d < original edges %d", h.NumArcs(), g.NumEdges())
+	}
+	if h.NumShortcuts() != h.NumArcs()-g.NumEdges() {
+		t.Error("shortcut accounting inconsistent")
+	}
+	if h.NumShortcuts() == 0 {
+		t.Error("contracting a grid should insert some shortcuts")
+	}
 }
 
 func TestQuerySettlesFewerNodesThanDijkstra(t *testing.T) {
@@ -246,30 +215,28 @@ func TestQuerySettlesFewerNodesThanDijkstra(t *testing.T) {
 	}
 	g := gridCity(40, 40)
 	w := g.CopyWeights()
-	forEachEngine(t, func(t *testing.T, build builder) {
-		h := build(g, w)
-		rng := rand.New(rand.NewSource(9))
-		queries := make([][2]graph.NodeID, 200)
-		for i := range queries {
-			queries[i] = [2]graph.NodeID{
-				graph.NodeID(rng.Intn(g.NumNodes())),
-				graph.NodeID(rng.Intn(g.NumNodes())),
-			}
+	h := build(g, w)
+	rng := rand.New(rand.NewSource(9))
+	queries := make([][2]graph.NodeID, 200)
+	for i := range queries {
+		queries[i] = [2]graph.NodeID{
+			graph.NodeID(rng.Intn(g.NumNodes())),
+			graph.NodeID(rng.Intn(g.NumNodes())),
 		}
-		for _, q := range queries {
-			got := h.Dist(q[0], q[1])
-			_, want := sp.ShortestPath(g, w, q[0], q[1])
-			if math.Abs(got-want) > 1e-6 && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
-				t.Fatalf("CH %f != dijkstra %f", got, want)
-			}
+	}
+	for _, q := range queries {
+		got := h.Dist(q[0], q[1])
+		_, want := sp.ShortestPath(g, w, q[0], q[1])
+		if math.Abs(got-want) > 1e-6 && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
+			t.Fatalf("CH %f != dijkstra %f", got, want)
 		}
-	})
+	}
 }
 
 func BenchmarkQueryCHGrid40(b *testing.B) {
 	g := gridCity(40, 40)
 	w := g.CopyWeights()
-	h := cch.Build(g, w)
+	h := build(g, w)
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,47 +8,28 @@ import (
 	"repro/internal/sp"
 )
 
-// The elimination-tree query engine: on a hierarchy whose upward
-// neighborhoods are cliques (the CCH chordal supergraph), the upward
-// search space of any node is contained in its elimination-tree root path
-// (elimtree.go), so a point-to-point query needs no heap, no decrease-key
-// and no stopping criterion — it walks the two root paths in ascending
-// rank, relaxing upward arcs, and the answer is the best meeting label.
-// A runtime without an elimination tree runs the bidirectional search of
-// query.go instead.
-//
-// Both engines compute every label as the same minimum over the same
-// float sums, so their distances are bit-identical — the backend-matrix
-// tests pin route sets and tables across engines byte-for-byte.
+// The point-to-point query: on a hierarchy whose upward neighborhoods are
+// cliques (the CCH chordal supergraph), the upward search space of any
+// node is contained in its elimination-tree root path (elimtree.go), so a
+// point-to-point query needs no heap, no decrease-key and no stopping
+// criterion — it walks the two root paths in ascending rank, relaxing
+// upward arcs, and the answer is the best meeting label.
 
-// QueryStats reports which point-to-point engine a runtime answers with.
-type QueryStats struct {
-	// Engine is "elimtree" or "bidij".
-	Engine string
-}
-
-// QueryStats returns the runtime's engine name.
-func (h *Runtime) QueryStats() QueryStats {
-	if h.elim == nil {
-		return QueryStats{Engine: "bidij"}
-	}
-	return QueryStats{Engine: "elimtree"}
-}
-
-// elimSearchInto is the elimination-tree counterpart of searchInto: same
-// workspace, same parent-arc conventions (so Path reconstruction is
-// shared), no heap. The walk is frontier-driven: each side keeps a bitmap
-// of root-path depths holding a pending label (sp.AscentScratch), and the
-// loop settles the deepest pending label of either side — jumping from
-// label to label rather than chasing parent pointers through unlabeled
-// ancestors, so the walk is O(labeled nodes), not O(path length). Depths
-// strictly decrease, and every relax target is a strict ancestor of the
-// node being settled (the clique property), so a settled label is final —
-// Dijkstra's invariant without the heap. A node pending in both frontiers
-// at once is a meet candidate (below the LCA the chains are node-disjoint
-// and the equality check rejects the pairing); both directions prune
-// relaxations against the incumbent, which is what lets short-range
-// queries abandon the shared tail toward the root. Endpoints in different
+// elimSearchInto runs the query on the workspace's two epoch-stamped
+// search states (parent slots hold arc indices rather than graph edges,
+// which Path unpacks) and returns the distance and meeting node. The walk
+// is frontier-driven: each side keeps a bitmap of root-path depths
+// holding a pending label (sp.AscentScratch), and the loop settles the
+// deepest pending label of either side — jumping from label to label
+// rather than chasing parent pointers through unlabeled ancestors, so the
+// walk is O(labeled nodes), not O(path length). Depths strictly decrease,
+// and every relax target is a strict ancestor of the node being settled
+// (the clique property), so a settled label is final — Dijkstra's
+// invariant without the heap. A node pending in both frontiers at once is
+// a meet candidate (below the LCA the chains are node-disjoint and the
+// equality check rejects the pairing); both directions prune relaxations
+// against the incumbent, which is what lets short-range queries abandon
+// the shared tail toward the root. Endpoints in different
 // elimination-forest components never co-label a node and fall out as
 // +Inf; a side whose frontier drains while the other still has work ends
 // the walk (a meet needs labels from both directions).

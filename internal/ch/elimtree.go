@@ -32,26 +32,3 @@ func (t *ElimTree) Height() int {
 	}
 	return int(max) + 1
 }
-
-// AvgLeafDepth returns the mean depth over the tree's leaves (nodes that
-// are nobody's parent) — the typical ascent length of a query rooted at
-// an unimportant node, which is what most real endpoints are.
-func (t *ElimTree) AvgLeafDepth() float64 {
-	isParent := make([]bool, len(t.Parent))
-	for _, p := range t.Parent {
-		if p >= 0 {
-			isParent[p] = true
-		}
-	}
-	var sum, leaves int
-	for v, d := range t.Depth {
-		if !isParent[v] {
-			sum += int(d)
-			leaves++
-		}
-	}
-	if leaves == 0 {
-		return 0
-	}
-	return float64(sum) / float64(leaves)
-}

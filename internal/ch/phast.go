@@ -136,7 +136,7 @@ func upwardPass(distR []float64, parentR []graph.EdgeID, upOff []int32, upArcs [
 
 // NewTreeBuilder derives the one-shot PHAST ordering and packed
 // adjacency from the hierarchy. The work is a few linear passes over the
-// arc set, negligible next to Build itself.
+// arc set, negligible next to the customization that produced it.
 func (h *Runtime) NewTreeBuilder() *TreeBuilder {
 	n := h.g.NumNodes()
 	tb := &TreeBuilder{n: n}

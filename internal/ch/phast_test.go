@@ -101,47 +101,41 @@ func checkBothTrees(t *testing.T, g *graph.Graph, weights []float64, tb *ch.Tree
 func TestTreeBuilderMatchesDijkstraGrid(t *testing.T) {
 	g := gridCity(12, 12)
 	w := g.CopyWeights()
-	forEachEngine(t, func(t *testing.T, build builder) {
-		tb := build(g, w).NewTreeBuilder()
-		rng := rand.New(rand.NewSource(11))
-		for q := 0; q < 12; q++ {
-			checkBothTrees(t, g, w, tb, graph.NodeID(rng.Intn(g.NumNodes())))
-		}
-	})
+	tb := build(g, w).NewTreeBuilder()
+	rng := rand.New(rand.NewSource(11))
+	for q := 0; q < 12; q++ {
+		checkBothTrees(t, g, w, tb, graph.NodeID(rng.Intn(g.NumNodes())))
+	}
 }
 
 func TestTreeBuilderMatchesDijkstraRandomDirected(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, build builder) {
-		for seed := int64(0); seed < 5; seed++ {
-			g := randomCity(seed, 150)
-			w := g.CopyWeights()
-			tb := build(g, w).NewTreeBuilder()
-			rng := rand.New(rand.NewSource(seed + 77))
-			for q := 0; q < 8; q++ {
-				checkBothTrees(t, g, w, tb, graph.NodeID(rng.Intn(g.NumNodes())))
-			}
+	for seed := int64(0); seed < 5; seed++ {
+		g := randomCity(seed, 150)
+		w := g.CopyWeights()
+		tb := build(g, w).NewTreeBuilder()
+		rng := rand.New(rand.NewSource(seed + 77))
+		for q := 0; q < 8; q++ {
+			checkBothTrees(t, g, w, tb, graph.NodeID(rng.Intn(g.NumNodes())))
 		}
-	})
+	}
 }
 
 // TestTreeBuilderBannedEdges pins the +Inf ban semantics: a hierarchy
 // built on weights with banned edges must produce trees that never cross
 // them, matching Dijkstra's reachability exactly.
 func TestTreeBuilderBannedEdges(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, build builder) {
-		for seed := int64(0); seed < 3; seed++ {
-			g := randomCity(seed+20, 120)
-			w := g.CopyWeights()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < g.NumEdges()/5; i++ {
-				w[rng.Intn(g.NumEdges())] = math.Inf(1)
-			}
-			tb := build(g, w).NewTreeBuilder()
-			for q := 0; q < 6; q++ {
-				checkBothTrees(t, g, w, tb, graph.NodeID(rng.Intn(g.NumNodes())))
-			}
+	for seed := int64(0); seed < 3; seed++ {
+		g := randomCity(seed+20, 120)
+		w := g.CopyWeights()
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < g.NumEdges()/5; i++ {
+			w[rng.Intn(g.NumEdges())] = math.Inf(1)
 		}
-	})
+		tb := build(g, w).NewTreeBuilder()
+		for q := 0; q < 6; q++ {
+			checkBothTrees(t, g, w, tb, graph.NodeID(rng.Intn(g.NumNodes())))
+		}
+	}
 }
 
 // TestTreeBuilderZeroAlloc asserts the headline PHAST property: with a
@@ -152,17 +146,15 @@ func TestTreeBuilderZeroAlloc(t *testing.T) {
 	}
 	g := gridCity(20, 20)
 	w := g.CopyWeights()
-	forEachEngine(t, func(t *testing.T, build builder) {
-		tb := build(g, w).NewTreeBuilder()
-		ws := sp.NewWorkspace()
-		root := graph.NodeID(g.NumNodes() / 2)
-		for _, dir := range []sp.Direction{sp.Forward, sp.Backward} {
-			tb.BuildTreeInto(ws, root, dir) // warm up
-			if allocs := testing.AllocsPerRun(20, func() { tb.BuildTreeInto(ws, root, dir) }); allocs > 0 {
-				t.Errorf("BuildTreeInto dir %d: %v allocs/op after warm-up, want 0", dir, allocs)
-			}
+	tb := build(g, w).NewTreeBuilder()
+	ws := sp.NewWorkspace()
+	root := graph.NodeID(g.NumNodes() / 2)
+	for _, dir := range []sp.Direction{sp.Forward, sp.Backward} {
+		tb.BuildTreeInto(ws, root, dir) // warm up
+		if allocs := testing.AllocsPerRun(20, func() { tb.BuildTreeInto(ws, root, dir) }); allocs > 0 {
+			t.Errorf("BuildTreeInto dir %d: %v allocs/op after warm-up, want 0", dir, allocs)
 		}
-	})
+	}
 }
 
 // TestTreeBuilderConcurrent drives one shared TreeBuilder from many
@@ -170,30 +162,28 @@ func TestTreeBuilderZeroAlloc(t *testing.T) {
 func TestTreeBuilderConcurrent(t *testing.T) {
 	g := gridCity(10, 10)
 	w := g.CopyWeights()
-	forEachEngine(t, func(t *testing.T, build builder) {
-		tb := build(g, w).NewTreeBuilder()
-		done := make(chan error, 4)
-		for i := 0; i < 4; i++ {
-			go func(seed int64) {
-				rng := rand.New(rand.NewSource(seed))
-				ws := sp.NewWorkspace()
-				for q := 0; q < 20; q++ {
-					root := graph.NodeID(rng.Intn(g.NumNodes()))
-					tree := tb.BuildTreeInto(ws, root, sp.Forward)
-					if tree.Dist[root] != 0 {
-						done <- errDistRoot
-						return
-					}
+	tb := build(g, w).NewTreeBuilder()
+	done := make(chan error, 4)
+	for i := 0; i < 4; i++ {
+		go func(seed int64) {
+			rng := rand.New(rand.NewSource(seed))
+			ws := sp.NewWorkspace()
+			for q := 0; q < 20; q++ {
+				root := graph.NodeID(rng.Intn(g.NumNodes()))
+				tree := tb.BuildTreeInto(ws, root, sp.Forward)
+				if tree.Dist[root] != 0 {
+					done <- errDistRoot
+					return
 				}
-				done <- nil
-			}(int64(i))
-		}
-		for i := 0; i < 4; i++ {
-			if err := <-done; err != nil {
-				t.Fatal(err)
 			}
+			done <- nil
+		}(int64(i))
+	}
+	for i := 0; i < 4; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
 		}
-	})
+	}
 }
 
 var errDistRoot = errRoot{}
@@ -205,7 +195,7 @@ func (errRoot) Error() string { return "root distance nonzero" }
 func BenchmarkTreePHASTGrid40(b *testing.B) {
 	g := gridCity(40, 40)
 	w := g.CopyWeights()
-	tb := cch.Build(g, w).NewTreeBuilder()
+	tb := build(g, w).NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,21 +8,12 @@ import (
 )
 
 // Dist returns the exact shortest travel time from s to t, or +Inf if t is
-// unreachable. With an elimination tree attached (the default) the
-// query walks the two root paths heap-free (elimquery.go); otherwise it
-// runs the standard bidirectional upward Dijkstra: the forward frontier
-// climbs rank-increasing arcs from s, the backward frontier climbs from
-// t, and the best meeting node gives the answer. Both engines return
-// bit-identical distances.
+// unreachable. The query walks the two elimination-tree root paths
+// heap-free (elimquery.go).
 func (h *Runtime) Dist(s, t graph.NodeID) float64 {
 	ws := sp.GetWorkspace()
 	defer ws.Release()
-	var d float64
-	if h.elim != nil {
-		d, _ = h.elimSearchInto(ws, s, t)
-	} else {
-		d, _ = h.searchInto(ws, s, t)
-	}
+	d, _ := h.elimSearchInto(ws, s, t)
 	return d
 }
 
@@ -32,13 +23,7 @@ func (h *Runtime) Dist(s, t graph.NodeID) float64 {
 func (h *Runtime) Path(s, t graph.NodeID) ([]graph.EdgeID, float64) {
 	ws := sp.GetWorkspace()
 	defer ws.Release()
-	var d float64
-	var meet graph.NodeID
-	if h.elim != nil {
-		d, meet = h.elimSearchInto(ws, s, t)
-	} else {
-		d, meet = h.searchInto(ws, s, t)
-	}
+	d, meet := h.elimSearchInto(ws, s, t)
 	if math.IsInf(d, 1) {
 		return nil, d
 	}
@@ -79,86 +64,6 @@ func (h *Runtime) unpack(ai int32, out *[]graph.EdgeID) {
 	}
 	h.unpack(a.Skip1, out)
 	h.unpack(a.Skip2, out)
-}
-
-// searchInto runs the bidirectional upward search on the workspace's two
-// epoch-stamped search states (parent slots hold arc indices rather than
-// graph edges) and returns the distance and meeting node. Earlier versions
-// allocated four maps and two container/heap queues per query; the
-// workspace makes repeated queries allocation-free.
-func (h *Runtime) searchInto(ws *sp.Workspace, s, t graph.NodeID) (float64, graph.NodeID) {
-	if s == t {
-		return 0, s
-	}
-	n := h.g.NumNodes()
-	f, b := &ws.F, &ws.B
-	f.Begin(n)
-	b.Begin(n)
-	f.Update(s, 0, -1)
-	f.Heap.Push(s, 0)
-	b.Update(t, 0, -1)
-	b.Heap.Push(t, 0)
-
-	best := math.Inf(1)
-	meet := graph.InvalidNode
-	inert, arcTo, arcW, arcFrom := h.inert, h.arcTo, h.arcW, h.arcFrom
-
-	for f.Heap.Len() > 0 || b.Heap.Len() > 0 {
-		topF, topB := math.Inf(1), math.Inf(1)
-		if f.Heap.Len() > 0 {
-			topF = f.Heap.MinPrio()
-		}
-		if b.Heap.Len() > 0 {
-			topB = b.Heap.MinPrio()
-		}
-		if math.Min(topF, topB) >= best {
-			break
-		}
-		if topF <= topB && f.Heap.Len() > 0 {
-			u, du := f.Heap.Pop()
-			if f.Settled(u) {
-				continue
-			}
-			f.Settle(u)
-			if d := du + b.DistOf(u); d < best {
-				best = d
-				meet = u
-			}
-			for _, ai := range h.upFwdAt(u) {
-				if inert != nil && inert[ai] {
-					continue
-				}
-				to := arcTo[ai]
-				nd := du + arcW[ai]
-				if nd < f.DistOf(to) {
-					f.Update(to, nd, graph.EdgeID(ai))
-					f.Heap.Push(to, nd)
-				}
-			}
-		} else if b.Heap.Len() > 0 {
-			u, du := b.Heap.Pop()
-			if b.Settled(u) {
-				continue
-			}
-			b.Settle(u)
-			if d := du + f.DistOf(u); d < best {
-				best = d
-				meet = u
-			}
-			for _, ai := range h.upBwdAt(u) {
-				if inert != nil && inert[ai] {
-					continue
-				}
-				from := arcFrom[ai]
-				nd := du + arcW[ai]
-				if nd < b.DistOf(from) {
-					b.Update(from, nd, graph.EdgeID(ai))
-					b.Heap.Push(from, nd)
-				}
-			}
-		}
-	}
-	return best, meet
 }
 
 // NumArcs returns the hierarchy's arc count (original edges + shortcuts),

@@ -3,16 +3,16 @@
 // of the paper discusses how plateau-based alternative routing must stay
 // compatible with routing-engine optimisations ("many routing engines
 // compute only a subset of the source or destination tree"); this package
-// answers queries on a customized hierarchy: exact point-to-point
-// distances and paths (elimination-tree ascents or a bidirectional upward
-// search) that unpack to original edge sequences, and PHAST/RPHAST
-// one-to-all trees for the plateau join.
+// answers queries on a customized hierarchy: PHAST/RPHAST one-to-all
+// trees for the plateau join and the distance tables, and exact
+// point-to-point distances and paths (elimination-tree ascents) that
+// unpack to original edge sequences.
 package ch
 
 import "repro/internal/graph"
 
 // Hierarchy is the seam between the hierarchy and its *consumers*: the
-// point-to-point query and the PHAST tree builder consume this interface,
+// PHAST tree builder and the point-to-point query consume this interface,
 // never the contraction that produced it. The one producer is cch: it
 // contracts metric-independently on a nested-dissection order (the
 // customizable-CH scheme of Dibbelt et al.), and each customization runs
@@ -56,9 +56,9 @@ type Arc struct {
 
 // Runtime is the packed representation a customization compiles to: the
 // contraction order, the arc array with its unpacking table
-// (Orig/Skip1/Skip2), and the upward forward/backward adjacency the
-// queries and the tree builder walk. It is immutable after construction
-// and implements Hierarchy.
+// (Orig/Skip1/Skip2), the upward forward/backward adjacency the query and
+// the tree builder walk, and the elimination tree the query ascends. It
+// is immutable after construction and implements Hierarchy.
 type Runtime struct {
 	g    *graph.Graph
 	rank []int32 // contraction order; higher rank = more important
@@ -73,16 +73,15 @@ type Runtime struct {
 	upFwdArcs []int32
 	upBwdOff  []int32
 	upBwdArcs []int32
-	// arcFrom[i] is the tail node of arcs[i].
+	// arcFrom[i] and arcTo[i] are the tail and head of arc i. They are
+	// fixed by the topology and shared by every customization; arcTo is
+	// the packed copy of arcs[i].To the relax loops read.
 	arcFrom []graph.NodeID
-	// arcTo/arcW are packed copies of arcs[i].To and arcs[i].Weight — the
-	// only fields the relax loops read. A 32-byte Arc record drags the
-	// unpacking table through the cache on every relaxation; the packed
-	// views keep the hot loops at 12 bytes per arc. arcTo is
-	// topology-fixed and shared across customizations; arcW follows the
-	// arc array (WithArcsInert adopts or re-derives it).
-	arcTo []graph.NodeID
-	arcW  []float64
+	arcTo   []graph.NodeID
+	// arcW is the packed copy of arcs[i].Weight. A 32-byte Arc record
+	// drags the unpacking table through the cache on every relaxation;
+	// the packed views keep the hot loops at 12 bytes per arc.
+	arcW []float64
 	// inert, when non-nil, flags arcs a perfect customization proved
 	// strictly dominated by an up-down path through other arcs: queries
 	// and tree-builder packings skip them without losing exactness (the
@@ -91,35 +90,34 @@ type Runtime struct {
 	// is therefore never strictly dominated itself). Indexed like arcs;
 	// nil means no arc is inert.
 	inert []bool
-	// elim, when non-nil, switches Dist/Path to the elimination-tree
-	// engine (elimquery.go); nil keeps the bidirectional search (query.go).
+	// elim is the elimination tree of the topology, the root paths the
+	// query ascends (elimquery.go).
 	elim *ElimTree
 }
 
-// NewRuntime assembles a hierarchy runtime from externally built arcs:
-// rank is the contraction order (a permutation) and from[i] the tail of
-// arcs[i]. The adjacency split is derived here; the input slices are
-// owned by the runtime afterwards.
-func NewRuntime(g *graph.Graph, rank []int32, from []graph.NodeID, arcs []Arc) *Runtime {
+// NewRuntime assembles the metric-free half of a hierarchy runtime: rank
+// is the contraction order (a permutation), from[i] and to[i] the tail
+// and head of arc i, and elim the elimination tree of the topology. The
+// caller vouches that upward neighborhoods are cliques, so elim's root
+// paths carry every upward search space — package cch's chordal
+// supergraph satisfies this by construction. The adjacency split is
+// derived here; the input slices are owned by the runtime afterwards.
+// The result carries no arcs: each customization attaches its own with
+// WithArcsInert.
+func NewRuntime(g *graph.Graph, rank []int32, from, to []graph.NodeID, elim *ElimTree) *Runtime {
 	n := g.NumNodes()
 	h := &Runtime{
 		g:        g,
 		rank:     rank,
-		arcs:     arcs,
 		upFwdOff: make([]int32, n+1),
 		upBwdOff: make([]int32, n+1),
 		arcFrom:  from,
-		arcTo:    make([]graph.NodeID, len(arcs)),
-		arcW:     make([]float64, len(arcs)),
-	}
-	for ai := range arcs {
-		h.arcTo[ai] = arcs[ai].To
-		h.arcW[ai] = arcs[ai].Weight
+		arcTo:    to,
+		elim:     elim,
 	}
 	// Count, prefix-sum, fill.
-	for ai := range arcs {
-		u := from[ai]
-		w := arcs[ai].To
+	for ai, u := range from {
+		w := to[ai]
 		if rank[u] < rank[w] {
 			h.upFwdOff[u+1]++
 		} else if rank[u] > rank[w] {
@@ -134,9 +132,8 @@ func NewRuntime(g *graph.Graph, rank []int32, from []graph.NodeID, arcs []Arc) *
 	h.upBwdArcs = make([]int32, h.upBwdOff[n])
 	fwdCur := make([]int32, n)
 	bwdCur := make([]int32, n)
-	for ai := range arcs {
-		u := from[ai]
-		w := arcs[ai].To
+	for ai, u := range from {
+		w := to[ai]
 		if rank[u] < rank[w] {
 			h.upFwdArcs[h.upFwdOff[u]+fwdCur[u]] = int32(ai)
 			fwdCur[u]++
@@ -160,47 +157,16 @@ func (h *Runtime) upBwdAt(v graph.NodeID) []int32 {
 	return h.upBwdArcs[h.upBwdOff[v]:h.upBwdOff[v+1]]
 }
 
-// WithoutArcs returns a runtime sharing this runtime's graph, order,
-// adjacency, tails and query engine with no arc array and no weights —
-// the metric-free template a preprocessing caches so later
-// customizations reuse its adjacency through WithArcsInert instead of
-// re-deriving it.
-func (h *Runtime) WithoutArcs() *Runtime {
-	rt := *h
-	rt.arcs, rt.arcW, rt.inert = nil, nil, nil
-	return &rt
-}
-
 // WithArcsInert returns a runtime sharing this runtime's graph, order,
-// adjacency, tails and query engine, with the arc array, its packed
-// weight view and the inert-arc mask replaced (all aligned; nil inert
-// clears the mask) — the zero-re-indexing handoff from a customization
-// pass to a frozen topology. The new arcs must be index-compatible with
-// the old (same tails and heads). arcW must hold arcs[i].Weight for every
-// i; passing the customization's own buffer keeps the swap
-// allocation-free. A nil arcW is derived here instead.
+// adjacency, tails, heads and elimination tree, with the arc array, its
+// packed weight view and the inert-arc mask replaced (all aligned; nil
+// inert clears the mask) — the zero-re-indexing handoff from a
+// customization pass to the fixed topology. The arcs must be
+// index-compatible with the topology (same tails and heads), and arcW
+// must hold arcs[i].Weight for every i.
 func (h *Runtime) WithArcsInert(arcs []Arc, arcW []float64, inert []bool) *Runtime {
 	rt := *h
-	rt.arcs = arcs
-	rt.inert = inert
-	if arcW == nil {
-		arcW = make([]float64, len(arcs))
-		for ai := range arcs {
-			arcW[ai] = arcs[ai].Weight
-		}
-	}
-	rt.arcW = arcW
-	return &rt
-}
-
-// WithElimTree returns a runtime answering Dist/Path with the
-// elimination-tree engine over et (nil restores the bidirectional
-// search). The caller vouches that et is the elimination tree of this
-// runtime's topology and that upward neighborhoods are cliques — package
-// cch's chordal supergraph satisfies this by construction.
-func (h *Runtime) WithElimTree(et *ElimTree) *Runtime {
-	rt := *h
-	rt.elim = et
+	rt.arcs, rt.arcW, rt.inert = arcs, arcW, inert
 	return &rt
 }
 

@@ -70,7 +70,8 @@ func (b TreeBackend) String() string {
 type HierarchyKind uint8
 
 const (
-	// HierarchyCCH (the default) is the customizable flavor (cch.Build):
+	// HierarchyCCH (the default) is the customizable flavor
+	// (cch.Preprocessed.Customize):
 	// metric-independent contraction on a nested-dissection order with no
 	// witness pruning, customized by triangle relaxation — exact for any
 	// published snapshot, including +Inf closures.
@@ -122,17 +123,17 @@ func ParseOrderKind(s string) (OrderKind, error) { return cch.ParseOrderKind(s) 
 
 // QueryEngine names a point-to-point distance engine of the CCH
 // hierarchy's Dist/Path (ch.Hierarchy). It configures nothing: tree pairs
-// and matrix rows come from PHAST/RPHAST sweeps, and the providers ignore
-// Options.Query. Both engines return bit-identical distances.
+// and matrix rows come from PHAST/RPHAST sweeps, the providers ignore
+// Options.Query, and package ch has one point-to-point engine, the
+// elimination-tree ascent, whichever value is set. It is kept only so
+// the benchmark harness, which still names it, compiles.
 type QueryEngine uint8
 
 const (
-	// QueryElimTree (the default) walks the two elimination-tree root
-	// paths heap-free — no priority queue, no decrease-key, no stopping
-	// criterion; ascent lengths are bounded by the tree height the order
-	// pipeline produced.
+	// QueryElimTree (the default) names the elimination-tree ascent.
 	QueryElimTree QueryEngine = iota
-	// QueryBidij keeps the classic bidirectional upward Dijkstra.
+	// QueryBidij names the bidirectional upward Dijkstra, which package
+	// ch no longer has; it selects the same engine as QueryElimTree.
 	QueryBidij
 )
 
