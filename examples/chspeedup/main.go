@@ -3,8 +3,12 @@
 // hierarchy, customizes it for the base metric, and times the tree pairs
 // the plateau planners consume — a PHAST forward+backward sweep pair
 // against a Dijkstra tree pair over the same query batch — checking every
-// node's distance against Dijkstra. It then measures how small a fraction
-// of the graph an elliptically pruned tree explores. That pruned trees "still yield the same choice routes" (the
+// node's distance against Dijkstra. It then times what one /api/routes
+// miss sweeps — the public and the traffic tree pairs — as two twin passes
+// (each root's two trees in one pass over the shared sweep topology)
+// against four single sweeps, checking the trees bit for bit, and
+// measures how small a fraction of the graph an elliptically pruned tree
+// explores. That pruned trees "still yield the same choice routes" (the
 // paper's claim) is pinned by core's TestEllipticTreesYieldSameChoiceRoutes.
 //
 // Run with:
@@ -20,10 +24,12 @@ import (
 	"time"
 
 	"repro/internal/cch"
+	"repro/internal/ch"
 	"repro/internal/citygen"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/sp"
+	"repro/internal/traffic"
 )
 
 func main() {
@@ -78,7 +84,45 @@ func main() {
 		numQueries, dijTime.Seconds()*1000, chTime.Seconds()*1000,
 		dijTime.Seconds()/chTime.Seconds())
 
-	// 3. Elliptically pruned trees: nodes that can lie on a route within
+	// 3. One /api/routes miss sweeps four trees: the public pair and the
+	// traffic pair, from the same s and t. Two basic customizations of one
+	// preprocessing share a sweep topology, so each root's two trees come
+	// out of one twin pass.
+	tw := traffic.NewSequence(g, traffic.DefaultModel(2022*2654435761+1), 0).WeightsAt(0)
+	ttb := pre.Customize(tw).NewTreeBuilder()
+	single := [2]*sp.Workspace{sp.NewWorkspace(), sp.NewWorkspace()}
+	twin := [2]*sp.Workspace{sp.NewWorkspace(), sp.NewWorkspace()}
+	var singleTime, twinTime time.Duration
+	for q := 0; q < numQueries; q++ {
+		s := graph.NodeID(rng.Intn(g.NumNodes()))
+		t := graph.NodeID(rng.Intn(g.NumNodes()))
+		start = time.Now()
+		tb.BuildTreeInto(single[0], s, sp.Forward)
+		tb.BuildTreeInto(single[0], t, sp.Backward)
+		ttb.BuildTreeInto(single[1], s, sp.Forward)
+		ttb.BuildTreeInto(single[1], t, sp.Backward)
+		singleTime += time.Since(start)
+		start = time.Now()
+		ch.BuildTwinTreesInto(twin[0], tb, twin[1], ttb, s, sp.Forward)
+		ch.BuildTwinTreesInto(twin[0], tb, twin[1], ttb, t, sp.Backward)
+		twinTime += time.Since(start)
+		for i := range twin {
+			for _, dir := range []sp.Direction{sp.Forward, sp.Backward} {
+				want, _ := single[i].TreeSlot(dir)
+				got, _ := twin[i].TreeSlot(dir)
+				for v := range want.Dist {
+					if math.Float64bits(got.Dist[v]) != math.Float64bits(want.Dist[v]) || got.Parent[v] != want.Parent[v] {
+						log.Fatalf("query %d (%d->%d) node %d: twin tree differs from its single sweep", q, s, t, v)
+					}
+				}
+			}
+		}
+	}
+	fmt.Printf("%d public+traffic tree quads: four single sweeps %.0f ms, two twin passes %.0f ms -> %.1fx, bit-identical\n",
+		numQueries, singleTime.Seconds()*1000, twinTime.Seconds()*1000,
+		singleTime.Seconds()/twinTime.Seconds())
+
+	// 4. Elliptically pruned trees: nodes that can lie on a route within
 	// the upper bound of the fastest time, a fraction of the graph.
 	scale := sp.MinSecondsPerMeter(g, w)
 	checked, reachedSum := 0, 0

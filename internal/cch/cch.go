@@ -355,6 +355,17 @@ func (p *Preprocessed) NumTriangles() int { return len(p.triLoSide) }
 // important). The slice aliases internal storage.
 func (p *Preprocessed) Rank() []int32 { return p.rank }
 
+// MemoryBytes reports the retained size of the preprocessing's arrays:
+// the chordal pairs, their lower triangles and original-edge lists, and
+// the metric-free runtime (order, upward adjacency, elimination tree and
+// the PHAST sweep topology every basic customization shares), each
+// counted once. The customization scratch pool is not counted.
+func (p *Preprocessed) MemoryBytes() int {
+	b := 4 * (len(p.lo) + len(p.hi) + len(p.triOff) + len(p.triLoSide) + len(p.triHiSide) +
+		len(p.upOff) + len(p.downOff) + len(p.upEdges) + len(p.downEdges))
+	return b + p.rt.MemoryBytes()
+}
+
 // ElimTree returns the elimination tree of the chordal supergraph — the
 // root-path topology the point-to-point query ascends. Shared by every
 // customization; immutable.

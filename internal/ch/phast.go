@@ -2,11 +2,46 @@ package ch
 
 import (
 	"math"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/sp"
 )
+
+// Topology is the metric-free half of the PHAST sweeps: the node order
+// and the two position-space CSRs every customization of one hierarchy
+// sweeps. It is built once per preprocessing (NewRuntime) and shared by
+// every TreeBuilder packed from that preprocessing's basic
+// customizations, so a weight version pays only for its weight and
+// arc-end columns. A perfect customization drops its inert arcs and packs
+// a private Topology (sharing the order). Immutable after construction.
+type Topology struct {
+	n int
+	// order lists all nodes in descending contraction rank; pos is the
+	// inverse permutation. Both passes scan positions monotonically so
+	// every arc is relaxed exactly once, after its upper endpoint's
+	// distance is final.
+	order []graph.NodeID
+	pos   []int32
+	// Two CSRs over the hierarchy's arcs, indexed by position.
+	// fwdOff/fwdUp holds, per node v, the arcs u→v with rank[u] > rank[v];
+	// bwdOff/bwdUp the arcs v→w with rank[w] > rank[v]. Each serves both
+	// directions: a Forward tree pushes along the bwd arcs in ascending
+	// rank (the upward search) and pulls along the fwd arcs in descending
+	// rank (the downward sweep); a Backward tree swaps the two, which is
+	// exactly PHAST on the reverse graph. An entry is the position of the
+	// arc's higher-ranked endpoint, so the hot loops touch sequential CSR
+	// memory plus a rank-space distance array whose read side is the
+	// already-processed, cache-warm region. On a CCH the two CSRs are
+	// equal (every chordal pair has an arc each way) and share storage.
+	fwdOff, bwdOff []int32
+	fwdUp, bwdUp   []int32
+	// fwdArc/bwdArc give the runtime arc index behind each CSR slot: what
+	// a customization's columns are packed from.
+	fwdArc, bwdArc []int32
+}
 
 // TreeBuilder computes complete one-to-all shortest-path trees from the
 // hierarchy with the PHAST scheme (Delling et al., "PHAST: Hardware-
@@ -21,6 +56,12 @@ import (
 // trees the plateau join needs come out of the hierarchy's search spaces
 // rather than from scratch.
 //
+// A TreeBuilder is one weight version's columns over a shared Topology:
+// per CSR slot, the arc weight and the arc's boundary original edges.
+// Builders of one preprocessing's basic customizations share their
+// topology, which is what lets BuildTwinTreesInto sweep two versions in
+// one pass.
+//
 // The produced trees are drop-in *sp.Tree values: distances are exact
 // (banned +Inf edges stay unreachable walls) and parent pointers are
 // *original-graph* edges — shortcut arcs are resolved to the original
@@ -32,39 +73,21 @@ import (
 // use; per-query state lives in the caller's sp.Workspace plus a pooled
 // rank-space scratch, so warm queries allocate nothing.
 type TreeBuilder struct {
-	n int
-	// order lists all nodes in descending contraction rank; pos is the
-	// inverse permutation. Both passes scan positions monotonically so
-	// every arc is relaxed exactly once, after its upper endpoint's
-	// distance is final.
-	order []graph.NodeID
-	pos   []int32
-	// Two packed CSRs over the hierarchy's arcs, indexed by position.
-	// fwdOff/fwdArcs holds, per node v, the arcs u→v with rank[u] >
-	// rank[v]; bwdOff/bwdArcs the arcs v→w with rank[w] > rank[v]. Each
-	// serves both directions: a Forward tree pushes along bwdArcs in
-	// ascending rank (the upward search) and pulls along fwdArcs in
-	// descending rank (the downward sweep); a Backward tree swaps the
-	// two, which is exactly PHAST on the reverse graph. Arc endpoints are
-	// stored as *positions*, so the hot loops touch sequential CSR memory
-	// plus a rank-space distance array whose read side is the
-	// already-processed, cache-warm region.
-	fwdOff  []int32
-	fwdArcs []downArc
-	bwdOff  []int32
-	bwdArcs []downArc
-	// fwdEnds/bwdEnds give, aligned with the arc arrays, the original
+	top *Topology
+	// fwdW/bwdW are the arc weights aligned with the topology's fwd/bwd
+	// CSR slots.
+	fwdW, bwdW []float64
+	// fwdEnds/bwdEnds give, aligned with the same slots, the original
 	// edges at the two ends of each (possibly shortcut) arc: the parent
 	// edge a tree stores when the arc wins a relaxation is the end
 	// adjacent to the tree node — last for Forward trees, first for
-	// Backward. They live apart from the hot records because they are
-	// read only on improvement.
-	fwdEnds []arcEnds
-	bwdEnds []arcEnds
+	// Backward. They live apart from the weights because they are read
+	// only on improvement.
+	fwdEnds, bwdEnds []arcEnds
 }
 
-// downArc is one packed CSR record: the position of the arc's
-// higher-ranked endpoint and the arc weight.
+// downArc is one packed restricted-CSR record (rphast.go): the position
+// of the arc's higher-ranked endpoint and the arc weight.
 type downArc struct {
 	up int32
 	w  float64
@@ -73,6 +96,36 @@ type downArc struct {
 // arcEnds resolves an arc to its boundary original edges.
 type arcEnds struct {
 	first, last graph.EdgeID
+}
+
+// sweepDir is one direction's view of a TreeBuilder: the CSR the upward
+// search pushes along and the one the downward sweep pulls along, each
+// with the builder's columns, plus which arc end a relaxation records.
+type sweepDir struct {
+	upOff, upUp     []int32
+	upW             []float64
+	upEnds          []arcEnds
+	downOff, downUp []int32
+	downW           []float64
+	downEnds        []arcEnds
+	useLast         bool
+}
+
+// dir resolves the CSRs and columns a tree in direction d sweeps.
+func (tb *TreeBuilder) dir(d sp.Direction) sweepDir {
+	t := tb.top
+	if d == sp.Backward {
+		return sweepDir{t.fwdOff, t.fwdUp, tb.fwdW, tb.fwdEnds, t.bwdOff, t.bwdUp, tb.bwdW, tb.bwdEnds, false}
+	}
+	return sweepDir{t.bwdOff, t.bwdUp, tb.bwdW, tb.bwdEnds, t.fwdOff, t.fwdUp, tb.fwdW, tb.fwdEnds, true}
+}
+
+// end returns the parent edge arc e records under this direction.
+func (d *sweepDir) end(e arcEnds) graph.EdgeID {
+	if d.useLast {
+		return e.last
+	}
+	return e.first
 }
 
 // sweepScratch is the rank-space view of one tree build.
@@ -111,129 +164,165 @@ func (sc *sweepScratch) initFor(n int, rootPos int32) ([]float64, []graph.EdgeID
 // set is a DAG ordered by rank, so by the time a node is scanned every
 // upward path into it has been relaxed — no heap needed. Nodes outside
 // the root's upward cone sit at +Inf and are skipped.
-func upwardPass(distR []float64, parentR []graph.EdgeID, upOff []int32, upArcs []downArc, upEnds []arcEnds, useLast bool) {
+func upwardPass(distR []float64, parentR []graph.EdgeID, d *sweepDir) {
 	for i := len(distR) - 1; i >= 0; i-- {
-		d := distR[i]
-		if math.IsInf(d, 1) {
+		di := distR[i]
+		if math.IsInf(di, 1) {
 			continue
 		}
-		lo, hi := upOff[i], upOff[i+1]
-		arcs := upArcs[lo:hi]
-		for k := range arcs {
-			a := arcs[k]
-			if cand := d + a.w; cand < distR[a.up] {
-				distR[a.up] = cand
-				e := upEnds[lo+int32(k)]
-				if useLast {
-					parentR[a.up] = e.last
-				} else {
-					parentR[a.up] = e.first
-				}
+		lo, hi := d.upOff[i], d.upOff[i+1]
+		ups, w := d.upUp[lo:hi], d.upW[lo:hi]
+		w = w[:len(ups)]
+		for k, u := range ups {
+			if cand := di + w[k]; cand < distR[u] {
+				distR[u] = cand
+				parentR[u] = d.end(d.upEnds[lo+int32(k)])
 			}
 		}
 	}
 }
 
-// NewTreeBuilder derives the one-shot PHAST ordering and packed
-// adjacency from the hierarchy. The work is a few linear passes over the
-// arc set, negligible next to the customization that produced it.
-func (h *Runtime) NewTreeBuilder() *TreeBuilder {
+// newTopology packs the position-space CSRs of the runtime's upward
+// adjacency. upBwdAt(v) holds exactly the arcs entering v from
+// higher-ranked tails, upFwdAt(v) the arcs leaving v toward higher-ranked
+// heads. Arcs flagged in drop (a perfect customization's inert arcs) are
+// left out, so both full PHAST sweeps and RPHAST selections skip them
+// without a per-arc check in the hot loops; such a topology reuses
+// order, the node order of the runtime's shared topology. With drop nil
+// and order nil it is the shared topology itself.
+func (h *Runtime) newTopology(order []graph.NodeID, pos []int32, drop []bool) *Topology {
 	n := h.g.NumNodes()
-	tb := &TreeBuilder{n: n}
-
-	// Resolve every arc's boundary original edges. Shortcut constituents
-	// are always inserted before the shortcut referencing them, so one
-	// forward pass suffices.
-	m := len(h.arcs)
-	firstEdge := make([]graph.EdgeID, m)
-	lastEdge := make([]graph.EdgeID, m)
-	for ai := range h.arcs {
-		a := &h.arcs[ai]
-		switch {
-		case a.Orig >= 0:
-			firstEdge[ai] = a.Orig
-			lastEdge[ai] = a.Orig
-		case a.Skip1 >= 0:
-			firstEdge[ai] = firstEdge[a.Skip1]
-			lastEdge[ai] = lastEdge[a.Skip2]
-		default:
-			// An inert arc: the pair exists in the topology but the current
-			// metric gives it no realizing path (CCH only). It carries +Inf
-			// and can never win a relaxation, so it resolves to no edge.
-			firstEdge[ai] = -1
-			lastEdge[ai] = -1
+	t := &Topology{n: n, order: order, pos: pos}
+	if order == nil {
+		// Nodes in descending contraction rank (rank is a permutation).
+		t.order = make([]graph.NodeID, n)
+		for v := 0; v < n; v++ {
+			t.order[n-1-int(h.rank[v])] = graph.NodeID(v)
+		}
+		t.pos = make([]int32, n)
+		for i, v := range t.order {
+			t.pos[v] = int32(i)
 		}
 	}
-
-	// Nodes in descending contraction rank (rank is a permutation).
-	tb.order = make([]graph.NodeID, n)
-	for v := 0; v < n; v++ {
-		tb.order[n-1-int(h.rank[v])] = graph.NodeID(v)
-	}
-	tb.pos = make([]int32, n)
-	for i, v := range tb.order {
-		tb.pos[v] = int32(i)
-	}
-
-	// Pack the position-space CSRs. upBwdAt(v) holds exactly the arcs
-	// entering v from higher-ranked tails, upFwdAt(v) the arcs leaving v
-	// toward higher-ranked heads. Inert arcs (strictly dominated under
-	// the current metric, perfect-customized CCH only) are dropped here,
-	// so both full PHAST sweeps and RPHAST selections skip them without
-	// a per-arc check in the hot loops.
-	tb.fwdOff = make([]int32, n+1)
-	tb.bwdOff = make([]int32, n+1)
-	for i, v := range tb.order {
+	keep := func(ai int32) bool { return drop == nil || !drop[ai] }
+	t.fwdOff = make([]int32, n+1)
+	t.bwdOff = make([]int32, n+1)
+	for i, v := range t.order {
 		nf, nb := int32(0), int32(0)
 		for _, ai := range h.upBwdAt(v) {
-			if !h.arcInert(ai) {
+			if keep(ai) {
 				nf++
 			}
 		}
 		for _, ai := range h.upFwdAt(v) {
-			if !h.arcInert(ai) {
+			if keep(ai) {
 				nb++
 			}
 		}
-		tb.fwdOff[i+1] = tb.fwdOff[i] + nf
-		tb.bwdOff[i+1] = tb.bwdOff[i] + nb
+		t.fwdOff[i+1] = t.fwdOff[i] + nf
+		t.bwdOff[i+1] = t.bwdOff[i] + nb
 	}
-	tb.fwdArcs = make([]downArc, tb.fwdOff[n])
-	tb.fwdEnds = make([]arcEnds, tb.fwdOff[n])
-	tb.bwdArcs = make([]downArc, tb.bwdOff[n])
-	tb.bwdEnds = make([]arcEnds, tb.bwdOff[n])
-	for i, v := range tb.order {
-		k := tb.fwdOff[i]
+	t.fwdUp = make([]int32, t.fwdOff[n])
+	t.fwdArc = make([]int32, t.fwdOff[n])
+	t.bwdUp = make([]int32, t.bwdOff[n])
+	t.bwdArc = make([]int32, t.bwdOff[n])
+	for i, v := range t.order {
+		k := t.fwdOff[i]
 		for _, ai := range h.upBwdAt(v) {
-			if h.arcInert(ai) {
-				continue
+			if keep(ai) {
+				t.fwdUp[k], t.fwdArc[k] = t.pos[h.arcFrom[ai]], ai
+				k++
 			}
-			tb.fwdArcs[k] = downArc{up: tb.pos[h.arcFrom[ai]], w: h.arcs[ai].Weight}
-			tb.fwdEnds[k] = arcEnds{first: firstEdge[ai], last: lastEdge[ai]}
-			k++
 		}
-		k = tb.bwdOff[i]
+		k = t.bwdOff[i]
 		for _, ai := range h.upFwdAt(v) {
-			if h.arcInert(ai) {
-				continue
+			if keep(ai) {
+				t.bwdUp[k], t.bwdArc[k] = t.pos[h.arcTo[ai]], ai
+				k++
 			}
-			tb.bwdArcs[k] = downArc{up: tb.pos[h.arcs[ai].To], w: h.arcs[ai].Weight}
-			tb.bwdEnds[k] = arcEnds{first: firstEdge[ai], last: lastEdge[ai]}
-			k++
 		}
 	}
+	if slices.Equal(t.fwdOff, t.bwdOff) && slices.Equal(t.fwdUp, t.bwdUp) {
+		t.bwdOff, t.bwdUp = t.fwdOff, t.fwdUp
+	}
+	return t
+}
+
+// memoryBytes reports the retained size of the topology's arrays, the
+// CSRs the backward direction shares with the forward one counted once.
+func (t *Topology) memoryBytes() int {
+	b := 4 * (len(t.order) + len(t.pos) + len(t.fwdOff) + len(t.fwdUp) + len(t.fwdArc) + len(t.bwdArc))
+	if unsafe.SliceData(t.bwdOff) != unsafe.SliceData(t.fwdOff) {
+		b += 4 * len(t.bwdOff)
+	}
+	if unsafe.SliceData(t.bwdUp) != unsafe.SliceData(t.fwdUp) {
+		b += 4 * len(t.bwdUp)
+	}
+	return b
+}
+
+// NewTreeBuilder packs the customization's columns — per CSR slot of its
+// topology, the arc weight and the boundary original edges — over the
+// runtime's shared topology, or over a private one that drops the arcs a
+// perfect customization marked inert. The work is a few linear passes
+// over the arc set, negligible next to the customization that produced
+// it.
+func (h *Runtime) NewTreeBuilder() *TreeBuilder {
+	top := h.top
+	if h.inert != nil {
+		top = h.newTopology(h.top.order, h.top.pos, h.inert)
+	}
+
+	// Resolve every arc's boundary original edges. Shortcut constituents
+	// are always inserted before the shortcut referencing them, so one
+	// forward pass suffices.
+	ends := make([]arcEnds, len(h.arcs))
+	for ai := range h.arcs {
+		a := &h.arcs[ai]
+		switch {
+		case a.Orig >= 0:
+			ends[ai] = arcEnds{a.Orig, a.Orig}
+		case a.Skip1 >= 0:
+			ends[ai] = arcEnds{ends[a.Skip1].first, ends[a.Skip2].last}
+		default:
+			// An arc whose pair the current metric gives no realizing path
+			// (CCH only). It carries +Inf and can never win a relaxation,
+			// so it resolves to no edge.
+			ends[ai] = arcEnds{-1, -1}
+		}
+	}
+	column := func(arcIdx []int32) ([]float64, []arcEnds) {
+		w := make([]float64, len(arcIdx))
+		e := make([]arcEnds, len(arcIdx))
+		for k, ai := range arcIdx {
+			w[k], e[k] = h.arcs[ai].Weight, ends[ai]
+		}
+		return w, e
+	}
+	tb := &TreeBuilder{top: top}
+	tb.fwdW, tb.fwdEnds = column(top.fwdArc)
+	tb.bwdW, tb.bwdEnds = column(top.bwdArc)
 	return tb
 }
 
-// arcInert reports whether the runtime's customization marked arc ai
-// inert (strictly dominated; safe for queries and sweeps to skip).
-func (h *Runtime) arcInert(ai int32) bool { return h.inert != nil && h.inert[ai] }
+// Topology returns the sweep topology the builder's columns are aligned
+// with. Builders of one preprocessing's basic customizations return the
+// same pointer.
+func (tb *TreeBuilder) Topology() *Topology { return tb.top }
+
+// MemoryBytes reports the retained size of the builder's own columns:
+// weights and arc ends, not the topology they index, which the builder
+// usually shares (Runtime.MemoryBytes counts it).
+func (tb *TreeBuilder) MemoryBytes() int {
+	const endBytes = int(unsafe.Sizeof(arcEnds{}))
+	return 8*(cap(tb.fwdW)+cap(tb.bwdW)) + endBytes*(cap(tb.fwdEnds)+cap(tb.bwdEnds))
+}
 
 // NumSweepArcs returns how many arcs the full forward and backward
 // downward sweeps relax — the per-tree work a customization's topology
 // implies. Perfect CCH customization shrinks both by dropping inert arcs.
 func (tb *TreeBuilder) NumSweepArcs() (fwd, bwd int) {
-	return len(tb.fwdArcs), len(tb.bwdArcs)
+	return len(tb.fwdW), len(tb.bwdW)
 }
 
 // BuildTree computes the complete shortest-path tree rooted at root and
@@ -251,22 +340,16 @@ func (tb *TreeBuilder) BuildTree(root graph.NodeID, dir sp.Direction) *sp.Tree {
 // nothing.
 func (tb *TreeBuilder) BuildTreeInto(ws *sp.Workspace, root graph.NodeID, dir sp.Direction) *sp.Tree {
 	t, st := ws.TreeSlot(dir)
-	n := tb.n
+	top := tb.top
+	n := top.n
 	dist, parent := st.DenseArrays(n)
-
-	upOff, upArcs, upEnds := tb.bwdOff, tb.bwdArcs, tb.bwdEnds
-	downOff, downArcs, downEnds := tb.fwdOff, tb.fwdArcs, tb.fwdEnds
-	if dir == sp.Backward {
-		upOff, upArcs, upEnds = tb.fwdOff, tb.fwdArcs, tb.fwdEnds
-		downOff, downArcs, downEnds = tb.bwdOff, tb.bwdArcs, tb.bwdEnds
-	}
-	useLast := dir == sp.Forward
+	d := tb.dir(dir)
 
 	sc := sweepPool.Get().(*sweepScratch)
-	distR, parentR := sc.initFor(n, tb.pos[root])
+	distR, parentR := sc.initFor(n, top.pos[root])
 
 	// Phase 1, the upward search.
-	upwardPass(distR, parentR, upOff, upArcs, upEnds, useLast)
+	upwardPass(distR, parentR, &d)
 
 	// Phase 2, the downward sweep: positions in descending rank, one pull
 	// min-fold per node. Every downward arc's upper endpoint is final when
@@ -274,31 +357,26 @@ func (tb *TreeBuilder) BuildTreeInto(ws *sp.Workspace, root graph.NodeID, dir sp
 	// (Inf + w never beats a finite candidate, and Inf-only nodes stay
 	// unreachable).
 	for i := 0; i < n; i++ {
-		d := distR[i]
-		lo, hi := downOff[i], downOff[i+1]
-		arcs := downArcs[lo:hi]
+		di := distR[i]
+		lo, hi := d.downOff[i], d.downOff[i+1]
+		ups, w := d.downUp[lo:hi], d.downW[lo:hi]
+		w = w[:len(ups)]
 		best := -1
-		for k := range arcs {
-			a := arcs[k]
-			if cand := distR[a.up] + a.w; cand < d {
-				d = cand
+		for k, u := range ups {
+			if cand := distR[u] + w[k]; cand < di {
+				di = cand
 				best = k
 			}
 		}
 		if best >= 0 {
-			distR[i] = d
-			e := downEnds[lo+int32(best)]
-			if useLast {
-				parentR[i] = e.last
-			} else {
-				parentR[i] = e.first
-			}
+			distR[i] = di
+			parentR[i] = d.end(d.downEnds[lo+int32(best)])
 		}
 	}
 
 	// Scatter the rank-space result into the node-indexed workspace
 	// arrays the Tree exposes.
-	for i, v := range tb.order {
+	for i, v := range top.order {
 		dist[v] = distR[i]
 		parent[v] = parentR[i]
 	}

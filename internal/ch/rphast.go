@@ -105,14 +105,15 @@ func (tb *TreeBuilder) Select(targets []graph.NodeID, reuse *Selection) *Selecti
 		sel = &Selection{}
 	}
 	sel.tb = tb
+	top := tb.top
 	sc := selectPool.Get().(*selectScratch)
-	if len(sc.mark) < tb.n {
-		sc.mark = make([]bool, tb.n)
+	if len(sc.mark) < top.n {
+		sc.mark = make([]bool, top.n)
 	}
-	sel.targets = tb.markTargets(targets, sc.mark)
-	sel.fwd.closeAndEmit(tb, tb.fwdOff, tb.fwdArcs, tb.fwdEnds, sc.mark)
-	tb.markTargets(targets, sc.mark)
-	sel.bwd.closeAndEmit(tb, tb.bwdOff, tb.bwdArcs, tb.bwdEnds, sc.mark)
+	sel.targets = top.markTargets(targets, sc.mark)
+	sel.fwd.closeAndEmit(top.fwdOff, top.fwdUp, tb.fwdW, tb.fwdEnds, sc.mark)
+	top.markTargets(targets, sc.mark)
+	sel.bwd.closeAndEmit(top.bwdOff, top.bwdUp, tb.bwdW, tb.bwdEnds, sc.mark)
 	selectPool.Put(sc)
 	return sel
 }
@@ -120,10 +121,10 @@ func (tb *TreeBuilder) Select(targets []graph.NodeID, reuse *Selection) *Selecti
 // markTargets marks the targets' positions in mark, returning how many
 // were newly marked. It runs once per direction (the emit pass clears
 // mark).
-func (tb *TreeBuilder) markTargets(targets []graph.NodeID, mark []bool) int {
+func (t *Topology) markTargets(targets []graph.NodeID, mark []bool) int {
 	distinct := 0
 	for _, v := range targets {
-		p := tb.pos[v]
+		p := t.pos[v]
 		if !mark[p] {
 			mark[p] = true
 			distinct++
@@ -143,8 +144,8 @@ func (tb *TreeBuilder) markTargets(targets []graph.NodeID, mark []bool) int {
 // positions and arcs the emit keeps, and the four arrays are sized once,
 // exactly: a fresh selection retains no growth slack and allocates no
 // growth garbage. Leaves mark fully cleared.
-func (r *restrictedCSR) closeAndEmit(tb *TreeBuilder, off []int32, arcs []downArc, ends []arcEnds, mark []bool) {
-	n := tb.n
+func (r *restrictedCSR) closeAndEmit(off, up []int32, w []float64, ends []arcEnds, mark []bool) {
+	n := len(off) - 1
 	nodes, kept := 0, 0
 	for p := n - 1; p >= 0; p-- {
 		if !mark[p] {
@@ -153,8 +154,8 @@ func (r *restrictedCSR) closeAndEmit(tb *TreeBuilder, off []int32, arcs []downAr
 		nodes++
 		lo, hi := off[p], off[p+1]
 		for k := lo; k < hi; k++ {
-			if a := arcs[k]; !math.IsInf(a.w, 1) {
-				mark[a.up] = true
+			if !math.IsInf(w[k], 1) {
+				mark[up[k]] = true
 				kept++
 			}
 		}
@@ -173,10 +174,10 @@ func (r *restrictedCSR) closeAndEmit(tb *TreeBuilder, off []int32, arcs []downAr
 		r.nodes[i] = int32(p)
 		lo, hi := off[p], off[p+1]
 		for k := lo; k < hi; k++ {
-			if math.IsInf(arcs[k].w, 1) {
+			if math.IsInf(w[k], 1) {
 				continue
 			}
-			r.arcs[j] = arcs[k]
+			r.arcs[j] = downArc{up: up[k], w: w[k]}
 			r.ends[j] = ends[k]
 			j++
 		}
@@ -206,22 +207,19 @@ func (tb *TreeBuilder) BuildTreeRestrictedInto(ws *sp.Workspace, root graph.Node
 		panic("ch: Selection used with a TreeBuilder it was not derived from (stale selection kept across a customization?)")
 	}
 	t, st := ws.TreeSlot(dir)
-	n := tb.n
+	n := tb.top.n
 	dist, parent := st.DenseArrays(n)
-
-	upOff, upArcs, upEnds := tb.bwdOff, tb.bwdArcs, tb.bwdEnds
+	d := tb.dir(dir)
 	r := &sel.fwd
 	if dir == sp.Backward {
-		upOff, upArcs, upEnds = tb.fwdOff, tb.fwdArcs, tb.fwdEnds
 		r = &sel.bwd
 	}
-	useLast := dir == sp.Forward
 
 	sc := sweepPool.Get().(*sweepScratch)
-	distR, parentR := sc.initFor(n, tb.pos[root])
+	distR, parentR := sc.initFor(n, tb.top.pos[root])
 
 	// Phase 1, the upward search — identical to the full build.
-	upwardPass(distR, parentR, upOff, upArcs, upEnds, useLast)
+	upwardPass(distR, parentR, &d)
 
 	// Phase 2, the restricted downward sweep: selected positions in
 	// descending rank. Every pull's upper endpoint is in the selection
@@ -231,25 +229,20 @@ func (tb *TreeBuilder) BuildTreeRestrictedInto(ws *sp.Workspace, root graph.Node
 	nodes := r.nodes
 	for k := range nodes {
 		i := nodes[k]
-		d := distR[i]
+		di := distR[i]
 		lo, hi := r.off[k], r.off[k+1]
 		arcs := r.arcs[lo:hi]
 		best := -1
 		for j := range arcs {
 			a := arcs[j]
-			if cand := distR[a.up] + a.w; cand < d {
-				d = cand
+			if cand := distR[a.up] + a.w; cand < di {
+				di = cand
 				best = j
 			}
 		}
 		if best >= 0 {
-			distR[i] = d
-			e := r.ends[lo+int32(best)]
-			if useLast {
-				parentR[i] = e.last
-			} else {
-				parentR[i] = e.first
-			}
+			distR[i] = di
+			parentR[i] = d.end(r.ends[lo+int32(best)])
 		}
 	}
 
@@ -261,7 +254,7 @@ func (tb *TreeBuilder) BuildTreeRestrictedInto(ws *sp.Workspace, root graph.Node
 		dist[v] = inf
 		parent[v] = -1
 	}
-	order := tb.order
+	order := tb.top.order
 	for k := range nodes {
 		i := nodes[k]
 		v := order[i]

@@ -7,6 +7,15 @@
 // trees for the plateau join and the distance tables, and exact
 // point-to-point distances and paths (elimination-tree ascents) that
 // unpack to original edge sequences.
+//
+// The sweeps are split by what a weight version changes. The Topology —
+// node order and the position-space CSRs — depends only on the
+// preprocessing, is built once with its metric-free Runtime, and is
+// shared by every basic customization; a TreeBuilder holds one version's
+// columns over it (arc weights and arc ends). Two builders of one
+// topology sweep their trees from one root in one pass
+// (BuildTwinTreesInto), which is how a request's public and traffic trees
+// are built.
 package ch
 
 import "repro/internal/graph"
@@ -93,6 +102,10 @@ type Runtime struct {
 	// elim is the elimination tree of the topology, the root paths the
 	// query ascends (elimquery.go).
 	elim *ElimTree
+	// top is the PHAST sweep topology of the upward adjacency, built once
+	// by NewRuntime and shared by every customization's TreeBuilder
+	// (phast.go).
+	top *Topology
 }
 
 // NewRuntime assembles the metric-free half of a hierarchy runtime: rank
@@ -101,9 +114,10 @@ type Runtime struct {
 // caller vouches that upward neighborhoods are cliques, so elim's root
 // paths carry every upward search space — package cch's chordal
 // supergraph satisfies this by construction. The adjacency split is
-// derived here; the input slices are owned by the runtime afterwards.
-// The result carries no arcs: each customization attaches its own with
-// WithArcsInert.
+// derived here, and so is the PHAST sweep topology every customization's
+// TreeBuilder shares; the input slices are owned by the runtime
+// afterwards. The result carries no arcs: each customization attaches its
+// own with WithArcsInert.
 func NewRuntime(g *graph.Graph, rank []int32, from, to []graph.NodeID, elim *ElimTree) *Runtime {
 	n := g.NumNodes()
 	h := &Runtime{
@@ -142,7 +156,20 @@ func NewRuntime(g *graph.Graph, rank []int32, from, to []graph.NodeID, elim *Eli
 			bwdCur[w]++
 		}
 	}
+	h.top = h.newTopology(nil, nil, nil)
 	return h
+}
+
+// MemoryBytes reports the retained size of the runtime's metric-free
+// arrays — rank, upward adjacency, arc tails and heads, elimination tree
+// and sweep topology — which every customization of it shares. A
+// customization's own arcs are not counted.
+func (h *Runtime) MemoryBytes() int {
+	b := 4 * (len(h.rank) + len(h.upFwdOff) + len(h.upFwdArcs) + len(h.upBwdOff) + len(h.upBwdArcs) + len(h.arcFrom) + len(h.arcTo))
+	if h.elim != nil {
+		b += 4 * (len(h.elim.Parent) + len(h.elim.Depth))
+	}
+	return b + h.top.memoryBytes()
 }
 
 // upFwdAt returns the upward forward arc list of v (arc indices v->w with
@@ -158,7 +185,8 @@ func (h *Runtime) upBwdAt(v graph.NodeID) []int32 {
 }
 
 // WithArcsInert returns a runtime sharing this runtime's graph, order,
-// adjacency, tails, heads and elimination tree, with the arc array, its
+// adjacency, tails, heads, elimination tree and sweep topology, with the
+// arc array, its
 // packed weight view and the inert-arc mask replaced (all aligned; nil
 // inert clears the mask) — the zero-re-indexing handoff from a
 // customization pass to the fixed topology. The arcs must be

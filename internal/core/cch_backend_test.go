@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ch"
 	"repro/internal/graph"
 	"repro/internal/traffic"
 	"repro/internal/weights"
@@ -215,4 +216,49 @@ func TestCCHRecustomizeChainStaysExact(t *testing.T) {
 	pl.prov.refreshSync()
 	fresh := NewPlateaus(g, Options{Weights: weights.Pin(final)})
 	comparePlannersExact(t, fresh, pl, g, 8, 11)
+}
+
+// TestStudyProvidersShareTopology pins the precondition of the engine's
+// twin sweeps: on ch-auto a study set's public and traffic providers hold
+// one ch.Topology pointer, at construction and after publishes on both
+// stores, while their weight columns stay their own. A cch-perfect study
+// set packs a private topology per version instead.
+func TestStudyProvidersShareTopology(t *testing.T) {
+	g := randomRoadNetwork(707, 150)
+	topology := func(pl Planner) *ch.Topology {
+		return sweepBuilder(pl.source().cur.Load().trees).Topology()
+	}
+	pub := weights.NewStore(g.BaseWeights())
+	priv := weights.NewStore(traffic.Apply(g, traffic.DefaultModel(7)))
+	planners := NewStudyPlanners(g, Options{Weights: pub, TreeBackend: TreeCHAuto}, priv)
+	router := NewRouter(NewEngine(1), planners[:], pub, priv)
+	shared := topology(planners[1])
+	check := func(when string) {
+		t.Helper()
+		for _, pl := range planners {
+			if topology(pl) != shared {
+				t.Fatalf("%s: %s sweeps a topology of its own", when, pl.Name())
+			}
+		}
+		if sweepBuilder(planners[0].source().cur.Load().trees) == sweepBuilder(planners[1].source().cur.Load().trees) {
+			t.Fatalf("%s: the public and traffic views share one builder", when)
+		}
+	}
+	check("at construction")
+	scaled := g.CopyWeights()
+	for e := range scaled {
+		scaled[e] *= 1.25
+	}
+	pub.Publish(scaled)
+	priv.Ban(1, 2, 3)
+	router.Sync()
+	if v := router.ServingVersions(); v[0] != 2 || v[1] != 2 {
+		t.Fatalf("serving versions %v after one publish per store, want 2 on both stores", v)
+	}
+	check("after publishes")
+
+	perfect := NewStudyPlanners(g, Options{Weights: pub, TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCHPerfect}, priv)
+	if topology(perfect[0]) == topology(perfect[1]) || topology(perfect[1]) == shared {
+		t.Fatal("cch-perfect views share a sweep topology")
+	}
 }

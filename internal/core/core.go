@@ -178,9 +178,12 @@ func (o Options) withDefaults() Options {
 // Commercial plans on private (its traffic metric; must not be nil); the
 // other three plan on Options.Weights through one shared provider, so
 // every batch the engine answers reports one version for all three, and
-// within a batch Plateaus, Dissimilarity and Penalty build one tree pair
-// per query between them (see Engine.AlternativesBatch): the first two
-// join it, Penalty searches toward t with its backward tree as potential. Building them separately
+// within a batch Plateaus, Dissimilarity and Penalty read one public tree
+// pair per query (see Engine.AlternativesBatch): the first two join it,
+// Penalty searches toward t with its backward tree as potential.
+// Commercial's traffic pair is built in the same group, and on ch-auto
+// each root's public and traffic trees come out of one twin sweep, since
+// both providers customize the same preprocessing. Building them separately
 // would give each its own provider: a double-buffered Plateaus could then
 // answer one response a version behind Dissimilarity and Penalty, and the
 // two tree users would each build their own pair.

@@ -50,6 +50,11 @@ func (p *ellipticTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bw
 	return fwd, bwd, true
 }
 
+// BuildTree is a complete Dijkstra tree: pruning needs both endpoints.
+func (p *ellipticTrees) BuildTree(ws *sp.Workspace, root graph.NodeID, dir sp.Direction) *sp.Tree {
+	return sp.BuildTreeInto(ws, p.g, p.weights, root, dir)
+}
+
 // ellipticPlanner answers with pl's own code on elliptic trees of the
 // snapshot of the view it is given: the view an Engine batch pinned for
 // pl's provider, or the one that provider serves now. The planners under

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ch"
 	"repro/internal/graph"
 	"repro/internal/path"
 	"repro/internal/sp"
@@ -24,11 +26,11 @@ import (
 // Planner is safe for concurrent use.
 //
 // The only state that spans jobs is request-scoped: within one batch, the
-// jobs that run on the same pinned view for the same (s, t) — the study
-// set's Plateaus, Dissimilarity and Penalty on the public provider —
-// share one forward/backward tree pair, built once by whichever needs it
-// first and released when the last of them finishes (see
-// AlternativesBatch).
+// jobs that plan on trees for the same (s, t) — all four study planners,
+// Commercial on the traffic store and Plateaus, Dissimilarity and Penalty
+// on the public one — share one tree group: each of the query's trees is
+// built once per pinned view, and released when the last of the jobs
+// finishes (see AlternativesBatch).
 //
 // With SetCache the engine additionally memoizes answers keyed by
 // (planner, weight version, s, t): under live traffic the same hot
@@ -120,19 +122,27 @@ type Result struct {
 // provider answer the whole batch under one snapshot version, however
 // publishes race it.
 //
-// Jobs on one pinned view with the same (s, t) — in the study set
-// Plateaus, Dissimilarity and Penalty — also share one tree pair. The
-// first of them to miss the result cache installs a batch-local copy of
-// the view whose TreeSource builds the pair once, into a workspace of its
-// own; a job asking for the trees while they are being built waits for
-// them. Plateaus, Dissimilarity and Penalty only read the trees (Penalty
-// its backward tree, as a search potential), and they are the output of
-// one deterministic call on the same inputs, so every route is what the
-// job would have computed alone, ties included. A build that panics
-// fails only its own job; the others then build their own trees. The
-// last job of the group to finish releases the pair, so a batch of many
-// queries holds a pair only while some job of its query runs, and a group
-// whose jobs all hit the cache never builds one.
+// Jobs with the same (s, t) on views with trees — in the study set all
+// four, across the public and the traffic store — also share one tree
+// group: per distinct pinned view, a forward tree rooted at s and a
+// backward tree rooted at t, each built once into a workspace of the
+// group's. The work is two halves, every view's forward tree and every
+// view's backward tree. The first job of the group to miss the result
+// cache installs the group's state; a job that needs trees claims each
+// half nobody has claimed, builds it, and then waits for the other, so
+// on two workers the halves run in parallel. Within a half, two views
+// whose tree builders share one sweep topology (a city's public and
+// traffic views on ch-auto) are swept in one twin pass
+// (ch.BuildTwinTreesInto); any other view — the Dijkstra backend, a
+// cch-perfect customization with its private topology — is swept on its
+// own. The planners only read the trees (Penalty its backward tree, as a
+// search potential), and every tree is bit-identical to the view's own
+// build, so every route is what the job would have computed alone, ties
+// included. A half whose build panics fails only the job that built it;
+// the others then build their own trees. The last job of the group to
+// finish releases its workspaces, so a batch of many queries holds a
+// group's trees only while some job of its query runs, and a group whose
+// jobs all hit the cache builds nothing.
 func (e *Engine) AlternativesBatch(jobs []Job) []Result {
 	results := make([]Result, len(jobs))
 	e.runBatch(jobs, pinSlots(jobs), results)
@@ -168,38 +178,42 @@ func (e *Engine) runBatch(jobs []Job, slots []batchSlot, results []Result) {
 
 // batchSlot is one job's place in a batch: the view it is pinned to, the
 // instrument bundle of the view's provider and, when other jobs of the
-// batch share that view and its (s, t), the group whose tree pair they
+// batch that plan on trees share its (s, t), the group whose trees they
 // share.
 type batchSlot struct {
 	v       *view
 	metrics *Metrics
 	// group points at the state held in the slot of the group's first job
-	// (own); nil when no other job shares the view and the pair.
-	group *pairGroup
-	own   pairGroup
+	// (own); nil when no other job shares the query.
+	group *treeGroup
+	// next is the index+1 of the group's next job (0 ends the list), so a
+	// group finds its views without a per-batch allocation.
+	next int32
+	own  treeGroup
 }
 
-// pairGroup is the request-scoped tree pair of the jobs sharing one
-// (view, s, t).
-type pairGroup struct {
+// treeGroup is the request-scoped tree state of the jobs sharing one
+// (s, t) across every pinned view of a batch.
+type treeGroup struct {
 	pending atomic.Int32 // jobs of the group still running
-	trees   atomic.Pointer[sharedTrees]
+	trees   atomic.Pointer[groupTrees]
+	// slots is the batch, and first/last the ends of the group's job list
+	// through it.
+	slots       []batchSlot
+	first, last int32
 }
 
-// pairKey identifies a group: a pinned view and a query.
-type pairKey struct {
-	v    *view
-	s, t graph.NodeID
-}
+// queryKey identifies a group: a query.
+type queryKey struct{ s, t graph.NodeID }
 
 // pinSlots resolves the view each job runs on — one per distinct provider,
-// shared by every job on it — and groups the jobs that share a view with
-// trees and an (s, t). Both maps stay on the stack for a request-sized
-// batch.
+// shared by every job on it — and groups the jobs on views with trees by
+// (s, t), across providers. Both maps stay on the stack for a
+// request-sized batch.
 func pinSlots(jobs []Job) []batchSlot {
 	slots := make([]batchSlot, len(jobs))
 	pinned := make(map[*provider]*view, 2)
-	leads := make(map[pairKey]int, 8)
+	leads := make(map[queryKey]int32, 8)
 	for i := range jobs {
 		prov := jobs[i].Planner.source()
 		v, ok := pinned[prov]
@@ -212,101 +226,218 @@ func pinSlots(jobs []Job) []batchSlot {
 		if v.trees == nil {
 			continue
 		}
-		key := pairKey{v, jobs[i].S, jobs[i].T}
+		key := queryKey{jobs[i].S, jobs[i].T}
 		lead, ok := leads[key]
 		if !ok {
-			leads[key] = i
+			leads[key] = int32(i)
 			continue
 		}
 		g := &slots[lead].own
 		if slots[lead].group == nil {
 			slots[lead].group = g
+			g.slots, g.first, g.last = slots, lead, lead
 			g.pending.Store(1)
 		}
 		g.pending.Add(1)
+		slots[g.last].next = int32(i) + 1
+		g.last = int32(i)
 		slots[i].group = g
 	}
 	return slots
 }
 
 // planView returns the view the slot's job plans on: the pinned view, or
-// in a group the group's copy whose trees build once, installed by the
-// first job of the group to get here.
+// in a group the group's copy of it whose trees are the group's, installed
+// by the first job of the group to get here.
 func (sl *batchSlot) planView(s, t graph.NodeID) *view {
 	g := sl.group
 	if g == nil {
 		return sl.v
 	}
-	st := g.trees.Load()
-	if st == nil {
-		st = newSharedTrees(sl.v, s, t)
-		if !g.trees.CompareAndSwap(nil, st) {
-			st = g.trees.Load()
+	gt := g.trees.Load()
+	if gt == nil {
+		gt = g.newTrees(s, t)
+		if !g.trees.CompareAndSwap(nil, gt) {
+			gt.release()
+			gt = g.trees.Load()
 		}
 	}
-	return &st.view
+	for i := range gt.members {
+		if m := &gt.members[i]; m.pinned == sl.v {
+			return &m.view
+		}
+	}
+	return sl.v
 }
 
 // finish records that the slot's job is done; the group's last job
-// releases the shared pair.
+// releases the group's trees.
 func (sl *batchSlot) finish() {
 	if g := sl.group; g != nil && g.pending.Add(-1) == 0 {
-		if st := g.trees.Load(); st != nil {
-			st.release()
+		if gt := g.trees.Load(); gt != nil {
+			gt.release()
 		}
 	}
 }
 
-// sharedTrees is the build-once TreeSource of one group: the first
-// BuildTrees call for the group's pair builds it with the wrapped source
-// into a workspace the handle owns, and every call returns those trees,
-// waiting for the build if it is still running. view is the group's copy
-// of the pinned view, whose trees is the handle itself.
-type sharedTrees struct {
-	view view
-	src  TreeSource
-	s, t graph.NodeID
-	once sync.Once
-	// Written by the build; read once once.Do has returned.
-	ws       *sp.Workspace
-	fwd, bwd *sp.Tree
-	ok       bool
-	built    bool
+// groupTrees is the build-once tree state of one group: for each distinct
+// view of the group, a forward tree rooted at s and a backward tree rooted
+// at t, in a workspace of the view's own. The work is two halves — every
+// view's s-rooted forward tree, and every view's t-rooted backward tree —
+// and a job that needs trees claims each unclaimed half, builds it, then
+// waits for the other, so two workers build the halves in parallel. Within
+// a half, two views whose tree builders share a sweep topology (a city's
+// public and traffic views on ch-auto) are swept in one twin pass; every
+// other view (the Dijkstra backend, a cch-perfect customization's private
+// topology) is swept on its own.
+type groupTrees struct {
+	s, t    graph.NodeID
+	members []groupMember
+	halves  [2]treeHalf // forward (s-rooted), backward (t-rooted)
 }
 
-func newSharedTrees(v *view, s, t graph.NodeID) *sharedTrees {
-	st := &sharedTrees{view: *v, src: v.trees, s: s, t: t}
-	st.view.trees = st
-	return st
+// treeHalf is one claimable half of a group's build.
+type treeHalf struct {
+	claimed atomic.Bool
+	done    sync.WaitGroup
+	// failed is written before done is released: the build panicked.
+	failed bool
 }
 
-// BuildTrees implements TreeSource for the group's Plateaus,
-// Dissimilarity and Penalty jobs, which all only read what it returns
-// (Penalty just the backward tree). After a build that panicked — or for
-// any other pair — the caller builds into its own workspace, as it would
-// without the handle: the unbuilt pair must not read as unreachable.
-func (st *sharedTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd *sp.Tree, ok bool) {
-	if s == st.s && t == st.t {
-		st.once.Do(st.build)
-		if st.built {
-			return st.fwd, st.bwd, st.ok
+// groupMember is one view of a group and its trees. It is the TreeSource
+// of view, the group's copy of the pinned view.
+type groupMember struct {
+	g      *groupTrees
+	pinned *view
+	view   view
+	src    TreeSource
+	ws     *sp.Workspace
+	trees  [2]*sp.Tree // forward, backward; written by the halves
+}
+
+// newTrees collects the group's distinct views and readies their
+// workspaces.
+func (g *treeGroup) newTrees(s, t graph.NodeID) *groupTrees {
+	gt := &groupTrees{s: s, t: t}
+	var views []*view
+	for i := g.first; ; i = g.slots[i].next - 1 {
+		if v := g.slots[i].v; !slices.Contains(views, v) {
+			views = append(views, v)
+		}
+		if g.slots[i].next == 0 {
+			break
 		}
 	}
-	return st.src.BuildTrees(ws, s, t)
+	gt.members = make([]groupMember, len(views))
+	for i, v := range views {
+		m := &gt.members[i]
+		m.g, m.pinned, m.view, m.src = gt, v, *v, v.trees
+		m.view.trees = m
+		m.ws = sp.GetWorkspace()
+	}
+	for h := range gt.halves {
+		gt.halves[h].done.Add(1)
+	}
+	return gt
 }
 
-func (st *sharedTrees) build() {
-	st.ws = sp.GetWorkspace()
-	st.fwd, st.bwd, st.ok = st.src.BuildTrees(st.ws, st.s, st.t)
-	st.built = true
+// build claims and builds every unclaimed half, then waits for the rest.
+// It reports whether every half was built; after a failed one the caller
+// builds its own trees.
+func (gt *groupTrees) build() bool {
+	for h := range gt.halves {
+		if gt.halves[h].claimed.CompareAndSwap(false, true) {
+			gt.buildHalf(h)
+		}
+	}
+	ok := true
+	for h := range gt.halves {
+		gt.halves[h].done.Wait()
+		ok = ok && !gt.halves[h].failed
+	}
+	return ok
 }
 
-// release returns the pair's workspace to the pool once no job can read
-// the trees any more.
-func (st *sharedTrees) release() {
-	if st.ws != nil {
-		st.ws.Release()
-		st.ws = nil
+// buildHalf builds half h's tree of every member, pairing the members
+// that share a sweep topology into twin passes. A panic marks the half
+// failed and propagates to the claiming job.
+func (gt *groupTrees) buildHalf(h int) {
+	half := &gt.halves[h]
+	failed := true
+	defer func() {
+		half.failed = failed
+		half.done.Done()
+	}()
+	root, dir := gt.s, sp.Forward
+	if h == 1 {
+		root, dir = gt.t, sp.Backward
+	}
+	ms := gt.members
+	for i := range ms {
+		if ms[i].trees[h] != nil {
+			continue
+		}
+		if j := twinPartner(ms, i, h); j >= 0 {
+			ms[i].trees[h], ms[j].trees[h] = ch.BuildTwinTreesInto(
+				ms[i].ws, sweepBuilder(ms[i].src), ms[j].ws, sweepBuilder(ms[j].src), root, dir)
+			continue
+		}
+		ms[i].trees[h] = ms[i].src.BuildTree(ms[i].ws, root, dir)
+	}
+	failed = false
+}
+
+// twinPartner returns the first member after i whose half-h tree is not
+// built yet and whose tree builder shares member i's sweep topology, or
+// -1.
+func twinPartner(ms []groupMember, i, h int) int {
+	a := sweepBuilder(ms[i].src)
+	if a == nil {
+		return -1
+	}
+	for j := i + 1; j < len(ms); j++ {
+		if b := sweepBuilder(ms[j].src); b != nil && ms[j].trees[h] == nil && b.Topology() == a.Topology() {
+			return j
+		}
+	}
+	return -1
+}
+
+// sweepBuilder returns the PHAST builder behind a CCH source, nil for any
+// other source.
+func sweepBuilder(src TreeSource) *ch.TreeBuilder {
+	if r, ok := src.(*cchTrees); ok {
+		return r.tb
+	}
+	return nil
+}
+
+// BuildTrees implements TreeSource for the group's jobs, which all only
+// read what it returns (Penalty just the backward tree). After a half
+// failed — or for any other pair — the caller builds into its own
+// workspace, as it would without the group: the unbuilt pair must not
+// read as unreachable.
+func (m *groupMember) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd *sp.Tree, ok bool) {
+	if s == m.g.s && t == m.g.t && m.g.build() {
+		fwd = m.trees[0]
+		return fwd, m.trees[1], fwd.Reached(t)
+	}
+	return m.src.BuildTrees(ws, s, t)
+}
+
+// BuildTree implements TreeSource by the member's own source.
+func (m *groupMember) BuildTree(ws *sp.Workspace, root graph.NodeID, dir sp.Direction) *sp.Tree {
+	return m.src.BuildTree(ws, root, dir)
+}
+
+// release returns the members' workspaces to the pool once no job can
+// read the trees any more.
+func (gt *groupTrees) release() {
+	for i := range gt.members {
+		if m := &gt.members[i]; m.ws != nil {
+			m.ws.Release()
+			m.ws = nil
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -148,12 +149,31 @@ func TestEngineWorkerBound(t *testing.T) {
 	}
 }
 
+// trafficClosureSnapshot is the traffic metric of g with a seeded 3 %
+// of its edges closed (+Inf): a private metric that differs from the
+// public one everywhere and walls off some of its roads.
+func trafficClosureSnapshot(g *graph.Graph, seed int64) *weights.Snapshot {
+	rng := rand.New(rand.NewSource(seed))
+	store := weights.NewStore(traffic.Apply(g, traffic.DefaultModel(uint64(seed))))
+	var bans []graph.EdgeID
+	for e := 0; e < g.NumEdges(); e++ {
+		if rng.Float64() < 0.03 {
+			bans = append(bans, graph.EdgeID(e))
+		}
+	}
+	store.Ban(bans...)
+	return store.Latest()
+}
+
 // TestEngineSharedTreePairMatchesPlanners pins the engine's answers, in
-// which Plateaus and Dissimilarity share one tree pair per query, to each
+// which all four planners share one tree group per query, to each
 // planner's standalone Alternatives on the three study cities, on both
-// tree backends, under base weights and under traffic plus closures: the
-// same errors, edges and TimeS bits, through Alternatives and through one
-// AlternativesBatch over every query.
+// tree backends: under base weights, under traffic plus closures on both
+// stores, and under base public weights with a private traffic metric
+// carrying its own closures — the case in which the public and traffic
+// trees of a ch-auto group come out of one twin pass over different
+// metrics. It checks the same errors, edges and TimeS bits, through
+// Alternatives and through one AlternativesBatch over every query.
 func TestEngineSharedTreePairMatchesPlanners(t *testing.T) {
 	if raceEnabled {
 		t.Skip("slow under the race detector; TestEngineBuildsOneTreePairPerQuery races the sharing")
@@ -168,13 +188,18 @@ func TestEngineSharedTreePairMatchesPlanners(t *testing.T) {
 			t.Fatal(err)
 		}
 		qs := separatedPairs(g, pairs, 800, 2022)
+		base, closures := weights.Pin(g.BaseWeights()), closureSnapshot(g, 2022)
 		snaps := []struct {
-			name string
-			snap *weights.Snapshot
-		}{{"base", weights.Pin(g.BaseWeights())}, {"closures", closureSnapshot(g, 2022)}}
+			name            string
+			public, private *weights.Snapshot
+		}{
+			{"base", base, base},
+			{"closures", closures, closures},
+			{"traffic-closures", base, trafficClosureSnapshot(g, 2022)},
+		}
 		for _, sn := range snaps {
 			for _, backend := range []TreeBackend{TreeDijkstra, TreeCHAuto} {
-				planners := NewStudyPlanners(g, Options{Weights: sn.snap, TreeBackend: backend}, sn.snap)
+				planners := NewStudyPlanners(g, Options{Weights: sn.public, TreeBackend: backend}, sn.private)
 				e := NewEngine(2)
 				var jobs []Job
 				for _, q := range qs {
@@ -198,36 +223,84 @@ func TestEngineSharedTreePairMatchesPlanners(t *testing.T) {
 	}
 }
 
-// countingTrees wraps a TreeSource, counting its builds; while panicNext
-// is set, the next build panics instead.
+// countingTrees wraps a TreeSource, counting its single-tree builds per
+// direction and its pair builds; while panicNext is set, the next tree
+// build panics instead.
 type countingTrees struct {
 	src       TreeSource
-	builds    atomic.Int64
+	trees     [2]atomic.Int64 // forward, backward
+	pairs     atomic.Int64
 	panicNext atomic.Bool
 }
 
 func (c *countingTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (*sp.Tree, *sp.Tree, bool) {
-	c.builds.Add(1)
+	c.pairs.Add(1)
+	return buildPair(c, ws, s, t)
+}
+
+func (c *countingTrees) BuildTree(ws *sp.Workspace, root graph.NodeID, dir sp.Direction) *sp.Tree {
+	if dir == sp.Forward {
+		c.trees[0].Add(1)
+	} else {
+		c.trees[1].Add(1)
+	}
 	if c.panicNext.CompareAndSwap(true, false) {
 		panic("injected tree build failure")
 	}
-	return c.src.BuildTrees(ws, s, t)
+	return c.src.BuildTree(ws, root, dir)
 }
 
-// TestEngineBuildsOneTreePairPerQuery counts the public provider's tree
-// builds through the engine: one per query of a four-planner batch, none
-// when every job hits the result cache, and every shared pair released
-// once its group is done. A panicking shared build fails only its own job;
-// each sibling builds its own pair and answers as it would alone.
-func TestEngineBuildsOneTreePairPerQuery(t *testing.T) {
-	g := testCity(t)
-	planners := NewStudyPlanners(g, Options{}, weights.Pin(traffic.Apply(g, traffic.DefaultModel(99))))
-	prov := planners[1].source()
+// reset zeroes the counters.
+func (c *countingTrees) reset() {
+	c.trees[0].Store(0)
+	c.trees[1].Store(0)
+	c.pairs.Store(0)
+}
+
+// counting installs a counting wrapper on the provider's serving view.
+func counting(prov *provider) *countingTrees {
 	cur := prov.cur.Load()
 	counted := *cur
 	ct := &countingTrees{src: cur.trees}
 	counted.trees = ct
 	prov.cur.Store(&counted)
+	return ct
+}
+
+// TestEngineBuildsOneTreePairPerQuery counts the tree builds of both
+// stores through the engine. In a four-planner batch Commercial (traffic
+// store) joins Plateaus, Dissimilarity and Penalty (public store) in one
+// group per query, and each of the query's four trees — the forward and
+// backward tree of each store — is built exactly once; none is built when
+// every job hits the result cache, and the last job of a group releases
+// its trees. A half whose build panics fails only the job that built it;
+// each sibling builds its own pair and answers as it would alone.
+func TestEngineBuildsOneTreePairPerQuery(t *testing.T) {
+	g := testCity(t)
+	planners := NewStudyPlanners(g, Options{}, weights.Pin(traffic.Apply(g, traffic.DefaultModel(99))))
+	public := counting(planners[1].source())
+	private := counting(planners[0].source())
+	stores := []struct {
+		name string
+		ct   *countingTrees
+	}{{"public", public}, {"traffic", private}}
+	reset := func() {
+		public.reset()
+		private.reset()
+	}
+	// wantTrees checks every store built want trees per direction and no
+	// pair of its own.
+	wantTrees := func(label string, want int64) {
+		t.Helper()
+		for _, st := range stores {
+			if f, b := st.ct.trees[0].Load(), st.ct.trees[1].Load(); f != want || b != want {
+				t.Fatalf("%s: the %s store built %d forward and %d backward trees, want %d each", label, st.name, f, b, want)
+			}
+			if n := st.ct.pairs.Load(); n != 0 {
+				t.Fatalf("%s: the %s store built %d pairs outside the group", label, st.name, n)
+			}
+		}
+	}
 
 	qs := [][2]graph.NodeID{{0, 143}, {5, 130}, {12, 100}, {27, 88}}
 	want := make([][4][]path.Path, len(qs))
@@ -263,8 +336,12 @@ func TestEngineBuildsOneTreePairPerQuery(t *testing.T) {
 			if n := grp.pending.Load(); n != 0 {
 				t.Fatalf("%s: job %d's group has %d jobs pending after the batch", label, i, n)
 			}
-			if st := grp.trees.Load(); st != nil && st.ws != nil {
-				t.Fatalf("%s: job %d's shared pair was not released", label, i)
+			if gt := grp.trees.Load(); gt != nil {
+				for _, m := range gt.members {
+					if m.ws != nil {
+						t.Fatalf("%s: job %d's group trees were not released", label, i)
+					}
+				}
 			}
 		}
 		return res, slots
@@ -280,27 +357,28 @@ func TestEngineBuildsOneTreePairPerQuery(t *testing.T) {
 		}
 	}
 
-	ct.builds.Store(0)
+	reset()
 	res, slots := run("one query", jobsFor(qs[0]))
 	check("one query", res, 0)
-	if n := ct.builds.Load(); n != 1 {
-		t.Fatalf("a four-planner batch built %d public pairs, want 1", n)
+	wantTrees("one query", 1)
+	for i := range slots {
+		if slots[i].group == nil || slots[i].group != slots[0].group {
+			t.Fatalf("job %d (%s) is not in the query's group", i, planners[i].Name())
+		}
 	}
-	if slots[1].group == nil || slots[1].group != slots[2].group || slots[1].group != slots[3].group {
-		t.Fatal("Plateaus, Dissimilarity and Penalty were not grouped on the public view")
+	if n := len(slots[0].group.trees.Load().members); n != 2 {
+		t.Fatalf("the query's group holds %d views, want 2 (public and traffic)", n)
 	}
 
-	ct.builds.Store(0)
+	reset()
 	res, _ = run("all queries", jobsFor(qs...))
 	check("all queries", res, 0)
-	if n := ct.builds.Load(); n != int64(len(qs)) {
-		t.Fatalf("a batch over %d queries built %d public pairs, want %d", len(qs), n, len(qs))
-	}
+	wantTrees("all queries", int64(len(qs)))
 
-	// A panicking shared build: exactly one of Plateaus, Dissimilarity and
-	// Penalty fails; the other two build their own pairs.
-	ct.builds.Store(0)
-	ct.panicNext.Store(true)
+	// A panicking half: exactly one job fails, the one that built it; the
+	// other three each build their own pair.
+	reset()
+	public.panicNext.Store(true)
 	res, _ = run("panic", jobsFor(qs[1]))
 	failed := 0
 	for i, r := range res {
@@ -309,28 +387,26 @@ func TestEngineBuildsOneTreePairPerQuery(t *testing.T) {
 			continue
 		}
 		failed++
-		if i == 0 || !strings.Contains(r.Err.Error(), "injected tree build failure") {
+		if !strings.Contains(r.Err.Error(), "injected tree build failure") {
 			t.Fatalf("panic: %s failed with %v", planners[i].Name(), r.Err)
 		}
 	}
 	if failed != 1 {
 		t.Fatalf("panic: %d jobs failed, want exactly the one that built", failed)
 	}
-	if n := ct.builds.Load(); n != 3 {
-		t.Fatalf("panic: %d public builds, want 3 (the failed shared one, each sibling's own)", n)
+	if n := public.pairs.Load() + private.pairs.Load(); n != 3 {
+		t.Fatalf("panic: siblings built %d pairs of their own, want 3", n)
 	}
 
-	// Every job hits the cache: no pair is built, no handle installed.
+	// Every job hits the cache: no tree is built, no group state installed.
 	e.SetCache(64)
 	run("warm-up", jobsFor(qs[2]))
-	ct.builds.Store(0)
+	reset()
 	res, slots = run("all hits", jobsFor(qs[2]))
 	check("all hits", res, 2)
-	if n := ct.builds.Load(); n != 0 {
-		t.Fatalf("an all-hit batch built %d public pairs, want 0", n)
-	}
-	if slots[1].group.trees.Load() != nil {
-		t.Fatal("an all-hit batch installed a shared pair")
+	wantTrees("all hits", 0)
+	if slots[0].group.trees.Load() != nil {
+		t.Fatal("an all-hit batch installed group trees")
 	}
 }
 

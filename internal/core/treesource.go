@@ -181,8 +181,9 @@ func PlannerFlags(fs *flag.FlagSet, trees TreeBackend) func() (Options, error) {
 // HierarchyStatus is the serving-layer observability record of one
 // planner's hierarchy backend: that one answers queries (Kind is
 // cch.Kind), how long the most recent (re)customization took, how many
-// background customizations failed, and the matrix selection cache's
-// state. Zero for planners not running on a hierarchy.
+// background customizations failed, the matrix selection cache's state,
+// and what the serving version and the preprocessing behind it retain.
+// Zero for planners not running on a hierarchy.
 type HierarchyStatus struct {
 	Kind          string
 	LastCustomize time.Duration
@@ -196,6 +197,13 @@ type HierarchyStatus struct {
 	SelectionHits   uint64
 	SelectionMisses uint64
 	SelectionBytes  int
+	// ViewBytes is what the serving version's tree builder retains of its
+	// own: its weight and arc-end columns (ch.TreeBuilder.MemoryBytes),
+	// not the sweep topology it shares with every basic customization of
+	// the city. PreprocessedBytes is the city's preprocessing, that shared
+	// topology included once (cch.Preprocessed.MemoryBytes).
+	ViewBytes         int
+	PreprocessedBytes int
 }
 
 // TreeSource abstracts the tree factory behind the choice-routing
@@ -207,6 +215,21 @@ type TreeSource interface {
 	// sp.BuildTreeInto). ok is false when t is unreachable from s, in
 	// which case the trees must not be used.
 	BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd *sp.Tree, ok bool)
+	// BuildTree writes the complete tree rooted at root in direction dir
+	// into ws's slot for dir — one half of a pair, which is how the
+	// engine's request-scoped tree groups build them.
+	BuildTree(ws *sp.Workspace, root graph.NodeID, dir sp.Direction) *sp.Tree
+}
+
+// buildPair is BuildTrees on a source's single-tree builds: the backward
+// tree is built only when t is reachable. It is generic so a value-type
+// source is not boxed per call.
+func buildPair[S TreeSource](src S, ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd *sp.Tree, ok bool) {
+	fwd = src.BuildTree(ws, s, sp.Forward)
+	if !fwd.Reached(t) {
+		return fwd, nil, false
+	}
+	return fwd, src.BuildTree(ws, t, sp.Backward), true
 }
 
 // dijkstraTrees is the paper-baseline source: two full Dijkstra trees.
@@ -218,12 +241,11 @@ type dijkstraTrees struct {
 }
 
 func (d dijkstraTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd *sp.Tree, ok bool) {
-	fwd = sp.BuildTreeInto(ws, d.g, d.weights, s, sp.Forward)
-	if !fwd.Reached(t) {
-		return fwd, nil, false
-	}
-	bwd = sp.BuildTreeInto(ws, d.g, d.weights, t, sp.Backward)
-	return fwd, bwd, true
+	return buildPair(d, ws, s, t)
+}
+
+func (d dijkstraTrees) BuildTree(ws *sp.Workspace, root graph.NodeID, dir sp.Direction) *sp.Tree {
+	return sp.BuildTreeInto(ws, d.g, d.weights, root, dir)
 }
 
 // selectionStats is the concurrency-safe observability shared by every
@@ -237,7 +259,10 @@ type selectionStats struct {
 
 // cchTrees is the TreeCHAuto source. Every tree pair is two full PHAST
 // sweeps of one weight version's hierarchy, bit-compatible with the
-// Dijkstra backend's trees, so route sets are identical.
+// Dijkstra backend's trees, so route sets are identical. Its tree builder
+// shares the sweep topology of the city's preprocessing with every other
+// basic customization of it, which is what lets the engine sweep a
+// request's public and traffic trees in one pass (ch.BuildTwinTreesInto).
 //
 // It also owns that version's matrix selections (RPHAST): selectTargets
 // selects a matrix's distinct targets once with the tree builder
@@ -279,12 +304,11 @@ func newCCHTrees(g *graph.Graph, tb *ch.TreeBuilder, maxTargets int, stats *sele
 }
 
 func (r *cchTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd *sp.Tree, ok bool) {
-	fwd = r.tb.BuildTreeInto(ws, s, sp.Forward)
-	if !fwd.Reached(t) {
-		return fwd, nil, false
-	}
-	bwd = r.tb.BuildTreeInto(ws, t, sp.Backward)
-	return fwd, bwd, true
+	return buildPair(r, ws, s, t)
+}
+
+func (r *cchTrees) BuildTree(ws *sp.Workspace, root graph.NodeID, dir sp.Direction) *sp.Tree {
+	return r.tb.BuildTreeInto(ws, root, dir)
 }
 
 // selectTargets resolves the selection entry of an explicit target set:

@@ -62,6 +62,8 @@ type provider struct {
 	// customized runtime itself is garbage once packed: no request reads
 	// it.
 	customize func([]float64) *ch.TreeBuilder
+	// pre is that preprocessing, kept for its size gauge.
+	pre       *cch.Preprocessed
 	needTrees bool // planners without a tree seam skip tree state
 	// maxTargets is the matrix cutover handed to every version's CCH
 	// source: autoFraction of the graph's nodes, fixed at construction.
@@ -109,6 +111,7 @@ func newProvider(g *graph.Graph, src weights.Source, needTrees bool, opts Option
 		// city again.
 		pre := cch.PreprocessSharedWith(g, cch.OrderConfig{Kind: opts.Order})
 		cfg := cch.Config{Perfect: opts.Hierarchy == HierarchyCCHPerfect}
+		p.pre = pre
 		p.customize = func(w []float64) *ch.TreeBuilder {
 			return pre.CustomizeWith(w, cfg).NewTreeBuilder()
 		}
@@ -157,14 +160,16 @@ func (p *provider) hierarchyStatus() HierarchyStatus {
 	if p.customize == nil {
 		return HierarchyStatus{}
 	}
-	v := p.cur.Load()
+	tr := p.cur.Load().trees.(*cchTrees)
 	return HierarchyStatus{
 		Kind:              cch.Kind,
 		LastCustomize:     time.Duration(p.lastCustomize.Load()),
 		CustomizeFailures: p.customizeFailures.Load(),
 		SelectionHits:     p.selStats.selHits.Load(),
 		SelectionMisses:   p.selStats.selMisses.Load(),
-		SelectionBytes:    v.trees.(*cchTrees).cache.bytes(),
+		SelectionBytes:    tr.cache.bytes(),
+		ViewBytes:         tr.tb.MemoryBytes(),
+		PreprocessedBytes: p.pre.MemoryBytes(),
 	}
 }
 

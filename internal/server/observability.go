@@ -81,10 +81,22 @@ func (s *Server) collectServing(e *metrics.Emit) {
 		for i, p := range c.Router.Planners() {
 			e.Gauge("routing_serving_version", "Weight snapshot version currently installed, per planner.",
 				float64(versions[i]), "city", name, "planner", p.Name())
-			if statuses[i].Kind != "" {
-				e.Counter("routing_customize_failures_total", "Background customizations that failed, leaving the previous version serving.",
-					float64(statuses[i].CustomizeFailures), "city", name, "planner", p.Name())
+			if statuses[i].Kind == "" {
+				continue
 			}
+			e.Counter("routing_customize_failures_total", "Background customizations that failed, leaving the previous version serving.",
+				float64(statuses[i].CustomizeFailures), "city", name, "planner", p.Name())
+			// Commercial plans on the traffic store, Plateaus (and the
+			// planners sharing its provider) on the public one.
+			store := "public"
+			if _, ok := p.(*core.Commercial); ok {
+				store = "traffic"
+			} else {
+				e.Gauge("routing_preprocessed_bytes", "Bytes retained by the city's CCH preprocessing, the sweep topology its weight versions share counted once.",
+					float64(statuses[i].PreprocessedBytes), "city", name)
+			}
+			e.Gauge("routing_view_bytes", "Bytes the serving weight version of a store retains of its own: its sweep weight and arc-end columns.",
+				float64(statuses[i].ViewBytes), "city", name, "store", store)
 		}
 		if c.Matrix != nil {
 			if st := c.Matrix.HierarchyStatus(); st.Kind != "" {

@@ -6,10 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/cch"
 	"repro/internal/citygen"
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -478,5 +480,63 @@ func TestVerboseOption(t *testing.T) {
 	}
 	if New(testCities(t), "").verbose {
 		t.Fatal("verbose must default to off")
+	}
+}
+
+// TestOwnerGauges pins the memory-owner gauges on two ch-auto cities: a
+// scrape reports routing_view_bytes for the public and the traffic store
+// of every city and routing_preprocessed_bytes for every city. The two
+// views of a city report equal bytes — their weight and arc-end columns
+// over one shared sweep topology, 32 bytes per chordal arc pair, so the
+// topology is not in the figure — and the preprocessing, which holds the
+// topology once, is larger than a view, also after a publish.
+func TestOwnerGauges(t *testing.T) {
+	cities := map[string]*eval.City{}
+	for _, p := range []citygen.Profile{citygen.Copenhagen(), citygen.Dhaka()} {
+		p.Rows, p.Cols = 16, 16
+		p.Motorway.Present = false
+		c, err := eval.NewCityOpts(p, 7, core.Options{TreeBackend: core.TreeCHAuto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cities[p.Name] = c
+	}
+	ts := httptest.NewServer(New(cities, "", WithMetrics()))
+	t.Cleanup(ts.Close)
+	gauge := func(text, series string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(text, "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s = %q", series, v)
+				}
+				return f
+			}
+		}
+		t.Fatalf("scrape missing %s", series)
+		return 0
+	}
+	for round := 0; round < 2; round++ {
+		text := scrape(t, ts)
+		for name, c := range cities {
+			public := gauge(text, fmt.Sprintf(`routing_view_bytes{city=%q,store="public"}`, name))
+			private := gauge(text, fmt.Sprintf(`routing_view_bytes{city=%q,store="traffic"}`, name))
+			pre := gauge(text, fmt.Sprintf(`routing_preprocessed_bytes{city=%q}`, name))
+			if public != private {
+				t.Errorf("round %d, %s: public view %v bytes, traffic view %v", round, name, public, private)
+			}
+			if want := 32 * float64(cch.PreprocessSharedWith(c.Graph, cch.OrderConfig{}).NumPairs()); public != want {
+				t.Errorf("round %d, %s: view bytes %v, want %v (columns only)", round, name, public, want)
+			}
+			if pre <= public {
+				t.Errorf("round %d, %s: preprocessing %v bytes, not above a view's %v", round, name, pre, public)
+			}
+		}
+		for _, c := range cities {
+			c.AdvanceTraffic()
+			c.PublicStore.Ban(3)
+			c.Router.Sync()
+		}
 	}
 }
