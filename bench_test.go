@@ -1,8 +1,9 @@
-// Benchmark harness: one benchmark per table/figure of the paper (see the
-// experiment index in DESIGN.md). The artifacts themselves — the formatted
-// Table I, ANOVA lines and Table II — are printed by `go run
-// ./cmd/userstudy`; the benchmarks here measure the cost of regenerating
-// each of them and of the individual techniques.
+// Benchmark harness: one benchmark per table/figure of the paper, named
+// after it (BenchmarkTableI..., BenchmarkFig1...; README.md describes the
+// study and its tables). The artifacts themselves — the formatted Table
+// I, ANOVA lines and Table II — are printed by `go run ./cmd/userstudy`;
+// the benchmarks here measure the cost of regenerating each of them and
+// of the individual techniques.
 //
 // Run with:
 //
@@ -762,39 +763,6 @@ func TestWorkspaceVariantsZeroAlloc(t *testing.T) {
 	check("ShortestPathInto", func() { sp.ShortestPathInto(ws, g, w, 0, dst) })
 	check("BuildTreeInto", func() { sp.BuildTreeInto(ws, g, w, 0, sp.Forward) })
 	check("BidirectionalShortestPathInto", func() { sp.BidirectionalShortestPathInto(ws, g, w, 0, dst) })
-}
-
-// --- The concurrent batch-query engine ----------------------------------------
-
-// BenchmarkEngineBatch measures a loaded serving scenario: 8 pre-sampled
-// queries × 4 approaches fanned out over the city's worker-pool engine —
-// the unit of work a busy multi-user deployment repeats continuously.
-func BenchmarkEngineBatch(b *testing.B) {
-	study := benchSetup(b)
-	city := study.Cities["Melbourne"]
-	queries := benchQueries(b, city, simstudy.Medium, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := city.RunPlannersBatch(queries); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineBatchSerial is the same workload forced through a
-// one-worker engine, the before-picture of the concurrent serving layer.
-func BenchmarkEngineBatchSerial(b *testing.B) {
-	study := benchSetup(b)
-	city := study.Cities["Melbourne"]
-	queries := benchQueries(b, city, simstudy.Medium, 8)
-	serial := *city
-	serial.Router = core.NewRouter(core.NewEngine(1), city.Planners[:], city.PublicStore, city.TrafficStore)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := serial.RunPlannersBatch(queries); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkPlannerYen runs the related-work baseline on the smallest city

@@ -1,7 +1,8 @@
 // Command citygen generates a synthetic study city and writes it as a
 // binary road-network file, OSM XML, or both. The synthetic networks stand
 // in for the paper's Geofabrik OSM extracts of Melbourne, Dhaka and
-// Copenhagen (see DESIGN.md, substitution table).
+// Copenhagen (the internal/citygen package doc gives the substitution and
+// each profile).
 //
 // Usage:
 //

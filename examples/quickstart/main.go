@@ -22,7 +22,7 @@ import (
 
 func main() {
 	// 1. Generate a Melbourne-like road network (a stand-in for the
-	//    paper's OSM extract; see DESIGN.md).
+	//    paper's OSM extract; the internal/citygen package doc says why).
 	profile := citygen.Melbourne()
 	g, err := profile.Generate(42)
 	if err != nil {

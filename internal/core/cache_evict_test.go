@@ -53,7 +53,7 @@ func TestCachePerGenerationEviction(t *testing.T) {
 	_ = router
 
 	query := func() {
-		engine.AlternativesBatch([]Job{{Planner: stub, S: 0, T: 1}})
+		engine.Alternatives([]Planner{stub}, 0, 1)
 	}
 	query() // miss: seeds the version-1 entry
 	if calls := stub.calls.Load(); calls != 1 {

@@ -126,8 +126,8 @@ func TestHierarchyStatusReporting(t *testing.T) {
 
 // TestConcurrentPublishWithBatchQueriesCCH is the CCH twin of the
 // live-serving race smoke CI runs under -race: rush-hour publishes and
-// closures land while the engine answers batches across CCH-backed
-// planners, and the post-sync state must match a planner built fresh at
+// closures land while the engine answers rounds of concurrent queries
+// across CCH-backed planners, and the post-sync state must match a planner built fresh at
 // the final snapshot.
 func TestConcurrentPublishWithBatchQueriesCCH(t *testing.T) {
 	g := randomRoadNetwork(37, 120)
@@ -166,17 +166,11 @@ func TestConcurrentPublishWithBatchQueriesCCH(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(2))
 	for round := 0; round < 10; round++ {
-		jobs := make([]Job, 0, 3*len(planners))
-		for q := 0; q < 3; q++ {
-			s := graph.NodeID(rng.Intn(g.NumNodes()))
-			dst := graph.NodeID(rng.Intn(g.NumNodes()))
-			for _, pl := range planners {
-				jobs = append(jobs, Job{Planner: pl, S: s, T: dst})
-			}
-		}
-		for _, r := range router.Engine().AlternativesBatch(jobs) {
-			if r.Err != nil && r.Err != ErrNoRoute {
-				t.Fatalf("batch under publish churn: %v", r.Err)
+		for _, res := range concurrentQueries(router.Engine(), planners, g, rng, 3) {
+			for _, r := range res {
+				if r.Err != nil && r.Err != ErrNoRoute {
+					t.Fatalf("query under publish churn: %v", r.Err)
+				}
 			}
 		}
 	}

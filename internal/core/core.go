@@ -56,11 +56,11 @@ var ErrNoRoute = errors.New("core: no route between source and target")
 // routes are pairwise distinct edge sequences.
 //
 // The interface is sealed: only this package's planners implement it.
-// Each reads its weights through a provider, and Engine.AlternativesBatch
-// pins one view per distinct provider when a batch starts and runs every
-// job of the batch on it, so planners sharing a provider
+// Each reads its weights through a provider, and Engine.Alternatives
+// pins one view per distinct provider when a query starts and runs every
+// planner of the query on it, so planners sharing a provider
 // (NewStudyPlanners' Plateaus, Dissimilarity and Penalty on the public
-// store) answer one batch under one snapshot version by construction. The
+// store) answer one query under one snapshot version by construction. The
 // Router reaches the providers to refresh them on publish, to read their
 // serving versions and to install a city's Metrics.
 type Planner interface {
@@ -177,11 +177,11 @@ func (o Options) withDefaults() Options {
 // order: GMaps (Commercial), Plateaus, Dissimilarity, Penalty.
 // Commercial plans on private (its traffic metric; must not be nil); the
 // other three plan on Options.Weights through one shared provider, so
-// every batch the engine answers reports one version for all three, and
-// within a batch Plateaus, Dissimilarity and Penalty read one public tree
-// pair per query (see Engine.AlternativesBatch): the first two join it,
-// Penalty searches toward t with its backward tree as potential.
-// Commercial's traffic pair is built in the same group, and on ch-auto
+// every query the engine answers reports one version for all three, and
+// within a query Plateaus, Dissimilarity and Penalty read one public tree
+// pair (see Engine.Alternatives): the first two join it, Penalty
+// searches toward t with its backward tree as potential. Commercial's
+// traffic pair is built in the same group, and on ch-auto
 // each root's public and traffic trees come out of one twin sweep, since
 // both providers customize the same preprocessing. Building them separately
 // would give each its own provider: a double-buffered Plateaus could then

@@ -21,7 +21,7 @@ import (
 // Plateaus' (full Dijkstra trees, or CCH sweeps under TreeCHAuto; the
 // planners of NewStudyPlanners share one provider, and through an Engine
 // one request's Plateaus, Dissimilarity and Penalty share the tree pair
-// itself — see Engine.AlternativesBatch). Via-nodes within the upper bound are
+// itself — see Engine.Alternatives). Via-nodes within the upper bound are
 // heapified on (cost, node) and popped lazily until K routes are admitted,
 // so most are never looked at. A popped candidate's share of selected road — the
 // edges on a selected route's road segments, either direction, parallel

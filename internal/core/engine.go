@@ -15,22 +15,23 @@ import (
 	"repro/internal/weights"
 )
 
-// Engine is the concurrent serving-layer entry point: it fans a batch of
-// Alternatives calls out over a bounded worker pool, the execution model a
-// multi-user deployment needs (§III's demo system answers four approaches
-// per submit, and the evaluation harness replays hundreds of queries).
+// Engine is the concurrent serving-layer entry point: it answers one
+// query per Alternatives call, fanning the planners out over a bounded
+// worker pool — the execution model a multi-user deployment needs (§III's
+// demo system answers four approaches per submit, and the evaluation
+// harness replays hundreds of queries, one call each).
 //
 // The engine itself holds no per-query state; each in-flight call draws a
 // warm sp.Workspace from the shared pool, so a saturated engine runs
 // steady-state query processing without allocating search arrays. Every
 // Planner is safe for concurrent use.
 //
-// The only state that spans jobs is request-scoped: within one batch, the
-// jobs that plan on trees for the same (s, t) — all four study planners,
-// Commercial on the traffic store and Plateaus, Dissimilarity and Penalty
-// on the public one — share one tree group: each of the query's trees is
-// built once per pinned view, and released when the last of the jobs
-// finishes (see AlternativesBatch).
+// The only state that spans planners is request-scoped: within one call,
+// the planners that plan on trees — all four study planners, Commercial
+// on the traffic store and Plateaus, Dissimilarity and Penalty on the
+// public one — share one tree group: each of the query's trees is built
+// once per pinned view, and released when the call returns (see
+// Alternatives).
 //
 // With SetCache the engine additionally memoizes answers keyed by
 // (planner, weight version, s, t): under live traffic the same hot
@@ -91,193 +92,104 @@ func (e *Engine) CacheStats() (hits, misses uint64) {
 	return 0, 0
 }
 
-// Job is one Alternatives call of a batch.
-type Job struct {
-	Planner Planner
-	S, T    graph.NodeID
-}
-
-// Result is the outcome of one Job, in batch order.
+// Result is one planner's answer to a query, in planner order.
 type Result struct {
 	Routes []path.Path
 	// Version is the weight snapshot the answer was computed under: the
-	// version of the view the batch pinned for the planner's provider.
+	// version of the view the call pinned for the planner's provider.
 	// Treat Routes as immutable: cached results are shared between
 	// callers.
 	Version weights.Version
 	// Encoded is the slot for the encoded form of Routes on the cache
-	// entry that answered the job; nil unless the job hit the cache. It
-	// is evicted with the entry.
+	// entry that answered the planner; nil unless it hit the cache. It is
+	// evicted with the entry.
 	Encoded *Encoded
 	Err     error
 }
 
-// AlternativesBatch answers all jobs concurrently (bounded by the worker
-// limit) and returns results in job order. It blocks until the whole
-// batch is done; per-job failures are reported in Result.Err, never as a
-// panic across goroutines.
+// pin is the view one planner of a call runs on and the instrument bundle
+// of the view's provider.
+type pin struct {
+	v       *view
+	metrics *Metrics
+}
+
+// Alternatives answers one query with every planner — the fan-out behind
+// each "Submit" press of the demo system — and returns the results in
+// planner order. Per-planner failures are reported in Result.Err, never as
+// a panic across goroutines.
 //
-// The batch pins one view per distinct provider when it starts, and every
-// job, cache lookup and cache store runs on that view: planners sharing a
-// provider answer the whole batch under one snapshot version, however
-// publishes race it.
+// The call pins one view per distinct provider when it starts, and every
+// cache lookup, planner call and cache store runs on that view: planners
+// sharing a provider answer under one snapshot version, however publishes
+// race it. Cache hits are answered inline, so a request that plans
+// nothing starts no goroutine.
 //
-// Jobs with the same (s, t) on views with trees — in the study set all
-// four, across the public and the traffic store — also share one tree
-// group: per distinct pinned view, a forward tree rooted at s and a
-// backward tree rooted at t, each built once into a workspace of the
-// group's. The work is two halves, every view's forward tree and every
-// view's backward tree. The first job of the group to miss the result
-// cache installs the group's state; a job that needs trees claims each
-// half nobody has claimed, builds it, and then waits for the other, so
-// on two workers the halves run in parallel. Within a half, two views
-// whose tree builders share one sweep topology (a city's public and
-// traffic views on ch-auto) are swept in one twin pass
-// (ch.BuildTwinTreesInto); any other view — the Dijkstra backend, a
-// cch-perfect customization with its private topology — is swept on its
-// own. The planners only read the trees (Penalty its backward tree, as a
-// search potential), and every tree is bit-identical to the view's own
-// build, so every route is what the job would have computed alone, ties
-// included. A half whose build panics fails only the job that built it;
-// the others then build their own trees. The last job of the group to
-// finish releases its workspaces, so a batch of many queries holds a
-// group's trees only while some job of its query runs, and a group whose
-// jobs all hit the cache builds nothing.
-func (e *Engine) AlternativesBatch(jobs []Job) []Result {
-	results := make([]Result, len(jobs))
-	e.runBatch(jobs, pinSlots(jobs), results)
+// The misses fan out through Run. Those on views with trees — in the study
+// set all four planners, across the public and the traffic store — share
+// one groupTrees, which builds each of the query's trees once per view and
+// is released when the call returns. Every tree of the group is
+// bit-identical to the view's own build, so every route is what the
+// planner would have computed alone, ties included; a half whose build
+// panics fails only the planner that built it.
+func (e *Engine) Alternatives(planners []Planner, s, t graph.NodeID) []Result {
+	results := make([]Result, len(planners))
+	pins := make([]pin, len(planners))
+	for i, pl := range planners {
+		prov := pl.source()
+		for j := range i {
+			if planners[j].source() == prov {
+				pins[i] = pins[j]
+				break
+			}
+		}
+		if pins[i].v == nil {
+			pins[i] = pin{v: prov.view(), metrics: prov.metrics.Load()}
+		}
+		results[i].Version = pins[i].v.snap.Version()
+	}
+
+	cache := e.cache.Load()
+	var misses []int
+	var views []*view
+	for i, pl := range planners {
+		if cache != nil && answerHit(cache, pl, pins[i], s, t, &results[i]) {
+			continue
+		}
+		misses = append(misses, i)
+		if v := pins[i].v; v.trees != nil && !slices.Contains(views, v) {
+			views = append(views, v)
+		}
+	}
+	if len(misses) == 0 {
+		return results
+	}
+	var gt *groupTrees
+	if len(views) > 0 {
+		gt = newGroupTrees(s, t, views)
+		defer gt.release()
+	}
+	// runJob recovers each planner's panic into its result, so Run has
+	// none to report.
+	_ = e.Run(len(misses), func(k int) {
+		i := misses[k]
+		runJob(cache, planners[i], pins[i], gt.viewOf(pins[i].v), s, t, &results[i])
+	})
 	return results
 }
 
-// runBatch answers jobs[i] into results[i] on slots[i].
-func (e *Engine) runBatch(jobs []Job, slots []batchSlot, results []Result) {
-	if len(jobs) == 1 {
-		// A singleton batch runs inline — no goroutine handoff on the
-		// latency-critical single-query path — but still under the
-		// semaphore so the worker bound holds across concurrent callers.
-		e.sem <- struct{}{}
-		e.runJob(&jobs[0], &slots[0], &results[0])
-		<-e.sem
-		return
+// answerHit answers pl from the cache when the query's answer at the
+// pinned version is there, recording the lookup and, on a hit, the query.
+func answerHit(cache *resultCache, pl Planner, p pin, s, t graph.NodeID, res *Result) bool {
+	start := time.Now()
+	a, ok := cache.get(cacheKey{planner: pl, version: res.Version, s: s, t: t})
+	p.metrics.observeCache(ok)
+	if !ok {
+		return false
 	}
-	var wg sync.WaitGroup
-	for i := range jobs {
-		e.sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer func() {
-				slots[i].finish()
-				<-e.sem
-				wg.Done()
-			}()
-			e.runJob(&jobs[i], &slots[i], &results[i])
-		}(i)
-	}
-	wg.Wait()
-}
-
-// batchSlot is one job's place in a batch: the view it is pinned to, the
-// instrument bundle of the view's provider and, when other jobs of the
-// batch that plan on trees share its (s, t), the group whose trees they
-// share.
-type batchSlot struct {
-	v       *view
-	metrics *Metrics
-	// group points at the state held in the slot of the group's first job
-	// (own); nil when no other job shares the query.
-	group *treeGroup
-	// next is the index+1 of the group's next job (0 ends the list), so a
-	// group finds its views without a per-batch allocation.
-	next int32
-	own  treeGroup
-}
-
-// treeGroup is the request-scoped tree state of the jobs sharing one
-// (s, t) across every pinned view of a batch.
-type treeGroup struct {
-	pending atomic.Int32 // jobs of the group still running
-	trees   atomic.Pointer[groupTrees]
-	// slots is the batch, and first/last the ends of the group's job list
-	// through it.
-	slots       []batchSlot
-	first, last int32
-}
-
-// queryKey identifies a group: a query.
-type queryKey struct{ s, t graph.NodeID }
-
-// pinSlots resolves the view each job runs on — one per distinct provider,
-// shared by every job on it — and groups the jobs on views with trees by
-// (s, t), across providers. Both maps stay on the stack for a
-// request-sized batch.
-func pinSlots(jobs []Job) []batchSlot {
-	slots := make([]batchSlot, len(jobs))
-	pinned := make(map[*provider]*view, 2)
-	leads := make(map[queryKey]int32, 8)
-	for i := range jobs {
-		prov := jobs[i].Planner.source()
-		v, ok := pinned[prov]
-		if !ok {
-			v = prov.view()
-			pinned[prov] = v
-		}
-		slots[i].v = v
-		slots[i].metrics = prov.metrics.Load()
-		if v.trees == nil {
-			continue
-		}
-		key := queryKey{jobs[i].S, jobs[i].T}
-		lead, ok := leads[key]
-		if !ok {
-			leads[key] = int32(i)
-			continue
-		}
-		g := &slots[lead].own
-		if slots[lead].group == nil {
-			slots[lead].group = g
-			g.slots, g.first, g.last = slots, lead, lead
-			g.pending.Store(1)
-		}
-		g.pending.Add(1)
-		slots[g.last].next = int32(i) + 1
-		g.last = int32(i)
-		slots[i].group = g
-	}
-	return slots
-}
-
-// planView returns the view the slot's job plans on: the pinned view, or
-// in a group the group's copy of it whose trees are the group's, installed
-// by the first job of the group to get here.
-func (sl *batchSlot) planView(s, t graph.NodeID) *view {
-	g := sl.group
-	if g == nil {
-		return sl.v
-	}
-	gt := g.trees.Load()
-	if gt == nil {
-		gt = g.newTrees(s, t)
-		if !g.trees.CompareAndSwap(nil, gt) {
-			gt.release()
-			gt = g.trees.Load()
-		}
-	}
-	for i := range gt.members {
-		if m := &gt.members[i]; m.pinned == sl.v {
-			return &m.view
-		}
-	}
-	return sl.v
-}
-
-// finish records that the slot's job is done; the group's last job
-// releases the group's trees.
-func (sl *batchSlot) finish() {
-	if g := sl.group; g != nil && g.pending.Add(-1) == 0 {
-		if gt := g.trees.Load(); gt != nil {
-			gt.release()
-		}
-	}
+	res.Routes, res.Encoded = a.routes, &a.enc
+	p.metrics.observeQuery(pl.Name(), time.Since(start), nil)
+	return true
 }
 
 // groupTrees is the build-once tree state of one group: for each distinct
@@ -315,20 +227,10 @@ type groupMember struct {
 	trees  [2]*sp.Tree // forward, backward; written by the halves
 }
 
-// newTrees collects the group's distinct views and readies their
-// workspaces.
-func (g *treeGroup) newTrees(s, t graph.NodeID) *groupTrees {
-	gt := &groupTrees{s: s, t: t}
-	var views []*view
-	for i := g.first; ; i = g.slots[i].next - 1 {
-		if v := g.slots[i].v; !slices.Contains(views, v) {
-			views = append(views, v)
-		}
-		if g.slots[i].next == 0 {
-			break
-		}
-	}
-	gt.members = make([]groupMember, len(views))
+// newGroupTrees readies a group over the distinct views for the query
+// (s, t): one member and one workspace per view.
+func newGroupTrees(s, t graph.NodeID, views []*view) *groupTrees {
+	gt := &groupTrees{s: s, t: t, members: make([]groupMember, len(views))}
 	for i, v := range views {
 		m := &gt.members[i]
 		m.g, m.pinned, m.view, m.src = gt, v, *v, v.trees
@@ -339,6 +241,20 @@ func (g *treeGroup) newTrees(s, t graph.NodeID) *groupTrees {
 		gt.halves[h].done.Add(1)
 	}
 	return gt
+}
+
+// viewOf returns the view a planner pinned to v plans on: the group's copy
+// of v, whose trees are the group's, or v itself when the group (possibly
+// nil) has no member for it.
+func (gt *groupTrees) viewOf(v *view) *view {
+	if gt != nil {
+		for i := range gt.members {
+			if m := &gt.members[i]; m.pinned == v {
+				return &m.view
+			}
+		}
+	}
+	return v
 }
 
 // build claims and builds every unclaimed half, then waits for the rest.
@@ -442,13 +358,14 @@ func (gt *groupTrees) release() {
 }
 
 // Run executes fn(0) .. fn(n-1) under the engine's worker bound — the
-// generic fan-out behind batched tree sweeps (core.MatrixEngine). With a
-// single worker or a single item the calls run inline on the caller's
-// goroutine (still acquiring the semaphore per call, so the bound holds
-// against concurrent callers) — no goroutine handoff, which is what lets
-// a warm matrix sweep run allocation-free on a one-worker engine. A panic
-// in fn is recovered and returned as an error (first one wins) rather
-// than crashing a worker goroutine; the remaining calls still run.
+// one fan-out behind a query's planner calls (Alternatives) and batched
+// tree sweeps (core.MatrixEngine). With a single worker or a single item
+// the calls run inline on the caller's goroutine (still acquiring the
+// semaphore per call, so the bound holds against concurrent callers) — no
+// goroutine handoff, which is what lets a warm matrix sweep run
+// allocation-free on a one-worker engine. A panic in fn is recovered and
+// returned as an error (first one wins) rather than crashing a worker
+// goroutine; the remaining calls still run.
 func (e *Engine) Run(n int, fn func(int)) error {
 	if n <= 0 {
 		return nil
@@ -502,64 +419,30 @@ func protectCall(fn func(int), i int) (err error) {
 	return nil
 }
 
-// acquire/release expose the worker semaphore to same-package batch
+// acquire/release expose the worker semaphore to same-package sweep
 // drivers that loop inline instead of handing fn to Run (avoiding the
 // closure allocation on their zero-alloc paths).
 func (e *Engine) acquire() { e.sem <- struct{}{} }
 func (e *Engine) release() { <-e.sem }
 
-// runJob executes one planner call, recording its latency and outcome
-// when the slot carries an instrument bundle. Queries are recorded here
-// because the engine is the one place every query passes exactly once.
-// Timing wraps doJob from the outside so a recovered panic is still
-// observed with its error counted.
-func (e *Engine) runJob(job *Job, slot *batchSlot, res *Result) {
-	m := slot.metrics
-	if m == nil {
-		e.doJob(job, slot, res)
-		return
-	}
+// runJob executes one planner call on v and stores the answer in the
+// cache under the pinned version its lookup used. A panic becomes the
+// planner's error: a worker goroutine must never take the whole process
+// down (the HTTP handler's own recover cannot reach it). The call's
+// latency and outcome are recorded in its pin's instrument bundle, here
+// and on the cache-hit path, because the engine is the one place every
+// query passes exactly once.
+func runJob(cache *resultCache, pl Planner, p pin, v *view, s, t graph.NodeID, res *Result) {
 	start := time.Now()
-	e.doJob(job, slot, res)
-	m.observeQuery(job.Planner.Name(), time.Since(start), res.Err)
-}
-
-// doJob executes one planner call on its slot's pinned view, converting a
-// panic into the job's error: a worker goroutine must never take the
-// whole process down (the HTTP handler's own recover cannot reach it).
-// The answer is looked up and stored under one key, whose version is the
-// pinned view's.
-func (e *Engine) doJob(job *Job, slot *batchSlot, res *Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.Routes = nil
-			res.Err = fmt.Errorf("core: planner %s panicked on %d->%d: %v", job.Planner.Name(), job.S, job.T, r)
+			res.Err = fmt.Errorf("core: planner %s panicked on %d->%d: %v", pl.Name(), s, t, r)
 		}
+		p.metrics.observeQuery(pl.Name(), time.Since(start), res.Err)
 	}()
-	res.Version = slot.v.snap.Version()
-	key := cacheKey{planner: job.Planner, version: res.Version, s: job.S, t: job.T}
-	cache := e.cache.Load()
-	if cache != nil {
-		if a, ok := cache.get(key); ok {
-			slot.metrics.observeCache(true)
-			res.Routes, res.Encoded = a.routes, &a.enc
-			return
-		}
-		slot.metrics.observeCache(false)
-	}
-	res.Routes, res.Err = job.Planner.alternativesOn(slot.planView(job.S, job.T), job.S, job.T)
+	res.Routes, res.Err = pl.alternativesOn(v, s, t)
 	if cache != nil && res.Err == nil {
-		cache.put(key, res.Routes)
+		cache.put(cacheKey{planner: pl, version: res.Version, s: s, t: t}, res.Routes)
 	}
-}
-
-// Alternatives answers one query with every planner concurrently — the
-// fan-out behind each "Submit" press of the demo system, where the four
-// approaches' answers are independent.
-func (e *Engine) Alternatives(planners []Planner, s, t graph.NodeID) []Result {
-	jobs := make([]Job, len(planners))
-	for i, pl := range planners {
-		jobs[i] = Job{Planner: pl, S: s, T: t}
-	}
-	return e.AlternativesBatch(jobs)
 }

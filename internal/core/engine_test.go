@@ -32,34 +32,31 @@ func routesEqual(t *testing.T, want, got []path.Path, label string) {
 	}
 }
 
-// TestEngineMatchesSerial compares a batched engine run against direct
-// serial planner calls: same routes, same order, same errors.
+// TestEngineMatchesSerial compares engine answers, one Alternatives call
+// per query, against direct serial planner calls: same routes, same
+// order, same errors.
 func TestEngineMatchesSerial(t *testing.T) {
 	g := testCity(t)
 	planners := allPlanners(g, Options{})
 	e := NewEngine(4)
 
-	var jobs []Job
 	for q := 0; q < 10; q++ {
 		s := graph.NodeID((q * 13) % g.NumNodes())
 		d := graph.NodeID((q*29 + 7) % g.NumNodes())
-		for _, pl := range planners {
-			jobs = append(jobs, Job{Planner: pl, S: s, T: d})
+		results := e.Alternatives(planners, s, d)
+		if len(results) != len(planners) {
+			t.Fatalf("got %d results for %d planners", len(results), len(planners))
 		}
-	}
-	results := e.AlternativesBatch(jobs)
-	if len(results) != len(jobs) {
-		t.Fatalf("got %d results for %d jobs", len(results), len(jobs))
-	}
-	for i, job := range jobs {
-		want, wantErr := job.Planner.Alternatives(job.S, job.T)
-		if (wantErr == nil) != (results[i].Err == nil) {
-			t.Fatalf("job %d: err %v, want %v", i, results[i].Err, wantErr)
+		for i, pl := range planners {
+			want, wantErr := pl.Alternatives(s, d)
+			if (wantErr == nil) != (results[i].Err == nil) {
+				t.Fatalf("query %d, %s: err %v, want %v", q, pl.Name(), results[i].Err, wantErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			routesEqual(t, want, results[i].Routes, "engine answer")
 		}
-		if wantErr != nil {
-			continue
-		}
-		routesEqual(t, want, results[i].Routes, "batched job")
 	}
 }
 
@@ -125,17 +122,17 @@ func TestEngineConcurrentHammer(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEngineSingletonInline checks the single-job fast path.
+// TestEngineSingletonInline checks the single-planner fast path.
 func TestEngineSingletonInline(t *testing.T) {
 	g := testCity(t)
 	pl := NewPlateaus(g, Options{})
 	e := NewEngine(2)
-	res := e.AlternativesBatch([]Job{{Planner: pl, S: 0, T: graph.NodeID(g.NumNodes() - 1)}})
+	res := e.Alternatives([]Planner{pl}, 0, graph.NodeID(g.NumNodes()-1))
 	if len(res) != 1 || res[0].Err != nil || len(res[0].Routes) == 0 {
-		t.Fatalf("singleton batch: %+v", res)
+		t.Fatalf("single planner: %+v", res)
 	}
 	if math.IsInf(res[0].Routes[0].TimeS, 1) {
-		t.Fatal("singleton batch returned infinite travel time")
+		t.Fatal("single planner returned infinite travel time")
 	}
 }
 
@@ -173,7 +170,8 @@ func trafficClosureSnapshot(g *graph.Graph, seed int64) *weights.Snapshot {
 // carrying its own closures — the case in which the public and traffic
 // trees of a ch-auto group come out of one twin pass over different
 // metrics. It checks the same errors, edges and TimeS bits, through
-// Alternatives and through one AlternativesBatch over every query.
+// Alternatives one query at a time and through concurrent Alternatives
+// calls over every query on one engine.
 func TestEngineSharedTreePairMatchesPlanners(t *testing.T) {
 	if raceEnabled {
 		t.Skip("slow under the race detector; TestEngineBuildsOneTreePairPerQuery races the sharing")
@@ -201,21 +199,24 @@ func TestEngineSharedTreePairMatchesPlanners(t *testing.T) {
 			for _, backend := range []TreeBackend{TreeDijkstra, TreeCHAuto} {
 				planners := NewStudyPlanners(g, Options{Weights: sn.public, TreeBackend: backend}, sn.private)
 				e := NewEngine(2)
-				var jobs []Job
-				for _, q := range qs {
-					for _, pl := range planners {
-						jobs = append(jobs, Job{Planner: pl, S: q[0], T: q[1]})
-					}
+				concurrent := make([][]Result, len(qs))
+				var wg sync.WaitGroup
+				for qi, q := range qs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						concurrent[qi] = e.Alternatives(planners[:], q[0], q[1])
+					}()
 				}
-				batch := e.AlternativesBatch(jobs)
+				wg.Wait()
 				for qi, q := range qs {
 					one := e.Alternatives(planners[:], q[0], q[1])
 					for pi, pl := range planners {
 						want, wantErr := pl.Alternatives(q[0], q[1])
 						label := fmt.Sprintf("%s/%s/%s/%s/q%d", prof.Name, sn.name, backend, pl.Name(), qi)
 						sameRoutes(t, label+"/Alternatives", one[pi].Routes, one[pi].Err, want, wantErr)
-						b := batch[qi*len(planners)+pi]
-						sameRoutes(t, label+"/batch", b.Routes, b.Err, want, wantErr)
+						c := concurrent[qi][pi]
+						sameRoutes(t, label+"/concurrent", c.Routes, c.Err, want, wantErr)
 					}
 				}
 			}
@@ -267,14 +268,34 @@ func counting(prov *provider) *countingTrees {
 	return ct
 }
 
+// spyPlanner wraps a planner, counting the engine's calls of it and
+// recording the tree group member each call planned on.
+type spyPlanner struct {
+	Planner
+	mu      sync.Mutex
+	calls   int
+	members []*groupMember
+}
+
+func (p *spyPlanner) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, error) {
+	p.mu.Lock()
+	p.calls++
+	if m, ok := v.trees.(*groupMember); ok {
+		p.members = append(p.members, m)
+	}
+	p.mu.Unlock()
+	return p.Planner.alternativesOn(v, s, t)
+}
+
 // TestEngineBuildsOneTreePairPerQuery counts the tree builds of both
-// stores through the engine. In a four-planner batch Commercial (traffic
+// stores through the engine. In a four-planner call Commercial (traffic
 // store) joins Plateaus, Dissimilarity and Penalty (public store) in one
-// group per query, and each of the query's four trees — the forward and
-// backward tree of each store — is built exactly once; none is built when
-// every job hits the result cache, and the last job of a group releases
-// its trees. A half whose build panics fails only the job that built it;
-// each sibling builds its own pair and answers as it would alone.
+// group, and each of the query's four trees — the forward and backward
+// tree of each store — is built exactly once, also when several calls
+// race on one engine; none is built when every planner hits the result
+// cache, and every workspace of the group is released when the call
+// returns. A half whose build panics fails only the planner that built
+// it; each sibling builds its own pair and answers as it would alone.
 func TestEngineBuildsOneTreePairPerQuery(t *testing.T) {
 	g := testCity(t)
 	planners := NewStudyPlanners(g, Options{}, weights.Pin(traffic.Apply(g, traffic.DefaultModel(99))))
@@ -313,75 +334,86 @@ func TestEngineBuildsOneTreePairPerQuery(t *testing.T) {
 			want[qi][pi] = routes
 		}
 	}
-	jobsFor := func(qs ...[2]graph.NodeID) []Job {
-		var jobs []Job
-		for _, q := range qs {
-			for _, pl := range planners {
-				jobs = append(jobs, Job{Planner: pl, S: q[0], T: q[1]})
-			}
-		}
-		return jobs
+	spies := make([]*spyPlanner, len(planners))
+	spied := make([]Planner, len(planners))
+	for i, pl := range planners {
+		spies[i] = &spyPlanner{Planner: pl}
+		spied[i] = spies[i]
 	}
 	e := NewEngine(4)
-	run := func(label string, jobs []Job) ([]Result, []batchSlot) {
+	// run answers queries qi0.. as concurrent Alternatives calls, checks
+	// that every group workspace is released once they return, and reports
+	// how often the planners were called and the members they planned on.
+	run := func(label string, qi0, n int) ([][]Result, int, []*groupMember) {
 		t.Helper()
-		slots := pinSlots(jobs)
-		res := make([]Result, len(jobs))
-		e.runBatch(jobs, slots, res)
-		for i := range slots {
-			grp := slots[i].group
-			if grp == nil {
-				continue
-			}
-			if n := grp.pending.Load(); n != 0 {
-				t.Fatalf("%s: job %d's group has %d jobs pending after the batch", label, i, n)
-			}
-			if gt := grp.trees.Load(); gt != nil {
-				for _, m := range gt.members {
-					if m.ws != nil {
-						t.Fatalf("%s: job %d's group trees were not released", label, i)
-					}
+		res := make([][]Result, n)
+		var wg sync.WaitGroup
+		for k := range res {
+			q := qs[qi0+k]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res[k] = e.Alternatives(spied, q[0], q[1])
+			}()
+		}
+		wg.Wait()
+		calls := 0
+		var members []*groupMember
+		for _, spy := range spies {
+			calls += spy.calls
+			members = append(members, spy.members...)
+			spy.calls, spy.members = 0, nil
+		}
+		for _, m := range members {
+			for _, gm := range m.g.members {
+				if gm.ws != nil {
+					t.Fatalf("%s: a workspace of the group was not released", label)
 				}
 			}
 		}
-		return res, slots
+		return res, calls, members
 	}
-	check := func(label string, res []Result, qi0 int) {
+	check := func(label string, res [][]Result, qi0 int) {
 		t.Helper()
-		for i, r := range res {
-			qi, pi := qi0+i/len(planners), i%len(planners)
-			if r.Err != nil {
-				t.Fatalf("%s: %s on query %d: %v", label, planners[pi].Name(), qi, r.Err)
+		for k, rs := range res {
+			qi := qi0 + k
+			for pi, r := range rs {
+				if r.Err != nil {
+					t.Fatalf("%s: %s on query %d: %v", label, planners[pi].Name(), qi, r.Err)
+				}
+				routesEqual(t, want[qi][pi], r.Routes, fmt.Sprintf("%s: %s on query %d", label, planners[pi].Name(), qi))
 			}
-			routesEqual(t, want[qi][pi], r.Routes, fmt.Sprintf("%s: %s on query %d", label, planners[pi].Name(), qi))
 		}
 	}
 
 	reset()
-	res, slots := run("one query", jobsFor(qs[0]))
+	res, _, members := run("one query", 0, 1)
 	check("one query", res, 0)
 	wantTrees("one query", 1)
-	for i := range slots {
-		if slots[i].group == nil || slots[i].group != slots[0].group {
-			t.Fatalf("job %d (%s) is not in the query's group", i, planners[i].Name())
+	if len(members) != len(planners) {
+		t.Fatalf("%d of %d planners planned on the query's group", len(members), len(planners))
+	}
+	for _, m := range members {
+		if m.g != members[0].g {
+			t.Fatal("the planners of one query planned on different groups")
 		}
 	}
-	if n := len(slots[0].group.trees.Load().members); n != 2 {
+	if n := len(members[0].g.members); n != 2 {
 		t.Fatalf("the query's group holds %d views, want 2 (public and traffic)", n)
 	}
 
 	reset()
-	res, _ = run("all queries", jobsFor(qs...))
+	res, _, _ = run("all queries", 0, len(qs))
 	check("all queries", res, 0)
 	wantTrees("all queries", int64(len(qs)))
 
-	// A panicking half: exactly one job fails, the one that built it; the
-	// other three each build their own pair.
+	// A panicking half: exactly one planner fails, the one that built it;
+	// the other three each build their own pair.
 	reset()
 	public.panicNext.Store(true)
-	res, _ = run("panic", jobsFor(qs[1]))
+	res, _, _ = run("panic", 1, 1)
 	failed := 0
-	for i, r := range res {
+	for i, r := range res[0] {
 		if r.Err == nil {
 			routesEqual(t, want[1][i], r.Routes, "panic: "+planners[i].Name())
 			continue
@@ -392,28 +424,28 @@ func TestEngineBuildsOneTreePairPerQuery(t *testing.T) {
 		}
 	}
 	if failed != 1 {
-		t.Fatalf("panic: %d jobs failed, want exactly the one that built", failed)
+		t.Fatalf("panic: %d planners failed, want exactly the one that built", failed)
 	}
 	if n := public.pairs.Load() + private.pairs.Load(); n != 3 {
 		t.Fatalf("panic: siblings built %d pairs of their own, want 3", n)
 	}
 
-	// Every job hits the cache: no tree is built, no group state installed.
+	// Every planner hits the cache: none is called and no tree is built.
 	e.SetCache(64)
-	run("warm-up", jobsFor(qs[2]))
+	run("warm-up", 2, 1)
 	reset()
-	res, slots = run("all hits", jobsFor(qs[2]))
+	res, calls, _ := run("all hits", 2, 1)
 	check("all hits", res, 2)
 	wantTrees("all hits", 0)
-	if slots[0].group.trees.Load() != nil {
-		t.Fatal("an all-hit batch installed group trees")
+	if calls != 0 {
+		t.Fatalf("an all-hit call ran %d planners", calls)
 	}
 }
 
-// TestEngineWarmHitAllocs pins the allocations of a four-planner batch
-// answered wholly from the result cache at their measured count: the
-// shared tree pair is installed only on a cache miss, so a request that
-// plans nothing pays nothing for it.
+// TestEngineWarmHitAllocs pins the allocations of a four-planner call
+// answered wholly from the result cache at their measured count: hits are
+// answered inline, so a request that plans nothing starts no goroutine
+// and pays nothing for the shared tree pair.
 func TestEngineWarmHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -425,9 +457,9 @@ func TestEngineWarmHitAllocs(t *testing.T) {
 		e.SetCache(64)
 		e.Alternatives(planners[:], 0, 143)
 		allocs := testing.AllocsPerRun(50, func() { e.Alternatives(planners[:], 0, 143) })
-		if allocs > 12 {
-			t.Errorf("%d workers: %v allocs per all-hit batch, want ≤ 12", workers, allocs)
+		if allocs > 2 {
+			t.Errorf("%d workers: %v allocs per all-hit call, want ≤ 2 (the results and the pins)", workers, allocs)
 		}
-		t.Logf("%d workers: %v allocs per all-hit batch", workers, allocs)
+		t.Logf("%d workers: %v allocs per all-hit call", workers, allocs)
 	}
 }

@@ -315,14 +315,33 @@ func TestCustomizeFailureKeepsServing(t *testing.T) {
 	comparePlannersExact(t, fresh, pl, g, 8, 29)
 }
 
-// --- Race smoke: publishes racing batch queries -----------------------------
+// --- Race smoke: publishes racing concurrent queries ------------------------
+
+// concurrentQueries answers n random queries with every planner, as n
+// concurrent Alternatives calls on e, and returns their results in query
+// order.
+func concurrentQueries(e *Engine, planners []Planner, g *graph.Graph, rng *rand.Rand, n int) [][]Result {
+	results := make([][]Result, n)
+	var wg sync.WaitGroup
+	for q := range results {
+		s := graph.NodeID(rng.Intn(g.NumNodes()))
+		dst := graph.NodeID(rng.Intn(g.NumNodes()))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[q] = e.Alternatives(planners, s, dst)
+		}()
+	}
+	wg.Wait()
+	return results
+}
 
 // TestConcurrentPublishWithBatchQueries is the live-serving smoke test CI
 // runs under -race: a rush-hour producer publishes snapshots while the
-// engine answers batches across all planners and both backends. Every
-// answer must be a coherent single-version result (no torn reads, no
-// panics), and the study planner set on ch-auto must answer every query
-// of every batch with Plateaus, Dissimilarity and Penalty at one public
+// engine answers rounds of concurrent queries across all planners and both
+// backends. Every answer must be a coherent single-version result (no torn
+// reads, no panics), and the study planner set on ch-auto must answer
+// every query with Plateaus, Dissimilarity and Penalty at one public
 // version — by construction, with no barrier or retry (Commercial plans
 // on the traffic store and may differ). Correctness of the final state is
 // pinned by a post-Sync equality check against a planner built fresh at
@@ -365,24 +384,16 @@ func TestConcurrentPublishWithBatchQueries(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(2))
 	for round := 0; round < 10; round++ {
-		jobs := make([]Job, 0, 3*len(planners))
-		for q := 0; q < 3; q++ {
-			s := graph.NodeID(rng.Intn(g.NumNodes()))
-			dst := graph.NodeID(rng.Intn(g.NumNodes()))
-			for _, pl := range planners {
-				jobs = append(jobs, Job{Planner: pl, S: s, T: dst})
+		results := concurrentQueries(router.Engine(), planners, g, rng, 3)
+		for q, res := range results {
+			for _, r := range res {
+				if r.Err != nil && r.Err != ErrNoRoute {
+					t.Fatalf("query under publish churn: %v", r.Err)
+				}
 			}
-		}
-		results := router.Engine().AlternativesBatch(jobs)
-		for _, r := range results {
-			if r.Err != nil && r.Err != ErrNoRoute {
-				t.Fatalf("batch under publish churn: %v", r.Err)
-			}
-		}
-		for q := 0; q < 3; q++ {
-			// The study set closes each query's block: GMaps, then the
+			// The study set closes the planner list: GMaps, then the
 			// public-metric trio.
-			pub := results[(q+1)*len(planners)-3 : (q+1)*len(planners)]
+			pub := res[len(res)-3:]
 			if pub[0].Version != pub[1].Version || pub[1].Version != pub[2].Version {
 				t.Fatalf("round %d query %d: Plateaus/Dissimilarity/Penalty answered at public versions %d/%d/%d",
 					round, q, pub[0].Version, pub[1].Version, pub[2].Version)
@@ -554,11 +565,7 @@ func TestLiveTrafficSoakCHSweeps(t *testing.T) {
 			for round := 0; round < 8; round++ {
 				s := graph.NodeID(rng.Intn(g.NumNodes()))
 				dst := graph.NodeID(rng.Intn(g.NumNodes()))
-				jobs := make([]Job, 0, len(planners))
-				for _, pl := range planners {
-					jobs = append(jobs, Job{Planner: pl, S: s, T: dst})
-				}
-				for i, r := range router.Engine().AlternativesBatch(jobs) {
+				for i, r := range router.Engine().Alternatives(planners, s, dst) {
 					pl := planners[i]
 					if r.Err != nil {
 						if r.Err != ErrNoRoute {

@@ -26,8 +26,8 @@ const DefaultCacheSize = 4096
 // so a query never blocks on a rebuild.
 //
 // Responses need no barrier here: planners built together over one store
-// share its provider (NewStudyPlanners), and Engine.AlternativesBatch
-// pins one view per provider for the whole batch, so a response carries
+// share its provider (NewStudyPlanners), and Engine.Alternatives pins
+// one view per provider for the whole query, so a response carries
 // one version per store by construction. Sync is the explicit barrier
 // for callers that need the *latest* version.
 type Router struct {
@@ -79,7 +79,7 @@ func (r *Router) SetEngine(e *Engine) {
 // tables and selections. The bundle stays with the providers, so an
 // engine shared by several cities attributes each query to the city
 // whose planner ran it, and a later SetEngine keeps it. Installs race
-// benignly with serving queries — a batch records under the bundle it
+// benignly with serving queries — a query records under the bundle it
 // pinned with its views.
 func (r *Router) SetMetrics(m *Metrics) {
 	for _, p := range r.planners {

@@ -221,35 +221,6 @@ func (c *City) RunPlanners(q Query) (RouteSets, error) {
 	return rs, nil
 }
 
-// RunPlannersBatch answers many queries through the engine at once,
-// keeping every worker busy across query boundaries — the shape of a
-// heavily loaded deployment. Results are in query order.
-func (c *City) RunPlannersBatch(qs []Query) ([]RouteSets, error) {
-	jobs := make([]core.Job, 0, len(qs)*NumApproaches)
-	for _, q := range qs {
-		for _, pl := range c.Planners {
-			jobs = append(jobs, core.Job{Planner: pl, S: q.S, T: q.T})
-		}
-	}
-	results := c.Router.Engine().AlternativesBatch(jobs)
-	out := make([]RouteSets, len(qs))
-	for qi := range qs {
-		out[qi].Query = qs[qi]
-		for i := 0; i < NumApproaches; i++ {
-			r := results[qi*NumApproaches+i]
-			out[qi].Versions[i] = r.Version
-			if r.Err == core.ErrNoRoute {
-				continue
-			}
-			if r.Err != nil {
-				return nil, fmt.Errorf("eval: %s on %d->%d: %w", c.Planners[i].Name(), qs[qi].S, qs[qi].T, r.Err)
-			}
-			out[qi].Sets[i], out[qi].Encoded[i] = r.Routes, r.Encoded
-		}
-	}
-	return out, nil
-}
-
 // FastestPrivate returns the fastest s–t travel time under the traffic
 // weights, for feature extraction.
 func (c *City) FastestPrivate(s, t graph.NodeID) float64 {
