@@ -1,6 +1,7 @@
 package cch
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/ch"
@@ -51,7 +52,19 @@ func (p *Preprocessed) Customize(weights []float64) ch.Hierarchy {
 // its runtime owns and attaches them to the preprocessing's metric-free
 // runtime: a superseded customization is freed with the last reference
 // to its runtime, so nothing has to track which queries still read it.
+//
+// Every weight must lie in [0, +Inf]. A negative or NaN weight panics
+// before any work: shortest paths are undefined under negative weights,
+// and the sweeps' branch-free minimum (ch.TreeBuilder.DistancesInto)
+// orders labels by their bit patterns, which is the float order only on
+// non-negative, non-NaN values. A serving provider recovers the panic
+// and keeps its previous version.
 func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy {
+	for e, w := range weights {
+		if !(w >= 0) {
+			panic(fmt.Sprintf("cch: edge %d has weight %v, want a value in [0, +Inf]", e, w))
+		}
+	}
 	P := len(p.lo)
 	arcs := make([]ch.Arc, 2*P)
 	sc := p.soa.Get().(*soaScratch)

@@ -10,13 +10,14 @@ import (
 	"repro/internal/sp"
 )
 
-// Topology is the metric-free half of the PHAST sweeps: the node order
-// and the two position-space CSRs every customization of one hierarchy
-// sweeps. It is built once per preprocessing (NewRuntime) and shared by
-// every TreeBuilder packed from that preprocessing's basic
-// customizations, so a weight version pays only for its weight and
-// arc-end columns. A perfect customization drops its inert arcs and packs
-// a private Topology (sharing the order). Immutable after construction.
+// Topology is the metric-free half of the PHAST sweeps: the node order,
+// the elimination tree in position space and the two position-space CSRs
+// every customization of one hierarchy sweeps. It is built once per
+// preprocessing (NewRuntime) and shared by every TreeBuilder packed from
+// that preprocessing's basic customizations, so a weight version pays
+// only for its weight and arc-end columns. A perfect customization drops
+// its inert arcs and packs a private Topology (sharing the order and the
+// elimination tree). Immutable after construction.
 type Topology struct {
 	n int
 	// order lists all nodes in descending contraction rank; pos is the
@@ -25,6 +26,12 @@ type Topology struct {
 	// distance is final.
 	order []graph.NodeID
 	pos   []int32
+	// upParent is the elimination tree over positions: the position of
+	// each position's tree parent, -1 at roots. A node's upward arcs all
+	// lead to its tree ancestors (upward neighborhoods are cliques), so
+	// the upward phase of a sweep from root walks root's parent chain
+	// instead of scanning all n positions (upwardPass).
+	upParent []int32
 	// Two CSRs over the hierarchy's arcs, indexed by position.
 	// fwdOff/fwdUp holds, per node v, the arcs u→v with rank[u] > rank[v];
 	// bwdOff/bwdUp the arcs v→w with rank[w] > rank[v]. Each serves both
@@ -160,12 +167,17 @@ func (sc *sweepScratch) initFor(n int, rootPos int32) ([]float64, []graph.EdgeID
 }
 
 // upwardPass is phase 1 of a PHAST build, shared by the full and the
-// restricted (RPHAST) sweeps: positions in ascending rank. The upward arc
-// set is a DAG ordered by rank, so by the time a node is scanned every
-// upward path into it has been relaxed — no heap needed. Nodes outside
-// the root's upward cone sit at +Inf and are skipped.
-func upwardPass(distR []float64, parentR []graph.EdgeID, d *sweepDir) {
-	for i := len(distR) - 1; i >= 0; i-- {
+// restricted (RPHAST) sweeps: the upward search from the root at position
+// rootPos. On a CCH the root's upward search space lies on its
+// elimination-tree root path (Dibbelt, Strasser & Wagner, "Customizable
+// Contraction Hierarchies"), so the pass walks the root's upParent chain
+// in ascending rank — tens to a few hundred positions — instead of
+// scanning all n. A scan over every position would relax the same arcs in
+// the same order (it skips the off-chain nodes, which stay at +Inf), so
+// the trees are bit-identical to that scan's. Chain nodes the search does
+// not reach sit at +Inf and are skipped.
+func upwardPass(distR []float64, parentR []graph.EdgeID, d *sweepDir, upParent []int32, rootPos int32) {
+	for i := rootPos; i >= 0; i = upParent[i] {
 		di := distR[i]
 		if math.IsInf(di, 1) {
 			continue
@@ -187,13 +199,15 @@ func upwardPass(distR []float64, parentR []graph.EdgeID, d *sweepDir) {
 // higher-ranked tails, upFwdAt(v) the arcs leaving v toward higher-ranked
 // heads. Arcs flagged in drop (a perfect customization's inert arcs) are
 // left out, so both full PHAST sweeps and RPHAST selections skip them
-// without a per-arc check in the hot loops; such a topology reuses
-// order, the node order of the runtime's shared topology. With drop nil
-// and order nil it is the shared topology itself.
-func (h *Runtime) newTopology(order []graph.NodeID, pos []int32, drop []bool) *Topology {
+// without a per-arc check in the hot loops; such a topology reuses the
+// node order and elimination tree of base, the runtime's shared
+// topology. With drop nil and base nil it is the shared topology itself.
+func (h *Runtime) newTopology(base *Topology, drop []bool) *Topology {
 	n := h.g.NumNodes()
-	t := &Topology{n: n, order: order, pos: pos}
-	if order == nil {
+	t := &Topology{n: n}
+	if base != nil {
+		t.order, t.pos, t.upParent = base.order, base.pos, base.upParent
+	} else {
 		// Nodes in descending contraction rank (rank is a permutation).
 		t.order = make([]graph.NodeID, n)
 		for v := 0; v < n; v++ {
@@ -202,6 +216,13 @@ func (h *Runtime) newTopology(order []graph.NodeID, pos []int32, drop []bool) *T
 		t.pos = make([]int32, n)
 		for i, v := range t.order {
 			t.pos[v] = int32(i)
+		}
+		t.upParent = make([]int32, n)
+		for i, v := range t.order {
+			t.upParent[i] = -1
+			if p := h.elim.Parent[v]; p != graph.InvalidNode {
+				t.upParent[i] = t.pos[p]
+			}
 		}
 	}
 	keep := func(ai int32) bool { return drop == nil || !drop[ai] }
@@ -251,7 +272,7 @@ func (h *Runtime) newTopology(order []graph.NodeID, pos []int32, drop []bool) *T
 // memoryBytes reports the retained size of the topology's arrays, the
 // CSRs the backward direction shares with the forward one counted once.
 func (t *Topology) memoryBytes() int {
-	b := 4 * (len(t.order) + len(t.pos) + len(t.fwdOff) + len(t.fwdUp) + len(t.fwdArc) + len(t.bwdArc))
+	b := 4 * (len(t.order) + len(t.pos) + len(t.upParent) + len(t.fwdOff) + len(t.fwdUp) + len(t.fwdArc) + len(t.bwdArc))
 	if unsafe.SliceData(t.bwdOff) != unsafe.SliceData(t.fwdOff) {
 		b += 4 * len(t.bwdOff)
 	}
@@ -270,7 +291,7 @@ func (t *Topology) memoryBytes() int {
 func (h *Runtime) NewTreeBuilder() *TreeBuilder {
 	top := h.top
 	if h.inert != nil {
-		top = h.newTopology(h.top.order, h.top.pos, h.inert)
+		top = h.newTopology(h.top, h.inert)
 	}
 
 	// Resolve every arc's boundary original edges. Shortcut constituents
@@ -346,10 +367,11 @@ func (tb *TreeBuilder) BuildTreeInto(ws *sp.Workspace, root graph.NodeID, dir sp
 	d := tb.dir(dir)
 
 	sc := sweepPool.Get().(*sweepScratch)
-	distR, parentR := sc.initFor(n, top.pos[root])
+	rootPos := top.pos[root]
+	distR, parentR := sc.initFor(n, rootPos)
 
 	// Phase 1, the upward search.
-	upwardPass(distR, parentR, &d)
+	upwardPass(distR, parentR, &d, top.upParent, rootPos)
 
 	// Phase 2, the downward sweep: positions in descending rank, one pull
 	// min-fold per node. Every downward arc's upper endpoint is final when

@@ -13,23 +13,25 @@ import (
 // batched shortest paths in road networks"): the TreeBuilder's downward
 // sweep limited to the part of the hierarchy that can influence a given
 // target node set. A full PHAST build relaxes every downward arc once;
-// for the short queries the choice-routing planners prune elliptically,
-// almost all of that work computes distances nobody reads. RPHAST splits
-// the work in two:
+// for a distance table, which reads only its targets, almost all of that
+// work computes distances nobody reads. Its one serving consumer is the
+// matrix engine behind /api/matrix (core.MatrixEngine); route requests
+// sweep full trees. RPHAST splits the work in two:
 //
 //   - a *selection* phase (Select) that, once per target set, extracts the
 //     restricted downward sub-CSR — the upward closure of the targets in
 //     the pull DAG, in sweep order — and
-//   - a *restricted build* (BuildTreeRestrictedInto) that runs the usual
-//     upward search but sweeps only the selected positions.
+//   - a per-source *restricted sweep* that runs the usual upward search
+//     but sweeps only the selected positions: DistancesInto, the table
+//     row kernel, which computes distances only and writes the targets'
+//     straight into the row, or BuildTreeRestrictedInto, which builds a
+//     whole sp.Tree with parent edges (the kernel's reference in tests
+//     and the benchmark harness's sweep).
 //
-// The produced trees equal full PHAST trees exactly on every selected
-// node (same distances, same parent edges) and report every other node
-// unreached, which is precisely the contract of an elliptically pruned
-// tree (sp.BuildPrunedTree): as long as the target set covers the query's
-// ellipse, the plateau join yields the same choice routes. Basic and
-// perfect customizations share this one implementation: the TreeBuilder
-// is compiled from the ch.Hierarchy seam.
+// A restricted tree equals the full PHAST tree exactly on every selected
+// node (same distances, same parent edges) and reports every other node
+// unreached. Basic and perfect customizations share this one
+// implementation: the TreeBuilder is compiled from the ch.Hierarchy seam.
 
 // Selection is the reusable restricted-sweep state for one target set. It
 // is immutable after Select returns and safe for concurrent restricted
@@ -199,9 +201,11 @@ func sized[T any](s []T, n int) []T {
 // limited to sel: the returned tree (aliasing ws's slot for dir, same
 // rules as BuildTreeInto) carries exact distances and original-graph
 // parent edges for every node of the selection's sweep set and reports
-// everything else unreached — an elliptically-pruned-tree drop-in. The
-// upward search is unrestricted (it already touches only the root's
-// upward cone). After warm-up a restricted build allocates nothing.
+// everything else unreached. The upward search is unrestricted (it
+// already touches only the root's elimination-tree chain). It still pays
+// three O(n) passes per tree (scratch reset, node-space reset, scatter);
+// a table row that needs only distances uses DistancesInto. After warm-up
+// a restricted build allocates nothing.
 func (tb *TreeBuilder) BuildTreeRestrictedInto(ws *sp.Workspace, root graph.NodeID, dir sp.Direction, sel *Selection) *sp.Tree {
 	if sel.tb != tb {
 		panic("ch: Selection used with a TreeBuilder it was not derived from (stale selection kept across a customization?)")
@@ -216,10 +220,11 @@ func (tb *TreeBuilder) BuildTreeRestrictedInto(ws *sp.Workspace, root graph.Node
 	}
 
 	sc := sweepPool.Get().(*sweepScratch)
-	distR, parentR := sc.initFor(n, tb.top.pos[root])
+	rootPos := tb.top.pos[root]
+	distR, parentR := sc.initFor(n, rootPos)
 
 	// Phase 1, the upward search — identical to the full build.
-	upwardPass(distR, parentR, &d)
+	upwardPass(distR, parentR, &d, tb.top.upParent, rootPos)
 
 	// Phase 2, the restricted downward sweep: selected positions in
 	// descending rank. Every pull's upper endpoint is in the selection
@@ -248,7 +253,7 @@ func (tb *TreeBuilder) BuildTreeRestrictedInto(ws *sp.Workspace, root graph.Node
 
 	// Scatter only the selection; everything else — including nodes the
 	// upward search touched, whose distances phase 2 never finalized — is
-	// reported unreached, like outside an elliptic pruning budget.
+	// reported unreached.
 	inf := math.Inf(1)
 	for v := range dist {
 		dist[v] = inf
@@ -269,4 +274,105 @@ func (tb *TreeBuilder) BuildTreeRestrictedInto(ws *sp.Workspace, root graph.Node
 	t.Root, t.Dir = root, dir
 	t.Dist, t.Parent = dist, parent
 	return t
+}
+
+// rowScratch is the rank-space distance array of DistancesInto. Between
+// uses every entry is +Inf: a row writes only its root's elimination-tree
+// chain and the selected positions, and resets exactly those before the
+// scratch goes back to the pool, so no row pays an O(n) pass.
+type rowScratch struct{ dist []float64 }
+
+// rowPool pools the row scratch, package-level for the reason given at
+// sweepPool.
+var rowPool = sync.Pool{New: func() any { return new(rowScratch) }}
+
+// DistancesInto writes the forward shortest travel times from root to
+// targets into row (row[j] for targets[j], +Inf when unreachable): one
+// restricted forward sweep over sel that computes distances only — no
+// tree, no parent edges, no O(n) pass. Every target must be among the
+// targets sel was selected for; duplicates are fine. The values are
+// bit-identical to BuildTreeRestrictedInto's Dist at the same targets.
+// After warm-up a row allocates nothing.
+//
+// The downward pull folds with the unsigned minimum of the candidates'
+// IEEE-754 bit patterns, in two independent accumulators per node, which
+// compiles to branch-free compare-and-move chains that overlap. That is
+// exact because every label lies in [+0, +Inf] and is never NaN (a
+// customization rejects negative and NaN weights), and on those values
+// the order of the bit patterns is the order of the floats; a minimum
+// does not depend on the fold order, so it equals the strict-comparison
+// fold of BuildTreeRestrictedInto.
+func (tb *TreeBuilder) DistancesInto(row []float64, root graph.NodeID, targets []graph.NodeID, sel *Selection) {
+	if sel.tb != tb {
+		panic("ch: Selection used with a TreeBuilder it was not derived from (stale selection kept across a customization?)")
+	}
+	top := tb.top
+	inf := math.Inf(1)
+	sc := rowPool.Get().(*rowScratch)
+	if len(sc.dist) < top.n {
+		sc.dist = make([]float64, top.n)
+		for i := range sc.dist {
+			sc.dist[i] = inf
+		}
+	}
+	dist := sc.dist
+	rootPos := top.pos[root]
+	dist[rootPos] = 0
+
+	// Phase 1, the upward search along the root's elimination-tree chain
+	// (upwardPass without parent edges). Every relaxed arc ends on the
+	// chain, so the phase writes nothing else.
+	upParent, upOff, upUp, upW := top.upParent, top.bwdOff, top.bwdUp, tb.bwdW
+	for i := rootPos; i >= 0; i = upParent[i] {
+		di := dist[i]
+		if math.IsInf(di, 1) {
+			continue
+		}
+		lo, hi := upOff[i], upOff[i+1]
+		ups, w := upUp[lo:hi], upW[lo:hi]
+		w = w[:len(ups)]
+		for k, u := range ups {
+			if cand := di + w[k]; cand < dist[u] {
+				dist[u] = cand
+			}
+		}
+	}
+
+	// Phase 2, the restricted downward sweep: the selected positions in
+	// sweep order, each pull an unsigned bit-pattern minimum over two
+	// accumulators (even and odd arcs), the odd tail folded into the
+	// first.
+	r := &sel.fwd
+	for k, i := range r.nodes {
+		arcs := r.arcs[r.off[k]:r.off[k+1]]
+		m0 := math.Float64bits(dist[i])
+		m1 := m0
+		j := 0
+		for ; j+1 < len(arcs); j += 2 {
+			a, b := arcs[j], arcs[j+1]
+			m0 = min(m0, math.Float64bits(dist[a.up]+a.w))
+			m1 = min(m1, math.Float64bits(dist[b.up]+b.w))
+		}
+		if j < len(arcs) {
+			a := arcs[j]
+			m0 = min(m0, math.Float64bits(dist[a.up]+a.w))
+		}
+		dist[i] = math.Float64frombits(min(m0, m1))
+	}
+
+	// Targets are selected, so their distances are final.
+	row = row[:len(targets)]
+	for j, t := range targets {
+		row[j] = dist[top.pos[t]]
+	}
+
+	// Restore the all-+Inf invariant: the chain and the selection are
+	// the only positions the row wrote.
+	for i := rootPos; i >= 0; i = upParent[i] {
+		dist[i] = inf
+	}
+	for _, i := range r.nodes {
+		dist[i] = inf
+	}
+	rowPool.Put(sc)
 }

@@ -3,17 +3,17 @@
 // of the paper discusses how plateau-based alternative routing must stay
 // compatible with routing-engine optimisations ("many routing engines
 // compute only a subset of the source or destination tree"); this package
-// answers queries on a customized hierarchy: PHAST/RPHAST one-to-all
-// trees for the plateau join and the distance tables, and exact
+// answers queries on a customized hierarchy: PHAST one-to-all trees for
+// the plateau join, RPHAST distance rows for the distance tables, and exact
 // point-to-point distances and paths (elimination-tree ascents) that
 // unpack to original edge sequences.
 //
 // The sweeps are split by what a weight version changes. The Topology —
-// node order and the position-space CSRs — depends only on the
-// preprocessing, is built once with its metric-free Runtime, and is
-// shared by every basic customization; a TreeBuilder holds one version's
-// columns over it (arc weights and arc ends). Two builders of one
-// topology sweep their trees from one root in one pass
+// node order, elimination tree and the position-space CSRs — depends
+// only on the preprocessing, is built once with its metric-free Runtime,
+// and is shared by every basic customization; a TreeBuilder holds one
+// version's columns over it (arc weights and arc ends). Two builders of
+// one topology sweep their trees from one root in one pass
 // (BuildTwinTreesInto), which is how a request's public and traffic trees
 // are built.
 package ch
@@ -100,7 +100,8 @@ type Runtime struct {
 	// nil means no arc is inert.
 	inert []bool
 	// elim is the elimination tree of the topology, the root paths the
-	// query ascends (elimquery.go).
+	// query ascends (elimquery.go) and, copied into position space by
+	// newTopology, the chains the sweeps' upward phase walks.
 	elim *ElimTree
 	// top is the PHAST sweep topology of the upward adjacency, built once
 	// by NewRuntime and shared by every customization's TreeBuilder
@@ -156,7 +157,7 @@ func NewRuntime(g *graph.Graph, rank []int32, from, to []graph.NodeID, elim *Eli
 			bwdCur[w]++
 		}
 	}
-	h.top = h.newTopology(nil, nil, nil)
+	h.top = h.newTopology(nil, nil)
 	return h
 }
 

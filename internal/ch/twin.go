@@ -59,11 +59,12 @@ func BuildTwinTreesInto(wsA *sp.Workspace, a *TreeBuilder, wsB *sp.Workspace, b 
 		dist[i] = [2]float64{inf, inf}
 		parent[i] = [2]graph.EdgeID{-1, -1}
 	}
-	dist[top.pos[root]] = [2]float64{}
+	rootPos := top.pos[root]
+	dist[rootPos] = [2]float64{}
 
 	// Phase 1, one upward search per label.
-	twinUpwardPass(dist, parent, 0, &da)
-	twinUpwardPass(dist, parent, 1, &db)
+	twinUpwardPass(dist, parent, 0, &da, top.upParent, rootPos)
+	twinUpwardPass(dist, parent, 1, &db, top.upParent, rootPos)
 
 	// Phase 2, one downward sweep for both labels: each arc's upper
 	// endpoint is read once, and each label keeps its own best arc.
@@ -111,9 +112,10 @@ func BuildTwinTreesInto(wsA *sp.Workspace, a *TreeBuilder, wsB *sp.Workspace, b 
 	return ta, tb
 }
 
-// twinUpwardPass is upwardPass on label l of the twin scratch.
-func twinUpwardPass(dist [][2]float64, parent [][2]graph.EdgeID, l int, d *sweepDir) {
-	for i := len(dist) - 1; i >= 0; i-- {
+// twinUpwardPass is upwardPass on label l of the twin scratch: the walk
+// up the root's elimination-tree chain.
+func twinUpwardPass(dist [][2]float64, parent [][2]graph.EdgeID, l int, d *sweepDir, upParent []int32, rootPos int32) {
+	for i := rootPos; i >= 0; i = upParent[i] {
 		di := dist[i][l]
 		if math.IsInf(di, 1) {
 			continue

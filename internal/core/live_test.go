@@ -244,30 +244,24 @@ func TestCHSwapServesOldThenNew(t *testing.T) {
 	comparePlannersExact(t, fresh, pl, g, 8, 29)
 }
 
-// TestCustomizeFailureKeepsServing injects two failing customizations
-// into a ch-auto provider. The publish's background customization fails:
-// the process survives, queries keep answering on the old version, and
-// the failure is counted. A later query retries (and fails again); once
+// TestCustomizeFailureKeepsServing makes customizations of a ch-auto
+// provider fail. First, two publishes carry a weight the customization
+// rejects (NaN, then -1): each publish's background customization fails
+// and is counted once, and routes and matrix tables keep answering at
+// the old version (the retry each of them starts fails again). Then two
+// injected panics: the publish's background customization fails, the
+// process survives, queries keep answering on the old version, and the
+// failure is counted. A later query retries (and fails again); once
 // customization works, the provider serves the new version with the
 // routes of a planner built fresh at it.
 func TestCustomizeFailureKeepsServing(t *testing.T) {
 	g := randomRoadNetwork(21, 150)
 	store := weights.NewStore(g.BaseWeights())
 	pl := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Weights: store})
-	router := NewRouter(NewEngine(2), []Planner{pl}, store)
+	eng := NewEngine(2)
+	router := NewRouter(eng, []Planner{pl}, store)
+	mat := NewMatrixEngineFor(pl, eng)
 	s, dst, _ := banFastestRoute(t, g, pl, 13)
-
-	// The next two customizations panic, standing in for a customization
-	// that fails.
-	var fails atomic.Int32
-	fails.Store(2)
-	customize := pl.prov.customize
-	pl.prov.customize = func(w []float64) *ch.TreeBuilder {
-		if fails.Add(-1) >= 0 {
-			panic("injected customization failure")
-		}
-		return customize(w)
-	}
 
 	// waitFailures waits until n rebuilds have failed and none runs.
 	waitFailures := func(n uint64) {
@@ -294,22 +288,73 @@ func TestCustomizeFailureKeepsServing(t *testing.T) {
 		}
 	}
 
+	sources, targets := []graph.NodeID{s, dst}, []graph.NodeID{dst, s, 7}
+	before, err := mat.Matrix(sources, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	askMatrix := func() {
+		t.Helper()
+		tab, err := mat.Matrix(sources, targets)
+		if err != nil {
+			t.Fatalf("matrix failed after a failed customization: %v", err)
+		}
+		if tab.Version != 1 {
+			t.Fatalf("matrix answered at version %d, want the old version 1", tab.Version)
+		}
+		for i, sec := range tab.Seconds {
+			if math.Float64bits(sec) != math.Float64bits(before.Seconds[i]) {
+				t.Fatalf("matrix cell %d = %v after a failed customization, want %v", i, sec, before.Seconds[i])
+			}
+		}
+	}
+
+	// Two publishes the customization rejects: each fails once on its own
+	// publish, and once more on the retry each of a route query and a
+	// matrix table starts.
+	failures := uint64(0)
+	for _, bad := range []float64{math.NaN(), -1} {
+		w := g.CopyWeights()
+		w[len(w)/2] = bad
+		store.Publish(w)
+		failures++
+		waitFailures(failures)
+		ask()
+		failures++
+		waitFailures(failures)
+		askMatrix()
+		failures++
+		waitFailures(failures)
+	}
+
+	// The next two customizations panic, standing in for a customization
+	// that fails.
+	var fails atomic.Int32
+	fails.Store(2)
+	customize := pl.prov.customize
+	pl.prov.customize = func(w []float64) *ch.TreeBuilder {
+		if fails.Add(-1) >= 0 {
+			panic("injected customization failure")
+		}
+		return customize(w)
+	}
+
 	scaled := make([]float64, len(g.BaseWeights()))
 	for i, w := range g.BaseWeights() {
 		scaled[i] = 1.5 * w
 	}
 	store.Publish(scaled)
-	waitFailures(1)
+	waitFailures(failures + 1)
 	ask() // still on version 1, and starts a retry
-	waitFailures(2)
+	waitFailures(failures + 2)
 	ask()
 
 	router.Sync()
-	if v := pl.WeightsVersion(); v != 2 {
-		t.Fatalf("post-sync version = %d, want 2", v)
+	if v := pl.WeightsVersion(); v != 4 {
+		t.Fatalf("post-sync version = %d, want 4", v)
 	}
-	if got := pl.HierarchyStatus().CustomizeFailures; got != 2 {
-		t.Fatalf("%d customization failures after a working one, want 2", got)
+	if got := pl.HierarchyStatus().CustomizeFailures; got != failures+2 {
+		t.Fatalf("%d customization failures after a working one, want %d", got, failures+2)
 	}
 	fresh := NewPlateaus(g, Options{TreeBackend: TreeCHAuto, Weights: weights.Pin(scaled)})
 	comparePlannersExact(t, fresh, pl, g, 8, 29)

@@ -43,9 +43,12 @@ func (t *Table) At(i, j int) float64 { return t.Seconds[i*len(t.Targets)+j] }
 // set (cached by its sorted target ids), then one restricted forward
 // sweep per source fanned over the serving Engine's worker pool — k
 // sweeps and at most one Select instead of the k×k tree pairs of
-// independent point-to-point queries. Distances are exact (byte-identical
-// to per-pair Dijkstra); on TreeDijkstra the engine falls back to one
-// full Dijkstra tree per source.
+// independent point-to-point queries. A restricted sweep computes
+// distances only, straight into its table row (ch.TreeBuilder's
+// DistancesInto); a table past the cutover runs one full PHAST tree per
+// source. Distances are exact (byte-identical to per-pair Dijkstra); on
+// TreeDijkstra the engine falls back to one full Dijkstra tree per
+// source.
 //
 // A MatrixEngine is safe for concurrent use; per-call state lives in
 // pooled scratch, so a warm engine computes tables with zero steady-state
@@ -105,20 +108,24 @@ type rowBuilder struct {
 
 var rowBuilderPool = sync.Pool{New: func() any { return new(rowBuilder) }}
 
-// buildRow computes one source's row: a single forward tree (restricted,
-// full PHAST, or Dijkstra) read at every target.
+// buildRow computes one source's row. A restricted table sweeps the
+// shared selection with ch's row kernel, which writes the targets'
+// distances straight into the row (no tree, no parent edges, no O(n)
+// pass); full sweeps and the Dijkstra fallback build a forward tree in
+// ws and read it at every target.
 func (rb *rowBuilder) buildRow(ws *sp.Workspace, i int) {
 	src := rb.sources[i]
+	row := rb.seconds[i*len(rb.targets) : (i+1)*len(rb.targets)]
+	if rb.sel != nil {
+		rb.tb.DistancesInto(row, src, rb.targets, rb.sel)
+		return
+	}
 	var tree *sp.Tree
-	switch {
-	case rb.sel != nil:
-		tree = rb.tb.BuildTreeRestrictedInto(ws, src, sp.Forward, rb.sel)
-	case rb.tb != nil:
+	if rb.tb != nil {
 		tree = rb.tb.BuildTreeInto(ws, src, sp.Forward)
-	default:
+	} else {
 		tree = sp.BuildTreeInto(ws, rb.g, rb.w, src, sp.Forward)
 	}
-	row := rb.seconds[i*len(rb.targets) : (i+1)*len(rb.targets)]
 	for j, t := range rb.targets {
 		row[j] = tree.Dist[t]
 	}
