@@ -49,8 +49,8 @@ func main() {
 		time.Since(start).Seconds()*1000, pre.NumPairs(), pre.NumTriangles())
 	start = time.Now()
 	h := pre.Customize(w)
-	fmt.Printf("CCH customization: %.0f ms, %d of %d arcs are shortcuts\n",
-		time.Since(start).Seconds()*1000, h.NumShortcuts(), h.NumArcs())
+	fmt.Printf("CCH customization: %.0f ms, %d arc pairs, %d arcs\n",
+		time.Since(start).Seconds()*1000, pre.NumPairs(), h.NumArcs())
 
 	// 2. Exactness + speedup of complete tree pairs over a query batch:
 	// the forward tree from s and the backward tree into t that every

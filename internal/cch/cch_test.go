@@ -156,48 +156,31 @@ func TestCustomizeArbitraryMetricExact(t *testing.T) {
 	}
 }
 
+// TestPathUnpacksToValidRoute pins that tree routes are made of
+// original road edges under a metric the preprocessing never saw: each
+// forward tree's route is a continuous edge walk whose cost is Dist and
+// the Dijkstra optimum.
 func TestPathUnpacksToValidRoute(t *testing.T) {
 	g := gridCity(10, 10)
 	w := g.CopyWeights()
-	// Perturb the metric after preprocessing so unpacking exercises the
+	// Perturb the metric after preprocessing so the arc ends come from the
 	// per-customization triangle decomposition, not the build metric.
 	rng := rand.New(rand.NewSource(5))
 	for i := range w {
 		w[i] *= 0.6 + 0.8*rng.Float64()
 	}
 	h := Preprocess(g).Customize(w)
+	tb := h.NewTreeBuilder()
 	for q := 0; q < 40; q++ {
 		s := graph.NodeID(rng.Intn(g.NumNodes()))
 		dst := graph.NodeID(rng.Intn(g.NumNodes()))
-		edges, d := h.Path(s, dst)
-		if s == dst {
-			if d != 0 || len(edges) != 0 {
-				t.Fatalf("s==t: got %d edges at %f", len(edges), d)
-			}
-			continue
-		}
-		if edges == nil {
-			t.Fatalf("grid is connected; no path %d->%d", s, dst)
-		}
-		cur := s
-		var cost float64
-		for i, e := range edges {
-			ed := g.Edge(e)
-			if ed.From != cur {
-				t.Fatalf("unpacked path discontinuous at edge %d", i)
-			}
-			cur = ed.To
-			cost += w[e]
-		}
-		if cur != dst {
-			t.Fatalf("unpacked path ends at %d, want %d", cur, dst)
-		}
-		if math.Abs(cost-d) > 1e-6 {
-			t.Fatalf("unpacked cost %f != reported %f", cost, d)
+		d := pathCost(t, g, h, tb, w, s, dst)
+		if math.IsInf(d, 1) {
+			t.Fatalf("grid is connected; no route %d->%d", s, dst)
 		}
 		_, want := sp.ShortestPath(g, w, s, dst)
 		if math.Abs(d-want) > 1e-6 {
-			t.Fatalf("CCH path cost %f != optimal %f", d, want)
+			t.Fatalf("CCH route cost %f != optimal %f", d, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/ch"
+	"repro/internal/graph"
 )
 
 // Config tunes one customization pass. The zero value selects basic
@@ -24,9 +25,8 @@ type Config struct {
 }
 
 // soaScratch holds the flat structure-of-arrays weight vectors the
-// triangle loops run over: 16 bytes per pair touched in the hot loop
-// instead of two 40-byte ch.Arc records. perfUp/perfDown are allocated
-// on first perfect customization only.
+// triangle loops run over: 16 bytes per pair touched in the hot loop.
+// perfUp/perfDown are allocated on first perfect customization only.
 type soaScratch struct {
 	upW, downW       []float64
 	perfUp, perfDown []float64
@@ -35,23 +35,24 @@ type soaScratch struct {
 // Customize instantiates the preprocessed topology for one weight vector
 // with the default Config: every slot starts at its cheapest original
 // edge (+Inf when none), then one ascending sweep relaxes every lower
-// triangle, recording winning decompositions so shortcut arcs unpack to
-// original edge sequences. The result is exact for arbitrary weights —
-// congestion of any magnitude, +Inf closures — and each call is
-// independent, so a serving layer can customize in the background and
-// swap atomically.
+// triangle, resolving each arc's boundary original edges as it goes so
+// tree sweeps record road edges as parents. The result is exact for
+// arbitrary weights — congestion of any magnitude, +Inf closures — and
+// each call is independent, so a serving layer can customize in the
+// background and swap atomically.
 func (p *Preprocessed) Customize(weights []float64) ch.Hierarchy {
 	return p.CustomizeWith(weights, Config{})
 }
 
 // CustomizeWith is Customize with perfect-pass control. Perfect
-// additionally marks strictly dominated arcs inert (weights and unpacking
+// additionally marks strictly dominated arcs inert (weights and arc ends
 // untouched, so route sets are unchanged too).
 //
-// Each call allocates the arc array (and packed weights, and inert mask)
-// its runtime owns and attaches them to the preprocessing's metric-free
-// runtime: a superseded customization is freed with the last reference
-// to its runtime, so nothing has to track which queries still read it.
+// Each call allocates the columns its runtime owns — arc weights, arc
+// ends and, when perfect, the inert mask — and attaches them to the
+// preprocessing's metric-free runtime: a superseded customization is
+// freed with the last reference to its runtime, so nothing has to track
+// which queries still read it.
 //
 // Every weight must lie in [0, +Inf]. A negative or NaN weight panics
 // before any work: shortest paths are undefined under negative weights,
@@ -66,65 +67,64 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 		}
 	}
 	P := len(p.lo)
-	arcs := make([]ch.Arc, 2*P)
+	ends := make([]ch.ArcEnds, 2*P)
 	sc := p.soa.Get().(*soaScratch)
 	upW, downW := sc.upW, sc.downW
 
-	// Metric init: cheapest original edge per directed slot. Weights live
-	// in the SoA vectors until the pack step; arcs carry heads and
-	// unpacking info from the start.
+	// Metric init: cheapest original edge per directed slot, which is
+	// also both of the slot's ends ({-1, -1} when no edge is finite).
+	// The up arc of pair q is arc 2q, the down arc 2q+1.
 	inf := math.Inf(1)
 	for i := 0; i < P; i++ {
-		up := ch.Arc{To: p.hi[i], Weight: inf, Orig: -1, Skip1: -1, Skip2: -1}
-		wu := inf
+		wu, eu := inf, graph.EdgeID(-1)
 		for _, e := range p.upEdges[p.upOff[i]:p.upOff[i+1]] {
 			if weights[e] < wu {
-				wu = weights[e]
-				up.Orig = e
+				wu, eu = weights[e], e
 			}
 		}
-		down := ch.Arc{To: p.lo[i], Weight: inf, Orig: -1, Skip1: -1, Skip2: -1}
-		wd := inf
+		wd, ed := inf, graph.EdgeID(-1)
 		for _, e := range p.downEdges[p.downOff[i]:p.downOff[i+1]] {
 			if weights[e] < wd {
-				wd = weights[e]
-				down.Orig = e
+				wd, ed = weights[e], e
 			}
 		}
 		upW[i], downW[i] = wu, wd
-		arcs[2*i], arcs[2*i+1] = up, down
+		ends[2*i], ends[2*i+1] = ch.ArcEnds{First: eu, Last: eu}, ch.ArcEnds{First: ed, Last: ed}
 	}
 
 	// Triangle relaxation in ascending pair order: a pair's lower
 	// triangles reference only pairs with a strictly smaller index, so
-	// each is final when read. Skip arcs record the winning decomposition
-	// in path order: up (lo→hi) via z is lo→z then z→hi; down (hi→lo) is
-	// hi→z then z→lo. The up arc of pair q is arc 2q, the down arc 2q+1.
+	// each is final when read. The last strictly winning triangle is the
+	// arc's decomposition, in path order: up (lo→hi) via z is lo→z (the
+	// down arc of pair za) then z→hi (the up arc of zb); down (hi→lo) is
+	// hi→z (the down arc of zb) then z→lo (the up arc of za). The arc
+	// takes the first edge of its lower half and the last of its upper.
 	for i := int32(0); i < int32(P); i++ {
-		up, down := &arcs[2*i], &arcs[2*i+1]
 		wu, wd := upW[i], downW[i]
+		ku, kd := int32(-1), int32(-1)
 		for k := p.triOff[i]; k < p.triOff[i+1]; k++ {
 			za, zb := p.triLoSide[k], p.triHiSide[k]
 			if c := downW[za] + upW[zb]; c < wu {
-				wu = c
-				up.Orig = -1
-				up.Skip1, up.Skip2 = 2*za+1, 2*zb
+				wu, ku = c, k
 			}
 			if c := downW[zb] + upW[za]; c < wd {
-				wd = c
-				down.Orig = -1
-				down.Skip1, down.Skip2 = 2*zb+1, 2*za
+				wd, kd = c, k
 			}
 		}
 		upW[i], downW[i] = wu, wd
+		if ku >= 0 {
+			za, zb := p.triLoSide[ku], p.triHiSide[ku]
+			ends[2*i] = ch.ArcEnds{First: ends[2*za+1].First, Last: ends[2*zb].Last}
+		}
+		if kd >= 0 {
+			za, zb := p.triLoSide[kd], p.triHiSide[kd]
+			ends[2*i+1] = ch.ArcEnds{First: ends[2*zb+1].First, Last: ends[2*za].Last}
+		}
 	}
 
-	// Pack the final weights back into the arc records and the packed
-	// weight view the relax loops read.
+	// Pack the final weights into the arc-space column the runtime keeps.
 	arcW := make([]float64, 2*P)
 	for i := 0; i < P; i++ {
-		arcs[2*i].Weight = upW[i]
-		arcs[2*i+1].Weight = downW[i]
 		arcW[2*i] = upW[i]
 		arcW[2*i+1] = downW[i]
 	}
@@ -135,7 +135,7 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 	}
 
 	p.soa.Put(sc)
-	return p.rt.WithArcsInert(arcs, arcW, inert)
+	return p.rt.WithArcsInert(arcW, ends, inert)
 }
 
 // perfectPass runs perfect customization: a descending sweep that, per
@@ -157,8 +157,8 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 // endpoints — against which an arc whose basic weight is strictly
 // greater is provably useless (every shortest up-down path consists of
 // arcs whose weight equals their endpoints' distance) and marked inert.
-// Basic weights and unpacking stay untouched: distances, routes and
-// unpackings are byte-identical, only the work to compute them shrinks.
+// Basic weights and arc ends stay untouched: distances, trees and routes
+// are byte-identical, only the work to compute them shrinks.
 func (p *Preprocessed) perfectPass(sc *soaScratch) []bool {
 	P := len(p.lo)
 	if sc.perfUp == nil {

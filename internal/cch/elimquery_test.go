@@ -94,22 +94,23 @@ func TestElimTreeStructure(t *testing.T) {
 
 // TestElimQueryMatchesDijkstra pins the point-to-point query against the
 // Dijkstra oracle on every metric family a publish can produce —
-// perturbations, heavy closures, perfect customization: Dist and Path
-// agree with sp.ShortestPath on reachability and distance, and every
-// path unpacks to a connected edge sequence whose cost is the reported
-// distance.
+// perturbations, heavy closures, perfect customization: Dist and the
+// forward tree's route agree with sp.ShortestPath on reachability and
+// distance, and every route is a connected edge sequence whose cost is
+// Dist.
 func TestElimQueryMatchesDijkstra(t *testing.T) {
 	for gi, g := range []*graph.Graph{gridCity(12, 12), randomCity(23, 200)} {
 		pre := Preprocess(g)
 		for round := 0; round < 3; round++ {
 			w := perturbedWeights(g, int64(gi*10+round), 0.10*float64(round))
 			h := pre.CustomizeWith(w, Config{Perfect: round == 2})
+			tb := h.NewTreeBuilder()
 			rng := rand.New(rand.NewSource(int64(100*gi + round)))
 			for q := 0; q < 60; q++ {
 				s := graph.NodeID(rng.Intn(g.NumNodes()))
 				dst := graph.NodeID(rng.Intn(g.NumNodes()))
 				_, want := sp.ShortestPath(g, w, s, dst)
-				for _, got := range []float64{h.Dist(s, dst), pathCost(t, g, h, w, s, dst)} {
+				for _, got := range []float64{h.Dist(s, dst), pathCost(t, g, h, tb, w, s, dst)} {
 					if math.IsInf(want, 1) != math.IsInf(got, 1) || (!math.IsInf(want, 1) && math.Abs(got-want) > 1e-6) {
 						t.Fatalf("graph %d round %d (%d->%d): CCH %v, dijkstra %v", gi, round, s, dst, got, want)
 					}
@@ -119,32 +120,37 @@ func TestElimQueryMatchesDijkstra(t *testing.T) {
 	}
 }
 
-// pathCost returns h.Path(s, dst)'s reported distance after checking
-// that its edges run from s to dst and sum to it under w (a nil path must
-// come with +Inf).
-func pathCost(t *testing.T, g *graph.Graph, h ch.Hierarchy, w []float64, s, dst graph.NodeID) float64 {
+// pathCost returns the distance of dst in tb's forward tree from s after
+// checking the tree's route to dst: a continuous s→dst walk of original
+// edges whose cost under w equals h.Dist(s, dst), empty when s == dst. An
+// unreached dst must come with +Inf from both the tree and Dist.
+func pathCost(t *testing.T, g *graph.Graph, h ch.Hierarchy, tb *ch.TreeBuilder, w []float64, s, dst graph.NodeID) float64 {
 	t.Helper()
-	edges, d := h.Path(s, dst)
-	if edges == nil {
-		if !math.IsInf(d, 1) {
-			t.Fatalf("Path(%d,%d): no edges at %v", s, dst, d)
+	ws := sp.GetWorkspace()
+	defer ws.Release()
+	tree := tb.BuildTreeInto(ws, s, sp.Forward)
+	d := h.Dist(s, dst)
+	edges, ok := tree.PathInto(nil, g, dst)
+	if !ok {
+		if !math.IsInf(tree.Dist[dst], 1) || !math.IsInf(d, 1) {
+			t.Fatalf("route %d->%d: no tree path at tree distance %v, Dist %v", s, dst, tree.Dist[dst], d)
 		}
-		return d
+		return tree.Dist[dst]
 	}
 	cur := s
 	var cost float64
 	for i, e := range edges {
 		ed := g.Edge(e)
 		if ed.From != cur {
-			t.Fatalf("Path(%d,%d): discontinuous at edge %d", s, dst, i)
+			t.Fatalf("route %d->%d: discontinuous at edge %d", s, dst, i)
 		}
 		cur = ed.To
 		cost += w[e]
 	}
 	if cur != dst || math.Abs(cost-d) > 1e-6 {
-		t.Fatalf("Path(%d,%d): ends at %d with cost %v, reported %v", s, dst, cur, cost, d)
+		t.Fatalf("route %d->%d: ends at %d with cost %v, Dist %v", s, dst, cur, cost, d)
 	}
-	return d
+	return tree.Dist[dst]
 }
 
 // TestElimQueryClosurePublishSwap mirrors the serving layer's live-ban
@@ -168,6 +174,7 @@ func TestElimQueryClosurePublishSwap(t *testing.T) {
 		banned[e] = math.Inf(1)
 	}
 	h2 := pre.Customize(banned)
+	tb2 := h2.NewTreeBuilder()
 	for _, other := range []graph.NodeID{0, 42, 99} {
 		if d := h2.Dist(other, victim); !math.IsInf(d, 1) {
 			t.Fatalf("banned node still reachable: %d->%d = %f", other, victim, d)
@@ -175,8 +182,8 @@ func TestElimQueryClosurePublishSwap(t *testing.T) {
 		if d := h2.Dist(victim, other); !math.IsInf(d, 1) {
 			t.Fatalf("banned node still escapes: %d->%d = %f", victim, other, d)
 		}
-		if edges, d := h2.Path(other, victim); edges != nil || !math.IsInf(d, 1) {
-			t.Fatalf("Path over ban returned %d edges at %f", len(edges), d)
+		if d := pathCost(t, g, h2, tb2, banned, other, victim); !math.IsInf(d, 1) {
+			t.Fatalf("tree route over ban at %f", d)
 		}
 	}
 	checkDistances(t, g, h2, banned, 25, 2)
@@ -189,20 +196,21 @@ func TestElimQueryClosurePublishSwap(t *testing.T) {
 }
 
 // TestElimQueryEdgeCases covers s==t and cross-component queries: zero
-// distance with an empty path for the former, +Inf with a nil path for
-// the latter — on both plain and perfect customizations.
+// distance with an empty tree route for the former, +Inf with no tree
+// route for the latter — on both plain and perfect customizations.
 func TestElimQueryEdgeCases(t *testing.T) {
 	g := twoComponentCity(6, 6)
 	w := g.CopyWeights()
 	pre := Preprocess(g)
 	for _, perfect := range []bool{false, true} {
 		h := pre.CustomizeWith(w, Config{Perfect: perfect})
+		tb := h.NewTreeBuilder()
 		for _, v := range []graph.NodeID{0, 17, 40} {
 			if d := h.Dist(v, v); d != 0 {
 				t.Fatalf("perfect=%v: Dist(%d,%d) = %f", perfect, v, v, d)
 			}
-			if edges, d := h.Path(v, v); d != 0 || len(edges) != 0 {
-				t.Fatalf("perfect=%v: Path(%d,%d) = %d edges at %f", perfect, v, v, len(edges), d)
+			if d := pathCost(t, g, h, tb, w, v, v); d != 0 {
+				t.Fatalf("perfect=%v: tree route %d->%d at %f", perfect, v, v, d)
 			}
 		}
 		half := graph.NodeID(g.NumNodes() / 2)
@@ -210,8 +218,8 @@ func TestElimQueryEdgeCases(t *testing.T) {
 			if d := h.Dist(q[0], q[1]); !math.IsInf(d, 1) {
 				t.Fatalf("perfect=%v: cross-component Dist(%d,%d) = %f", perfect, q[0], q[1], d)
 			}
-			if edges, d := h.Path(q[0], q[1]); edges != nil || !math.IsInf(d, 1) {
-				t.Fatalf("perfect=%v: cross-component Path(%d,%d) = %d edges at %f", perfect, q[0], q[1], len(edges), d)
+			if d := pathCost(t, g, h, tb, w, q[0], q[1]); !math.IsInf(d, 1) {
+				t.Fatalf("perfect=%v: cross-component tree route %d->%d at %f", perfect, q[0], q[1], d)
 			}
 		}
 		// Within-component queries stay exact.

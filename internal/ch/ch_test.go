@@ -109,39 +109,44 @@ func TestDistMatchesDijkstraRandomDirected(t *testing.T) {
 	}
 }
 
+// TestPathUnpacksToValidRoute pins that a route read off a PHAST tree is
+// made of original road edges: for every sampled pair, the forward tree's
+// path to the target is a continuous s→t edge walk whose cost under w
+// equals Dist and the Dijkstra optimum.
 func TestPathUnpacksToValidRoute(t *testing.T) {
 	g := gridCity(10, 10)
 	w := g.CopyWeights()
 	h := build(g, w)
+	tb := h.NewTreeBuilder()
+	ws := sp.GetWorkspace()
+	defer ws.Release()
 	rng := rand.New(rand.NewSource(3))
 	for q := 0; q < 40; q++ {
 		s := graph.NodeID(rng.Intn(g.NumNodes()))
 		dst := graph.NodeID(rng.Intn(g.NumNodes()))
-		edges, d := h.Path(s, dst)
-		if s == dst {
-			if d != 0 || len(edges) != 0 {
-				t.Fatalf("s==t: got %d edges at %f", len(edges), d)
-			}
-			continue
+		edges, ok := tb.BuildTreeInto(ws, s, sp.Forward).PathInto(nil, g, dst)
+		if !ok {
+			t.Fatalf("grid is connected; no tree path %d->%d", s, dst)
 		}
-		if edges == nil {
-			t.Fatalf("grid is connected; no path %d->%d", s, dst)
+		if s == dst && len(edges) != 0 {
+			t.Fatalf("s==t: got %d edges", len(edges))
 		}
 		cur := s
 		var cost float64
 		for i, e := range edges {
 			ed := g.Edge(e)
 			if ed.From != cur {
-				t.Fatalf("unpacked path discontinuous at edge %d", i)
+				t.Fatalf("tree path discontinuous at edge %d", i)
 			}
 			cur = ed.To
 			cost += w[e]
 		}
 		if cur != dst {
-			t.Fatalf("unpacked path ends at %d, want %d", cur, dst)
+			t.Fatalf("tree path ends at %d, want %d", cur, dst)
 		}
+		d := h.Dist(s, dst)
 		if math.Abs(cost-d) > 1e-6 {
-			t.Fatalf("unpacked cost %f != reported %f", cost, d)
+			t.Fatalf("tree path cost %f != Dist %f", cost, d)
 		}
 		_, want := sp.ShortestPath(g, w, s, dst)
 		if math.Abs(d-want) > 1e-6 {
@@ -164,8 +169,9 @@ func TestUnreachable(t *testing.T) {
 	if d := h.Dist(n0, n3); !math.IsInf(d, 1) {
 		t.Errorf("unreachable dist = %f, want +Inf", d)
 	}
-	if p, d := h.Path(n0, n3); p != nil || !math.IsInf(d, 1) {
-		t.Errorf("unreachable path = %v at %f", p, d)
+	tree := h.NewTreeBuilder().BuildTree(n0, sp.Forward)
+	if p, ok := tree.PathInto(nil, g, n3); ok || len(p) != 0 || !math.IsInf(tree.Dist[n3], 1) {
+		t.Errorf("unreachable tree path = %v at %f", p, tree.Dist[n3])
 	}
 }
 
@@ -188,20 +194,6 @@ func TestOneWayRespected(t *testing.T) {
 	}
 	if d := h.Dist(n1, n0); math.Abs(d-(w[1]+w[2])) > 1e-9 {
 		t.Errorf("backward dist = %f, want %f (around the cycle)", d, w[1]+w[2])
-	}
-}
-
-func TestShortcutAccounting(t *testing.T) {
-	g := gridCity(10, 10)
-	h := build(g, g.CopyWeights())
-	if h.NumArcs() < g.NumEdges() {
-		t.Errorf("arcs %d < original edges %d", h.NumArcs(), g.NumEdges())
-	}
-	if h.NumShortcuts() != h.NumArcs()-g.NumEdges() {
-		t.Error("shortcut accounting inconsistent")
-	}
-	if h.NumShortcuts() == 0 {
-		t.Error("contracting a grid should insert some shortcuts")
 	}
 }
 

@@ -15,11 +15,19 @@ import (
 // criterion — it walks the two root paths in ascending rank, relaxing
 // upward arcs, and the answer is the best meeting label.
 
+// Dist returns the exact shortest travel time from s to t, or +Inf if t is
+// unreachable. The query walks the two elimination-tree root paths
+// heap-free.
+func (h *Runtime) Dist(s, t graph.NodeID) float64 {
+	ws := sp.GetWorkspace()
+	defer ws.Release()
+	return h.elimSearchInto(ws, s, t)
+}
+
 // elimSearchInto runs the query on the workspace's two epoch-stamped
-// search states (parent slots hold arc indices rather than graph edges,
-// which Path unpacks) and returns the distance and meeting node. The walk
-// is frontier-driven: each side keeps a bitmap of root-path depths
-// holding a pending label (sp.AscentScratch), and the loop settles the
+// search states and returns the distance. The walk is frontier-driven:
+// each side keeps a bitmap of root-path depths holding a pending label
+// (sp.AscentScratch), and the loop settles the
 // deepest pending label of either side — jumping from label to label
 // rather than chasing parent pointers through unlabeled ancestors, so the
 // walk is O(labeled nodes), not O(path length). Depths strictly decrease,
@@ -33,9 +41,9 @@ import (
 // elimination-forest components never co-label a node and fall out as
 // +Inf; a side whose frontier drains while the other still has work ends
 // the walk (a meet needs labels from both directions).
-func (h *Runtime) elimSearchInto(ws *sp.Workspace, s, t graph.NodeID) (float64, graph.NodeID) {
+func (h *Runtime) elimSearchInto(ws *sp.Workspace, s, t graph.NodeID) float64 {
 	if s == t {
-		return 0, s
+		return 0
 	}
 	n := h.g.NumNodes()
 	f, b := &ws.F, &ws.B
@@ -60,14 +68,13 @@ func (h *Runtime) elimSearchInto(ws *sp.Workspace, s, t graph.NodeID) (float64, 
 
 	fLive, bLive := 1, 1
 	best := math.Inf(1)
-	meet := graph.InvalidNode
 	for d := top; ; d-- {
 		// Scan both bitmaps down from d for the next pending depth.
 		w, mask := d>>6, uint64(2)<<uint(d&63)-1
 		bs := (fbits[w] | bbits[w]) & mask
 		for bs == 0 {
 			if w == 0 {
-				return best, meet
+				return best
 			}
 			w--
 			bs = fbits[w] | bbits[w]
@@ -93,7 +100,6 @@ func (h *Runtime) elimSearchInto(ws *sp.Workspace, s, t graph.NodeID) (float64, 
 		if fok && bok && fx == bx {
 			if dd := df + db; dd < best {
 				best = dd
-				meet = fx
 			}
 		}
 		// Relaxations peek the opposite direction's current label at every
@@ -116,7 +122,6 @@ func (h *Runtime) elimSearchInto(ws *sp.Workspace, s, t graph.NodeID) (float64, 
 					if improved {
 						if dd := nd + b.DistOf(to); dd < best {
 							best = dd
-							meet = to
 						}
 					}
 					if fresh {
@@ -140,7 +145,6 @@ func (h *Runtime) elimSearchInto(ws *sp.Workspace, s, t graph.NodeID) (float64, 
 					if improved {
 						if dd := nd + f.DistOf(from); dd < best {
 							best = dd
-							meet = from
 						}
 					}
 					if fresh {
@@ -154,12 +158,12 @@ func (h *Runtime) elimSearchInto(ws *sp.Workspace, s, t graph.NodeID) (float64, 
 		}
 		// Depth 0 is a root: nothing relaxes below it, the walk is complete.
 		if d == 0 {
-			return best, meet
+			return best
 		}
 		// A meet needs labels from BOTH directions, and a drained side can
 		// never label another node — either drain ends the walk.
 		if fLive == 0 || bLive == 0 {
-			return best, meet
+			return best
 		}
 	}
 }

@@ -71,10 +71,10 @@ type Topology struct {
 //
 // The produced trees are drop-in *sp.Tree values: distances are exact
 // (banned +Inf edges stay unreachable walls) and parent pointers are
-// *original-graph* edges — shortcut arcs are resolved to the original
-// edge adjacent to each node via first/last-edge arrays computed at
-// construction — so tree consumers (plateau join, path reconstruction)
-// cannot tell them from Dijkstra-built trees.
+// *original-graph* edges — each arc carries the first and last original
+// edge its customization resolved, and a relaxation records the one
+// adjacent to the tree node — so tree consumers (plateau join, path
+// reconstruction) cannot tell them from Dijkstra-built trees.
 //
 // A TreeBuilder is immutable after construction and safe for concurrent
 // use; per-query state lives in the caller's sp.Workspace plus a pooled
@@ -90,7 +90,7 @@ type TreeBuilder struct {
 	// adjacent to the tree node — last for Forward trees, first for
 	// Backward. They live apart from the weights because they are read
 	// only on improvement.
-	fwdEnds, bwdEnds []arcEnds
+	fwdEnds, bwdEnds []ArcEnds
 }
 
 // downArc is one packed restricted-CSR record (rphast.go): the position
@@ -100,21 +100,16 @@ type downArc struct {
 	w  float64
 }
 
-// arcEnds resolves an arc to its boundary original edges.
-type arcEnds struct {
-	first, last graph.EdgeID
-}
-
 // sweepDir is one direction's view of a TreeBuilder: the CSR the upward
 // search pushes along and the one the downward sweep pulls along, each
 // with the builder's columns, plus which arc end a relaxation records.
 type sweepDir struct {
 	upOff, upUp     []int32
 	upW             []float64
-	upEnds          []arcEnds
+	upEnds          []ArcEnds
 	downOff, downUp []int32
 	downW           []float64
-	downEnds        []arcEnds
+	downEnds        []ArcEnds
 	useLast         bool
 }
 
@@ -128,11 +123,11 @@ func (tb *TreeBuilder) dir(d sp.Direction) sweepDir {
 }
 
 // end returns the parent edge arc e records under this direction.
-func (d *sweepDir) end(e arcEnds) graph.EdgeID {
+func (d *sweepDir) end(e ArcEnds) graph.EdgeID {
 	if d.useLast {
-		return e.last
+		return e.Last
 	}
-	return e.first
+	return e.First
 }
 
 // sweepScratch is the rank-space view of one tree build.
@@ -282,41 +277,21 @@ func (t *Topology) memoryBytes() int {
 	return b
 }
 
-// NewTreeBuilder packs the customization's columns — per CSR slot of its
-// topology, the arc weight and the boundary original edges — over the
-// runtime's shared topology, or over a private one that drops the arcs a
-// perfect customization marked inert. The work is a few linear passes
-// over the arc set, negligible next to the customization that produced
-// it.
+// NewTreeBuilder gathers the customization's arc-space columns — weights
+// and boundary original edges — into the slot order of its topology: the
+// runtime's shared one, or a private one that drops the arcs a perfect
+// customization marked inert. The work is one linear pass over the slots,
+// negligible next to the customization that produced the columns.
 func (h *Runtime) NewTreeBuilder() *TreeBuilder {
 	top := h.top
 	if h.inert != nil {
 		top = h.newTopology(h.top, h.inert)
 	}
-
-	// Resolve every arc's boundary original edges. Shortcut constituents
-	// are always inserted before the shortcut referencing them, so one
-	// forward pass suffices.
-	ends := make([]arcEnds, len(h.arcs))
-	for ai := range h.arcs {
-		a := &h.arcs[ai]
-		switch {
-		case a.Orig >= 0:
-			ends[ai] = arcEnds{a.Orig, a.Orig}
-		case a.Skip1 >= 0:
-			ends[ai] = arcEnds{ends[a.Skip1].first, ends[a.Skip2].last}
-		default:
-			// An arc whose pair the current metric gives no realizing path
-			// (CCH only). It carries +Inf and can never win a relaxation,
-			// so it resolves to no edge.
-			ends[ai] = arcEnds{-1, -1}
-		}
-	}
-	column := func(arcIdx []int32) ([]float64, []arcEnds) {
+	column := func(arcIdx []int32) ([]float64, []ArcEnds) {
 		w := make([]float64, len(arcIdx))
-		e := make([]arcEnds, len(arcIdx))
+		e := make([]ArcEnds, len(arcIdx))
 		for k, ai := range arcIdx {
-			w[k], e[k] = h.arcs[ai].Weight, ends[ai]
+			w[k], e[k] = h.arcW[ai], h.ends[ai]
 		}
 		return w, e
 	}
@@ -335,7 +310,7 @@ func (tb *TreeBuilder) Topology() *Topology { return tb.top }
 // weights and arc ends, not the topology they index, which the builder
 // usually shares (Runtime.MemoryBytes counts it).
 func (tb *TreeBuilder) MemoryBytes() int {
-	const endBytes = int(unsafe.Sizeof(arcEnds{}))
+	const endBytes = int(unsafe.Sizeof(ArcEnds{}))
 	return 8*(cap(tb.fwdW)+cap(tb.bwdW)) + endBytes*(cap(tb.fwdEnds)+cap(tb.bwdEnds))
 }
 

@@ -57,7 +57,7 @@ type restrictedCSR struct {
 	nodes []int32
 	off   []int32
 	arcs  []downArc
-	ends  []arcEnds
+	ends  []ArcEnds
 }
 
 // selectScratch is the pooled mark array of the selection passes.
@@ -85,7 +85,7 @@ func (sel *Selection) SweptNodes() (fwd, bwd int) {
 func (sel *Selection) MemoryBytes() int {
 	const (
 		arcBytes  = int(unsafe.Sizeof(downArc{}))
-		endBytes  = int(unsafe.Sizeof(arcEnds{}))
+		endBytes  = int(unsafe.Sizeof(ArcEnds{}))
 		int32Size = 4
 	)
 	csr := func(r *restrictedCSR) int {
@@ -146,7 +146,7 @@ func (t *Topology) markTargets(targets []graph.NodeID, mark []bool) int {
 // positions and arcs the emit keeps, and the four arrays are sized once,
 // exactly: a fresh selection retains no growth slack and allocates no
 // growth garbage. Leaves mark fully cleared.
-func (r *restrictedCSR) closeAndEmit(off, up []int32, w []float64, ends []arcEnds, mark []bool) {
+func (r *restrictedCSR) closeAndEmit(off, up []int32, w []float64, ends []ArcEnds, mark []bool) {
 	n := len(off) - 1
 	nodes, kept := 0, 0
 	for p := n - 1; p >= 0; p-- {

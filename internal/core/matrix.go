@@ -65,8 +65,8 @@ type MatrixEngine struct {
 
 // NewMatrixEngine builds a standalone matrix engine over g. Options are
 // interpreted as for NewPlateaus (weights source, tree backend, hierarchy
-// flavor, order, query engine); eng bounds the sweep fan-out and may be
-// nil for unbounded inline execution.
+// flavor, order; Query is ignored); eng bounds the sweep fan-out and may
+// be nil for unbounded inline execution.
 func NewMatrixEngine(g *graph.Graph, opts Options, eng *Engine) *MatrixEngine {
 	opts = opts.withDefaults()
 	return &MatrixEngine{
@@ -78,8 +78,8 @@ func NewMatrixEngine(g *graph.Graph, opts Options, eng *Engine) *MatrixEngine {
 
 // NewMatrixEngineFor builds a matrix engine sharing an existing Plateaus
 // planner's weight provider: same hierarchy, same weight views, same
-// selection cache — the server wiring, where point-to-point queries and
-// matrix requests must serve identical versions without contracting the
+// selection cache — the server wiring, where route requests and matrix
+// requests must serve identical versions without contracting the
 // hierarchy twice.
 func NewMatrixEngineFor(p *Plateaus, eng *Engine) *MatrixEngine {
 	return &MatrixEngine{g: p.g, eng: eng, prov: p.prov}

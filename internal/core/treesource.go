@@ -122,7 +122,7 @@ const (
 func ParseOrderKind(s string) (OrderKind, error) { return cch.ParseOrderKind(s) }
 
 // QueryEngine names a point-to-point distance engine of the CCH
-// hierarchy's Dist/Path (ch.Hierarchy). It configures nothing: tree pairs
+// hierarchy's Dist (ch.Hierarchy). It configures nothing: tree pairs
 // and matrix rows come from PHAST/RPHAST sweeps, the providers ignore
 // Options.Query, and package ch has one point-to-point engine, the
 // elimination-tree ascent, whichever value is set. It is kept only so
