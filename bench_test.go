@@ -537,15 +537,15 @@ func BenchmarkMicroCHDist(b *testing.B) {
 	}
 }
 
-// --- Point-to-point query (elimination-tree ascent) -------------------------
+// --- Point-to-point query (elimination-tree chain walks) --------------------
 //
-// The CCH answers Dist by the heap-free elimination-tree ascent. This
+// The CCH answers Dist by two heap-free elimination-tree chain walks. This
 // benchmark measures it on Melbourne short- and long-range pairs under
 // both contraction orders. Run with -benchmem: it must stay at 0
 // allocs/op warm.
 
 // benchMelbourneLongPair picks two intersections on opposite sides of the
-// network — the long-range query whose ascents walk near-full root paths.
+// network — the long-range query whose walks cover near-full root paths.
 func benchMelbourneLongPair(b *testing.B, city *eval.City) (s, t graph.NodeID) {
 	b.Helper()
 	c := city.Graph.BBox().Center()

@@ -48,14 +48,13 @@ func main() {
 	fmt.Printf("CCH preprocessing: %.0f ms, %d arc pairs, %d triangles\n",
 		time.Since(start).Seconds()*1000, pre.NumPairs(), pre.NumTriangles())
 	start = time.Now()
-	h := pre.Customize(w)
+	tb := pre.Customize(w)
 	fmt.Printf("CCH customization: %.0f ms, %d arc pairs, %d arcs\n",
-		time.Since(start).Seconds()*1000, pre.NumPairs(), h.NumArcs())
+		time.Since(start).Seconds()*1000, pre.NumPairs(), tb.NumArcs())
 
 	// 2. Exactness + speedup of complete tree pairs over a query batch:
 	// the forward tree from s and the backward tree into t that every
 	// /api/routes request builds.
-	tb := h.NewTreeBuilder()
 	chWS, dijWS := sp.NewWorkspace(), sp.NewWorkspace()
 	rng := rand.New(rand.NewSource(1))
 	const numQueries = 300
@@ -89,7 +88,7 @@ func main() {
 	// preprocessing share a sweep topology, so each root's two trees come
 	// out of one twin pass.
 	tw := traffic.NewSequence(g, traffic.DefaultModel(2022*2654435761+1), 0).WeightsAt(0)
-	ttb := pre.Customize(tw).NewTreeBuilder()
+	ttb := pre.Customize(tw)
 	single := [2]*sp.Workspace{sp.NewWorkspace(), sp.NewWorkspace()}
 	twin := [2]*sp.Workspace{sp.NewWorkspace(), sp.NewWorkspace()}
 	var singleTime, twinTime time.Duration

@@ -1,6 +1,6 @@
 // Package cch implements customizable contraction hierarchies (Dibbelt,
 // Strasser, Wagner: "Customizable Contraction Hierarchies"), the producer
-// behind the ch.Hierarchy seam. Preprocessing never sees a metric, so
+// of every ch.TreeBuilder. Preprocessing never sees a metric, so
 // every weight snapshot — heavy road closures and aggressive congestion
 // included — is customized exactly:
 //
@@ -14,12 +14,13 @@
 //   - Customize instantiates the topology for one weight vector: slots
 //     start at the cheapest original edge (+Inf when none) and one
 //     bottom-up sweep relaxes every lower triangle
-//     (w(x→y) ≤ w(x→z) + w(z→y)). After the sweep, upward searches —
-//     elimination-tree ascents, PHAST sweeps and every planner consuming
-//     trees — are exact for *any* weight vector, including +Inf closures,
-//     because any shortest path rewrites into an equal-weight up-down path
-//     by repeatedly bypassing its lowest interior vertex through the
-//     relaxed triangle arc.
+//     (w(x→y) ≤ w(x→z) + w(z→y)), then packs the slots into the shared
+//     sweep topology's order as one ch.TreeBuilder. After the sweep,
+//     upward searches — elimination-tree chain walks, PHAST sweeps and
+//     every planner consuming trees — are exact for *any* weight vector,
+//     including +Inf closures, because any shortest path rewrites into an
+//     equal-weight up-down path by repeatedly bypassing its lowest
+//     interior vertex through the relaxed triangle arc.
 //
 // Preprocessing is paid once per road network; following a published
 // weight snapshot costs one triangle sweep (linear in the triangle count),
@@ -40,8 +41,8 @@ const Kind = "cch"
 
 // Preprocessed is the metric-independent half of a customizable
 // hierarchy: the nested-dissection order, the chordal arc topology, the
-// lower-triangle lists, the original-edge mapping and the metric-free
-// runtime every customization shares. It is immutable after Preprocess
+// lower-triangle lists, the original-edge mapping and the sweep topology
+// every basic customization shares. It is immutable after Preprocess
 // and safe for concurrent Customize calls; it holds no weights of its
 // own.
 type Preprocessed struct {
@@ -65,15 +66,15 @@ type Preprocessed struct {
 	upOff, downOff     []int32
 	upEdges, downEdges []graph.EdgeID
 	// elim is the elimination tree of the chordal supergraph (parent =
-	// lowest-ranked upward neighbor) — the topology the point-to-point
-	// query walks. Metric-independent like everything else in a
-	// Preprocessed.
+	// lowest-ranked upward neighbor) — the chains the sweeps' upward
+	// phases and the point-to-point query walk. Metric-independent like
+	// everything else in a Preprocessed.
 	elim *ch.ElimTree
-	// rt is the metric-free runtime (order, arc tails and heads, upward
-	// adjacency, elimination tree) every customization attaches its arcs
-	// to, built once here.
-	rt *ch.Runtime
-	// soa pools the flat weight vectors of the triangle loops.
+	// top is the sweep topology (order, position-space CSRs over the
+	// pairs, elimination tree in position space) every customization
+	// packs its columns over, built once here.
+	top *ch.Topology
+	// soa pools the pair-space scratch of the triangle loops.
 	soa sync.Pool
 }
 
@@ -271,15 +272,6 @@ func PreprocessWith(g *graph.Graph, ocfg OrderConfig) *Preprocessed {
 		}
 	}
 
-	// Runtime arcs: pair i's up arc lo→hi is arc 2i, its down arc hi→lo
-	// arc 2i+1.
-	from := make([]graph.NodeID, 2*P)
-	to := make([]graph.NodeID, 2*P)
-	for i := 0; i < P; i++ {
-		from[2*i], to[2*i] = p.lo[i], p.hi[i]
-		from[2*i+1], to[2*i+1] = p.hi[i], p.lo[i]
-	}
-
 	// Elimination tree: a node's parent is its lowest-ranked upward
 	// neighbor — the first of its pair group, which is sorted ascending by
 	// rank of the upper endpoint. Depths follow in one descending-rank
@@ -300,10 +292,13 @@ func PreprocessWith(g *graph.Graph, ocfg OrderConfig) *Preprocessed {
 		}
 	}
 	p.elim = &ch.ElimTree{Parent: parent, Depth: depth}
-	p.rt = ch.NewRuntime(g, p.rank, from, to, p.elim)
+	p.top = ch.NewTopology(p.rank, p.lo, p.hi, parent)
 
 	p.soa.New = func() any {
-		return &soaScratch{upW: make([]float64, P), downW: make([]float64, P)}
+		return &soaScratch{PairColumns: ch.PairColumns{
+			UpW: make([]float64, P), DownW: make([]float64, P),
+			UpEnds: make([]ch.ArcEnds, P), DownEnds: make([]ch.ArcEnds, P),
+		}}
 	}
 	return p
 }
@@ -356,17 +351,16 @@ func (p *Preprocessed) NumTriangles() int { return len(p.triLoSide) }
 func (p *Preprocessed) Rank() []int32 { return p.rank }
 
 // MemoryBytes reports the retained size of the preprocessing's arrays:
-// the chordal pairs, their lower triangles and original-edge lists, and
-// the metric-free runtime (order, upward adjacency, elimination tree and
-// the PHAST sweep topology every basic customization shares), each
-// counted once. The customization scratch pool is not counted.
+// the order, the chordal pairs, their lower triangles and original-edge
+// lists, the elimination tree and the PHAST sweep topology every basic
+// customization shares. The customization scratch pool is not counted.
 func (p *Preprocessed) MemoryBytes() int {
-	b := 4 * (len(p.lo) + len(p.hi) + len(p.triOff) + len(p.triLoSide) + len(p.triHiSide) +
-		len(p.upOff) + len(p.downOff) + len(p.upEdges) + len(p.downEdges))
-	return b + p.rt.MemoryBytes()
+	b := 4 * (len(p.rank) + len(p.lo) + len(p.hi) + len(p.triOff) + len(p.triLoSide) + len(p.triHiSide) +
+		len(p.upOff) + len(p.downOff) + len(p.upEdges) + len(p.downEdges) + len(p.elim.Parent) + len(p.elim.Depth))
+	return b + p.top.MemoryBytes()
 }
 
 // ElimTree returns the elimination tree of the chordal supergraph — the
-// root-path topology the point-to-point query ascends. Shared by every
-// customization; immutable.
+// root paths the sweeps' upward phases and the point-to-point query
+// walk. Shared by every customization; immutable.
 func (p *Preprocessed) ElimTree() *ch.ElimTree { return p.elim }

@@ -24,12 +24,15 @@ type Config struct {
 	Perfect bool
 }
 
-// soaScratch holds the flat structure-of-arrays weight vectors the
-// triangle loops run over: 16 bytes per pair touched in the hot loop.
-// perfUp/perfDown are allocated on first perfect customization only.
+// soaScratch is the pooled pair-space scratch of the triangle loops: the
+// flat structure-of-arrays weights (16 bytes per pair touched in the hot
+// loop) and the ends the pass reads back, which Pack gathers into a
+// builder's slot columns. perfUp/perfDown and the inert masks are
+// allocated on the first perfect customization only.
 type soaScratch struct {
-	upW, downW       []float64
-	perfUp, perfDown []float64
+	ch.PairColumns
+	perfUp, perfDown   []float64
+	inertUp, inertDown []bool
 }
 
 // Customize instantiates the preprocessed topology for one weight vector
@@ -40,18 +43,20 @@ type soaScratch struct {
 // arbitrary weights — congestion of any magnitude, +Inf closures — and
 // each call is independent, so a serving layer can customize in the
 // background and swap atomically.
-func (p *Preprocessed) Customize(weights []float64) ch.Hierarchy {
+func (p *Preprocessed) Customize(weights []float64) *ch.TreeBuilder {
 	return p.CustomizeWith(weights, Config{})
 }
 
 // CustomizeWith is Customize with perfect-pass control. Perfect
-// additionally marks strictly dominated arcs inert (weights and arc ends
-// untouched, so route sets are unchanged too).
+// additionally drops strictly dominated arcs from the builder's
+// topology (the weights and ends of the arcs it keeps are untouched, so
+// route sets are unchanged too).
 //
-// Each call allocates the columns its runtime owns — arc weights, arc
-// ends and, when perfect, the inert mask — and attaches them to the
-// preprocessing's metric-free runtime: a superseded customization is
-// freed with the last reference to its runtime, so nothing has to track
+// The triangle pass runs on pooled pair-space scratch; each call
+// allocates only the columns its builder owns — slot-order weights and
+// arc ends and, when perfect, its private topology — over the
+// preprocessing's shared sweep topology: a superseded customization is
+// freed with the last reference to its builder, so nothing has to track
 // which queries still read it.
 //
 // Every weight must lie in [0, +Inf]. A negative or NaN weight panics
@@ -60,20 +65,18 @@ func (p *Preprocessed) Customize(weights []float64) ch.Hierarchy {
 // orders labels by their bit patterns, which is the float order only on
 // non-negative, non-NaN values. A serving provider recovers the panic
 // and keeps its previous version.
-func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy {
+func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) *ch.TreeBuilder {
 	for e, w := range weights {
 		if !(w >= 0) {
 			panic(fmt.Sprintf("cch: edge %d has weight %v, want a value in [0, +Inf]", e, w))
 		}
 	}
 	P := len(p.lo)
-	ends := make([]ch.ArcEnds, 2*P)
 	sc := p.soa.Get().(*soaScratch)
-	upW, downW := sc.upW, sc.downW
+	upW, downW, upEnds, downEnds := sc.UpW, sc.DownW, sc.UpEnds, sc.DownEnds
 
 	// Metric init: cheapest original edge per directed slot, which is
 	// also both of the slot's ends ({-1, -1} when no edge is finite).
-	// The up arc of pair q is arc 2q, the down arc 2q+1.
 	inf := math.Inf(1)
 	for i := 0; i < P; i++ {
 		wu, eu := inf, graph.EdgeID(-1)
@@ -89,7 +92,7 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 			}
 		}
 		upW[i], downW[i] = wu, wd
-		ends[2*i], ends[2*i+1] = ch.ArcEnds{First: eu, Last: eu}, ch.ArcEnds{First: ed, Last: ed}
+		upEnds[i], downEnds[i] = ch.ArcEnds{First: eu, Last: eu}, ch.ArcEnds{First: ed, Last: ed}
 	}
 
 	// Triangle relaxation in ascending pair order: a pair's lower
@@ -114,28 +117,21 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 		upW[i], downW[i] = wu, wd
 		if ku >= 0 {
 			za, zb := p.triLoSide[ku], p.triHiSide[ku]
-			ends[2*i] = ch.ArcEnds{First: ends[2*za+1].First, Last: ends[2*zb].Last}
+			upEnds[i] = ch.ArcEnds{First: downEnds[za].First, Last: upEnds[zb].Last}
 		}
 		if kd >= 0 {
 			za, zb := p.triLoSide[kd], p.triHiSide[kd]
-			ends[2*i+1] = ch.ArcEnds{First: ends[2*zb+1].First, Last: ends[2*za].Last}
+			downEnds[i] = ch.ArcEnds{First: downEnds[zb].First, Last: upEnds[za].Last}
 		}
 	}
 
-	// Pack the final weights into the arc-space column the runtime keeps.
-	arcW := make([]float64, 2*P)
-	for i := 0; i < P; i++ {
-		arcW[2*i] = upW[i]
-		arcW[2*i+1] = downW[i]
-	}
-
-	var inert []bool
+	cols := sc.PairColumns
 	if cfg.Perfect {
-		inert = p.perfectPass(sc)
+		cols.InertUp, cols.InertDown = p.perfectPass(sc)
 	}
-
+	tb := p.top.Pack(&cols)
 	p.soa.Put(sc)
-	return p.rt.WithArcsInert(arcW, ends, inert)
+	return tb
 }
 
 // perfectPass runs perfect customization: a descending sweep that, per
@@ -156,18 +152,20 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 // in perfUp/perfDown, the true directed distances between every pair's
 // endpoints — against which an arc whose basic weight is strictly
 // greater is provably useless (every shortest up-down path consists of
-// arcs whose weight equals their endpoints' distance) and marked inert.
-// Basic weights and arc ends stay untouched: distances, trees and routes
-// are byte-identical, only the work to compute them shrinks.
-func (p *Preprocessed) perfectPass(sc *soaScratch) []bool {
+// arcs whose weight equals their endpoints' distance) and marked inert in
+// the returned pair-space masks (pooled scratch, valid until sc goes
+// back to the pool). Basic weights and arc ends stay untouched:
+// distances, trees and routes are byte-identical, only the work to
+// compute them shrinks.
+func (p *Preprocessed) perfectPass(sc *soaScratch) (inertUp, inertDown []bool) {
 	P := len(p.lo)
 	if sc.perfUp == nil {
-		sc.perfUp = make([]float64, P)
-		sc.perfDown = make([]float64, P)
+		sc.perfUp, sc.perfDown = make([]float64, P), make([]float64, P)
+		sc.inertUp, sc.inertDown = make([]bool, P), make([]bool, P)
 	}
 	perfUp, perfDown := sc.perfUp, sc.perfDown
-	copy(perfUp, sc.upW[:P])
-	copy(perfDown, sc.downW[:P])
+	copy(perfUp, sc.UpW)
+	copy(perfDown, sc.DownW)
 	for i := P - 1; i >= 0; i-- {
 		pu, pd := perfUp[i], perfDown[i]
 		for k := p.triOff[i]; k < p.triOff[i+1]; k++ {
@@ -191,11 +189,10 @@ func (p *Preprocessed) perfectPass(sc *soaScratch) []bool {
 	// every downstream sweep. +Inf slots — topology pairs the metric
 	// gives no realizing path — can never win a relaxation either, so
 	// perfect mode retires them from the sweeps too.
-	inert := make([]bool, 2*P)
-	upW, downW := sc.upW, sc.downW
+	upW, downW := sc.UpW, sc.DownW
 	for i := 0; i < P; i++ {
-		inert[2*i] = perfUp[i] < upW[i] || math.IsInf(upW[i], 1)
-		inert[2*i+1] = perfDown[i] < downW[i] || math.IsInf(downW[i], 1)
+		sc.inertUp[i] = perfUp[i] < upW[i] || math.IsInf(upW[i], 1)
+		sc.inertDown[i] = perfDown[i] < downW[i] || math.IsInf(downW[i], 1)
 	}
-	return inert
+	return sc.inertUp, sc.inertDown
 }

@@ -32,15 +32,22 @@ func perturbedWeights(g *graph.Graph, seed int64, closureFrac float64) []float64
 	return w
 }
 
-// columnDiff reports the first arc at which two pairs of arc-space
-// columns differ in weight bits or arc ends, or -1. Columns of different
-// lengths differ at arc 0.
-func columnDiff(aw []float64, ae []ch.ArcEnds, bw []float64, be []ch.ArcEnds) int {
-	if len(aw) != len(bw) || len(ae) != len(be) || len(aw) != len(ae) {
+// columnDiff reports the first arc at which tb's columns, read back in
+// arc order (ch.TreeBuilder.ArcColumns), differ from the arc-order
+// reference (ww, we) in weight bits or arc ends, or -1. A perfect
+// customization's dropped arcs are not compared; a basic customization
+// keeps every arc, and one it lacks is a difference. Columns of
+// different lengths differ at arc 0.
+func columnDiff(tb *ch.TreeBuilder, perfect bool, ww []float64, we []ch.ArcEnds) int {
+	gw, ge, in := tb.ArcColumns()
+	if len(gw) != len(ww) || len(we) != len(ww) {
 		return 0
 	}
-	for i := range aw {
-		if math.Float64bits(aw[i]) != math.Float64bits(bw[i]) || ae[i] != be[i] {
+	for i := range gw {
+		if !in[i] && perfect {
+			continue
+		}
+		if !in[i] || math.Float64bits(gw[i]) != math.Float64bits(ww[i]) || ge[i] != we[i] {
 			return i
 		}
 	}
@@ -48,26 +55,25 @@ func columnDiff(aw []float64, ae []ch.ArcEnds, bw []float64, be []ch.ArcEnds) in
 }
 
 // TestPerfectCustomization checks the perfect post-pass end to end: the
-// basic columns are untouched (weights, arc ends — so routes cannot
-// move), a nonzero arc fraction is proved inert and dropped from the
-// tree builder's sweeps, distances stay exact, and full PHAST trees —
-// distances and parents — are identical with and without the pruning.
+// columns of every arc it keeps equal the basic ones (weights, arc ends —
+// so routes cannot move), a nonzero arc fraction is proved inert and
+// dropped from the tree builder's sweeps, distances stay exact, and full
+// PHAST trees — distances and parents — are identical with and without
+// the pruning.
 func TestPerfectCustomization(t *testing.T) {
 	for gi, g := range []*graph.Graph{gridCity(12, 12), randomCity(33, 200)} {
 		pre := Preprocess(g)
 		w := perturbedWeights(g, int64(100+gi), 0.20)
-		basic := pre.CustomizeWith(w, Config{}).(*ch.Runtime)
-		perfect := pre.CustomizeWith(w, Config{Perfect: true}).(*ch.Runtime)
+		basic := pre.CustomizeWith(w, Config{})
+		perfect := pre.CustomizeWith(w, Config{Perfect: true})
 
-		bw, be := basic.Columns()
-		pw, pe := perfect.Columns()
-		if i := columnDiff(bw, be, pw, pe); i >= 0 {
+		bw, be, _ := basic.ArcColumns()
+		if i := columnDiff(perfect, true, bw, be); i >= 0 {
 			t.Fatalf("graph %d: perfect pass changed arc %d's columns", gi, i)
 		}
 
-		btb, ptb := basic.NewTreeBuilder(), perfect.NewTreeBuilder()
-		bf, bb := btb.NumSweepArcs()
-		pf, pb := ptb.NumSweepArcs()
+		bf, bb := basic.NumSweepArcs()
+		pf, pb := perfect.NumSweepArcs()
 		if bf+bb != basic.NumArcs() {
 			t.Fatalf("graph %d: basic sweeps relax %d+%d of %d arcs", gi, bf, bb, basic.NumArcs())
 		}
@@ -86,8 +92,8 @@ func TestPerfectCustomization(t *testing.T) {
 		for q := 0; q < 5; q++ {
 			root := graph.NodeID(rng.Intn(g.NumNodes()))
 			for _, dir := range []sp.Direction{sp.Forward, sp.Backward} {
-				bt := btb.BuildTree(root, dir)
-				pt := ptb.BuildTree(root, dir)
+				bt := basic.BuildTree(root, dir)
+				pt := perfect.BuildTree(root, dir)
 				for v := range bt.Dist {
 					if math.Float64bits(bt.Dist[v]) != math.Float64bits(pt.Dist[v]) || bt.Parent[v] != pt.Parent[v] {
 						t.Fatalf("graph %d root %d dir %v: tree differs at %d: (%f, %d) vs (%f, %d)",
@@ -103,14 +109,16 @@ func TestPerfectCustomization(t *testing.T) {
 // customization output: many goroutines customizing one shared
 // Preprocessed concurrently must each get their own weight and arc-end
 // columns (never a column another in-flight customization is still
-// writing), and every produced hierarchy must answer exactly for its own
-// metric. Run under -race this also proves the shared metric-free
-// runtime and the pooled scratch are used safely.
+// writing, nor pooled scratch another one reuses): once all have
+// finished, every builder's columns, read back in arc order, equal the
+// reference for its own metric bit for bit, and every builder answers
+// exactly for its own metric. Run under -race this also proves the
+// shared sweep topology and the pooled scratch are used safely.
 func TestConcurrentCustomizeDistinctBuffers(t *testing.T) {
 	g := randomCity(31, 150)
 	pre := Preprocess(g)
 	const workers = 8
-	hs := make([]*ch.Runtime, workers)
+	tbs := make([]*ch.TreeBuilder, workers)
 	ws := make([][]float64, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -118,25 +126,16 @@ func TestConcurrentCustomizeDistinctBuffers(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			ws[i] = perturbedWeights(g, int64(i), 0.05)
-			hs[i] = pre.CustomizeWith(ws[i], Config{Perfect: i%2 == 0}).(*ch.Runtime)
+			tbs[i] = pre.CustomizeWith(ws[i], Config{Perfect: i%2 == 0})
 		}(i)
 	}
 	wg.Wait()
-	// All runtimes are still referenced, so no column may be shared.
-	seenW := map[*float64]int{}
-	seenE := map[*ch.ArcEnds]int{}
-	for i, h := range hs {
-		w, e := h.Columns()
-		if j, dup := seenW[&w[0]]; dup {
-			t.Fatalf("customizations %d and %d share a weight column", j, i)
+	for i, tb := range tbs {
+		wantW, wantE := refColumns(pre, ws[i])
+		if ai := columnDiff(tb, i%2 == 0, wantW, wantE); ai >= 0 {
+			t.Fatalf("customization %d differs from its own metric's reference at arc %d", i, ai)
 		}
-		if j, dup := seenE[&e[0]]; dup {
-			t.Fatalf("customizations %d and %d share an arc-end column", j, i)
-		}
-		seenW[&w[0]], seenE[&e[0]] = i, i
-	}
-	for i, h := range hs {
-		checkDistances(t, g, h, ws[i], 15, int64(900+i))
+		checkDistances(t, g, tb, ws[i], 15, int64(900+i))
 	}
 }
 
@@ -215,11 +214,12 @@ func refColumns(p *Preprocessed, weights []float64) ([]float64, []ch.ArcEnds) {
 
 // TestCustomizeEndsMatchUnpacking pins the arc ends the triangle pass
 // resolves in place against the reference that records decompositions
-// and resolves them recursively: every arc's weight bits and both
-// boundary edges agree, on the three study cities (seed 2022, flow
-// order) under the base, a traffic and a perturbed metric with 10 %
-// closures, and on two random networks under the base and the perturbed
-// closures, for basic and perfect customizations alike.
+// and resolves them recursively: read back from the builder's slot
+// columns in arc order, every arc's weight bits and both boundary edges
+// agree (every arc a perfect customization keeps, every arc of a basic
+// one), on the three study cities (seed 2022, flow order) under the
+// base, a traffic and a perturbed metric with 10 % closures, and on two
+// random networks under the base and the perturbed closures.
 func TestCustomizeEndsMatchUnpacking(t *testing.T) {
 	type network struct {
 		name    string
@@ -249,9 +249,9 @@ func TestCustomizeEndsMatchUnpacking(t *testing.T) {
 		for name, w := range net.metrics {
 			wantW, wantE := refColumns(net.pre, w)
 			for _, perfect := range []bool{false, true} {
-				gotW, gotE := net.pre.CustomizeWith(w, Config{Perfect: perfect}).(*ch.Runtime).Columns()
-				if ai := columnDiff(gotW, gotE, wantW, wantE); ai >= 0 {
-					t.Fatalf("%s/%s perfect=%v: %d arcs differ from the reference's %d at arc %d", net.name, name, perfect, len(gotW), len(wantW), ai)
+				tb := net.pre.CustomizeWith(w, Config{Perfect: perfect})
+				if ai := columnDiff(tb, perfect, wantW, wantE); ai >= 0 {
+					t.Fatalf("%s/%s perfect=%v: %d arcs differ from the reference's %d at arc %d", net.name, name, perfect, tb.NumArcs(), len(wantW), ai)
 				}
 			}
 		}
@@ -259,10 +259,10 @@ func TestCustomizeEndsMatchUnpacking(t *testing.T) {
 }
 
 // TestCustomizeAllocatesColumnsOnly is the allocation guard of a publish:
-// one warm basic customization of Melbourne (flow order) plus its tree
-// builder allocates at most 40 bytes per arc — the arc-space weight and
-// end columns and the builder's slot-order copy of them (32 bytes per
-// arc), with no per-arc record beside them.
+// one warm basic customization of Melbourne (flow order) allocates at
+// most 20 bytes per arc — the builder's slot-order weight and end
+// columns (16 bytes per arc), with no arc-space copy and no per-arc
+// record beside them.
 func TestCustomizeAllocatesColumnsOnly(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -270,22 +270,22 @@ func TestCustomizeAllocatesColumnsOnly(t *testing.T) {
 	g := melbourneGraph(t)
 	pre := PreprocessWith(g, OrderConfig{Kind: OrderFlow})
 	w := g.BaseWeights()
-	budget := uint64(40 * 2 * pre.NumPairs())
-	pre.CustomizeWith(w, Config{}).NewTreeBuilder() // warm the scratch pool
+	budget := uint64(20 * 2 * pre.NumPairs())
+	pre.CustomizeWith(w, Config{}) // warm the scratch pool
 	// The least of three runs: a collection between two runs may drain
 	// the scratch pool, and the rebuild is not the customization's cost.
 	got := uint64(math.MaxUint64)
 	var before, after runtime.MemStats
 	for run := 0; run < 3; run++ {
 		runtime.ReadMemStats(&before)
-		tb := pre.CustomizeWith(w, Config{}).NewTreeBuilder()
+		tb := pre.CustomizeWith(w, Config{})
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(tb)
 		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
 	t.Logf("%d arcs: %d B allocated (%.1f B/arc), budget %d B", 2*pre.NumPairs(), got, float64(got)/float64(2*pre.NumPairs()), budget)
 	if got > budget {
-		t.Fatalf("customize + tree builder allocates %d B, budget %d B (40 B per arc)", got, budget)
+		t.Fatalf("customize allocates %d B, budget %d B (20 B per arc)", got, budget)
 	}
 }
 

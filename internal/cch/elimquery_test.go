@@ -227,31 +227,41 @@ func TestElimQueryEdgeCases(t *testing.T) {
 	}
 }
 
-// TestElimScratchAcrossRecustomize is the stale-scratch guard: runtimes
-// from successive customizations of one preprocessing answer interleaved
-// queries without bleeding labels across each other or across their own
-// earlier queries (workspace epochs, not clearing, are what isolates
-// them).
+// TestElimScratchAcrossRecustomize is the stale-scratch guard: Dist
+// runs on pooled rank-space arrays that must hold +Inf between calls, so
+// interleaved queries on hierarchies of different sizes and topologies —
+// two basic customizations of one preprocessing, a perfect one (a
+// private, pruned topology) and a customization of a second graph with
+// a different node count — must each answer exactly, without bleeding
+// labels across each other or across their own earlier queries.
 func TestElimScratchAcrossRecustomize(t *testing.T) {
+	type hier struct {
+		g *graph.Graph
+		h *ch.TreeBuilder
+		w []float64
+	}
 	g := randomCity(29, 150)
 	w1 := perturbedWeights(g, 1, 0.05)
 	w2 := perturbedWeights(g, 2, 0.15)
 	pre := PreprocessShared(g)
 	h1 := pre.Customize(w1)
 	checkDistances(t, g, h1, w1, 10, 21)
-	h2 := pre.Customize(w2)
-	// Interleave: the same workspace pool serves both runtimes.
+	g2 := gridCity(16, 16)
+	w3 := perturbedWeights(g2, 3, 0.05)
+	cases := []hier{
+		{g, h1, w1},
+		{g2, PreprocessShared(g2).Customize(w3), w3},
+		{g, pre.Customize(w2), w2},
+		{g, pre.CustomizeWith(w2, Config{Perfect: true}), w2},
+	}
+	// Interleave: the same scratch pool serves every hierarchy.
 	rng := rand.New(rand.NewSource(31))
-	for q := 0; q < 30; q++ {
-		s := graph.NodeID(rng.Intn(g.NumNodes()))
-		dst := graph.NodeID(rng.Intn(g.NumNodes()))
-		h := h1
-		w := w1
-		if q%2 == 1 {
-			h, w = h2, w2
-		}
-		_, want := sp.ShortestPath(g, w, s, dst)
-		got := h.Dist(s, dst)
+	for q := 0; q < 80; q++ {
+		c := cases[q%len(cases)]
+		s := graph.NodeID(rng.Intn(c.g.NumNodes()))
+		dst := graph.NodeID(rng.Intn(c.g.NumNodes()))
+		_, want := sp.ShortestPath(c.g, c.w, s, dst)
+		got := c.h.Dist(s, dst)
 		if math.IsInf(want, 1) != math.IsInf(got, 1) || (!math.IsInf(want, 1) && math.Abs(got-want) > 1e-6) {
 			t.Fatalf("query %d (%d->%d): got %v want %v", q, s, dst, got, want)
 		}
@@ -260,7 +270,7 @@ func TestElimScratchAcrossRecustomize(t *testing.T) {
 
 // TestElimDistWarmZeroAlloc pins the hot path's allocation budget: a warm
 // elimination-tree Dist allocates nothing — the workspace comes from the
-// pool and the ascents walk parent pointers with no per-query state.
+// pool and the chain walks need no per-query state.
 func TestElimDistWarmZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")

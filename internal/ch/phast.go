@@ -13,13 +13,16 @@ import (
 // Topology is the metric-free half of the PHAST sweeps: the node order,
 // the elimination tree in position space and the two position-space CSRs
 // every customization of one hierarchy sweeps. It is built once per
-// preprocessing (NewRuntime) and shared by every TreeBuilder packed from
+// preprocessing (NewTopology) and shared by every TreeBuilder packed from
 // that preprocessing's basic customizations, so a weight version pays
 // only for its weight and arc-end columns. A perfect customization drops
 // its inert arcs and packs a private Topology (sharing the order and the
 // elimination tree). Immutable after construction.
 type Topology struct {
 	n int
+	// pairs is the hierarchy's chordal pair count: two arcs each, whether
+	// or not this topology's CSRs keep them.
+	pairs int
 	// order lists all nodes in descending contraction rank; pos is the
 	// inverse permutation. Both passes scan positions monotonically so
 	// every arc is relaxed exactly once, after its upper endpoint's
@@ -41,13 +44,145 @@ type Topology struct {
 	// exactly PHAST on the reverse graph. An entry is the position of the
 	// arc's higher-ranked endpoint, so the hot loops touch sequential CSR
 	// memory plus a rank-space distance array whose read side is the
-	// already-processed, cache-warm region. On a CCH the two CSRs are
-	// equal (every chordal pair has an arc each way) and share storage.
+	// already-processed, cache-warm region. Every chordal pair has an arc
+	// each way, so on the shared topology the two CSRs are equal and
+	// share storage.
 	fwdOff, bwdOff []int32
 	fwdUp, bwdUp   []int32
-	// fwdArc/bwdArc give the runtime arc index behind each CSR slot: what
-	// a customization's columns are packed from.
-	fwdArc, bwdArc []int32
+	// fwdPair/bwdPair name the chordal pair behind each CSR slot: a fwd
+	// slot holds the pair's down arc (hi→lo), a bwd slot its up arc
+	// (lo→hi). They are what Pack gathers a customization's columns by;
+	// the shared topology has one array for both.
+	fwdPair, bwdPair []int32
+}
+
+// NewTopology builds the sweep topology of a chordal hierarchy, which
+// every basic customization of it shares. rank is the contraction order
+// (a permutation, higher = more important), parent the elimination tree
+// (graph.InvalidNode at roots), and pair q joins lo[q] and hi[q], with
+// rank[lo[q]] < rank[hi[q]], by an up arc lo→hi and a down arc hi→lo. The
+// caller vouches that upward neighborhoods are cliques, so a node's
+// elimination-tree chain carries its upward search space — package cch's
+// chordal supergraph satisfies this by construction. A position lists
+// the pairs whose lower endpoint it holds, in ascending pair index. The
+// slices are not retained.
+func NewTopology(rank []int32, lo, hi, parent []graph.NodeID) *Topology {
+	n := len(rank)
+	t := &Topology{n: n, pairs: len(lo)}
+	// Nodes in descending contraction rank (rank is a permutation).
+	t.order = make([]graph.NodeID, n)
+	for v, r := range rank {
+		t.order[n-1-int(r)] = graph.NodeID(v)
+	}
+	t.pos = make([]int32, n)
+	for i, v := range t.order {
+		t.pos[v] = int32(i)
+	}
+	t.upParent = make([]int32, n)
+	for i, v := range t.order {
+		t.upParent[i] = -1
+		if p := parent[v]; p != graph.InvalidNode {
+			t.upParent[i] = t.pos[p]
+		}
+	}
+	// Count, prefix-sum, fill.
+	off := make([]int32, n+1)
+	for _, v := range lo {
+		off[t.pos[v]+1]++
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	up := make([]int32, len(lo))
+	pair := make([]int32, len(lo))
+	next := slices.Clone(off[:n])
+	for q, v := range lo {
+		k := next[t.pos[v]]
+		next[t.pos[v]]++
+		up[k], pair[k] = t.pos[hi[q]], int32(q)
+	}
+	t.fwdOff, t.fwdUp, t.fwdPair = off, up, pair
+	t.bwdOff, t.bwdUp, t.bwdPair = off, up, pair
+	return t
+}
+
+// PairColumns is one weight version in pair space, the form a
+// customization computes it in: for pair q, UpW[q] and DownW[q] are the
+// weights of its up (lo→hi) and down (hi→lo) arcs and UpEnds[q] and
+// DownEnds[q] their boundary original edges. InertUp and InertDown, when
+// non-nil, flag the arcs a perfect customization proved strictly
+// dominated: sweeps skip them without losing exactness (the dominating
+// path always survives, because every arc on a shortest up-down path has
+// weight equal to the distance of its endpoints and is therefore never
+// strictly dominated itself).
+type PairColumns struct {
+	UpW, DownW         []float64
+	UpEnds, DownEnds   []ArcEnds
+	InertUp, InertDown []bool
+}
+
+// Pack builds the TreeBuilder of one weight version: it gathers c's
+// columns into the slot order of t, or, when c flags inert arcs, of a
+// private topology that drops them, so full PHAST sweeps, RPHAST
+// selections and Dist skip them without a per-arc check in the hot loops.
+// The work is one linear pass over the slots; c is not retained.
+func (t *Topology) Pack(c *PairColumns) *TreeBuilder {
+	top := t
+	if c.InertUp != nil {
+		top = &Topology{n: t.n, pairs: t.pairs, order: t.order, pos: t.pos, upParent: t.upParent}
+		top.fwdOff, top.fwdUp, top.fwdPair = keepSlots(t.fwdOff, t.fwdUp, t.fwdPair, c.InertDown)
+		top.bwdOff, top.bwdUp, top.bwdPair = keepSlots(t.bwdOff, t.bwdUp, t.bwdPair, c.InertUp)
+	}
+	tb := &TreeBuilder{top: top}
+	tb.fwdW, tb.fwdEnds = gather(top.fwdPair, c.DownW, c.DownEnds)
+	tb.bwdW, tb.bwdEnds = gather(top.bwdPair, c.UpW, c.UpEnds)
+	return tb
+}
+
+// keepSlots returns the CSR (off, up, pair) without the slots whose pair
+// is flagged in drop.
+func keepSlots(off, up, pair []int32, drop []bool) (kOff, kUp, kPair []int32) {
+	kept := 0
+	for _, q := range pair {
+		if !drop[q] {
+			kept++
+		}
+	}
+	kOff = make([]int32, len(off))
+	kUp = make([]int32, 0, kept)
+	kPair = make([]int32, 0, kept)
+	for i := 0; i+1 < len(off); i++ {
+		for k := off[i]; k < off[i+1]; k++ {
+			if q := pair[k]; !drop[q] {
+				kUp = append(kUp, up[k])
+				kPair = append(kPair, q)
+			}
+		}
+		kOff[i+1] = int32(len(kUp))
+	}
+	return kOff, kUp, kPair
+}
+
+// gather packs pair-space weights and ends into slot order.
+func gather(pair []int32, w []float64, ends []ArcEnds) ([]float64, []ArcEnds) {
+	gw := make([]float64, len(pair))
+	ge := make([]ArcEnds, len(pair))
+	for k, q := range pair {
+		gw[k], ge[k] = w[q], ends[q]
+	}
+	return gw, ge
+}
+
+// MemoryBytes reports the retained size of the topology's arrays, the
+// arrays the backward direction shares with the forward one counted once.
+func (t *Topology) MemoryBytes() int {
+	b := 4 * (len(t.order) + len(t.pos) + len(t.upParent) + len(t.fwdOff) + len(t.fwdUp) + len(t.fwdPair))
+	for _, a := range [][2][]int32{{t.bwdOff, t.fwdOff}, {t.bwdUp, t.fwdUp}, {t.bwdPair, t.fwdPair}} {
+		if unsafe.SliceData(a[0]) != unsafe.SliceData(a[1]) {
+			b += 4 * len(a[0])
+		}
+	}
+	return b
 }
 
 // TreeBuilder computes complete one-to-all shortest-path trees from the
@@ -161,6 +296,37 @@ func (sc *sweepScratch) initFor(n int, rootPos int32) ([]float64, []graph.EdgeID
 	return distR, parentR
 }
 
+// chainWalk is the distances-only upward search from position root,
+// shared by Dist and DistancesInto: it sets root's label to 0 and walks
+// root's elimination-tree chain in ascending rank, relaxing each reached
+// position's upward arcs — one CSR (off, up) and its weight column w —
+// into dist. Every relaxed arc ends on the chain, so the walk writes
+// nothing else; clearChain undoes it.
+func chainWalk(dist []float64, upParent, off, up []int32, w []float64, root int32) {
+	dist[root] = 0
+	for i := root; i >= 0; i = upParent[i] {
+		di := dist[i]
+		if math.IsInf(di, 1) {
+			continue
+		}
+		lo, hi := off[i], off[i+1]
+		ups, ws := up[lo:hi], w[lo:hi]
+		ws = ws[:len(ups)]
+		for k, u := range ups {
+			if cand := di + ws[k]; cand < dist[u] {
+				dist[u] = cand
+			}
+		}
+	}
+}
+
+// clearChain resets root's elimination-tree chain in dist to +Inf.
+func clearChain(dist []float64, upParent []int32, root int32) {
+	for i := root; i >= 0; i = upParent[i] {
+		dist[i] = math.Inf(1)
+	}
+}
+
 // upwardPass is phase 1 of a PHAST build, shared by the full and the
 // restricted (RPHAST) sweeps: the upward search from the root at position
 // rootPos. On a CCH the root's upward search space lies on its
@@ -189,118 +355,6 @@ func upwardPass(distR []float64, parentR []graph.EdgeID, d *sweepDir, upParent [
 	}
 }
 
-// newTopology packs the position-space CSRs of the runtime's upward
-// adjacency. upBwdAt(v) holds exactly the arcs entering v from
-// higher-ranked tails, upFwdAt(v) the arcs leaving v toward higher-ranked
-// heads. Arcs flagged in drop (a perfect customization's inert arcs) are
-// left out, so both full PHAST sweeps and RPHAST selections skip them
-// without a per-arc check in the hot loops; such a topology reuses the
-// node order and elimination tree of base, the runtime's shared
-// topology. With drop nil and base nil it is the shared topology itself.
-func (h *Runtime) newTopology(base *Topology, drop []bool) *Topology {
-	n := h.g.NumNodes()
-	t := &Topology{n: n}
-	if base != nil {
-		t.order, t.pos, t.upParent = base.order, base.pos, base.upParent
-	} else {
-		// Nodes in descending contraction rank (rank is a permutation).
-		t.order = make([]graph.NodeID, n)
-		for v := 0; v < n; v++ {
-			t.order[n-1-int(h.rank[v])] = graph.NodeID(v)
-		}
-		t.pos = make([]int32, n)
-		for i, v := range t.order {
-			t.pos[v] = int32(i)
-		}
-		t.upParent = make([]int32, n)
-		for i, v := range t.order {
-			t.upParent[i] = -1
-			if p := h.elim.Parent[v]; p != graph.InvalidNode {
-				t.upParent[i] = t.pos[p]
-			}
-		}
-	}
-	keep := func(ai int32) bool { return drop == nil || !drop[ai] }
-	t.fwdOff = make([]int32, n+1)
-	t.bwdOff = make([]int32, n+1)
-	for i, v := range t.order {
-		nf, nb := int32(0), int32(0)
-		for _, ai := range h.upBwdAt(v) {
-			if keep(ai) {
-				nf++
-			}
-		}
-		for _, ai := range h.upFwdAt(v) {
-			if keep(ai) {
-				nb++
-			}
-		}
-		t.fwdOff[i+1] = t.fwdOff[i] + nf
-		t.bwdOff[i+1] = t.bwdOff[i] + nb
-	}
-	t.fwdUp = make([]int32, t.fwdOff[n])
-	t.fwdArc = make([]int32, t.fwdOff[n])
-	t.bwdUp = make([]int32, t.bwdOff[n])
-	t.bwdArc = make([]int32, t.bwdOff[n])
-	for i, v := range t.order {
-		k := t.fwdOff[i]
-		for _, ai := range h.upBwdAt(v) {
-			if keep(ai) {
-				t.fwdUp[k], t.fwdArc[k] = t.pos[h.arcFrom[ai]], ai
-				k++
-			}
-		}
-		k = t.bwdOff[i]
-		for _, ai := range h.upFwdAt(v) {
-			if keep(ai) {
-				t.bwdUp[k], t.bwdArc[k] = t.pos[h.arcTo[ai]], ai
-				k++
-			}
-		}
-	}
-	if slices.Equal(t.fwdOff, t.bwdOff) && slices.Equal(t.fwdUp, t.bwdUp) {
-		t.bwdOff, t.bwdUp = t.fwdOff, t.fwdUp
-	}
-	return t
-}
-
-// memoryBytes reports the retained size of the topology's arrays, the
-// CSRs the backward direction shares with the forward one counted once.
-func (t *Topology) memoryBytes() int {
-	b := 4 * (len(t.order) + len(t.pos) + len(t.upParent) + len(t.fwdOff) + len(t.fwdUp) + len(t.fwdArc) + len(t.bwdArc))
-	if unsafe.SliceData(t.bwdOff) != unsafe.SliceData(t.fwdOff) {
-		b += 4 * len(t.bwdOff)
-	}
-	if unsafe.SliceData(t.bwdUp) != unsafe.SliceData(t.fwdUp) {
-		b += 4 * len(t.bwdUp)
-	}
-	return b
-}
-
-// NewTreeBuilder gathers the customization's arc-space columns — weights
-// and boundary original edges — into the slot order of its topology: the
-// runtime's shared one, or a private one that drops the arcs a perfect
-// customization marked inert. The work is one linear pass over the slots,
-// negligible next to the customization that produced the columns.
-func (h *Runtime) NewTreeBuilder() *TreeBuilder {
-	top := h.top
-	if h.inert != nil {
-		top = h.newTopology(h.top, h.inert)
-	}
-	column := func(arcIdx []int32) ([]float64, []ArcEnds) {
-		w := make([]float64, len(arcIdx))
-		e := make([]ArcEnds, len(arcIdx))
-		for k, ai := range arcIdx {
-			w[k], e[k] = h.arcW[ai], h.ends[ai]
-		}
-		return w, e
-	}
-	tb := &TreeBuilder{top: top}
-	tb.fwdW, tb.fwdEnds = column(top.fwdArc)
-	tb.bwdW, tb.bwdEnds = column(top.bwdArc)
-	return tb
-}
-
 // Topology returns the sweep topology the builder's columns are aligned
 // with. Builders of one preprocessing's basic customizations return the
 // same pointer.
@@ -308,10 +362,30 @@ func (tb *TreeBuilder) Topology() *Topology { return tb.top }
 
 // MemoryBytes reports the retained size of the builder's own columns:
 // weights and arc ends, not the topology they index, which the builder
-// usually shares (Runtime.MemoryBytes counts it).
+// usually shares (Topology.MemoryBytes counts it).
 func (tb *TreeBuilder) MemoryBytes() int {
 	const endBytes = int(unsafe.Sizeof(ArcEnds{}))
 	return 8*(cap(tb.fwdW)+cap(tb.bwdW)) + endBytes*(cap(tb.fwdEnds)+cap(tb.bwdEnds))
+}
+
+// ArcColumns reads the builder's slot columns back in arc order, for
+// tests: arc 2q is pair q's up arc (lo→hi) and arc 2q+1 its down arc
+// (hi→lo), pairs indexed as passed to NewTopology. in[a] reports whether
+// arc a is in the builder's topology (false for the arcs a perfect
+// customization dropped); w[a] and ends[a] are its weight and ends when
+// it is, and zero otherwise. The slices are fresh copies.
+func (tb *TreeBuilder) ArcColumns() (w []float64, ends []ArcEnds, in []bool) {
+	t := tb.top
+	w = make([]float64, 2*t.pairs)
+	ends = make([]ArcEnds, 2*t.pairs)
+	in = make([]bool, 2*t.pairs)
+	for k, q := range t.bwdPair {
+		w[2*q], ends[2*q], in[2*q] = tb.bwdW[k], tb.bwdEnds[k], true
+	}
+	for k, q := range t.fwdPair {
+		w[2*q+1], ends[2*q+1], in[2*q+1] = tb.fwdW[k], tb.fwdEnds[k], true
+	}
+	return w, ends, in
 }
 
 // NumSweepArcs returns how many arcs the full forward and backward

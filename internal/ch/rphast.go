@@ -31,7 +31,8 @@ import (
 // A restricted tree equals the full PHAST tree exactly on every selected
 // node (same distances, same parent edges) and reports every other node
 // unreached. Basic and perfect customizations share this one
-// implementation: the TreeBuilder is compiled from the ch.Hierarchy seam.
+// implementation: a perfect customization's TreeBuilder sweeps a
+// topology without its inert arcs.
 
 // Selection is the reusable restricted-sweep state for one target set. It
 // is immutable after Select returns and safe for concurrent restricted
@@ -283,8 +284,20 @@ func (tb *TreeBuilder) BuildTreeRestrictedInto(ws *sp.Workspace, root graph.Node
 type rowScratch struct{ dist []float64 }
 
 // rowPool pools the row scratch, package-level for the reason given at
-// sweepPool.
+// sweepPool. Dist takes two of them, one per chain walk.
 var rowPool = sync.Pool{New: func() any { return new(rowScratch) }}
+
+// getRowScratch takes a row scratch covering n positions from the pool.
+func getRowScratch(n int) *rowScratch {
+	sc := rowPool.Get().(*rowScratch)
+	if len(sc.dist) < n {
+		sc.dist = make([]float64, n)
+		for i := range sc.dist {
+			sc.dist[i] = math.Inf(1)
+		}
+	}
+	return sc
+}
 
 // DistancesInto writes the forward shortest travel times from root to
 // targets into row (row[j] for targets[j], +Inf when unreachable): one
@@ -307,36 +320,13 @@ func (tb *TreeBuilder) DistancesInto(row []float64, root graph.NodeID, targets [
 		panic("ch: Selection used with a TreeBuilder it was not derived from (stale selection kept across a customization?)")
 	}
 	top := tb.top
-	inf := math.Inf(1)
-	sc := rowPool.Get().(*rowScratch)
-	if len(sc.dist) < top.n {
-		sc.dist = make([]float64, top.n)
-		for i := range sc.dist {
-			sc.dist[i] = inf
-		}
-	}
+	sc := getRowScratch(top.n)
 	dist := sc.dist
 	rootPos := top.pos[root]
-	dist[rootPos] = 0
 
 	// Phase 1, the upward search along the root's elimination-tree chain
-	// (upwardPass without parent edges). Every relaxed arc ends on the
-	// chain, so the phase writes nothing else.
-	upParent, upOff, upUp, upW := top.upParent, top.bwdOff, top.bwdUp, tb.bwdW
-	for i := rootPos; i >= 0; i = upParent[i] {
-		di := dist[i]
-		if math.IsInf(di, 1) {
-			continue
-		}
-		lo, hi := upOff[i], upOff[i+1]
-		ups, w := upUp[lo:hi], upW[lo:hi]
-		w = w[:len(ups)]
-		for k, u := range ups {
-			if cand := di + w[k]; cand < dist[u] {
-				dist[u] = cand
-			}
-		}
-	}
+	// (upwardPass without parent edges).
+	chainWalk(dist, top.upParent, top.bwdOff, top.bwdUp, tb.bwdW, rootPos)
 
 	// Phase 2, the restricted downward sweep: the selected positions in
 	// sweep order, each pull an unsigned bit-pattern minimum over two
@@ -368,11 +358,9 @@ func (tb *TreeBuilder) DistancesInto(row []float64, root graph.NodeID, targets [
 
 	// Restore the all-+Inf invariant: the chain and the selection are
 	// the only positions the row wrote.
-	for i := rootPos; i >= 0; i = upParent[i] {
-		dist[i] = inf
-	}
+	clearChain(dist, top.upParent, rootPos)
 	for _, i := range r.nodes {
-		dist[i] = inf
+		dist[i] = math.Inf(1)
 	}
 	rowPool.Put(sc)
 }

@@ -65,7 +65,7 @@ func (b TreeBackend) String() string {
 }
 
 // HierarchyKind selects which customizable-hierarchy flavor backs the
-// TreeCHAuto backend — both implement the ch.Hierarchy seam, so every
+// TreeCHAuto backend — both customize into a ch.TreeBuilder, so every
 // consumer downstream of preprocessing is identical.
 type HierarchyKind uint8
 
@@ -125,12 +125,12 @@ func ParseOrderKind(s string) (OrderKind, error) { return cch.ParseOrderKind(s) 
 // hierarchy's Dist (ch.Hierarchy). It configures nothing: tree pairs
 // and matrix rows come from PHAST/RPHAST sweeps, the providers ignore
 // Options.Query, and package ch has one point-to-point engine, the
-// elimination-tree ascent, whichever value is set. It is kept only so
+// elimination-tree chain walk, whichever value is set. It is kept only so
 // the benchmark harness, which still names it, compiles.
 type QueryEngine uint8
 
 const (
-	// QueryElimTree (the default) names the elimination-tree ascent.
+	// QueryElimTree (the default) names the elimination-tree chain walk.
 	QueryElimTree QueryEngine = iota
 	// QueryBidij names the bidirectional upward Dijkstra, which package
 	// ch no longer has; it selects the same engine as QueryElimTree.
@@ -179,8 +179,8 @@ func PlannerFlags(fs *flag.FlagSet, trees TreeBackend) func() (Options, error) {
 }
 
 // HierarchyStatus is the serving-layer observability record of one
-// planner's hierarchy backend: that one answers queries (Kind is
-// cch.Kind), how long the most recent (re)customization took, how many
+// planner's hierarchy backend: which hierarchy answers its queries (Kind
+// is cch.Kind), how long the most recent (re)customization took, how many
 // background customizations failed, the matrix selection cache's state,
 // and what the serving version and the preprocessing behind it retain.
 // Zero for planners not running on a hierarchy.

@@ -58,9 +58,8 @@ type provider struct {
 	src weights.Source
 	// customize, set for a TreeCHAuto provider with trees, customizes the
 	// city's CCH preprocessing (resolved once, at construction) for one
-	// weight vector and packs the result into a PHAST tree builder. The
-	// customized runtime itself is garbage once packed: no request reads
-	// it.
+	// weight vector. The result is the version's PHAST tree builder: its
+	// slot-order columns over the city's shared sweep topology.
 	customize func([]float64) *ch.TreeBuilder
 	// pre is that preprocessing, kept for its size gauge.
 	pre       *cch.Preprocessed
@@ -113,7 +112,7 @@ func newProvider(g *graph.Graph, src weights.Source, needTrees bool, opts Option
 		cfg := cch.Config{Perfect: opts.Hierarchy == HierarchyCCHPerfect}
 		p.pre = pre
 		p.customize = func(w []float64) *ch.TreeBuilder {
-			return pre.CustomizeWith(w, cfg).NewTreeBuilder()
+			return pre.CustomizeWith(w, cfg)
 		}
 		p.maxTargets = int(autoFraction * float64(g.NumNodes()))
 		p.selStats = &selectionStats{}

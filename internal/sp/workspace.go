@@ -2,7 +2,6 @@ package sp
 
 import (
 	"math"
-	"math/bits"
 	"sync"
 
 	"repro/internal/graph"
@@ -140,78 +139,6 @@ func (s *SearchState) DenseArrays(n int) ([]float64, []graph.EdgeID) {
 	return s.dist[:n], s.parent[:n]
 }
 
-// AscentScratch is the pending-frontier bookkeeping of a heap-free
-// elimination-tree walk (package ch): a bitmap over tree depths marking
-// which root-path nodes hold an unprocessed label, plus the lazily-filled
-// map from depth to the node holding it. A root path has exactly one node
-// per depth, so a depth identifies a pending node, and the highest set
-// bit is always the next node to settle — the walk jumps from label to
-// label instead of chasing parent pointers through unlabeled ancestors.
-type AscentScratch struct {
-	bits  []uint64
-	chain []graph.NodeID
-}
-
-// Begin readies the scratch for a walk over depths [0, height]. Stale
-// bits above height survive in higher words but are never scanned — the
-// walk starts at height and descends.
-func (a *AscentScratch) Begin(height int) {
-	words := height>>6 + 1
-	if len(a.bits) < words {
-		a.bits = append(a.bits, make([]uint64, words-len(a.bits))...)
-		a.chain = append(a.chain, make([]graph.NodeID, words*64-len(a.chain))...)
-	}
-	clear(a.bits[:words])
-}
-
-// Mark records a pending label on node v at its root-path depth. Marking
-// an already-pending depth is a no-op (v is already the node there: one
-// node per depth per root path).
-func (a *AscentScratch) Mark(depth int, v graph.NodeID) {
-	a.bits[depth>>6] |= 1 << uint(depth&63)
-	a.chain[depth] = v
-}
-
-// Take consumes the pending label at depth, returning its node, or
-// (0, false) when the depth holds none.
-func (a *AscentScratch) Take(depth int) (graph.NodeID, bool) {
-	w, m := depth>>6, uint64(1)<<uint(depth&63)
-	if a.bits[w]&m == 0 {
-		return 0, false
-	}
-	a.bits[w] &^= m
-	return a.chain[depth], true
-}
-
-// Raw exposes the scratch's backing arrays — pending bitmap and
-// depth-to-node chain — so fused walk loops can keep the slice headers in
-// registers instead of re-loading them through the scratch on every mark.
-// Valid after Begin, until the next Begin.
-func (a *AscentScratch) Raw() (bitmap []uint64, chain []graph.NodeID) {
-	return a.bits, a.chain
-}
-
-// NextPending returns the highest depth ≤ from at which either scratch
-// holds a pending label, or -1 when both frontiers are exhausted. Callers
-// walking one frontier pass the same scratch twice.
-func NextPending(x, y *AscentScratch, from int) int {
-	if from < 0 {
-		return -1
-	}
-	w := from >> 6
-	mask := uint64(2)<<uint(from&63) - 1 // low bits 0..from&63; from&63==63 wraps to all-ones
-	for {
-		if bs := (x.bits[w] | y.bits[w]) & mask; bs != 0 {
-			return w<<6 + bits.Len64(bs) - 1
-		}
-		if w == 0 {
-			return -1
-		}
-		w--
-		mask = ^uint64(0)
-	}
-}
-
 // Workspace bundles the reusable scratch memory of the search functions in
 // this package: a forward and a backward SearchState plus tree headers and
 // a path buffer. The ...Into search variants write their results into the
@@ -231,10 +158,6 @@ type Workspace struct {
 	// states. They are exported for packages that drive their own search
 	// loops on the shared machinery.
 	F, B SearchState
-
-	// FA and BA are the forward and backward pending frontiers of
-	// heap-free elimination-tree walks (package ch), paired with F and B.
-	FA, BA AscentScratch
 
 	treeF, treeB Tree
 	path         []graph.EdgeID
