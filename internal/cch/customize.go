@@ -17,22 +17,23 @@ type Config struct {
 	// compiles.
 	Workers int
 	// Perfect enables the descending perfect-customization post-pass:
-	// arcs whose basic weight is strictly dominated by a path through an
-	// intermediate or upper triangle are marked inert, and queries,
-	// PHAST sweeps and RPHAST selections skip them. Roughly doubles
-	// customization cost; shrinks every subsequent sweep.
+	// pairs both of whose arcs are +Inf or have a basic weight strictly
+	// dominated by a path through an intermediate or upper triangle are
+	// marked inert, and queries, PHAST sweeps and RPHAST selections skip
+	// them (dominated-pair pruning). Roughly doubles customization cost;
+	// shrinks every subsequent sweep.
 	Perfect bool
 }
 
 // soaScratch is the pooled pair-space scratch of the triangle loops: the
 // flat structure-of-arrays weights (16 bytes per pair touched in the hot
 // loop) and the ends the pass reads back, which Pack gathers into a
-// builder's slot columns. perfUp/perfDown and the inert masks are
+// builder's slot columns. perfUp/perfDown and the inert mask are
 // allocated on the first perfect customization only.
 type soaScratch struct {
 	ch.PairColumns
-	perfUp, perfDown   []float64
-	inertUp, inertDown []bool
+	perfUp, perfDown []float64
+	inert            []bool
 }
 
 // Customize instantiates the preprocessed topology for one weight vector
@@ -48,9 +49,9 @@ func (p *Preprocessed) Customize(weights []float64) *ch.TreeBuilder {
 }
 
 // CustomizeWith is Customize with perfect-pass control. Perfect
-// additionally drops strictly dominated arcs from the builder's
-// topology (the weights and ends of the arcs it keeps are untouched, so
-// route sets are unchanged too).
+// additionally drops the pairs whose two arcs are both strictly
+// dominated or +Inf from the builder's topology (the weights and ends of
+// the pairs it keeps are untouched, so route sets are unchanged too).
 //
 // The triangle pass runs on pooled pair-space scratch; each call
 // allocates only the columns its builder owns — slot-order weights and
@@ -127,7 +128,7 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) *ch.TreeBuil
 
 	cols := sc.PairColumns
 	if cfg.Perfect {
-		cols.InertUp, cols.InertDown = p.perfectPass(sc)
+		cols.Inert = p.perfectPass(sc)
 	}
 	tb := p.top.Pack(&cols)
 	p.soa.Put(sc)
@@ -152,16 +153,17 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) *ch.TreeBuil
 // in perfUp/perfDown, the true directed distances between every pair's
 // endpoints — against which an arc whose basic weight is strictly
 // greater is provably useless (every shortest up-down path consists of
-// arcs whose weight equals their endpoints' distance) and marked inert in
-// the returned pair-space masks (pooled scratch, valid until sc goes
-// back to the pool). Basic weights and arc ends stay untouched:
-// distances, trees and routes are byte-identical, only the work to
-// compute them shrinks.
-func (p *Preprocessed) perfectPass(sc *soaScratch) (inertUp, inertDown []bool) {
+// arcs whose weight equals their endpoints' distance). A pair is marked
+// inert in the returned pair-space mask (pooled scratch, valid until sc
+// goes back to the pool) when both of its arcs are, so the sweeps keep
+// one CSR for both directions. Basic weights and arc ends stay
+// untouched: distances, trees and routes are byte-identical, only the
+// work to compute them shrinks.
+func (p *Preprocessed) perfectPass(sc *soaScratch) []bool {
 	P := len(p.lo)
 	if sc.perfUp == nil {
 		sc.perfUp, sc.perfDown = make([]float64, P), make([]float64, P)
-		sc.inertUp, sc.inertDown = make([]bool, P), make([]bool, P)
+		sc.inert = make([]bool, P)
 	}
 	perfUp, perfDown := sc.perfUp, sc.perfDown
 	copy(perfUp, sc.UpW)
@@ -186,13 +188,13 @@ func (p *Preprocessed) perfectPass(sc *soaScratch) (inertUp, inertDown []bool) {
 	}
 	// Strict domination keeps equal-weight arcs alive, which is what
 	// preserves tie-breaking (and with it byte-identical parents) in
-	// every downstream sweep. +Inf slots — topology pairs the metric
-	// gives no realizing path — can never win a relaxation either, so
-	// perfect mode retires them from the sweeps too.
+	// every downstream sweep. A +Inf arc — one the metric gives no
+	// realizing path — can never win a relaxation either, so it counts
+	// as dead too. A pair leaves the sweeps only when both arcs are dead.
 	upW, downW := sc.UpW, sc.DownW
 	for i := 0; i < P; i++ {
-		sc.inertUp[i] = perfUp[i] < upW[i] || math.IsInf(upW[i], 1)
-		sc.inertDown[i] = perfDown[i] < downW[i] || math.IsInf(downW[i], 1)
+		sc.inert[i] = (perfUp[i] < upW[i] || math.IsInf(upW[i], 1)) &&
+			(perfDown[i] < downW[i] || math.IsInf(downW[i], 1))
 	}
-	return sc.inertUp, sc.inertDown
+	return sc.inert
 }

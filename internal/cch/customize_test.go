@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -54,51 +55,123 @@ func columnDiff(tb *ch.TreeBuilder, perfect bool, ww []float64, we []ch.ArcEnds)
 	return -1
 }
 
-// TestPerfectCustomization checks the perfect post-pass end to end: the
-// columns of every arc it keeps equal the basic ones (weights, arc ends —
-// so routes cannot move), a nonzero arc fraction is proved inert and
-// dropped from the tree builder's sweeps, distances stay exact, and full
-// PHAST trees — distances and parents — are identical with and without
-// the pruning.
+// network is one customization test input: a graph, its preprocessing
+// and the named metrics to customize it with.
+type network struct {
+	name    string
+	g       *graph.Graph
+	pre     *Preprocessed
+	metrics map[string][]float64
+}
+
+// studyNets caches studyNetworks across the tests of one binary.
+var studyNets []network
+
+// studyNetworks returns the three study cities (seed 2022, flow order,
+// the order the server runs) under the base metric, a traffic metric and
+// a ±50 % perturbation with 10 % closures. The slice is clipped, so a
+// caller's append never writes into the cache.
+func studyNetworks(t *testing.T) []network {
+	t.Helper()
+	if studyNets != nil {
+		return slices.Clip(studyNets)
+	}
+	for _, prof := range citygen.Profiles() {
+		g, err := prof.Generate(2022)
+		if err != nil {
+			t.Fatal(err)
+		}
+		studyNets = append(studyNets, network{prof.Name, g, PreprocessWith(g, OrderConfig{Kind: OrderFlow}), map[string][]float64{
+			"base":     g.BaseWeights(),
+			"traffic":  traffic.Apply(g, traffic.DefaultModel(2022)),
+			"closures": perturbedWeights(g, 2022, 0.10),
+		}})
+	}
+	return slices.Clip(studyNets)
+}
+
+// TestPerfectCustomization checks the perfect post-pass end to end, on a
+// grid and a random network under 20 % closures and on the three study
+// cities under base, traffic and 10 % closures: the columns of every arc
+// it keeps equal the basic ones (weights, arc ends — so routes cannot
+// move); it drops whole pairs, a nonzero number of them, and each arc of
+// a dropped pair is +Inf or strictly above the basic distance between
+// its endpoints; distances stay exact; and full PHAST trees — distances
+// and parents — are identical with and without the pruning.
 func TestPerfectCustomization(t *testing.T) {
+	var nets []network
 	for gi, g := range []*graph.Graph{gridCity(12, 12), randomCity(33, 200)} {
-		pre := Preprocess(g)
-		w := perturbedWeights(g, int64(100+gi), 0.20)
-		basic := pre.CustomizeWith(w, Config{})
-		perfect := pre.CustomizeWith(w, Config{Perfect: true})
-
-		bw, be, _ := basic.ArcColumns()
-		if i := columnDiff(perfect, true, bw, be); i >= 0 {
-			t.Fatalf("graph %d: perfect pass changed arc %d's columns", gi, i)
+		nets = append(nets, network{fmt.Sprintf("graph %d", gi), g, Preprocess(g), map[string][]float64{
+			"closures": perturbedWeights(g, int64(100+gi), 0.20),
+		}})
+	}
+	nets = append(nets, studyNetworks(t)...)
+	for ni, net := range nets {
+		for name, w := range net.metrics {
+			checkPerfect(t, net.name+"/"+name, net.g, net.pre, w, int64(ni))
 		}
+	}
+}
 
-		bf, bb := basic.NumSweepArcs()
-		pf, pb := perfect.NumSweepArcs()
-		if bf+bb != basic.NumArcs() {
-			t.Fatalf("graph %d: basic sweeps relax %d+%d of %d arcs", gi, bf, bb, basic.NumArcs())
+// checkPerfect runs TestPerfectCustomization's checks on one metric; seed
+// picks the distance queries and the tree roots.
+func checkPerfect(t *testing.T, name string, g *graph.Graph, pre *Preprocessed, w []float64, seed int64) {
+	t.Helper()
+	basic := pre.CustomizeWith(w, Config{})
+	perfect := pre.CustomizeWith(w, Config{Perfect: true})
+
+	bw, be, _ := basic.ArcColumns()
+	if i := columnDiff(perfect, true, bw, be); i >= 0 {
+		t.Fatalf("%s: perfect pass changed arc %d's columns", name, i)
+	}
+	if 2*basic.NumSweepArcs() != basic.NumArcs() {
+		t.Fatalf("%s: basic sweeps relax %d of %d arcs per direction", name, basic.NumSweepArcs(), basic.NumArcs())
+	}
+	dropped := basic.NumSweepArcs() - perfect.NumSweepArcs()
+	if dropped <= 0 {
+		t.Fatalf("%s: perfect customization proved no pair inert: %d pairs swept vs basic %d", name, perfect.NumSweepArcs(), basic.NumSweepArcs())
+	}
+	t.Logf("%s: %d/%d pairs inert (%.1f %%)", name, dropped, pre.NumPairs(), 100*float64(dropped)/float64(pre.NumPairs()))
+
+	// A pair goes whole, and only when neither arc can win a relaxation:
+	// each is +Inf or strictly dominated by its endpoints' distance. The
+	// distances are checked on every stride-th pair, about 1,000 pairs
+	// per metric, so the study cities stay cheap under -race.
+	_, _, in := perfect.ArcColumns()
+	stride := max(1, pre.NumPairs()/1000)
+	for q := range pre.lo {
+		if in[2*q] != in[2*q+1] {
+			t.Fatalf("%s: pair %d keeps one arc of two", name, q)
 		}
-		inert := bf + bb - pf - pb
-		if inert <= 0 {
-			t.Fatalf("graph %d: perfect customization proved nothing inert: sweeps %d+%d vs basic %d+%d", gi, pf, pb, bf, bb)
+		if in[2*q] || q%stride != 0 {
+			continue
 		}
-		t.Logf("graph %d: %d/%d arcs inert, sweep arcs %d -> %d", gi, inert, perfect.NumArcs(), bf+bb, pf+pb)
+		lo, hi := pre.lo[q], pre.hi[q]
+		for _, a := range []struct {
+			w    float64
+			s, t graph.NodeID
+		}{{bw[2*q], lo, hi}, {bw[2*q+1], hi, lo}} {
+			if d := basic.Dist(a.s, a.t); !math.IsInf(a.w, 1) && !(a.w > d) {
+				t.Fatalf("%s: pair %d dropped, but its arc %d->%d weighs %v against distance %v", name, q, a.s, a.t, a.w, d)
+			}
+		}
+	}
 
-		checkDistances(t, g, perfect, w, 40, int64(7*gi+1))
+	checkDistances(t, g, perfect, w, 40, 7*seed+1)
 
-		// Inert arcs are strictly dominated, so they can never achieve a
-		// sweep minimum — parents (not just distances) must match the
-		// unpruned trees exactly, ties included.
-		rng := rand.New(rand.NewSource(int64(gi)))
-		for q := 0; q < 5; q++ {
-			root := graph.NodeID(rng.Intn(g.NumNodes()))
-			for _, dir := range []sp.Direction{sp.Forward, sp.Backward} {
-				bt := basic.BuildTree(root, dir)
-				pt := perfect.BuildTree(root, dir)
-				for v := range bt.Dist {
-					if math.Float64bits(bt.Dist[v]) != math.Float64bits(pt.Dist[v]) || bt.Parent[v] != pt.Parent[v] {
-						t.Fatalf("graph %d root %d dir %v: tree differs at %d: (%f, %d) vs (%f, %d)",
-							gi, root, dir, v, bt.Dist[v], bt.Parent[v], pt.Dist[v], pt.Parent[v])
-					}
+	// Inert pairs are strictly dominated, so they can never achieve a
+	// sweep minimum — parents (not just distances) must match the
+	// unpruned trees exactly, ties included.
+	rng := rand.New(rand.NewSource(seed))
+	for q := 0; q < 5; q++ {
+		root := graph.NodeID(rng.Intn(g.NumNodes()))
+		for _, dir := range []sp.Direction{sp.Forward, sp.Backward} {
+			bt := basic.BuildTree(root, dir)
+			pt := perfect.BuildTree(root, dir)
+			for v := range bt.Dist {
+				if math.Float64bits(bt.Dist[v]) != math.Float64bits(pt.Dist[v]) || bt.Parent[v] != pt.Parent[v] {
+					t.Fatalf("%s root %d dir %v: tree differs at %d: (%f, %d) vs (%f, %d)",
+						name, root, dir, v, bt.Dist[v], bt.Parent[v], pt.Dist[v], pt.Parent[v])
 				}
 			}
 		}
@@ -221,26 +294,10 @@ func refColumns(p *Preprocessed, weights []float64) ([]float64, []ch.ArcEnds) {
 // base, a traffic and a perturbed metric with 10 % closures, and on two
 // random networks under the base and the perturbed closures.
 func TestCustomizeEndsMatchUnpacking(t *testing.T) {
-	type network struct {
-		name    string
-		pre     *Preprocessed
-		metrics map[string][]float64
-	}
-	var nets []network
-	for _, prof := range citygen.Profiles() {
-		g, err := prof.Generate(2022)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nets = append(nets, network{prof.Name, PreprocessWith(g, OrderConfig{Kind: OrderFlow}), map[string][]float64{
-			"base":     g.BaseWeights(),
-			"traffic":  traffic.Apply(g, traffic.DefaultModel(2022)),
-			"closures": perturbedWeights(g, 2022, 0.10),
-		}})
-	}
+	nets := studyNetworks(t)
 	for _, seed := range []int64{41, 42} {
 		g := randomCity(seed, 200)
-		nets = append(nets, network{fmt.Sprintf("random %d", seed), Preprocess(g), map[string][]float64{
+		nets = append(nets, network{fmt.Sprintf("random %d", seed), g, Preprocess(g), map[string][]float64{
 			"base":     g.BaseWeights(),
 			"closures": perturbedWeights(g, seed, 0.10),
 		}})
@@ -259,10 +316,12 @@ func TestCustomizeEndsMatchUnpacking(t *testing.T) {
 }
 
 // TestCustomizeAllocatesColumnsOnly is the allocation guard of a publish:
-// one warm basic customization of Melbourne (flow order) allocates at
-// most 20 bytes per arc — the builder's slot-order weight and end
-// columns (16 bytes per arc), with no arc-space copy and no per-arc
-// record beside them.
+// one warm customization of Melbourne (flow order) allocates only what
+// its builder keeps. A basic one allocates at most 20 bytes per arc — the
+// slot-order weight and end columns (16 bytes per arc), with no
+// arc-space copy and no per-arc record beside them. A perfect one
+// allocates at most 13 bytes per arc: the columns of the pairs it keeps
+// plus their private CSR, each array sized once.
 func TestCustomizeAllocatesColumnsOnly(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -270,22 +329,29 @@ func TestCustomizeAllocatesColumnsOnly(t *testing.T) {
 	g := melbourneGraph(t)
 	pre := PreprocessWith(g, OrderConfig{Kind: OrderFlow})
 	w := g.BaseWeights()
-	budget := uint64(20 * 2 * pre.NumPairs())
-	pre.CustomizeWith(w, Config{}) // warm the scratch pool
-	// The least of three runs: a collection between two runs may drain
-	// the scratch pool, and the rebuild is not the customization's cost.
-	got := uint64(math.MaxUint64)
-	var before, after runtime.MemStats
-	for run := 0; run < 3; run++ {
-		runtime.ReadMemStats(&before)
-		tb := pre.CustomizeWith(w, Config{})
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(tb)
-		got = min(got, after.TotalAlloc-before.TotalAlloc)
-	}
-	t.Logf("%d arcs: %d B allocated (%.1f B/arc), budget %d B", 2*pre.NumPairs(), got, float64(got)/float64(2*pre.NumPairs()), budget)
-	if got > budget {
-		t.Fatalf("customize allocates %d B, budget %d B (20 B per arc)", got, budget)
+	arcs := 2 * pre.NumPairs()
+	for _, c := range []struct {
+		cfg       Config
+		perArcMax uint64
+	}{{Config{}, 20}, {Config{Perfect: true}, 13}} {
+		budget := c.perArcMax * uint64(arcs)
+		pre.CustomizeWith(w, c.cfg) // warm the scratch pool
+		// The least of three runs: a collection between two runs may
+		// drain the scratch pool, and the rebuild is not the
+		// customization's cost.
+		got := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for run := 0; run < 3; run++ {
+			runtime.ReadMemStats(&before)
+			tb := pre.CustomizeWith(w, c.cfg)
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(tb)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("perfect=%v, %d arcs: %d B allocated (%.1f B/arc), budget %d B", c.cfg.Perfect, arcs, got, float64(got)/float64(arcs), budget)
+		if got > budget {
+			t.Fatalf("perfect=%v: customize allocates %d B, budget %d B (%d B per arc)", c.cfg.Perfect, got, budget, c.perArcMax)
+		}
 	}
 }
 

@@ -11,18 +11,21 @@ import (
 )
 
 // Topology is the metric-free half of the PHAST sweeps: the node order,
-// the elimination tree in position space and the two position-space CSRs
+// the elimination tree in position space and the one position-space CSR
 // every customization of one hierarchy sweeps. It is built once per
 // preprocessing (NewTopology) and shared by every TreeBuilder packed from
 // that preprocessing's basic customizations, so a weight version pays
 // only for its weight and arc-end columns. A perfect customization drops
-// its inert arcs and packs a private Topology (sharing the order and the
+// its inert pairs and packs a private Topology (sharing the order and the
 // elimination tree). Immutable after construction.
 type Topology struct {
 	n int
 	// pairs is the hierarchy's chordal pair count: two arcs each, whether
-	// or not this topology's CSRs keep them.
+	// or not this topology's CSR keeps them.
 	pairs int
+	// private marks a topology Pack built for one perfect customization:
+	// its CSR belongs to that builder (TreeBuilder.MemoryBytes).
+	private bool
 	// order lists all nodes in descending contraction rank; pos is the
 	// inverse permutation. Both passes scan positions monotonically so
 	// every arc is relaxed exactly once, after its upper endpoint's
@@ -35,25 +38,21 @@ type Topology struct {
 	// the upward phase of a sweep from root walks root's parent chain
 	// instead of scanning all n positions (upwardPass).
 	upParent []int32
-	// Two CSRs over the hierarchy's arcs, indexed by position.
-	// fwdOff/fwdUp holds, per node v, the arcs u→v with rank[u] > rank[v];
-	// bwdOff/bwdUp the arcs v→w with rank[w] > rank[v]. Each serves both
-	// directions: a Forward tree pushes along the bwd arcs in ascending
-	// rank (the upward search) and pulls along the fwd arcs in descending
-	// rank (the downward sweep); a Backward tree swaps the two, which is
-	// exactly PHAST on the reverse graph. An entry is the position of the
-	// arc's higher-ranked endpoint, so the hot loops touch sequential CSR
-	// memory plus a rank-space distance array whose read side is the
-	// already-processed, cache-warm region. Every chordal pair has an arc
-	// each way, so on the shared topology the two CSRs are equal and
-	// share storage.
-	fwdOff, bwdOff []int32
-	fwdUp, bwdUp   []int32
-	// fwdPair/bwdPair name the chordal pair behind each CSR slot: a fwd
-	// slot holds the pair's down arc (hi→lo), a bwd slot its up arc
-	// (lo→hi). They are what Pack gathers a customization's columns by;
-	// the shared topology has one array for both.
-	fwdPair, bwdPair []int32
+	// off/up is the CSR of the chordal pairs by position: per position
+	// i, slots off[i]..off[i+1] hold the pairs whose lower endpoint sits
+	// at i, and up[k] is the position of slot k's higher endpoint. A slot
+	// carries both of its pair's arcs, so the one CSR serves both
+	// directions: a Forward tree pushes along the up arcs (lo→hi) in
+	// ascending rank (the upward search) and pulls along the down arcs
+	// (hi→lo) in descending rank (the downward sweep); a Backward tree
+	// swaps the two arcs, which is exactly PHAST on the reverse graph.
+	// The hot loops touch sequential CSR memory plus a rank-space
+	// distance array whose read side is the already-processed, cache-warm
+	// region.
+	off, up []int32
+	// pair names the chordal pair behind each slot; Pack gathers a
+	// customization's columns by it.
+	pair []int32
 }
 
 // NewTopology builds the sweep topology of a chordal hierarchy, which
@@ -101,88 +100,73 @@ func NewTopology(rank []int32, lo, hi, parent []graph.NodeID) *Topology {
 		next[t.pos[v]]++
 		up[k], pair[k] = t.pos[hi[q]], int32(q)
 	}
-	t.fwdOff, t.fwdUp, t.fwdPair = off, up, pair
-	t.bwdOff, t.bwdUp, t.bwdPair = off, up, pair
+	t.off, t.up, t.pair = off, up, pair
 	return t
 }
 
 // PairColumns is one weight version in pair space, the form a
 // customization computes it in: for pair q, UpW[q] and DownW[q] are the
 // weights of its up (lo→hi) and down (hi→lo) arcs and UpEnds[q] and
-// DownEnds[q] their boundary original edges. InertUp and InertDown, when
-// non-nil, flag the arcs a perfect customization proved strictly
-// dominated: sweeps skip them without losing exactness (the dominating
-// path always survives, because every arc on a shortest up-down path has
-// weight equal to the distance of its endpoints and is therefore never
-// strictly dominated itself).
+// DownEnds[q] their boundary original edges. Inert, when non-nil, flags
+// the pairs a perfect customization proved dead: each of their two arcs
+// is strictly dominated or +Inf, so sweeps skip the pair without losing
+// exactness (the dominating path always survives, because every arc on a
+// shortest up-down path has weight equal to the distance of its
+// endpoints and is therefore never strictly dominated itself).
 type PairColumns struct {
-	UpW, DownW         []float64
-	UpEnds, DownEnds   []ArcEnds
-	InertUp, InertDown []bool
+	UpW, DownW       []float64
+	UpEnds, DownEnds []ArcEnds
+	Inert            []bool
 }
 
 // Pack builds the TreeBuilder of one weight version: it gathers c's
-// columns into the slot order of t, or, when c flags inert arcs, of a
-// private topology that drops them, so full PHAST sweeps, RPHAST
-// selections and Dist skip them without a per-arc check in the hot loops.
-// The work is one linear pass over the slots; c is not retained.
+// columns into the slot order of t, or, when c flags inert pairs, of a
+// private topology that keeps only the slots of live pairs, so full PHAST
+// sweeps, RPHAST selections and Dist skip the inert ones without a check
+// in the hot loops. Every array is sized once, and the work is one linear
+// pass over the slots; c is not retained.
 func (t *Topology) Pack(c *PairColumns) *TreeBuilder {
-	top := t
-	if c.InertUp != nil {
-		top = &Topology{n: t.n, pairs: t.pairs, order: t.order, pos: t.pos, upParent: t.upParent}
-		top.fwdOff, top.fwdUp, top.fwdPair = keepSlots(t.fwdOff, t.fwdUp, t.fwdPair, c.InertDown)
-		top.bwdOff, top.bwdUp, top.bwdPair = keepSlots(t.bwdOff, t.bwdUp, t.bwdPair, c.InertUp)
+	top, kept := t, len(t.pair)
+	if c.Inert != nil {
+		kept = 0
+		for _, dead := range c.Inert {
+			if !dead {
+				kept++
+			}
+		}
+		top = &Topology{n: t.n, pairs: t.pairs, private: true, order: t.order, pos: t.pos, upParent: t.upParent,
+			off: make([]int32, len(t.off)), up: make([]int32, kept), pair: make([]int32, kept)}
 	}
-	tb := &TreeBuilder{top: top}
-	tb.fwdW, tb.fwdEnds = gather(top.fwdPair, c.DownW, c.DownEnds)
-	tb.bwdW, tb.bwdEnds = gather(top.bwdPair, c.UpW, c.UpEnds)
+	tb := &TreeBuilder{top: top,
+		upW: make([]float64, kept), downW: make([]float64, kept),
+		upEnds: make([]ArcEnds, kept), downEnds: make([]ArcEnds, kept)}
+	j := 0
+	for i := 0; i < t.n; i++ {
+		for k := t.off[i]; k < t.off[i+1]; k++ {
+			q := t.pair[k]
+			if c.Inert != nil && c.Inert[q] {
+				continue
+			}
+			if top.private {
+				top.up[j], top.pair[j] = t.up[k], q
+			}
+			tb.upW[j], tb.downW[j] = c.UpW[q], c.DownW[q]
+			tb.upEnds[j], tb.downEnds[j] = c.UpEnds[q], c.DownEnds[q]
+			j++
+		}
+		if top.private {
+			top.off[i+1] = int32(j)
+		}
+	}
 	return tb
 }
 
-// keepSlots returns the CSR (off, up, pair) without the slots whose pair
-// is flagged in drop.
-func keepSlots(off, up, pair []int32, drop []bool) (kOff, kUp, kPair []int32) {
-	kept := 0
-	for _, q := range pair {
-		if !drop[q] {
-			kept++
-		}
-	}
-	kOff = make([]int32, len(off))
-	kUp = make([]int32, 0, kept)
-	kPair = make([]int32, 0, kept)
-	for i := 0; i+1 < len(off); i++ {
-		for k := off[i]; k < off[i+1]; k++ {
-			if q := pair[k]; !drop[q] {
-				kUp = append(kUp, up[k])
-				kPair = append(kPair, q)
-			}
-		}
-		kOff[i+1] = int32(len(kUp))
-	}
-	return kOff, kUp, kPair
-}
+// csrBytes is the retained size of the topology's CSR.
+func (t *Topology) csrBytes() int { return 4 * (len(t.off) + len(t.up) + len(t.pair)) }
 
-// gather packs pair-space weights and ends into slot order.
-func gather(pair []int32, w []float64, ends []ArcEnds) ([]float64, []ArcEnds) {
-	gw := make([]float64, len(pair))
-	ge := make([]ArcEnds, len(pair))
-	for k, q := range pair {
-		gw[k], ge[k] = w[q], ends[q]
-	}
-	return gw, ge
-}
-
-// MemoryBytes reports the retained size of the topology's arrays, the
-// arrays the backward direction shares with the forward one counted once.
+// MemoryBytes reports the retained size of the topology's arrays.
 func (t *Topology) MemoryBytes() int {
-	b := 4 * (len(t.order) + len(t.pos) + len(t.upParent) + len(t.fwdOff) + len(t.fwdUp) + len(t.fwdPair))
-	for _, a := range [][2][]int32{{t.bwdOff, t.fwdOff}, {t.bwdUp, t.fwdUp}, {t.bwdPair, t.fwdPair}} {
-		if unsafe.SliceData(a[0]) != unsafe.SliceData(a[1]) {
-			b += 4 * len(a[0])
-		}
-	}
-	return b
+	return 4*(len(t.order)+len(t.pos)+len(t.upParent)) + t.csrBytes()
 }
 
 // TreeBuilder computes complete one-to-all shortest-path trees from the
@@ -198,9 +182,9 @@ func (t *Topology) MemoryBytes() int {
 // trees the plateau join needs come out of the hierarchy's search spaces
 // rather than from scratch.
 //
-// A TreeBuilder is one weight version's columns over a shared Topology:
-// per CSR slot, the arc weight and the arc's boundary original edges.
-// Builders of one preprocessing's basic customizations share their
+// A TreeBuilder is one weight version's columns over a Topology: per CSR
+// slot, the weights of the pair's two arcs and their boundary original
+// edges. Builders of one preprocessing's basic customizations share their
 // topology, which is what lets BuildTwinTreesInto sweep two versions in
 // one pass.
 //
@@ -216,16 +200,16 @@ func (t *Topology) MemoryBytes() int {
 // rank-space scratch, so warm queries allocate nothing.
 type TreeBuilder struct {
 	top *Topology
-	// fwdW/bwdW are the arc weights aligned with the topology's fwd/bwd
-	// CSR slots.
-	fwdW, bwdW []float64
-	// fwdEnds/bwdEnds give, aligned with the same slots, the original
+	// upW/downW are the weights of each slot's up (lo→hi) and down
+	// (hi→lo) arc, aligned with the topology's CSR slots.
+	upW, downW []float64
+	// upEnds/downEnds give, aligned with the same slots, the original
 	// edges at the two ends of each (possibly shortcut) arc: the parent
 	// edge a tree stores when the arc wins a relaxation is the end
 	// adjacent to the tree node — last for Forward trees, first for
 	// Backward. They live apart from the weights because they are read
 	// only on improvement.
-	fwdEnds, bwdEnds []ArcEnds
+	upEnds, downEnds []ArcEnds
 }
 
 // downArc is one packed restricted-CSR record (rphast.go): the position
@@ -235,26 +219,26 @@ type downArc struct {
 	w  float64
 }
 
-// sweepDir is one direction's view of a TreeBuilder: the CSR the upward
-// search pushes along and the one the downward sweep pulls along, each
-// with the builder's columns, plus which arc end a relaxation records.
+// sweepDir is one direction's view of a TreeBuilder: the columns of the
+// arcs the upward search pushes along and of those the downward sweep
+// pulls along, both over the topology's one CSR, plus which arc end a
+// relaxation records.
 type sweepDir struct {
-	upOff, upUp     []int32
-	upW             []float64
-	upEnds          []ArcEnds
-	downOff, downUp []int32
-	downW           []float64
-	downEnds        []ArcEnds
-	useLast         bool
+	pushW    []float64
+	pushEnds []ArcEnds
+	pullW    []float64
+	pullEnds []ArcEnds
+	useLast  bool
 }
 
-// dir resolves the CSRs and columns a tree in direction d sweeps.
+// dir resolves the columns a tree in direction d sweeps: a Forward tree
+// pushes along up arcs and pulls along down arcs, a Backward tree the
+// reverse.
 func (tb *TreeBuilder) dir(d sp.Direction) sweepDir {
-	t := tb.top
 	if d == sp.Backward {
-		return sweepDir{t.fwdOff, t.fwdUp, tb.fwdW, tb.fwdEnds, t.bwdOff, t.bwdUp, tb.bwdW, tb.bwdEnds, false}
+		return sweepDir{tb.downW, tb.downEnds, tb.upW, tb.upEnds, false}
 	}
-	return sweepDir{t.bwdOff, t.bwdUp, tb.bwdW, tb.bwdEnds, t.fwdOff, t.fwdUp, tb.fwdW, tb.fwdEnds, true}
+	return sweepDir{tb.upW, tb.upEnds, tb.downW, tb.downEnds, true}
 }
 
 // end returns the parent edge arc e records under this direction.
@@ -299,18 +283,18 @@ func (sc *sweepScratch) initFor(n int, rootPos int32) ([]float64, []graph.EdgeID
 // chainWalk is the distances-only upward search from position root,
 // shared by Dist and DistancesInto: it sets root's label to 0 and walks
 // root's elimination-tree chain in ascending rank, relaxing each reached
-// position's upward arcs — one CSR (off, up) and its weight column w —
-// into dist. Every relaxed arc ends on the chain, so the walk writes
-// nothing else; clearChain undoes it.
-func chainWalk(dist []float64, upParent, off, up []int32, w []float64, root int32) {
+// position's slots with the weight column w (upW for a forward search,
+// downW for a backward one) into dist. Every relaxed arc ends on the
+// chain, so the walk writes nothing else; clearChain undoes it.
+func (t *Topology) chainWalk(dist, w []float64, root int32) {
 	dist[root] = 0
-	for i := root; i >= 0; i = upParent[i] {
+	for i := root; i >= 0; i = t.upParent[i] {
 		di := dist[i]
 		if math.IsInf(di, 1) {
 			continue
 		}
-		lo, hi := off[i], off[i+1]
-		ups, ws := up[lo:hi], w[lo:hi]
+		lo, hi := t.off[i], t.off[i+1]
+		ups, ws := t.up[lo:hi], w[lo:hi]
 		ws = ws[:len(ups)]
 		for k, u := range ups {
 			if cand := di + ws[k]; cand < dist[u] {
@@ -321,8 +305,8 @@ func chainWalk(dist []float64, upParent, off, up []int32, w []float64, root int3
 }
 
 // clearChain resets root's elimination-tree chain in dist to +Inf.
-func clearChain(dist []float64, upParent []int32, root int32) {
-	for i := root; i >= 0; i = upParent[i] {
+func (t *Topology) clearChain(dist []float64, root int32) {
+	for i := root; i >= 0; i = t.upParent[i] {
 		dist[i] = math.Inf(1)
 	}
 }
@@ -337,19 +321,19 @@ func clearChain(dist []float64, upParent []int32, root int32) {
 // the same order (it skips the off-chain nodes, which stay at +Inf), so
 // the trees are bit-identical to that scan's. Chain nodes the search does
 // not reach sit at +Inf and are skipped.
-func upwardPass(distR []float64, parentR []graph.EdgeID, d *sweepDir, upParent []int32, rootPos int32) {
-	for i := rootPos; i >= 0; i = upParent[i] {
+func upwardPass(distR []float64, parentR []graph.EdgeID, d *sweepDir, t *Topology, rootPos int32) {
+	for i := rootPos; i >= 0; i = t.upParent[i] {
 		di := distR[i]
 		if math.IsInf(di, 1) {
 			continue
 		}
-		lo, hi := d.upOff[i], d.upOff[i+1]
-		ups, w := d.upUp[lo:hi], d.upW[lo:hi]
+		lo, hi := t.off[i], t.off[i+1]
+		ups, w := t.up[lo:hi], d.pushW[lo:hi]
 		w = w[:len(ups)]
 		for k, u := range ups {
 			if cand := di + w[k]; cand < distR[u] {
 				distR[u] = cand
-				parentR[u] = d.end(d.upEnds[lo+int32(k)])
+				parentR[u] = d.end(d.pushEnds[lo+int32(k)])
 			}
 		}
 	}
@@ -360,40 +344,43 @@ func upwardPass(distR []float64, parentR []graph.EdgeID, d *sweepDir, upParent [
 // same pointer.
 func (tb *TreeBuilder) Topology() *Topology { return tb.top }
 
-// MemoryBytes reports the retained size of the builder's own columns:
-// weights and arc ends, not the topology they index, which the builder
-// usually shares (Topology.MemoryBytes counts it).
+// MemoryBytes reports the retained size of what the builder owns: its
+// weight and arc-end columns and, when Pack built it a private topology
+// (a perfect customization), that topology's CSR. The order, positions
+// and elimination tree it shares with the preprocessing's topology are
+// not counted, nor is a shared CSR (Topology.MemoryBytes counts them).
 func (tb *TreeBuilder) MemoryBytes() int {
 	const endBytes = int(unsafe.Sizeof(ArcEnds{}))
-	return 8*(cap(tb.fwdW)+cap(tb.bwdW)) + endBytes*(cap(tb.fwdEnds)+cap(tb.bwdEnds))
+	b := 8*(cap(tb.upW)+cap(tb.downW)) + endBytes*(cap(tb.upEnds)+cap(tb.downEnds))
+	if tb.top.private {
+		b += tb.top.csrBytes()
+	}
+	return b
 }
 
 // ArcColumns reads the builder's slot columns back in arc order, for
 // tests: arc 2q is pair q's up arc (lo→hi) and arc 2q+1 its down arc
 // (hi→lo), pairs indexed as passed to NewTopology. in[a] reports whether
-// arc a is in the builder's topology (false for the arcs a perfect
-// customization dropped); w[a] and ends[a] are its weight and ends when
-// it is, and zero otherwise. The slices are fresh copies.
+// arc a is in the builder's topology (false for both arcs of a pair a
+// perfect customization dropped); w[a] and ends[a] are its weight and
+// ends when it is, and zero otherwise. The slices are fresh copies.
 func (tb *TreeBuilder) ArcColumns() (w []float64, ends []ArcEnds, in []bool) {
 	t := tb.top
 	w = make([]float64, 2*t.pairs)
 	ends = make([]ArcEnds, 2*t.pairs)
 	in = make([]bool, 2*t.pairs)
-	for k, q := range t.bwdPair {
-		w[2*q], ends[2*q], in[2*q] = tb.bwdW[k], tb.bwdEnds[k], true
-	}
-	for k, q := range t.fwdPair {
-		w[2*q+1], ends[2*q+1], in[2*q+1] = tb.fwdW[k], tb.fwdEnds[k], true
+	for k, q := range t.pair {
+		w[2*q], ends[2*q], in[2*q] = tb.upW[k], tb.upEnds[k], true
+		w[2*q+1], ends[2*q+1], in[2*q+1] = tb.downW[k], tb.downEnds[k], true
 	}
 	return w, ends, in
 }
 
-// NumSweepArcs returns how many arcs the full forward and backward
-// downward sweeps relax — the per-tree work a customization's topology
-// implies. Perfect CCH customization shrinks both by dropping inert arcs.
-func (tb *TreeBuilder) NumSweepArcs() (fwd, bwd int) {
-	return len(tb.fwdW), len(tb.bwdW)
-}
+// NumSweepArcs returns how many arcs a full tree's downward sweep relaxes,
+// the same in either direction — the per-tree work a customization's
+// topology implies. Perfect CCH customization shrinks it by dropping
+// inert pairs.
+func (tb *TreeBuilder) NumSweepArcs() int { return len(tb.upW) }
 
 // BuildTree computes the complete shortest-path tree rooted at root and
 // returns an independently owned copy. Distances equal full-Dijkstra
@@ -420,7 +407,7 @@ func (tb *TreeBuilder) BuildTreeInto(ws *sp.Workspace, root graph.NodeID, dir sp
 	distR, parentR := sc.initFor(n, rootPos)
 
 	// Phase 1, the upward search.
-	upwardPass(distR, parentR, &d, top.upParent, rootPos)
+	upwardPass(distR, parentR, &d, top, rootPos)
 
 	// Phase 2, the downward sweep: positions in descending rank, one pull
 	// min-fold per node. Every downward arc's upper endpoint is final when
@@ -429,8 +416,8 @@ func (tb *TreeBuilder) BuildTreeInto(ws *sp.Workspace, root graph.NodeID, dir sp
 	// unreachable).
 	for i := 0; i < n; i++ {
 		di := distR[i]
-		lo, hi := d.downOff[i], d.downOff[i+1]
-		ups, w := d.downUp[lo:hi], d.downW[lo:hi]
+		lo, hi := top.off[i], top.off[i+1]
+		ups, w := top.up[lo:hi], d.pullW[lo:hi]
 		w = w[:len(ups)]
 		best := -1
 		for k, u := range ups {
@@ -441,7 +428,7 @@ func (tb *TreeBuilder) BuildTreeInto(ws *sp.Workspace, root graph.NodeID, dir sp
 		}
 		if best >= 0 {
 			distR[i] = di
-			parentR[i] = d.end(d.downEnds[lo+int32(best)])
+			parentR[i] = d.end(d.pullEnds[lo+int32(best)])
 		}
 	}
 

@@ -32,7 +32,7 @@ import (
 // node (same distances, same parent edges) and reports every other node
 // unreached. Basic and perfect customizations share this one
 // implementation: a perfect customization's TreeBuilder sweeps a
-// topology without its inert arcs.
+// topology without its inert pairs.
 
 // Selection is the reusable restricted-sweep state for one target set. It
 // is immutable after Select returns and safe for concurrent restricted
@@ -114,9 +114,9 @@ func (tb *TreeBuilder) Select(targets []graph.NodeID, reuse *Selection) *Selecti
 		sc.mark = make([]bool, top.n)
 	}
 	sel.targets = top.markTargets(targets, sc.mark)
-	sel.fwd.closeAndEmit(top.fwdOff, top.fwdUp, tb.fwdW, tb.fwdEnds, sc.mark)
+	sel.fwd.closeAndEmit(top, tb.downW, tb.downEnds, sc.mark)
 	top.markTargets(targets, sc.mark)
-	sel.bwd.closeAndEmit(top.bwdOff, top.bwdUp, tb.bwdW, tb.bwdEnds, sc.mark)
+	sel.bwd.closeAndEmit(top, tb.upW, tb.upEnds, sc.mark)
 	selectPool.Put(sc)
 	return sel
 }
@@ -137,9 +137,10 @@ func (t *Topology) markTargets(targets []graph.NodeID, mark []bool) int {
 }
 
 // closeAndEmit computes one direction's restricted CSR from the marked
-// target positions: close the marks upward along the pull arcs (an up
-// endpoint has a smaller position, so one descending scan reaches a
-// fixed point), then emit the marked positions and their pull lists in
+// target positions, over t's CSR and the pull column w (downW for
+// forward trees, upW for backward) with its ends: close the marks upward
+// along the pull arcs (an up endpoint has a smaller position, so one
+// descending scan reaches a fixed point), then emit the marked positions and their pull lists in
 // sweep order. +Inf arcs (bans, inert CCH pairs) can never win a pull,
 // so they are dropped from both the closure and the copy — under heavy
 // closures the restricted subgraph shrinks further. A position's mark is
@@ -147,8 +148,9 @@ func (t *Topology) markTargets(targets []graph.NodeID, mark []bool) int {
 // positions and arcs the emit keeps, and the four arrays are sized once,
 // exactly: a fresh selection retains no growth slack and allocates no
 // growth garbage. Leaves mark fully cleared.
-func (r *restrictedCSR) closeAndEmit(off, up []int32, w []float64, ends []ArcEnds, mark []bool) {
-	n := len(off) - 1
+func (r *restrictedCSR) closeAndEmit(t *Topology, w []float64, ends []ArcEnds, mark []bool) {
+	off, up := t.off, t.up
+	n := t.n
 	nodes, kept := 0, 0
 	for p := n - 1; p >= 0; p-- {
 		if !mark[p] {
@@ -225,7 +227,7 @@ func (tb *TreeBuilder) BuildTreeRestrictedInto(ws *sp.Workspace, root graph.Node
 	distR, parentR := sc.initFor(n, rootPos)
 
 	// Phase 1, the upward search — identical to the full build.
-	upwardPass(distR, parentR, &d, tb.top.upParent, rootPos)
+	upwardPass(distR, parentR, &d, tb.top, rootPos)
 
 	// Phase 2, the restricted downward sweep: selected positions in
 	// descending rank. Every pull's upper endpoint is in the selection
@@ -326,7 +328,7 @@ func (tb *TreeBuilder) DistancesInto(row []float64, root graph.NodeID, targets [
 
 	// Phase 1, the upward search along the root's elimination-tree chain
 	// (upwardPass without parent edges).
-	chainWalk(dist, top.upParent, top.bwdOff, top.bwdUp, tb.bwdW, rootPos)
+	top.chainWalk(dist, tb.upW, rootPos)
 
 	// Phase 2, the restricted downward sweep: the selected positions in
 	// sweep order, each pull an unsigned bit-pattern minimum over two
@@ -358,7 +360,7 @@ func (tb *TreeBuilder) DistancesInto(row []float64, root graph.NodeID, targets [
 
 	// Restore the all-+Inf invariant: the chain and the selection are
 	// the only positions the row wrote.
-	clearChain(dist, top.upParent, rootPos)
+	top.clearChain(dist, rootPos)
 	for _, i := range r.nodes {
 		dist[i] = math.Inf(1)
 	}

@@ -10,14 +10,16 @@
 // each arc carries the boundary original edges its customization resolved.
 //
 // The sweeps are split by what a weight version changes. The Topology —
-// node order, elimination tree and the position-space CSRs — depends
-// only on the preprocessing, is built once (NewTopology) and is shared by
-// every basic customization; a TreeBuilder is one version's columns over
-// it (arc weights and arc ends in slot order, packed by Topology.Pack).
-// A weight version is exactly one TreeBuilder. Two builders of one
-// topology sweep their trees from one root in one pass
-// (BuildTwinTreesInto), which is how a request's public and traffic trees
-// are built.
+// node order, elimination tree and one position-space CSR of the chordal
+// pairs, which both directions sweep — depends only on the
+// preprocessing, is built once (NewTopology) and is shared by every basic
+// customization; a TreeBuilder is one version's columns over it (per
+// slot, the weights and ends of the pair's up and down arcs, packed by
+// Topology.Pack). A perfect customization packs its columns over a
+// private CSR without the pairs it proved inert. A weight version is
+// exactly one TreeBuilder. Two builders of one topology sweep their trees
+// from one root in one pass (BuildTwinTreesInto), which is how a
+// request's public and traffic trees are built.
 package ch
 
 import (
@@ -56,25 +58,26 @@ type ArcEnds struct {
 // is unreachable. On a chordal hierarchy the upward search space of a
 // node is its elimination-tree chain (Topology.upParent), so the query
 // needs no heap and no stopping criterion: a distances-only walk up s's
-// chain along the upward forward arcs, one up t's chain along the upward
-// backward arcs, and the answer is the best sum of the two labels over
-// s's chain. A node off t's chain holds no backward label (+Inf), so
-// endpoints in different components fall out as +Inf. Each walk runs on
-// a pooled rank-space array that holds +Inf between calls and resets
-// only its own chain, so a warm query allocates nothing.
+// chain along the up arcs, one up t's chain along the down arcs (the
+// upward search of the reverse graph), and the answer is the best sum of
+// the two labels over s's chain. A node off t's chain holds no backward
+// label (+Inf), so endpoints in different components fall out as +Inf.
+// Each walk runs on a pooled rank-space array that holds +Inf between
+// calls and resets only its own chain, so a warm query allocates
+// nothing.
 func (tb *TreeBuilder) Dist(s, t graph.NodeID) float64 {
 	top := tb.top
 	fs, bs := getRowScratch(top.n), getRowScratch(top.n)
 	fwd, bwd := fs.dist, bs.dist
 	ps, pt := top.pos[s], top.pos[t]
-	chainWalk(fwd, top.upParent, top.bwdOff, top.bwdUp, tb.bwdW, ps)
-	chainWalk(bwd, top.upParent, top.fwdOff, top.fwdUp, tb.fwdW, pt)
+	top.chainWalk(fwd, tb.upW, ps)
+	top.chainWalk(bwd, tb.downW, pt)
 	best := math.Inf(1)
 	for i := ps; i >= 0; i = top.upParent[i] {
 		best = min(best, fwd[i]+bwd[i])
 	}
-	clearChain(fwd, top.upParent, ps)
-	clearChain(bwd, top.upParent, pt)
+	top.clearChain(fwd, ps)
+	top.clearChain(bwd, pt)
 	rowPool.Put(fs)
 	rowPool.Put(bs)
 	return best

@@ -63,14 +63,14 @@ func BuildTwinTreesInto(wsA *sp.Workspace, a *TreeBuilder, wsB *sp.Workspace, b 
 	dist[rootPos] = [2]float64{}
 
 	// Phase 1, one upward search per label.
-	twinUpwardPass(dist, parent, 0, &da, top.upParent, rootPos)
-	twinUpwardPass(dist, parent, 1, &db, top.upParent, rootPos)
+	twinUpwardPass(dist, parent, 0, &da, top, rootPos)
+	twinUpwardPass(dist, parent, 1, &db, top, rootPos)
 
 	// Phase 2, one downward sweep for both labels: each arc's upper
 	// endpoint is read once, and each label keeps its own best arc.
-	off, upAll := da.downOff, da.downUp
-	wA, wB := da.downW, db.downW
-	endsA, endsB := da.downEnds, db.downEnds
+	off, upAll := top.off, top.up
+	wA, wB := da.pullW, db.pullW
+	endsA, endsB := da.pullEnds, db.pullEnds
 	for i := 0; i < n; i++ {
 		d0, d1 := dist[i][0], dist[i][1]
 		lo, hi := off[i], off[i+1]
@@ -114,19 +114,19 @@ func BuildTwinTreesInto(wsA *sp.Workspace, a *TreeBuilder, wsB *sp.Workspace, b 
 
 // twinUpwardPass is upwardPass on label l of the twin scratch: the walk
 // up the root's elimination-tree chain.
-func twinUpwardPass(dist [][2]float64, parent [][2]graph.EdgeID, l int, d *sweepDir, upParent []int32, rootPos int32) {
-	for i := rootPos; i >= 0; i = upParent[i] {
+func twinUpwardPass(dist [][2]float64, parent [][2]graph.EdgeID, l int, d *sweepDir, t *Topology, rootPos int32) {
+	for i := rootPos; i >= 0; i = t.upParent[i] {
 		di := dist[i][l]
 		if math.IsInf(di, 1) {
 			continue
 		}
-		lo, hi := d.upOff[i], d.upOff[i+1]
-		ups, w := d.upUp[lo:hi], d.upW[lo:hi]
+		lo, hi := t.off[i], t.off[i+1]
+		ups, w := t.up[lo:hi], d.pushW[lo:hi]
 		w = w[:len(ups)]
 		for k, u := range ups {
 			if cand := di + w[k]; cand < dist[u][l] {
 				dist[u][l] = cand
-				parent[u][l] = d.end(d.upEnds[lo+int32(k)])
+				parent[u][l] = d.end(d.pushEnds[lo+int32(k)])
 			}
 		}
 	}

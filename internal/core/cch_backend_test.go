@@ -71,7 +71,11 @@ func TestCCHServingExactUnderClosures(t *testing.T) {
 // customization latencies, per planner. It also pins that the
 // cch-perfect flavor survives every publish: each version of a perfect
 // planner sweeps fewer arcs than the same version of a plain cch planner
-// (perfect customization drops dominated arcs from the sweeps).
+// (perfect customization drops dominated pairs from the sweeps), and
+// ViewBytes counts what each version owns — a plain view its four slot
+// columns (32 B per swept pair), a perfect view those plus the private
+// CSR it sweeps (an offset per position and two int32s per kept pair),
+// never the order, positions or elimination tree it shares.
 func TestHierarchyStatusReporting(t *testing.T) {
 	g := testCity(t)
 	store := weights.NewStore(g.BaseWeights())
@@ -89,13 +93,19 @@ func TestHierarchyStatusReporting(t *testing.T) {
 		t.Fatalf("dijkstra-backend status = %+v, want zero", st)
 	}
 	sweepArcs := func(pl *Plateaus) int {
-		fwd, bwd := pl.prov.cur.Load().trees.(*cchTrees).tb.NumSweepArcs()
-		return fwd + bwd
+		return pl.prov.cur.Load().trees.(*cchTrees).tb.NumSweepArcs()
 	}
 	checkPerfect := func(when string) {
 		t.Helper()
-		if p, c := sweepArcs(perfect), sweepArcs(cchP); p >= c {
+		p, c := sweepArcs(perfect), sweepArcs(cchP)
+		if p >= c {
 			t.Fatalf("%s: cch-perfect planner sweeps %d arcs, cch planner %d; want fewer", when, p, c)
+		}
+		if got, want := cchP.HierarchyStatus().ViewBytes, 32*c; got != want {
+			t.Fatalf("%s: cch view reports %d B, want %d B of columns", when, got, want)
+		}
+		if got, want := perfect.HierarchyStatus().ViewBytes, 32*p+4*(g.NumNodes()+1)+8*p; got != want {
+			t.Fatalf("%s: cch-perfect view reports %d B, want %d B of columns and private CSR", when, got, want)
 		}
 	}
 	checkPerfect("at construction")

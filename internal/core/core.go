@@ -113,8 +113,8 @@ type Options struct {
 	// TreeCHAuto: HierarchyCCH (the default) contracts metric-independently
 	// on a nested-dissection order and customizes by triangle relaxation,
 	// staying exact for every published snapshot including +Inf closures;
-	// HierarchyCCHPerfect adds the perfect-customization post-pass on
-	// every publish. Ignored on TreeDijkstra.
+	// HierarchyCCHPerfect adds the perfect-customization post-pass
+	// (dominated-pair pruning) on every publish. Ignored on TreeDijkstra.
 	Hierarchy HierarchyKind
 	// Order selects the nested-dissection pipeline behind the hierarchy:
 	// OrderGeometric (the zero value) bisects on coordinates with a greedy

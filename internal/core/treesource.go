@@ -77,10 +77,11 @@ const (
 	// published snapshot, including +Inf closures.
 	HierarchyCCH HierarchyKind = iota
 	// HierarchyCCHPerfect is HierarchyCCH with the perfect-customization
-	// post-pass: each publish additionally proves which shortcut arcs are
-	// strictly dominated under the snapshot's metric and marks them
-	// inert, so queries and tree sweeps skip them. Same routes, costlier
-	// customization, cheaper everything after.
+	// post-pass: each publish additionally proves which chordal pairs have
+	// both arcs strictly dominated (or +Inf) under the snapshot's metric
+	// and marks them inert, so queries and tree sweeps skip them
+	// (dominated-pair pruning). Same routes, costlier customization,
+	// cheaper everything after.
 	HierarchyCCHPerfect
 )
 
@@ -164,7 +165,7 @@ func (q QueryEngine) String() string {
 // the query engine are fixed at OrderFlow and QueryElimTree.
 func PlannerFlags(fs *flag.FlagSet, trees TreeBackend) func() (Options, error) {
 	treesFlag := fs.String("trees", trees.String(), "tree backend of the choice-routing planners: dijkstra (full Dijkstra searches, the paper's description) or ch-auto (full CCH sweeps; matrix tables restrict theirs to the targets while those cover at most a quarter of the graph)")
-	hierFlag := fs.String("hierarchy", HierarchyCCH.String(), "hierarchy flavor behind -trees ch-auto: cch (exact for every published snapshot, closures included) or cch-perfect (cch plus dominated-arc pruning on every publish)")
+	hierFlag := fs.String("hierarchy", HierarchyCCH.String(), "hierarchy flavor behind -trees ch-auto: cch (exact for every published snapshot, closures included) or cch-perfect (cch plus dominated-pair pruning on every publish)")
 	return func() (Options, error) {
 		backend, err := ParseTreeBackend(*treesFlag)
 		if err != nil {
@@ -198,10 +199,12 @@ type HierarchyStatus struct {
 	SelectionMisses uint64
 	SelectionBytes  int
 	// ViewBytes is what the serving version's tree builder retains of its
-	// own: its weight and arc-end columns (ch.TreeBuilder.MemoryBytes),
-	// not the sweep topology it shares with every basic customization of
-	// the city. PreprocessedBytes is the city's preprocessing, that shared
-	// topology included once (cch.Preprocessed.MemoryBytes).
+	// own (ch.TreeBuilder.MemoryBytes): its weight and arc-end columns
+	// and, on cch-perfect, the private CSR it sweeps — not the order,
+	// positions and elimination tree it shares with every customization
+	// of the city, nor a basic view's shared CSR. PreprocessedBytes is
+	// the city's preprocessing, that shared topology included once
+	// (cch.Preprocessed.MemoryBytes).
 	ViewBytes         int
 	PreprocessedBytes int
 }

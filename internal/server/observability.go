@@ -95,7 +95,7 @@ func (s *Server) collectServing(e *metrics.Emit) {
 				e.Gauge("routing_preprocessed_bytes", "Bytes retained by the city's CCH preprocessing, the sweep topology its weight versions share counted once.",
 					float64(statuses[i].PreprocessedBytes), "city", name)
 			}
-			e.Gauge("routing_view_bytes", "Bytes the serving weight version of a store retains of its own: its sweep weight and arc-end columns.",
+			e.Gauge("routing_view_bytes", "Bytes the serving weight version of a store retains of its own: its sweep weight and arc-end columns, plus the private sweep CSR of a cch-perfect version.",
 				float64(statuses[i].ViewBytes), "city", name, "store", store)
 		}
 		if c.Matrix != nil {
