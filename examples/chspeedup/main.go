@@ -4,9 +4,9 @@
 // the plateau planners consume — a PHAST forward+backward sweep pair
 // against a Dijkstra tree pair over the same query batch — checking every
 // node's distance against Dijkstra. It then times what one /api/routes
-// miss sweeps — the public and the traffic tree pairs — as two twin passes
-// (each root's two trees in one pass over the shared sweep topology)
-// against four single sweeps, checking the trees bit for bit, and
+// miss sweeps — the public and the traffic tree pairs — as one four-label
+// pass over the two versions' joint topology (the pairs live under either
+// metric) against four single sweeps, checking the trees bit for bit, and
 // measures how small a fraction of the graph an elliptically pruned tree
 // explores. That pruned trees "still yield the same choice routes" (the
 // paper's claim) is pinned by core's TestEllipticTreesYieldSameChoiceRoutes.
@@ -85,13 +85,19 @@ func main() {
 
 	// 3. One /api/routes miss sweeps four trees: the public pair and the
 	// traffic pair, from the same s and t. Two basic customizations of one
-	// preprocessing share a sweep topology, so each root's two trees come
-	// out of one twin pass.
+	// preprocessing share a sweep topology, so all four trees come out of
+	// one pass over their joint topology, which drops the pairs inert
+	// under both metrics.
 	tw := traffic.NewSequence(g, traffic.DefaultModel(2022*2654435761+1), 0).WeightsAt(0)
 	ttb := pre.Customize(tw)
+	start = time.Now()
+	joint := ch.NewJoint(tb, ttb)
+	fmt.Printf("Joint topology: %.1f ms to pack, keeps %d of %d arc pairs (%.1f%%)\n",
+		time.Since(start).Seconds()*1000, joint.NumPairs(), pre.NumPairs(),
+		100*float64(joint.NumPairs())/float64(pre.NumPairs()))
 	single := [2]*sp.Workspace{sp.NewWorkspace(), sp.NewWorkspace()}
-	twin := [2]*sp.Workspace{sp.NewWorkspace(), sp.NewWorkspace()}
-	var singleTime, twinTime time.Duration
+	quad := [2]*sp.Workspace{sp.NewWorkspace(), sp.NewWorkspace()}
+	var singleTime, quadTime time.Duration
 	for q := 0; q < numQueries; q++ {
 		s := graph.NodeID(rng.Intn(g.NumNodes()))
 		t := graph.NodeID(rng.Intn(g.NumNodes()))
@@ -102,24 +108,23 @@ func main() {
 		ttb.BuildTreeInto(single[1], t, sp.Backward)
 		singleTime += time.Since(start)
 		start = time.Now()
-		ch.BuildTwinTreesInto(twin[0], tb, twin[1], ttb, s, sp.Forward)
-		ch.BuildTwinTreesInto(twin[0], tb, twin[1], ttb, t, sp.Backward)
-		twinTime += time.Since(start)
-		for i := range twin {
+		joint.BuildTreesInto(quad[0], quad[1], s, t)
+		quadTime += time.Since(start)
+		for i := range quad {
 			for _, dir := range []sp.Direction{sp.Forward, sp.Backward} {
 				want, _ := single[i].TreeSlot(dir)
-				got, _ := twin[i].TreeSlot(dir)
+				got, _ := quad[i].TreeSlot(dir)
 				for v := range want.Dist {
 					if math.Float64bits(got.Dist[v]) != math.Float64bits(want.Dist[v]) || got.Parent[v] != want.Parent[v] {
-						log.Fatalf("query %d (%d->%d) node %d: twin tree differs from its single sweep", q, s, t, v)
+						log.Fatalf("query %d (%d->%d) node %d: joint tree differs from its single sweep", q, s, t, v)
 					}
 				}
 			}
 		}
 	}
-	fmt.Printf("%d public+traffic tree quads: four single sweeps %.0f ms, two twin passes %.0f ms -> %.1fx, bit-identical\n",
-		numQueries, singleTime.Seconds()*1000, twinTime.Seconds()*1000,
-		singleTime.Seconds()/twinTime.Seconds())
+	fmt.Printf("%d public+traffic tree quads: four single sweeps %.0f ms, one joint pass %.0f ms -> %.1fx, bit-identical\n",
+		numQueries, singleTime.Seconds()*1000, quadTime.Seconds()*1000,
+		singleTime.Seconds()/quadTime.Seconds())
 
 	// 4. Elliptically pruned trees: nodes that can lie on a route within
 	// the upper bound of the fastest time, a fraction of the graph.

@@ -199,13 +199,20 @@ func PreprocessWith(g *graph.Graph, ocfg OrderConfig) *Preprocessed {
 	}
 	P := len(p.lo)
 
-	findPair := func(a, b graph.NodeID) int32 {
-		// Binary search b among a's pairs (sorted by rank of hi).
-		loI, hiI := pairStart[a], pairEnd[a]
+	// hiRank[k] is the rank of pair k's upper endpoint, so a pair lookup
+	// reads one array instead of chasing hi into rank at every probe.
+	hiRank := make([]int32, P)
+	for k, h := range p.hi {
+		hiRank[k] = p.rank[h]
+	}
+	// findPairFrom binary-searches b among a's pairs (sorted by rank of
+	// hi) from index from on.
+	findPairFrom := func(a, b graph.NodeID, from int32) int32 {
+		loI, hiI := from, pairEnd[a]
 		rb := p.rank[b]
 		for loI < hiI {
 			mid := (loI + hiI) / 2
-			if p.rank[p.hi[mid]] < rb {
+			if hiRank[mid] < rb {
 				loI = mid + 1
 			} else {
 				hiI = mid
@@ -216,6 +223,7 @@ func PreprocessWith(g *graph.Graph, ocfg OrderConfig) *Preprocessed {
 		}
 		panic(fmt.Sprintf("cch: pair {%d,%d} missing from chordal topology", a, b))
 	}
+	findPair := func(a, b graph.NodeID) int32 { return findPairFrom(a, b, pairStart[a]) }
 
 	// Lower triangles: for every z, each two of z's pairs {z,a}, {z,b}
 	// witness the triangle of pair {a,b} (which exists by the clique
@@ -223,7 +231,7 @@ func PreprocessWith(g *graph.Graph, ocfg OrderConfig) *Preprocessed {
 	triCnt := make([]int32, P+1)
 	forEachTriangle(p, pairStart, pairEnd, func(abPair, zaPair, zbPair int32) {
 		triCnt[abPair+1]++
-	}, findPair)
+	}, findPairFrom)
 	for i := 0; i < P; i++ {
 		triCnt[i+1] += triCnt[i]
 	}
@@ -236,7 +244,7 @@ func PreprocessWith(g *graph.Graph, ocfg OrderConfig) *Preprocessed {
 		cursor[abPair]++
 		p.triLoSide[k] = zaPair
 		p.triHiSide[k] = zbPair
-	}, findPair)
+	}, findPairFrom)
 
 	// Original edges per pair and direction (parallel edges all listed —
 	// which one is cheapest depends on the metric).
@@ -305,16 +313,21 @@ func PreprocessWith(g *graph.Graph, ocfg OrderConfig) *Preprocessed {
 
 // forEachTriangle enumerates every lower triangle: for each node z, every
 // two of its pairs {z,a}, {z,b} (rank[a] < rank[b]) are the constituent
-// sides of a triangle of pair {a,b}.
-func forEachTriangle(p *Preprocessed, pairStart, pairEnd []int32, visit func(abPair, zaPair, zbPair int32), findPair func(a, b graph.NodeID) int32) {
+// sides of a triangle of pair {a,b}. For a fixed a the b's ascend by
+// rank, so each pair {a,b} is searched for beyond the previous one.
+func forEachTriangle(p *Preprocessed, pairStart, pairEnd []int32, visit func(abPair, zaPair, zbPair int32), findPairFrom func(a, b graph.NodeID, from int32) int32) {
 	n := p.g.NumNodes()
 	for z := graph.NodeID(0); int(z) < n; z++ {
 		lo, hi := pairStart[z], pairEnd[z]
 		for i := lo; i < hi; i++ {
+			// p.hi sorted by rank: hi[i] is the lower endpoint of the
+			// target pair.
+			a := p.hi[i]
+			from := pairStart[a]
 			for j := i + 1; j < hi; j++ {
-				// p.hi sorted by rank: hi[i] is the lower endpoint of the
-				// target pair.
-				visit(findPair(p.hi[i], p.hi[j]), i, j)
+				ab := findPairFrom(a, p.hi[j], from)
+				visit(ab, i, j)
+				from = ab + 1
 			}
 		}
 	}

@@ -16,12 +16,13 @@ type Config struct {
 	// It is kept only so the benchmark harness, which still names it,
 	// compiles.
 	Workers int
-	// Perfect enables the descending perfect-customization post-pass:
-	// pairs both of whose arcs are +Inf or have a basic weight strictly
-	// dominated by a path through an intermediate or upper triangle are
-	// marked inert, and queries, PHAST sweeps and RPHAST selections skip
-	// them (dominated-pair pruning). Roughly doubles customization cost;
-	// shrinks every subsequent sweep.
+	// Perfect drops the pairs the perfect-customization post-pass marks
+	// inert — both of whose arcs are +Inf or have a basic weight strictly
+	// dominated by a path through an intermediate or upper triangle —
+	// from the builder's own topology, so its queries, PHAST sweeps and
+	// RPHAST selections skip them (dominated-pair pruning) over a private
+	// CSR. Every customization runs the post-pass; without Perfect the
+	// builder keeps the shared topology and only retains the inert mask.
 	Perfect bool
 }
 
@@ -40,7 +41,9 @@ type soaScratch struct {
 // with the default Config: every slot starts at its cheapest original
 // edge (+Inf when none), then one ascending sweep relaxes every lower
 // triangle, resolving each arc's boundary original edges as it goes so
-// tree sweeps record road edges as parents. The result is exact for
+// tree sweeps record road edges as parents, and a descending perfect
+// pass marks the pairs dead under this metric in the builder's inert
+// mask (ch.NewJoint prunes by it). The result is exact for
 // arbitrary weights — congestion of any magnitude, +Inf closures — and
 // each call is independent, so a serving layer can customize in the
 // background and swap atomically.
@@ -53,9 +56,9 @@ func (p *Preprocessed) Customize(weights []float64) *ch.TreeBuilder {
 // dominated or +Inf from the builder's topology (the weights and ends of
 // the pairs it keeps are untouched, so route sets are unchanged too).
 //
-// The triangle pass runs on pooled pair-space scratch; each call
-// allocates only the columns its builder owns — slot-order weights and
-// arc ends and, when perfect, its private topology — over the
+// Both passes run on pooled pair-space scratch; each call allocates only
+// what its builder owns — slot-order weights and arc ends, and the inert
+// mask or, when perfect, its private topology — over the
 // preprocessing's shared sweep topology: a superseded customization is
 // freed with the last reference to its builder, so nothing has to track
 // which queries still read it.
@@ -127,17 +130,37 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) *ch.TreeBuil
 	}
 
 	cols := sc.PairColumns
+	var tb *ch.TreeBuilder
 	if cfg.Perfect {
-		cols.Inert = p.perfectPass(sc)
+		// The private topology needs the mask before packing, so the
+		// perfect pass runs on copies of the basic weights.
+		if sc.perfUp == nil {
+			sc.perfUp, sc.perfDown = make([]float64, P), make([]float64, P)
+			sc.inert = make([]bool, P)
+		}
+		copy(sc.perfUp, upW)
+		copy(sc.perfDown, downW)
+		p.perfectPass(sc.perfUp, sc.perfDown)
+		for i := range sc.inert {
+			sc.inert[i] = ch.ArcDead(upW[i], sc.perfUp[i]) && ch.ArcDead(downW[i], sc.perfDown[i])
+		}
+		cols.Inert = sc.inert
+		tb = p.top.Pack(&cols)
+	} else {
+		// Once packed, the builder holds the basic weights, so the
+		// perfect pass runs in place on the scratch's.
+		tb = p.top.Pack(&cols)
+		p.perfectPass(upW, downW)
+		tb.MarkInert(upW, downW)
 	}
-	tb := p.top.Pack(&cols)
 	p.soa.Put(sc)
 	return tb
 }
 
-// perfectPass runs perfect customization: a descending sweep that, per
-// lower triangle {z, a, b} of pair {a, b}, relaxes the four arcs
-// incident to z through the pair's (already exact) arcs —
+// perfectPass runs perfect customization in place on the pair-space
+// weights up and down, starting from the basic ones: a descending sweep
+// that, per lower triangle {z, a, b} of pair {a, b}, relaxes the four
+// arcs incident to z through the pair's (already exact) arcs —
 //
 //	z→b ≤ z→a + a→b    b→z ≤ b→a + a→z
 //	z→a ≤ z→b + b→a    a→z ≤ a→b + b→z
@@ -149,52 +172,32 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) *ch.TreeBuil
 // dist(a,b) = min over upward neighbours v of a of
 // (basic w(a→v) + dist(v,b)) is realized by the triangle {a, v, b} (the
 // upward neighbourhood of a is a clique, so that triangle exists and is
-// applied while its upper pair is exact). The pass therefore computes,
-// in perfUp/perfDown, the true directed distances between every pair's
+// applied while its upper pair is exact). The pass therefore leaves in
+// up and down the true directed distances between every pair's
 // endpoints — against which an arc whose basic weight is strictly
 // greater is provably useless (every shortest up-down path consists of
-// arcs whose weight equals their endpoints' distance). A pair is marked
-// inert in the returned pair-space mask (pooled scratch, valid until sc
-// goes back to the pool) when both of its arcs are, so the sweeps keep
-// one CSR for both directions. Basic weights and arc ends stay
-// untouched: distances, trees and routes are byte-identical, only the
-// work to compute them shrinks.
-func (p *Preprocessed) perfectPass(sc *soaScratch) []bool {
-	P := len(p.lo)
-	if sc.perfUp == nil {
-		sc.perfUp, sc.perfDown = make([]float64, P), make([]float64, P)
-		sc.inert = make([]bool, P)
-	}
-	perfUp, perfDown := sc.perfUp, sc.perfDown
-	copy(perfUp, sc.UpW)
-	copy(perfDown, sc.DownW)
-	for i := P - 1; i >= 0; i-- {
-		pu, pd := perfUp[i], perfDown[i]
+// arcs whose weight equals their endpoints' distance; ch.ArcDead). A
+// pair is inert when both of its arcs are, so the sweeps keep one CSR
+// for both directions. Basic weights and arc ends are not changed:
+// distances, trees and routes are byte-identical, only the work to
+// compute them shrinks.
+func (p *Preprocessed) perfectPass(up, down []float64) {
+	for i := len(p.lo) - 1; i >= 0; i-- {
+		pu, pd := up[i], down[i]
 		for k := p.triOff[i]; k < p.triOff[i+1]; k++ {
 			za, zb := p.triLoSide[k], p.triHiSide[k]
-			if c := perfUp[za] + pu; c < perfUp[zb] {
-				perfUp[zb] = c
+			if c := up[za] + pu; c < up[zb] {
+				up[zb] = c
 			}
-			if c := pd + perfDown[za]; c < perfDown[zb] {
-				perfDown[zb] = c
+			if c := pd + down[za]; c < down[zb] {
+				down[zb] = c
 			}
-			if c := perfUp[zb] + pd; c < perfUp[za] {
-				perfUp[za] = c
+			if c := up[zb] + pd; c < up[za] {
+				up[za] = c
 			}
-			if c := pu + perfDown[zb]; c < perfDown[za] {
-				perfDown[za] = c
+			if c := pu + down[zb]; c < down[za] {
+				down[za] = c
 			}
 		}
 	}
-	// Strict domination keeps equal-weight arcs alive, which is what
-	// preserves tie-breaking (and with it byte-identical parents) in
-	// every downstream sweep. A +Inf arc — one the metric gives no
-	// realizing path — can never win a relaxation either, so it counts
-	// as dead too. A pair leaves the sweeps only when both arcs are dead.
-	upW, downW := sc.UpW, sc.DownW
-	for i := 0; i < P; i++ {
-		sc.inert[i] = (perfUp[i] < upW[i] || math.IsInf(upW[i], 1)) &&
-			(perfDown[i] < downW[i] || math.IsInf(downW[i], 1))
-	}
-	return sc.inert
 }

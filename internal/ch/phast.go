@@ -109,10 +109,10 @@ func NewTopology(rank []int32, lo, hi, parent []graph.NodeID) *Topology {
 // weights of its up (lo→hi) and down (hi→lo) arcs and UpEnds[q] and
 // DownEnds[q] their boundary original edges. Inert, when non-nil, flags
 // the pairs a perfect customization proved dead: each of their two arcs
-// is strictly dominated or +Inf, so sweeps skip the pair without losing
-// exactness (the dominating path always survives, because every arc on a
-// shortest up-down path has weight equal to the distance of its
-// endpoints and is therefore never strictly dominated itself).
+// is strictly dominated or +Inf (ArcDead), so sweeps skip the pair
+// without losing exactness (the dominating path always survives, because
+// every arc on a shortest up-down path has weight equal to the distance
+// of its endpoints and is therefore never strictly dominated itself).
 type PairColumns struct {
 	UpW, DownW       []float64
 	UpEnds, DownEnds []ArcEnds
@@ -161,6 +161,28 @@ func (t *Topology) Pack(c *PairColumns) *TreeBuilder {
 	return tb
 }
 
+// ArcDead reports whether an arc of weight w can never win or tie a
+// relaxation, given dist, the exact distance between its endpoints under
+// the same metric: the arc is strictly dominated, or +Inf (the metric
+// gives it no realizing path). Strict domination keeps equal-weight arcs
+// alive, which is what preserves tie-breaking, and with it byte-identical
+// parents, in every sweep that skips dead arcs.
+func ArcDead(w, dist float64) bool { return dist < w || math.IsInf(w, 1) }
+
+// MarkInert records the builder's inert mask, which NewJoint prunes by:
+// given the exact directed distances between every chordal pair's
+// endpoints in pair space (up[q] from lo to hi, down[q] from hi to lo, as
+// a perfect customization computes them), it flags the pairs both of
+// whose arcs are dead. It is part of construction: call it once, on a
+// builder packed without a mask, before the builder is shared.
+func (tb *TreeBuilder) MarkInert(up, down []float64) {
+	t := tb.top
+	tb.inert = make([]bool, t.pairs)
+	for k, q := range t.pair {
+		tb.inert[q] = ArcDead(tb.upW[k], up[q]) && ArcDead(tb.downW[k], down[q])
+	}
+}
+
 // csrBytes is the retained size of the topology's CSR.
 func (t *Topology) csrBytes() int { return 4 * (len(t.off) + len(t.up) + len(t.pair)) }
 
@@ -185,8 +207,8 @@ func (t *Topology) MemoryBytes() int {
 // A TreeBuilder is one weight version's columns over a Topology: per CSR
 // slot, the weights of the pair's two arcs and their boundary original
 // edges. Builders of one preprocessing's basic customizations share their
-// topology, which is what lets BuildTwinTreesInto sweep two versions in
-// one pass.
+// topology, which is what lets a Joint of two of them sweep both
+// versions' forward and backward trees in one pass.
 //
 // The produced trees are drop-in *sp.Tree values: distances are exact
 // (banned +Inf edges stay unreachable walls) and parent pointers are
@@ -210,6 +232,12 @@ type TreeBuilder struct {
 	// Backward. They live apart from the weights because they are read
 	// only on improvement.
 	upEnds, downEnds []ArcEnds
+	// inert is the pair-space mask of the pairs the customization proved
+	// dead under this version's metric (MarkInert; nil on a pruned
+	// builder, whose topology already leaves them out). The builder's own
+	// sweeps read every slot; NewJoint drops the pairs dead under both of
+	// its versions.
+	inert []bool
 }
 
 // downArc is one packed restricted-CSR record (rphast.go): the position
@@ -345,13 +373,14 @@ func upwardPass(distR []float64, parentR []graph.EdgeID, d *sweepDir, t *Topolog
 func (tb *TreeBuilder) Topology() *Topology { return tb.top }
 
 // MemoryBytes reports the retained size of what the builder owns: its
-// weight and arc-end columns and, when Pack built it a private topology
-// (a perfect customization), that topology's CSR. The order, positions
-// and elimination tree it shares with the preprocessing's topology are
-// not counted, nor is a shared CSR (Topology.MemoryBytes counts them).
+// weight and arc-end columns, its inert mask (one byte per pair on a
+// basic customization) and, when Pack built it a private topology (a
+// perfect customization), that topology's CSR. The order, positions and
+// elimination tree it shares with the preprocessing's topology are not
+// counted, nor is a shared CSR (Topology.MemoryBytes counts them).
 func (tb *TreeBuilder) MemoryBytes() int {
 	const endBytes = int(unsafe.Sizeof(ArcEnds{}))
-	b := 8*(cap(tb.upW)+cap(tb.downW)) + endBytes*(cap(tb.upEnds)+cap(tb.downEnds))
+	b := 8*(cap(tb.upW)+cap(tb.downW)) + endBytes*(cap(tb.upEnds)+cap(tb.downEnds)) + cap(tb.inert)
 	if tb.top.private {
 		b += tb.top.csrBytes()
 	}

@@ -27,26 +27,25 @@ func TestDistNearZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTwinSweepZeroAlloc asserts the warm twin kernel — two versions'
-// trees in one pass — allocates nothing, like a single PHAST build.
-func TestTwinSweepZeroAlloc(t *testing.T) {
+// TestJointSweepZeroAlloc asserts the warm four-label kernel — two
+// versions' forward and backward trees in one pass — allocates nothing,
+// like a single PHAST build.
+func TestJointSweepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	g := gridCity(20, 20)
 	pre := cch.PreprocessShared(g)
-	a := pre.Customize(g.BaseWeights()).NewTreeBuilder()
+	a := pre.Customize(g.BaseWeights())
 	w := g.CopyWeights()
 	for e := range w {
 		w[e] *= 1 + float64(e%7)/10
 	}
-	b := pre.Customize(w).NewTreeBuilder()
+	j := ch.NewJoint(a, pre.Customize(w))
 	wsA, wsB := sp.NewWorkspace(), sp.NewWorkspace()
-	root := graph.NodeID(g.NumNodes() / 2)
-	for _, dir := range []sp.Direction{sp.Forward, sp.Backward} {
-		ch.BuildTwinTreesInto(wsA, a, wsB, b, root, dir) // warm up
-		if allocs := testing.AllocsPerRun(20, func() { ch.BuildTwinTreesInto(wsA, a, wsB, b, root, dir) }); allocs > 0 {
-			t.Errorf("BuildTwinTreesInto dir %d: %v allocs/op after warm-up, want 0", dir, allocs)
-		}
+	s, tt := graph.NodeID(g.NumNodes()/2), graph.NodeID(3)
+	j.BuildTreesInto(wsA, wsB, s, tt) // warm up
+	if allocs := testing.AllocsPerRun(20, func() { j.BuildTreesInto(wsA, wsB, s, tt) }); allocs > 0 {
+		t.Errorf("Joint.BuildTreesInto: %v allocs/op after warm-up, want 0", allocs)
 	}
 }

@@ -15,11 +15,13 @@
 // preprocessing, is built once (NewTopology) and is shared by every basic
 // customization; a TreeBuilder is one version's columns over it (per
 // slot, the weights and ends of the pair's up and down arcs, packed by
-// Topology.Pack). A perfect customization packs its columns over a
-// private CSR without the pairs it proved inert. A weight version is
-// exactly one TreeBuilder. Two builders of one topology sweep their trees
-// from one root in one pass (BuildTwinTreesInto), which is how a
-// request's public and traffic trees are built.
+// Topology.Pack, plus the pairs its perfect pass proved inert). A perfect
+// customization packs its columns over a private CSR without those
+// pairs. A weight version is exactly one TreeBuilder. A Joint of two
+// builders of one topology keeps the pairs live under either metric and
+// sweeps both versions' forward and backward trees of one (s, t) in one
+// pass (Joint.BuildTreesInto), which is how a request's public and
+// traffic trees are built.
 package ch
 
 import (

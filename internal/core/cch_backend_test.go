@@ -73,9 +73,10 @@ func TestCCHServingExactUnderClosures(t *testing.T) {
 // planner sweeps fewer arcs than the same version of a plain cch planner
 // (perfect customization drops dominated pairs from the sweeps), and
 // ViewBytes counts what each version owns — a plain view its four slot
-// columns (32 B per swept pair), a perfect view those plus the private
-// CSR it sweeps (an offset per position and two int32s per kept pair),
-// never the order, positions or elimination tree it shares.
+// columns (32 B per swept pair) and its inert mask (1 B per pair), a
+// perfect view the columns plus the private CSR it sweeps (an offset per
+// position and two int32s per kept pair), never the order, positions or
+// elimination tree it shares.
 func TestHierarchyStatusReporting(t *testing.T) {
 	g := testCity(t)
 	store := weights.NewStore(g.BaseWeights())
@@ -101,8 +102,8 @@ func TestHierarchyStatusReporting(t *testing.T) {
 		if p >= c {
 			t.Fatalf("%s: cch-perfect planner sweeps %d arcs, cch planner %d; want fewer", when, p, c)
 		}
-		if got, want := cchP.HierarchyStatus().ViewBytes, 32*c; got != want {
-			t.Fatalf("%s: cch view reports %d B, want %d B of columns", when, got, want)
+		if got, want := cchP.HierarchyStatus().ViewBytes, 33*c; got != want {
+			t.Fatalf("%s: cch view reports %d B, want %d B of columns and inert mask", when, got, want)
 		}
 		if got, want := perfect.HierarchyStatus().ViewBytes, 32*p+4*(g.NumNodes()+1)+8*p; got != want {
 			t.Fatalf("%s: cch-perfect view reports %d B, want %d B of columns and private CSR", when, got, want)
@@ -223,10 +224,11 @@ func TestCCHRecustomizeChainStaysExact(t *testing.T) {
 }
 
 // TestStudyProvidersShareTopology pins the precondition of the engine's
-// twin sweeps: on ch-auto a study set's public and traffic providers hold
+// joint passes: on ch-auto a study set's public and traffic providers hold
 // one ch.Topology pointer, at construction and after publishes on both
 // stores, while their weight columns stay their own. A cch-perfect study
-// set packs a private topology per version instead.
+// set packs a private topology per version instead, and shares no joint
+// slot.
 func TestStudyProvidersShareTopology(t *testing.T) {
 	g := randomRoadNetwork(707, 150)
 	topology := func(pl Planner) *ch.Topology {
@@ -265,4 +267,74 @@ func TestStudyProvidersShareTopology(t *testing.T) {
 	if topology(perfect[0]) == topology(perfect[1]) || topology(perfect[1]) == shared {
 		t.Fatal("cch-perfect views share a sweep topology")
 	}
+	if perfect[0].source().joint != nil || perfect[1].source().joint != nil {
+		t.Fatal("cch-perfect providers share a joint slot")
+	}
+}
+
+// TestJointSlotFollowsServingViews pins the lifetime of a city's joint
+// topology: the first miss on a pair of serving views builds and caches
+// the joint of exactly those builders; the traffic store's ViewBytes then
+// counts it once (an offset per position and 52 B per kept pair) on top
+// of its own columns; a publish on either store empties the slot, so it
+// never keeps a superseded builder reachable, also when a query that
+// pinned the old view finishes its joint after the swap; and the next
+// miss caches the joint of the new views.
+func TestJointSlotFollowsServingViews(t *testing.T) {
+	g := testCity(t)
+	pub := weights.NewStore(g.BaseWeights())
+	priv := weights.NewStore(traffic.Apply(g, traffic.DefaultModel(5)))
+	planners := NewStudyPlanners(g, Options{Weights: pub, TreeBackend: TreeCHAuto}, priv)
+	router := NewRouter(NewEngine(2), planners[:], pub, priv)
+	router.Engine().SetCache(0)
+	js := planners[1].source().joint
+	if js == nil || planners[0].source().joint != js {
+		t.Fatal("the study set's public and traffic providers share no joint slot")
+	}
+	public, trafficP := planners[1].source(), planners[0].source()
+	status := func() (pubBytes, trafficBytes int) {
+		return planners[1].(*Plateaus).HierarchyStatus().ViewBytes, planners[0].(*Commercial).HierarchyStatus().ViewBytes
+	}
+	check := func(when string, wantCached bool) {
+		t.Helper()
+		j := js.cur.Load()
+		pb, tb := status()
+		if !wantCached {
+			if j != nil {
+				t.Fatalf("%s: the slot holds a joint", when)
+			}
+			if pb != tb {
+				t.Fatalf("%s: public view %d B, traffic view %d B, want equal without a joint", when, pb, tb)
+			}
+			return
+		}
+		if j == nil {
+			t.Fatalf("%s: the slot is empty", when)
+		}
+		if a, b := j.Builders(); a != public.servingBuilder() || b != trafficP.servingBuilder() {
+			t.Fatalf("%s: the cached joint is not of the serving builders", when)
+		}
+		if want := 4*(g.NumNodes()+1) + 52*j.NumPairs(); j.MemoryBytes() != want || tb != pb+want {
+			t.Fatalf("%s: joint %d B (want %d), traffic view %d B, public view %d B", when, j.MemoryBytes(), want, tb, pb)
+		}
+	}
+	check("at construction", false)
+	router.Engine().Alternatives(planners[:], 0, 143)
+	check("after a miss", true)
+
+	oldPublic := public.servingBuilder()
+	scaled := g.CopyWeights()
+	for e := range scaled {
+		scaled[e] *= 1.25
+	}
+	pub.Publish(scaled)
+	router.Sync()
+	check("after a public publish", false)
+	js.get(oldPublic, trafficP.servingBuilder()) // a query that pinned the old view
+	check("after a stale joint", false)
+	router.Engine().Alternatives(planners[:], 5, 130)
+	check("after the next miss", true)
+	priv.Ban(1, 2, 3)
+	router.Sync()
+	check("after a traffic publish", false)
 }

@@ -181,9 +181,10 @@ func (o Options) withDefaults() Options {
 // within a query Plateaus, Dissimilarity and Penalty read one public tree
 // pair (see Engine.Alternatives): the first two join it, Penalty
 // searches toward t with its backward tree as potential. Commercial's
-// traffic pair is built in the same group, and on ch-auto
-// each root's public and traffic trees come out of one twin sweep, since
-// both providers customize the same preprocessing. Building them separately
+// traffic pair is built in the same group, and on ch-auto (basic cch)
+// all four public and traffic trees come out of one pass over the two
+// providers' joint topology, since both customize the same
+// preprocessing. Building them separately
 // would give each its own provider: a double-buffered Plateaus could then
 // answer one response a version behind Dissimilarity and Penalty, and the
 // two tree users would each build their own pair.
@@ -191,8 +192,10 @@ func NewStudyPlanners(g *graph.Graph, opts Options, private weights.Source) [4]P
 	copts := opts
 	copts.Weights = private
 	pl := NewPlateaus(g, opts)
+	c := NewCommercial(g, nil, copts)
+	shareJoint(pl.prov, c.prov, opts)
 	return [4]Planner{
-		NewCommercial(g, nil, copts),
+		c,
 		pl,
 		&Dissimilarity{versioned: pl.versioned, g: g, opts: pl.opts},
 		&Penalty{versioned: pl.versioned, g: g, opts: pl.opts},

@@ -130,8 +130,8 @@ type pin struct {
 // one groupTrees, which builds each of the query's trees once per view and
 // is released when the call returns. Every tree of the group is
 // bit-identical to the view's own build, so every route is what the
-// planner would have computed alone, ties included; a half whose build
-// panics fails only the planner that built it.
+// planner would have computed alone, ties included; a group build that
+// panics fails only the planner that claimed it.
 func (e *Engine) Alternatives(planners []Planner, s, t graph.NodeID) []Result {
 	results := make([]Result, len(planners))
 	pins := make([]pin, len(planners))
@@ -152,6 +152,7 @@ func (e *Engine) Alternatives(planners []Planner, s, t graph.NodeID) []Result {
 	cache := e.cache.Load()
 	var misses []int
 	var views []*view
+	var provs []*provider
 	for i, pl := range planners {
 		if cache != nil && answerHit(cache, pl, pins[i], s, t, &results[i]) {
 			continue
@@ -159,6 +160,7 @@ func (e *Engine) Alternatives(planners []Planner, s, t graph.NodeID) []Result {
 		misses = append(misses, i)
 		if v := pins[i].v; v.trees != nil && !slices.Contains(views, v) {
 			views = append(views, v)
+			provs = append(provs, pl.source())
 		}
 	}
 	if len(misses) == 0 {
@@ -166,7 +168,7 @@ func (e *Engine) Alternatives(planners []Planner, s, t graph.NodeID) []Result {
 	}
 	var gt *groupTrees
 	if len(views) > 0 {
-		gt = newGroupTrees(s, t, views)
+		gt = newGroupTrees(s, t, provs, views)
 		defer gt.release()
 	}
 	// runJob recovers each planner's panic into its result, so Run has
@@ -194,25 +196,17 @@ func answerHit(cache *resultCache, pl Planner, p pin, s, t graph.NodeID, res *Re
 
 // groupTrees is the build-once tree state of one group: for each distinct
 // view of the group, a forward tree rooted at s and a backward tree rooted
-// at t, in a workspace of the view's own. The work is two halves — every
-// view's s-rooted forward tree, and every view's t-rooted backward tree —
-// and a job that needs trees claims each unclaimed half, builds it, then
-// waits for the other, so two workers build the halves in parallel. Within
-// a half, two views whose tree builders share a sweep topology (a city's
-// public and traffic views on ch-auto) are swept in one twin pass; every
-// other view (the Dijkstra backend, a cch-perfect customization's private
-// topology) is swept on its own.
+// at t, in a workspace of the view's own. The first job that needs trees
+// claims the whole build and every other job waits for it. Two views that
+// share a city's joint sweep topology (its public and traffic views on
+// ch-auto) get their four trees from one joint pass; every other view
+// (the Dijkstra backend, a cch-perfect customization's private topology,
+// a CCH view without a sibling) builds its two trees on its own.
 type groupTrees struct {
 	s, t    graph.NodeID
 	members []groupMember
-	halves  [2]treeHalf // forward (s-rooted), backward (t-rooted)
-}
-
-// treeHalf is one claimable half of a group's build.
-type treeHalf struct {
-	claimed atomic.Bool
-	done    sync.WaitGroup
-	// failed is written before done is released: the build panicked.
+	once    sync.Once
+	// failed is written inside once: the build panicked.
 	failed bool
 }
 
@@ -220,25 +214,24 @@ type treeHalf struct {
 // of view, the group's copy of the pinned view.
 type groupMember struct {
 	g      *groupTrees
+	prov   *provider
 	pinned *view
 	view   view
 	src    TreeSource
 	ws     *sp.Workspace
-	trees  [2]*sp.Tree // forward, backward; written by the halves
+	trees  [2]*sp.Tree // forward, backward; written by the build
 }
 
 // newGroupTrees readies a group over the distinct views for the query
-// (s, t): one member and one workspace per view.
-func newGroupTrees(s, t graph.NodeID, views []*view) *groupTrees {
+// (s, t), views[i] pinned from provs[i]: one member and one workspace per
+// view.
+func newGroupTrees(s, t graph.NodeID, provs []*provider, views []*view) *groupTrees {
 	gt := &groupTrees{s: s, t: t, members: make([]groupMember, len(views))}
 	for i, v := range views {
 		m := &gt.members[i]
-		m.g, m.pinned, m.view, m.src = gt, v, *v, v.trees
+		m.g, m.prov, m.pinned, m.view, m.src = gt, provs[i], v, *v, v.trees
 		m.view.trees = m
 		m.ws = sp.GetWorkspace()
-	}
-	for h := range gt.halves {
-		gt.halves[h].done.Add(1)
 	}
 	return gt
 }
@@ -257,66 +250,55 @@ func (gt *groupTrees) viewOf(v *view) *view {
 	return v
 }
 
-// build claims and builds every unclaimed half, then waits for the rest.
-// It reports whether every half was built; after a failed one the caller
-// builds its own trees.
+// build builds every member's trees under one claim, or waits for the
+// job that claimed them. It reports whether the build succeeded; after a
+// failed one the caller builds its own trees. A panic propagates to the
+// claiming job only.
 func (gt *groupTrees) build() bool {
-	for h := range gt.halves {
-		if gt.halves[h].claimed.CompareAndSwap(false, true) {
-			gt.buildHalf(h)
-		}
-	}
-	ok := true
-	for h := range gt.halves {
-		gt.halves[h].done.Wait()
-		ok = ok && !gt.halves[h].failed
-	}
-	return ok
+	gt.once.Do(gt.buildAll)
+	return !gt.failed
 }
 
-// buildHalf builds half h's tree of every member, pairing the members
-// that share a sweep topology into twin passes. A panic marks the half
-// failed and propagates to the claiming job.
-func (gt *groupTrees) buildHalf(h int) {
-	half := &gt.halves[h]
-	failed := true
-	defer func() {
-		half.failed = failed
-		half.done.Done()
-	}()
-	root, dir := gt.s, sp.Forward
-	if h == 1 {
-		root, dir = gt.t, sp.Backward
-	}
+// buildAll builds the trees of every member, the members that share a
+// joint topology in one pass per pair.
+func (gt *groupTrees) buildAll() {
+	gt.failed = true
 	ms := gt.members
 	for i := range ms {
-		if ms[i].trees[h] != nil {
+		if ms[i].trees[0] != nil {
 			continue
 		}
-		if j := twinPartner(ms, i, h); j >= 0 {
-			ms[i].trees[h], ms[j].trees[h] = ch.BuildTwinTreesInto(
-				ms[i].ws, sweepBuilder(ms[i].src), ms[j].ws, sweepBuilder(ms[j].src), root, dir)
+		if a, b, j := jointPartner(ms, i); j != nil {
+			ma, mb := &ms[a], &ms[b]
+			ma.trees[0], ma.trees[1], mb.trees[0], mb.trees[1] = j.BuildTreesInto(ma.ws, mb.ws, gt.s, gt.t)
 			continue
 		}
-		ms[i].trees[h] = ms[i].src.BuildTree(ms[i].ws, root, dir)
+		m := &ms[i]
+		m.trees[0] = m.src.BuildTree(m.ws, gt.s, sp.Forward)
+		m.trees[1] = m.src.BuildTree(m.ws, gt.t, sp.Backward)
 	}
-	failed = false
+	gt.failed = false
 }
 
-// twinPartner returns the first member after i whose half-h tree is not
-// built yet and whose tree builder shares member i's sweep topology, or
-// -1.
-func twinPartner(ms []groupMember, i, h int) int {
-	a := sweepBuilder(ms[i].src)
-	if a == nil {
-		return -1
+// jointPartner finds the member after i whose provider shares member i's
+// joint slot and returns the two members in the slot's order with their
+// joint, or a nil joint when member i has no such partner.
+func jointPartner(ms []groupMember, i int) (a, b int, j *ch.Joint) {
+	js := ms[i].prov.joint
+	if js == nil {
+		return 0, 0, nil
 	}
-	for j := i + 1; j < len(ms); j++ {
-		if b := sweepBuilder(ms[j].src); b != nil && ms[j].trees[h] == nil && b.Topology() == a.Topology() {
-			return j
+	for k := i + 1; k < len(ms); k++ {
+		if ms[k].prov.joint != js {
+			continue
 		}
+		a, b = i, k
+		if ms[i].prov != js.provs[0] {
+			a, b = k, i
+		}
+		return a, b, js.get(sweepBuilder(ms[a].src), sweepBuilder(ms[b].src))
 	}
-	return -1
+	return 0, 0, nil
 }
 
 // sweepBuilder returns the PHAST builder behind a CCH source, nil for any
@@ -329,7 +311,7 @@ func sweepBuilder(src TreeSource) *ch.TreeBuilder {
 }
 
 // BuildTrees implements TreeSource for the group's jobs, which all only
-// read what it returns (Penalty just the backward tree). After a half
+// read what it returns (Penalty just the backward tree). After the build
 // failed — or for any other pair — the caller builds into its own
 // workspace, as it would without the group: the unbuilt pair must not
 // read as unreachable.

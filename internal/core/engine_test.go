@@ -168,7 +168,7 @@ func trafficClosureSnapshot(g *graph.Graph, seed int64) *weights.Snapshot {
 // tree backends: under base weights, under traffic plus closures on both
 // stores, and under base public weights with a private traffic metric
 // carrying its own closures — the case in which the public and traffic
-// trees of a ch-auto group come out of one twin pass over different
+// trees of a ch-auto group come out of one joint pass over different
 // metrics. It checks the same errors, edges and TimeS bits, through
 // Alternatives one query at a time and through concurrent Alternatives
 // calls over every query on one engine.
@@ -294,7 +294,7 @@ func (p *spyPlanner) alternativesOn(v *view, s, t graph.NodeID) ([]path.Path, er
 // tree of each store — is built exactly once, also when several calls
 // race on one engine; none is built when every planner hits the result
 // cache, and every workspace of the group is released when the call
-// returns. A half whose build panics fails only the planner that built
+// returns. A group build that panics fails only the planner that claimed
 // it; each sibling builds its own pair and answers as it would alone.
 func TestEngineBuildsOneTreePairPerQuery(t *testing.T) {
 	g := testCity(t)
@@ -407,8 +407,8 @@ func TestEngineBuildsOneTreePairPerQuery(t *testing.T) {
 	check("all queries", res, 0)
 	wantTrees("all queries", int64(len(qs)))
 
-	// A panicking half: exactly one planner fails, the one that built it;
-	// the other three each build their own pair.
+	// A panicking group build: exactly one planner fails, the one that
+	// claimed it; the other three each build their own pair.
 	reset()
 	public.panicNext.Store(true)
 	res, _, _ = run("panic", 1, 1)

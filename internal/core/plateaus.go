@@ -212,8 +212,8 @@ func findPlateausInto(sc *plateauScratch, g *graph.Graph, base []float64, fwd, b
 		if e < 0 {
 			return false
 		}
-		ed := g.Edge(e)
-		return fwd.Parent[ed.To] == e && bwd.Parent[ed.From] == e
+		ends := g.Ends(e)
+		return fwd.Parent[ends.To] == e && bwd.Parent[ends.From] == e
 	}
 	isHead := func(v graph.NodeID) bool {
 		return isPlateau(bwd.Parent[v]) && !isPlateau(fwd.Parent[v])
@@ -228,7 +228,7 @@ func findPlateausInto(sc *plateauScratch, g *graph.Graph, base []float64, fwd, b
 		for e := bwd.Parent[cur]; isPlateau(e); e = bwd.Parent[cur] {
 			sc.edges = append(sc.edges, e)
 			pl.CostS += base[e]
-			cur = g.Edge(e).To
+			cur = g.Ends(e).To
 		}
 		pl.End = cur
 		if math.IsInf(fwd.Dist[pl.Start], 1) || math.IsInf(bwd.Dist[pl.End], 1) {

@@ -74,14 +74,16 @@ const (
 	// (cch.Preprocessed.Customize):
 	// metric-independent contraction on a nested-dissection order with no
 	// witness pruning, customized by triangle relaxation — exact for any
-	// published snapshot, including +Inf closures.
+	// published snapshot, including +Inf closures. Each publish also runs
+	// the perfect-customization post-pass and keeps the inert mask that a
+	// study set's joint topology prunes by (ch.NewJoint).
 	HierarchyCCH HierarchyKind = iota
-	// HierarchyCCHPerfect is HierarchyCCH with the perfect-customization
-	// post-pass: each publish additionally proves which chordal pairs have
-	// both arcs strictly dominated (or +Inf) under the snapshot's metric
-	// and marks them inert, so queries and tree sweeps skip them
-	// (dominated-pair pruning). Same routes, costlier customization,
-	// cheaper everything after.
+	// HierarchyCCHPerfect is HierarchyCCH whose builders drop the chordal
+	// pairs the post-pass proves inert under the snapshot's metric (both
+	// arcs strictly dominated or +Inf) from a private topology, so their
+	// queries and tree sweeps skip them (dominated-pair pruning). Same
+	// routes; its views share no topology, so a study set sweeps each
+	// tree on its own.
 	HierarchyCCHPerfect
 )
 
@@ -200,10 +202,12 @@ type HierarchyStatus struct {
 	SelectionBytes  int
 	// ViewBytes is what the serving version's tree builder retains of its
 	// own (ch.TreeBuilder.MemoryBytes): its weight and arc-end columns
-	// and, on cch-perfect, the private CSR it sweeps — not the order,
-	// positions and elimination tree it shares with every customization
-	// of the city, nor a basic view's shared CSR. PreprocessedBytes is
-	// the city's preprocessing, that shared topology included once
+	// and its inert mask or, on cch-perfect, the private CSR it sweeps —
+	// not the order, positions and elimination tree it shares with every
+	// customization of the city, nor a basic view's shared CSR. A study
+	// set's traffic provider also counts the city's cached joint topology
+	// (ch.Joint.MemoryBytes), once. PreprocessedBytes is the city's
+	// preprocessing, that shared topology included once
 	// (cch.Preprocessed.MemoryBytes).
 	ViewBytes         int
 	PreprocessedBytes int
@@ -264,8 +268,10 @@ type selectionStats struct {
 // sweeps of one weight version's hierarchy, bit-compatible with the
 // Dijkstra backend's trees, so route sets are identical. Its tree builder
 // shares the sweep topology of the city's preprocessing with every other
-// basic customization of it, which is what lets the engine sweep a
-// request's public and traffic trees in one pass (ch.BuildTwinTreesInto).
+// basic customization of it, which is what lets the engine sweep all four
+// of a request's public and traffic trees in one pass over the two
+// builders' joint topology (ch.Joint, cached in the providers'
+// jointSlot).
 //
 // It also owns that version's matrix selections (RPHAST): selectTargets
 // selects a matrix's distinct targets once with the tree builder

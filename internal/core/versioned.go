@@ -91,6 +91,78 @@ type provider struct {
 	// one of the provider's planners, every matrix table on it and every
 	// customization of it is recorded here.
 	metrics atomic.Pointer[Metrics]
+	// joint, set by NewStudyPlanners before the planners are returned, is
+	// the city's joint slot this provider shares with its sibling; nil
+	// when the provider has none.
+	joint *jointSlot
+}
+
+// jointSlot caches the joint sweep topology of a city's public and
+// traffic views (ch.Joint), which the engine's tree groups sweep all four
+// trees of an /api/routes miss over. It holds a single entry, built on
+// the first miss that pairs the serving views. A provider that installs
+// a new view drops the entry, and an entry is stored only while both of
+// its builders serve, so the slot never keeps a superseded builder
+// reachable.
+type jointSlot struct {
+	// provs are the public and the traffic provider, the order the joint
+	// takes their builders in. The traffic provider's status counts the
+	// joint's bytes.
+	provs [2]*provider
+	// mu orders stores against drops; loads are lock-free.
+	mu  sync.Mutex
+	cur atomic.Pointer[ch.Joint]
+}
+
+// shareJoint links the public and traffic providers of a study set to
+// one joint slot when both customize the same preprocessing into basic
+// views over its shared topology.
+func shareJoint(public, traffic *provider, opts Options) {
+	if public.customize == nil || traffic.customize == nil || public.pre != traffic.pre || opts.Hierarchy != HierarchyCCH {
+		return
+	}
+	js := &jointSlot{provs: [2]*provider{public, traffic}}
+	public.joint, traffic.joint = js, js
+}
+
+// get returns the joint of the builders a (public) and b (traffic): the
+// cached one when it was packed from them, otherwise a fresh one, which
+// replaces the cached entry if a and b still serve.
+func (js *jointSlot) get(a, b *ch.TreeBuilder) *ch.Joint {
+	if j := js.cur.Load(); j != nil {
+		if ja, jb := j.Builders(); ja == a && jb == b {
+			return j
+		}
+	}
+	j := ch.NewJoint(a, b)
+	js.mu.Lock()
+	if js.provs[0].servingBuilder() == a && js.provs[1].servingBuilder() == b {
+		js.cur.Store(j)
+	}
+	js.mu.Unlock()
+	return j
+}
+
+// drop empties the slot; a provider calls it after installing a view.
+func (js *jointSlot) drop() {
+	js.mu.Lock()
+	js.cur.Store(nil)
+	js.mu.Unlock()
+}
+
+// bytes reports what the cached joint retains of its own, 0 when the
+// slot is empty.
+func (js *jointSlot) bytes() int {
+	if j := js.cur.Load(); j != nil {
+		return j.MemoryBytes()
+	}
+	return 0
+}
+
+// servingBuilder returns the tree builder of the installed view, nil off
+// TreeCHAuto.
+func (p *provider) servingBuilder() *ch.TreeBuilder {
+	return sweepBuilder(p.cur.Load().trees)
 }
 
 // newProvider builds the resolver for the planner labelled label and
@@ -160,6 +232,10 @@ func (p *provider) hierarchyStatus() HierarchyStatus {
 		return HierarchyStatus{}
 	}
 	tr := p.cur.Load().trees.(*cchTrees)
+	viewBytes := tr.tb.MemoryBytes()
+	if js := p.joint; js != nil && js.provs[1] == p {
+		viewBytes += js.bytes()
+	}
 	return HierarchyStatus{
 		Kind:              cch.Kind,
 		LastCustomize:     time.Duration(p.lastCustomize.Load()),
@@ -167,7 +243,7 @@ func (p *provider) hierarchyStatus() HierarchyStatus {
 		SelectionHits:     p.selStats.selHits.Load(),
 		SelectionMisses:   p.selStats.selMisses.Load(),
 		SelectionBytes:    tr.cache.bytes(),
-		ViewBytes:         tr.tb.MemoryBytes(),
+		ViewBytes:         viewBytes,
 		PreprocessedBytes: p.pre.MemoryBytes(),
 	}
 }
@@ -184,6 +260,9 @@ func (p *provider) rebuildTo(snap *weights.Snapshot) *view {
 	}
 	v := p.buildView(snap)
 	p.cur.Store(v)
+	if p.joint != nil {
+		p.joint.drop()
+	}
 	return v
 }
 

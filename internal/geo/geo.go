@@ -106,8 +106,13 @@ func Bearing(a, b Point) float64 {
 // [0, 180], experienced when traveling a->b->c. 0 means straight ahead,
 // 180 means a full U-turn.
 func TurnAngle(a, b, c Point) float64 {
-	in := Bearing(a, b)
-	out := Bearing(b, c)
+	return BearingChange(Bearing(a, b), Bearing(b, c))
+}
+
+// BearingChange returns the absolute change of direction, in degrees
+// within [0, 180], between an incoming and an outgoing bearing (each in
+// [0, 360)): TurnAngle on bearings a caller already has.
+func BearingChange(in, out float64) float64 {
 	d := math.Abs(out - in)
 	if d > 180 {
 		d = 360 - d

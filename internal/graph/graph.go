@@ -58,6 +58,13 @@ type Graph struct {
 	// to extract one endpoint.
 	fwdTo   []NodeID
 	revFrom []NodeID
+	// ends and bearing are per-edge columns, indexed by EdgeID: the tail
+	// and head (8 bytes instead of the 40-byte Edge the plateau join would
+	// otherwise load per test) and the initial great-circle bearing from
+	// tail to head, computed once here so ranking reads two numbers per
+	// vertex instead of two Atan2 evaluations.
+	ends    []EdgeEnds
+	bearing []float64
 
 	// baseW caches the travel-time weight of every edge, indexed by
 	// EdgeID — the public OSM-derived metric shared by every reader.
@@ -77,6 +84,16 @@ func (g *Graph) Point(v NodeID) geo.Point { return g.points[v] }
 
 // Edge returns the edge with the given ID.
 func (g *Graph) Edge(e EdgeID) Edge { return g.edges[e] }
+
+// EdgeEnds is the tail and the head of a directed edge.
+type EdgeEnds struct{ From, To NodeID }
+
+// Ends returns the tail and the head of edge e.
+func (g *Graph) Ends(e EdgeID) EdgeEnds { return g.ends[e] }
+
+// Bearing returns geo.Bearing from edge e's tail to its head, in degrees
+// within [0, 360).
+func (g *Graph) Bearing(e EdgeID) float64 { return g.bearing[e] }
 
 // BBox returns the bounding box of all vertices.
 func (g *Graph) BBox() geo.BBox { return g.bbox }
@@ -267,8 +284,13 @@ func (b *Builder) Build() *Graph {
 		revNext[e.To]++
 	}
 	g.baseW = make([]float64, len(g.edges))
+	g.ends = make([]EdgeEnds, len(g.edges))
+	g.bearing = make([]float64, len(g.edges))
 	for i := range g.edges {
-		g.baseW[i] = g.edges[i].TimeS
+		e := &g.edges[i]
+		g.baseW[i] = e.TimeS
+		g.ends[i] = EdgeEnds{e.From, e.To}
+		g.bearing[i] = geo.Bearing(b.points[e.From], b.points[e.To])
 	}
 	if n > 0 {
 		g.bbox = geo.NewBBox(g.points...)

@@ -212,14 +212,13 @@ func UnionShare(g *graph.Graph, p Path, set []Path) float64 {
 
 // TurnCount returns the number of interior vertices at which the direction
 // change exceeds thresholdDeg — the "less zig-zag" criterion participants
-// mentioned in the study (§IV-C).
+// mentioned in the study (§IV-C). The direction change at Nodes[i] is
+// geo.TurnAngle of Nodes[i-1], Nodes[i] and Nodes[i+1], read from the
+// stored bearings of the edges into and out of it.
 func TurnCount(g *graph.Graph, p Path, thresholdDeg float64) int {
 	count := 0
-	for i := 1; i+1 < len(p.Nodes); i++ {
-		a := g.Point(p.Nodes[i-1])
-		b := g.Point(p.Nodes[i])
-		c := g.Point(p.Nodes[i+1])
-		if geo.TurnAngle(a, b, c) > thresholdDeg {
+	for i := 1; i < len(p.Edges); i++ {
+		if geo.BearingChange(g.Bearing(p.Edges[i-1]), g.Bearing(p.Edges[i])) > thresholdDeg {
 			count++
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/citygen"
 	"repro/internal/geo"
 	"repro/internal/graph"
 	"repro/internal/sp"
@@ -232,6 +233,71 @@ func TestTurnCount(t *testing.T) {
 	bottom := bottomViaPath(t, g, n) // down, along, up: exactly 2 right angles
 	if got := TurnCount(g, bottom, 45); got != 2 {
 		t.Errorf("dog-leg path turn count = %d, want 2", got)
+	}
+}
+
+// pointTurnCount is TurnCount as it was before edges stored their
+// bearings: two bearings computed from the three points at each interior
+// vertex.
+func pointTurnCount(g *graph.Graph, p Path, thresholdDeg float64) int {
+	count := 0
+	for i := 1; i+1 < len(p.Nodes); i++ {
+		a := g.Point(p.Nodes[i-1])
+		b := g.Point(p.Nodes[i])
+		c := g.Point(p.Nodes[i+1])
+		if geo.TurnAngle(a, b, c) > thresholdDeg {
+			count++
+		}
+	}
+	return count
+}
+
+// TestTurnCountMatchesPointBearings pins TurnCount on stored per-edge
+// bearings to the point-based loop on the three study cities' routes —
+// fastest routes under the base metric and under a seeded perturbation
+// of it, which bends them — at several thresholds: the count, and every
+// vertex's direction change bit for bit.
+func TestTurnCountMatchesPointBearings(t *testing.T) {
+	queries := 40
+	if testing.Short() {
+		queries = 10
+	}
+	for _, prof := range citygen.Profiles() {
+		g, err := prof.Generate(2022)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(2022))
+		bent := g.CopyWeights()
+		for e := range bent {
+			bent[e] *= 0.5 + rng.Float64()
+		}
+		turns := 0
+		for _, w := range [][]float64{g.BaseWeights(), bent} {
+			for q := 0; q < queries; q++ {
+				s, d := graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))
+				edges, _ := sp.ShortestPath(g, w, s, d)
+				p, err := New(g, w, s, edges)
+				if err != nil {
+					continue
+				}
+				for i := 1; i+1 < len(p.Nodes); i++ {
+					want := geo.TurnAngle(g.Point(p.Nodes[i-1]), g.Point(p.Nodes[i]), g.Point(p.Nodes[i+1]))
+					if got := geo.BearingChange(g.Bearing(p.Edges[i-1]), g.Bearing(p.Edges[i])); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: %d->%d vertex %d: stored bearings turn %v, points %v", prof.Name, s, d, i, got, want)
+					}
+				}
+				for _, th := range []float64{0, 30, 45, 90, 135} {
+					if got, want := TurnCount(g, p, th), pointTurnCount(g, p, th); got != want {
+						t.Fatalf("%s: %d->%d threshold %v: %d turns, point-based loop %d", prof.Name, s, d, th, got, want)
+					}
+				}
+				turns += TurnCount(g, p, 45)
+			}
+		}
+		if turns == 0 {
+			t.Fatalf("%s: no route turns, the comparison is vacuous", prof.Name)
+		}
 	}
 }
 

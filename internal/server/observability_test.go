@@ -485,11 +485,14 @@ func TestVerboseOption(t *testing.T) {
 
 // TestOwnerGauges pins the memory-owner gauges on two ch-auto cities: a
 // scrape reports routing_view_bytes for the public and the traffic store
-// of every city and routing_preprocessed_bytes for every city. The two
-// views of a city report equal bytes — their weight and arc-end columns
-// over one shared sweep topology, 32 bytes per chordal arc pair, so the
-// topology is not in the figure — and the preprocessing, which holds the
-// topology once, is larger than a view, also after a publish.
+// of every city and routing_preprocessed_bytes for every city. Before any
+// /api/routes miss, the two views of a city report equal bytes — their
+// weight and arc-end columns over one shared sweep topology and their
+// inert masks, 33 bytes per chordal pair, so the topology is not in the
+// figure — and the preprocessing, which holds the topology once, is
+// larger than a view, also after a publish. A miss builds the city's
+// joint topology, which the traffic series then counts once: an offset
+// per position and 52 bytes per kept pair.
 func TestOwnerGauges(t *testing.T) {
 	cities := map[string]*eval.City{}
 	for _, p := range []citygen.Profile{citygen.Copenhagen(), citygen.Dhaka()} {
@@ -526,11 +529,21 @@ func TestOwnerGauges(t *testing.T) {
 			if public != private {
 				t.Errorf("round %d, %s: public view %v bytes, traffic view %v", round, name, public, private)
 			}
-			if want := 32 * float64(cch.PreprocessSharedWith(c.Graph, cch.OrderConfig{}).NumPairs()); public != want {
-				t.Errorf("round %d, %s: view bytes %v, want %v (columns only)", round, name, public, want)
+			pairs := cch.PreprocessSharedWith(c.Graph, cch.OrderConfig{}).NumPairs()
+			if want := 33 * float64(pairs); public != want {
+				t.Errorf("round %d, %s: view bytes %v, want %v (columns and inert mask)", round, name, public, want)
 			}
 			if pre <= public {
 				t.Errorf("round %d, %s: preprocessing %v bytes, not above a view's %v", round, name, pre, public)
+			}
+			bb := c.Graph.BBox()
+			if res := getJSON(t, ts.URL+fmt.Sprintf("/api/routes?city=%s&s=%f,%f&t=%f,%f", name, bb.MinLat, bb.MinLon, bb.MaxLat, bb.MaxLon), nil); res.StatusCode != http.StatusOK {
+				t.Fatalf("round %d, %s: routes status = %d", round, name, res.StatusCode)
+			}
+			text := scrape(t, ts)
+			joint := int(gauge(text, fmt.Sprintf(`routing_view_bytes{city=%q,store="traffic"}`, name))-gauge(text, fmt.Sprintf(`routing_view_bytes{city=%q,store="public"}`, name))) - 4*(c.Graph.NumNodes()+1)
+			if kept := joint / 52; joint%52 != 0 || kept <= 0 || kept > pairs {
+				t.Errorf("round %d, %s: after a miss the traffic view carries %d B beyond the public view and an offset per position, want 52 B per kept pair", round, name, joint)
 			}
 		}
 		for _, c := range cities {
